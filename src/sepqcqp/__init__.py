@@ -2,7 +2,7 @@
 rank-one recovery.
 
 Modules:
-    symkernel      symmetric-matrix numerics (packed storage, Jacobi eigen)
+    symkernel      symmetric-matrix numerics (dense storage, LAPACK eigen)
     qcqp_model     problem data model, evaluation, brute-force oracle
     sdpr_builder   Shor / block / homogeneous relaxation builders
     sdp_solver     primal-dual interior-point solver for block SDPs
@@ -14,7 +14,6 @@ Modules:
 
 from . import errors
 from .errors import (
-    ConvergenceError,
     DimensionError,
     GenerationError,
     InfeasibleStructureError,

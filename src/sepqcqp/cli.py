@@ -735,12 +735,15 @@ def _cmd_certify(ns):
 
 def _judge_payload(conn: SeparableQcqp, ns) -> tuple[int, dict]:
     v = judge(conn, _judge_options(ns))
-    payload = {"verdict": verdict_to_dict(v)}
-    try:
-        sol = solve(build_block(conn), _solver_options(ns))
-        payload["solver"] = _provenance(sol, ns.rank_tol)
-    except SepqcqpError:
-        payload["solver"] = None
+    sol = v.relaxation
+    payload = {
+        "verdict": verdict_to_dict(v),
+        "solver": None if sol is None else _provenance(sol, ns.rank_tol),
+    }
+    if sol is None or sol.status is not SolveStatus.OPTIMAL:
+        # no allocation to read: the verdict covers no entries
+        payload["bilevel"] = None
+        return _exit_for(v), payload
     rep = bilevel_report(conn, v)
     payload["bilevel"] = {
         "identity_gap": float(rep.identity_gap),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .qcqp_model import eval as qf_eval
 from .rank_reduction import reduce
 from .sdp_solver import SolverOptions, solve
 from .sdpr_builder import (
+    SdpSolution,
     SolveStatus,
     build_block,
     build_hom,
@@ -98,6 +99,11 @@ class ExactnessVerdict:
     witness: list | None = None
     oracle_value: float | None = None
     reason: str = ""
+    #: the block-relaxation solution the verdict rests on (None when the
+    #: solve raised); not part of the verdict's identity or its JSON form
+    relaxation: SdpSolution | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def exact(self) -> bool:
@@ -562,6 +568,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             delta_decomposition=[],
             per_block=[],
             reason=f"solver status {sol.status.value}",
+            relaxation=sol,
         )
     eta = float(sol.value)
     deltas = decompose_delta(s, sol)
@@ -656,6 +663,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             delta_decomposition=deltas,
             per_block=per_block,
             witness=points if witnessed else None,
+            relaxation=sol,
         )
     if witnessed:
         return ExactnessVerdict(
@@ -665,6 +673,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             delta_decomposition=deltas,
             per_block=per_block,
             witness=points,
+            relaxation=sol,
         )
 
     # oracle fallback: the only road to NotExact
@@ -677,6 +686,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             delta_decomposition=deltas,
             per_block=per_block,
             reason="no witness found and too many variables for the oracle",
+            relaxation=sol,
         )
     box, grid = _oracle_box(s, sol, opts)
     oracle_val, oracle_pt = brute_force(
@@ -690,6 +700,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             delta_decomposition=deltas,
             per_block=per_block,
             reason="oracle found no feasible grid point",
+            relaxation=sol,
         )
     oracle_val = float(oracle_val)
     if oracle_val > eta + 10.0 * opts.tol:
@@ -704,6 +715,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
                 f"best feasible value {oracle_val:.9g} exceeds the "
                 f"relaxation value {eta:.9g}"
             ),
+            relaxation=sol,
         )
     if abs(oracle_val - eta) <= opts.tol * (1.0 + abs(eta)):
         return ExactnessVerdict(
@@ -714,6 +726,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             per_block=per_block,
             witness=split_point(s, oracle_pt),
             oracle_value=oracle_val,
+            relaxation=sol,
         )
     return ExactnessVerdict(
         status=VerdictStatus.UNDETERMINED,
@@ -723,6 +736,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         per_block=per_block,
         oracle_value=oracle_val,
         reason="oracle value inside the ambiguity band around eta",
+        relaxation=sol,
     )
 
 

@@ -2,8 +2,8 @@
 
 Every failure mode has its own class so callers can react precisely:
 structural problems (shape/relation mismatches) are distinguished from
-numerical ones (non-convergence, stalls), and parse errors carry source
-locations.
+numerical ones (non-PSD inputs, reduction stalls), and parse errors carry
+source locations.
 """
 
 
@@ -13,10 +13,6 @@ class SepqcqpError(Exception):
 
 class DimensionError(SepqcqpError):
     """Operands have incompatible dimensions."""
-
-
-class ConvergenceError(SepqcqpError):
-    """An iterative kernel failed to converge within its iteration cap."""
 
 
 class NotPsdError(SepqcqpError):

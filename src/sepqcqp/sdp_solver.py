@@ -248,164 +248,167 @@ def solve(b: BlockSdp, opts: SolverOptions | None = None) -> SdpSolution:
     pres = dres = gap_rel = np.inf
     pobj = dobj = np.nan
     iterations = 0
-    # overflow in a diverging run is detected by the finite-iterate guard
-    # below; suppress the intermediate warnings it would spray
-    err_state = np.seterr(over="ignore", invalid="ignore", divide="ignore")
-
     mu_history: list[float] = []
 
-    for iterations in range(1, opts.max_iter + 1):
-        snap = cur.snapshot()
-        r_p = d_vec - primal_lhs()
-        rd, rds = dual_residuals()
-        pobj = sum(float(np.sum(cb * xb)) for cb, xb in zip(C, cur.X))
-        dobj = float(d_vec @ cur.y)
-        compl = sum(float(np.sum(x * s)) for x, s in zip(cur.X, cur.S))
-        compl += float(cur.s @ cur.sig)
-        mu_history.append(compl / max(n_tot, 1))
-        pres = np.abs(r_p).max(initial=0.0)
-        dres = max(
-            max((np.linalg.norm(m) for m in rd), default=0.0),
-            np.abs(rds).max(initial=0.0),
-        )
-        gap_rel = max(abs(pobj - dobj), compl) / (1.0 + abs(pobj) + abs(dobj))
-        if (
-            pres <= opts.tol * d_scale
-            and dres <= opts.tol * c_scale
-            and gap_rel <= opts.tol
-        ):
-            status = SolveStatus.OPTIMAL
-            break
-        if cur.magnitude() > _DIVERGE_CAP:
-            status = SolveStatus.DIVERGED
-            break
-
-        mu = cur.mu(n_tot)
-        try:
-            # NT scaling and Schur complement M_ij = sum_b <A_i, W A_j W> (+ slack)
-            W = [_nt_scaling(cur.X[bi], cur.S[bi]) for bi in range(nb)]
-            w2 = cur.s / cur.sig
-            M = np.zeros((m_t, m_t))
-            for bi in range(nb):
-                if not active[bi]:
-                    continue
-                t = W[bi] @ a_stack[bi] @ W[bi]
-                M[np.ix_(active[bi], active[bi])] += np.einsum(
-                    "iab,jab->ij", a_stack[bi], t
-                )
-            for i in range(m_t):
-                if slack_of_row[i] >= 0:
-                    M[i, i] += w2[slack_of_row[i]]
-
-            chol = None
-            reg = 0.0
-            base = 1e-12 * (1.0 + np.abs(np.diag(M)).max(initial=0.0))
-            for attempt in range(4):
-                try:
-                    chol = np.linalg.cholesky(M + reg * np.eye(m_t))
-                    break
-                except np.linalg.LinAlgError:
-                    reg = base * (100.0 ** attempt) if reg else base
-            if chol is None and m_t > 0:
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-
-            s_inv = [np.linalg.inv(cur.S[bi]) for bi in range(nb)]
-            rds_of_slack = np.zeros(n_slack)
-            for i in range(m_t):
-                if slack_of_row[i] >= 0:
-                    rds_of_slack[slack_of_row[i]] = -cur.y[i] - cur.sig[slack_of_row[i]]
-
-            def directions(tau: float):
-                e_blk = [tau * s_inv[bi] - cur.X[bi] for bi in range(nb)]
-                e_slk = tau / cur.sig - cur.s
-                g = np.zeros(m_t)
-                wrw = [W[bi] @ rd[bi] @ W[bi] for bi in range(nb)]
-                for i in range(m_t):
-                    g[i] = sum(
-                        float(np.sum(A[i][bi] * (e_blk[bi] - wrw[bi])))
-                        for bi in range(nb)
-                    )
-                    sl = slack_of_row[i]
-                    if sl >= 0:
-                        g[i] += e_slk[sl] - w2[sl] * rds_of_slack[sl]
-                rhs = r_p - g
-                if m_t:
-                    dy = np.linalg.solve(
-                        chol.T, np.linalg.solve(chol, rhs)
-                    )
-                else:
-                    dy = np.zeros(0)
-                ds_blk = []
-                dx_blk = []
-                for bi in range(nb):
-                    acc = rd[bi].copy()
-                    for i in active[bi]:
-                        acc -= dy[i] * A[i][bi]
-                    ds_blk.append(0.5 * (acc + acc.T))
-                    dxb = e_blk[bi] - W[bi] @ ds_blk[bi] @ W[bi]
-                    dx_blk.append(0.5 * (dxb + dxb.T))
-                dsig = np.array(
-                    [rds_of_slack[slack_of_row[i]] - dy[i]
-                     for i in range(m_t) if slack_of_row[i] >= 0]
-                )
-                ds_slk = e_slk - w2 * dsig
-                return dx_blk, dy, ds_blk, ds_slk, dsig
-
-            def step_bounds(dx_blk, ds_blk, ds_slk, dsig):
-                tp = min(
-                    (_boundary_step(cur.X[bi], dx_blk[bi]) for bi in range(nb)),
-                    default=np.inf,
-                )
-                td = min(
-                    (_boundary_step(cur.S[bi], ds_blk[bi]) for bi in range(nb)),
-                    default=np.inf,
-                )
-                for v, dv in ((cur.s, ds_slk), (cur.sig, dsig)):
-                    neg = dv < 0
-                    if np.any(neg):
-                        t = float((-v[neg] / dv[neg]).min())
-                        if dv is ds_slk:
-                            tp = min(tp, t)
-                        else:
-                            td = min(td, t)
-                return tp, td
-
-            # affine probe fixes the centering weight
-            dxa, dya, dsa, dsla, dsga = directions(0.0)
-            tpa, tda = step_bounds(dxa, dsa, dsla, dsga)
-            ap = min(1.0, opts.step_fraction * tpa)
-            ad = min(1.0, opts.step_fraction * tda)
-            tr_aff = sum(
-                float(np.sum((cur.X[bi] + ap * dxa[bi]) * (cur.S[bi] + ad * dsa[bi])))
-                for bi in range(nb)
+    # overflow in a diverging run is detected by the finite-iterate guard
+    # below; suppress the intermediate warnings it would spray
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iterations in range(1, opts.max_iter + 1):
+            snap = cur.snapshot()
+            r_p = d_vec - primal_lhs()
+            rd, rds = dual_residuals()
+            pobj = sum(float(np.sum(cb * xb)) for cb, xb in zip(C, cur.X))
+            dobj = float(d_vec @ cur.y)
+            compl = sum(float(np.sum(x * s)) for x, s in zip(cur.X, cur.S))
+            compl += float(cur.s @ cur.sig)
+            mu_history.append(compl / max(n_tot, 1))
+            pres = np.abs(r_p).max(initial=0.0)
+            dres = max(
+                max((np.linalg.norm(m) for m in rd), default=0.0),
+                np.abs(rds).max(initial=0.0),
             )
-            tr_aff += float((cur.s + ap * dsla) @ (cur.sig + ad * dsga))
-            mu_aff = tr_aff / max(n_tot, 1)
-            sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 0.0))
-
-            dx, dy, ds, dsl, dsg = directions(sigma * mu)
-            tp, td = step_bounds(dx, ds, dsl, dsg)
-            ap = min(1.0, opts.step_fraction * tp)
-            ad = min(1.0, opts.step_fraction * td)
-            for bi in range(nb):
-                cur.X[bi] = 0.5 * ((cur.X[bi] + ap * dx[bi]) + (cur.X[bi] + ap * dx[bi]).T)
-                cur.S[bi] = 0.5 * ((cur.S[bi] + ad * ds[bi]) + (cur.S[bi] + ad * ds[bi]).T)
-            cur.s = cur.s + ap * dsl
-            cur.sig = cur.sig + ad * dsg
-            cur.y = cur.y + ad * dy
-            if not cur.is_finite():
-                cur.restore(snap)
+            gap_rel = max(abs(pobj - dobj), compl) / (1.0 + abs(pobj) + abs(dobj))
+            if (
+                pres <= opts.tol * d_scale
+                and dres <= opts.tol * c_scale
+                and gap_rel <= opts.tol
+            ):
+                status = SolveStatus.OPTIMAL
+                break
+            if cur.magnitude() > _DIVERGE_CAP:
                 status = SolveStatus.DIVERGED
                 break
-        except np.linalg.LinAlgError:
-            # extreme conditioning near a thin feasible face: keep the
-            # last clean iterate and report the failure honestly
-            cur.restore(snap)
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
 
-    np.seterr(**err_state)
+            mu = cur.mu(n_tot)
+            try:
+                # NT scaling and Schur complement M_ij = sum_b <A_i, W A_j W> (+ slack)
+                W = [_nt_scaling(cur.X[bi], cur.S[bi]) for bi in range(nb)]
+                w2 = cur.s / cur.sig
+                M = np.zeros((m_t, m_t))
+                for bi in range(nb):
+                    if not active[bi]:
+                        continue
+                    t = W[bi] @ a_stack[bi] @ W[bi]
+                    M[np.ix_(active[bi], active[bi])] += np.einsum(
+                        "iab,jab->ij", a_stack[bi], t
+                    )
+                for i in range(m_t):
+                    if slack_of_row[i] >= 0:
+                        M[i, i] += w2[slack_of_row[i]]
+
+                chol = None
+                reg = 0.0
+                base = 1e-12 * (1.0 + np.abs(np.diag(M)).max(initial=0.0))
+                for attempt in range(4):
+                    try:
+                        chol = np.linalg.cholesky(M + reg * np.eye(m_t))
+                        break
+                    except np.linalg.LinAlgError:
+                        reg = base * (100.0 ** attempt) if reg else base
+                if chol is None and m_t > 0:
+                    status = SolveStatus.NUMERICAL_FAILURE
+                    break
+
+                s_inv = [np.linalg.inv(cur.S[bi]) for bi in range(nb)]
+                rds_of_slack = np.zeros(n_slack)
+                for i in range(m_t):
+                    if slack_of_row[i] >= 0:
+                        rds_of_slack[slack_of_row[i]] = (
+                            -cur.y[i] - cur.sig[slack_of_row[i]]
+                        )
+
+                def directions(tau: float):
+                    e_blk = [tau * s_inv[bi] - cur.X[bi] for bi in range(nb)]
+                    e_slk = tau / cur.sig - cur.s
+                    g = np.zeros(m_t)
+                    wrw = [W[bi] @ rd[bi] @ W[bi] for bi in range(nb)]
+                    for i in range(m_t):
+                        g[i] = sum(
+                            float(np.sum(A[i][bi] * (e_blk[bi] - wrw[bi])))
+                            for bi in range(nb)
+                        )
+                        sl = slack_of_row[i]
+                        if sl >= 0:
+                            g[i] += e_slk[sl] - w2[sl] * rds_of_slack[sl]
+                    rhs = r_p - g
+                    if m_t:
+                        dy = np.linalg.solve(
+                            chol.T, np.linalg.solve(chol, rhs)
+                        )
+                    else:
+                        dy = np.zeros(0)
+                    ds_blk = []
+                    dx_blk = []
+                    for bi in range(nb):
+                        acc = rd[bi].copy()
+                        for i in active[bi]:
+                            acc -= dy[i] * A[i][bi]
+                        ds_blk.append(0.5 * (acc + acc.T))
+                        dxb = e_blk[bi] - W[bi] @ ds_blk[bi] @ W[bi]
+                        dx_blk.append(0.5 * (dxb + dxb.T))
+                    dsig = np.array(
+                        [rds_of_slack[slack_of_row[i]] - dy[i]
+                         for i in range(m_t) if slack_of_row[i] >= 0]
+                    )
+                    ds_slk = e_slk - w2 * dsig
+                    return dx_blk, dy, ds_blk, ds_slk, dsig
+
+                def step_bounds(dx_blk, ds_blk, ds_slk, dsig):
+                    tp = min(
+                        (_boundary_step(cur.X[bi], dx_blk[bi]) for bi in range(nb)),
+                        default=np.inf,
+                    )
+                    td = min(
+                        (_boundary_step(cur.S[bi], ds_blk[bi]) for bi in range(nb)),
+                        default=np.inf,
+                    )
+                    for v, dv in ((cur.s, ds_slk), (cur.sig, dsig)):
+                        neg = dv < 0
+                        if np.any(neg):
+                            t = float((-v[neg] / dv[neg]).min())
+                            if dv is ds_slk:
+                                tp = min(tp, t)
+                            else:
+                                td = min(td, t)
+                    return tp, td
+
+                # affine probe fixes the centering weight
+                dxa, dya, dsa, dsla, dsga = directions(0.0)
+                tpa, tda = step_bounds(dxa, dsa, dsla, dsga)
+                ap = min(1.0, opts.step_fraction * tpa)
+                ad = min(1.0, opts.step_fraction * tda)
+                tr_aff = sum(
+                    float(np.sum(
+                        (cur.X[bi] + ap * dxa[bi]) * (cur.S[bi] + ad * dsa[bi])
+                    ))
+                    for bi in range(nb)
+                )
+                tr_aff += float((cur.s + ap * dsla) @ (cur.sig + ad * dsga))
+                mu_aff = tr_aff / max(n_tot, 1)
+                sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 0.0))
+
+                dx, dy, ds, dsl, dsg = directions(sigma * mu)
+                tp, td = step_bounds(dx, ds, dsl, dsg)
+                ap = min(1.0, opts.step_fraction * tp)
+                ad = min(1.0, opts.step_fraction * td)
+                for bi in range(nb):
+                    xb = cur.X[bi] + ap * dx[bi]
+                    sb = cur.S[bi] + ad * ds[bi]
+                    cur.X[bi] = 0.5 * (xb + xb.T)
+                    cur.S[bi] = 0.5 * (sb + sb.T)
+                cur.s = cur.s + ap * dsl
+                cur.sig = cur.sig + ad * dsg
+                cur.y = cur.y + ad * dy
+                if not cur.is_finite():
+                    cur.restore(snap)
+                    status = SolveStatus.DIVERGED
+                    break
+            except np.linalg.LinAlgError:
+                # extreme conditioning near a thin feasible face: keep the
+                # last clean iterate and report the failure honestly
+                cur.restore(snap)
+                status = SolveStatus.NUMERICAL_FAILURE
+                break
 
     # assemble the user-facing solution in the orientation of the input b
     slacks = np.zeros(len(b.rows))

@@ -1,73 +1,68 @@
 """Dense symmetric-matrix numerics.
 
 Every matrix in the package (coefficient matrices, PSD variables, dual
-blocks) is a SymMatrix: a real symmetric matrix stored as its packed upper
-triangle. The kernel supplies the handful of operations everything else is
-built from: Frobenius inner products, a rotation-based eigendecomposition,
-PSD tests, numeric rank, and low-rank PSD factorization.
-
-The eigendecomposition is a cyclic Jacobi sweep scheme. At the dimensions
-this package works with (<= ~50) it is robust, deterministic, and has no
-dependencies beyond numpy array storage.
+blocks) is a SymMatrix: a real symmetric matrix held as one read-only
+dense float64 array. The kernel supplies the handful of operations
+everything else is built from: Frobenius inner products, the
+eigendecomposition (LAPACK ``eigh`` through numpy), PSD tests, numeric
+rank, and low-rank PSD factorization.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NotPsdError
+from .errors import DimensionError, NotPsdError
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# weight vectors for packed Frobenius sums: 1 on diagonal slots, 2 off-diagonal
-_WEIGHT_CACHE: dict[int, np.ndarray] = {}
+
+@functools.cache
+def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the upper triangle in row-major order, and weights
+    1 on diagonal slots, 2 off-diagonal (both read-only).
+
+    Frobenius sums run over the triangle in this order, so their roundoff,
+    and with it the solver's iteration counts, stays as it was when the
+    triangle was the storage.
+    """
+    iu, ju = np.triu_indices(dim)
+    idx = iu * dim + ju
+    w = np.where(iu == ju, 1.0, 2.0)
+    idx.flags.writeable = False
+    w.flags.writeable = False
+    return idx, w
 
 
-def _weights(dim: int) -> np.ndarray:
-    w = _WEIGHT_CACHE.get(dim)
-    if w is None:
-        w = np.full(dim * (dim + 1) // 2, 2.0)
-        pos = 0
-        for i in range(dim):
-            w[pos] = 1.0  # (i, i) slot
-            pos += dim - i
-        w.flags.writeable = False
-        _WEIGHT_CACHE[dim] = w
-    return w
+def _triangle_dot(a: np.ndarray, b: np.ndarray) -> float:
+    idx, w = _triangle(len(a))
+    return float(np.dot(a.take(idx) * b.take(idx), w))
 
 
 class SymMatrix:
-    """Real symmetric matrix, packed upper-triangular storage.
+    """Real symmetric matrix over one read-only dense float64 array.
 
-    Entry (i, j) with i <= j (0-based) lives at packed index
-    i*dim - i*(i-1)//2 + (j-i). Only the upper triangle is stored, so the
-    matrix is symmetric by construction. All entries must be finite.
-
-    Instances are immutable: the packed buffer is read-only and all
-    operations return new objects.
+    All entries must be finite. Instances are immutable: the array is
+    read-only and all operations return new objects.
     """
 
-    __slots__ = ("dim", "_packed")
+    __slots__ = ("dim", "_a")
 
-    def __init__(self, dim: int, packed: np.ndarray):
-        if dim < 0:
-            raise DimensionError(f"dimension must be nonnegative, got {dim}")
-        packed = np.asarray(packed, dtype=np.float64)
-        expect = dim * (dim + 1) // 2
-        if packed.shape != (expect,):
-            raise DimensionError(
-                f"packed length {packed.shape} does not match dim {dim} "
-                f"(expected {expect})"
-            )
-        if expect and not np.isfinite(packed).all():
+    def __init__(self, a: np.ndarray):
+        """Wrap a symmetric square array (copied; symmetry is the caller's
+        promise, use from_dense for arbitrary input)."""
+        a = np.array(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        if a.size and not np.isfinite(a).all():
             raise ValueError("SymMatrix entries must be finite")
-        packed = packed.copy()
-        packed.flags.writeable = False
-        self.dim = dim
-        self._packed = packed
+        a.flags.writeable = False
+        self.dim = a.shape[0]
+        self._a = a
 
     # -- constructors ------------------------------------------------------
 
@@ -79,54 +74,39 @@ class SymMatrix:
             a = a.reshape(1, 1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        a = 0.5 * (a + a.T)
-        iu = np.triu_indices(a.shape[0])
-        return SymMatrix(a.shape[0], a[iu])
+        return SymMatrix(0.5 * (a + a.T))
 
     @staticmethod
     def zeros(dim: int) -> "SymMatrix":
-        return SymMatrix(dim, np.zeros(dim * (dim + 1) // 2))
+        if dim < 0:
+            raise DimensionError(f"dimension must be nonnegative, got {dim}")
+        return SymMatrix(np.zeros((dim, dim)))
 
     @staticmethod
     def identity(dim: int) -> "SymMatrix":
-        m = SymMatrix.zeros(dim)
-        packed = m._packed.copy()
-        pos = 0
-        for i in range(dim):
-            packed[pos] = 1.0
-            pos += dim - i
-        return SymMatrix(dim, packed)
+        if dim < 0:
+            raise DimensionError(f"dimension must be nonnegative, got {dim}")
+        return SymMatrix(np.eye(dim))
 
     # -- access ------------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the full symmetric matrix (fresh, writable array)."""
-        a = np.zeros((self.dim, self.dim))
-        iu = np.triu_indices(self.dim)
-        a[iu] = self._packed
-        a[(iu[1], iu[0])] = self._packed
-        return a
-
-    def packed(self) -> np.ndarray:
-        """The read-only packed upper triangle (row-major)."""
-        return self._packed
+        """The full symmetric matrix as a fresh, writable array."""
+        return self._a.copy()
 
     def __getitem__(self, ij) -> float:
         i, j = ij
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise DimensionError(f"index {(i, j)} out of range for dim {self.dim}")
-        if i > j:
-            i, j = j, i
-        return float(self._packed[i * self.dim - i * (i - 1) // 2 + (j - i)])
+        return float(self._a[i, j])
 
     def norm(self) -> float:
         """Frobenius norm (off-diagonals counted twice, as in the full matrix)."""
-        w = _weights(self.dim)
-        return math.sqrt(float(np.dot(self._packed * self._packed, w)))
+        return math.sqrt(_triangle_dot(self._a, self._a))
 
     def is_zero(self) -> bool:
-        """True iff every stored entry is exactly zero."""
-        return not np.any(self._packed)
+        """True iff every entry is exactly zero."""
+        return not np.any(self._a)
 
     # -- arithmetic (returns new instances) ---------------------------------
 
@@ -136,17 +116,17 @@ class SymMatrix:
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
-        return SymMatrix(self.dim, self._packed + other._packed)
+        return SymMatrix(self._a + other._a)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
-        return SymMatrix(self.dim, self._packed - other._packed)
+        return SymMatrix(self._a - other._a)
 
     def __neg__(self) -> "SymMatrix":
-        return SymMatrix(self.dim, -self._packed)
+        return SymMatrix(-self._a)
 
     def scaled(self, c: float) -> "SymMatrix":
-        return SymMatrix(self.dim, float(c) * self._packed)
+        return SymMatrix(float(c) * self._a)
 
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
@@ -167,73 +147,18 @@ class EigenDecomp:
 def frob_inner(a: SymMatrix, b: SymMatrix) -> float:
     """Frobenius inner product <A, B> = sum_ij A_ij B_ij.
 
-    Off-diagonal terms are counted twice, matching the full double sum.
+    Summed over the upper triangle with off-diagonal terms counted twice,
+    matching the full double sum.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.dot(a.packed() * b.packed(), _weights(a.dim)))
+    return _triangle_dot(a._a, b._a)
 
 
-def eigen(a: SymMatrix, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomp:
-    """Eigendecomposition by cyclic Jacobi rotation sweeps.
-
-    Sweeps rotate away each off-diagonal entry in turn until the
-    off-diagonal residual (Frobenius norm of the off-diagonal part) drops
-    below tol * ||a||_F. Raises ConvergenceError after max_sweeps sweeps.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = a.dim
-    if n == 0:
-        return EigenDecomp(np.zeros(0), np.zeros((0, 0)))
-    m = a.to_dense()
-    v = np.eye(n)
-    norm = a.norm()
-    if n == 1 or norm == 0.0:
-        order = np.argsort(-np.diag(m), kind="stable")
-        return EigenDecomp(np.diag(m)[order].copy(), v[:, order].copy())
-
-    target = tol * norm
-    for sweep in range(max_sweeps + 1):
-        off = math.sqrt(max(0.0, 2.0 * float(np.sum(np.triu(m, 1) ** 2))))
-        if off <= target:
-            break
-        if sweep == max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal residual {off:.3e} > {target:.3e})"
-            )
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = m[i, j]
-                if abs(aij) <= 0.1 * target / (n * n):
-                    continue
-                # rotation angle from the 2x2 block (i, j)
-                theta = (m[j, j] - m[i, i]) / (2.0 * aij)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # two-sided rotation G^T M G in the (i, j) plane
-                ci = c * m[:, i] - s * m[:, j]
-                cj = s * m[:, i] + c * m[:, j]
-                m[:, i] = ci
-                m[:, j] = cj
-                ri = c * m[i, :] - s * m[j, :]
-                rj = s * m[i, :] + c * m[j, :]
-                m[i, :] = ri
-                m[j, :] = rj
-                m[i, j] = 0.0  # annihilated by construction; clean roundoff
-                m[j, i] = 0.0
-                vi = c * v[:, i] - s * v[:, j]
-                vj = s * v[:, i] + c * v[:, j]
-                v[:, i] = vi
-                v[:, j] = vj
-
-    lam = np.diag(m).copy()
-    order = np.argsort(-lam, kind="stable")
-    return EigenDecomp(lam[order], v[:, order].copy())
+def eigen(a: SymMatrix) -> EigenDecomp:
+    """Eigendecomposition by LAPACK ``eigh``, eigenvalues descending."""
+    lam, vec = np.linalg.eigh(a._a)
+    return EigenDecomp(lam[::-1].copy(), vec[:, ::-1].copy())
 
 
 def is_psd(a: SymMatrix, tol: float = 1e-9) -> bool:
@@ -242,7 +167,7 @@ def is_psd(a: SymMatrix, tol: float = 1e-9) -> bool:
         raise ValueError("tol must be nonnegative")
     if a.dim == 0:
         return True
-    dec = eigen(a, tol=1e-13)
+    dec = eigen(a)
     return float(dec.eigenvalues[-1]) >= -tol * max(1.0, a.norm())
 
 
@@ -257,7 +182,7 @@ def numeric_rank(a: SymMatrix, tol: float = 1e-6) -> int:
         raise ValueError("tol must be positive")
     if a.dim == 0:
         return 0
-    lam = eigen(a, tol=1e-13).eigenvalues
+    lam = eigen(a).eigenvalues
     lam_max = float(np.max(np.abs(lam)))
     thr = max(tol * max(1.0, lam_max), _EPS * a.dim)
     return int(np.sum(np.abs(lam) > thr))
@@ -274,7 +199,7 @@ def psd_factor(a: SymMatrix, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("tol must be positive")
     if a.dim == 0:
         return np.zeros((0, 0))
-    dec = eigen(a, tol=1e-13)
+    dec = eigen(a)
     lam, vec = dec.eigenvalues, dec.eigenvectors
     scale = max(1.0, a.norm())
     if float(lam[-1]) < -tol * scale:
@@ -282,7 +207,7 @@ def psd_factor(a: SymMatrix, tol: float = 1e-9) -> np.ndarray:
             f"matrix is not PSD within tol: lambda_min = {lam[-1]:.3e}, "
             f"bound = {-tol * scale:.3e}"
         )
-    lam_max = float(np.max(np.abs(lam))) if a.dim else 0.0
+    lam_max = float(np.max(np.abs(lam)))
     thr = max(tol * max(1.0, lam_max), _EPS * a.dim)
     keep = lam > thr
     r = int(np.sum(keep))

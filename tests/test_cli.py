@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from sepqcqp import cli
 from sepqcqp.cli import (
     emit,
     parse,
@@ -357,6 +358,22 @@ class TestCommands:
         cert = rep["verdict"]["per_block"][0]["certificate"]
         assert cert["kind"] == "Convex"
 
+    def test_judge_does_not_solve_twice(self, capsys, tmp_path, monkeypatch):
+        # provenance comes from the solve inside judge, never a second one
+        def no_solve(*args, **kwargs):
+            raise AssertionError("cli.solve called during judge")
+
+        path = tmp_path / "ex52.sq"
+        write_problem(make_example52(2), str(path))
+        monkeypatch.setattr(cli, "solve", no_solve)
+        code, out, _ = run_cli(
+            capsys, "judge", str(path), "--format", "json", "--no-timestamp"
+        )
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["solver"]["status"] == "Optimal"
+        assert rep["solver"]["value"] == rep["verdict"]["eta"]
+
     def test_certify_command(self, capsys, tmp_path):
         path = tmp_path / "ex52.sq"
         write_problem(make_example52(1), str(path))
@@ -430,3 +447,34 @@ class TestExitCodes:
 
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "model, solver_status",
+        [
+            (make_example51(4.0), "Diverged"),  # no strictly feasible point
+            (Qcqp(1, qf([[0.0]]), [(qf([[1.0]]), Relation.LE)], [-1.0]), "Diverged"),
+            (
+                Qcqp(
+                    1,
+                    qf([[1.0]]),
+                    [(qf([[1.0]]), Relation.EQ), (qf([[1.0]]), Relation.EQ)],
+                    [1.0, 2.0],
+                ),
+                None,  # contradictory rows: the solve raises, no provenance
+            ),
+        ],
+        ids=["alpha4", "infeasible", "contradictory"],
+    )
+    def test_judge_short_of_optimal_exits_2(
+        self, capsys, tmp_path, model, solver_status
+    ):
+        path = tmp_path / "short.sq"
+        write_problem(model, str(path))
+        code, out, err = run_cli(capsys, "judge", str(path), "--format", "json")
+        assert code == 2
+        assert err == ""
+        rep = json.loads(out)["report"]
+        assert rep["verdict"]["status"] == "Undetermined"
+        solver = rep["solver"]
+        assert (None if solver is None else solver["status"]) == solver_status
+        assert rep["bilevel"] is None

@@ -13,6 +13,7 @@ from sepqcqp.qcqp_model import (
     connect,
     flatten,
 )
+from sepqcqp import sdp_solver
 from sepqcqp.sdp_solver import (
     ResidualReport,
     SolverOptions,
@@ -355,3 +356,20 @@ class TestConnectionSolve:
         flat = flatten(s)
         val, _ = brute_force(flat, (-4.0, 4.0), refine_rounds=6)
         assert sol.value <= val + 1e-5
+
+
+class TestNumpyErrorState:
+    def test_error_state_restored_after_a_raise(self, monkeypatch):
+        def broken(x, s):
+            raise RuntimeError("scaling failed")
+
+        monkeypatch.setattr(sdp_solver, "_nt_scaling", broken)
+        before = np.geterr()
+        with pytest.raises(RuntimeError, match="scaling failed"):
+            solve(build_hom(two_block_family(1.0)))
+        assert np.geterr() == before
+
+    def test_error_state_restored_after_a_return(self):
+        before = np.geterr()
+        solve(build_hom(two_block_family(1.0)))
+        assert np.geterr() == before

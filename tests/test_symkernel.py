@@ -1,12 +1,15 @@
 """Symmetric-matrix kernel: frozen examples plus property tests.
 
-numpy.linalg.eigh serves as the independent oracle for the hand-rolled
-Jacobi eigendecomposition.
+The eigendecomposition is numpy's LAPACK eigh, so the eigen tests pin
+what the package adds on top of it: descending order, reconstruction and
+orthonormality at desk scale and at the 20- and 50-dimensional blocks
+beyond it, repeated eigenvalues, and the rank and PSD thresholds. Plain
+numpy (eigvalsh, matrix_rank, dense sums) is the oracle.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepqcqp.errors import DimensionError, NotPsdError
@@ -27,6 +30,12 @@ def sym(rows):
 def random_sym(rng, dim):
     a = rng.uniform(-1.0, 1.0, size=(dim, dim))
     return SymMatrix.from_dense(0.5 * (a + a.T))
+
+
+def with_spectrum(rng, lam):
+    """Symmetric matrix with eigenvalues lam in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+    return SymMatrix.from_dense(q @ np.diag(lam) @ q.T)
 
 
 dims = st.integers(min_value=1, max_value=8)
@@ -74,6 +83,17 @@ class TestSymMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             SymMatrix.from_dense(np.zeros((2, 3)))
+
+    def test_storage_is_read_only(self):
+        a = sym([[1.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(ValueError):
+            a._a[0, 0] = 5.0
+        dense = a.to_dense()
+        dense[0, 1] = 7.0
+        dense[1, 1] = 7.0
+        assert a[0, 1] == 2.0
+        assert a[1, 1] == 0.0
+        assert a.to_dense()[0, 1] == 2.0
 
 
 class TestFrobInner:
@@ -131,6 +151,8 @@ class TestEigen:
             assert np.all(np.diff(vals) <= 0)
 
     @given(dims, seeds)
+    @example(20, 3)
+    @example(50, 4)
     @settings(max_examples=80, deadline=None)
     def test_reconstruction_and_orthonormality(self, dim, seed):
         rng = np.random.default_rng(seed)
@@ -142,6 +164,8 @@ class TestEigen:
         assert np.linalg.norm(v.T @ v - np.eye(dim)) <= 1e-9
 
     @given(dims, seeds)
+    @example(20, 3)
+    @example(50, 4)
     @settings(max_examples=80, deadline=None)
     def test_eigenvalues_match_numpy(self, dim, seed):
         rng = np.random.default_rng(seed)
@@ -149,6 +173,19 @@ class TestEigen:
         got = eigen(a).eigenvalues
         want = np.linalg.eigvalsh(a.to_dense())[::-1]
         assert np.allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [3, 8, 20, 50])
+    def test_repeated_eigenvalue(self, dim):
+        # a triple eigenvalue 2 above a random spectrum inside [-1, 1]
+        rng = np.random.default_rng(dim)
+        want = np.concatenate([[2.0, 2.0, 2.0], rng.uniform(-1.0, 1.0, dim - 3)])
+        a = with_spectrum(rng, want)
+        want = np.sort(want)[::-1]
+        dec = eigen(a)
+        v, lam = dec.eigenvectors, dec.eigenvalues
+        assert np.allclose(lam, want, atol=1e-12)
+        assert np.linalg.norm(v @ np.diag(lam) @ v.T - a.to_dense()) <= 1e-9
+        assert np.linalg.norm(v.T @ v - np.eye(dim)) <= 1e-9
 
 
 class TestIsPsd:
@@ -179,6 +216,8 @@ class TestNumericRank:
         assert numeric_rank(a, tol=1e-6) == 2
 
     @given(dims, seeds, st.integers(min_value=0, max_value=8))
+    @example(20, 5, 7)
+    @example(50, 6, 8)
     @settings(max_examples=60, deadline=None)
     def test_factor_rank(self, dim, seed, r):
         r = min(r, dim)
@@ -190,6 +229,16 @@ class TestNumericRank:
         lam_max = float(np.abs(np.linalg.eigvalsh(x)).max()) if dim else 0.0
         got = numeric_rank(SymMatrix.from_dense(x))
         assert got == np.linalg.matrix_rank(x, tol=1e-6 * max(1.0, lam_max))
+
+    @pytest.mark.parametrize("dim", [3, 8, 20, 50])
+    def test_repeated_eigenvalue(self, dim):
+        # a triple eigenvalue 2, further ones in [0.5, 1], the rest zero
+        rng = np.random.default_rng(dim)
+        r = max(3, dim // 2)
+        lam = np.zeros(dim)
+        lam[:3] = 2.0
+        lam[3:r] = rng.uniform(0.5, 1.0, r - 3)
+        assert numeric_rank(with_spectrum(rng, lam)) == r
 
 
 class TestPsdFactor:
