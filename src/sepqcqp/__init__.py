@@ -5,7 +5,7 @@ Modules:
     symkernel      symmetric-matrix numerics (dense storage, LAPACK eigen)
     qcqp_model     problem data model, evaluation, brute-force oracle
     sdpr_builder   Shor / block / homogeneous relaxation builders
-    sdp_solver     primal-dual interior-point solver for block SDPs
+    sdp_solver     batched primal-dual interior-point solver for block SDPs
     certificates   exactness class checks (convex, sign-pattern, homogeneous)
     rank_reduction extreme-point rank reduction and point extraction
     connection     end-to-end exactness pipeline and example generators
@@ -65,7 +65,13 @@ from .sdpr_builder import (
     objective_value,
     to_standard_form,
 )
-from .sdp_solver import ResidualReport, SolverOptions, check_solution, solve
+from .sdp_solver import (
+    ResidualReport,
+    SolverOptions,
+    check_solution,
+    solve,
+    solve_many,
+)
 from .certificates import (
     AssumptionBreakdown,
     Certificate,

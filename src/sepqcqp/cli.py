@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -605,10 +606,23 @@ def _certificate_from_dict(d: dict) -> Certificate:
     )
 
 
+def _finite_or_null(x) -> float | None:
+    """x as a float, or None where it is NaN or infinite (strict JSON has
+    no such numbers)."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def _null_as_nan(x) -> float:
+    return math.nan if x is None else float(x)
+
+
 def verdict_to_dict(v: ExactnessVerdict) -> dict:
+    """JSON-ready form of a verdict; eta and the per-entry values are null
+    where they are not finite (no relaxation value, no re-solve)."""
     return {
         "status": v.status.value,
-        "eta": float(v.eta),
+        "eta": _finite_or_null(v.eta),
         "zeta_witness": None if v.zeta_witness is None else float(v.zeta_witness),
         "oracle_value": None if v.oracle_value is None else float(v.oracle_value),
         "reason": v.reason,
@@ -619,8 +633,8 @@ def verdict_to_dict(v: ExactnessVerdict) -> dict:
         "per_block": [
             {
                 "certificate": _certificate_to_dict(pb.certificate),
-                "sub_sdpr_value": float(pb.sub_sdpr_value),
-                "optimality_gap": float(pb.optimality_gap),
+                "sub_sdpr_value": _finite_or_null(pb.sub_sdpr_value),
+                "optimality_gap": _finite_or_null(pb.optimality_gap),
             }
             for pb in v.per_block
         ],
@@ -631,14 +645,14 @@ def verdict_from_dict(d: dict) -> ExactnessVerdict:
     """Inverse of verdict_to_dict, so JSON reports load back as verdicts."""
     return ExactnessVerdict(
         status=VerdictStatus(d["status"]),
-        eta=float(d["eta"]),
+        eta=_null_as_nan(d["eta"]),
         zeta_witness=None if d["zeta_witness"] is None else float(d["zeta_witness"]),
         delta_decomposition=[np.asarray(x, dtype=float) for x in d["delta"]],
         per_block=[
             PerBlockReport(
                 certificate=_certificate_from_dict(pb["certificate"]),
-                sub_sdpr_value=float(pb["sub_sdpr_value"]),
-                optimality_gap=float(pb["optimality_gap"]),
+                sub_sdpr_value=_null_as_nan(pb["sub_sdpr_value"]),
+                optimality_gap=_null_as_nan(pb["optimality_gap"]),
             )
             for pb in d["per_block"]
         ],
@@ -718,14 +732,14 @@ def _cmd_certify(ns):
     conn = _as_connection(model)
     v = judge(conn, _judge_options(ns))
     payload = {
-        "eta": float(v.eta),
+        "eta": _finite_or_null(v.eta),
         "verdict": v.status.value,
         "certificates": [
             {
                 "index": p,
                 **_certificate_to_dict(pb.certificate),
-                "sub_sdpr_value": float(pb.sub_sdpr_value),
-                "optimality_gap": float(pb.optimality_gap),
+                "sub_sdpr_value": _finite_or_null(pb.sub_sdpr_value),
+                "optimality_gap": _finite_or_null(pb.optimality_gap),
             }
             for p, pb in enumerate(v.per_block)
         ],
@@ -814,7 +828,12 @@ def _cmd_reduce(ns):
 def _example51_row(alpha: float, ns) -> tuple[dict, bool]:
     h = make_example51(alpha)
     b = build_hom(h)
-    sol = solve(b, _solver_options(ns))
+    v = judge(SeparableQcqp([h], h.rhs), _judge_options(ns))
+    # the connection of one homogeneous entry relaxes to build_hom(h), so
+    # judge's relaxation solution is that of b
+    sol = v.relaxation
+    if sol is None:
+        sol = solve(b, _solver_options(ns))
     prov = _provenance(sol, ns.rank_tol)
     rank = prov["block_ranks"][0]
     pataki = prov["pataki_sum"]
@@ -828,7 +847,6 @@ def _example51_row(alpha: float, ns) -> tuple[dict, bool]:
             pataki = int(rep.pataki_sum)
         except ReductionStallError:
             stalled = True
-    v = judge(SeparableQcqp([h], h.rhs), _judge_options(ns))
     zeta = v.zeta_witness if v.zeta_witness is not None else v.oracle_value
     row = {
         "alpha": float(alpha),

@@ -63,7 +63,7 @@ from .qcqp_model import (
 )
 from .qcqp_model import eval as qf_eval
 from .rank_reduction import reduce
-from .sdp_solver import SolverOptions, solve
+from .sdp_solver import SolverOptions, solve, solve_many
 from .sdpr_builder import (
     SdpSolution,
     SolveStatus,
@@ -574,6 +574,17 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     deltas = decompose_delta(s, sol)
     y_dual, mus = _connection_duals(s, b, sol)
 
+    # every entry's re-solve at its allocation, in one lockstep batch
+    subs = {}
+    for p, entry in enumerate(s.blocks):
+        try:
+            sub, check = _sub_problem(entry, deltas[p])
+        except SepqcqpError:
+            continue
+        if check(opts.tol) is None:
+            subs[p] = sub
+    resolved = dict(zip(subs, solve_many(list(subs.values()), opts.solver)))
+
     certs, gauges, sub_solutions, per_block = [], [], [], []
     ofs = 0
     for p, entry in enumerate(s.blocks):
@@ -582,16 +593,11 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         ofs += cnt
 
         sub_value, gap, subsol = math.nan, math.nan, None
-        try:
-            sub, check = _sub_problem(entry, deltas[p])
-            if check(opts.tol) is None:
-                cand = solve(sub, opts.solver)
-                if cand.status is SolveStatus.OPTIMAL:
-                    subsol = cand
-                    sub_value = float(cand.value)
-                    gap = abs(sub_value - achieved)
-        except SepqcqpError:
-            pass
+        cand = resolved.get(p)
+        if isinstance(cand, SdpSolution) and cand.status is SolveStatus.OPTIMAL:
+            subsol = cand
+            sub_value = float(cand.value)
+            gap = abs(sub_value - achieved)
         if subsol is None:
             bound = _dual_bound(entry, deltas[p], y_dual, mus[p], opts.tol)
             if bound is not None:

@@ -1,4 +1,4 @@
-"""Primal-dual interior-point solver for block SDPs at desk scale.
+"""Primal-dual interior-point solver for batches of block SDPs.
 
 Solves min sum_b <C_b, X_b> over PSD blocks plus nonnegative row slacks,
 subject to the equality rows of a standardized BlockSdp. The method is an
@@ -6,20 +6,32 @@ infeasible-start path follower using the Nesterov-Todd scaling point, with
 an adaptive centering weight chosen from an affine probe step (the probe
 and the centering step share one factorization of the Schur complement).
 
-Slacks ride along as 1x1 cone blocks, so a single step-length and scaling
-rule covers everything. Linear algebra is dense throughout; the intended
-regime is block dims <= ~10 and <= ~30 rows.
+solve_many runs a batch of problems in lockstep, one iteration of every
+unfinished problem at a time. Each problem's rows are compiled once into a
+RowOperator, and the blocks of one dimension, over all problems of the
+batch, live in one (g, d, d) stack. NT scaling, S^-1, the step-length
+factorizations, the residuals and the Schur assembly cost one numpy call
+per dimension group; the Schur Cholesky factor and its solves cost one
+call per run of problems with equal row and slack counts. Step lengths,
+mu, the centering weight and the stopping tests stay per problem, and a
+finished problem leaves the stacks. Every sum is taken in the order of
+the one-problem loops (a row's pairs in block order, a block's rows in row
+order) and every LAPACK call factors one matrix at a time, so a problem's
+iterates do not depend on the batch around it. solve is solve_many of a
+single problem. Slacks are scalar cones with their own vectors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleStructureError
+from .errors import DimensionError, InfeasibleStructureError, SepqcqpError
 from .sdpr_builder import (
     BlockSdp,
+    RowOperator,
     SdpSolution,
     SolveStatus,
     to_standard_form,
@@ -28,6 +40,11 @@ from .symkernel import SymMatrix
 
 #: iterate magnitude cap; beyond this the run is flagged Diverged
 _DIVERGE_CAP = 1e10
+
+_LinAlgError = np.linalg.LinAlgError
+
+#: the zero that padded rows read as their multiplier
+_ZERO = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -48,28 +65,7 @@ class SolverOptions:
             raise ValueError("initial_scale must be positive")
 
 
-def _flatten_rows(std: BlockSdp) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the standardized equality system as dense vectors over
-    (all block entries) + (slack coordinates); used for the presolve rank
-    tests only."""
-    dims = std.block_dims
-    slack_cols = {i: j for j, i in enumerate(
-        i for i, r in enumerate(std.rows) if r.slack_coeff != 0
-    )}
-    width = sum(d * d for d in dims) + len(slack_cols)
-    mat = np.zeros((len(std.rows), width))
-    for i, row in enumerate(std.rows):
-        ofs = 0
-        for m, d in zip(row.mats, dims):
-            mat[i, ofs : ofs + d * d] = m.to_dense().ravel()
-            ofs += d * d
-        if row.slack_coeff != 0:
-            mat[i, ofs + slack_cols[i]] = float(row.slack_coeff)
-    rhs = np.array([r.rhs for r in std.rows])
-    return mat, rhs
-
-
-def _presolve(std: BlockSdp) -> list[int]:
+def _presolve(op: RowOperator) -> list[int]:
     """Return indices of a maximal independent row subset.
 
     Raises InfeasibleStructureError when the equality system is rank-
@@ -77,7 +73,7 @@ def _presolve(std: BlockSdp) -> list[int]:
     consistent rows are dropped; they are implied by the kept ones and
     receive zero dual multipliers.
     """
-    mat, rhs = _flatten_rows(std)
+    mat, rhs = op.dense(), op.rhs
     if mat.shape[0] == 0:
         return []
     rank_a = np.linalg.matrix_rank(mat)
@@ -98,79 +94,662 @@ def _presolve(std: BlockSdp) -> list[int]:
     return kept
 
 
+# ---------------------------------------------------------------------------
+# stacked matrix kernels; every argument is a (..., d, d) stack
+
+
+def _tr(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + _tr(a))
+
+
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    return v[..., None] * _eye(v.shape[-1])
+
+
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Nesterov-Todd scaling point W with W S W = X, both arguments PD."""
+    """Nesterov-Todd scaling points W with W S W = X, all arguments PD."""
     lam, u = np.linalg.eigh(s)
-    lam = np.maximum(lam, 1e-300)
-    rt = u @ np.diag(np.sqrt(lam)) @ u.T
-    irt = u @ np.diag(1.0 / np.sqrt(lam)) @ u.T
-    inner = rt @ x @ rt
-    om, v = np.linalg.eigh(0.5 * (inner + inner.T))
+    root = np.sqrt(np.maximum(lam, 1e-300))
+    rt = u @ _diag(root) @ _tr(u)
+    irt = u @ _diag(1.0 / root) @ _tr(u)
+    om, v = np.linalg.eigh(_sym(rt @ x @ rt))
     om = np.maximum(om, 1e-300)
-    return irt @ (v @ np.diag(np.sqrt(om)) @ v.T) @ irt
+    return irt @ (v @ _diag(np.sqrt(om)) @ _tr(v)) @ irt
 
 
-def _boundary_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest t with x + t*dx still PSD (inf when dx points inward)."""
+def _psd_factor(x: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one PSD matrix, with a trace-scaled ridge when
+    it is singular to working precision."""
     try:
-        chol = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(x + (1e-12 * max(1.0, np.trace(x).real)) * np.eye(len(x)))
-    h = np.linalg.solve(chol, np.linalg.solve(chol, dx).T).T
-    lam_min = float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+        return np.linalg.cholesky(x)
+    except _LinAlgError:
+        ridge = 1e-12 * max(1.0, np.trace(x).real)
+        return np.linalg.cholesky(x + ridge * np.eye(len(x)))
 
 
-class _Iterate:
-    """Mutable primal-dual state over PSD blocks plus scalar slacks."""
+def _boundary_steps(chol: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Largest t with x + t*dx still PSD, for x = chol chol^T (inf when dx
+    points inward)."""
+    h = _tr(np.linalg.solve(chol, _tr(np.linalg.solve(chol, dx))))
+    lam_min = np.linalg.eigvalsh(_sym(h))[..., 0]
+    return np.where(lam_min >= -1e-14, np.inf, -1.0 / lam_min)
 
-    def __init__(self, dims, n_slack, scale):
-        self.X = [scale * np.eye(d) for d in dims]
-        self.S = [scale * np.eye(d) for d in dims]
-        self.s = scale * np.ones(n_slack)
-        self.sig = scale * np.ones(n_slack)
-        self.y = np.zeros(0)  # resized by caller
 
-    def mu(self, n_tot: int) -> float:
-        tr = sum(float(np.sum(x * s)) for x, s in zip(self.X, self.S))
-        return (tr + float(self.s @ self.sig)) / max(n_tot, 1)
+def _guarded(fn, owner, failed, *stacks, one=None):
+    """fn over stacks of matrices. When LAPACK rejects the stack, retry
+    slot by slot (with one, if given) and mark the owners of the slots
+    that still fail; their results are those of identity inputs."""
+    try:
+        return fn(*stacks)
+    except _LinAlgError:
+        pass
+    one = one or fn
+    out = []
+    for j, p in enumerate(owner):
+        args = [a[j] for a in stacks]
+        try:
+            out.append(one(*args))
+        except _LinAlgError:
+            failed[p] = True
+            out.append(fn(*[np.eye(*a.shape) for a in args]))
+    return np.stack(out)
 
-    def magnitude(self) -> float:
-        parts = [np.abs(x).max(initial=0.0) for x in self.X]
-        parts += [np.abs(s).max(initial=0.0) for s in self.S]
-        parts.append(np.abs(self.s).max(initial=0.0))
-        parts.append(np.abs(self.sig).max(initial=0.0))
-        parts.append(np.abs(self.y).max(initial=0.0))
-        return max(parts)
 
-    def is_finite(self) -> bool:
-        return (
-            all(np.isfinite(x).all() for x in self.X)
-            and all(np.isfinite(s).all() for s in self.S)
-            and np.isfinite(self.s).all()
-            and np.isfinite(self.sig).all()
-            and np.isfinite(self.y).all()
+def _schur_factor(m: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of one Schur complement, ridged in three widening
+    steps when it is not numerically positive definite; None on failure."""
+    reg = 0.0
+    base = 1e-12 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
+    for attempt in range(4):
+        try:
+            return np.linalg.cholesky(m + reg * np.eye(len(m)))
+        except _LinAlgError:
+            reg = base * (100.0 ** attempt) if reg else base
+    return None
+
+
+def _cat(arrays, dtype=float) -> np.ndarray:
+    """The arrays raveled end to end (empty for a batch without blocks)."""
+    if not arrays:
+        return np.zeros(0, dtype=dtype)
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _left_sum(table: np.ndarray) -> np.ndarray:
+    """Row sums of a table added left to right from +0.0, as Python's sum
+    adds a generator."""
+    if table.shape[1] > 1:
+        table = np.add.accumulate(table, axis=1)
+    return table[:, -1] + 0.0
+
+
+def _first_or(reduce, table: np.ndarray) -> np.ndarray:
+    """Python's min/max over each row (reduce is np.fmin or np.fmax): NaN
+    when the first entry is NaN, later NaNs skipped."""
+    out = reduce.reduce(table, axis=1)
+    out[np.isnan(table[:, 0])] = np.nan
+    return out
+
+
+def _py_min(a: np.ndarray, b) -> np.ndarray:
+    """Python's min(a, b), elementwise."""
+    return np.where(b < a, b, a)
+
+
+# ---------------------------------------------------------------------------
+# compiled problems and the batch layout
+
+
+class _Problem:
+    """One BlockSdp standardized, presolved and compiled for the iteration."""
+
+    def __init__(self, index: int, b: BlockSdp):
+        self.index = index
+        self.b = b
+        std = to_standard_form(b)
+        self.full = RowOperator(std.rows, std.block_dims)
+        self.kept = _presolve(self.full)
+        op = self.full.take(self.kept)
+        self.dims = std.block_dims
+        self.C = [mat.to_dense() for mat in std.objective]
+        self.active, self.stacks = op.active, op.stacks
+        self.m = op.n_rows
+        self.d_vec = op.rhs
+        self.slack_rows = np.flatnonzero(op.slack_coeffs)
+        self.n_slack = len(self.slack_rows)
+        self.n_tot = max(sum(self.dims) + self.n_slack, 1)
+        self.d_scale = 1.0 + np.abs(self.d_vec).max(initial=0.0)
+        self.c_scale = 1.0 + max((np.linalg.norm(c) for c in self.C), default=0.0)
+
+
+class _Group:
+    """The blocks of one dimension over the batch, one slot per block.
+
+    owner[j] and block[j] name slot j's problem and its block index there.
+    A[k, j] is the k-th active row matrix of slot j (zero padding past its
+    count), rows[k, j] that row's global index (padding points at the zero
+    appended to y). row_at and schur_at are flat cells of the row-sum and
+    Schur-sum tables (padding lands in a spare last row).
+    """
+
+    __slots__ = ("dim", "owner", "block", "C", "A", "rows", "row_at", "schur_at")
+
+
+class _Layout:
+    """Where each problem of a batch lives in the stacked arrays.
+
+    Problems are ordered by (rows, slacks), so the rows, slacks and Schur
+    matrices of a run of equal shapes are contiguous and stack as
+    (count, m, ...) arrays. Sums over a problem's blocks go through
+    tables with one column per block index, summed left to right.
+    """
+
+    def __init__(self, probs: list):
+        self.probs = probs
+        P = self.P = len(probs)
+        m = np.array([p.m for p in probs], dtype=np.intp)
+        ns = np.array([p.n_slack for p in probs], dtype=np.intp)
+        self.row_off = np.concatenate(([0], np.cumsum(m)))
+        self.slk_off = np.concatenate(([0], np.cumsum(ns)))
+        sq_off = np.concatenate(([0], np.cumsum(m * m)))
+        self.sq_off = sq_off
+        R = self.R = int(self.row_off[-1])
+        NM = self.NM = int(sq_off[-1])
+        nb = self.nb = max([1] + [len(p.dims) for p in probs])
+        self.runs = []
+        start = 0
+        for i in range(1, P + 1):
+            if i == P or m[i] != m[start] or ns[i] != ns[start]:
+                self.runs.append((start, i, int(m[start]), int(ns[start])))
+                start = i
+
+        self.d_vec = np.concatenate([p.d_vec for p in probs])
+        self.slack_row = np.concatenate(
+            [self.row_off[i] + p.slack_rows for i, p in enumerate(probs)]
+        ).astype(np.intp)
+        self.slack_diag = np.concatenate(
+            [sq_off[i] + p.slack_rows * (p.m + 1) for i, p in enumerate(probs)]
+        ).astype(np.intp)
+        self.row_owner = np.repeat(np.arange(P), m)
+        self.slack_owner = np.repeat(np.arange(P), ns)
+        # per-problem tables: block columns, then slack columns (at least
+        # one), then rows
+        wide_s = max(1, int(ns.max()))
+        W = self.W = nb + wide_s + int(m.max())
+        self.cell_slk = self.slack_owner * W + nb + (
+            np.arange(int(self.slk_off[-1])) - self.slk_off[self.slack_owner]
+        )
+        self.cell_row = self.row_owner * W + nb + wide_s + (
+            np.arange(R) - self.row_off[self.row_owner]
+        )
+        self.n_tot = np.array([float(p.n_tot) for p in probs])
+        self.d_scale = np.array([p.d_scale for p in probs])
+        self.c_scale = np.array([p.c_scale for p in probs])
+
+        by_dim: dict[int, list] = {}
+        for i, p in enumerate(probs):
+            for bi, d in enumerate(p.dims):
+                by_dim.setdefault(d, []).append((i, bi))
+        self.where = [[None] * len(p.dims) for p in probs]
+        self.groups = []
+        for d in sorted(by_dim):
+            slots = by_dim[d]
+            g = len(slots)
+            kmax = max(len(probs[i].active[bi]) for i, bi in slots)
+            grp = _Group()
+            grp.dim = d
+            grp.owner = np.array([i for i, _ in slots], dtype=np.intp)
+            grp.block = np.array([bi for _, bi in slots], dtype=np.intp)
+            grp.C = np.stack([probs[i].C[bi] for i, bi in slots])
+            grp.A = np.zeros((kmax, g, d, d))
+            grp.rows = np.full((kmax, g), R, dtype=np.intp)
+            grp.row_at = np.full((kmax, g), R * nb, dtype=np.intp)
+            grp.schur_at = np.full((g, kmax, kmax), NM * nb, dtype=np.intp)
+            for j, (i, bi) in enumerate(slots):
+                self.where[i][bi] = (len(self.groups), j)
+                p, act = probs[i], probs[i].active[bi]
+                k = len(act)
+                if not k:
+                    continue
+                rows = self.row_off[i] + act
+                grp.A[:k, j] = p.stacks[bi]
+                grp.rows[:k, j] = rows
+                grp.row_at[:k, j] = rows * nb + bi
+                grp.schur_at[j, :k, :k] = (
+                    sq_off[i] + act[:, None] * p.m + act[None, :]
+                ) * nb + bi
+            self.groups.append(grp)
+        self.row_at = _cat([g.row_at for g in self.groups], np.intp)
+        self.schur_at = _cat([g.schur_at for g in self.groups], np.intp)
+        self.blk_at = _cat([g.owner * nb + g.block for g in self.groups], np.intp)
+        cells = [g.owner * W + g.block for g in self.groups]
+        self.cell_blk = _cat(cells, np.intp)
+        # the X and S halves of the step-length tables, slot order of a
+        # group's stacked (X, S) factorization
+        self.cell_blk2 = _cat([np.concatenate((c, c + P * W)) for c in cells], np.intp)
+        self.cell_slk2 = np.concatenate((self.cell_slk, self.cell_slk + P * W))
+
+    # -- sums and extremes in the order of the one-problem loops ------------
+
+    def row_sums(self, parts) -> np.ndarray:
+        """sum over blocks of the (row, block) pair values, per row."""
+        table = np.zeros((self.R + 1) * self.nb)
+        table[self.row_at] = _cat(parts)
+        return _left_sum(table.reshape(self.R + 1, self.nb))[: self.R]
+
+    def schur(self, parts) -> np.ndarray:
+        """Every problem's Schur matrix, flat, summed over blocks in order."""
+        table = np.zeros((self.NM + 1) * self.nb)
+        table[self.schur_at] = _cat(parts)
+        return _left_sum(table.reshape(self.NM + 1, self.nb))[: self.NM]
+
+    def block_sums(self, *parts) -> np.ndarray:
+        """sum over blocks of the per-slot values, per problem, for each
+        of the given lists of per-group values: (len(parts), P)."""
+        n = self.P * self.nb
+        table = np.zeros(len(parts) * n)
+        for i, p in enumerate(parts):
+            table[self.blk_at + i * n] = _cat(p)
+        return _left_sum(table.reshape(len(parts) * self.P, self.nb)).reshape(len(parts), self.P)
+
+    def table(self, fill: float, blk=None, slk=None, row=None) -> np.ndarray:
+        """A (problem, W) table of per-slot, per-slack and per-row values,
+        the rest fill."""
+        table = np.full(self.P * self.W, fill)
+        if blk is not None:
+            table[self.cell_blk] = _cat(blk)
+        if slk is not None:
+            table[self.cell_slk] = slk
+        if row is not None:
+            table[self.cell_row] = row
+        return table.reshape(self.P, self.W)
+
+    def dots(self, a: np.ndarray, b: np.ndarray, slack: bool) -> np.ndarray:
+        """Per-problem a @ b over its slacks (or rows), one BLAS dot each."""
+        off = self.slk_off if slack else self.row_off
+        out = np.empty(self.P)
+        for p0, p1, m, ns in self.runs:
+            n = ns if slack else m
+            seg = slice(off[p0], off[p1])
+            out[p0:p1] = np.matmul(
+                a[seg].reshape(p1 - p0, 1, n), b[seg].reshape(p1 - p0, n, 1)
+            )[:, 0, 0]
+        return out
+
+
+def _pairs(grp: _Group, z: np.ndarray) -> np.ndarray:
+    """np.sum(A_i * Z) for every (active row, slot) pair of a group."""
+    k, g, d = grp.A.shape[:3]
+    return (grp.A * z).reshape(k, g, d * d).sum(axis=-1)
+
+
+def _subtract_rows(grp: _Group, base: np.ndarray, yx: np.ndarray) -> np.ndarray:
+    """base - y_i A_i over each slot's active rows, one row at a time."""
+    acc = base.copy()
+    coef = yx[grp.rows][..., None, None]
+    for c, a in zip(coef, grp.A):
+        acc -= c * a
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# the batched iteration
+
+
+class _Batch:
+    """Lockstep IPM state of the unfinished problems of one solve_many call."""
+
+    def __init__(self, probs: list, opts: SolverOptions):
+        self.opts = opts
+        self.lay = _Layout(sorted(probs, key=lambda p: (p.m, p.n_slack)))
+        scale = opts.initial_scale
+        self.X = [
+            np.repeat((scale * np.eye(g.dim))[None], len(g.owner), axis=0)
+            for g in self.lay.groups
+        ]
+        self.S = [x.copy() for x in self.X]
+        self.s = scale * np.ones(len(self.lay.slack_row))
+        self.sig = self.s.copy()
+        self.y = np.zeros(self.lay.R)
+        self.history = {p.index: [] for p in probs}
+        self.done: dict = {}
+
+    def _record(self, mask, status, iterations, report):
+        """Store the current iterate of the problems in mask as final."""
+        lay = self.lay
+        for i in np.flatnonzero(mask):
+            rows = slice(lay.row_off[i], lay.row_off[i + 1])
+            slk = slice(lay.slk_off[i], lay.slk_off[i + 1])
+            self.done[lay.probs[i].index] = dict(
+                status=status,
+                iterations=iterations,
+                X=[self.X[gi][j].copy() for gi, j in lay.where[i]],
+                S=[self.S[gi][j].copy() for gi, j in lay.where[i]],
+                s=self.s[slk].copy(),
+                sig=self.sig[slk].copy(),
+                y=self.y[rows].copy(),
+                value=report[0][i],
+                dres=report[1][i],
+                gap=report[2][i],
+            )
+
+    def _drop(self, keep):
+        """Remove the problems outside keep from the stacks; returns the
+        masks (rows, slacks, slots per group) that cut arrays laid out the
+        old way, or None when nothing is left."""
+        lay = self.lay
+        rows, slk = keep[lay.row_owner], keep[lay.slack_owner]
+        slots = [keep[g.owner] for g in lay.groups]
+        self.X = _cut(self.X, slots)
+        self.S = _cut(self.S, slots)
+        self.s, self.sig, self.y = self.s[slk], self.sig[slk], self.y[rows]
+        if not keep.any():
+            self.lay = None
+            return None
+        self.lay = _Layout([p for p, k in zip(lay.probs, keep) if k])
+        return rows, slk, slots
+
+    def residuals(self):
+        """Residuals, objectives and stopping tests at the current iterate:
+        (report, mu, optimal, diverged, (r_p, rd, rds)), per problem, with
+        report = (primal objective, dual residual, relative gap)."""
+        lay, opts, X, S = self.lay, self.opts, self.X, self.S
+        yx = np.concatenate((self.y, _ZERO))
+        lhs = lay.row_sums([_pairs(g, x) for g, x in zip(lay.groups, X)])
+        lhs[lay.slack_row] += self.s
+        r_p = lay.d_vec - lhs
+        rd = [_subtract_rows(g, g.C, yx) - z for g, z in zip(lay.groups, S)]
+        rds = -self.y[lay.slack_row] - self.sig
+
+        pobj, compl = lay.block_sums(
+            [_inner(g.C, x) for g, x in zip(lay.groups, X)],
+            [_inner(x, z) for x, z in zip(X, S)],
+        )
+        dobj = lay.dots(lay.d_vec, self.y, slack=False)
+        compl = compl + lay.dots(self.s, self.sig, slack=True)
+        mu = compl / lay.n_tot
+        pres = lay.table(0.0, row=np.abs(r_p)).max(axis=1)
+        norms = []
+        for r in rd:
+            flat = r.reshape(len(r), 1, -1)
+            norms.append(np.sqrt(np.matmul(flat, _tr(flat))[:, 0, 0]))
+        table = lay.table(0.0, blk=norms, slk=np.abs(rds))
+        dres = _first_or(np.fmax, table[:, : lay.nb])
+        dres_s = table[:, lay.nb :].max(axis=1)
+        dres = np.where(dres_s > dres, dres_s, dres)
+        gap = np.abs(pobj - dobj)
+        gap = np.where(compl > gap, compl, gap) / (1.0 + np.abs(pobj) + np.abs(dobj))
+        optimal = (
+            (pres <= lay.d_scale * opts.tol)
+            & (dres <= lay.c_scale * opts.tol)
+            & (gap <= opts.tol)
+        )
+        diverged = ~optimal & self._too_large()
+        return (pobj, dres, gap), mu, optimal, diverged, (r_p, rd, rds)
+
+    def _too_large(self) -> np.ndarray:
+        """Problems whose iterate has an entry beyond _DIVERGE_CAP."""
+        lay = self.lay
+        arrays = [*self.X, *self.S, self.s, self.sig, self.y]
+        if max(np.abs(a).max(initial=0.0) for a in arrays) <= _DIVERGE_CAP:
+            return np.zeros(lay.P, dtype=bool)
+        peaks = [
+            np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(z).max(axis=(1, 2)))
+            for x, z in zip(self.X, self.S)
+        ]
+        return lay.table(
+            0.0, peaks, np.maximum(np.abs(self.s), np.abs(self.sig)), np.abs(self.y)
+        ).max(axis=1) > _DIVERGE_CAP
+
+    def step(self, mu, r_p, rd, rds):
+        """One predictor-corrector step of every problem in the stacks.
+
+        Returns (failed, new iterate); failed marks the problems whose
+        linear algebra broke down, whose part of the new iterate is void.
+        """
+        lay, opts = self.lay, self.opts
+        groups, X, S, s, sig = lay.groups, self.X, self.S, self.s, self.sig
+        owners = [g.owner for g in groups]
+        failed = np.zeros(lay.P, dtype=bool)
+
+        W = [_guarded(_nt_scaling, o, failed, x, z) for o, x, z in zip(owners, X, S)]
+        w2 = s / sig
+        s_inv = [_guarded(np.linalg.inv, o, failed, z) for o, z in zip(owners, S)]
+        # X and S of a group factor as one stack, and their step lengths
+        # come out of one stack too
+        owners_xs = [np.concatenate((o, o)) for o in owners]
+        chol_xs = [
+            _guarded(np.linalg.cholesky, o, failed, np.concatenate((x, z)),
+                     one=_psd_factor)
+            for o, x, z in zip(owners_xs, X, S)
+        ]
+
+        # Schur complement M_ij = sum_b <A_i, W A_j W> (+ slack), per problem
+        M = lay.schur(
+            [np.einsum("kgab,lgab->gkl", g.A, w @ g.A @ w) for g, w in zip(groups, W)]
+        )
+        M[lay.slack_diag] += w2
+        chols = []
+        for p0, p1, m, _ in lay.runs:
+            mr = M[lay.sq_off[p0] : lay.sq_off[p1]].reshape(p1 - p0, m, m)
+            try:
+                chols.append(np.linalg.cholesky(mr))
+                continue
+            except _LinAlgError:
+                pass
+            out = []
+            for j, mj in enumerate(mr):
+                c = _schur_factor(mj)
+                if c is None:
+                    failed[p0 + j] = True
+                    c = np.eye(m)
+                out.append(c)
+            chols.append(np.stack(out))
+
+        wrw = [w @ r @ w for w, r in zip(W, rd)]
+
+        def directions(tau):
+            e_blk = [tau[o][:, None, None] * si - x for o, si, x in zip(owners, s_inv, X)]
+            e_slk = tau[lay.slack_owner] / sig - s
+            g_vec = lay.row_sums(
+                [_pairs(g, e - t) for g, e, t in zip(groups, e_blk, wrw)]
+            )
+            g_vec[lay.slack_row] += e_slk - w2 * rds
+            rhs = r_p - g_vec
+            dy = np.empty(lay.R)
+            for (p0, p1, m, _), c in zip(lay.runs, chols):
+                seg = slice(lay.row_off[p0], lay.row_off[p1])
+                dy[seg] = _guarded(
+                    _cholesky_solve, range(p0, p1), failed,
+                    c, rhs[seg].reshape(p1 - p0, m, 1),
+                ).ravel()
+            dyx = np.concatenate((dy, _ZERO))
+            ds_blk = [_sym(_subtract_rows(g, r, dyx)) for g, r in zip(groups, rd)]
+            dx_blk = [_sym(e - w @ d @ w) for e, w, d in zip(e_blk, W, ds_blk)]
+            dsig = rds - dy[lay.slack_row]
+            ds_slk = e_slk - w2 * dsig
+            return dx_blk, dy, ds_blk, ds_slk, dsig
+
+        def lengths(dx_blk, ds_blk, ds_slk, dsig):
+            """Primal and dual step lengths: the largest steps keeping the
+            blocks PSD and the slacks nonnegative, cut back by the step
+            fraction and capped at 1."""
+            table = np.full(2 * lay.P * lay.W, np.inf)
+            table[lay.cell_blk2] = _cat([
+                _guarded(_boundary_steps, o, failed, c, np.concatenate((dx, ds)))
+                for o, c, dx, ds in zip(owners_xs, chol_xs, dx_blk, ds_blk)
+            ])
+            v, dv = np.concatenate((s, sig)), np.concatenate((ds_slk, dsig))
+            table[lay.cell_slk2] = np.where(dv < 0, -v / dv, np.inf)
+            table = table.reshape(2 * lay.P, lay.W)
+            t = _py_min(_first_or(np.fmin, table[:, : lay.nb]), table[:, lay.nb :].min(axis=1))
+            return _py_min(1.0, opts.step_fraction * t).reshape(2, lay.P)
+
+        def moved(blocks, t, d_blk):
+            return [x + t[o][:, None, None] * d for o, x, d in zip(owners, blocks, d_blk)]
+
+        # affine probe fixes the centering weight
+        dxa, _, dsa, dsla, dsga = directions(np.zeros(lay.P))
+        ap, ad = lengths(dxa, dsa, dsla, dsga)
+        (tr_aff,) = lay.block_sums(
+            [_inner(x, z) for x, z in zip(moved(X, ap, dxa), moved(S, ad, dsa))]
+        )
+        tr_aff = tr_aff + lay.dots(
+            s + ap[lay.slack_owner] * dsla, sig + ad[lay.slack_owner] * dsga, slack=True
+        )
+        mu_aff = tr_aff / lay.n_tot
+        sigma = np.array([
+            min(1.0, max((a / m) ** 3 if m > 0 else 0.0, 0.0))
+            for a, m in zip(mu_aff.tolist(), mu.tolist())
+        ])
+
+        dx, dy, ds, dsl, dsg = directions(sigma * mu)
+        ap, ad = lengths(dx, ds, dsl, dsg)
+        return failed, (
+            [_sym(x) for x in moved(X, ap, dx)],
+            [_sym(z) for z in moved(S, ad, ds)],
+            s + ap[lay.slack_owner] * dsl,
+            sig + ad[lay.slack_owner] * dsg,
+            self.y + ad[lay.row_owner] * dy,
         )
 
-    def snapshot(self):
-        return (
-            [x.copy() for x in self.X],
-            [s.copy() for s in self.S],
-            self.s.copy(),
-            self.sig.copy(),
-            self.y.copy(),
-        )
+    def nonfinite(self, state) -> np.ndarray:
+        """Problems with a non-finite entry anywhere in state."""
+        lay = self.lay
+        Xn, Sn, sn, sign, yn = state
+        owners = [g.owner for g in lay.groups]
+        bad = np.zeros(lay.P, dtype=bool)
+        for a, owner in zip(
+            [*Xn, *Sn, sn, sign, yn],
+            [*owners, *owners, lay.slack_owner, lay.slack_owner, lay.row_owner],
+        ):
+            ok = np.isfinite(a)
+            if not ok.all():
+                bad[owner[~ok.reshape(len(owner), -1).all(axis=1)]] = True
+        return bad
 
-    def restore(self, snap):
-        self.X, self.S, self.s, self.sig, self.y = (
-            [x.copy() for x in snap[0]],
-            [s.copy() for s in snap[1]],
-            snap[2].copy(),
-            snap[3].copy(),
-            snap[4].copy(),
-        )
+    def run(self) -> dict:
+        """Iterate until every problem has stopped; returns the final
+        records by problem index."""
+        # overflow in a diverging run is detected by the finite-iterate guard
+        # below; suppress the intermediate warnings it would spray
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for it in range(1, self.opts.max_iter + 1):
+                report, mu, optimal, diverged, (r_p, rd, rds) = self.residuals()
+                for p, v in zip(self.lay.probs, mu.tolist()):
+                    self.history[p.index].append(v)
+                stop = optimal | diverged
+                if stop.any():
+                    self._record(optimal, SolveStatus.OPTIMAL, it, report)
+                    self._record(diverged, SolveStatus.DIVERGED, it, report)
+                    cut = self._drop(~stop)
+                    if cut is None:
+                        break
+                    rows, slk, slots = cut
+                    report = [r[~stop] for r in report]
+                    mu, r_p, rds, rd = mu[~stop], r_p[rows], rds[slk], _cut(rd, slots)
+
+                failed, state = self.step(mu, r_p, rd, rds)
+                bad = ~failed & self.nonfinite(state)
+                self._record(failed, SolveStatus.NUMERICAL_FAILURE, it, report)
+                self._record(bad, SolveStatus.DIVERGED, it, report)
+                self.X, self.S, self.s, self.sig, self.y = state
+                stop = failed | bad
+                if stop.any():
+                    if self._drop(~stop) is None:
+                        break
+                    report = [r[~stop] for r in report]
+            else:
+                self._record(
+                    np.ones(self.lay.P, dtype=bool), SolveStatus.MAX_ITER,
+                    self.opts.max_iter, report,
+                )
+        return self.done
+
+
+def _cut(per_group: list, slots: list) -> list:
+    """Per-group stacks restricted to the kept slots; emptied groups go."""
+    return [a[k] for a, k in zip(per_group, slots) if k.any()]
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.sum(a_j * b_j) per slot."""
+    return (a * b).reshape(len(a), -1).sum(axis=1)
+
+
+def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(chol chol^T)^-1 b by two general solves, as the Schur step always
+    has."""
+    return np.linalg.solve(_tr(chol), np.linalg.solve(chol, b))
+
+
+def _solution(p: _Problem, rec: dict, history: list) -> SdpSolution:
+    """The user-facing solution of one problem, in the orientation of its
+    input BlockSdp."""
+    b, kept = p.b, np.array(p.kept, dtype=np.intp)
+    slacks = np.zeros(len(b.rows))
+    duals = np.zeros(len(b.rows))
+    if len(kept):
+        slacks[kept[p.slack_rows]] = rec["s"]
+        coeff = np.array([r.slack_coeff for r in b.rows])[kept]
+        duals[kept] = np.where(coeff == -1, -1.0, 1.0) * rec["y"]
+
+    # residuals reported against the full standardized system, so presolve-
+    # dropped (implied) rows are audited too
+    full_lhs = p.full.apply(rec["X"])
+    with_slack = np.flatnonzero(p.full.slack_coeffs)
+    full_lhs[with_slack] += slacks[with_slack]
+    pres_full = np.abs(p.full.rhs - full_lhs).max(initial=0.0)
+
+    return SdpSolution(
+        blocks=[SymMatrix.from_dense(0.5 * (x + x.T)) for x in rec["X"]],
+        slacks=slacks,
+        dual_multipliers=duals,
+        dual_blocks=[SymMatrix.from_dense(0.5 * (s + s.T)) for s in rec["S"]],
+        status=rec["status"],
+        value=float(rec["value"]),
+        primal_residual=float(pres_full),
+        dual_residual=float(rec["dres"]),
+        gap=float(rec["gap"]),
+        iterations=rec["iterations"],
+        mu_history=history,
+    )
+
+
+def solve_many(bs, opts: SolverOptions | None = None) -> list:
+    """Solve a batch of BlockSdps in lockstep.
+
+    Entry i of the result is what solve(bs[i], opts) returns, bit for bit,
+    or the SepqcqpError it raises (a structural fault such as
+    contradictory equality rows), so one bad problem spoils only its own
+    entry.
+    """
+    if opts is None:
+        opts = SolverOptions()
+    out: list = [None] * len(bs)
+    probs = []
+    for i, b in enumerate(bs):
+        try:
+            probs.append(_Problem(i, b))
+        except SepqcqpError as exc:
+            out[i] = exc
+    if probs:
+        batch = _Batch(probs, opts)
+        done = batch.run()
+        for p in probs:
+            out[p.index] = _solution(p, done[p.index], batch.history[p.index])
+    return out
 
 
 def solve(b: BlockSdp, opts: SolverOptions | None = None) -> SdpSolution:
@@ -182,268 +761,10 @@ def solve(b: BlockSdp, opts: SolverOptions | None = None) -> SdpSolution:
     written in b (a >= row's multiplier is the negation of the multiplier
     of its standardized, negated form).
     """
-    if opts is None:
-        opts = SolverOptions()
-    std = to_standard_form(b)
-    kept = _presolve(std)
-    kept_set = set(kept)
-
-    dims = list(std.block_dims)
-    nb = len(dims)
-    C = [mat.to_dense() for mat in std.objective]
-    rows = [std.rows[i] for i in kept]
-    m_t = len(rows)
-    d_vec = np.array([r.rhs for r in rows])
-    # slack bookkeeping: position of each kept row's slack in the slack vector
-    slack_of_row = np.full(m_t, -1, dtype=int)
-    j = 0
-    for i, r in enumerate(rows):
-        if r.slack_coeff != 0:
-            slack_of_row[i] = j
-            j += 1
-    n_slack = j
-    A = [[r.mats[bi].to_dense() for bi in range(nb)] for r in rows]
-    # per-block active row lists keep the Schur assembly proportional to
-    # actual structure instead of m * blocks
-    active = [
-        [i for i in range(m_t) if np.any(A[i][bi])] for bi in range(nb)
-    ]
-    a_stack = [
-        np.stack([A[i][bi] for i in active[bi]], axis=0)
-        if active[bi]
-        else np.zeros((0, dims[bi], dims[bi]))
-        for bi in range(nb)
-    ]
-
-    n_tot = sum(dims) + n_slack
-    cur = _Iterate(dims, n_slack, opts.initial_scale)
-    cur.y = np.zeros(m_t)
-    d_scale = 1.0 + (np.abs(d_vec).max(initial=0.0))
-    c_scale = 1.0 + max((np.linalg.norm(cb) for cb in C), default=0.0)
-
-    def primal_lhs() -> np.ndarray:
-        lhs = np.array(
-            [sum(float(np.sum(A[i][bi] * cur.X[bi])) for bi in range(nb))
-             for i in range(m_t)]
-        )
-        for i in range(m_t):
-            if slack_of_row[i] >= 0:
-                lhs[i] += cur.s[slack_of_row[i]]
-        return lhs
-
-    def dual_residuals() -> tuple[list[np.ndarray], np.ndarray]:
-        rd = []
-        for bi in range(nb):
-            acc = C[bi].copy()
-            for i in active[bi]:
-                acc -= cur.y[i] * A[i][bi]
-            rd.append(acc - cur.S[bi])
-        rds = np.array(
-            [-cur.y[i] - cur.sig[slack_of_row[i]]
-             for i in range(m_t) if slack_of_row[i] >= 0]
-        )
-        return rd, rds
-
-    status = SolveStatus.MAX_ITER
-    pres = dres = gap_rel = np.inf
-    pobj = dobj = np.nan
-    iterations = 0
-    mu_history: list[float] = []
-
-    # overflow in a diverging run is detected by the finite-iterate guard
-    # below; suppress the intermediate warnings it would spray
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for iterations in range(1, opts.max_iter + 1):
-            snap = cur.snapshot()
-            r_p = d_vec - primal_lhs()
-            rd, rds = dual_residuals()
-            pobj = sum(float(np.sum(cb * xb)) for cb, xb in zip(C, cur.X))
-            dobj = float(d_vec @ cur.y)
-            compl = sum(float(np.sum(x * s)) for x, s in zip(cur.X, cur.S))
-            compl += float(cur.s @ cur.sig)
-            mu_history.append(compl / max(n_tot, 1))
-            pres = np.abs(r_p).max(initial=0.0)
-            dres = max(
-                max((np.linalg.norm(m) for m in rd), default=0.0),
-                np.abs(rds).max(initial=0.0),
-            )
-            gap_rel = max(abs(pobj - dobj), compl) / (1.0 + abs(pobj) + abs(dobj))
-            if (
-                pres <= opts.tol * d_scale
-                and dres <= opts.tol * c_scale
-                and gap_rel <= opts.tol
-            ):
-                status = SolveStatus.OPTIMAL
-                break
-            if cur.magnitude() > _DIVERGE_CAP:
-                status = SolveStatus.DIVERGED
-                break
-
-            mu = cur.mu(n_tot)
-            try:
-                # NT scaling and Schur complement M_ij = sum_b <A_i, W A_j W> (+ slack)
-                W = [_nt_scaling(cur.X[bi], cur.S[bi]) for bi in range(nb)]
-                w2 = cur.s / cur.sig
-                M = np.zeros((m_t, m_t))
-                for bi in range(nb):
-                    if not active[bi]:
-                        continue
-                    t = W[bi] @ a_stack[bi] @ W[bi]
-                    M[np.ix_(active[bi], active[bi])] += np.einsum(
-                        "iab,jab->ij", a_stack[bi], t
-                    )
-                for i in range(m_t):
-                    if slack_of_row[i] >= 0:
-                        M[i, i] += w2[slack_of_row[i]]
-
-                chol = None
-                reg = 0.0
-                base = 1e-12 * (1.0 + np.abs(np.diag(M)).max(initial=0.0))
-                for attempt in range(4):
-                    try:
-                        chol = np.linalg.cholesky(M + reg * np.eye(m_t))
-                        break
-                    except np.linalg.LinAlgError:
-                        reg = base * (100.0 ** attempt) if reg else base
-                if chol is None and m_t > 0:
-                    status = SolveStatus.NUMERICAL_FAILURE
-                    break
-
-                s_inv = [np.linalg.inv(cur.S[bi]) for bi in range(nb)]
-                rds_of_slack = np.zeros(n_slack)
-                for i in range(m_t):
-                    if slack_of_row[i] >= 0:
-                        rds_of_slack[slack_of_row[i]] = (
-                            -cur.y[i] - cur.sig[slack_of_row[i]]
-                        )
-
-                def directions(tau: float):
-                    e_blk = [tau * s_inv[bi] - cur.X[bi] for bi in range(nb)]
-                    e_slk = tau / cur.sig - cur.s
-                    g = np.zeros(m_t)
-                    wrw = [W[bi] @ rd[bi] @ W[bi] for bi in range(nb)]
-                    for i in range(m_t):
-                        g[i] = sum(
-                            float(np.sum(A[i][bi] * (e_blk[bi] - wrw[bi])))
-                            for bi in range(nb)
-                        )
-                        sl = slack_of_row[i]
-                        if sl >= 0:
-                            g[i] += e_slk[sl] - w2[sl] * rds_of_slack[sl]
-                    rhs = r_p - g
-                    if m_t:
-                        dy = np.linalg.solve(
-                            chol.T, np.linalg.solve(chol, rhs)
-                        )
-                    else:
-                        dy = np.zeros(0)
-                    ds_blk = []
-                    dx_blk = []
-                    for bi in range(nb):
-                        acc = rd[bi].copy()
-                        for i in active[bi]:
-                            acc -= dy[i] * A[i][bi]
-                        ds_blk.append(0.5 * (acc + acc.T))
-                        dxb = e_blk[bi] - W[bi] @ ds_blk[bi] @ W[bi]
-                        dx_blk.append(0.5 * (dxb + dxb.T))
-                    dsig = np.array(
-                        [rds_of_slack[slack_of_row[i]] - dy[i]
-                         for i in range(m_t) if slack_of_row[i] >= 0]
-                    )
-                    ds_slk = e_slk - w2 * dsig
-                    return dx_blk, dy, ds_blk, ds_slk, dsig
-
-                def step_bounds(dx_blk, ds_blk, ds_slk, dsig):
-                    tp = min(
-                        (_boundary_step(cur.X[bi], dx_blk[bi]) for bi in range(nb)),
-                        default=np.inf,
-                    )
-                    td = min(
-                        (_boundary_step(cur.S[bi], ds_blk[bi]) for bi in range(nb)),
-                        default=np.inf,
-                    )
-                    for v, dv in ((cur.s, ds_slk), (cur.sig, dsig)):
-                        neg = dv < 0
-                        if np.any(neg):
-                            t = float((-v[neg] / dv[neg]).min())
-                            if dv is ds_slk:
-                                tp = min(tp, t)
-                            else:
-                                td = min(td, t)
-                    return tp, td
-
-                # affine probe fixes the centering weight
-                dxa, dya, dsa, dsla, dsga = directions(0.0)
-                tpa, tda = step_bounds(dxa, dsa, dsla, dsga)
-                ap = min(1.0, opts.step_fraction * tpa)
-                ad = min(1.0, opts.step_fraction * tda)
-                tr_aff = sum(
-                    float(np.sum(
-                        (cur.X[bi] + ap * dxa[bi]) * (cur.S[bi] + ad * dsa[bi])
-                    ))
-                    for bi in range(nb)
-                )
-                tr_aff += float((cur.s + ap * dsla) @ (cur.sig + ad * dsga))
-                mu_aff = tr_aff / max(n_tot, 1)
-                sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 0.0))
-
-                dx, dy, ds, dsl, dsg = directions(sigma * mu)
-                tp, td = step_bounds(dx, ds, dsl, dsg)
-                ap = min(1.0, opts.step_fraction * tp)
-                ad = min(1.0, opts.step_fraction * td)
-                for bi in range(nb):
-                    xb = cur.X[bi] + ap * dx[bi]
-                    sb = cur.S[bi] + ad * ds[bi]
-                    cur.X[bi] = 0.5 * (xb + xb.T)
-                    cur.S[bi] = 0.5 * (sb + sb.T)
-                cur.s = cur.s + ap * dsl
-                cur.sig = cur.sig + ad * dsg
-                cur.y = cur.y + ad * dy
-                if not cur.is_finite():
-                    cur.restore(snap)
-                    status = SolveStatus.DIVERGED
-                    break
-            except np.linalg.LinAlgError:
-                # extreme conditioning near a thin feasible face: keep the
-                # last clean iterate and report the failure honestly
-                cur.restore(snap)
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-
-    # assemble the user-facing solution in the orientation of the input b
-    slacks = np.zeros(len(b.rows))
-    duals = np.zeros(len(b.rows))
-    for i_std, i_orig in enumerate(kept):
-        if slack_of_row[i_std] >= 0:
-            slacks[i_orig] = cur.s[slack_of_row[i_std]]
-        flip = -1.0 if b.rows[i_orig].slack_coeff == -1 else 1.0
-        duals[i_orig] = flip * cur.y[i_std]
-
-    # residuals reported against the full standardized system, so presolve-
-    # dropped (implied) rows are audited too
-    full_lhs = np.zeros(len(std.rows))
-    for i, row in enumerate(std.rows):
-        full_lhs[i] = sum(
-            float(np.sum(row.mats[bi].to_dense() * cur.X[bi])) for bi in range(nb)
-        )
-        if row.slack_coeff != 0:
-            full_lhs[i] += slacks[i]
-    full_rhs = np.array([r.rhs for r in std.rows])
-    pres_full = np.abs(full_rhs - full_lhs).max(initial=0.0)
-
-    return SdpSolution(
-        blocks=[SymMatrix.from_dense(0.5 * (x + x.T)) for x in cur.X],
-        slacks=slacks,
-        dual_multipliers=duals,
-        dual_blocks=[SymMatrix.from_dense(0.5 * (s + s.T)) for s in cur.S],
-        status=status,
-        value=float(pobj),
-        primal_residual=float(pres_full),
-        dual_residual=float(dres),
-        gap=float(gap_rel),
-        iterations=iterations,
-        mu_history=mu_history,
-    )
+    (out,) = solve_many([b], opts)
+    if isinstance(out, SepqcqpError):
+        raise out
+    return out
 
 
 @dataclass(frozen=True)
@@ -476,13 +797,9 @@ def check_solution(b: BlockSdp, sol: SdpSolution, tol: float) -> ResidualReport:
     if len(sol.slacks) != len(b.rows):
         raise DimensionError("slack vector length mismatch")
 
-    res = np.zeros(len(b.rows))
-    for i, row in enumerate(b.rows):
-        lhs = sum(
-            float(np.sum(row.mats[bi].to_dense() * sol.blocks[bi].to_dense()))
-            for bi in range(b.n_blocks)
-        )
-        res[i] = lhs + row.slack_coeff * sol.slacks[i] - row.rhs
+    op = RowOperator(b.rows, b.block_dims)
+    lhs = op.apply([x.to_dense() for x in sol.blocks])
+    res = lhs + op.slack_coeffs * sol.slacks - op.rhs
     min_eigs = [
         float(np.linalg.eigvalsh(x.to_dense())[0]) if x.dim else 0.0
         for x in sol.blocks
@@ -492,11 +809,11 @@ def check_solution(b: BlockSdp, sol: SdpSolution, tol: float) -> ResidualReport:
         float(np.sum(cb.to_dense() * xb.to_dense()))
         for cb, xb in zip(b.objective, sol.blocks)
     )
-    dobj = float(np.array([r.rhs for r in b.rows]) @ sol.dual_multipliers)
+    dobj = float(op.rhs @ sol.dual_multipliers)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     scale = 1.0 + max((x.norm() for x in sol.blocks), default=0.0)
     ok = (
-        float(np.abs(res).max(initial=0.0)) <= tol * (1.0 + np.abs([r.rhs for r in b.rows]).max(initial=0.0))
+        float(np.abs(res).max(initial=0.0)) <= tol * (1.0 + np.abs(op.rhs).max(initial=0.0))
         and min(min_eigs, default=0.0) >= -tol * scale
         and min_slack >= -tol
         and gap <= tol

@@ -148,6 +148,72 @@ class SdpSolution:
     mu_history: list = field(default_factory=list)
 
 
+class RowOperator:
+    """The rows of a block SDP compiled once into per-block stacks.
+
+    For every block b, active[b] lists (ascending) the rows whose matrix on
+    b is not identically zero and stacks[b] holds those matrices densely as
+    one (k, d, d) array, as SDPT3 keeps one stacked constraint matrix per
+    block. Row sums run over the active blocks in block order, one
+    np.sum(A * X) per (row, block) pair, so their roundoff is that of the
+    plain double loop.
+    """
+
+    __slots__ = ("dims", "n_rows", "active", "stacks", "slack_coeffs", "rhs")
+
+    def __init__(self, rows, dims):
+        self.dims = tuple(dims)
+        self.n_rows = len(rows)
+        self.active, self.stacks = [], []
+        for bi, d in enumerate(self.dims):
+            mats = [row.mats[bi].to_dense() for row in rows]
+            act = [i for i, a in enumerate(mats) if np.any(a)]
+            self.active.append(np.array(act, dtype=np.intp))
+            self.stacks.append(
+                np.stack([mats[i] for i in act]) if act else np.zeros((0, d, d))
+            )
+        self.slack_coeffs = np.array([float(r.slack_coeff) for r in rows])
+        self.rhs = np.array([float(r.rhs) for r in rows])
+
+    def take(self, keep) -> "RowOperator":
+        """The operator of the rows keep (ascending), renumbered 0.."""
+        keep = np.asarray(keep, dtype=np.intp)
+        pos = np.full(self.n_rows, -1, dtype=np.intp)
+        pos[keep] = np.arange(len(keep))
+        out = object.__new__(RowOperator)
+        out.dims, out.n_rows = self.dims, len(keep)
+        out.active, out.stacks = [], []
+        for act, stack in zip(self.active, self.stacks):
+            sel = pos[act] >= 0
+            out.active.append(pos[act[sel]])
+            out.stacks.append(stack[sel])
+        out.slack_coeffs = self.slack_coeffs[keep]
+        out.rhs = self.rhs[keep]
+        return out
+
+    def apply(self, blocks) -> np.ndarray:
+        """sum_b <mats[b], X_b> for every row, slack not included; blocks
+        are dense arrays."""
+        out = np.zeros(self.n_rows)
+        for act, stack, x in zip(self.active, self.stacks, blocks):
+            if len(act):
+                out[act] += (stack * x).reshape(len(act), -1).sum(axis=1)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """Every row as one vector over (all block entries, block by block)
+        followed by one column per slack-carrying row."""
+        slack_rows = np.flatnonzero(self.slack_coeffs)
+        widths = [d * d for d in self.dims]
+        mat = np.zeros((self.n_rows, sum(widths) + len(slack_rows)))
+        ofs = 0
+        for act, stack, w in zip(self.active, self.stacks, widths):
+            mat[act, ofs : ofs + w] = stack.reshape(len(act), w)
+            ofs += w
+        mat[slack_rows, ofs + np.arange(len(slack_rows))] = self.slack_coeffs[slack_rows]
+        return mat
+
+
 def eval_rows(b: BlockSdp, blocks) -> np.ndarray:
     """Left-hand sides sum_b <mats, X_b> for every row (slack not included)."""
     if len(blocks) != b.n_blocks:

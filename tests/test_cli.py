@@ -2,6 +2,7 @@
 report schemas."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -246,6 +247,33 @@ class TestVerdictSerialization:
         for a, b in zip(v2.witness, v.witness):
             assert np.array_equal(a, b)
 
+    def test_non_finite_numbers_round_trip_as_null(self):
+        q = contradictory_qcqp()
+        v = judge(SeparableQcqp([q], q.rhs))
+        assert math.isnan(v.eta)
+        d = verdict_to_dict(v)
+        assert d["eta"] is None
+        assert math.isnan(verdict_from_dict(json.loads(json.dumps(d))).eta)
+
+
+def contradictory_qcqp():
+    """One variable, rows x^2 = 1 and x^2 = 2: the relaxation fails
+    structurally."""
+    return Qcqp(
+        1,
+        qf([[1.0]]),
+        [(qf([[1.0]]), Relation.EQ), (qf([[1.0]]), Relation.EQ)],
+        [1.0, 2.0],
+    )
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -296,6 +324,7 @@ class TestCommands:
             assert by_alpha[a]["verdict"].startswith("Exact")
             assert by_alpha[a]["rank"] == 1
         assert by_alpha[2.5]["verdict"] == "NotExact"
+        assert by_alpha[4.0]["solver"]["status"] == "Diverged"
         # observed values reported for the open upper range, not asserted
         assert abs(by_alpha[3.5]["eta"] - 11.5) <= 1e-4
 
@@ -373,6 +402,31 @@ class TestCommands:
         rep = json.loads(out)["report"]
         assert rep["solver"]["status"] == "Optimal"
         assert rep["solver"]["value"] == rep["verdict"]["eta"]
+
+    def test_example51_does_not_solve_twice(self, capsys, monkeypatch):
+        # every row reads its relaxation from the verdict, alpha = 4 too
+        def no_solve(*args, **kwargs):
+            raise AssertionError("cli.solve called during example51")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        code, out, _ = run_cli(
+            capsys, "example51", "--table", "--format", "json", "--no-timestamp"
+        )
+        assert code == 0
+        assert len(json.loads(out)["report"]["rows"]) == 7
+
+    def test_judge_json_is_strict_when_the_relaxation_fails(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "contradictory.sq"
+        write_problem(contradictory_qcqp(), str(path))
+        code, out, _ = run_cli(
+            capsys, "judge", str(path), "--format", "json", "--no-timestamp"
+        )
+        assert code == 2
+        rep = strict_json(out)["report"]
+        assert rep["verdict"]["eta"] is None
+        assert rep["solver"] is None
 
     def test_certify_command(self, capsys, tmp_path):
         path = tmp_path / "ex52.sq"
@@ -453,15 +507,7 @@ class TestExitCodes:
         [
             (make_example51(4.0), "Diverged"),  # no strictly feasible point
             (Qcqp(1, qf([[0.0]]), [(qf([[1.0]]), Relation.LE)], [-1.0]), "Diverged"),
-            (
-                Qcqp(
-                    1,
-                    qf([[1.0]]),
-                    [(qf([[1.0]]), Relation.EQ), (qf([[1.0]]), Relation.EQ)],
-                    [1.0, 2.0],
-                ),
-                None,  # contradictory rows: the solve raises, no provenance
-            ),
+            (contradictory_qcqp(), None),  # the solve raises, no provenance
         ],
         ids=["alpha4", "infeasible", "contradictory"],
     )
@@ -473,7 +519,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "judge", str(path), "--format", "json")
         assert code == 2
         assert err == ""
-        rep = json.loads(out)["report"]
+        rep = strict_json(out)["report"]
         assert rep["verdict"]["status"] == "Undetermined"
         solver = rep["solver"]
         assert (None if solver is None else solver["status"]) == solver_status

@@ -1,11 +1,14 @@
 """Connection pipeline: allocations, blockwise optimality, verdicts,
 bilevel reading, and the seeded instance generators."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from sepqcqp import connection
 from sepqcqp.certificates import (
     CertificateKind,
     SignCase,
@@ -44,7 +47,7 @@ from sepqcqp.qcqp_model import (
 )
 from sepqcqp.qcqp_model import eval as qf_eval
 from sepqcqp.sdp_solver import solve
-from sepqcqp.sdpr_builder import SolveStatus, build_block
+from sepqcqp.sdpr_builder import SdpSolution, SolveStatus, build_block
 from sepqcqp.symkernel import frob_inner
 
 from test_sdp_solver import family_value
@@ -493,3 +496,57 @@ class TestInvariants:
             assert v.zeta_witness is not None
             assert abs(v.zeta_witness - v.eta) <= 1e-5 * (1 + abs(v.eta))
         assert hits >= 6
+
+
+REFERENCES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench",
+    "references",
+)
+
+
+def reference_iterations(workload: str) -> dict:
+    with open(os.path.join(REFERENCES, f"{workload}.json"), encoding="utf-8") as fh:
+        return {k: rec["iters"] for k, rec in json.load(fh)["keys"].items()}
+
+
+def judged_iterations(s, monkeypatch) -> int:
+    """IPM iterations of every solve inside judge(s), batched or not."""
+    total = 0
+    one, many = connection.solve, connection.solve_many
+
+    def counted_one(*args, **kwargs):
+        nonlocal total
+        sol = one(*args, **kwargs)
+        total += sol.iterations
+        return sol
+
+    def counted_many(*args, **kwargs):
+        nonlocal total
+        out = many(*args, **kwargs)
+        total += sum(r.iterations for r in out if isinstance(r, SdpSolution))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(connection, "solve", counted_one)
+        m.setattr(connection, "solve_many", counted_many)
+        judge(s)
+    return total
+
+
+class TestIterationsPinned:
+    """judge's summed IPM iterations equal the benchmark references, which
+    were recorded one solve at a time: batching the entry re-solves leaves
+    every solve's iterations as they were."""
+
+    def test_example52(self, monkeypatch):
+        ref = reference_iterations("ex52-cli")
+        for seed in range(20):
+            assert judged_iterations(make_example52(seed), monkeypatch) == ref[str(seed)]
+
+    def test_example51_table(self, monkeypatch):
+        ref = reference_iterations("ex51-sweep")
+        for key, alpha in (("0", 0.0), ("100", 1.0), ("200", 2.0), ("250", 2.5),
+                           ("300", 3.0), ("350", 3.5), ("alpha4", 4.0)):
+            h = make_example51(alpha)
+            assert judged_iterations(SeparableQcqp([h], h.rhs), monkeypatch) == ref[key]

@@ -1,8 +1,16 @@
 """Interior-point solver: analytic values, duals, statuses, invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from sepqcqp.connection import (
+    decompose_delta,
+    make_example51,
+    make_example52,
+    strip_variable_free_rows,
+)
 from sepqcqp.errors import InfeasibleStructureError
 from sepqcqp.qcqp_model import (
     HomSepQcqp,
@@ -19,6 +27,7 @@ from sepqcqp.sdp_solver import (
     SolverOptions,
     check_solution,
     solve,
+    solve_many,
 )
 from sepqcqp.sdpr_builder import (
     BlockSdp,
@@ -372,4 +381,148 @@ class TestNumpyErrorState:
     def test_error_state_restored_after_a_return(self):
         before = np.geterr()
         solve(build_hom(two_block_family(1.0)))
+        assert np.geterr() == before
+
+
+def mixed_batch() -> list:
+    """Problems of every shape and outcome the solver meets: the example-5.2
+    connection and its entries at their allocations (blocks of different
+    dims and row counts),
+    the entries of a convex connection, the alpha = 4 relaxation (no
+    strictly feasible point), x'x <= -1, the unbounded min -x^2 s.t.
+    2x <= 1, and a problem with contradictory rows."""
+    out = []
+    for seed in (0, 3):
+        s = make_example52(seed)
+        out.append(build_block(s))
+        deltas = decompose_delta(s, solve(out[-1]))
+        for entry, delta in zip(s.blocks, deltas):
+            if isinstance(entry, Qcqp):
+                q = Qcqp(entry.n, entry.objective, list(entry.constraints), delta)
+                out.append(build_shor(strip_variable_free_rows(q)[0]))
+            else:
+                h = HomSepQcqp(entry.blocks, list(entry.relations), delta)
+                with warnings.catch_warnings():  # rows zero at this allocation
+                    warnings.simplefilter("ignore", UserWarning)
+                    out.append(build_hom(h))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        a = rng.standard_normal((3, 3))
+        cons = [(qf(np.eye(3), rng.standard_normal(3)), Relation.LE) for _ in range(2)]
+        out.append(build_shor(Qcqp(3, qf(a @ a.T, rng.standard_normal(3)), cons, [4.0, 3.0])))
+    out.append(build_hom(make_example51(4.0)))
+    out.append(build_shor(Qcqp(2, qf(np.eye(2)), [(qf(np.eye(2)), Relation.LE)], [-1.0])))
+    out.append(build_shor(Qcqp(1, qf([[-1.0]]), [(qf([[0.0]], [1.0]), Relation.LE)], [1.0])))
+    out.append(
+        BlockSdp(
+            (2,),
+            (sym(np.diag([1.0, 0.0])),),
+            [
+                Row((sym(np.diag([0.0, 1.0])),), 0, 1.0),
+                Row((sym(np.diag([0.0, 1.0])),), 0, 2.0),
+            ],
+        )
+    )
+    return out
+
+
+def assert_same_solution(a, b):
+    """Bit-for-bit equality of two solver results."""
+    assert a.status is b.status
+    assert a.iterations == b.iterations
+    for f in ("value", "primal_residual", "dual_residual", "gap"):
+        np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+    np.testing.assert_array_equal(a.dual_multipliers, b.dual_multipliers)
+    np.testing.assert_array_equal(a.slacks, b.slacks)
+    for xa, xb in zip(a.blocks + a.dual_blocks, b.blocks + b.dual_blocks):
+        np.testing.assert_array_equal(xa.to_dense(), xb.to_dense())
+    assert a.mu_history == b.mu_history
+
+
+def single(b):
+    try:
+        return solve(b)
+    except InfeasibleStructureError as exc:
+        return exc
+
+
+class TestSolveMany:
+    def test_batch_equals_single_solves(self):
+        bs = mixed_batch()
+        singles = [single(b) for b in bs]
+        statuses = {r.status for r in singles if isinstance(r, SdpSolution)}
+        assert statuses == {
+            SolveStatus.OPTIMAL,
+            SolveStatus.DIVERGED,
+            SolveStatus.NUMERICAL_FAILURE,
+        }
+        for order in (bs, bs[::-1]):
+            batch = solve_many(order)
+            want = singles if order is bs else singles[::-1]
+            assert len(batch) == len(order)
+            for got, ref in zip(batch, want):
+                if isinstance(ref, InfeasibleStructureError):
+                    assert isinstance(got, InfeasibleStructureError)
+                    assert str(got) == str(ref)
+                else:
+                    assert_same_solution(got, ref)
+
+    def test_structural_error_stays_in_its_slot(self):
+        bs = mixed_batch()
+        out = solve_many(bs)
+        bad = [i for i, r in enumerate(out) if isinstance(r, Exception)]
+        assert bad == [len(bs) - 1]
+        assert all(isinstance(r, SdpSolution) for r in out[:-1])
+        with pytest.raises(InfeasibleStructureError):
+            solve(bs[-1])
+
+    def test_empty_batch(self):
+        assert solve_many([]) == []
+
+    def test_problem_without_blocks(self):
+        # s = 1 with s >= 0 and nothing else: only the slack moves
+        free = BlockSdp((), (), [Row((), 1, 1.0)])
+        for sol in (solve(free), solve_many([free, mixed_batch()[0]])[0]):
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.blocks == []
+            assert sol.slacks[0] == pytest.approx(1.0, abs=1e-7)
+
+    def test_failed_slot_fails_only_its_problem(self, monkeypatch):
+        # the first stacked NT scaling raises, and so does the retry of
+        # its first slot: only that slot's problem stops, at iteration 1
+        bs = [build_hom(two_block_family(a)) for a in (0.0, 1.0, 3.0)]
+        singles = [solve(b) for b in bs]
+        real = sdp_solver._nt_scaling
+        fired = []
+
+        def flaky(x, s):
+            if not fired and (x.ndim == 2 or len(x) > 1):
+                if x.ndim == 2:
+                    fired.append(True)
+                raise np.linalg.LinAlgError("injected")
+            return real(x, s)
+
+        monkeypatch.setattr(sdp_solver, "_nt_scaling", flaky)
+        before = np.geterr()
+        out = solve_many(bs)
+        assert np.geterr() == before
+        failed = [i for i, r in enumerate(out) if r.status is SolveStatus.NUMERICAL_FAILURE]
+        assert len(failed) == 1
+        hit = out[failed[0]]
+        assert hit.iterations == 1
+        np.testing.assert_array_equal(hit.blocks[0].to_dense(), 10.0 * np.eye(2))
+        for i, (got, ref) in enumerate(zip(out, singles)):
+            if i != failed[0]:
+                assert_same_solution(got, ref)
+
+    def test_error_state_restored_after_a_failing_batch(self, monkeypatch):
+        def broken(x, s):
+            raise RuntimeError("scaling failed")
+
+        before = np.geterr()
+        solve_many(mixed_batch())
+        assert np.geterr() == before
+        monkeypatch.setattr(sdp_solver, "_nt_scaling", broken)
+        with pytest.raises(RuntimeError, match="scaling failed"):
+            solve_many(mixed_batch())
         assert np.geterr() == before

@@ -14,9 +14,11 @@ from sepqcqp.qcqp_model import (
     eval as eval_quad,
     is_feasible,
 )
+from sepqcqp.connection import make_example52
 from sepqcqp.sdpr_builder import (
     BlockSdp,
     Row,
+    RowOperator,
     build_block,
     build_hom,
     build_shor,
@@ -226,3 +228,41 @@ class TestBlockSdpValidation:
                 (SymMatrix.zeros(2),),
                 [Row((SymMatrix.identity(2),), 2, 1.0)],
             )
+
+
+class TestRowOperator:
+    """The compiled operator against the plain loop over (row, block) pairs
+    it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_apply_dense_and_take_match_the_loop(self, seed):
+        b = to_standard_form(build_block(make_example52(seed)))
+        op = RowOperator(b.rows, b.block_dims)
+        rng = np.random.default_rng(seed)
+        xs = []
+        for d in b.block_dims:
+            a = rng.standard_normal((d, d))
+            xs.append(a + a.T)
+        loop = np.array([
+            sum(float(np.sum(m.to_dense() * x)) for m, x in zip(row.mats, xs))
+            for row in b.rows
+        ])
+        np.testing.assert_array_equal(op.apply(xs), loop)
+
+        slack_rows = [i for i, r in enumerate(b.rows) if r.slack_coeff]
+        dense = op.dense()
+        for i, row in enumerate(b.rows):
+            flat = np.concatenate([m.to_dense().ravel() for m in row.mats])
+            np.testing.assert_array_equal(dense[i, : len(flat)], flat)
+            tail = np.zeros(len(slack_rows))
+            if row.slack_coeff:
+                tail[slack_rows.index(i)] = row.slack_coeff
+            np.testing.assert_array_equal(dense[i, len(flat) :], tail)
+
+        keep = [i for i in range(len(b.rows)) if i % 2 == 0]
+        part = op.take(keep)
+        np.testing.assert_array_equal(part.apply(xs), loop[keep])
+        np.testing.assert_array_equal(part.rhs, op.rhs[keep])
+        for act, stack, full_act in zip(part.active, part.stacks, op.active):
+            assert list(np.asarray(keep)[act]) == [i for i in full_act if i % 2 == 0]
+            assert len(stack) == len(act)
