@@ -483,13 +483,17 @@ def check_assumption_A(
     return holds, count, breakdown
 
 
+def pataki_count(ranks, slacks, rank_tol: float) -> int:
+    """Sum over blocks of r(r+1)/2 plus the number of nonzero slacks, a
+    slack counting when it exceeds rank_tol * (1 + the largest |slack|)."""
+    slacks = np.abs(np.asarray(slacks, dtype=np.float64))
+    smax = float(slacks.max(initial=0.0))
+    nnz_slack = int(np.sum(slacks > rank_tol * (1.0 + smax)))
+    return sum(r * (r + 1) // 2 for r in ranks) + nnz_slack
+
+
 def pataki_bound_holds(sol: SdpSolution, m: int, rank_tol: float = 1e-6) -> bool:
-    """Extreme-point rank inequality: sum over nonzero blocks of
-    r(r+1)/2 plus the number of nonzero slacks is at most m."""
-    total = 0
-    for v in sol.blocks:
-        r = numeric_rank(v, tol=rank_tol)
-        total += r * (r + 1) // 2
-    smax = float(np.abs(sol.slacks).max(initial=0.0))
-    total += int(np.sum(np.abs(sol.slacks) > rank_tol * (1.0 + smax)))
-    return total <= m
+    """Extreme-point rank inequality: the Pataki count of sol (pataki_count)
+    is at most m."""
+    ranks = [numeric_rank(v, tol=rank_tol) for v in sol.blocks]
+    return pataki_count(ranks, sol.slacks, rank_tol) <= m

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .certificates import Certificate, CertificateKind, SignCase
+from .certificates import Certificate, CertificateKind, SignCase, pataki_count
 from .connection import (
     ExactnessVerdict,
     JudgeOptions,
@@ -666,8 +666,6 @@ def verdict_from_dict(d: dict) -> ExactnessVerdict:
 
 def _provenance(sol, rank_tol: float) -> dict:
     ranks = [numeric_rank(x, rank_tol) for x in sol.blocks]
-    smax = float(np.abs(sol.slacks).max(initial=0.0))
-    nnz_slack = int(np.sum(np.abs(sol.slacks) > rank_tol * (1.0 + smax)))
     return {
         "status": sol.status.value,
         "iterations": int(sol.iterations),
@@ -676,7 +674,7 @@ def _provenance(sol, rank_tol: float) -> dict:
         "dual_residual": float(sol.dual_residual),
         "gap": float(sol.gap),
         "block_ranks": ranks,
-        "pataki_sum": sum(r * (r + 1) // 2 for r in ranks) + nnz_slack,
+        "pataki_sum": pataki_count(ranks, sol.slacks, rank_tol),
     }
 
 

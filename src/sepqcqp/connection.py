@@ -298,6 +298,49 @@ def _dual_bound(entry, delta, y, mu, tol):
     return float(y @ delta) + mu
 
 
+def _analyse_entries(s: SeparableQcqp, b, sol, deltas, tol, solver=None) -> list:
+    """Per entry, (sub_value, gap, subsol): the entry's relaxation re-solved
+    at its allocation (all entries in one lockstep batch) and the gap to the
+    objective the entry achieves in sol.
+
+    An entry whose re-solve raises or stops short of Optimal falls back to
+    the dual-certificate bound read off the connection solution (subsol is
+    then None); nan marks an entry with neither, or one whose allocation
+    leaves a variable-free row inconsistent.
+    """
+    y, mus = _connection_duals(s, b, sol)
+    subs, inconsistent = {}, set()
+    for p, entry in enumerate(s.blocks):
+        try:
+            sub, check = _sub_problem(entry, deltas[p])
+        except SepqcqpError:
+            continue
+        if check(tol) is None:
+            subs[p] = sub
+        else:
+            inconsistent.add(p)
+    resolved = dict(zip(subs, solve_many(list(subs.values()), solver)))
+
+    out, ofs = [], 0
+    for p, entry in enumerate(s.blocks):
+        cnt = _entry_block_count(entry)
+        achieved = float(_entry_achieved(entry, sol.blocks[ofs : ofs + cnt])[0])
+        ofs += cnt
+        cand = resolved.get(p)
+        if isinstance(cand, SdpSolution) and cand.status is SolveStatus.OPTIMAL:
+            value = float(cand.value)
+            out.append((value, abs(value - achieved), cand))
+            continue
+        bound = None
+        if p not in inconsistent:
+            bound = _dual_bound(entry, deltas[p], y, mus[p], tol)
+        if bound is None:
+            out.append((math.nan, math.nan, None))
+        else:
+            out.append((bound, abs(achieved - bound), None))
+    return out
+
+
 def verify_suboptimality(s: SeparableQcqp, sol, deltas, tol: float = 1e-6):
     """Gap between each entry's achieved objective and its own relaxation
     re-solved at the entry's allocation; nan marks a failed verification.
@@ -308,30 +351,8 @@ def verify_suboptimality(s: SeparableQcqp, sol, deltas, tol: float = 1e-6):
         raise DimensionError(
             f"{len(deltas)} allocations for {len(s.blocks)} entries"
         )
-    y, mus = _connection_duals(s, build_block(s), sol)
-    gaps = np.full(len(s.blocks), np.nan)
-    ofs = 0
-    for p, entry in enumerate(s.blocks):
-        cnt = _entry_block_count(entry)
-        achieved = float(
-            _entry_achieved(entry, sol.blocks[ofs : ofs + cnt])[0]
-        )
-        ofs += cnt
-        subsol = None
-        try:
-            sub, check = _sub_problem(entry, deltas[p])
-            if check(tol) is not None:
-                continue
-            subsol = solve(sub)
-        except SepqcqpError:
-            subsol = None
-        if subsol is not None and subsol.status is SolveStatus.OPTIMAL:
-            gaps[p] = abs(float(subsol.value) - achieved)
-            continue
-        bound = _dual_bound(entry, deltas[p], y, mus[p], tol)
-        if bound is not None:
-            gaps[p] = abs(achieved - bound)
-    return gaps
+    entries = _analyse_entries(s, build_block(s), sol, deltas, tol)
+    return np.array([gap for _, gap, _ in entries], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -572,38 +593,11 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         )
     eta = float(sol.value)
     deltas = decompose_delta(s, sol)
-    y_dual, mus = _connection_duals(s, b, sol)
-
-    # every entry's re-solve at its allocation, in one lockstep batch
-    subs = {}
-    for p, entry in enumerate(s.blocks):
-        try:
-            sub, check = _sub_problem(entry, deltas[p])
-        except SepqcqpError:
-            continue
-        if check(opts.tol) is None:
-            subs[p] = sub
-    resolved = dict(zip(subs, solve_many(list(subs.values()), opts.solver)))
+    analysed = _analyse_entries(s, b, sol, deltas, opts.tol, opts.solver)
 
     certs, gauges, sub_solutions, per_block = [], [], [], []
-    ofs = 0
     for p, entry in enumerate(s.blocks):
-        cnt = _entry_block_count(entry)
-        achieved = float(_entry_achieved(entry, sol.blocks[ofs : ofs + cnt])[0])
-        ofs += cnt
-
-        sub_value, gap, subsol = math.nan, math.nan, None
-        cand = resolved.get(p)
-        if isinstance(cand, SdpSolution) and cand.status is SolveStatus.OPTIMAL:
-            subsol = cand
-            sub_value = float(cand.value)
-            gap = abs(sub_value - achieved)
-        if subsol is None:
-            bound = _dual_bound(entry, deltas[p], y_dual, mus[p], opts.tol)
-            if bound is not None:
-                sub_value = bound
-                gap = abs(achieved - bound)
-
+        sub_value, gap, subsol = analysed[p]
         gauge = None
         if isinstance(entry, HomSepQcqp):
             h_delta = HomSepQcqp(entry.blocks, list(entry.relations), deltas[p])

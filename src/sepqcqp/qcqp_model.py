@@ -37,6 +37,7 @@ class Relation(enum.Enum):
         return {"le": "<=", "eq": "=", "ge": ">="}[self.value]
 
     def holds(self, lhs: float, rhs: float, tol: float) -> bool:
+        """lhs <relation> rhs within tol; elementwise when lhs is an array."""
         if self is Relation.LE:
             return lhs <= rhs + tol
         if self is Relation.EQ:
@@ -425,6 +426,80 @@ def split_point(s: SeparableQcqp, u) -> list[np.ndarray]:
 #: returned as the value when no feasible grid point exists
 INFEASIBLE = math.inf
 
+#: grid points screened at once; bounds the oracle's memory at any grid size
+_SLAB = 1 << 16
+
+#: smallest batch whose eval_many values match those of any larger batch:
+#: numpy sums a batch of one or two points in another order
+_MIN_BATCH = 3
+
+
+def _eval_batched(f: QuadFunc, pts: np.ndarray) -> np.ndarray:
+    """f.eval_many(pts), each value bit-equal to the one a larger batch gives."""
+    if pts.shape[0] >= _MIN_BATCH:
+        return f.eval_many(pts)
+    padded = np.zeros((_MIN_BATCH, f.n))
+    padded[: pts.shape[0]] = pts
+    return f.eval_many(padded)[: pts.shape[0]]
+
+
+def _terms(f: QuadFunc) -> list:
+    """Nonzero terms of f as (c, i, j): c u_i u_j, or c u_i when j is None."""
+    dense = f.B.to_dense()
+    n = f.n
+    out = []
+    for j in range(n):
+        for i in range(j + 1):
+            c = float(dense[i, j] if i == j else 2.0 * dense[i, j])
+            if c != 0.0:
+                out.append((c, i, j))
+        c = float(2.0 * dense[j, n])
+        if c != 0.0:
+            out.append((c, j, None))
+    return out
+
+
+def _screen_tol(terms, d: float, bounds, feas_tol: float) -> float:
+    """feas_tol widened by 1e-12 times a bound on the sum of |term| and |d|:
+    hundreds of times the rounding error of the grid sum or of eval_many."""
+    size = sum(
+        abs(c) * bounds[i] * (1.0 if j is None else bounds[j]) for c, i, j in terms
+    )
+    return feas_tol + 1e-12 * (1.0 + size + abs(d))
+
+
+def _grid_values(terms, coords):
+    """Sum of terms on the tensor grid; coords[i] varies along one slab axis.
+    A numpy scalar when there are no terms, so relation tests stay boolean."""
+    vals = np.float64(0.0)
+    for c, i, j in terms:
+        vals = vals + (c * coords[i] if j is None else (c * coords[i]) * coords[j])
+    return vals
+
+
+def _slab_feasible(rows, coords, axis_of, shape, feas_tol) -> np.ndarray:
+    """Exactly feasible points of one slab, in C order, as an (N, n) array.
+
+    rows holds (f, relation, rhs, terms, screen tolerance). The screen keeps
+    a point where every row holds within its screen tolerance or its grid
+    sum is NaN; the survivors are re-checked with eval_many and feas_tol.
+    """
+    keep = True
+    for _, rel, d, terms, tol in rows:
+        vals = _grid_values(terms, coords)
+        keep = keep & (rel.holds(vals, d, tol) | np.isnan(vals))
+        if not np.any(keep):
+            return np.empty((0, len(coords)))
+    idx = np.unravel_index(np.flatnonzero(np.broadcast_to(keep, shape)), shape)
+    pts = np.empty((idx[0].shape[0], len(coords)))
+    for v, c in enumerate(coords):
+        pts[:, v] = c.ravel()[idx[axis_of[v]]]
+    for f, rel, d, _, _ in rows:
+        pts = pts[rel.holds(_eval_batched(f, pts), d, feas_tol)]
+        if pts.shape[0] == 0:
+            break
+    return pts
+
 
 def brute_force(
     q: Qcqp,
@@ -435,10 +510,19 @@ def brute_force(
 ):
     """Grid search with successive box-halving refinement around the incumbent.
 
-    box is one (lo, hi) pair applied to every coordinate, or a list of n
-    pairs. Each round lays a grid_points-per-axis grid on the current box,
-    keeps the best feasible point, then halves the box around it. Returns
-    (value, point); (math.inf, None) when no feasible grid point was found.
+    box is one (lo, hi) pair of finite bounds applied to every coordinate,
+    or a list of n pairs. Each round lays a grid_points-per-axis grid on
+    the current box, keeps the best feasible point, then halves the box
+    around it. Returns (value, point); (math.inf, None) when no feasible
+    grid point was found. Ties go to the first point in C order of the grid.
+
+    A round walks its grid in C order, in slabs of about _SLAB points, so
+    memory stays bounded at any grid size. In each slab every row is first
+    screened on the tensor grid with a widened tolerance, which keeps a
+    superset of the feasible points; the survivors are then confirmed with
+    QuadFunc.eval_many and the exact relation test, and only the confirmed
+    points reach the objective. Value and point are bit-equal to one
+    eval_many pass over the whole grid.
 
     Only intended for q.n <= 4 (the grid is exponential in n). The reported
     value is an upper bound on the true minimum that tightens with rounds.
@@ -453,14 +537,30 @@ def brute_force(
     pairs = np.asarray(box, dtype=np.float64)
     if pairs.shape == (2,):
         pairs = np.tile(pairs, (q.n, 1))
-    if pairs.shape != (q.n, 2) or np.any(pairs[:, 0] > pairs[:, 1]):
+    if (
+        pairs.shape != (q.n, 2)
+        or not np.all(np.isfinite(pairs))
+        or np.any(pairs[:, 0] > pairs[:, 1])
+    ):
         raise DimensionError(f"bad box for n = {q.n}: {box!r}")
 
     centers = 0.5 * (pairs[:, 0] + pairs[:, 1])
     widths = pairs[:, 1] - pairs[:, 0]
 
-    cons_f = [f for f, _ in q.constraints]
-    rels = q.relations
+    # a slab is up to `per_slab` consecutive index tuples of the leading
+    # coordinates, each with the whole grid of the trailing t coordinates:
+    # slab axis 0 runs over those tuples, axis 1 + k over trailing k
+    n, g = q.n, grid_points
+    t = n
+    while t > 0 and g**t > _SLAB:
+        t -= 1
+    lead = n - t
+    n_tuples = g**lead
+    per_slab = max(1, _SLAB // g**t)
+    axis_of = [0] * lead + list(range(1, t + 1))
+    trail_shape = [(1,) * (1 + k) + (g,) + (1,) * (t - 1 - k) for k in range(t)]
+
+    terms = [_terms(f) for f, _ in q.constraints]
     best_val = INFEASIBLE
     best_pt = None
 
@@ -468,27 +568,50 @@ def brute_force(
         los = np.maximum(pairs[:, 0], centers - 0.5 * widths)
         his = np.minimum(pairs[:, 1], centers + 0.5 * widths)
         axes = [np.linspace(lo, hi, grid_points) for lo, hi in zip(los, his)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
+        bounds = [float(np.max(np.abs(a))) for a in axes]
+        rows = [
+            (f, rel, d, tm, _screen_tol(tm, d, bounds, feas_tol))
+            for (f, rel), d, tm in zip(q.constraints, q.rhs, terms)
+        ]
 
-        feas = np.ones(pts.shape[0], dtype=bool)
-        for f, rel, d in zip(cons_f, rels, q.rhs):
-            vals = f.eval_many(pts)
-            if rel is Relation.LE:
-                feas &= vals <= d + feas_tol
-            elif rel is Relation.GE:
-                feas &= vals >= d - feas_tol
-            else:
-                feas &= np.abs(vals - d) <= feas_tol
-            if not feas.any():
-                break
-
-        if feas.any():
-            obj = q.objective.eval_many(pts[feas])
+        # each slab's first minimum, in slab order; `first` keeps the round's
+        # first feasible points in case it finds fewer than _MIN_BATCH
+        cand_vals, cand_pts = [], []
+        found, first = 0, []
+        for s0 in range(0, n_tuples, per_slab):
+            s1 = min(s0 + per_slab, n_tuples)
+            coords = []
+            if lead:
+                lead_idx = np.unravel_index(np.arange(s0, s1), (g,) * lead)
+                coords = [
+                    axes[i][lead_idx[i]].reshape((-1,) + (1,) * t)
+                    for i in range(lead)
+                ]
+            coords += [axes[lead + k].reshape(trail_shape[k]) for k in range(t)]
+            pts = _slab_feasible(
+                rows, coords, axis_of, (s1 - s0,) + (g,) * t, feas_tol
+            )
+            if pts.shape[0] == 0:
+                continue
+            obj = _eval_batched(q.objective, pts)
             i = int(np.argmin(obj))
-            if float(obj[i]) < best_val:
-                best_val = float(obj[i])
-                best_pt = pts[feas][i].copy()
+            cand_vals.append(obj[i])
+            cand_pts.append(pts[i].copy())
+            if found < _MIN_BATCH:
+                first.append(pts[:_MIN_BATCH].copy())
+            found += pts.shape[0]
+
+        if 0 < found < _MIN_BATCH:
+            # a pass over the whole grid evaluates exactly these points
+            feasible = np.concatenate(first)
+            cand_vals, cand_pts = list(q.objective.eval_many(feasible)), list(feasible)
+        if cand_vals:
+            # argmin over the slabs' first minima is the round's first
+            # minimum (or first NaN), as one argmin over every point gives
+            i = int(np.argmin(cand_vals))
+            if float(cand_vals[i]) < best_val:
+                best_val = float(cand_vals[i])
+                best_pt = cand_pts[i]
 
         if best_pt is None:
             return INFEASIBLE, None

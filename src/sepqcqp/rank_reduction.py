@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import pataki_count
 from .errors import ReductionStallError, StaleSolutionError, StructureError
 from .sdpr_builder import BlockSdp, SdpSolution, SolveStatus
 from .symkernel import SymMatrix, numeric_rank
@@ -258,14 +259,11 @@ def reduce(
 
     def make_report(extracted=None):
         ranks = [numeric_rank(SymMatrix.from_dense(x), tol=rank_tol) for x in X]
-        smax_now = np.abs(s).max(initial=0.0)
-        nnz_slack = int(
-            np.sum(np.abs(s[has_slack]) > rank_tol * (1.0 + smax_now))
-        )
         return ReductionReport(
             iterations=iterations,
             final_ranks=ranks,
-            pataki_sum=sum(r * (r + 1) // 2 for r in ranks) + nnz_slack,
+            # s is zero on rows without a slack
+            pataki_sum=pataki_count(ranks, s, rank_tol),
             bound_m=b.n_rows,
             extracted=extracted,
         )

@@ -16,6 +16,7 @@ from sepqcqp.certificates import (
     cycle_basis,
     extract_convex_solution,
     pataki_bound_holds,
+    pataki_count,
     reduce_homogeneous_rows,
     sign_gauge,
 )
@@ -448,3 +449,10 @@ class TestPatakiBound:
         sol = solve(build_hom(two_block_family(2.5)))
         # rank 2 block + zero block + zero slacks: 3 <= 3
         assert pataki_bound_holds(sol, m=3)
+
+    def test_count_reads_slacks_relative_to_the_largest(self):
+        # 3 + 1 + 0 for the ranks; the 1e-6 slack falls under
+        # 1e-6 * (1 + 5) and does not count, the 5 does
+        assert pataki_count([2, 1, 0], [0.0, 5.0, 1e-6], 1e-6) == 5
+        assert pataki_count([2, 1, 0], [0.0, 5.0, 1e-5], 1e-6) == 6
+        assert pataki_count([], [], 1e-6) == 0

@@ -171,6 +171,19 @@ class TestVerifySuboptimality:
         with pytest.raises(DimensionError):
             verify_suboptimality(s, sol, [np.zeros(s.m)])
 
+    def test_inconsistent_variable_free_row_is_nan(self):
+        # rows 0 and 1 carry no variable of entry 0; an allocation of 1 (or
+        # -1 on a <= row) there has no feasible point, so no gap is reported
+        s = make_example52(0)
+        sol = solved(s)
+        deltas = decompose_delta(s, sol)
+        rel = s.relations[0]
+        deltas[0] = deltas[0].copy()
+        deltas[0][0] = -1.0 if rel is Relation.LE else 1.0
+        gaps = verify_suboptimality(s, sol, deltas)
+        assert math.isnan(gaps[0])
+        assert np.all(np.isfinite(gaps[1:]))
+
 
 class TestJudge:
     def test_family_values_and_verdicts(self):
