@@ -9,6 +9,15 @@ directions of that restricted system until none remain. Each move steps
 exactly to the cone boundary, so every iteration kills at least one block
 eigenvalue or one slack while preserving feasibility and objective value.
 
+The rows and the objective are compiled once per call into one
+sdpr_builder.RowOperator, the objective as its last row. Row values are
+the operator applied to the blocks. The restricted system projects, per
+block, only the rows active on that block, as one stacked F^T A F, so the
+(row, block) pairs without a matrix stay exactly zero. Every iterate takes
+one stacked eigendecomposition per block dimension: inside the walk it
+gives the factors, and at the end the final ranks, the Pataki count and
+the extracted points.
+
 At a null-free point the count sum_q r_q (r_q + 1) / 2 + #positive slacks
 cannot exceed the number of rows, which is what forces blockwise rank one
 in the certified regimes.
@@ -17,14 +26,15 @@ in the certified regimes.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import pataki_count
 from .errors import ReductionStallError, StaleSolutionError, StructureError
-from .sdpr_builder import BlockSdp, SdpSolution, SolveStatus
-from .symkernel import SymMatrix, numeric_rank
+from .sdpr_builder import BlockSdp, Row, RowOperator, SdpSolution, SolveStatus
+from .symkernel import SymMatrix, rank_of_eigenvalues
 
 #: steps shorter than this count as stalled; two of them abort the run
 _STALL_STEP = 1e-14
@@ -35,14 +45,20 @@ class BlockKind(enum.Enum):
     HOMOGENEOUS = "hom"
 
 
-def block_kinds_of(b: BlockSdp) -> list[BlockKind]:
-    """A block is inhomogeneous exactly when a normalization row pins it."""
-    kinds = [BlockKind.HOMOGENEOUS] * b.n_blocks
-    for i in b.normalization_rows:
-        for bi, mat in enumerate(b.rows[i].mats):
-            if not mat.is_zero():
-                kinds[bi] = BlockKind.INHOMOGENEOUS
-    return kinds
+def block_kinds_of(b: BlockSdp, op: RowOperator | None = None) -> list[BlockKind]:
+    """A block is inhomogeneous exactly when a normalization row pins it.
+
+    op is b's compiled row operator (compiled here when not given; it may
+    carry extra rows after b's): a row pins a block when it is active there.
+    """
+    if op is None:
+        op = RowOperator(b.rows, b.block_dims)
+    pins = np.zeros(op.n_rows, dtype=bool)
+    pins[list(b.normalization_rows)] = True
+    return [
+        BlockKind.INHOMOGENEOUS if pins[act].any() else BlockKind.HOMOGENEOUS
+        for act in op.active
+    ]
 
 
 @dataclass(frozen=True)
@@ -65,23 +81,45 @@ class ExtractResult:
         return self.points is not None
 
 
+@functools.cache
+def _svec_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle indices of a d x d matrix in row-major order and the
+    packing weights, 1 on the diagonal and sqrt(2) off it (read-only)."""
+    iu, ju = np.triu_indices(d)
+    w = np.where(iu == ju, 1.0, np.sqrt(2.0))
+    for a in (iu, ju, w):
+        a.flags.writeable = False
+    return iu, ju, w
+
+
 def _svec(a: np.ndarray) -> np.ndarray:
-    """Orthonormal packing: <A, B> = _svec(A) . _svec(B)."""
-    d = a.shape[0]
-    iu = np.triu_indices(d)
-    out = a[iu].copy()
-    out[iu[0] != iu[1]] *= np.sqrt(2.0)
-    return out
+    """Orthonormal packing of the last two axes: <A, B> = _svec(A) . _svec(B)."""
+    iu, ju, w = _svec_layout(a.shape[-1])
+    return a[..., iu, ju] * w
 
 
 def _unsvec(v: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d)
+    iu, ju, w = _svec_layout(d)
+    vals = v / w
     a = np.zeros((d, d))
-    vals = v.copy()
-    vals[iu[0] != iu[1]] /= np.sqrt(2.0)
-    a[iu] = vals
-    a.T[iu] = vals
+    a[iu, ju] = vals
+    a[ju, iu] = vals
     return a
+
+
+def _eigh_stacked(mats) -> list[tuple[np.ndarray, np.ndarray]]:
+    """np.linalg.eigh (eigenvalues ascending) of every matrix, one stacked
+    call per dimension. LAPACK still factors one matrix at a time, so each
+    result is bit for bit that of its own call."""
+    out = [None] * len(mats)
+    by_dim: dict[int, list[int]] = {}
+    for i, a in enumerate(mats):
+        by_dim.setdefault(a.shape[0], []).append(i)
+    for idx in by_dim.values():
+        lam, vec = np.linalg.eigh(np.stack([mats[i] for i in idx]))
+        for k, i in enumerate(idx):
+            out[i] = (lam[k], vec[k])
+    return out
 
 
 def reduce(
@@ -93,11 +131,17 @@ def reduce(
     """Move an optimal solution to an extreme point of the optimal face.
 
     b must be in standard form (no -1 slack coefficients); sol must be an
-    Optimal solution of it, near-feasible within 100*tol. The returned
-    solution is feasible within 10*tol with the objective preserved within
-    tol*(1+|value|), and admits no further null-space move. The report
-    carries final ranks, the rank/slack count, the row-count bound, and
-    the extracted per-block factors when every block ended at rank <= 1.
+    Optimal solution of it with finite slacks, near-feasible within
+    100*tol. The returned solution is feasible within 10*tol with the
+    objective preserved within tol*(1+|value|), and admits no further
+    null-space move. The report carries final ranks, the rank/slack count,
+    the row-count bound, and the extracted per-block factors when every
+    block ended at rank <= 1.
+
+    b's rows and objective are compiled once into a RowOperator; each
+    iterate projects only the active (row, block) pairs, block by block in
+    one stacked product, and factors all blocks with one stacked
+    eigendecomposition per block dimension.
     """
     for row in b.rows:
         if row.slack_coeff == -1:
@@ -106,35 +150,33 @@ def reduce(
         raise StaleSolutionError(f"solution status is {sol.status.value}")
     if len(sol.blocks) != b.n_blocks or len(sol.slacks) != b.n_rows:
         raise StaleSolutionError("solution shape does not match the problem")
+    if not np.isfinite(sol.slacks).all():
+        raise StaleSolutionError("solution slacks are not finite")
 
     nb = b.n_blocks
+    m = b.n_rows
     dims = list(b.block_dims)
-    A = [[row.mats[bi].to_dense() for bi in range(nb)] for row in b.rows]
-    C = [mat.to_dense() for mat in b.objective]
-    d_vec = np.array([row.rhs for row in b.rows])
-    has_slack = np.array([row.slack_coeff != 0 for row in b.rows])
+    # row m is the objective
+    op = RowOperator(b.rows + (Row(b.objective, 0, 0.0),), b.block_dims)
+    d_vec = op.rhs[:m]
+    has_slack = op.slack_coeffs[:m] != 0
 
-    X = [blk.to_dense().copy() for blk in sol.blocks]
-    s = sol.slacks.astype(np.float64).copy()
+    X = [blk.to_dense() for blk in sol.blocks]
+    s = sol.slacks.astype(np.float64)
     s[~has_slack] = 0.0
 
-    def row_values():
-        out = np.array(
-            [sum(float(np.sum(A[i][bi] * X[bi])) for bi in range(nb))
-             for i in range(b.n_rows)]
-        )
-        return out + np.where(has_slack, s, 0.0)
-
-    def objective():
-        return sum(float(np.sum(C[bi] * X[bi])) for bi in range(nb))
+    def evaluate():
+        """(max row residual, objective value) at the current point."""
+        vals = op.apply(X)
+        return np.abs(vals[:m] + s - d_vec).max(initial=0.0), float(vals[m])
 
     scale_rhs = 1.0 + np.abs(d_vec).max(initial=0.0)
-    res0 = np.abs(row_values() - d_vec).max(initial=0.0)
-    if res0 > 100.0 * tol * scale_rhs or s.min(initial=0.0) < -100.0 * tol:
+    res0, value0 = evaluate()
+    # written so that a NaN fails them
+    if not (res0 <= 100.0 * tol * scale_rhs and s.min(initial=0.0) >= -100.0 * tol):
         raise StaleSolutionError(
             f"input residual {res0:.2e} too large for reduction at tol {tol:g}"
         )
-    value0 = objective()
     vscale = tol * (1.0 + abs(value0))
 
     xmax = max((np.abs(x).max(initial=0.0) for x in X), default=0.0)
@@ -147,53 +189,39 @@ def reduce(
 
     def factor_blocks():
         """Per-block factors F with X ~= F F^T; frozen blocks get width 0."""
-        fs = []
+        fs = [np.zeros((d, 0)) for d in dims]
+        thawed = []
         for bi in range(nb):
-            x = X[bi]
-            if np.linalg.norm(x) <= freeze:
-                X[bi] = np.zeros_like(x)
-                fs.append(np.zeros((dims[bi], 0)))
-                continue
-            lam, vec = np.linalg.eigh(0.5 * (x + x.T))
+            if np.linalg.norm(X[bi]) <= freeze:
+                X[bi] = np.zeros_like(X[bi])
+            else:
+                thawed.append(bi)
+        eigs = _eigh_stacked([0.5 * (X[bi] + X[bi].T) for bi in thawed])
+        for bi, (lam, vec) in zip(thawed, eigs):
             cut = factor_cut * max(1.0, lam.max(initial=0.0))
             keep = lam > cut
-            fs.append(vec[:, keep] * np.sqrt(lam[keep]))
+            fs[bi] = vec[:, keep] * np.sqrt(lam[keep])
         return fs
 
     smax = np.abs(s).max(initial=0.0)
     slack_live = lambda: [
-        i for i in range(b.n_rows)
+        i for i in range(m)
         if has_slack[i] and s[i] > tol * (1.0 + smax)
     ]
 
-    def build_system(fs, live, include_objective=True):
-        """Rows of the restricted linear map; returns (matrix, col layout)."""
+    def build_system(fs, live):
+        """The restricted linear map, the constraint rows first and the
+        objective last; returns (matrix, block widths)."""
         widths = [f.shape[1] for f in fs]
-        cols = sum(w * (w + 1) // 2 for w in widths) + len(live)
-        sys_rows = []
-
-        def project(mats):
-            parts = []
-            for bi in range(nb):
-                f = fs[bi]
-                if f.shape[1] == 0:
-                    continue
-                g = f.T @ mats[bi] @ f
-                parts.append(_svec(0.5 * (g + g.T)))
-            return parts
-
-        for i in range(b.n_rows):
-            parts = project(A[i])
-            slack_part = np.zeros(len(live))
-            if i in live:
-                slack_part[live.index(i)] = 1.0
-            sys_rows.append(np.concatenate(parts + [slack_part]) if parts or len(live)
-                            else np.zeros(0))
-        if include_objective:
-            parts = project(C)
-            sys_rows.append(np.concatenate(parts + [np.zeros(len(live))])
-                            if parts or len(live) else np.zeros(0))
-        mat = np.vstack(sys_rows) if sys_rows else np.zeros((0, cols))
+        ofs = np.cumsum([0] + [w * (w + 1) // 2 for w in widths])
+        mat = np.zeros((m + 1, ofs[-1] + len(live)))
+        for bi, f in enumerate(fs):
+            act = op.active[bi]
+            if widths[bi] == 0 or len(act) == 0:
+                continue
+            g = f.T @ op.stacks[bi] @ f
+            mat[act, ofs[bi] : ofs[bi + 1]] = _svec(0.5 * (g + g.swapaxes(-1, -2)))
+        mat[live, ofs[-1] + np.arange(len(live))] = 1.0
         return mat, widths
 
     def null_candidates(mat):
@@ -257,31 +285,31 @@ def reduce(
     tiny_steps = 0
     max_iter = sum(dims) + int(np.sum(has_slack)) + 5
 
-    def make_report(extracted=None):
-        ranks = [numeric_rank(SymMatrix.from_dense(x), tol=rank_tol) for x in X]
+    def spectra():
+        return _eigh_stacked([0.5 * (x + x.T) for x in X])
+
+    def make_report(eigs, extracted=None):
+        ranks = [rank_of_eigenvalues(lam, rank_tol) for lam, _ in eigs]
         return ReductionReport(
             iterations=iterations,
             final_ranks=ranks,
             # s is zero on rows without a slack
             pataki_sum=pataki_count(ranks, s, rank_tol),
-            bound_m=b.n_rows,
+            bound_m=m,
             extracted=extracted,
         )
 
     def stall(msg):
-        raise ReductionStallError(msg, report=make_report())
+        raise ReductionStallError(msg, report=make_report(spectra()))
 
     while True:
         fs = factor_blocks()
         live = slack_live()
-        mat, widths = build_system(fs, live, include_objective=True)
+        mat, widths = build_system(fs, live)
         res_budget = 3.0 * tol * scale_rhs
 
         def obj_velocity(lams):
-            return sum(
-                float(np.sum(C[bi] * (fs[bi] @ lams[bi] @ fs[bi].T)))
-                for bi in range(nb)
-            )
+            return float(op.apply([f @ lam @ f.T for f, lam in zip(fs, lams)])[m])
 
         def admissible(z, sys_mat, one_sided):
             """Best boundary move along +-z, or None if every side either
@@ -321,7 +349,7 @@ def reduce(
                 stall("null directions are numerically unusable")
             # defensively also examine the constraint-only system: at a true
             # optimum its null space coincides with the one just tested
-            mat2, _ = build_system(fs, live, include_objective=False)
+            mat2 = mat[:m]
             cands2 = null_candidates(mat2)
             for z in cands2:
                 move = admissible(z, mat2, one_sided=True)
@@ -352,36 +380,29 @@ def reduce(
         for j, i in enumerate(live):
             s[i] = max(s[i] + sign * t * ds[j], 0.0)
 
-        res = np.abs(row_values() - d_vec).max(initial=0.0)
-        drift = abs(objective() - value0)
-        if res > 10.0 * tol * scale_rhs or drift > vscale:
+        res, value = evaluate()
+        drift = abs(value - value0)
+        # written so that a NaN fails them
+        if not (res <= 10.0 * tol * scale_rhs and drift <= vscale):
             stall(
                 f"invariants broken: residual {res:.2e}, objective drift "
                 f"{drift:.2e}"
             )
 
-    kinds = block_kinds_of(b)
-    ext = extract_point(
-        SdpSolution(
-            blocks=[SymMatrix.from_dense(x) for x in X],
-            slacks=s,
-            dual_multipliers=sol.dual_multipliers,
-            dual_blocks=sol.dual_blocks,
-            status=SolveStatus.OPTIMAL,
-            value=objective(),
-        ),
-        kinds,
-        rank_tol=rank_tol,
-    )
-    report = make_report(extracted=ext.points if ext.ok else None)
+    # one decomposition of the final iterate serves the ranks, the Pataki
+    # count and the extraction
+    eigs = spectra()
+    ext = _extract(eigs, block_kinds_of(b, op), tol=1e-6, rank_tol=rank_tol)
+    report = make_report(eigs, extracted=ext.points if ext.ok else None)
+    res, value = evaluate()
     out = SdpSolution(
         blocks=[SymMatrix.from_dense(x) for x in X],
         slacks=s,
         dual_multipliers=sol.dual_multipliers.copy(),
         dual_blocks=list(sol.dual_blocks),
         status=SolveStatus.OPTIMAL,
-        value=objective(),
-        primal_residual=float(np.abs(row_values() - d_vec).max(initial=0.0)),
+        value=value,
+        primal_residual=float(res),
         dual_residual=sol.dual_residual,
         gap=sol.gap,
         iterations=sol.iterations,
@@ -408,10 +429,17 @@ def extract_point(
         raise StructureError(
             f"{len(block_kinds)} kinds for {len(sol.blocks)} blocks"
         )
+    xs = [blk.to_dense() for blk in sol.blocks]
+    return _extract(
+        _eigh_stacked([0.5 * (x + x.T) for x in xs]), block_kinds, tol, rank_tol
+    )
+
+
+def _extract(eigs, block_kinds, tol, rank_tol) -> ExtractResult:
+    """extract_point from each block's (ascending) eigendecomposition."""
     points = []
-    for bi, (blk, kind) in enumerate(zip(sol.blocks, block_kinds)):
-        x = blk.to_dense()
-        r = numeric_rank(blk, tol=rank_tol)
+    for bi, ((lam, vec), kind) in enumerate(zip(eigs, block_kinds)):
+        r = rank_of_eigenvalues(lam, rank_tol)
         if r > 1:
             return ExtractResult(
                 None, failed_block=bi, reason=f"block {bi} has rank {r} > 1"
@@ -423,9 +451,8 @@ def extract_point(
                     failed_block=bi,
                     reason=f"block {bi} is zero but carries a unit corner",
                 )
-            points.append(np.zeros(blk.dim))
+            points.append(np.zeros(len(lam)))
             continue
-        lam, vec = np.linalg.eigh(0.5 * (x + x.T))
         g = vec[:, -1] * np.sqrt(max(lam[-1], 0.0))
         if kind is BlockKind.HOMOGENEOUS:
             j = int(np.argmax(np.abs(g)))

@@ -166,12 +166,11 @@ class RowOperator:
         self.n_rows = len(rows)
         self.active, self.stacks = [], []
         for bi, d in enumerate(self.dims):
-            mats = [row.mats[bi].to_dense() for row in rows]
-            act = [i for i, a in enumerate(mats) if np.any(a)]
-            self.active.append(np.array(act, dtype=np.intp))
-            self.stacks.append(
-                np.stack([mats[i] for i in act]) if act else np.zeros((0, d, d))
-            )
+            mats = np.array([row.mats[bi].to_dense() for row in rows])
+            act = np.flatnonzero(mats.reshape(len(rows), d * d).any(axis=1))
+            mats = mats.reshape(len(rows), d, d)
+            self.active.append(act)
+            self.stacks.append(mats[act])
         self.slack_coeffs = np.array([float(r.slack_coeff) for r in rows])
         self.rhs = np.array([float(r.rhs) for r in rows])
 
@@ -218,10 +217,10 @@ def eval_rows(b: BlockSdp, blocks) -> np.ndarray:
     """Left-hand sides sum_b <mats, X_b> for every row (slack not included)."""
     if len(blocks) != b.n_blocks:
         raise DimensionError(f"{len(blocks)} blocks given, expected {b.n_blocks}")
-    out = np.zeros(b.n_rows)
-    for i, row in enumerate(b.rows):
-        out[i] = sum(frob_inner(m, x) for m, x in zip(row.mats, blocks))
-    return out
+    for bi, (x, d) in enumerate(zip(blocks, b.block_dims)):
+        if x.dim != d:
+            raise DimensionError(f"block {bi} dim {x.dim} != {d}")
+    return RowOperator(b.rows, b.block_dims).apply([x.to_dense() for x in blocks])
 
 
 def objective_value(b: BlockSdp, blocks) -> float:

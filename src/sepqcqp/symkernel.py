@@ -171,21 +171,28 @@ def is_psd(a: SymMatrix, tol: float = 1e-9) -> bool:
     return float(dec.eigenvalues[-1]) >= -tol * max(1.0, a.norm())
 
 
-def numeric_rank(a: SymMatrix, tol: float = 1e-6) -> int:
+def _rank_threshold(lam: np.ndarray, tol: float) -> float:
+    lam_max = float(np.max(np.abs(lam)))
+    return max(tol * max(1.0, lam_max), _EPS * len(lam))
+
+
+def rank_of_eigenvalues(lam: np.ndarray, tol: float = 1e-6) -> int:
     """Count of eigenvalues with |lambda| above the relative threshold.
 
     The threshold is tol * max(1, |lambda|_max), floored at machine
     epsilon times the dimension so that near-zero matrices of any scale
-    report rank 0.
+    report rank 0. lam may be in any order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if a.dim == 0:
+    if len(lam) == 0:
         return 0
-    lam = eigen(a).eigenvalues
-    lam_max = float(np.max(np.abs(lam)))
-    thr = max(tol * max(1.0, lam_max), _EPS * a.dim)
-    return int(np.sum(np.abs(lam) > thr))
+    return int(np.sum(np.abs(lam) > _rank_threshold(lam, tol)))
+
+
+def numeric_rank(a: SymMatrix, tol: float = 1e-6) -> int:
+    """rank_of_eigenvalues of a's spectrum."""
+    return rank_of_eigenvalues(eigen(a).eigenvalues, tol)
 
 
 def psd_factor(a: SymMatrix, tol: float = 1e-9) -> np.ndarray:
@@ -207,8 +214,6 @@ def psd_factor(a: SymMatrix, tol: float = 1e-9) -> np.ndarray:
             f"matrix is not PSD within tol: lambda_min = {lam[-1]:.3e}, "
             f"bound = {-tol * scale:.3e}"
         )
-    lam_max = float(np.max(np.abs(lam)))
-    thr = max(tol * max(1.0, lam_max), _EPS * a.dim)
-    keep = lam > thr
+    keep = lam > _rank_threshold(lam, tol)
     r = int(np.sum(keep))
     return vec[:, :r] * np.sqrt(np.clip(lam[:r], 0.0, None))

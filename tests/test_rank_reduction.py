@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepqcqp.errors import StaleSolutionError, StructureError
-from sepqcqp.qcqp_model import Qcqp, QuadFunc, Relation, hom_values, lift
+from sepqcqp import rank_reduction
+from sepqcqp.certificates import pataki_count
+from sepqcqp.errors import ReductionStallError, StaleSolutionError, StructureError
+from sepqcqp.qcqp_model import (
+    Qcqp,
+    QuadFunc,
+    Relation,
+    SeparableQcqp,
+    hom_values,
+    lift,
+)
 from sepqcqp.rank_reduction import (
     BlockKind,
     ExtractResult,
@@ -18,6 +29,7 @@ from sepqcqp.sdpr_builder import (
     Row,
     SdpSolution,
     SolveStatus,
+    build_block,
     build_hom,
     build_shor,
     eval_rows,
@@ -299,6 +311,29 @@ class TestGuards:
         with pytest.raises(StaleSolutionError):
             reduce(b, sol0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_slack(self, bad):
+        # every comparison with NaN is false, so a NaN slack used to pass
+        # the residual guard and come back as the reduced slack
+        b = BlockSdp(
+            (2,),
+            (SymMatrix.identity(2),),
+            [Row((SymMatrix.identity(2),), 1, 1.0)],
+        )
+        sol0 = hand_solution(b, [0.5 * np.eye(2)], 1.0, slacks=[bad])
+        with pytest.raises(StaleSolutionError, match="not finite"):
+            reduce(b, sol0)
+
+    def test_rejects_non_finite_rhs(self):
+        b = BlockSdp(
+            (2,),
+            (SymMatrix.identity(2),),
+            [Row((SymMatrix.identity(2),), 0, float("nan"))],
+        )
+        sol0 = hand_solution(b, [0.5 * np.eye(2)], 1.0)
+        with pytest.raises(StaleSolutionError, match="residual nan"):
+            reduce(b, sol0)
+
 
 def random_equality_instance(seed, with_slack_rows=0):
     rng = np.random.default_rng(seed)
@@ -393,3 +428,528 @@ class TestInvariants:
         red, rep = reduce(b, sol)
         assert rep.pataki_sum <= 2
         assert all(r <= 1 for r in rep.final_ranks)
+
+
+# -- the per-(row, block) loop reduction ---------------------------------
+
+
+def _loop_svec(a):
+    d = a.shape[0]
+    iu = np.triu_indices(d)
+    out = a[iu].copy()
+    out[iu[0] != iu[1]] *= np.sqrt(2.0)
+    return out
+
+
+def _loop_unsvec(v, d):
+    iu = np.triu_indices(d)
+    a = np.zeros((d, d))
+    vals = v.copy()
+    vals[iu[0] != iu[1]] /= np.sqrt(2.0)
+    a[iu] = vals
+    a.T[iu] = vals
+    return a
+
+
+def loop_block_kinds(b):
+    kinds = [BlockKind.HOMOGENEOUS] * b.n_blocks
+    for i in b.normalization_rows:
+        for bi, mat in enumerate(b.rows[i].mats):
+            if not mat.is_zero():
+                kinds[bi] = BlockKind.INHOMOGENEOUS
+    return kinds
+
+
+def loop_extract_point(sol, block_kinds, tol=1e-6, rank_tol=1e-6):
+    points = []
+    for bi, (blk, kind) in enumerate(zip(sol.blocks, block_kinds)):
+        x = blk.to_dense()
+        r = numeric_rank(blk, tol=rank_tol)
+        if r > 1:
+            return ExtractResult(
+                None, failed_block=bi, reason=f"block {bi} has rank {r} > 1"
+            )
+        if r == 0:
+            if kind is BlockKind.INHOMOGENEOUS:
+                return ExtractResult(
+                    None,
+                    failed_block=bi,
+                    reason=f"block {bi} is zero but carries a unit corner",
+                )
+            points.append(np.zeros(blk.dim))
+            continue
+        lam, vec = np.linalg.eigh(0.5 * (x + x.T))
+        g = vec[:, -1] * np.sqrt(max(lam[-1], 0.0))
+        if kind is BlockKind.HOMOGENEOUS:
+            j = int(np.argmax(np.abs(g)))
+            if g[j] < 0:
+                g = -g
+            points.append(g)
+        else:
+            last = g[-1]
+            if abs(abs(last) - 1.0) > tol:
+                return ExtractResult(
+                    None,
+                    failed_block=bi,
+                    reason=(
+                        f"block {bi} factor has corner coordinate {last:.6g}, "
+                        "expected magnitude 1"
+                    ),
+                )
+            points.append((g / last)[:-1])
+    return ExtractResult(points)
+
+
+def loop_reduce(b, sol, tol=1e-7, rank_tol=1e-6):
+    """Rank reduction over a dense table of every (row, block) matrix, with
+    one eigh per block per use: the reference that reduce must match bit
+    for bit (guards as reduce's, so non-finite slacks are rejected too)."""
+    for row in b.rows:
+        if row.slack_coeff == -1:
+            raise StructureError("reduce requires a standard-form BlockSdp")
+    if sol.status is not SolveStatus.OPTIMAL:
+        raise StaleSolutionError(f"solution status is {sol.status.value}")
+    if len(sol.blocks) != b.n_blocks or len(sol.slacks) != b.n_rows:
+        raise StaleSolutionError("solution shape does not match the problem")
+    if not np.isfinite(sol.slacks).all():
+        raise StaleSolutionError("solution slacks are not finite")
+
+    nb = b.n_blocks
+    dims = list(b.block_dims)
+    A = [[row.mats[bi].to_dense() for bi in range(nb)] for row in b.rows]
+    C = [mat.to_dense() for mat in b.objective]
+    d_vec = np.array([row.rhs for row in b.rows])
+    has_slack = np.array([row.slack_coeff != 0 for row in b.rows])
+
+    X = [blk.to_dense().copy() for blk in sol.blocks]
+    s = sol.slacks.astype(np.float64).copy()
+    s[~has_slack] = 0.0
+
+    def row_values():
+        out = np.array(
+            [sum(float(np.sum(A[i][bi] * X[bi])) for bi in range(nb))
+             for i in range(b.n_rows)]
+        )
+        return out + np.where(has_slack, s, 0.0)
+
+    def objective():
+        return sum(float(np.sum(C[bi] * X[bi])) for bi in range(nb))
+
+    scale_rhs = 1.0 + np.abs(d_vec).max(initial=0.0)
+    res0 = np.abs(row_values() - d_vec).max(initial=0.0)
+    if not (res0 <= 100.0 * tol * scale_rhs and s.min(initial=0.0) >= -100.0 * tol):
+        raise StaleSolutionError(
+            f"input residual {res0:.2e} too large for reduction at tol {tol:g}"
+        )
+    value0 = objective()
+    vscale = tol * (1.0 + abs(value0))
+    xmax = max((np.abs(x).max(initial=0.0) for x in X), default=0.0)
+    freeze = tol * (1.0 + xmax)
+    factor_cut = 0.1 * rank_tol
+
+    def factor_blocks():
+        fs = []
+        for bi in range(nb):
+            x = X[bi]
+            if np.linalg.norm(x) <= freeze:
+                X[bi] = np.zeros_like(x)
+                fs.append(np.zeros((dims[bi], 0)))
+                continue
+            lam, vec = np.linalg.eigh(0.5 * (x + x.T))
+            cut = factor_cut * max(1.0, lam.max(initial=0.0))
+            keep = lam > cut
+            fs.append(vec[:, keep] * np.sqrt(lam[keep]))
+        return fs
+
+    smax = np.abs(s).max(initial=0.0)
+
+    def slack_live():
+        return [
+            i for i in range(b.n_rows)
+            if has_slack[i] and s[i] > tol * (1.0 + smax)
+        ]
+
+    def build_system(fs, live, include_objective=True):
+        widths = [f.shape[1] for f in fs]
+        cols = sum(w * (w + 1) // 2 for w in widths) + len(live)
+        sys_rows = []
+
+        def project(mats):
+            parts = []
+            for bi in range(nb):
+                f = fs[bi]
+                if f.shape[1] == 0:
+                    continue
+                g = f.T @ mats[bi] @ f
+                parts.append(_loop_svec(0.5 * (g + g.T)))
+            return parts
+
+        for i in range(b.n_rows):
+            parts = project(A[i])
+            slack_part = np.zeros(len(live))
+            if i in live:
+                slack_part[live.index(i)] = 1.0
+            sys_rows.append(np.concatenate(parts + [slack_part]) if parts or len(live)
+                            else np.zeros(0))
+        if include_objective:
+            parts = project(C)
+            sys_rows.append(np.concatenate(parts + [np.zeros(len(live))])
+                            if parts or len(live) else np.zeros(0))
+        mat = np.vstack(sys_rows) if sys_rows else np.zeros((0, cols))
+        return mat, widths
+
+    def null_candidates(mat):
+        if mat.shape[1] == 0:
+            return []
+        norms = np.linalg.norm(mat, axis=1)
+        scaled = mat / np.maximum(norms, 1.0)[:, None]
+        _, sig, vt = np.linalg.svd(scaled, full_matrices=True)
+        rank = int(np.sum(sig > 1e-9 * max(1.0, sig[0] if sig.size else 0.0)))
+        return [vt[j] for j in range(mat.shape[1] - 1, rank - 1, -1)]
+
+    def split_direction(z, widths):
+        lams = []
+        ofs = 0
+        for w in widths:
+            k = w * (w + 1) // 2
+            lams.append(_loop_unsvec(z[ofs : ofs + k], w))
+            ofs += k
+        ds = z[ofs:]
+        scale = max(
+            max((np.linalg.norm(lam) for lam in lams), default=0.0),
+            np.abs(ds).max(initial=0.0),
+        )
+        if scale > 0:
+            lams = [lam / scale for lam in lams]
+            ds = ds / scale
+        return lams, ds, scale
+
+    def boundary(lams, ds, live, sign):
+        best_t, hit = np.inf, None
+        for bi in range(nb):
+            lam_dir = sign * lams[bi]
+            if lam_dir.size == 0:
+                continue
+            lmin = float(np.linalg.eigvalsh(lam_dir)[0])
+            if lmin < -1e-300:
+                t = -1.0 / lmin
+                if t < best_t - 1e-15 or (
+                    abs(t - best_t) <= 1e-15
+                    and hit is not None
+                    and hit[0] == "slack"
+                ):
+                    best_t, hit = t, ("block", bi)
+        for j, i in enumerate(live):
+            dv = sign * ds[j]
+            if dv < -1e-300:
+                t = -s[i] / dv
+                if t < best_t - 1e-15:
+                    best_t, hit = t, ("slack", i)
+        return best_t, hit
+
+    iterations = 0
+    tiny_steps = 0
+    max_iter = sum(dims) + int(np.sum(has_slack)) + 5
+
+    def make_report(extracted=None):
+        ranks = [numeric_rank(SymMatrix.from_dense(x), tol=rank_tol) for x in X]
+        return rank_reduction.ReductionReport(
+            iterations=iterations,
+            final_ranks=ranks,
+            pataki_sum=pataki_count(ranks, s, rank_tol),
+            bound_m=b.n_rows,
+            extracted=extracted,
+        )
+
+    def stall(msg):
+        raise ReductionStallError(msg, report=make_report())
+
+    while True:
+        fs = factor_blocks()
+        live = slack_live()
+        mat, widths = build_system(fs, live, include_objective=True)
+        res_budget = 3.0 * tol * scale_rhs
+
+        def obj_velocity(lams):
+            return sum(
+                float(np.sum(C[bi] * (fs[bi] @ lams[bi] @ fs[bi].T)))
+                for bi in range(nb)
+            )
+
+        def admissible(z, sys_mat, one_sided):
+            lams, ds, scale = split_direction(z, widths)
+            if scale <= 0.0:
+                return None
+            vel = np.abs(sys_mat @ z).max(initial=0.0) / scale
+            dval = obj_velocity(lams)
+            signs = ((-1.0,) if dval > 0 else (1.0,)) if one_sided else (1.0, -1.0)
+            options = []
+            for sign in signs:
+                t, hit = boundary(lams, ds, live, sign)
+                if not np.isfinite(t) or hit is None:
+                    continue
+                if t * vel > res_budget or abs(t * dval) > 0.3 * vscale:
+                    continue
+                kind, idx = hit
+                key = (0, idx) if kind == "block" else (1, idx)
+                options.append((key, sign, t, hit, lams, ds))
+            if not options:
+                return None
+            options.sort(key=lambda o: o[0])
+            return options[0]
+
+        move = None
+        cands = null_candidates(mat)
+        for z in cands:
+            move = admissible(z, mat, one_sided=False)
+            if move is not None:
+                break
+        if move is None:
+            if cands:
+                stall("null directions are numerically unusable")
+            mat2, _ = build_system(fs, live, include_objective=False)
+            cands2 = null_candidates(mat2)
+            for z in cands2:
+                move = admissible(z, mat2, one_sided=True)
+                if move is not None:
+                    break
+            if move is None and cands2:
+                raise StaleSolutionError(
+                    "a feasibility-preserving direction changes the objective; "
+                    "input solution is not optimal at this tolerance"
+                )
+            if move is None:
+                break
+        iterations += 1
+        if iterations > max_iter:
+            stall(f"no termination after {max_iter} iterations")
+        _, sign, t, hit, lams, ds = move
+
+        if t < rank_reduction._STALL_STEP:
+            tiny_steps += 1
+            if tiny_steps >= 2:
+                stall(f"step {t:.2e} below {rank_reduction._STALL_STEP:g} twice")
+        for bi in range(nb):
+            if widths[bi] == 0:
+                continue
+            core = np.eye(widths[bi]) + (sign * t) * lams[bi]
+            xn = fs[bi] @ core @ fs[bi].T
+            X[bi] = 0.5 * (xn + xn.T)
+        for j, i in enumerate(live):
+            s[i] = max(s[i] + sign * t * ds[j], 0.0)
+
+        res = np.abs(row_values() - d_vec).max(initial=0.0)
+        drift = abs(objective() - value0)
+        if not (res <= 10.0 * tol * scale_rhs and drift <= vscale):
+            stall(
+                f"invariants broken: residual {res:.2e}, objective drift "
+                f"{drift:.2e}"
+            )
+
+    ext = loop_extract_point(
+        SdpSolution(
+            blocks=[SymMatrix.from_dense(x) for x in X],
+            slacks=s,
+            dual_multipliers=sol.dual_multipliers,
+            dual_blocks=sol.dual_blocks,
+            status=SolveStatus.OPTIMAL,
+            value=objective(),
+        ),
+        loop_block_kinds(b),
+        rank_tol=rank_tol,
+    )
+    report = make_report(extracted=ext.points if ext.ok else None)
+    out = SdpSolution(
+        blocks=[SymMatrix.from_dense(x) for x in X],
+        slacks=s,
+        dual_multipliers=sol.dual_multipliers.copy(),
+        dual_blocks=list(sol.dual_blocks),
+        status=SolveStatus.OPTIMAL,
+        value=objective(),
+        primal_residual=float(np.abs(row_values() - d_vec).max(initial=0.0)),
+        dual_residual=sol.dual_residual,
+        gap=sol.gap,
+        iterations=sol.iterations,
+    )
+    return out, report
+
+
+def same_points(a, b):
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(np.array_equal(p, q) for p, q in zip(a, b))
+
+
+def same_report(a, b):
+    return (
+        a.iterations == b.iterations
+        and a.final_ranks == b.final_ranks
+        and a.pataki_sum == b.pataki_sum
+        and a.bound_m == b.bound_m
+        and same_points(a.extracted, b.extracted)
+    )
+
+
+def run_both(b, sol, **kw):
+    """(result or exception) of reduce and of loop_reduce on the same input."""
+    outs = []
+    for fn in (reduce, loop_reduce):
+        try:
+            outs.append(fn(b, sol, **kw))
+        except (ReductionStallError, StaleSolutionError, StructureError) as exc:
+            outs.append(exc)
+    return outs
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, ReductionStallError):
+            assert same_report(got.report, want.report)
+        return
+    (red, rep), (red0, rep0) = got, want
+    assert all(
+        np.array_equal(x.to_dense(), y.to_dense())
+        for x, y in zip(red.blocks, red0.blocks)
+    )
+    assert np.array_equal(red.slacks, red0.slacks)
+    assert red.value == red0.value
+    assert red.primal_residual == red0.primal_residual
+    assert same_report(rep, rep0)
+
+
+def walk_instance(seed):
+    """A standard-form block SDP on which every feasible point is optimal,
+    with a full-rank feasible point (and positive slacks) to walk from.
+
+    1-4 blocks of dimension <= 5 and 1-6 rows mixing slack and no-slack
+    rows; some (row, block) pairs are empty, and a no-slack row that
+    touches one block only is marked as normalization row. The objective
+    is zero or a copy of one no-slack row's matrices, so it is constant on
+    the feasible set and reduction takes several steps.
+    """
+    rng = np.random.default_rng(seed)
+    nb = int(rng.integers(1, 5))
+    dims = tuple(int(d) for d in rng.integers(1, 6, size=nb))
+    x0 = []
+    for d in dims:
+        g = rng.standard_normal((d, d))
+        x0.append(g @ g.T + 0.1 * np.eye(d))
+    m = int(rng.integers(1, 7))
+    slack = rng.random(m) < 0.4
+    rows, s0, norm = [], np.zeros(m), []
+    for i in range(m):
+        touch = rng.random(nb) < 0.7
+        touch[int(rng.integers(nb))] = True
+        mats = []
+        for bi, d in enumerate(dims):
+            a = rng.standard_normal((d, d)) if touch[bi] else np.zeros((d, d))
+            mats.append(SymMatrix.from_dense(a))
+        lhs = sum(float(np.sum(mm.to_dense() * x)) for mm, x in zip(mats, x0))
+        if slack[i]:
+            s0[i] = float(rng.uniform(0.1, 1.0))
+        elif touch.sum() == 1:
+            norm.append(i)
+        rows.append(Row(tuple(mats), int(slack[i]), lhs + s0[i]))
+    eq_rows = [i for i in range(m) if not slack[i]]
+    if eq_rows and rng.random() < 0.8:
+        pick = eq_rows[int(rng.integers(len(eq_rows)))]
+        objective = rows[pick].mats
+    else:
+        objective = tuple(SymMatrix.zeros(d) for d in dims)
+    b = BlockSdp(dims, objective, rows, normalization_rows=norm)
+    value = sum(float(np.sum(c.to_dense() * x)) for c, x in zip(objective, x0))
+    return b, hand_solution(b, x0, value, slacks=s0)
+
+
+class TestMatchesLoopReduction:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150)
+    def test_bit_for_bit(self, seed):
+        b, sol = walk_instance(seed)
+        got, want = run_both(b, sol)
+        assert_same_outcome(got, want)
+
+    def test_instances_take_steps(self):
+        # the benchmark pools never step (every reduction reports zero
+        # iterations), so the property must reach the walk itself
+        steps = []
+        for seed in range(40):
+            b, sol = walk_instance(seed)
+            got, want = run_both(b, sol)
+            assert_same_outcome(got, want)
+            if not isinstance(want, Exception):
+                steps.append(want[1].iterations)
+        assert len(steps) >= 30
+        assert sum(n >= 2 for n in steps) >= 10
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
+    def test_benchmark_family(self, alpha):
+        b = to_standard_form(build_hom(two_block_family(alpha)))
+        got, want = run_both(b, solve(b))
+        assert_same_outcome(got, want)
+
+    def test_extract_point_matches(self):
+        for seed in range(20):
+            b, sol = walk_instance(seed)
+            red, _ = loop_reduce(b, sol)
+            kinds = loop_block_kinds(b)
+            assert block_kinds_of(b) == kinds
+            got = extract_point(red, kinds)
+            want = loop_extract_point(red, kinds)
+            assert same_points(got.points, want.points)
+            assert (got.failed_block, got.reason) == (want.failed_block, want.reason)
+
+
+def convex_entry(rng, n, m):
+    def psd(ridge):
+        g = rng.standard_normal((n, n))
+        return g @ g.T / n + ridge * np.eye(n)
+
+    obj = QuadFunc.from_parts(psd(0.5), rng.standard_normal(n))
+    cons = [
+        (QuadFunc.from_parts(psd(0.1), rng.standard_normal(n)), Relation.LE)
+        for _ in range(m)
+    ]
+    return obj, cons
+
+
+class TestOneDecompositionPerIterate:
+    def test_wide_connection_joint_reduction(self, monkeypatch):
+        # 16 convex entries with n = 3 sharing m = 3 rows: 16 blocks of 4x4,
+        # 19 rows, of which only 64 (row, block) pairs are active
+        rng = np.random.default_rng(5)
+        parts = [convex_entry(rng, 3, 3) for _ in range(16)]
+        gamma = np.full(3, 40.0)
+        s = SeparableQcqp(
+            [Qcqp(3, obj, cons, gamma) for obj, cons in parts], gamma
+        )
+        b = to_standard_form(build_block(s))
+        sol = solve(b)
+        assert sol.status is SolveStatus.OPTIMAL
+        want = loop_reduce(b, sol)
+
+        calls = {"eigh": 0, "triu_indices": 0}
+        for name in calls:
+            host = np.linalg if name == "eigh" else np
+            real = getattr(host, name)
+
+            def counted(*args, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(host, name, counted)
+        rank_reduction._svec_layout.cache_clear()
+        got = reduce(b, sol)
+        monkeypatch.undo()
+
+        assert_same_outcome(got, want)
+        groups = len(set(b.block_dims))
+        iterations = got[1].iterations
+        # factor every iterate, plus one for the final ranks and extraction
+        assert calls["eigh"] <= groups * (iterations + 2)
+        pairs = sum(
+            not mat.is_zero() for row in b.rows for mat in row.mats
+        )
+        assert pairs == 64
+        assert calls["triu_indices"] <= max(b.block_dims)
