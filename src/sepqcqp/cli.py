@@ -836,7 +836,12 @@ def _example51_row(alpha: float, ns) -> tuple[dict, bool]:
     rank = prov["block_ranks"][0]
     pataki = prov["pataki_sum"]
     stalled = False
-    if sol.status is SolveStatus.OPTIMAL:
+    # judge has rank-reduced that solution already; reduce here only when
+    # its reduction is missing, which is how a stall shows
+    if v.reduction is not None:
+        rank = int(v.reduction.final_ranks[0])
+        pataki = int(v.reduction.pataki_sum)
+    elif sol.status is SolveStatus.OPTIMAL:
         try:
             _, rep = reduce_solution(
                 to_standard_form(b), sol, rank_tol=ns.rank_tol

@@ -2,9 +2,11 @@
 
 Given a separable QCQP whose entries couple only through shared
 right-hand sides, the pipeline solves the block relaxation, splits the
-achieved constraint values into per-entry allocations, re-solves each
-entry at its allocation to confirm blockwise optimality, certifies each
-entry against the known exact classes, and renders a verdict:
+achieved constraint values into per-entry allocations, reads each
+entry's blockwise optimality off the joint primal-dual pair (re-solving
+an entry at its allocation only where the joint dual bound fails),
+certifies each entry against the known exact classes, and renders a
+verdict:
 
 * ExactCertified  - every entry lands in an exact class and the block
                     relaxation solved to optimality;
@@ -62,9 +64,10 @@ from .qcqp_model import (
     split_point,
 )
 from .qcqp_model import eval as qf_eval
-from .rank_reduction import reduce
+from .rank_reduction import ReductionReport, reduce
 from .sdp_solver import SolverOptions, solve, solve_many
 from .sdpr_builder import (
+    RowOperator,
     SdpSolution,
     SolveStatus,
     build_block,
@@ -102,6 +105,11 @@ class ExactnessVerdict:
     #: the block-relaxation solution the verdict rests on (None when the
     #: solve raised); not part of the verdict's identity or its JSON form
     relaxation: SdpSolution | None = field(
+        default=None, compare=False, repr=False
+    )
+    #: rank reduction of that solution (None when it was not reached, or
+    #: stalled or found the solution stale); likewise outside identity/JSON
+    reduction: ReductionReport | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -298,61 +306,100 @@ def _dual_bound(entry, delta, y, mu, tol):
     return float(y @ delta) + mu
 
 
-def _analyse_entries(s: SeparableQcqp, b, sol, deltas, tol, solver=None) -> list:
-    """Per entry, (sub_value, gap, subsol): the entry's relaxation re-solved
-    at its allocation (all entries in one lockstep batch) and the gap to the
-    objective the entry achieves in sol.
+def _joint_subsol(sub, blocks, achieved, tol):
+    """An entry's joint blocks as an Optimal solution of its sub-problem sub,
+    or None when they miss one of its rows by more than tol.
 
-    An entry whose re-solve raises or stops short of Optimal falls back to
-    the dual-certificate bound read off the connection solution (subsol is
-    then None); nan marks an entry with neither, or one whose allocation
-    leaves a variable-free row inconsistent.
+    Slacks are read off sub's rows; the value is the objective the entry
+    achieves. The solution carries no dual part (NaN multipliers, no dual
+    blocks): the entry's dual certificate is the joint multipliers'
+    bound, reported next to it.
+    """
+    op = RowOperator(sub.rows, sub.block_dims)
+    resid = op.rhs - op.apply([x.to_dense() for x in blocks])
+    slacks = op.slack_coeffs * resid
+    miss = np.where(op.slack_coeffs == 0.0, np.abs(resid), -slacks)
+    # written so that a NaN fails it
+    if not np.all(miss <= tol * (1.0 + np.abs(op.rhs))):
+        return None
+    return SdpSolution(
+        blocks=list(blocks),
+        slacks=slacks,
+        dual_multipliers=np.full(sub.n_rows, math.nan),
+        dual_blocks=[],
+        status=SolveStatus.OPTIMAL,
+        value=achieved,
+        iterations=0,
+    )
+
+
+def _analyse_entries(s: SeparableQcqp, b, sol, deltas, tol, solver=None) -> list:
+    """Per entry, (sub_value, gap, subsol, resolved): a value of the entry's
+    relaxation at its allocation, its gap to the objective the entry
+    achieves in sol, the entry's solution and whether that was re-solved.
+
+    The joint primal-dual pair comes first. Its multipliers bound every
+    entry's relaxation from below (_dual_bound); where the bound meets the
+    achieved objective within tol and the entry's joint blocks satisfy its
+    own rows, those blocks are an optimal solution of the entry (subsol,
+    not re-solved). Only the other entries are re-solved, in one lockstep
+    batch; an entry whose re-solve raises or stops short of Optimal keeps
+    the bound (subsol None). nan marks an entry with neither, or one whose
+    allocation leaves a variable-free row inconsistent.
     """
     y, mus = _connection_duals(s, b, sol)
-    subs, inconsistent = {}, set()
+
+    def from_bound(achieved, bound, subsol, resolved):
+        if bound is None:
+            return (math.nan, math.nan, None, resolved)
+        return (bound, abs(achieved - bound), subsol, resolved)
+
+    out, retry, ofs = [], {}, 0
     for p, entry in enumerate(s.blocks):
+        cnt = _entry_block_count(entry)
+        blocks = sol.blocks[ofs : ofs + cnt]
+        ofs += cnt
+        achieved = float(_entry_achieved(entry, blocks)[0])
+        bound = _dual_bound(entry, deltas[p], y, mus[p], tol)
         try:
             sub, check = _sub_problem(entry, deltas[p])
         except SepqcqpError:
+            out.append(from_bound(achieved, bound, None, False))
             continue
-        if check(tol) is None:
-            subs[p] = sub
+        if check(tol) is not None:
+            out.append((math.nan, math.nan, None, False))
+            continue
+        subsol = None
+        if bound is not None and abs(achieved - bound) <= tol * (1.0 + abs(achieved)):
+            subsol = _joint_subsol(sub, blocks, achieved, tol)
+        if subsol is None:
+            retry[p] = (sub, achieved, bound)
+            out.append(None)
         else:
-            inconsistent.add(p)
-    resolved = dict(zip(subs, solve_many(list(subs.values()), solver)))
+            out.append(from_bound(achieved, bound, subsol, False))
 
-    out, ofs = [], 0
-    for p, entry in enumerate(s.blocks):
-        cnt = _entry_block_count(entry)
-        achieved = float(_entry_achieved(entry, sol.blocks[ofs : ofs + cnt])[0])
-        ofs += cnt
-        cand = resolved.get(p)
+    resolved = solve_many([sub for sub, _, _ in retry.values()], solver)
+    for (p, (_, achieved, bound)), cand in zip(retry.items(), resolved):
         if isinstance(cand, SdpSolution) and cand.status is SolveStatus.OPTIMAL:
             value = float(cand.value)
-            out.append((value, abs(value - achieved), cand))
-            continue
-        bound = None
-        if p not in inconsistent:
-            bound = _dual_bound(entry, deltas[p], y, mus[p], tol)
-        if bound is None:
-            out.append((math.nan, math.nan, None))
+            out[p] = (value, abs(value - achieved), cand, True)
         else:
-            out.append((bound, abs(achieved - bound), None))
+            out[p] = from_bound(achieved, bound, None, True)
     return out
 
 
 def verify_suboptimality(s: SeparableQcqp, sol, deltas, tol: float = 1e-6):
     """Gap between each entry's achieved objective and its own relaxation
-    re-solved at the entry's allocation; nan marks a failed verification.
+    at the entry's allocation; nan marks a failed verification.
 
-    Entries whose re-solve is too degenerate for the solver fall back to
-    the dual-certificate bound derived from the connection solution."""
+    The gap is read off the connection's dual solution where that bound
+    closes it; the remaining entries are re-solved at their allocations."""
     if len(deltas) != len(s.blocks):
         raise DimensionError(
             f"{len(deltas)} allocations for {len(s.blocks)} entries"
         )
     entries = _analyse_entries(s, build_block(s), sol, deltas, tol)
-    return np.array([gap for _, gap, _ in entries], dtype=np.float64)
+    return np.array([gap for _, gap, _, _ in entries], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +530,26 @@ def _verify_witness(s: SeparableQcqp, points, eta, tol):
 
 
 def _global_witness(s, b, sol, opts):
-    """Per-entry points from rank reduction of the full block solution."""
+    """Rank reduction of the full block solution: (report, per-entry points).
+
+    The report is None when the reduction stalls or finds the solution
+    stale; the points are None unless every block ended at rank <= 1.
+    """
     try:
         _, rep = reduce(
             to_standard_form(b), sol, tol=opts.tol, rank_tol=opts.rank_tol
         )
     except (ReductionStallError, StaleSolutionError):
-        return None
+        return None, None
     if rep.extracted is None:
-        return None
+        return rep, None
     points, ofs = [], 0
     for entry in s.blocks:
         cnt = _entry_block_count(entry)
         vecs = rep.extracted[ofs : ofs + cnt]
         ofs += cnt
         points.append(np.concatenate(vecs) if cnt > 1 else vecs[0])
-    return points
+    return rep, points
 
 
 def _hom_entry_point(entry, delta, subsol, opts):
@@ -563,10 +614,12 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     """Render an exactness verdict for a horizontal connection.
 
     Solves the block relaxation, allocates right-hand sides to entries,
-    re-solves every entry at its allocation, certifies entries against
-    the exact classes, then hunts for a matching feasible point: first by
-    rank-reducing the full solution, next by class-specific construction,
-    finally by the grid oracle, which alone can conclude NotExact.
+    checks each entry's optimality at its allocation against the joint
+    dual bound (re-solving only the entries it fails), certifies entries
+    against the exact classes, then hunts for a matching feasible point:
+    first by rank-reducing the full solution, next by class-specific
+    construction, finally by the grid oracle, which alone can conclude
+    NotExact.
     """
     opts = opts or JudgeOptions()
     b = build_block(s)
@@ -597,7 +650,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
 
     certs, gauges, sub_solutions, per_block = [], [], [], []
     for p, entry in enumerate(s.blocks):
-        sub_value, gap, subsol = analysed[p]
+        sub_value, gap, subsol, resolved = analysed[p]
         gauge = None
         if isinstance(entry, HomSepQcqp):
             h_delta = HomSepQcqp(entry.blocks, list(entry.relations), deltas[p])
@@ -608,12 +661,12 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
                     reduced, subsol, tol=opts.tol
                 )
                 if holds_a:
+                    where = "re-solved allocation" if resolved else "joint solution"
                     cert = Certificate(
                         kind=CertificateKind.HOM_LIMITED,
                         details=(
                             f"{count} nonzero blocks and residuals >= "
-                            f"m - 1 = {reduced.m - 1} at the re-solved "
-                            "allocation"
+                            f"m - 1 = {reduced.m - 1} at the {where}"
                         ),
                         depends_on_solution=True,
                     )
@@ -628,7 +681,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     certified = all(c.holds for c in certs)
 
     # witness hunt: global rank reduction, then per-entry constructions
-    points = _global_witness(s, b, sol, opts)
+    reduction, points = _global_witness(s, b, sol, opts)
     witness_obj, witnessed = None, False
     if points is not None:
         witness_obj, witnessed = _verify_witness(s, points, eta, opts.tol)
@@ -664,6 +717,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             per_block=per_block,
             witness=points if witnessed else None,
             relaxation=sol,
+            reduction=reduction,
         )
     if witnessed:
         return ExactnessVerdict(
@@ -674,6 +728,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             per_block=per_block,
             witness=points,
             relaxation=sol,
+            reduction=reduction,
         )
 
     # oracle fallback: the only road to NotExact
@@ -687,6 +742,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             per_block=per_block,
             reason="no witness found and too many variables for the oracle",
             relaxation=sol,
+            reduction=reduction,
         )
     box, grid = _oracle_box(s, sol, opts)
     oracle_val, oracle_pt = brute_force(
@@ -701,6 +757,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             per_block=per_block,
             reason="oracle found no feasible grid point",
             relaxation=sol,
+            reduction=reduction,
         )
     oracle_val = float(oracle_val)
     if oracle_val > eta + 10.0 * opts.tol:
@@ -716,6 +773,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
                 f"relaxation value {eta:.9g}"
             ),
             relaxation=sol,
+            reduction=reduction,
         )
     if abs(oracle_val - eta) <= opts.tol * (1.0 + abs(eta)):
         return ExactnessVerdict(
@@ -727,6 +785,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             witness=split_point(s, oracle_pt),
             oracle_value=oracle_val,
             relaxation=sol,
+            reduction=reduction,
         )
     return ExactnessVerdict(
         status=VerdictStatus.UNDETERMINED,
@@ -737,13 +796,15 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         oracle_value=oracle_val,
         reason="oracle value inside the ambiguity band around eta",
         relaxation=sol,
+        reduction=reduction,
     )
 
 
 def bilevel_report(s: SeparableQcqp, verdict: ExactnessVerdict) -> BilevelReport:
     """Two-level reading of a judged connection: allocations as upper-level
     variables, entry relaxation values as lower-level responses. When every
-    re-solve succeeded, the row values sum to eta."""
+    entry's value is exact (its dual bound met, or its re-solve Optimal),
+    the row values sum to eta."""
     if len(verdict.per_block) != len(s.blocks):
         raise DimensionError(
             f"verdict covers {len(verdict.per_block)} entries, "

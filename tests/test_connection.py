@@ -1,12 +1,15 @@
 """Connection pipeline: allocations, blockwise optimality, verdicts,
 bilevel reading, and the seeded instance generators."""
 
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepqcqp import connection
 from sepqcqp.certificates import (
@@ -15,6 +18,7 @@ from sepqcqp.certificates import (
     check_convex,
     reduce_homogeneous_rows,
 )
+from sepqcqp.cli import verdict_to_dict
 from sepqcqp.connection import (
     BilevelReport,
     ExactnessVerdict,
@@ -46,8 +50,8 @@ from sepqcqp.qcqp_model import (
     flatten,
 )
 from sepqcqp.qcqp_model import eval as qf_eval
-from sepqcqp.sdp_solver import solve
-from sepqcqp.sdpr_builder import SdpSolution, SolveStatus, build_block
+from sepqcqp.sdp_solver import solve, solve_many
+from sepqcqp.sdpr_builder import SolveStatus, build_block
 from sepqcqp.symkernel import frob_inner
 
 from test_sdp_solver import family_value
@@ -165,6 +169,18 @@ class TestVerifySuboptimality:
         gaps = verify_suboptimality(s, sol, deltas)
         assert gaps[0] > 1e-3
 
+    def test_allocation_cut_on_a_loose_row_detected(self):
+        # the linear row is slack, so its multiplier is 0 and the dual
+        # bound ignores the cut; the joint block then misses the row and
+        # the entry is re-solved
+        s = single_convex_connection()
+        sol = solved(s)
+        deltas = decompose_delta(s, sol)
+        deltas[0] = deltas[0].copy()
+        deltas[0][1] -= 3.0
+        gaps = verify_suboptimality(s, sol, deltas)
+        assert gaps[0] > 1e-3
+
     def test_length_mismatch(self):
         s = two_convex_connection()
         sol = solved(s)
@@ -279,6 +295,143 @@ class TestJudge:
         assert v.status is VerdictStatus.EXACT_CERTIFIED
         assert v.per_block[0].certificate.kind is CertificateKind.CONVEX
         assert v.witness is not None
+
+
+def achieved_objectives(s, v) -> list:
+    """The objective each entry achieves at the verdict's relaxation."""
+    out, ofs = [], 0
+    for entry in s.blocks:
+        cnt = connection._entry_block_count(entry)
+        blocks = v.relaxation.blocks[ofs : ofs + cnt]
+        ofs += cnt
+        out.append(float(connection._entry_achieved(entry, blocks)[0]))
+    return out
+
+
+def failed(sol):
+    return dataclasses.replace(sol, status=SolveStatus.NUMERICAL_FAILURE)
+
+
+class TestEntryFallback:
+    """judge reads every entry of make_example52(0) off the joint pair;
+    an entry whose dual bound fails is the only one re-solved."""
+
+    def judged(self, monkeypatch, p, shift=None, resolve=None):
+        """judge(make_example52(0)) with entry p's dual bound gone (or moved
+        by shift, so it no longer meets the achieved objective) and resolve
+        applied to every re-solve; returns (s, verdict, non-empty
+        solve_many batches)."""
+        s = make_example52(0)
+        batches = []
+        bound, many = connection._dual_bound, connection.solve_many
+
+        def moved_bound(entry, *args):
+            value = bound(entry, *args)
+            if entry is not s.blocks[p]:
+                return value
+            return None if shift is None else value + shift
+
+        def recorded(bs, *args, **kwargs):
+            batches.append(list(bs))
+            out = many(bs, *args, **kwargs)
+            return out if resolve is None else [resolve(r) for r in out]
+
+        with monkeypatch.context() as m:
+            m.setattr(connection, "_dual_bound", moved_bound)
+            m.setattr(connection, "solve_many", recorded)
+            v = judge(s)
+        return s, v, [b for b in batches if b]
+
+    def test_failed_bound_resolves_that_entry_alone(self, monkeypatch):
+        # the homogeneous entry, whose re-solve reaches Optimal on seed 0
+        s, v, batches = self.judged(monkeypatch, 2)
+        plain = judge(s)
+        assert [len(b) for b in batches] == [1]
+        sub = connection._sub_problem(s.blocks[2], v.delta_decomposition[2])[0]
+        assert repr(batches[0][0]) == repr(sub)
+        assert [r.rhs for r in batches[0][0].rows] == [r.rhs for r in sub.rows]
+        sol = solve(sub)
+        assert sol.status is SolveStatus.OPTIMAL
+        achieved = achieved_objectives(s, v)[2]
+        pb = v.per_block[2]
+        assert (pb.sub_sdpr_value, pb.optimality_gap) == (
+            sol.value,
+            abs(sol.value - achieved),
+        )
+        assert pb.certificate.kind is CertificateKind.HOM_LIMITED
+        assert pb.certificate.details.endswith("at the re-solved allocation")
+        assert plain.per_block[2].certificate.details.endswith(
+            "at the joint solution"
+        )
+        assert v.per_block[:2] == plain.per_block[:2]
+        assert v.status is plain.status and v.eta == plain.eta
+
+    def test_failed_resolve_keeps_the_bound(self, monkeypatch):
+        s, v, batches = self.judged(monkeypatch, 1, shift=-1.0, resolve=failed)
+        assert [len(b) for b in batches] == [1]
+        bound = judge(s).per_block[1].sub_sdpr_value - 1.0
+        achieved = achieved_objectives(s, v)[1]
+        assert v.per_block[1].sub_sdpr_value == bound
+        assert v.per_block[1].optimality_gap == abs(achieved - bound)
+
+    def test_boundless_failed_resolve_is_nan(self, monkeypatch):
+        _, v, batches = self.judged(monkeypatch, 1, resolve=failed)
+        assert [len(b) for b in batches] == [1]
+        assert math.isnan(v.per_block[1].sub_sdpr_value)
+        assert math.isnan(v.per_block[1].optimality_gap)
+        pb = json.loads(json.dumps(verdict_to_dict(v), allow_nan=False))[
+            "per_block"
+        ][1]
+        assert pb["sub_sdpr_value"] is None and pb["optimality_gap"] is None
+
+
+def small_convex_connection(seed) -> SeparableQcqp:
+    """Two to four convex entries of one to three variables sharing one to
+    three <= rows, strictly feasible at a random reference point."""
+    rng = np.random.default_rng(seed)
+    entries, n, m = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (1, 4), (1, 4)))
+    parts, values = [], np.zeros(m)
+    for _ in range(entries):
+        x = rng.standard_normal(n)
+        g = rng.standard_normal((n, n))
+        obj = qf(g @ g.T / n + 0.3 * np.eye(n), rng.standard_normal(n))
+        cons = []
+        for k in range(m):
+            g = rng.standard_normal((n, n))
+            cons.append(qf(g @ g.T / n, rng.standard_normal(n)))
+            values[k] += qf_eval(cons[-1], x)
+        parts.append((obj, cons))
+    gamma = values + rng.uniform(0.2, 1.0, size=m)
+    rows = [Relation.LE] * m
+    return SeparableQcqp(
+        [Qcqp(n, obj, list(zip(cons, rows)), gamma) for obj, cons in parts],
+        gamma,
+    )
+
+
+class TestEntryWeakDuality:
+    """Every entry's reported relaxation value is a lower bound on the
+    objective it achieves, and the entry values sum to eta."""
+
+    def check(self, s):
+        tol = JudgeOptions().tol
+        v = judge(s)
+        assert v.relaxation is not None
+        assert v.relaxation.status is SolveStatus.OPTIMAL
+        for pb, achieved in zip(v.per_block, achieved_objectives(s, v)):
+            assert pb.sub_sdpr_value <= achieved + tol * (1.0 + abs(achieved))
+        rep = bilevel_report(s, v)
+        assert rep.identity_gap <= tol * (1.0 + abs(v.eta))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15)
+    def test_example52(self, seed):
+        self.check(make_example52(seed))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15)
+    def test_small_convex_connections(self, seed):
+        self.check(small_convex_connection(seed))
 
 
 class TestBilevelReport:
@@ -523,43 +676,53 @@ def reference_iterations(workload: str) -> dict:
         return {k: rec["iters"] for k, rec in json.load(fh)["keys"].items()}
 
 
-def judged_iterations(s, monkeypatch) -> int:
-    """IPM iterations of every solve inside judge(s), batched or not."""
-    total = 0
+def judged_iterations(s, monkeypatch) -> tuple:
+    """(iterations, problems): the IPM iterations of judge(s)'s joint solve
+    plus those of re-solving every entry at its allocation on the side,
+    and the number of problems judge itself hands to solve_many."""
+    joint, problems = 0, 0
     one, many = connection.solve, connection.solve_many
 
     def counted_one(*args, **kwargs):
-        nonlocal total
+        nonlocal joint
         sol = one(*args, **kwargs)
-        total += sol.iterations
+        joint += sol.iterations
         return sol
 
-    def counted_many(*args, **kwargs):
-        nonlocal total
-        out = many(*args, **kwargs)
-        total += sum(r.iterations for r in out if isinstance(r, SdpSolution))
-        return out
+    def counted_many(bs, *args, **kwargs):
+        nonlocal problems
+        problems += len(bs)
+        return many(bs, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(connection, "solve", counted_one)
         m.setattr(connection, "solve_many", counted_many)
-        judge(s)
-    return total
+        v = judge(s)
+    subs = [
+        connection._sub_problem(entry, delta)[0]
+        for entry, delta in zip(s.blocks, v.delta_decomposition)
+    ]
+    entries = sum(sol.iterations for sol in solve_many(subs))
+    return joint + entries, problems
 
 
 class TestIterationsPinned:
-    """judge's summed IPM iterations equal the benchmark references, which
-    were recorded one solve at a time: batching the entry re-solves leaves
-    every solve's iterations as they were."""
+    """The benchmark references count the joint solve plus one re-solve of
+    every entry at its allocation, each solved one at a time. judge now
+    reads the entries off the joint primal-dual pair and re-solves none
+    of them here; re-solving them on the side reproduces the reference
+    iterations exactly."""
 
     def test_example52(self, monkeypatch):
         ref = reference_iterations("ex52-cli")
         for seed in range(20):
-            assert judged_iterations(make_example52(seed), monkeypatch) == ref[str(seed)]
+            iters, problems = judged_iterations(make_example52(seed), monkeypatch)
+            assert (iters, problems) == (ref[str(seed)], 0), seed
 
     def test_example51_table(self, monkeypatch):
         ref = reference_iterations("ex51-sweep")
         for key, alpha in (("0", 0.0), ("100", 1.0), ("200", 2.0), ("250", 2.5),
                            ("300", 3.0), ("350", 3.5), ("alpha4", 4.0)):
             h = make_example51(alpha)
-            assert judged_iterations(SeparableQcqp([h], h.rhs), monkeypatch) == ref[key]
+            iters, problems = judged_iterations(SeparableQcqp([h], h.rhs), monkeypatch)
+            assert (iters, problems) == (ref[key], 0), key
