@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation
 from .sdpr_builder import SdpSolution
-from .symkernel import SymMatrix, frob_inner, is_psd, numeric_rank
+from .symkernel import SymMatrix, frob_inner, is_psd_many, numeric_rank
 
 
 class CertificateKind(enum.Enum):
@@ -73,6 +73,10 @@ def check_convex(q: Qcqp, tol: float = 1e-9) -> Certificate:
 
     In that regime the relaxation is tight for any right-hand side and an
     optimal point can be read off the last column of any optimal matrix.
+    The quadratic parts share one dimension, so their PSD tests are one
+    stacked eigendecomposition (symkernel.is_psd_many); the first part
+    that fails names the certificate's failure, as testing them one by
+    one would.
     """
     kept = _kept_constraints(q)
     bad_rel = [i for i, (_, rel, _) in enumerate(kept) if rel is not Relation.LE]
@@ -83,14 +87,15 @@ def check_convex(q: Qcqp, tol: float = 1e-9) -> Certificate:
             depends_on_solution=False,
         )
     funcs = [q.objective] + [f for f, _, _ in kept]
-    for k, f in enumerate(funcs):
-        if not is_psd(f.quad_part(), tol=tol):
-            which = "objective" if k == 0 else f"constraint {k - 1}"
-            return Certificate(
-                CertificateKind.NONE,
-                f"quadratic part of {which} is not PSD",
-                depends_on_solution=False,
-            )
+    psd = is_psd_many([f.quad_part() for f in funcs], tol=tol)
+    if not psd.all():
+        k = int(np.argmin(psd))
+        which = "objective" if k == 0 else f"constraint {k - 1}"
+        return Certificate(
+            CertificateKind.NONE,
+            f"quadratic part of {which} is not PSD",
+            depends_on_solution=False,
+        )
     return Certificate(
         CertificateKind.CONVEX,
         f"all {len(kept)} rows are <= and all {len(funcs)} quadratic parts PSD",
@@ -400,11 +405,16 @@ def reduce_homogeneous_rows(h: HomSepQcqp, tol: float = 1e-12):
     return reduced, sorted(drop)
 
 
-def check_m_le_2(h: HomSepQcqp) -> Certificate:
+def check_m_le_2(h: HomSepQcqp, reduction=None) -> Certificate:
     """Structural certificate: with at most 2 effective rows, any extreme
     optimal solution of the homogeneous relaxation is blockwise rank <= 1,
-    independent of the solution at hand."""
-    reduced, dropped = reduce_homogeneous_rows(h)
+    independent of the solution at hand.
+
+    reduction is reduce_homogeneous_rows(h) when the caller has it
+    already; it is computed here otherwise."""
+    if reduction is None:
+        reduction = reduce_homogeneous_rows(h)
+    reduced, dropped = reduction
     m_eff = reduced.m
     if m_eff <= 2:
         note = f" ({len(dropped)} redundant rows ignored)" if dropped else ""

@@ -12,6 +12,7 @@ or as stable-keyed JSON; exit codes separate "ran and concluded" (0),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -960,22 +961,47 @@ class _ArgParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a tolerance: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of an iteration cap: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=1e-6, help="verification tolerance"
+        "--tol", type=_positive_float, default=1e-6,
+        help="verification tolerance",
     )
     common.add_argument(
         "--rank-tol",
         dest="rank_tol",
-        type=float,
+        type=_positive_float,
         default=1e-6,
         help="numeric rank threshold",
     )
     common.add_argument(
         "--max-iter",
         dest="max_iter",
-        type=int,
+        type=_positive_int,
         default=200,
         help="interior-point iteration cap",
     )
@@ -1043,10 +1069,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """build_arg_parser's tree, built once per process: parsing reads the
+    parser and never changes it."""
+    return build_arg_parser()
+
+
 def run(argv=None) -> int:
     """Parse arguments, dispatch, print or write the report, return the
-    exit code (0 done, 2 not exact / not definitive, 1 failure)."""
-    parser = build_arg_parser()
+    exit code (0 done, 2 not exact / not definitive, 1 failure, a usage
+    error included)."""
+    parser = _arg_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as e:

@@ -67,7 +67,7 @@ from .qcqp_model import eval as qf_eval
 from .rank_reduction import ReductionReport, reduce
 from .sdp_solver import SolverOptions, solve, solve_many
 from .sdpr_builder import (
-    RowOperator,
+    BlockSdp,
     SdpSolution,
     SolveStatus,
     build_block,
@@ -75,7 +75,7 @@ from .sdpr_builder import (
     build_shor,
     to_standard_form,
 )
-from .symkernel import SymMatrix, frob_inner, is_psd
+from .symkernel import SymMatrix, frob_inner, is_psd, is_psd_many
 
 
 class VerdictStatus(enum.Enum):
@@ -129,6 +129,13 @@ class JudgeOptions:
     oracle_box: tuple | None = None
     oracle_grid: int | None = None
     oracle_rounds: int = 4
+
+    def __post_init__(self):
+        # written so that a NaN fails them
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0.0 < self.rank_tol < math.inf:
+            raise ValueError("rank_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -184,12 +191,18 @@ def decompose_delta(s: SeparableQcqp, sol) -> list:
     sol is feasible the allocations jointly respect every relation
     against gamma.
     """
+    return [vals[1:] for vals in _achieved(s, sol)]
+
+
+def _achieved(s: SeparableQcqp, sol) -> list:
+    """_entry_achieved of every entry at sol's blocks, [objective, rows];
+    decompose_delta's allocations are the row parts."""
     counts = [_entry_block_count(e) for e in s.blocks]
     if len(sol.blocks) != sum(counts):
         raise DimensionError(
             f"{len(sol.blocks)} solution blocks, expected {sum(counts)}"
         )
-    deltas = []
+    out = []
     ofs = 0
     for entry, cnt in zip(s.blocks, counts):
         blocks = sol.blocks[ofs : ofs + cnt]
@@ -200,8 +213,8 @@ def decompose_delta(s: SeparableQcqp, sol) -> list:
                 raise DimensionError(
                     f"solution block dim {blocks[q].dim}, expected {want[q]}"
                 )
-        deltas.append(_entry_achieved(entry, blocks)[1:])
-    return deltas
+        out.append(_entry_achieved(entry, blocks))
+    return out
 
 
 def strip_variable_free_rows(q: Qcqp):
@@ -221,34 +234,52 @@ def strip_variable_free_rows(q: Qcqp):
     return reduced, kept
 
 
-def _sub_problem(entry, delta):
-    """Entry-level relaxation at allocation delta, plus a consistency check.
+def _hom_at(entry: HomSepQcqp, delta):
+    """A homogeneous entry at allocation delta, and its row reduction
+    (reduce_homogeneous_rows: the reduced problem, the dropped rows)."""
+    h = HomSepQcqp(entry.blocks, list(entry.relations), delta)
+    return h, reduce_homogeneous_rows(h)
 
-    Returns (BlockSdp, check) where check(tol) reports an inconsistent
-    variable-free row as an error string, or None when all is well.
-    """
+
+def _sub_problem(entry, delta):
+    """Entry-level relaxation at allocation delta: build_hom of the reduced
+    homogeneous rows, or build_shor of the rows that involve variables
+    (whether the variable-free ones hold is _variable_free_rows_hold)."""
     delta = np.asarray(delta, dtype=np.float64)
     if isinstance(entry, HomSepQcqp):
-        h = HomSepQcqp(entry.blocks, list(entry.relations), delta)
-        reduced, _ = reduce_homogeneous_rows(h)
-        return build_hom(reduced), lambda tol: None
-
+        return build_hom(_hom_at(entry, delta)[1][0])
     full = Qcqp(entry.n, entry.objective, list(entry.constraints), delta)
-    stripped, kept = strip_variable_free_rows(full)
-    dropped = [k for k in range(len(delta)) if k not in kept]
+    return build_shor(strip_variable_free_rows(full)[0])
 
-    def check(tol):
-        for k in dropped:
-            rel = entry.relations[k]
+
+def _variable_free_rows_hold(entry: Qcqp, delta, tol) -> bool:
+    """Does allocation delta satisfy, within tol, every row of entry whose
+    matrix is zero (0 <relation> delta_k)?"""
+    for k, (f, rel) in enumerate(entry.constraints):
+        if f.is_zero():
             dk = float(delta[k])
             if not rel.holds(0.0, dk, tol * (1.0 + abs(dk))):
-                return (
-                    f"variable-free row {k} inconsistent: "
-                    f"0 {rel.symbol} {dk:.3g} fails"
-                )
-        return None
+                return False
+    return True
 
-    return build_shor(stripped), check
+
+def _joint_rows_hold(entry: Qcqp, vals, delta, x, tol) -> bool:
+    """Does an inhomogeneous entry's joint block x satisfy, within tol, its
+    own relaxation's rows at allocation delta?
+
+    vals are the entry's row values at x (_entry_achieved, objective
+    first); the rows are those that involve variables, each within
+    tol * (1 + |delta_k|), and the unit corner x[n, n] = 1 within 2 tol.
+    The variable-free rows are _variable_free_rows_hold's.
+    """
+    for k, (f, rel) in enumerate(entry.constraints):
+        if f.is_zero():
+            continue
+        dk = float(delta[k])
+        if not rel.holds(float(vals[k + 1]), dk, tol * (1.0 + abs(dk))):
+            return False
+    # written so that a NaN fails it
+    return abs(x[entry.n, entry.n] - 1.0) <= 2.0 * tol
 
 
 def _connection_duals(s: SeparableQcqp, b, sol):
@@ -271,9 +302,56 @@ def _connection_duals(s: SeparableQcqp, b, sol):
     return y, mus
 
 
-def _dual_bound(entry, delta, y, mu, tol):
+def _reduced_objectives(entry, y, mu) -> list:
+    """The entry's objective matrices minus y against its rows (and minus
+    mu at the corner of an inhomogeneous entry's block), one per block."""
+    if isinstance(entry, HomSepQcqp):
+        out = []
+        for q in range(entry.q_hat):
+            acc = entry.blocks[q][0].to_dense().copy()
+            for k in range(entry.m):
+                if y[k] != 0.0:
+                    acc -= y[k] * entry.blocks[q][k + 1].to_dense()
+            out.append(SymMatrix.from_dense(acc))
+        return out
+    acc = entry.objective.B.to_dense().copy()
+    for k, (f, _) in enumerate(entry.constraints):
+        if y[k] != 0.0:
+            acc -= y[k] * f.B.to_dense()
+    acc[entry.n, entry.n] -= mu
+    return [SymMatrix.from_dense(acc)]
+
+
+def _dual_feasible(s: SeparableQcqp, y, mus, tol) -> np.ndarray:
+    """Per entry, whether the connection's multipliers are dual-feasible
+    for the entry's own relaxation: every inequality row's multiplier has
+    its relation's sign within tol, and the reduced objective matrices
+    (_reduced_objectives) are psd. The psd tests of all entries run as one
+    stacked eigendecomposition per block dimension (is_psd_many)."""
+    yscale = tol * (1.0 + float(np.abs(y).max(initial=0.0)))
+    ok = np.ones(len(s.blocks), dtype=bool)
+    mats, owner = [], []
+    for p, entry in enumerate(s.blocks):
+        for k, rel in enumerate(entry.relations):
+            if (rel is Relation.LE and y[k] > yscale) or (
+                rel is Relation.GE and y[k] < -yscale
+            ):
+                ok[p] = False
+                break
+        else:
+            red = _reduced_objectives(entry, y, mus[p])
+            mats += red
+            owner += [p] * len(red)
+    psd = is_psd_many(mats, tol)
+    for p, flag in zip(owner, psd):
+        ok[p] &= flag
+    return ok
+
+
+def _dual_bound(entry, delta, y, mu, feasible):
     """Certified lower bound on the entry's relaxation value at delta, read
-    off the connection's dual solution, or None when the certificate fails.
+    off the connection's dual solution, or None when the multipliers are
+    not dual-feasible for the entry (feasible, from _dual_feasible).
 
     The connection's multipliers are dual-feasible for every entry's own
     relaxation regardless of its rhs, so whenever the reduced objective
@@ -281,28 +359,10 @@ def _dual_bound(entry, delta, y, mu, tol):
     relaxation from below; at the achieved allocation, complementarity
     pins the entry's value between this bound and its achieved objective.
     """
-    yscale = tol * (1.0 + float(np.abs(y).max(initial=0.0)))
-    for k, rel in enumerate(entry.relations):
-        if rel is Relation.LE and y[k] > yscale:
-            return None
-        if rel is Relation.GE and y[k] < -yscale:
-            return None
-    if isinstance(entry, HomSepQcqp):
-        for q in range(entry.q_hat):
-            acc = entry.blocks[q][0].to_dense().copy()
-            for k in range(entry.m):
-                if y[k] != 0.0:
-                    acc -= y[k] * entry.blocks[q][k + 1].to_dense()
-            if not is_psd(SymMatrix.from_dense(acc), tol):
-                return None
-        return float(y @ delta)
-    acc = entry.objective.B.to_dense().copy()
-    for k, (f, _) in enumerate(entry.constraints):
-        if y[k] != 0.0:
-            acc -= y[k] * f.B.to_dense()
-    acc[entry.n, entry.n] -= mu
-    if not is_psd(SymMatrix.from_dense(acc), tol):
+    if not feasible:
         return None
+    if isinstance(entry, HomSepQcqp):
+        return float(y @ delta)
     return float(y @ delta) + mu
 
 
@@ -310,12 +370,15 @@ def _joint_subsol(sub, blocks, achieved, tol):
     """An entry's joint blocks as an Optimal solution of its sub-problem sub,
     or None when they miss one of its rows by more than tol.
 
-    Slacks are read off sub's rows; the value is the objective the entry
+    Slacks are read off the rows of sub's standard form, through the
+    operator the entry's rank reduction reads later (_hom_entry_point);
+    negating a >= row negates its residual exactly, so the slacks are
+    those of sub's own rows. The value is the objective the entry
     achieves. The solution carries no dual part (NaN multipliers, no dual
     blocks): the entry's dual certificate is the joint multipliers'
     bound, reported next to it.
     """
-    op = RowOperator(sub.rows, sub.block_dims)
+    op = to_standard_form(sub).operator
     resid = op.rhs - op.apply([x.to_dense() for x in blocks])
     slacks = op.slack_coeffs * resid
     miss = np.where(op.slack_coeffs == 0.0, np.abs(resid), -slacks)
@@ -333,58 +396,97 @@ def _joint_subsol(sub, blocks, achieved, tol):
     )
 
 
-def _analyse_entries(s: SeparableQcqp, b, sol, deltas, tol, solver=None) -> list:
-    """Per entry, (sub_value, gap, subsol, resolved): a value of the entry's
-    relaxation at its allocation, its gap to the objective the entry
-    achieves in sol, the entry's solution and whether that was re-solved.
+@dataclass(frozen=True)
+class _EntryAnalysis:
+    """One entry's optimality at its allocation (_analyse_entries).
 
-    The joint primal-dual pair comes first. Its multipliers bound every
-    entry's relaxation from below (_dual_bound); where the bound meets the
-    achieved objective within tol and the entry's joint blocks satisfy its
-    own rows, those blocks are an optimal solution of the entry (subsol,
-    not re-solved). Only the other entries are re-solved, in one lockstep
-    batch; an entry whose re-solve raises or stops short of Optimal keeps
-    the bound (subsol None). nan marks an entry with neither, or one whose
-    allocation leaves a variable-free row inconsistent.
+    value is a value of the entry's relaxation at its allocation, gap its
+    distance to the objective the entry achieves in the joint solution,
+    subsol the entry's solution and resolved whether that was re-solved.
+    A homogeneous entry also carries itself at its allocation (hom), that
+    problem's row reduction (reduction, from reduce_homogeneous_rows) and
+    its relaxation (sub, build_hom of the reduced problem); an
+    inhomogeneous one carries sub only when it was re-solved.
+    """
+
+    value: float
+    gap: float
+    subsol: SdpSolution | None
+    resolved: bool
+    hom: HomSepQcqp | None = None
+    reduction: tuple | None = None
+    sub: BlockSdp | None = None
+
+
+def _analyse_entries(
+    s: SeparableQcqp, b, sol, achieved, deltas, tol, solver=None
+) -> list:
+    """Every entry's _EntryAnalysis, in one pass over the entries.
+
+    achieved[p] is entry p's [objective, row values] at sol
+    (_entry_achieved) and deltas[p] its allocation. The joint primal-dual
+    pair comes first. Its multipliers bound every entry's relaxation from
+    below (_dual_bound; the psd tests of all entries stacked, see
+    _dual_feasible); where the bound meets the achieved objective within
+    tol and the entry's joint blocks satisfy its own rows, the entry is
+    optimal at its allocation and is not re-solved. An inhomogeneous
+    entry's rows are checked on the row values it already has
+    (_variable_free_rows_hold, _joint_rows_hold), so no sub-problem is
+    built for it; its solution is not read later and stays None. A
+    homogeneous entry's row reduction is computed here, once, and its
+    relaxation built: its joint blocks become its solution
+    (_joint_subsol), which the certificate and witness stages read.
+
+    Only the other entries are re-solved, in one lockstep batch; an entry
+    whose re-solve stops short of Optimal keeps the bound (subsol None).
+    nan marks an entry with neither, or one whose allocation leaves a
+    variable-free row inconsistent.
     """
     y, mus = _connection_duals(s, b, sol)
+    feasible = _dual_feasible(s, y, mus, tol)
 
-    def from_bound(achieved, bound, subsol, resolved):
+    def from_bound(obj, bound, subsol, resolved, **parts):
         if bound is None:
-            return (math.nan, math.nan, None, resolved)
-        return (bound, abs(achieved - bound), subsol, resolved)
+            return _EntryAnalysis(math.nan, math.nan, None, resolved, **parts)
+        return _EntryAnalysis(bound, abs(obj - bound), subsol, resolved, **parts)
 
     out, retry, ofs = [], {}, 0
     for p, entry in enumerate(s.blocks):
         cnt = _entry_block_count(entry)
         blocks = sol.blocks[ofs : ofs + cnt]
         ofs += cnt
-        achieved = float(_entry_achieved(entry, blocks)[0])
-        bound = _dual_bound(entry, deltas[p], y, mus[p], tol)
-        try:
-            sub, check = _sub_problem(entry, deltas[p])
-        except SepqcqpError:
-            out.append(from_bound(achieved, bound, None, False))
+        obj = float(achieved[p][0])
+        bound = _dual_bound(entry, deltas[p], y, mus[p], feasible[p])
+        close = bound is not None and abs(obj - bound) <= tol * (1.0 + abs(obj))
+        parts = {}
+        if isinstance(entry, HomSepQcqp):
+            h, reduction = _hom_at(entry, deltas[p])
+            parts = dict(hom=h, reduction=reduction, sub=build_hom(reduction[0]))
+            subsol = _joint_subsol(parts["sub"], blocks, obj, tol) if close else None
+            accept = subsol is not None
+        elif not _variable_free_rows_hold(entry, deltas[p], tol):
+            out.append(_EntryAnalysis(math.nan, math.nan, None, False))
             continue
-        if check(tol) is not None:
-            out.append((math.nan, math.nan, None, False))
-            continue
-        subsol = None
-        if bound is not None and abs(achieved - bound) <= tol * (1.0 + abs(achieved)):
-            subsol = _joint_subsol(sub, blocks, achieved, tol)
-        if subsol is None:
-            retry[p] = (sub, achieved, bound)
-            out.append(None)
         else:
-            out.append(from_bound(achieved, bound, subsol, False))
+            subsol = None
+            accept = close and _joint_rows_hold(
+                entry, achieved[p], deltas[p], blocks[0], tol
+            )
+            if not accept:
+                parts = dict(sub=_sub_problem(entry, deltas[p]))
+        if accept:
+            out.append(from_bound(obj, bound, subsol, False, **parts))
+        else:
+            retry[p] = (obj, bound, parts)
+            out.append(None)
 
-    resolved = solve_many([sub for sub, _, _ in retry.values()], solver)
-    for (p, (_, achieved, bound)), cand in zip(retry.items(), resolved):
+    resolved = solve_many([parts["sub"] for _, _, parts in retry.values()], solver)
+    for (p, (obj, bound, parts)), cand in zip(retry.items(), resolved):
         if isinstance(cand, SdpSolution) and cand.status is SolveStatus.OPTIMAL:
             value = float(cand.value)
-            out[p] = (value, abs(value - achieved), cand, True)
+            out[p] = _EntryAnalysis(value, abs(value - obj), cand, True, **parts)
         else:
-            out[p] = from_bound(achieved, bound, None, True)
+            out[p] = from_bound(obj, bound, None, True, **parts)
     return out
 
 
@@ -398,8 +500,10 @@ def verify_suboptimality(s: SeparableQcqp, sol, deltas, tol: float = 1e-6):
         raise DimensionError(
             f"{len(deltas)} allocations for {len(s.blocks)} entries"
         )
-    entries = _analyse_entries(s, build_block(s), sol, deltas, tol)
-    return np.array([gap for _, gap, _, _ in entries], dtype=np.float64)
+    entries = _analyse_entries(
+        s, build_block(s), sol, _achieved(s, sol), deltas, tol
+    )
+    return np.array([e.gap for e in entries], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +656,14 @@ def _global_witness(s, b, sol, opts):
     return rep, points
 
 
-def _hom_entry_point(entry, delta, subsol, opts):
-    """Rank-reduce a homogeneous entry's own relaxation and read a point."""
-    reduced, _ = reduce_homogeneous_rows(
-        HomSepQcqp(entry.blocks, list(entry.relations), delta)
-    )
-    std = to_standard_form(build_hom(reduced))
+def _hom_entry_point(sub, subsol, opts):
+    """Rank-reduce a homogeneous entry's own relaxation sub (the
+    _EntryAnalysis one, whose compiled rows _joint_subsol or the re-solve
+    has left on its standard form) and read a point."""
     try:
-        _, rep = reduce(std, subsol, tol=opts.tol, rank_tol=opts.rank_tol)
+        _, rep = reduce(
+            to_standard_form(sub), subsol, tol=opts.tol, rank_tol=opts.rank_tol
+        )
     except (ReductionStallError, StaleSolutionError):
         return None
     if rep.extracted is None:
@@ -567,18 +671,20 @@ def _hom_entry_point(entry, delta, subsol, opts):
     return np.concatenate(rep.extracted)
 
 
-def _salvage_point(entry, cert, gauge, blocks, delta, subsol, opts):
+def _salvage_point(entry, cert, gauge, blocks, analysis, opts):
     """Class-specific witness candidate for one entry, or None.
 
     Convex entries read the last column of their lifted block; sign
     entries take gauge-signed square roots of the diagonal; homogeneous
-    entries rank-reduce their own sub-relaxation.
+    entries rank-reduce their own sub-relaxation (analysis is the entry's
+    _EntryAnalysis).
     """
     try:
         if isinstance(entry, HomSepQcqp):
+            subsol = analysis.subsol
             if subsol is None or subsol.status is not SolveStatus.OPTIMAL:
                 return None
-            return _hom_entry_point(entry, delta, subsol, opts)
+            return _hom_entry_point(analysis.sub, subsol, opts)
         if cert.kind is CertificateKind.CONVEX:
             return extract_convex_solution(blocks[0])
         if gauge is not None:
@@ -645,23 +751,23 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             relaxation=sol,
         )
     eta = float(sol.value)
-    deltas = decompose_delta(s, sol)
-    analysed = _analyse_entries(s, b, sol, deltas, opts.tol, opts.solver)
+    achieved = _achieved(s, sol)
+    deltas = [vals[1:] for vals in achieved]
+    analysed = _analyse_entries(s, b, sol, achieved, deltas, opts.tol, opts.solver)
 
-    certs, gauges, sub_solutions, per_block = [], [], [], []
+    certs, gauges, per_block = [], [], []
     for p, entry in enumerate(s.blocks):
-        sub_value, gap, subsol, resolved = analysed[p]
+        e = analysed[p]
         gauge = None
         if isinstance(entry, HomSepQcqp):
-            h_delta = HomSepQcqp(entry.blocks, list(entry.relations), deltas[p])
-            cert = check_m_le_2(h_delta)
-            if not cert.holds and subsol is not None:
-                reduced, _ = reduce_homogeneous_rows(h_delta)
+            cert = check_m_le_2(e.hom, reduction=e.reduction)
+            if not cert.holds and e.subsol is not None:
+                reduced = e.reduction[0]
                 holds_a, count, _ = check_assumption_A(
-                    reduced, subsol, tol=opts.tol
+                    reduced, e.subsol, tol=opts.tol
                 )
                 if holds_a:
-                    where = "re-solved allocation" if resolved else "joint solution"
+                    where = "re-solved allocation" if e.resolved else "joint solution"
                     cert = Certificate(
                         kind=CertificateKind.HOM_LIMITED,
                         details=(
@@ -675,8 +781,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
 
         certs.append(cert)
         gauges.append(gauge)
-        sub_solutions.append(subsol)
-        per_block.append(PerBlockReport(cert, sub_value, gap))
+        per_block.append(PerBlockReport(cert, e.value, e.gap))
 
     certified = all(c.holds for c in certs)
 
@@ -694,8 +799,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
                 certs[p],
                 gauges[p],
                 sol.blocks[ofs : ofs + cnt],
-                deltas[p],
-                sub_solutions[p],
+                analysed[p],
                 opts,
             )
             ofs += cnt

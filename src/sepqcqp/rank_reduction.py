@@ -9,14 +9,14 @@ directions of that restricted system until none remain. Each move steps
 exactly to the cone boundary, so every iteration kills at least one block
 eigenvalue or one slack while preserving feasibility and objective value.
 
-The rows and the objective are compiled once per call into one
-sdpr_builder.RowOperator, the objective as its last row. Row values are
-the operator applied to the blocks. The restricted system projects, per
-block, only the rows active on that block, as one stacked F^T A F, so the
-(row, block) pairs without a matrix stay exactly zero. Every iterate takes
-one stacked eigendecomposition per block dimension: inside the walk it
-gives the factors, and at the end the final ranks, the Pataki count and
-the extracted points.
+The rows are the BlockSdp's compiled sdpr_builder.RowOperator (the one
+the solver used), with the objective appended as its last row. Row
+values are the operator applied to the blocks. The restricted system
+projects, per block, only the rows active on that block, as one stacked
+F^T A F, so the (row, block) pairs without a matrix stay exactly zero.
+Every iterate takes one stacked eigendecomposition per block dimension
+(symkernel.eigh_many): inside the walk it gives the factors, and at the
+end the final ranks, the Pataki count and the extracted points.
 
 At a null-free point the count sum_q r_q (r_q + 1) / 2 + #positive slacks
 cannot exceed the number of rows, which is what forces blockwise rank one
@@ -33,8 +33,8 @@ import numpy as np
 
 from .certificates import pataki_count
 from .errors import ReductionStallError, StaleSolutionError, StructureError
-from .sdpr_builder import BlockSdp, Row, RowOperator, SdpSolution, SolveStatus
-from .symkernel import SymMatrix, rank_of_eigenvalues
+from .sdpr_builder import BlockSdp, RowOperator, SdpSolution, SolveStatus
+from .symkernel import SymMatrix, eigh_many, rank_of_eigenvalues
 
 #: steps shorter than this count as stalled; two of them abort the run
 _STALL_STEP = 1e-14
@@ -48,11 +48,11 @@ class BlockKind(enum.Enum):
 def block_kinds_of(b: BlockSdp, op: RowOperator | None = None) -> list[BlockKind]:
     """A block is inhomogeneous exactly when a normalization row pins it.
 
-    op is b's compiled row operator (compiled here when not given; it may
+    op is b's compiled row operator (b.operator when not given; it may
     carry extra rows after b's): a row pins a block when it is active there.
     """
     if op is None:
-        op = RowOperator(b.rows, b.block_dims)
+        op = b.operator
     pins = np.zeros(op.n_rows, dtype=bool)
     pins[list(b.normalization_rows)] = True
     return [
@@ -107,21 +107,6 @@ def _unsvec(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-def _eigh_stacked(mats) -> list[tuple[np.ndarray, np.ndarray]]:
-    """np.linalg.eigh (eigenvalues ascending) of every matrix, one stacked
-    call per dimension. LAPACK still factors one matrix at a time, so each
-    result is bit for bit that of its own call."""
-    out = [None] * len(mats)
-    by_dim: dict[int, list[int]] = {}
-    for i, a in enumerate(mats):
-        by_dim.setdefault(a.shape[0], []).append(i)
-    for idx in by_dim.values():
-        lam, vec = np.linalg.eigh(np.stack([mats[i] for i in idx]))
-        for k, i in enumerate(idx):
-            out[i] = (lam[k], vec[k])
-    return out
-
-
 def reduce(
     b: BlockSdp,
     sol: SdpSolution,
@@ -138,7 +123,9 @@ def reduce(
     the row-count bound, and the extracted per-block factors when every
     block ended at rank <= 1.
 
-    b's rows and objective are compiled once into a RowOperator; each
+    b's rows are read from its compiled operator (b.operator), which the
+    solver built when it solved b, so nothing is compiled again; the
+    objective joins them as one extra row (RowOperator.with_row). Each
     iterate projects only the active (row, block) pairs, block by block in
     one stacked product, and factors all blocks with one stacked
     eigendecomposition per block dimension.
@@ -157,7 +144,7 @@ def reduce(
     m = b.n_rows
     dims = list(b.block_dims)
     # row m is the objective
-    op = RowOperator(b.rows + (Row(b.objective, 0, 0.0),), b.block_dims)
+    op = b.operator.with_row(b.objective)
     d_vec = op.rhs[:m]
     has_slack = op.slack_coeffs[:m] != 0
 
@@ -196,7 +183,7 @@ def reduce(
                 X[bi] = np.zeros_like(X[bi])
             else:
                 thawed.append(bi)
-        eigs = _eigh_stacked([0.5 * (X[bi] + X[bi].T) for bi in thawed])
+        eigs = eigh_many([0.5 * (X[bi] + X[bi].T) for bi in thawed])
         for bi, (lam, vec) in zip(thawed, eigs):
             cut = factor_cut * max(1.0, lam.max(initial=0.0))
             keep = lam > cut
@@ -286,7 +273,7 @@ def reduce(
     max_iter = sum(dims) + int(np.sum(has_slack)) + 5
 
     def spectra():
-        return _eigh_stacked([0.5 * (x + x.T) for x in X])
+        return eigh_many([0.5 * (x + x.T) for x in X])
 
     def make_report(eigs, extracted=None):
         ranks = [rank_of_eigenvalues(lam, rank_tol) for lam, _ in eigs]
@@ -431,7 +418,7 @@ def extract_point(
         )
     xs = [blk.to_dense() for blk in sol.blocks]
     return _extract(
-        _eigh_stacked([0.5 * (x + x.T) for x in xs]), block_kinds, tol, rank_tol
+        eigh_many([0.5 * (x + x.T) for x in xs]), block_kinds, tol, rank_tol
     )
 
 

@@ -7,9 +7,10 @@ an adaptive centering weight chosen from an affine probe step (the probe
 and the centering step share one factorization of the Schur complement).
 
 solve_many runs a batch of problems in lockstep, one iteration of every
-unfinished problem at a time. Each problem's rows are compiled once into a
-RowOperator, and the blocks of one dimension, over all problems of the
-batch, live in one (g, d, d) stack. NT scaling, S^-1, the step-length
+unfinished problem at a time. Each problem's rows are the RowOperator of
+its standard form (BlockSdp.operator, compiled once and read again by
+rank reduction), and the blocks of one dimension, over all problems of
+the batch, live in one (g, d, d) stack. NT scaling, S^-1, the step-length
 factorizations, the residuals and the Schur assembly cost one numpy call
 per dimension group; the Schur Cholesky factor and its solves cost one
 call per run of problems with equal row and slack counts. Step lengths,
@@ -212,13 +213,14 @@ def _py_min(a: np.ndarray, b) -> np.ndarray:
 
 
 class _Problem:
-    """One BlockSdp standardized, presolved and compiled for the iteration."""
+    """One BlockSdp standardized, presolved and compiled for the iteration
+    (full is the standard form's shared, read-only operator)."""
 
     def __init__(self, index: int, b: BlockSdp):
         self.index = index
         self.b = b
         std = to_standard_form(b)
-        self.full = RowOperator(std.rows, std.block_dims)
+        self.full = std.operator
         self.kept = _presolve(self.full)
         op = self.full.take(self.kept)
         self.dims = std.block_dims
@@ -797,7 +799,7 @@ def check_solution(b: BlockSdp, sol: SdpSolution, tol: float) -> ResidualReport:
     if len(sol.slacks) != len(b.rows):
         raise DimensionError("slack vector length mismatch")
 
-    op = RowOperator(b.rows, b.block_dims)
+    op = b.operator
     lhs = op.apply([x.to_dense() for x in sol.blocks])
     res = lhs + op.slack_coeffs * sol.slacks - op.rhs
     min_eigs = [

@@ -10,6 +10,7 @@ plus nonnegative slacks only.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,6 +49,9 @@ class BlockSdp:
     holds 1 for rows carrying a nonnegative slack and 0 for equalities.
     dropped_rows records original constraint indices removed because both
     their matrices and rhs were identically zero.
+
+    An instance is treated as immutable: its compiled rows (operator) and
+    its standard form (to_standard_form) are computed once and kept on it.
     """
 
     __slots__ = (
@@ -58,6 +62,8 @@ class BlockSdp:
         "slack_signs",
         "block_owner",
         "dropped_rows",
+        "_operator",
+        "_standard",
     )
 
     def __init__(self, block_dims, objective, rows, normalization_rows=(),
@@ -98,6 +104,15 @@ class BlockSdp:
         self.slack_signs = tuple(1 if r.slack_coeff != 0 else 0 for r in rows)
         self.block_owner = block_owner
         self.dropped_rows = tuple(int(k) for k in dropped_rows)
+        self._operator = None
+        self._standard = None
+
+    @property
+    def operator(self) -> "RowOperator":
+        """The rows compiled into a RowOperator, once per instance."""
+        if self._operator is None:
+            self._operator = RowOperator(self.rows, self.block_dims)
+        return self._operator
 
     @property
     def n_blocks(self) -> int:
@@ -156,7 +171,11 @@ class RowOperator:
     one (k, d, d) array, as SDPT3 keeps one stacked constraint matrix per
     block. Row sums run over the active blocks in block order, one
     np.sum(A * X) per (row, block) pair, so their roundoff is that of the
-    plain double loop.
+    plain double loop. Only the nonzero matrices are densified, and a
+    matrix object shared by many pairs (the zeros of build_block's
+    normalization rows) is tested once. The compiled arrays are
+    read-only: one operator is shared by everyone who reads the same
+    BlockSdp (BlockSdp.operator).
     """
 
     __slots__ = ("dims", "n_rows", "active", "stacks", "slack_coeffs", "rhs")
@@ -165,14 +184,38 @@ class RowOperator:
         self.dims = tuple(dims)
         self.n_rows = len(rows)
         self.active, self.stacks = [], []
+        # rows may share one matrix object (build_block's zeros): test each once
+        nonzero: dict[int, bool] = {}
         for bi, d in enumerate(self.dims):
-            mats = np.array([row.mats[bi].to_dense() for row in rows])
-            act = np.flatnonzero(mats.reshape(len(rows), d * d).any(axis=1))
-            mats = mats.reshape(len(rows), d, d)
-            self.active.append(act)
-            self.stacks.append(mats[act])
-        self.slack_coeffs = np.array([float(r.slack_coeff) for r in rows])
-        self.rhs = np.array([float(r.rhs) for r in rows])
+            act = []
+            for i, row in enumerate(rows):
+                mat = row.mats[bi]
+                hit = nonzero.get(id(mat))
+                if hit is None:
+                    hit = nonzero[id(mat)] = not mat.is_zero()
+                if hit:
+                    act.append(i)
+            stack = np.array([rows[i].mats[bi].to_dense() for i in act])
+            self.active.append(_frozen(np.array(act, dtype=np.intp)))
+            self.stacks.append(_frozen(stack.reshape(len(act), d, d)))
+        self.slack_coeffs = _frozen(np.array([float(r.slack_coeff) for r in rows]))
+        self.rhs = _frozen(np.array([float(r.rhs) for r in rows]))
+
+    def with_row(self, mats) -> "RowOperator":
+        """This operator plus one equality row (index n_rows, rhs 0) whose
+        matrix on block b is mats[b]; the other rows' arrays are shared."""
+        out = object.__new__(RowOperator)
+        out.dims, out.n_rows = self.dims, self.n_rows + 1
+        out.active, out.stacks = [], []
+        for act, stack, mat in zip(self.active, self.stacks, mats):
+            if not mat.is_zero():
+                act = _frozen(np.append(act, self.n_rows))
+                stack = _frozen(np.concatenate([stack, mat.to_dense()[None]]))
+            out.active.append(act)
+            out.stacks.append(stack)
+        out.slack_coeffs = _frozen(np.append(self.slack_coeffs, 0.0))
+        out.rhs = _frozen(np.append(self.rhs, 0.0))
+        return out
 
     def take(self, keep) -> "RowOperator":
         """The operator of the rows keep (ascending), renumbered 0.."""
@@ -213,6 +256,11 @@ class RowOperator:
         return mat
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def eval_rows(b: BlockSdp, blocks) -> np.ndarray:
     """Left-hand sides sum_b <mats, X_b> for every row (slack not included)."""
     if len(blocks) != b.n_blocks:
@@ -220,14 +268,16 @@ def eval_rows(b: BlockSdp, blocks) -> np.ndarray:
     for bi, (x, d) in enumerate(zip(blocks, b.block_dims)):
         if x.dim != d:
             raise DimensionError(f"block {bi} dim {x.dim} != {d}")
-    return RowOperator(b.rows, b.block_dims).apply([x.to_dense() for x in blocks])
+    return b.operator.apply([x.to_dense() for x in blocks])
 
 
 def objective_value(b: BlockSdp, blocks) -> float:
     return float(sum(frob_inner(m, x) for m, x in zip(b.objective, blocks)))
 
 
+@functools.cache
 def _corner_matrix(dim: int) -> SymMatrix:
+    """The unit corner matrix of one dimension (immutable, so shared)."""
     e = np.zeros((dim, dim))
     e[dim - 1, dim - 1] = 1.0
     return SymMatrix.from_dense(e)
@@ -306,6 +356,10 @@ def build_block(s: SeparableQcqp) -> BlockSdp:
     normalization row; each homogeneous entry contributes its q blocks and
     no normalization rows. Coupled row k sums every block's inner product
     against the shared rhs gamma_k.
+
+    A normalization row is zero on every block but its own. SymMatrix is
+    immutable, so those zeros are one matrix per block dimension, shared
+    by all P rows, and the unit corner one per dimension too.
     """
     dims: list[int] = []
     owner: list[int] = []
@@ -344,10 +398,14 @@ def build_block(s: SeparableQcqp) -> BlockSdp:
     ]
 
     norm_indices = set()
+    zero_row = None
     b0 = 0
     for p, blk in enumerate(s.blocks):
         if isinstance(blk, Qcqp):
-            mats = [SymMatrix.zeros(d) for d in dims]
+            if zero_row is None:
+                zero = {d: SymMatrix.zeros(d) for d in set(dims)}
+                zero_row = [zero[d] for d in dims]
+            mats = list(zero_row)
             mats[b0] = _corner_matrix(dims[b0])
             norm_indices.add(len(rows))
             rows.append(Row(tuple(mats), 0, 1.0, origin=-1))
@@ -369,9 +427,18 @@ def to_standard_form(b: BlockSdp) -> BlockSdp:
     """Rewrite every inequality row as an equality with a nonnegative slack.
 
     Rows with slack coefficient -1 (originally >=) are negated so all
-    slacks enter with +1. Idempotent; block structure, row count, row
-    order, and the optimal value are preserved.
+    slacks enter with +1. Block structure, row count, row order, and the
+    optimal value are preserved.
+
+    A standard-form input is returned unchanged, and any other input
+    gets its standard form built once and kept, so every caller (the
+    solver, rank reduction, judge) reads the same BlockSdp and with it
+    the same compiled operator.
     """
+    if b._standard is not None:
+        return b._standard
+    if all(row.slack_coeff != -1 for row in b.rows):
+        return b
     rows = []
     for row in b.rows:
         if row.slack_coeff == -1:
@@ -385,7 +452,7 @@ def to_standard_form(b: BlockSdp) -> BlockSdp:
             )
         else:
             rows.append(row)
-    return BlockSdp(
+    std = BlockSdp(
         b.block_dims,
         b.objective,
         rows,
@@ -393,6 +460,8 @@ def to_standard_form(b: BlockSdp) -> BlockSdp:
         block_owner=b.block_owner,
         dropped_rows=b.dropped_rows,
     )
+    b._standard = std
+    return std
 
 
 def lift_blocks(s: SeparableQcqp, parts) -> list[SymMatrix]:

@@ -4,8 +4,8 @@ Every matrix in the package (coefficient matrices, PSD variables, dual
 blocks) is a SymMatrix: a real symmetric matrix held as one read-only
 dense float64 array. The kernel supplies the handful of operations
 everything else is built from: Frobenius inner products, the
-eigendecomposition (LAPACK ``eigh`` through numpy), PSD tests, numeric
-rank, and low-rank PSD factorization.
+eigendecomposition (LAPACK ``eigh`` through numpy, one matrix or a
+stack of them), PSD tests, numeric rank, and low-rank PSD factorization.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class SymMatrix:
 
     def is_zero(self) -> bool:
         """True iff every entry is exactly zero."""
-        return not np.any(self._a)
+        return not self._a.any()
 
     # -- arithmetic (returns new instances) ---------------------------------
 
@@ -159,6 +159,38 @@ def eigen(a: SymMatrix) -> EigenDecomp:
     """Eigendecomposition by LAPACK ``eigh``, eigenvalues descending."""
     lam, vec = np.linalg.eigh(a._a)
     return EigenDecomp(lam[::-1].copy(), vec[:, ::-1].copy())
+
+
+def eigh_many(arrays) -> list[tuple[np.ndarray, np.ndarray]]:
+    """np.linalg.eigh (eigenvalues ascending) of every symmetric array,
+    one stacked call per dimension. LAPACK still factors one matrix at a
+    time, so each result is bit for bit that of its own call (and of
+    eigen, read in reverse)."""
+    out = [None] * len(arrays)
+    by_dim: dict[int, list[int]] = {}
+    for i, a in enumerate(arrays):
+        by_dim.setdefault(a.shape[0], []).append(i)
+    for idx in by_dim.values():
+        lam, vec = np.linalg.eigh(np.stack([arrays[i] for i in idx]))
+        for k, i in enumerate(idx):
+            out[i] = (lam[k], vec[k])
+    return out
+
+
+def is_psd_many(mats, tol: float = 1e-9) -> np.ndarray:
+    """is_psd of every SymMatrix in mats, as one boolean array.
+
+    The spectra come from eigh_many, one stacked eigh per dimension, so
+    each flag is the one is_psd gives for that matrix alone: lambda_min(a)
+    >= -tol * max(1, ||a||_F), with the norm of SymMatrix.norm.
+    """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    flags = np.ones(len(mats), dtype=bool)
+    live = [i for i, a in enumerate(mats) if a.dim]
+    for i, (lam, _) in zip(live, eigh_many([mats[i]._a for i in live])):
+        flags[i] = float(lam[0]) >= -tol * max(1.0, mats[i].norm())
+    return flags
 
 
 def is_psd(a: SymMatrix, tol: float = 1e-9) -> bool:

@@ -503,6 +503,59 @@ class TestExitCodes:
         assert run_cli(capsys, "--help")[0] == 0
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-iter", "0"),
+            ("--rank-tol", "0"),
+            ("--tol", "-1"),
+            ("--tol", "nan"),
+        ],
+        ids=["max-iter-0", "rank-tol-0", "tol-negative", "tol-nan"],
+    )
+    def test_bad_tolerance_or_cap_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, flag, value
+    ):
+        # rejected while parsing: nothing is solved or judged
+        def no_judge(*args, **kwargs):
+            raise AssertionError("judge ran on a rejected flag")
+
+        path = tmp_path / "cvx.sq"
+        write_problem(small_qcqp(), str(path))
+        monkeypatch.setattr(cli, "judge", no_judge)
+        code, out, err = run_cli(capsys, "judge", str(path), flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}" in err
+
+    def test_parser_is_built_once_per_process(self, capsys, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_arg_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        path = tmp_path / "fam.sq"
+        write_problem(make_example51(2.5), str(path))
+        monkeypatch.setattr(cli, "build_arg_parser", counted)
+        cli._arg_parser.cache_clear()
+        try:
+            code, out, _ = run_cli(
+                capsys, "solve", str(path), "--format", "json", "--no-timestamp"
+            )
+            assert code == 0
+            assert json.loads(out)["command"] == "solve"
+            code, out, _ = run_cli(
+                capsys, "example51", "--alpha", "2", "--format", "json",
+                "--no-timestamp",
+            )
+            assert code == 0
+            assert json.loads(out)["command"] == "example51"
+        finally:
+            cli._arg_parser.cache_clear()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
         "model, solver_status",
         [
             (make_example51(4.0), "Diverged"),  # no strictly feasible point

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepqcqp import connection
+from sepqcqp import certificates, connection, sdpr_builder
 from sepqcqp.certificates import (
     CertificateKind,
     SignCase,
@@ -51,8 +51,8 @@ from sepqcqp.qcqp_model import (
 )
 from sepqcqp.qcqp_model import eval as qf_eval
 from sepqcqp.sdp_solver import solve, solve_many
-from sepqcqp.sdpr_builder import SolveStatus, build_block
-from sepqcqp.symkernel import frob_inner
+from sepqcqp.sdpr_builder import RowOperator, SolveStatus, build_block, build_shor
+from sepqcqp.symkernel import SymMatrix, frob_inner, is_psd
 
 from test_sdp_solver import family_value
 
@@ -347,7 +347,7 @@ class TestEntryFallback:
         s, v, batches = self.judged(monkeypatch, 2)
         plain = judge(s)
         assert [len(b) for b in batches] == [1]
-        sub = connection._sub_problem(s.blocks[2], v.delta_decomposition[2])[0]
+        sub = connection._sub_problem(s.blocks[2], v.delta_decomposition[2])
         assert repr(batches[0][0]) == repr(sub)
         assert [r.rhs for r in batches[0][0].rows] == [r.rhs for r in sub.rows]
         sol = solve(sub)
@@ -699,7 +699,7 @@ def judged_iterations(s, monkeypatch) -> tuple:
         m.setattr(connection, "solve_many", counted_many)
         v = judge(s)
     subs = [
-        connection._sub_problem(entry, delta)[0]
+        connection._sub_problem(entry, delta)
         for entry, delta in zip(s.blocks, v.delta_decomposition)
     ]
     entries = sum(sol.iterations for sol in solve_many(subs))
@@ -726,3 +726,266 @@ class TestIterationsPinned:
             h = make_example51(alpha)
             iters, problems = judged_iterations(SeparableQcqp([h], h.rhs), monkeypatch)
             assert (iters, problems) == (ref[key], 0), key
+
+
+# ---------------------------------------------------------------------------
+# the inhomogeneous row check against the sub-problem path it replaced
+
+
+def reference_sub_problem(entry, delta):
+    """An inhomogeneous entry's relaxation at delta, built as judge built it
+    before reading the row check off the row values: (BlockSdp, check),
+    check(tol) naming an inconsistent variable-free row or None."""
+    delta = np.asarray(delta, dtype=np.float64)
+    full = Qcqp(entry.n, entry.objective, list(entry.constraints), delta)
+    stripped, kept = strip_variable_free_rows(full)
+    dropped = [k for k in range(len(delta)) if k not in kept]
+
+    def check(tol):
+        for k in dropped:
+            rel, dk = entry.relations[k], float(delta[k])
+            if not rel.holds(0.0, dk, tol * (1.0 + abs(dk))):
+                return f"variable-free row {k} inconsistent"
+        return None
+
+    return build_shor(stripped), check
+
+
+def reference_joint_rows_hold(sub, blocks, tol):
+    """Do the joint blocks satisfy sub's rows, read off its own compiled
+    RowOperator, within tol?"""
+    op = RowOperator(sub.rows, sub.block_dims)
+    resid = op.rhs - op.apply([x.to_dense() for x in blocks])
+    miss = np.where(op.slack_coeffs == 0.0, np.abs(resid), -op.slack_coeffs * resid)
+    return bool(np.all(miss <= tol * (1.0 + np.abs(op.rhs))))
+
+
+def reference_dual_bound(entry, delta, y, mu, tol):
+    """The dual bound with one is_psd call per entry."""
+    yscale = tol * (1.0 + float(np.abs(y).max(initial=0.0)))
+    for k, rel in enumerate(entry.relations):
+        if (rel is Relation.LE and y[k] > yscale) or (
+            rel is Relation.GE and y[k] < -yscale
+        ):
+            return None
+    acc = entry.objective.B.to_dense().copy()
+    for k, (f, _) in enumerate(entry.constraints):
+        if y[k] != 0.0:
+            acc -= y[k] * f.B.to_dense()
+    acc[entry.n, entry.n] -= mu
+    if not is_psd(SymMatrix.from_dense(acc), tol):
+        return None
+    return float(y @ delta) + mu
+
+
+def reference_analysis(s, b, sol, deltas, tol):
+    """(value, gap, resolved) of every inhomogeneous entry, by the
+    sub-problem path: build each entry's relaxation, accept its joint
+    block where the dual bound meets the achieved objective and the block
+    satisfies the compiled rows, re-solve the rest in one batch."""
+    y, mus = connection._connection_duals(s, b, sol)
+    out, retry = [], {}
+    for p, entry in enumerate(s.blocks):
+        blocks = sol.blocks[p : p + 1]
+        achieved = float(connection._entry_achieved(entry, blocks)[0])
+        bound = reference_dual_bound(entry, deltas[p], y, mus[p], tol)
+        sub, check = reference_sub_problem(entry, deltas[p])
+        if check(tol) is not None:
+            out.append((math.nan, math.nan, False))
+            continue
+        if (
+            bound is not None
+            and abs(achieved - bound) <= tol * (1.0 + abs(achieved))
+            and reference_joint_rows_hold(sub, blocks, tol)
+        ):
+            out.append((bound, abs(achieved - bound), False))
+            continue
+        retry[p] = (sub, achieved, bound)
+        out.append(None)
+    resolved = solve_many([sub for sub, _, _ in retry.values()])
+    for (p, (_, achieved, bound)), cand in zip(retry.items(), resolved):
+        if cand.status is SolveStatus.OPTIMAL:
+            out[p] = (float(cand.value), abs(float(cand.value) - achieved), True)
+        elif bound is None:
+            out[p] = (math.nan, math.nan, True)
+        else:
+            out[p] = (bound, abs(achieved - bound), True)
+    return out
+
+
+def mixed_relation_connection(rng):
+    """Two or three entries of one to three variables over one to three
+    shared rows of any relation, each row variable-free for some entries
+    but never for the first, feasible at a random reference point (<= and
+    >= rows with a margin, = rows exactly)."""
+    entries, n, m = (int(rng.integers(lo, hi)) for lo, hi in ((2, 4), (1, 4), (1, 4)))
+    relations = [Relation(r) for r in rng.choice(["le", "eq", "ge"], size=m)]
+    parts, values = [], np.zeros(m)
+    for p in range(entries):
+        x = rng.standard_normal(n)
+        g = rng.standard_normal((n, n))
+        obj = qf(g @ g.T / n + 0.3 * np.eye(n), rng.standard_normal(n))
+        cons = []
+        for k in range(m):
+            if p > 0 and rng.uniform() < 0.4:
+                cons.append(QuadFunc.zero(n))
+            else:
+                g = rng.standard_normal((n, n))
+                cons.append(qf(g @ g.T / n, rng.standard_normal(n)))
+            values[k] += qf_eval(cons[-1], x)
+        parts.append((obj, cons))
+    sign = np.array([{"le": 1.0, "eq": 0.0, "ge": -1.0}[r.value] for r in relations])
+    gamma = values + sign * rng.uniform(0.2, 1.0, size=m)
+    return SeparableQcqp(
+        [Qcqp(n, obj, list(zip(cons, relations)), gamma) for obj, cons in parts],
+        gamma,
+    )
+
+
+def margin(rng):
+    """A perturbation size far from the tolerance boundary (tol = 1e-6)."""
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 0.0))
+
+
+class TestQcqpRowCheckReference:
+    """An inhomogeneous entry's row check reads the row values and the
+    corner entry judge already has; it decides as building the entry's
+    sub-problem and checking the joint block against its compiled rows
+    did, and every entry's (value, gap, resolved) is the same."""
+
+    @pytest.mark.parametrize(
+        "case", ["joint", "row_cut", "variable_free", "corner"]
+    )
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=8)
+    def test_matches_sub_problem_path(self, case, seed):
+        rng = np.random.default_rng(seed)
+        s = mixed_relation_connection(rng)
+        b = build_block(s)
+        sol = solve(b)
+        if sol.status is not SolveStatus.OPTIMAL:
+            return
+        if case == "corner":  # move one entry's unit corner off 1
+            p = int(rng.integers(len(s.blocks)))
+            x = sol.blocks[p].to_dense()
+            x[-1, -1] += margin(rng)
+            blocks = list(sol.blocks)
+            blocks[p] = SymMatrix.from_dense(x)
+            sol = dataclasses.replace(sol, blocks=blocks)
+        deltas = [d.copy() for d in decompose_delta(s, sol)]
+        for p, entry in enumerate(s.blocks):
+            for k, (f, _) in enumerate(entry.constraints):
+                # a cut (or a loosening) on any row with variables, or a
+                # consistent or inconsistent rhs on a variable-free one
+                if (case == "row_cut" and not f.is_zero()) or (
+                    case == "variable_free" and f.is_zero()
+                ):
+                    if rng.uniform() < 0.7:
+                        deltas[p][k] += margin(rng)
+        tol = JudgeOptions().tol
+        achieved = [
+            connection._entry_achieved(e, sol.blocks[p : p + 1])
+            for p, e in enumerate(s.blocks)
+        ]
+        got = connection._analyse_entries(s, b, sol, achieved, deltas, tol)
+        want = reference_analysis(s, b, sol, deltas, tol)
+        assert [repr((e.value, e.gap, e.resolved)) for e in got] == [
+            repr(w) for w in want
+        ]
+        assert all(e.subsol is None for e in got if not e.resolved)
+
+
+# ---------------------------------------------------------------------------
+# judge builds, compiles and reduces each thing once
+
+
+def convex_connection(entries, n, m, seed):
+    """entries strictly convex QCQPs of n variables sharing m <= rows,
+    strictly feasible at a random reference point."""
+    rng = np.random.default_rng(seed)
+    values, parts = np.zeros(m), []
+    for _ in range(entries):
+        x = rng.standard_normal(n) / np.sqrt(n)
+        g = rng.standard_normal((n, n))
+        obj = qf(g @ g.T / n + 0.5 * np.eye(n), rng.standard_normal(n))
+        cons = []
+        for k in range(m):
+            g = rng.standard_normal((n, n))
+            cons.append(qf(g @ g.T / n + 0.1 * np.eye(n), rng.standard_normal(n)))
+            values[k] += qf_eval(cons[-1], x)
+        parts.append((obj, cons))
+    gamma = values + rng.uniform(0.5, 1.5, size=m) * entries
+    rows = [Relation.LE] * m
+    return SeparableQcqp(
+        [Qcqp(n, obj, list(zip(cons, rows)), gamma) for obj, cons in parts],
+        gamma,
+    )
+
+
+class TestJudgeDoesEachOnce:
+    """Counts of the work judge repeated: the row operator is compiled
+    once, no inhomogeneous sub-problem is built, build_block allocates one
+    zero matrix per block dimension, and a homogeneous entry's rows are
+    reduced once."""
+
+    def counted(self, monkeypatch, s):
+        calls = {"compile": 0, "build_shor": 0, "zeros": 0, "reduce_rows": 0}
+        in_build = []
+        init, zeros = sdpr_builder.RowOperator.__init__, SymMatrix.zeros
+        build, shor = connection.build_block, connection.build_shor
+        reduce_rows = certificates.reduce_homogeneous_rows
+
+        def counter(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def counted_zeros(dim):
+            calls["zeros"] += bool(in_build)
+            return zeros(dim)
+
+        def counted_build(*args, **kwargs):
+            in_build.append(1)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                in_build.pop()
+
+        with monkeypatch.context() as m:
+            m.setattr(sdpr_builder.RowOperator, "__init__", counter("compile", init))
+            m.setattr(SymMatrix, "zeros", staticmethod(counted_zeros))
+            m.setattr(connection, "build_block", counted_build)
+            m.setattr(connection, "build_shor", counter("build_shor", shor))
+            wrapped = counter("reduce_rows", reduce_rows)
+            m.setattr(connection, "reduce_homogeneous_rows", wrapped)
+            m.setattr(certificates, "reduce_homogeneous_rows", wrapped)
+            v = judge(s)
+        return v, calls
+
+    def test_wide_convex_connection(self, monkeypatch):
+        s = convex_connection(16, 3, 3, seed=1)
+        v, calls = self.counted(monkeypatch, s)
+        assert v.status is VerdictStatus.EXACT_CERTIFIED
+        assert v.reduction is not None
+        assert calls["compile"] == 1
+        assert calls["build_shor"] == 0
+        assert 1 <= calls["zeros"] <= len({e.n + 1 for e in s.blocks})
+
+    def test_example52_reduces_homogeneous_rows_once(self, monkeypatch):
+        s = make_example52(0)
+        v, calls = self.counted(monkeypatch, s)
+        assert v.exact
+        assert sum(isinstance(e, HomSepQcqp) for e in s.blocks) == 1
+        assert calls["reduce_rows"] == 1
+
+
+class TestJudgeOptions:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tol", "rank_tol"])
+    def test_rejects_non_positive_or_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            JudgeOptions(**{name: value})
+
+    def test_defaults_accepted(self):
+        assert JudgeOptions().tol == JudgeOptions().rank_tol == 1e-6

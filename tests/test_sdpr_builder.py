@@ -213,6 +213,18 @@ class TestStandardForm:
             assert ra.slack_coeff == rb.slack_coeff and ra.rhs == rb.rhs
             assert all((ma - mb).is_zero() for ma, mb in zip(ra.mats, rb.mats))
 
+    def test_built_once(self):
+        # a standard-form input is its own standard form; any other input
+        # keeps the one it was given, and with it one compiled operator
+        std_in = build_shor(tiny_qcqp())
+        assert to_standard_form(std_in) is std_in
+        cons = [(qf([[1.0]]), Relation.GE), (qf([[2.0]]), Relation.LE)]
+        b = build_shor(Qcqp(1, qf([[1.0]]), cons, [1.0, 2.0]))
+        std = to_standard_form(b)
+        assert std is not b
+        assert to_standard_form(b) is std and to_standard_form(std) is std
+        assert std.operator is std.operator
+
 
 class TestBlockSdpValidation:
     def test_normalization_row_must_be_equality(self):
@@ -266,3 +278,47 @@ class TestRowOperator:
         for act, stack, full_act in zip(part.active, part.stacks, op.active):
             assert list(np.asarray(keep)[act]) == [i for i in full_act if i % 2 == 0]
             assert len(stack) == len(act)
+
+    def test_operator_is_shared_and_read_only(self):
+        b = build_block(make_example52(0))
+        op = b.operator
+        assert b.operator is op
+        for arrays in (op.active, op.stacks, [op.slack_coeffs, op.rhs]):
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[...] = 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_with_row_matches_compiling_the_row(self, seed):
+        b = to_standard_form(build_block(make_example52(seed)))
+        extended = b.operator.with_row(b.objective)
+        plain = RowOperator(b.rows + (Row(b.objective, 0, 0.0),), b.block_dims)
+        assert extended.n_rows == plain.n_rows == b.n_rows + 1
+        for got, want in zip(extended.active, plain.active):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(extended.stacks, plain.stacks):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(extended.slack_coeffs, plain.slack_coeffs)
+        np.testing.assert_array_equal(extended.rhs, plain.rhs)
+
+
+class TestBuildBlockSharing:
+    def test_normalization_rows_share_one_zero_per_dimension(self):
+        entries = [
+            Qcqp(n, qf(np.eye(n)), [(qf(np.eye(n)), Relation.LE)], [float(n)])
+            for n in (1, 2, 2, 1, 3)
+        ]
+        s = SeparableQcqp(entries, [9.0])
+        b = build_block(s)
+        norm = [b.rows[i] for i in sorted(b.normalization_rows)]
+        assert len(norm) == len(entries)
+        zeros = {}
+        for bi, row in enumerate(norm):
+            for bj, mat in enumerate(row.mats):
+                if bj == bi:
+                    assert mat[mat.dim - 1, mat.dim - 1] == 1.0
+                else:
+                    assert mat.is_zero()
+                    assert zeros.setdefault(mat.dim, mat) is mat
+        assert sorted(zeros) == [2, 3, 4]  # block dims n + 1

@@ -16,8 +16,10 @@ from sepqcqp.errors import DimensionError, NotPsdError
 from sepqcqp.symkernel import (
     SymMatrix,
     eigen,
+    eigh_many,
     frob_inner,
     is_psd,
+    is_psd_many,
     numeric_rank,
     psd_factor,
 )
@@ -200,6 +202,43 @@ class TestIsPsd:
         a = sym([[1e6, 0.0], [0.0, -1e-5]])
         assert is_psd(a, tol=1e-9)
         assert not is_psd(sym([[1.0, 0.0], [0.0, -1e-5]]), tol=1e-9)
+
+
+class TestStacked:
+    """eigh_many and is_psd_many against one call per matrix, bit for bit:
+    LAPACK factors a stack one matrix at a time."""
+
+    @given(seeds, st.lists(st.integers(min_value=0, max_value=6), max_size=12))
+    @settings(max_examples=30)
+    def test_match_one_call_per_matrix(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for d in sizes:
+            # shift some spectra to straddle zero, so both flags occur
+            shift = float(rng.choice([0.0, 0.5, 2.0])) * np.eye(d)
+            mats.append(SymMatrix.from_dense(random_sym(rng, d).to_dense() + shift))
+        live = [a for a in mats if a.dim]
+        for a, (lam, vec) in zip(live, eigh_many([a.to_dense() for a in live])):
+            dec = eigen(a)
+            assert lam.tobytes() == dec.eigenvalues[::-1].tobytes()
+            assert vec.tobytes() == np.ascontiguousarray(dec.eigenvectors[:, ::-1]).tobytes()
+        for tol in (1e-9, 0.1):
+            flags = is_psd_many(mats, tol)
+            assert flags.dtype == bool and flags.shape == (len(mats),)
+            assert list(flags) == [is_psd(a, tol) for a in mats]
+            for a, flag in zip(mats, flags):
+                if a.dim:
+                    # eigvalsh is the oracle away from the threshold
+                    lam_min = float(np.linalg.eigvalsh(a.to_dense())[0])
+                    cut = -tol * max(1.0, a.norm())
+                    if abs(lam_min - cut) > 1e-12:
+                        assert flag == (lam_min >= cut)
+
+    def test_empty_and_negative_tol(self):
+        assert is_psd_many([]).shape == (0,)
+        assert eigh_many([]) == []
+        with pytest.raises(ValueError):
+            is_psd_many([SymMatrix.identity(2)], tol=-1.0)
 
 
 class TestNumericRank:
