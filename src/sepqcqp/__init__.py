@@ -4,7 +4,8 @@ rank-one recovery.
 Modules:
     symkernel      symmetric-matrix numerics (dense storage, LAPACK eigen)
     qcqp_model     problem data model, evaluation, brute-force oracle
-    sdpr_builder   Shor / block / homogeneous relaxation builders
+    sdpr_builder   the relaxation of a connection (Shor and homogeneous
+                   relaxations are connections of one entry)
     sdp_solver     batched primal-dual interior-point solver for block SDPs
     certificates   exactness class checks (convex, sign-pattern, homogeneous)
     rank_reduction extreme-point rank reduction and point extraction
@@ -17,7 +18,6 @@ from .errors import (
     DimensionError,
     GenerationError,
     InfeasibleStructureError,
-    NotPsdError,
     ParseError,
     RangeError,
     ReductionStallError,
@@ -26,15 +26,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .symkernel import (
-    EigenDecomp,
-    SymMatrix,
-    eigen,
-    frob_inner,
-    is_psd,
-    numeric_rank,
-    psd_factor,
-)
+from .symkernel import SymMatrix, frob_inner, is_psd, numeric_rank
 from .qcqp_model import (
     INFEASIBLE,
     HomSepQcqp,
@@ -45,9 +37,7 @@ from .qcqp_model import (
     brute_force,
     connect,
     flatten,
-    hom_to_qcqp,
     hom_values,
-    is_feasible,
     lift,
     split_point,
 )
@@ -60,18 +50,9 @@ from .sdpr_builder import (
     build_block,
     build_hom,
     build_shor,
-    eval_rows,
-    lift_blocks,
-    objective_value,
     to_standard_form,
 )
-from .sdp_solver import (
-    ResidualReport,
-    SolverOptions,
-    check_solution,
-    solve,
-    solve_many,
-)
+from .sdp_solver import SolverOptions, solve, solve_many
 from .certificates import (
     AssumptionBreakdown,
     Certificate,
@@ -83,20 +64,11 @@ from .certificates import (
     check_convex,
     check_m_le_2,
     check_sign_pattern,
-    cycle_basis,
     extract_convex_solution,
-    pataki_bound_holds,
     reduce_homogeneous_rows,
     sign_gauge,
 )
-from .rank_reduction import (
-    BlockKind,
-    ExtractResult,
-    ReductionReport,
-    block_kinds_of,
-    extract_point,
-    reduce,
-)
+from .rank_reduction import BlockKind, ExtractResult, ReductionReport, reduce
 from .connection import (
     BilevelReport,
     BilevelRow,
@@ -111,8 +83,6 @@ from .connection import (
     make_example52,
     nonpositive_gauge,
     strip_variable_free_rows,
-    validate_example52,
-    verify_suboptimality,
 )
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation
 from .sdpr_builder import SdpSolution
-from .symkernel import SymMatrix, frob_inner, is_psd_many, numeric_rank
+from .symkernel import SymMatrix, frob_inner, is_psd_many
 
 
 class CertificateKind(enum.Enum):
@@ -500,10 +500,3 @@ def pataki_count(ranks, slacks, rank_tol: float) -> int:
     smax = float(slacks.max(initial=0.0))
     nnz_slack = int(np.sum(slacks > rank_tol * (1.0 + smax)))
     return sum(r * (r + 1) // 2 for r in ranks) + nnz_slack
-
-
-def pataki_bound_holds(sol: SdpSolution, m: int, rank_tol: float = 1e-6) -> bool:
-    """Extreme-point rank inequality: the Pataki count of sol (pataki_count)
-    is at most m."""
-    ranks = [numeric_rank(v, tol=rank_tol) for v in sol.blocks]
-    return pataki_count(ranks, sol.slacks, rank_tol) <= m

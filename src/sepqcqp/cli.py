@@ -41,13 +41,7 @@ from .errors import (
 from .qcqp_model import HomSepQcqp, Qcqp, QuadFunc, Relation, SeparableQcqp
 from .rank_reduction import reduce as reduce_solution
 from .sdp_solver import SolverOptions, solve
-from .sdpr_builder import (
-    SolveStatus,
-    build_block,
-    build_hom,
-    build_shor,
-    to_standard_form,
-)
+from .sdpr_builder import SolveStatus, build_block, to_standard_form
 from .symkernel import SymMatrix, numeric_rank
 
 SCHEMA_VERSION = 1
@@ -55,6 +49,9 @@ SCHEMA_VERSION = 1
 _KINDS = ("qcqp", "separable", "homogeneous")
 _RELATION_NAMES = tuple(r.value for r in Relation)
 _TABLE_ALPHAS = (0.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0)
+#: largest |entry| a problem file may give: building its matrix forms
+#: (A + A^T) / 2, whose sum doubles every entry before halving it
+_SYMMETRIZABLE_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +368,11 @@ def validate_problem_file(pf: ProblemFile) -> None:
                 seen_ij.add((i, j))
                 if not np.isfinite(v):
                     raise ValidationError("value must be finite", field=epath)
+                if abs(v) > _SYMMETRIZABLE_MAX:
+                    raise ValidationError(
+                        "value overflows when the matrix is symmetrized",
+                        field=epath,
+                    )
                 if btype == "qcqp" and i == frame and j == frame and v != 0.0:
                     raise ValidationError(
                         "homogenization corner entry must be absent or zero",
@@ -457,9 +459,17 @@ def parse_text(text: str):
 
 
 def parse(path: str):
-    """Problem file on disk -> validated model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    """Problem file on disk (UTF-8 text) -> validated model."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"not UTF-8 text: {e.reason} at byte {e.start}",
+            line=data.count(b"\n", 0, e.start) + 1,
+        ) from None
+    return parse_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +689,6 @@ def _provenance(sol, rank_tol: float) -> dict:
     }
 
 
-def _build_sdpr(model):
-    if isinstance(model, Qcqp):
-        return build_shor(model)
-    if isinstance(model, HomSepQcqp):
-        return build_hom(model)
-    return build_block(model)
-
-
 def _as_connection(model) -> SeparableQcqp:
     if isinstance(model, SeparableQcqp):
         return model
@@ -721,7 +723,7 @@ def _exit_for(v: ExactnessVerdict) -> int:
 
 def _cmd_solve(ns):
     model = parse(ns.file)
-    sol = solve(_build_sdpr(model), _solver_options(ns))
+    sol = solve(build_block(_as_connection(model)), _solver_options(ns))
     payload = {"kind": _kind_name(model), "solver": _provenance(sol, ns.rank_tol)}
     return (0 if sol.status is SolveStatus.OPTIMAL else 2), payload
 
@@ -780,7 +782,7 @@ def _cmd_judge(ns):
 
 def _cmd_reduce(ns):
     model = parse(ns.file)
-    b = _build_sdpr(model)
+    b = build_block(_as_connection(model))
     sol = solve(b, _solver_options(ns))
     prov = _provenance(sol, ns.rank_tol)
     if sol.status is not SolveStatus.OPTIMAL:
@@ -825,10 +827,9 @@ def _cmd_reduce(ns):
 
 
 def _example51_row(alpha: float, ns) -> tuple[dict, bool]:
-    h = make_example51(alpha)
-    b = build_hom(h)
-    v = judge(SeparableQcqp([h], h.rhs), _judge_options(ns))
-    # the connection of one homogeneous entry relaxes to build_hom(h), so
+    conn = _as_connection(make_example51(alpha))
+    b = build_block(conn)
+    v = judge(conn, _judge_options(ns))
     # judge's relaxation solution is that of b
     sol = v.relaxation
     if sol is None:
@@ -974,15 +975,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of an iteration cap: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type of an integer >= low (an iteration cap, a seed)."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    return convert
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -1001,7 +1006,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-iter",
         dest="max_iter",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=200,
         help="interior-point iteration cap",
     )
@@ -1063,7 +1068,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="seeded three-entry mixed-class instance: generate and judge",
     )
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_int_at_least(0), required=True)
     sp.set_defaults(handler=_cmd_example52)
 
     return p
@@ -1087,15 +1092,15 @@ def run(argv=None) -> int:
         return 0 if e.code in (None, 0) else int(e.code)
     try:
         code, payload = ns.handler(ns)
-    except (ParseError, ValidationError, SepqcqpError, OSError) as e:
+        text = _render(ns, payload)
+        if ns.out:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (SepqcqpError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    text = _render(ns, payload)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -164,8 +164,15 @@ class BilevelReport:
 # allocation and per-entry optimality
 
 
-def _entry_block_count(entry) -> int:
-    return entry.q_hat if isinstance(entry, HomSepQcqp) else 1
+def _entry_slices(s: SeparableQcqp) -> list:
+    """Where each entry's blocks sit in build_block's block list: one slice
+    per entry (its q blocks for a homogeneous entry, one otherwise)."""
+    out, ofs = [], 0
+    for entry in s.blocks:
+        cnt = entry.q_hat if isinstance(entry, HomSepQcqp) else 1
+        out.append(slice(ofs, ofs + cnt))
+        ofs += cnt
+    return out
 
 
 def _entry_achieved(entry, blocks) -> np.ndarray:
@@ -191,28 +198,23 @@ def decompose_delta(s: SeparableQcqp, sol) -> list:
     sol is feasible the allocations jointly respect every relation
     against gamma.
     """
-    return [vals[1:] for vals in _achieved(s, sol)]
+    return [vals[1:] for vals in _achieved(s, sol, _entry_slices(s))]
 
 
-def _achieved(s: SeparableQcqp, sol) -> list:
-    """_entry_achieved of every entry at sol's blocks, [objective, rows];
-    decompose_delta's allocations are the row parts."""
-    counts = [_entry_block_count(e) for e in s.blocks]
-    if len(sol.blocks) != sum(counts):
-        raise DimensionError(
-            f"{len(sol.blocks)} solution blocks, expected {sum(counts)}"
-        )
+def _achieved(s: SeparableQcqp, sol, slices) -> list:
+    """_entry_achieved of every entry at its blocks of sol (slices, from
+    _entry_slices), [objective, rows]; decompose_delta's allocations are
+    the row parts."""
+    total = slices[-1].stop
+    if len(sol.blocks) != total:
+        raise DimensionError(f"{len(sol.blocks)} solution blocks, expected {total}")
     out = []
-    ofs = 0
-    for entry, cnt in zip(s.blocks, counts):
-        blocks = sol.blocks[ofs : ofs + cnt]
-        ofs += cnt
+    for entry, sl in zip(s.blocks, slices):
+        blocks = sol.blocks[sl]
         want = entry.dims if isinstance(entry, HomSepQcqp) else [entry.n + 1]
-        for q in range(cnt):
-            if blocks[q].dim != want[q]:
-                raise DimensionError(
-                    f"solution block dim {blocks[q].dim}, expected {want[q]}"
-                )
+        for x, d in zip(blocks, want):
+            if x.dim != d:
+                raise DimensionError(f"solution block dim {x.dim}, expected {d}")
         out.append(_entry_achieved(entry, blocks))
     return out
 
@@ -419,13 +421,14 @@ class _EntryAnalysis:
 
 
 def _analyse_entries(
-    s: SeparableQcqp, b, sol, achieved, deltas, tol, solver=None
+    s: SeparableQcqp, b, sol, slices, achieved, deltas, tol, solver=None
 ) -> list:
     """Every entry's _EntryAnalysis, in one pass over the entries.
 
-    achieved[p] is entry p's [objective, row values] at sol
-    (_entry_achieved) and deltas[p] its allocation. The joint primal-dual
-    pair comes first. Its multipliers bound every entry's relaxation from
+    Entry p's blocks of sol are sol.blocks[slices[p]] (_entry_slices),
+    achieved[p] is its [objective, row values] there (_entry_achieved)
+    and deltas[p] its allocation. The joint primal-dual pair comes
+    first. Its multipliers bound every entry's relaxation from
     below (_dual_bound; the psd tests of all entries stacked, see
     _dual_feasible); where the bound meets the achieved objective within
     tol and the entry's joint blocks satisfy its own rows, the entry is
@@ -450,11 +453,9 @@ def _analyse_entries(
             return _EntryAnalysis(math.nan, math.nan, None, resolved, **parts)
         return _EntryAnalysis(bound, abs(obj - bound), subsol, resolved, **parts)
 
-    out, retry, ofs = [], {}, 0
+    out, retry = [], {}
     for p, entry in enumerate(s.blocks):
-        cnt = _entry_block_count(entry)
-        blocks = sol.blocks[ofs : ofs + cnt]
-        ofs += cnt
+        blocks = sol.blocks[slices[p]]
         obj = float(achieved[p][0])
         bound = _dual_bound(entry, deltas[p], y, mus[p], feasible[p])
         close = bound is not None and abs(obj - bound) <= tol * (1.0 + abs(obj))
@@ -488,22 +489,6 @@ def _analyse_entries(
         else:
             out[p] = from_bound(obj, bound, None, True, **parts)
     return out
-
-
-def verify_suboptimality(s: SeparableQcqp, sol, deltas, tol: float = 1e-6):
-    """Gap between each entry's achieved objective and its own relaxation
-    at the entry's allocation; nan marks a failed verification.
-
-    The gap is read off the connection's dual solution where that bound
-    closes it; the remaining entries are re-solved at their allocations."""
-    if len(deltas) != len(s.blocks):
-        raise DimensionError(
-            f"{len(deltas)} allocations for {len(s.blocks)} entries"
-        )
-    entries = _analyse_entries(
-        s, build_block(s), sol, _achieved(s, sol), deltas, tol
-    )
-    return np.array([e.gap for e in entries], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +618,10 @@ def _verify_witness(s: SeparableQcqp, points, eta, tol):
     return obj, abs(obj - eta) <= tol * (1.0 + abs(eta))
 
 
-def _global_witness(s, b, sol, opts):
-    """Rank reduction of the full block solution: (report, per-entry points).
+def _global_witness(b, sol, slices, opts):
+    """Rank reduction of the full block solution: (report, per-entry points),
+    each entry's point joined from its blocks' vectors (slices, from
+    _entry_slices).
 
     The report is None when the reduction stalls or finds the solution
     stale; the points are None unless every block ended at rank <= 1.
@@ -647,12 +634,10 @@ def _global_witness(s, b, sol, opts):
         return None, None
     if rep.extracted is None:
         return rep, None
-    points, ofs = [], 0
-    for entry in s.blocks:
-        cnt = _entry_block_count(entry)
-        vecs = rep.extracted[ofs : ofs + cnt]
-        ofs += cnt
-        points.append(np.concatenate(vecs) if cnt > 1 else vecs[0])
+    points = []
+    for sl in slices:
+        vecs = rep.extracted[sl]
+        points.append(np.concatenate(vecs) if len(vecs) > 1 else vecs[0])
     return rep, points
 
 
@@ -751,9 +736,12 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             relaxation=sol,
         )
     eta = float(sol.value)
-    achieved = _achieved(s, sol)
+    slices = _entry_slices(s)
+    achieved = _achieved(s, sol, slices)
     deltas = [vals[1:] for vals in achieved]
-    analysed = _analyse_entries(s, b, sol, achieved, deltas, opts.tol, opts.solver)
+    analysed = _analyse_entries(
+        s, b, sol, slices, achieved, deltas, opts.tol, opts.solver
+    )
 
     certs, gauges, per_block = [], [], []
     for p, entry in enumerate(s.blocks):
@@ -786,23 +774,21 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     certified = all(c.holds for c in certs)
 
     # witness hunt: global rank reduction, then per-entry constructions
-    reduction, points = _global_witness(s, b, sol, opts)
+    reduction, points = _global_witness(b, sol, slices, opts)
     witness_obj, witnessed = None, False
     if points is not None:
         witness_obj, witnessed = _verify_witness(s, points, eta, opts.tol)
     if not witnessed:
-        candidate, ofs = [], 0
+        candidate = []
         for p, entry in enumerate(s.blocks):
-            cnt = _entry_block_count(entry)
             pt = _salvage_point(
                 entry,
                 certs[p],
                 gauges[p],
-                sol.blocks[ofs : ofs + cnt],
+                sol.blocks[slices[p]],
                 analysed[p],
                 opts,
             )
-            ofs += cnt
             if pt is None:
                 candidate = None
                 break

@@ -2,7 +2,7 @@
 
 Every failure mode has its own class so callers can react precisely:
 structural problems (shape/relation mismatches) are distinguished from
-numerical ones (non-PSD inputs, reduction stalls), and parse errors carry
+numerical ones (reduction stalls, stale solutions), and parse errors carry
 source locations.
 """
 
@@ -13,10 +13,6 @@ class SepqcqpError(Exception):
 
 class DimensionError(SepqcqpError):
     """Operands have incompatible dimensions."""
-
-
-class NotPsdError(SepqcqpError):
-    """A matrix required to be positive semidefinite is not (within tol)."""
 
 
 class StructureError(SepqcqpError):

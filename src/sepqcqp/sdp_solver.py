@@ -78,13 +78,13 @@ def _presolve(op: RowOperator) -> list[int]:
     if mat.shape[0] == 0:
         return []
     rank_a = np.linalg.matrix_rank(mat)
-    rank_ad = np.linalg.matrix_rank(np.hstack([mat, rhs[:, None]]))
-    if rank_ad > rank_a:
+    if rank_a == mat.shape[0]:
+        # full row rank: no rhs can contradict the rows
+        return list(range(mat.shape[0]))
+    if np.linalg.matrix_rank(np.hstack([mat, rhs[:, None]])) > rank_a:
         raise InfeasibleStructureError(
             "equality rows are contradictory (rank test on [rows | rhs])"
         )
-    if rank_a == mat.shape[0]:
-        return list(range(mat.shape[0]))
     kept: list[int] = []
     stack = np.zeros((0, mat.shape[1]))
     for i in range(mat.shape[0]):

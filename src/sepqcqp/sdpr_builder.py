@@ -1,10 +1,12 @@
 """Builders turning QCQP data into block semidefinite programs.
 
-Every relaxation here replaces a rank-one lifted point with a free PSD
-matrix per block. Inhomogeneous blocks get one extra normalization row
-pinning their corner entry to 1; homogeneous blocks get none. Inequality
-rows carry a signed scalar slack so the solver can work with equalities
-plus nonnegative slacks only.
+Every relaxation here is that of a horizontal connection (build_block):
+a single QCQP (build_shor) or homogeneous separable QCQP (build_hom) is
+the connection of one entry. Each replaces a rank-one lifted point with
+a free PSD matrix per block. Inhomogeneous blocks get one extra
+normalization row pinning their corner entry to 1; homogeneous blocks
+get none. Inequality rows carry a signed scalar slack so the solver can
+work with equalities plus nonnegative slacks only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation, SeparableQcqp
-from .symkernel import SymMatrix, frob_inner
+from .symkernel import SymMatrix
 
 #: slack coefficient per relation: <A,X> + c*s = rhs with s >= 0
 _SLACK_COEFF = {Relation.LE: 1, Relation.EQ: 0, Relation.GE: -1}
@@ -121,11 +123,6 @@ class BlockSdp:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def coupled_rows(self) -> list[int]:
-        """Indices of the non-normalization rows, in original constraint order."""
-        return [i for i in range(len(self.rows)) if i not in self.normalization_rows]
 
     def __repr__(self) -> str:
         return (
@@ -261,20 +258,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def eval_rows(b: BlockSdp, blocks) -> np.ndarray:
-    """Left-hand sides sum_b <mats, X_b> for every row (slack not included)."""
-    if len(blocks) != b.n_blocks:
-        raise DimensionError(f"{len(blocks)} blocks given, expected {b.n_blocks}")
-    for bi, (x, d) in enumerate(zip(blocks, b.block_dims)):
-        if x.dim != d:
-            raise DimensionError(f"block {bi} dim {x.dim} != {d}")
-    return b.operator.apply([x.to_dense() for x in blocks])
-
-
-def objective_value(b: BlockSdp, blocks) -> float:
-    return float(sum(frob_inner(m, x) for m, x in zip(b.objective, blocks)))
-
-
 @functools.cache
 def _corner_matrix(dim: int) -> SymMatrix:
     """The unit corner matrix of one dimension (immutable, so shared)."""
@@ -283,70 +266,30 @@ def _corner_matrix(dim: int) -> SymMatrix:
     return SymMatrix.from_dense(e)
 
 
-def _drop_zero_rows(mats_per_row, relations, rhs):
-    """Split rows into (kept k-indices, dropped k-indices).
-
-    A row whose matrices are all identically zero and whose rhs is exactly
-    0 is vacuous under any relation; keeping it would make the solver's
-    linear algebra needlessly singular.
-    """
-    kept, dropped = [], []
-    for k, mats in enumerate(mats_per_row):
-        if float(rhs[k]) == 0.0 and all(m.is_zero() for m in mats):
-            dropped.append(k)
-        else:
-            kept.append(k)
-    if dropped:
+def _warn_dropped(b: BlockSdp) -> BlockSdp:
+    """Warn about b's dropped rows at the line that called the public
+    builder (stacklevel 3: this helper, the builder, its caller)."""
+    if b.dropped_rows:
         warnings.warn(
-            f"dropping identically-zero rows with zero rhs: {dropped}",
+            f"dropping identically-zero rows with zero rhs: {list(b.dropped_rows)}",
             stacklevel=3,
         )
-    return kept, dropped
+    return b
 
 
 def build_shor(q: Qcqp) -> BlockSdp:
-    """Relaxation of one inhomogeneous QCQP: a single (n+1)-dim PSD block.
-
-    Row k reads <B_k, X> (+/- slack) = rhs_k; the final row pins the corner
-    X_{n+1,n+1} to 1 so rank-one feasible X are exactly lifted points.
-    """
-    dim = q.n + 1
-    mats_per_row = [[f.B] for f, _ in q.constraints]
-    kept, dropped = _drop_zero_rows(mats_per_row, q.relations, q.rhs)
-    rows = [
-        Row((q.constraints[k][0].B,), _SLACK_COEFF[q.constraints[k][1]],
-            float(q.rhs[k]), origin=k)
-        for k in kept
-    ]
-    rows.append(Row((_corner_matrix(dim),), 0, 1.0, origin=-1))
-    return BlockSdp(
-        (dim,),
-        (q.objective.B,),
-        rows,
-        normalization_rows={len(rows) - 1},
-        dropped_rows=dropped,
-    )
+    """Relaxation of one inhomogeneous QCQP, built as the connection of its
+    single entry: one (n+1)-dim PSD block, row k reading
+    <B_k, X> (+/- slack) = rhs_k, and a last row pinning the corner
+    X_{n+1,n+1} to 1, so rank-one feasible X are exactly lifted points."""
+    return _warn_dropped(_relax(SeparableQcqp([q], q.rhs)))
 
 
 def build_hom(h: HomSepQcqp) -> BlockSdp:
-    """Relaxation of a homogeneous separable QCQP: one PSD block per q,
-    coupled rows only, no normalization."""
-    dims = h.dims
-    mats_per_row = [
-        [h.blocks[q][k + 1] for q in range(h.q_hat)] for k in range(h.m)
-    ]
-    kept, dropped = _drop_zero_rows(mats_per_row, h.relations, h.rhs)
-    rows = [
-        Row(tuple(mats_per_row[k]), _SLACK_COEFF[h.relations[k]],
-            float(h.rhs[k]), origin=k)
-        for k in kept
-    ]
-    return BlockSdp(
-        tuple(dims),
-        tuple(h.blocks[q][0] for q in range(h.q_hat)),
-        rows,
-        dropped_rows=dropped,
-    )
+    """Relaxation of a homogeneous separable QCQP, built as the connection
+    of its single entry: one PSD block per q, coupled rows only, no
+    normalization."""
+    return _warn_dropped(_relax(SeparableQcqp([h], h.rhs)))
 
 
 def build_block(s: SeparableQcqp) -> BlockSdp:
@@ -355,7 +298,16 @@ def build_block(s: SeparableQcqp) -> BlockSdp:
     Each inhomogeneous entry contributes one (n^p+1)-dim block plus a
     normalization row; each homogeneous entry contributes its q blocks and
     no normalization rows. Coupled row k sums every block's inner product
-    against the shared rhs gamma_k.
+    against the shared rhs gamma_k. A coupled row whose matrices are all
+    identically zero and whose rhs is exactly 0 is vacuous under any
+    relation; it is dropped (with a warning), since keeping it would make
+    the solver's linear algebra needlessly singular.
+    """
+    return _warn_dropped(_relax(s))
+
+
+def _relax(s: SeparableQcqp) -> BlockSdp:
+    """build_block's relaxation, without the warning.
 
     A normalization row is zero on every block but its own. SymMatrix is
     immutable, so those zeros are one matrix per block dimension, shared
@@ -364,7 +316,6 @@ def build_block(s: SeparableQcqp) -> BlockSdp:
     dims: list[int] = []
     owner: list[int] = []
     obj: list[SymMatrix] = []
-    norm_mats: list[tuple] = []  # one per inhomogeneous block, built below
     per_entry_row_mats: list[list[list[SymMatrix]]] = []
 
     for p, blk in enumerate(s.blocks):
@@ -385,17 +336,14 @@ def build_block(s: SeparableQcqp) -> BlockSdp:
                 ]
             )
 
-    m = s.m
-    mats_per_row = [
-        [mat for entry in per_entry_row_mats for mat in entry[k]]
-        for k in range(m)
-    ]
-    kept, dropped = _drop_zero_rows(mats_per_row, s.relations, s.gamma)
-    rows = [
-        Row(tuple(mats_per_row[k]), _SLACK_COEFF[s.relations[k]],
-            float(s.gamma[k]), origin=k)
-        for k in kept
-    ]
+    rows, dropped = [], []
+    for k, rel in enumerate(s.relations):
+        mats = [mat for entry in per_entry_row_mats for mat in entry[k]]
+        rhs = float(s.gamma[k])
+        if rhs == 0.0 and all(m.is_zero() for m in mats):
+            dropped.append(k)
+        else:
+            rows.append(Row(tuple(mats), _SLACK_COEFF[rel], rhs, origin=k))
 
     norm_indices = set()
     zero_row = None
@@ -462,35 +410,3 @@ def to_standard_form(b: BlockSdp) -> BlockSdp:
     )
     b._standard = std
     return std
-
-
-def lift_blocks(s: SeparableQcqp, parts) -> list[SymMatrix]:
-    """Lift per-entry feasible points into the block layout of build_block.
-
-    parts[p] is the point for entry p: a vector for a Qcqp entry, and the
-    concatenation of the q-block coordinates for a homogeneous entry. The
-    result satisfies every coupled row of build_block(s) exactly when the
-    points satisfy the QCQP rows, with equal objective value.
-    """
-    from .qcqp_model import lift  # local import avoids cycle at module load
-
-    if len(parts) != len(s.blocks):
-        raise DimensionError(f"{len(parts)} points for {len(s.blocks)} entries")
-    out: list[SymMatrix] = []
-    for blk, u in zip(s.blocks, parts):
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        if isinstance(blk, Qcqp):
-            if u.shape != (blk.n,):
-                raise DimensionError(f"point shape {u.shape}, expected ({blk.n},)")
-            out.append(lift(u))
-        else:
-            ofs = 0
-            for d in blk.dims:
-                v = u[ofs : ofs + d]
-                out.append(SymMatrix.from_dense(np.outer(v, v)))
-                ofs += d
-            if ofs != u.shape[0]:
-                raise DimensionError(
-                    f"point has {u.shape[0]} coords, expected {ofs}"
-                )
-    return out

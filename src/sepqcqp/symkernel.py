@@ -5,7 +5,7 @@ blocks) is a SymMatrix: a real symmetric matrix held as one read-only
 dense float64 array. The kernel supplies the handful of operations
 everything else is built from: Frobenius inner products, the
 eigendecomposition (LAPACK ``eigh`` through numpy, one matrix or a
-stack of them), PSD tests, numeric rank, and low-rank PSD factorization.
+stack of them), PSD tests and numeric rank.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotPsdError
+from .errors import DimensionError
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -203,11 +203,6 @@ def is_psd(a: SymMatrix, tol: float = 1e-9) -> bool:
     return float(dec.eigenvalues[-1]) >= -tol * max(1.0, a.norm())
 
 
-def _rank_threshold(lam: np.ndarray, tol: float) -> float:
-    lam_max = float(np.max(np.abs(lam)))
-    return max(tol * max(1.0, lam_max), _EPS * len(lam))
-
-
 def rank_of_eigenvalues(lam: np.ndarray, tol: float = 1e-6) -> int:
     """Count of eigenvalues with |lambda| above the relative threshold.
 
@@ -219,33 +214,10 @@ def rank_of_eigenvalues(lam: np.ndarray, tol: float = 1e-6) -> int:
         raise ValueError("tol must be positive")
     if len(lam) == 0:
         return 0
-    return int(np.sum(np.abs(lam) > _rank_threshold(lam, tol)))
+    threshold = max(tol * max(1.0, float(np.max(np.abs(lam)))), _EPS * len(lam))
+    return int(np.sum(np.abs(lam) > threshold))
 
 
 def numeric_rank(a: SymMatrix, tol: float = 1e-6) -> int:
     """rank_of_eigenvalues of a's spectrum."""
     return rank_of_eigenvalues(eigen(a).eigenvalues, tol)
-
-
-def psd_factor(a: SymMatrix, tol: float = 1e-9) -> np.ndarray:
-    """Factor a PSD matrix as F F^T with F of shape (dim, numeric_rank).
-
-    Negative eigenvalues within -tol * max(1, ||a||_F) are clipped to zero;
-    anything below that raises NotPsdError. The reconstruction satisfies
-    ||F F^T - a||_F <= 10 * tol * max(1, ||a||_F).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a.dim == 0:
-        return np.zeros((0, 0))
-    dec = eigen(a)
-    lam, vec = dec.eigenvalues, dec.eigenvectors
-    scale = max(1.0, a.norm())
-    if float(lam[-1]) < -tol * scale:
-        raise NotPsdError(
-            f"matrix is not PSD within tol: lambda_min = {lam[-1]:.3e}, "
-            f"bound = {-tol * scale:.3e}"
-        )
-    keep = lam > _rank_threshold(lam, tol)
-    r = int(np.sum(keep))
-    return vec[:, :r] * np.sqrt(np.clip(lam[:r], 0.0, None))

@@ -6,10 +6,13 @@ composed pipeline, a weak-duality property sweep over every instance
 family, and the blockwise rank-one guarantee for two-row instances.
 """
 
+import inspect
 import json
 import time
 
 import numpy as np
+
+import sepqcqp
 
 from sepqcqp.certificates import (
     CertificateKind,
@@ -459,3 +462,41 @@ class TestTwoRowRankOne:
                 continue
             assert all(r <= 1 for r in rep.final_ranks), seed
         assert stalls <= 2
+
+
+# ---------------------------------------------------------------------------
+# the package's public surface
+
+
+#: every non-module public name of the sepqcqp package: the model, the
+#: builders, solver, certificates, rank reduction and judge the paper
+#: names, the example generators, and the error types
+PUBLIC_NAMES = {
+    "AssumptionBreakdown", "BilevelReport", "BilevelRow", "BlockKind",
+    "BlockSdp", "Certificate", "CertificateKind", "DimensionError",
+    "ExactnessVerdict", "ExtractResult", "GenerationError", "HomSepQcqp",
+    "INFEASIBLE", "InfeasibleStructureError", "JudgeOptions", "ParseError",
+    "PerBlockReport", "Qcqp", "QuadFunc", "RangeError", "ReductionReport",
+    "ReductionStallError", "Relation", "Row", "SdpSolution", "SeparableQcqp",
+    "SepqcqpError", "SignCase", "SolveStatus", "SolverOptions",
+    "SparsityGraph", "StaleSolutionError", "StructureError", "SymMatrix",
+    "ValidationError", "VerdictStatus", "aggregated_graph", "bilevel_report",
+    "brute_force", "build_block", "build_hom", "build_shor",
+    "check_assumption_A", "check_convex", "check_m_le_2",
+    "check_sign_pattern", "connect", "decompose_delta", "eval_quad",
+    "extract_convex_solution", "flatten", "frob_inner", "hom_values",
+    "is_psd", "judge", "lift", "make_example51", "make_example52",
+    "nonpositive_gauge", "numeric_rank", "reduce", "reduce_homogeneous_rows",
+    "sign_gauge", "solve", "solve_many", "split_point",
+    "strip_variable_free_rows", "to_standard_form",
+}
+
+
+def test_public_names_are_the_audited_list():
+    names = {
+        name
+        for name, value in vars(sepqcqp).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert names == PUBLIC_NAMES
+    assert len(names) == 68

@@ -15,7 +15,6 @@ from sepqcqp.certificates import (
     check_sign_pattern,
     cycle_basis,
     extract_convex_solution,
-    pataki_bound_holds,
     pataki_count,
     reduce_homogeneous_rows,
     sign_gauge,
@@ -30,7 +29,7 @@ from sepqcqp.qcqp_model import (
 )
 from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import SdpSolution, SolveStatus, build_hom, build_shor
-from sepqcqp.symkernel import SymMatrix
+from sepqcqp.symkernel import SymMatrix, numeric_rank
 
 
 def qf(quad, linear=None):
@@ -426,29 +425,32 @@ class TestPatakiBound:
             value=0.0,
         )
 
+    def count(self, sol):
+        """The Pataki count of sol at the default rank threshold."""
+        ranks = [numeric_rank(x) for x in sol.blocks]
+        return pataki_count(ranks, sol.slacks, 1e-6)
+
     def test_rank_one_tight(self):
         sol = self.make_sol([sym([[1.0]])], [0.0])
-        assert pataki_bound_holds(sol, m=1)
+        assert self.count(sol) == 1
 
     def test_rank_two_at_limit(self):
         sol = self.make_sol(
             [sym([[2.0, 0.5], [0.5, 1.0]]), SymMatrix.zeros(1)], [0.0, 0.0, 0.0]
         )
-        assert pataki_bound_holds(sol, m=3)
-        assert not pataki_bound_holds(sol, m=2)
+        assert self.count(sol) == 3
 
     def test_slacks_counted(self):
         sol = self.make_sol(
             [sym([[1.0]]), sym([[1.0]])], [0.5, 0.0, 0.0, 0.0]
         )
-        # 1 + 1 + one nonzero slack = 3 <= 4
-        assert pataki_bound_holds(sol, m=4)
-        assert not pataki_bound_holds(sol, m=2)
+        # 1 + 1 + one nonzero slack
+        assert self.count(sol) == 3
 
     def test_family_rank2_point(self):
         sol = solve(build_hom(two_block_family(2.5)))
-        # rank 2 block + zero block + zero slacks: 3 <= 3
-        assert pataki_bound_holds(sol, m=3)
+        # rank 2 block + zero block + zero slacks, within m = 3 rows
+        assert self.count(sol) <= 3
 
     def test_count_reads_slacks_relative_to_the_largest(self):
         # 3 + 1 + 0 for the ranks; the 1e-6 slack falls under

@@ -3,6 +3,9 @@ report schemas."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -499,6 +502,34 @@ class TestExitCodes:
         assert run_cli(capsys, "frobnicate")[0] == 1
         assert run_cli(capsys, "example52")[0] == 1
 
+    @pytest.mark.parametrize(
+        "case", ["overflowing-entry", "not-utf8", "out-dir-missing", "negative-seed"]
+    )
+    def test_failure_exits_1_with_one_error_line(self, capsys, tmp_path, case):
+        path = tmp_path / "p.sq"
+        path.write_text(QCQP_TEXT)
+        argv = ["judge", str(path)]
+        if case == "overflowing-entry":
+            # symmetrizing doubles the entry past the largest float
+            path.write_text(QCQP_TEXT.replace("1 3 -1.0", "1 3 1e308"))
+        elif case == "not-utf8":
+            path.write_bytes(QCQP_TEXT.encode().replace(b"tiny", b"t\xffny"))
+        elif case == "out-dir-missing":
+            argv += ["--out", str(tmp_path / "missing" / "report.txt")]
+        else:
+            argv = ["example52", "--seed", "-1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        want = {
+            "overflowing-entry": "blocks[0].matrices[0].entries[1]",
+            "not-utf8": "line 1: not UTF-8",
+            "out-dir-missing": "No such file or directory",
+            "negative-seed": "argument --seed",
+        }[case]
+        assert want in err
+
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
@@ -577,3 +608,33 @@ class TestExitCodes:
         solver = rep["solver"]
         assert (None if solver is None else solver["status"]) == solver_status
         assert rep["bilevel"] is None
+
+
+class TestEntryPoint:
+    """python -m sepqcqp runs main() through __main__."""
+
+    def test_module_judges_and_reports_failures(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+
+        def module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "sepqcqp", *argv],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+
+        good = tmp_path / "good.sq"
+        write_problem(small_qcqp(), str(good))
+        res = module("judge", str(good), "--format", "json")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["command"] == "judge"
+
+        bad = tmp_path / "bad.sq"
+        bad.write_bytes(b"schema_version 1\n\xff\n")
+        res = module("judge", str(bad))
+        assert res.returncode == 1
+        assert "error:" in res.stderr
+        assert "Traceback" not in res.stderr

@@ -32,7 +32,6 @@ from sepqcqp.connection import (
     nonpositive_gauge,
     strip_variable_free_rows,
     validate_example52,
-    verify_suboptimality,
 )
 from sepqcqp.errors import (
     DimensionError,
@@ -145,28 +144,44 @@ class TestDecomposeDelta:
             decompose_delta(s, other)
 
 
+def entry_gaps(s, sol, deltas, tol=1e-6):
+    """Each entry's optimality gap at allocation deltas, as judge's
+    per-entry analysis reads it off sol; nan marks a failed check."""
+    slices = connection._entry_slices(s)
+    achieved = connection._achieved(s, sol, slices)
+    entries = connection._analyse_entries(
+        s, build_block(s), sol, slices, achieved, deltas, tol
+    )
+    return np.array([e.gap for e in entries], dtype=np.float64)
+
+
 class TestVerifySuboptimality:
+    """The per-entry gaps judge reports (PerBlockReport.optimality_gap),
+    at the achieved allocations and at moved ones."""
+
     def test_single_entry_gap_zero(self):
         s = single_convex_connection()
         sol = solved(s)
         deltas = decompose_delta(s, sol)
-        gaps = verify_suboptimality(s, sol, deltas)
+        gaps = entry_gaps(s, sol, deltas)
         assert gaps.shape == (1,)
         assert gaps[0] <= 1e-6
+        assert [pb.optimality_gap for pb in judge(s).per_block] == list(gaps)
 
     def test_two_block_convex_gaps_small(self):
         s = two_convex_connection()
         sol = solved(s)
-        gaps = verify_suboptimality(s, sol, decompose_delta(s, sol))
+        gaps = entry_gaps(s, sol, decompose_delta(s, sol))
         assert np.all(np.isfinite(gaps))
         assert np.all(gaps <= 1e-6)
+        assert [pb.optimality_gap for pb in judge(s).per_block] == list(gaps)
 
     def test_perturbed_allocation_detected(self):
         s = two_convex_connection()
         sol = solved(s)
         deltas = decompose_delta(s, sol)
         deltas[0] = deltas[0] + 0.1
-        gaps = verify_suboptimality(s, sol, deltas)
+        gaps = entry_gaps(s, sol, deltas)
         assert gaps[0] > 1e-3
 
     def test_allocation_cut_on_a_loose_row_detected(self):
@@ -178,14 +193,8 @@ class TestVerifySuboptimality:
         deltas = decompose_delta(s, sol)
         deltas[0] = deltas[0].copy()
         deltas[0][1] -= 3.0
-        gaps = verify_suboptimality(s, sol, deltas)
+        gaps = entry_gaps(s, sol, deltas)
         assert gaps[0] > 1e-3
-
-    def test_length_mismatch(self):
-        s = two_convex_connection()
-        sol = solved(s)
-        with pytest.raises(DimensionError):
-            verify_suboptimality(s, sol, [np.zeros(s.m)])
 
     def test_inconsistent_variable_free_row_is_nan(self):
         # rows 0 and 1 carry no variable of entry 0; an allocation of 1 (or
@@ -196,7 +205,7 @@ class TestVerifySuboptimality:
         rel = s.relations[0]
         deltas[0] = deltas[0].copy()
         deltas[0][0] = -1.0 if rel is Relation.LE else 1.0
-        gaps = verify_suboptimality(s, sol, deltas)
+        gaps = entry_gaps(s, sol, deltas)
         assert math.isnan(gaps[0])
         assert np.all(np.isfinite(gaps[1:]))
 
@@ -299,13 +308,10 @@ class TestJudge:
 
 def achieved_objectives(s, v) -> list:
     """The objective each entry achieves at the verdict's relaxation."""
-    out, ofs = [], 0
-    for entry in s.blocks:
-        cnt = connection._entry_block_count(entry)
-        blocks = v.relaxation.blocks[ofs : ofs + cnt]
-        ofs += cnt
-        out.append(float(connection._entry_achieved(entry, blocks)[0]))
-    return out
+    return [
+        float(connection._entry_achieved(entry, v.relaxation.blocks[sl])[0])
+        for entry, sl in zip(s.blocks, connection._entry_slices(s))
+    ]
 
 
 def failed(sol):
@@ -883,11 +889,12 @@ class TestQcqpRowCheckReference:
                     if rng.uniform() < 0.7:
                         deltas[p][k] += margin(rng)
         tol = JudgeOptions().tol
+        slices = connection._entry_slices(s)
         achieved = [
             connection._entry_achieved(e, sol.blocks[p : p + 1])
             for p, e in enumerate(s.blocks)
         ]
-        got = connection._analyse_entries(s, b, sol, achieved, deltas, tol)
+        got = connection._analyse_entries(s, b, sol, slices, achieved, deltas, tol)
         want = reference_analysis(s, b, sol, deltas, tol)
         assert [repr((e.value, e.gap, e.resolved)) for e in got] == [
             repr(w) for w in want

@@ -32,10 +32,9 @@ from sepqcqp.sdpr_builder import (
     build_block,
     build_hom,
     build_shor,
-    eval_rows,
     to_standard_form,
 )
-from sepqcqp.symkernel import SymMatrix, numeric_rank, psd_factor
+from sepqcqp.symkernel import SymMatrix, numeric_rank
 
 from test_sdp_solver import family_value, two_block_family
 
@@ -60,7 +59,7 @@ def hand_solution(b, blocks, value, slacks=None):
 
 
 def max_residual(b, sol):
-    vals = eval_rows(b, sol.blocks) + sol.slacks * np.array(
+    vals = b.operator.apply([x.to_dense() for x in sol.blocks]) + sol.slacks * np.array(
         [row.slack_coeff for row in b.rows], dtype=float
     )
     rhs = np.array([row.rhs for row in b.rows])
@@ -367,9 +366,7 @@ class TestInvariants:
         sol = solve(b)
         assert sol.status is SolveStatus.OPTIMAL
         tol = 1e-7
-        budget = sum(
-            psd_factor(blk, tol=1e-9).shape[1] for blk in sol.blocks
-        )
+        budget = sum(numeric_rank(blk, tol=1e-9) for blk in sol.blocks)
         red, rep = reduce(b, sol, tol=tol)
         rhs_scale = 1.0 + max(abs(row.rhs) for row in b.rows)
         assert max_residual(b, red) <= 10 * tol * rhs_scale
@@ -385,9 +382,9 @@ class TestInvariants:
         assert sol.status is SolveStatus.OPTIMAL
         tol = 1e-7
         smax = float(np.abs(sol.slacks).max(initial=0.0))
-        budget = sum(
-            psd_factor(blk, tol=1e-9).shape[1] for blk in sol.blocks
-        ) + int(np.sum(sol.slacks > tol * (1.0 + smax)))
+        budget = sum(numeric_rank(blk, tol=1e-9) for blk in sol.blocks) + int(
+            np.sum(sol.slacks > tol * (1.0 + smax))
+        )
         red, rep = reduce(b, sol, tol=tol)
         rhs_scale = 1.0 + max(abs(row.rhs) for row in b.rows)
         assert max_residual(b, red) <= 10 * tol * rhs_scale

@@ -173,6 +173,33 @@ class TestStatuses:
         assert sol.value == pytest.approx(0.0, abs=1e-7)
         assert sol.dual_multipliers[1] == 0.0
 
+    def test_presolve_rank_tests(self, monkeypatch):
+        # the [rows | rhs] rank test runs only when the rows are
+        # rank-deficient: full row rank leaves no rhs to contradict
+        e11, e22 = sym(np.diag([1.0, 0.0])), sym(np.diag([0.0, 1.0]))
+        widths = []
+        rank = np.linalg.matrix_rank
+
+        def counted(a, *args, **kwargs):
+            widths.append(a.shape[1])
+            return rank(a, *args, **kwargs)
+
+        def presolved(rows):
+            widths.clear()
+            op = BlockSdp((2,), (e11,), rows).operator
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "matrix_rank", counted)
+                return sdp_solver._presolve(op)
+
+        assert presolved([Row((e11,), 0, 1.0), Row((e22,), 0, 1.0)]) == [0, 1]
+        assert widths == [4]
+        assert presolved([Row((e22,), 0, 1.0), Row((e22,), 0, 1.0)]) == [0]
+        assert widths[:2] == [4, 5]  # rows, then rows | rhs
+        assert widths.count(5) == 1
+        with pytest.raises(InfeasibleStructureError):
+            presolved([Row((e22,), 0, 1.0), Row((e22,), 0, 2.0)])
+        assert widths == [4, 5]
+
     def test_primal_infeasible_diverges(self):
         # X11 <= -1 with X PSD is infeasible -> heuristic Diverged flag
         b = BlockSdp(

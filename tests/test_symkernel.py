@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepqcqp.errors import DimensionError, NotPsdError
+from sepqcqp.errors import DimensionError
 from sepqcqp.symkernel import (
     SymMatrix,
     eigen,
@@ -21,7 +21,6 @@ from sepqcqp.symkernel import (
     is_psd,
     is_psd_many,
     numeric_rank,
-    psd_factor,
 )
 
 
@@ -278,29 +277,3 @@ class TestNumericRank:
         lam[:3] = 2.0
         lam[3:r] = rng.uniform(0.5, 1.0, r - 3)
         assert numeric_rank(with_spectrum(rng, lam)) == r
-
-
-class TestPsdFactor:
-    def test_identity(self):
-        f = psd_factor(SymMatrix.identity(3))
-        assert f.shape == (3, 3)
-        assert np.allclose(f @ f.T, np.eye(3))
-
-    def test_zero_gives_empty_factor(self):
-        assert psd_factor(SymMatrix.zeros(3)).shape == (3, 0)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPsdError):
-            psd_factor(sym([[0.0, 1.0], [1.0, 0.0]]))
-
-    @given(dims, seeds, st.integers(min_value=0, max_value=8))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, dim, seed, r):
-        r = min(r, dim)
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((dim, r))
-        a = SymMatrix.from_dense(g @ g.T)
-        f = psd_factor(a, tol=1e-9)
-        scale = max(1.0, a.norm())
-        assert np.linalg.norm(f @ f.T - a.to_dense()) <= 10 * 1e-9 * scale
-        assert f.shape[1] <= dim
