@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -1081,6 +1082,18 @@ def _arg_parser() -> argparse.ArgumentParser:
     return build_arg_parser()
 
 
+def _handle(ns):
+    """The command's (exit code, payload). Each warning it raises (a
+    dropped zero row, say) is printed as one 'warning: <message>' line on
+    stderr, raised or not."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return ns.handler(ns)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     """Parse arguments, dispatch, print or write the report, return the
     exit code (0 done, 2 not exact / not definitive, 1 failure, a usage
@@ -1091,7 +1104,7 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (None, 0) else int(e.code)
     try:
-        code, payload = ns.handler(ns)
+        code, payload = _handle(ns)
         text = _render(ns, payload)
         if ns.out:
             with open(ns.out, "w", encoding="utf-8") as fh:

@@ -121,6 +121,11 @@ class ExactnessVerdict:
         )
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    """value is an int (not a bool) of at least low."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 @dataclass(frozen=True)
 class JudgeOptions:
     tol: float = 1e-6
@@ -136,6 +141,10 @@ class JudgeOptions:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.rank_tol < math.inf:
             raise ValueError("rank_tol must be positive and finite")
+        if self.oracle_grid is not None and not _is_int_at_least(self.oracle_grid, 11):
+            raise ValueError("oracle_grid must be None or an integer of at least 11")
+        if not _is_int_at_least(self.oracle_rounds, 0):
+            raise ValueError("oracle_rounds must be an integer of at least 0")
 
 
 @dataclass(frozen=True)

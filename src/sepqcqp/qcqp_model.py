@@ -531,6 +531,8 @@ def brute_force(
         raise DimensionError(f"brute force limited to n <= 4, got n = {q.n}")
     if grid_points < 11:
         raise ValueError("grid_points must be at least 11")
+    if refine_rounds < 0:
+        raise ValueError("refine_rounds must be at least 0")
     if q.n == 0:
         return 0.0, np.zeros(0)
 

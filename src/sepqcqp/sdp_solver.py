@@ -10,21 +10,39 @@ solve_many runs a batch of problems in lockstep, one iteration of every
 unfinished problem at a time. Each problem's rows are the RowOperator of
 its standard form (BlockSdp.operator, compiled once and read again by
 rank reduction), and the blocks of one dimension, over all problems of
-the batch, live in one (g, d, d) stack. NT scaling, S^-1, the step-length
-factorizations, the residuals and the Schur assembly cost one numpy call
-per dimension group; the Schur Cholesky factor and its solves cost one
-call per run of problems with equal row and slack counts. Step lengths,
-mu, the centering weight and the stopping tests stay per problem, and a
-finished problem leaves the stacks. Every sum is taken in the order of
-the one-problem loops (a row's pairs in block order, a block's rows in row
-order) and every LAPACK call factors one matrix at a time, so a problem's
-iterates do not depend on the batch around it. solve is solve_many of a
-single problem. Slacks are scalar cones with their own vectors.
+the batch, live in one (g, d, d) stack (X and S of a group in one
+(2g, d, d) stack). Step lengths, mu, the centering weight and the
+stopping tests stay per problem, and a finished problem leaves the
+stacks. Every sum is taken in the order of the one-problem loops (a row's
+pairs in block order, a block's rows in row order) and every LAPACK call
+factors one matrix at a time, so a problem's iterates do not depend on
+the batch around it. solve is solve_many of a single problem. Slacks are
+scalar cones with their own vectors.
+
+Call budget of one iteration. Per dimension group: 2 eigh (NT scaling),
+1 inv (S^-1), 1 Cholesky of the (X, S) stack, and 2 x (2 solve + 1
+eigvalsh) for the affine and the centering step lengths. Per run of
+problems with equal row and slack counts: 1 Schur Cholesky and 2 x 2
+solve for the two directions. Around these, each group writes straight
+into the shared row-sum, Schur, block-sum and step-length tables, and one
+scan of each new iterate serves both the non-finite test and the next
+divergence test.
+
+Bit-identity rule. The iteration is pinned to its loop-shaped form
+(tests/test_sdp_iteration.py keeps it as the reference): a change that
+trims numpy calls keeps every floating-point operation, its operands and
+their order, so every SdpSolution stays the same bit for bit. Rewrites
+that only hold in exact arithmetic are out, such as reusing an inverted
+Cholesky factor or summing in another order. Dropping a symmetrization
+of an exactly symmetric matrix is allowed only where the overflow it
+would cause (an entry beyond half the largest double) keeps its outcome:
+the new X and S skip it, and the scan counts such an entry as non-finite.
+tools/pool_digest.py checks every benchmark pool instance.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +60,10 @@ from .symkernel import SymMatrix
 #: iterate magnitude cap; beyond this the run is flagged Diverged
 _DIVERGE_CAP = 1e10
 
-_LinAlgError = np.linalg.LinAlgError
+#: half the largest double: symmetrizing an entry beyond it overflows
+_HALF_MAX = np.finfo(float).max / 2
 
-#: the zero that padded rows read as their multiplier
-_ZERO = np.zeros(1)
+_LinAlgError = np.linalg.LinAlgError
 
 
 @dataclass(frozen=True)
@@ -56,14 +74,17 @@ class SolverOptions:
     step_fraction: float = 0.98
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        # written so that a NaN fails them
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must lie in (0, 1)")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.initial_scale > 0:
-            raise ValueError("initial_scale must be positive")
+        if not 0.0 < self.initial_scale < math.inf:
+            raise ValueError("initial_scale must be positive and finite")
 
 
 def _presolve(op: RowOperator) -> list[int]:
@@ -103,30 +124,20 @@ def _tr(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _tr(a))
-
-
-@functools.cache
-def _eye(d: int) -> np.ndarray:
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
-def _diag(v: np.ndarray) -> np.ndarray:
-    return v[..., None] * _eye(v.shape[-1])
+def _sym(a: np.ndarray, out=None) -> np.ndarray:
+    return np.multiply(0.5, a + _tr(a), out=out)
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Nesterov-Todd scaling points W with W S W = X, all arguments PD."""
+    """Nesterov-Todd scaling points W with W S W = X, all arguments PD.
+    u * r[..., None, :] scales the columns of u: the product u @ diag(r)."""
     lam, u = np.linalg.eigh(s)
     root = np.sqrt(np.maximum(lam, 1e-300))
-    rt = u @ _diag(root) @ _tr(u)
-    irt = u @ _diag(1.0 / root) @ _tr(u)
+    rt = (u * root[..., None, :]) @ _tr(u)
+    irt = (u * (1.0 / root)[..., None, :]) @ _tr(u)
     om, v = np.linalg.eigh(_sym(rt @ x @ rt))
     om = np.maximum(om, 1e-300)
-    return irt @ (v @ _diag(np.sqrt(om)) @ _tr(v)) @ irt
+    return irt @ ((v * np.sqrt(om)[..., None, :]) @ _tr(v)) @ irt
 
 
 def _psd_factor(x: np.ndarray) -> np.ndarray:
@@ -139,11 +150,18 @@ def _psd_factor(x: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(x + ridge * np.eye(len(x)))
 
 
-def _boundary_steps(chol: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Largest t with x + t*dx still PSD, for x = chol chol^T (inf when dx
-    points inward)."""
-    h = _tr(np.linalg.solve(chol, _tr(np.linalg.solve(chol, dx))))
-    lam_min = np.linalg.eigvalsh(_sym(h))[..., 0]
+def _boundary_eig(chol: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of chol^-1 dx chol^-T (symmetrized), from which
+    _boundary_steps reads the largest t with x + t*dx still PSD, for
+    x = chol chol^T. h is that matrix transposed, and _sym(h) is the same
+    either way round."""
+    h = np.linalg.solve(chol, _tr(np.linalg.solve(chol, dx)))
+    return np.linalg.eigvalsh(_sym(h))[..., 0]
+
+
+def _boundary_steps(lam_min: np.ndarray) -> np.ndarray:
+    """The step lengths of smallest eigenvalues (inf when dx points
+    inward); an inf eigenvalue gives an inf step."""
     return np.where(lam_min >= -1e-14, np.inf, -1.0 / lam_min)
 
 
@@ -178,13 +196,6 @@ def _schur_factor(m: np.ndarray) -> np.ndarray | None:
         except _LinAlgError:
             reg = base * (100.0 ** attempt) if reg else base
     return None
-
-
-def _cat(arrays, dtype=float) -> np.ndarray:
-    """The arrays raveled end to end (empty for a batch without blocks)."""
-    if not arrays:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate([a.ravel() for a in arrays])
 
 
 def _left_sum(table: np.ndarray) -> np.ndarray:
@@ -238,14 +249,24 @@ class _Problem:
 class _Group:
     """The blocks of one dimension over the batch, one slot per block.
 
-    owner[j] and block[j] name slot j's problem and its block index there.
-    A[k, j] is the k-th active row matrix of slot j (zero padding past its
-    count), rows[k, j] that row's global index (padding points at the zero
-    appended to y). row_at and schur_at are flat cells of the row-sum and
-    Schur-sum tables (padding lands in a spare last row).
+    owner[j] and block[j] name slot j's problem and its block index there
+    (owner_col is owner as an (n, 1, 1) index); the group's X and S live
+    in one (2n, d, d) stack, X slots first, whose slots belong to owner2
+    and take their step length from entry step_at of the (primal, dual)
+    step lengths. A[k, j] is the k-th active row matrix of slot j (zero
+    padding past its count), rows[k, j, 0, 0] that row's global index
+    (padding points at the zero past the multipliers). row_at, schur_at,
+    blk_at and cell_blk are slot j's cells of the row-sum, Schur, block-sum
+    and per-problem tables (padding lands in a spare last row); blk_at2
+    and cell_xs are the X and S slots' cells of the two-halved block-sum
+    and step-length tables.
     """
 
-    __slots__ = ("dim", "owner", "block", "C", "A", "rows", "row_at", "schur_at")
+    __slots__ = (
+        "dim", "n", "owner", "owner_col", "owner2", "step_at", "block", "C",
+        "A", "rows", "row_at", "schur_at", "blk_at", "blk_at2", "cell_blk",
+        "cell_xs",
+    )
 
 
 class _Layout:
@@ -254,7 +275,9 @@ class _Layout:
     Problems are ordered by (rows, slacks), so the rows, slacks and Schur
     matrices of a run of equal shapes are contiguous and stack as
     (count, m, ...) arrays. Sums over a problem's blocks go through
-    tables with one column per block index, summed left to right.
+    tables with one column per block index, summed left to right. The
+    vector part of an iterate is one array [s | sig | y | 0]; its
+    sections start at 0, NS and 2 NS.
     """
 
     def __init__(self, probs: list):
@@ -265,15 +288,22 @@ class _Layout:
         self.row_off = np.concatenate(([0], np.cumsum(m)))
         self.slk_off = np.concatenate(([0], np.cumsum(ns)))
         sq_off = np.concatenate(([0], np.cumsum(m * m)))
-        self.sq_off = sq_off
         R = self.R = int(self.row_off[-1])
+        NS = self.NS = int(self.slk_off[-1])
         NM = self.NM = int(sq_off[-1])
         nb = self.nb = max([1] + [len(p.dims) for p in probs])
+        # runs of equal (rows, slacks): (first, end, rows, slacks, their
+        # rows, slacks and Schur cells)
         self.runs = []
         start = 0
         for i in range(1, P + 1):
             if i == P or m[i] != m[start] or ns[i] != ns[start]:
-                self.runs.append((start, i, int(m[start]), int(ns[start])))
+                self.runs.append((
+                    start, i, int(m[start]), int(ns[start]),
+                    slice(self.row_off[start], self.row_off[i]),
+                    slice(self.slk_off[start], self.slk_off[i]),
+                    slice(sq_off[start], sq_off[i]),
+                ))
                 start = i
 
         self.d_vec = np.concatenate([p.d_vec for p in probs])
@@ -285,16 +315,26 @@ class _Layout:
         ).astype(np.intp)
         self.row_owner = np.repeat(np.arange(P), m)
         self.slack_owner = np.repeat(np.arange(P), ns)
+        # entries of the (primal, dual) step lengths that move s, sig, y
+        # and the zero past y
+        self.vec_step_at = np.concatenate(
+            (self.slack_owner, self.slack_owner + P, self.row_owner + P, [0])
+        )
         # per-problem tables: block columns, then slack columns (at least
-        # one), then rows
+        # one), then rows; two-halved tables stack an X (s, y) half on an
+        # S (sig) half
         wide_s = max(1, int(ns.max()))
         W = self.W = nb + wide_s + int(m.max())
+        self.slk_cols = slice(nb, nb + wide_s)
+        self.row_cols = slice(nb + wide_s, W)
         self.cell_slk = self.slack_owner * W + nb + (
-            np.arange(int(self.slk_off[-1])) - self.slk_off[self.slack_owner]
+            np.arange(NS) - self.slk_off[self.slack_owner]
         )
         self.cell_row = self.row_owner * W + nb + wide_s + (
             np.arange(R) - self.row_off[self.row_owner]
         )
+        self.cell_slk2 = np.concatenate((self.cell_slk, self.cell_slk + P * W))
+        self.cell_vec = np.concatenate((self.cell_slk2, self.cell_row))
         self.n_tot = np.array([float(p.n_tot) for p in probs])
         self.d_scale = np.array([p.d_scale for p in probs])
         self.c_scale = np.array([p.c_scale for p in probs])
@@ -310,12 +350,15 @@ class _Layout:
             g = len(slots)
             kmax = max(len(probs[i].active[bi]) for i, bi in slots)
             grp = _Group()
-            grp.dim = d
+            grp.dim, grp.n = d, g
             grp.owner = np.array([i for i, _ in slots], dtype=np.intp)
+            grp.owner_col = grp.owner[:, None, None]
+            grp.owner2 = np.concatenate((grp.owner, grp.owner))
+            grp.step_at = np.concatenate((grp.owner, grp.owner + P))[:, None, None]
             grp.block = np.array([bi for _, bi in slots], dtype=np.intp)
             grp.C = np.stack([probs[i].C[bi] for i, bi in slots])
             grp.A = np.zeros((kmax, g, d, d))
-            grp.rows = np.full((kmax, g), R, dtype=np.intp)
+            grp.rows = np.full((kmax, g, 1, 1), R, dtype=np.intp)
             grp.row_at = np.full((kmax, g), R * nb, dtype=np.intp)
             grp.schur_at = np.full((g, kmax, kmax), NM * nb, dtype=np.intp)
             for j, (i, bi) in enumerate(slots):
@@ -326,64 +369,47 @@ class _Layout:
                     continue
                 rows = self.row_off[i] + act
                 grp.A[:k, j] = p.stacks[bi]
-                grp.rows[:k, j] = rows
+                grp.rows[:k, j, 0, 0] = rows
                 grp.row_at[:k, j] = rows * nb + bi
                 grp.schur_at[j, :k, :k] = (
                     sq_off[i] + act[:, None] * p.m + act[None, :]
                 ) * nb + bi
+            grp.blk_at = grp.owner * nb + grp.block
+            grp.blk_at2 = np.concatenate((grp.blk_at, grp.blk_at + P * nb))
+            grp.cell_blk = grp.owner * W + grp.block
+            grp.cell_xs = np.concatenate((grp.cell_blk, grp.cell_blk + P * W))
             self.groups.append(grp)
-        self.row_at = _cat([g.row_at for g in self.groups], np.intp)
-        self.schur_at = _cat([g.schur_at for g in self.groups], np.intp)
-        self.blk_at = _cat([g.owner * nb + g.block for g in self.groups], np.intp)
-        cells = [g.owner * W + g.block for g in self.groups]
-        self.cell_blk = _cat(cells, np.intp)
-        # the X and S halves of the step-length tables, slot order of a
-        # group's stacked (X, S) factorization
-        self.cell_blk2 = _cat([np.concatenate((c, c + P * W)) for c in cells], np.intp)
-        self.cell_slk2 = np.concatenate((self.cell_slk, self.cell_slk + P * W))
 
     # -- sums and extremes in the order of the one-problem loops ------------
 
     def row_sums(self, parts) -> np.ndarray:
         """sum over blocks of the (row, block) pair values, per row."""
         table = np.zeros((self.R + 1) * self.nb)
-        table[self.row_at] = _cat(parts)
+        for g, part in zip(self.groups, parts):
+            table[g.row_at] = part
         return _left_sum(table.reshape(self.R + 1, self.nb))[: self.R]
 
     def schur(self, parts) -> np.ndarray:
         """Every problem's Schur matrix, flat, summed over blocks in order."""
         table = np.zeros((self.NM + 1) * self.nb)
-        table[self.schur_at] = _cat(parts)
+        for g, part in zip(self.groups, parts):
+            table[g.schur_at] = part
         return _left_sum(table.reshape(self.NM + 1, self.nb))[: self.NM]
 
-    def block_sums(self, *parts) -> np.ndarray:
-        """sum over blocks of the per-slot values, per problem, for each
-        of the given lists of per-group values: (len(parts), P)."""
-        n = self.P * self.nb
-        table = np.zeros(len(parts) * n)
-        for i, p in enumerate(parts):
-            table[self.blk_at + i * n] = _cat(p)
-        return _left_sum(table.reshape(len(parts) * self.P, self.nb)).reshape(len(parts), self.P)
-
-    def table(self, fill: float, blk=None, slk=None, row=None) -> np.ndarray:
-        """A (problem, W) table of per-slot, per-slack and per-row values,
-        the rest fill."""
-        table = np.full(self.P * self.W, fill)
-        if blk is not None:
-            table[self.cell_blk] = _cat(blk)
-        if slk is not None:
-            table[self.cell_slk] = slk
-        if row is not None:
-            table[self.cell_row] = row
-        return table.reshape(self.P, self.W)
+    def block_sums(self, parts, halves: int = 1) -> np.ndarray:
+        """sum over blocks of the per-slot values, per problem: (halves, P).
+        With two halves, each group's part holds its X slots' values, then
+        its S slots'."""
+        table = np.zeros(halves * self.P * self.nb)
+        for g, part in zip(self.groups, parts):
+            table[g.blk_at2 if halves == 2 else g.blk_at] = part
+        return _left_sum(table.reshape(halves * self.P, self.nb)).reshape(halves, self.P)
 
     def dots(self, a: np.ndarray, b: np.ndarray, slack: bool) -> np.ndarray:
         """Per-problem a @ b over its slacks (or rows), one BLAS dot each."""
-        off = self.slk_off if slack else self.row_off
         out = np.empty(self.P)
-        for p0, p1, m, ns in self.runs:
-            n = ns if slack else m
-            seg = slice(off[p0], off[p1])
+        for p0, p1, m, ns, rows, slk, _ in self.runs:
+            n, seg = (ns, slk) if slack else (m, rows)
             out[p0:p1] = np.matmul(
                 a[seg].reshape(p1 - p0, 1, n), b[seg].reshape(p1 - p0, n, 1)
             )[:, 0, 0]
@@ -397,12 +423,10 @@ def _pairs(grp: _Group, z: np.ndarray) -> np.ndarray:
 
 
 def _subtract_rows(grp: _Group, base: np.ndarray, yx: np.ndarray) -> np.ndarray:
-    """base - y_i A_i over each slot's active rows, one row at a time."""
-    acc = base.copy()
-    coef = yx[grp.rows][..., None, None]
-    for c, a in zip(coef, grp.A):
-        acc -= c * a
-    return acc
+    """base - y_i A_i over each slot's active rows, one row at a time
+    (subtract.reduce over axis 0 subtracts the terms in order)."""
+    terms = np.concatenate((base[None], yx[grp.rows] * grp.A))
+    return np.subtract.reduce(terms, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,52 +434,57 @@ def _subtract_rows(grp: _Group, base: np.ndarray, yx: np.ndarray) -> np.ndarray:
 
 
 class _Batch:
-    """Lockstep IPM state of the unfinished problems of one solve_many call."""
+    """Lockstep IPM state of the unfinished problems of one solve_many call.
+
+    XS holds each group's (X, S) stack, vec the vector part [s | sig | y |
+    0] (the zero is the multiplier padded rows read), and large marks the
+    problems whose iterate has an entry beyond _DIVERGE_CAP.
+    """
 
     def __init__(self, probs: list, opts: SolverOptions):
         self.opts = opts
-        self.lay = _Layout(sorted(probs, key=lambda p: (p.m, p.n_slack)))
+        lay = self.lay = _Layout(sorted(probs, key=lambda p: (p.m, p.n_slack)))
         scale = opts.initial_scale
-        self.X = [
-            np.repeat((scale * np.eye(g.dim))[None], len(g.owner), axis=0)
-            for g in self.lay.groups
+        self.XS = [
+            np.repeat((scale * np.eye(g.dim))[None], 2 * g.n, axis=0)
+            for g in lay.groups
         ]
-        self.S = [x.copy() for x in self.X]
-        self.s = scale * np.ones(len(self.lay.slack_row))
-        self.sig = self.s.copy()
-        self.y = np.zeros(self.lay.R)
+        self.vec = np.concatenate(
+            (scale * np.ones(2 * lay.NS), np.zeros(lay.R + 1))
+        )
+        self.large = self._scan(self.XS, self.vec)[1]
         self.history = {p.index: [] for p in probs}
         self.done: dict = {}
 
     def _record(self, mask, status, iterations, report):
         """Store the current iterate of the problems in mask as final."""
-        lay = self.lay
+        lay, XS, vec, NS = self.lay, self.XS, self.vec, self.lay.NS
         for i in np.flatnonzero(mask):
-            rows = slice(lay.row_off[i], lay.row_off[i + 1])
+            rows = slice(2 * NS + lay.row_off[i], 2 * NS + lay.row_off[i + 1])
             slk = slice(lay.slk_off[i], lay.slk_off[i + 1])
             self.done[lay.probs[i].index] = dict(
                 status=status,
                 iterations=iterations,
-                X=[self.X[gi][j].copy() for gi, j in lay.where[i]],
-                S=[self.S[gi][j].copy() for gi, j in lay.where[i]],
-                s=self.s[slk].copy(),
-                sig=self.sig[slk].copy(),
-                y=self.y[rows].copy(),
+                X=[XS[gi][j].copy() for gi, j in lay.where[i]],
+                S=[XS[gi][lay.groups[gi].n + j].copy() for gi, j in lay.where[i]],
+                s=vec[slk].copy(),
+                sig=vec[NS:][slk].copy(),
+                y=vec[rows].copy(),
                 value=report[0][i],
                 dres=report[1][i],
                 gap=report[2][i],
             )
 
     def _drop(self, keep):
-        """Remove the problems outside keep from the stacks; returns the
+        """Remove the problems outside keep from the state; returns the
         masks (rows, slacks, slots per group) that cut arrays laid out the
         old way, or None when nothing is left."""
         lay = self.lay
         rows, slk = keep[lay.row_owner], keep[lay.slack_owner]
         slots = [keep[g.owner] for g in lay.groups]
-        self.X = _cut(self.X, slots)
-        self.S = _cut(self.S, slots)
-        self.s, self.sig, self.y = self.s[slk], self.sig[slk], self.y[rows]
+        self.XS = _cut(self.XS, [np.concatenate((k, k)) for k in slots])
+        self.vec = self.vec[np.concatenate((slk, slk, rows, [True]))]
+        self.large = self.large[keep]
         if not keep.any():
             self.lay = None
             return None
@@ -466,29 +495,39 @@ class _Batch:
         """Residuals, objectives and stopping tests at the current iterate:
         (report, mu, optimal, diverged, (r_p, rd, rds)), per problem, with
         report = (primal objective, dual residual, relative gap)."""
-        lay, opts, X, S = self.lay, self.opts, self.X, self.S
-        yx = np.concatenate((self.y, _ZERO))
-        lhs = lay.row_sums([_pairs(g, x) for g, x in zip(lay.groups, X)])
-        lhs[lay.slack_row] += self.s
+        lay, opts, XS, NS = self.lay, self.opts, self.XS, self.lay.NS
+        s, sig, yx = self.vec[:NS], self.vec[NS : 2 * NS], self.vec[2 * NS :]
+        y = yx[: lay.R]
+        lhs = lay.row_sums([_pairs(g, xs[: g.n]) for g, xs in zip(lay.groups, XS)])
+        lhs[lay.slack_row] += s
         r_p = lay.d_vec - lhs
-        rd = [_subtract_rows(g, g.C, yx) - z for g, z in zip(lay.groups, S)]
-        rds = -self.y[lay.slack_row] - self.sig
+        rd = [
+            _subtract_rows(g, g.C, yx) - xs[g.n :] for g, xs in zip(lay.groups, XS)
+        ]
+        rds = -y[lay.slack_row] - sig
 
+        # <C, X> and <X, S> of every slot as one stack [X; S] * [C; X]
         pobj, compl = lay.block_sums(
-            [_inner(g.C, x) for g, x in zip(lay.groups, X)],
-            [_inner(x, z) for x, z in zip(X, S)],
+            [
+                _inner(xs, np.concatenate((g.C, xs[: g.n])))
+                for g, xs in zip(lay.groups, XS)
+            ],
+            halves=2,
         )
-        dobj = lay.dots(lay.d_vec, self.y, slack=False)
-        compl = compl + lay.dots(self.s, self.sig, slack=True)
+        dobj = lay.dots(lay.d_vec, y, slack=False)
+        compl = compl + lay.dots(s, sig, slack=True)
         mu = compl / lay.n_tot
-        pres = lay.table(0.0, row=np.abs(r_p)).max(axis=1)
-        norms = []
-        for r in rd:
+        # one table: |rd|^2 per slot, |rds| per slack, |r_p| per row
+        table = np.zeros(lay.P * lay.W)
+        for g, r in zip(lay.groups, rd):
             flat = r.reshape(len(r), 1, -1)
-            norms.append(np.sqrt(np.matmul(flat, _tr(flat))[:, 0, 0]))
-        table = lay.table(0.0, blk=norms, slk=np.abs(rds))
-        dres = _first_or(np.fmax, table[:, : lay.nb])
-        dres_s = table[:, lay.nb :].max(axis=1)
+            table[g.cell_blk] = np.matmul(flat, _tr(flat))[:, 0, 0]
+        table[lay.cell_slk] = np.abs(rds)
+        table[lay.cell_row] = np.abs(r_p)
+        table = table.reshape(lay.P, lay.W)
+        pres = table[:, lay.row_cols].max(axis=1, initial=0.0)
+        dres = _first_or(np.fmax, np.sqrt(table[:, : lay.nb]))
+        dres_s = table[:, lay.slk_cols].max(axis=1)
         dres = np.where(dres_s > dres, dres_s, dres)
         gap = np.abs(pobj - dobj)
         gap = np.where(compl > gap, compl, gap) / (1.0 + np.abs(pobj) + np.abs(dobj))
@@ -497,44 +536,51 @@ class _Batch:
             & (dres <= lay.c_scale * opts.tol)
             & (gap <= opts.tol)
         )
-        diverged = ~optimal & self._too_large()
+        diverged = ~optimal & self.large
         return (pobj, dres, gap), mu, optimal, diverged, (r_p, rd, rds)
 
-    def _too_large(self) -> np.ndarray:
-        """Problems whose iterate has an entry beyond _DIVERGE_CAP."""
+    def _scan(self, XS, vec):
+        """One pass over an iterate: (bad, large) per problem. bad marks a
+        non-finite entry, or an X or S entry beyond half the largest double
+        (where symmetrizing, 0.5 * (v + v), overflows); large marks an entry
+        beyond _DIVERGE_CAP."""
         lay = self.lay
-        arrays = [*self.X, *self.S, self.s, self.sig, self.y]
-        if max(np.abs(a).max(initial=0.0) for a in arrays) <= _DIVERGE_CAP:
-            return np.zeros(lay.P, dtype=bool)
-        peaks = [
-            np.maximum(np.abs(x).max(axis=(1, 2)), np.abs(z).max(axis=(1, 2)))
-            for x, z in zip(self.X, self.S)
-        ]
-        return lay.table(
-            0.0, peaks, np.maximum(np.abs(self.s), np.abs(self.sig)), np.abs(self.y)
-        ).max(axis=1) > _DIVERGE_CAP
+        peaks = [np.abs(xs).max() for xs in XS] + [np.abs(vec).max()]
+        if all(p <= _DIVERGE_CAP for p in peaks):
+            none = np.zeros(lay.P, dtype=bool)
+            return none, none
+        table = np.zeros(2 * lay.P * lay.W)
+        for g, xs in zip(lay.groups, XS):
+            table[g.cell_xs] = np.abs(xs).max(axis=(1, 2))
+        table[lay.cell_vec] = np.abs(vec[:-1])
+        table = table.reshape(2, lay.P, lay.W)
+        blk = table[..., : lay.nb].max(axis=(0, 2))
+        rest = table[..., lay.nb :].max(axis=(0, 2))
+        bad = ~(blk <= _HALF_MAX) | ~np.isfinite(rest)
+        return bad, np.maximum(blk, rest) > _DIVERGE_CAP
 
     def step(self, mu, r_p, rd, rds):
         """One predictor-corrector step of every problem in the stacks.
 
-        Returns (failed, new iterate); failed marks the problems whose
+        Returns (failed, new XS, new vec); failed marks the problems whose
         linear algebra broke down, whose part of the new iterate is void.
         """
-        lay, opts = self.lay, self.opts
-        groups, X, S, s, sig = lay.groups, self.X, self.S, self.s, self.sig
-        owners = [g.owner for g in groups]
+        lay, opts, XS, vec = self.lay, self.opts, self.XS, self.vec
+        groups, NS, R = lay.groups, lay.NS, lay.R
+        s, sig = vec[:NS], vec[NS : 2 * NS]
         failed = np.zeros(lay.P, dtype=bool)
 
-        W = [_guarded(_nt_scaling, o, failed, x, z) for o, x, z in zip(owners, X, S)]
+        W = [
+            _guarded(_nt_scaling, g.owner, failed, xs[: g.n], xs[g.n :])
+            for g, xs in zip(groups, XS)
+        ]
         w2 = s / sig
-        s_inv = [_guarded(np.linalg.inv, o, failed, z) for o, z in zip(owners, S)]
+        s_inv = [_guarded(np.linalg.inv, g.owner, failed, xs[g.n :]) for g, xs in zip(groups, XS)]
         # X and S of a group factor as one stack, and their step lengths
         # come out of one stack too
-        owners_xs = [np.concatenate((o, o)) for o in owners]
         chol_xs = [
-            _guarded(np.linalg.cholesky, o, failed, np.concatenate((x, z)),
-                     one=_psd_factor)
-            for o, x, z in zip(owners_xs, X, S)
+            _guarded(np.linalg.cholesky, g.owner2, failed, xs, one=_psd_factor)
+            for g, xs in zip(groups, XS)
         ]
 
         # Schur complement M_ij = sum_b <A_i, W A_j W> (+ slack), per problem
@@ -543,8 +589,8 @@ class _Batch:
         )
         M[lay.slack_diag] += w2
         chols = []
-        for p0, p1, m, _ in lay.runs:
-            mr = M[lay.sq_off[p0] : lay.sq_off[p1]].reshape(p1 - p0, m, m)
+        for p0, p1, m, _, _, _, sq in lay.runs:
+            mr = M[sq].reshape(p1 - p0, m, m)
             try:
                 chols.append(np.linalg.cholesky(mr))
                 continue
@@ -562,84 +608,67 @@ class _Batch:
         wrw = [w @ r @ w for w, r in zip(W, rd)]
 
         def directions(tau):
-            e_blk = [tau[o][:, None, None] * si - x for o, si, x in zip(owners, s_inv, X)]
+            """Each group's (dX, dS) stack and the direction of vec."""
+            e_blk = [
+                tau[g.owner_col] * si - xs[: g.n] for g, si, xs in zip(groups, s_inv, XS)
+            ]
             e_slk = tau[lay.slack_owner] / sig - s
             g_vec = lay.row_sums(
                 [_pairs(g, e - t) for g, e, t in zip(groups, e_blk, wrw)]
             )
             g_vec[lay.slack_row] += e_slk - w2 * rds
             rhs = r_p - g_vec
-            dy = np.empty(lay.R)
-            for (p0, p1, m, _), c in zip(lay.runs, chols):
-                seg = slice(lay.row_off[p0], lay.row_off[p1])
-                dy[seg] = _guarded(
+            dvec = np.zeros(2 * NS + R + 1)
+            dyx = dvec[2 * NS :]
+            for (p0, p1, m, _, rows, _, _), c in zip(lay.runs, chols):
+                dyx[rows] = _guarded(
                     _cholesky_solve, range(p0, p1), failed,
-                    c, rhs[seg].reshape(p1 - p0, m, 1),
+                    c, rhs[rows].reshape(p1 - p0, m, 1),
                 ).ravel()
-            dyx = np.concatenate((dy, _ZERO))
-            ds_blk = [_sym(_subtract_rows(g, r, dyx)) for g, r in zip(groups, rd)]
-            dx_blk = [_sym(e - w @ d @ w) for e, w, d in zip(e_blk, W, ds_blk)]
-            dsig = rds - dy[lay.slack_row]
-            ds_slk = e_slk - w2 * dsig
-            return dx_blk, dy, ds_blk, ds_slk, dsig
+            dxs = []
+            for g, r, e, w in zip(groups, rd, e_blk, W):
+                d = np.empty((2 * g.n, g.dim, g.dim))
+                ds = _sym(_subtract_rows(g, r, dyx), out=d[g.n :])
+                _sym(e - w @ ds @ w, out=d[: g.n])
+                dxs.append(d)
+            dsig = np.subtract(rds, dyx[lay.slack_row], out=dvec[NS : 2 * NS])
+            np.subtract(e_slk, w2 * dsig, out=dvec[:NS])
+            return dxs, dvec
 
-        def lengths(dx_blk, ds_blk, ds_slk, dsig):
-            """Primal and dual step lengths: the largest steps keeping the
-            blocks PSD and the slacks nonnegative, cut back by the step
-            fraction and capped at 1."""
+        def lengths(dxs, dvec):
+            """Primal and dual step lengths, as one (2P,) array: the largest
+            steps keeping the blocks PSD and the slacks nonnegative, cut
+            back by the step fraction and capped at 1."""
             table = np.full(2 * lay.P * lay.W, np.inf)
-            table[lay.cell_blk2] = _cat([
-                _guarded(_boundary_steps, o, failed, c, np.concatenate((dx, ds)))
-                for o, c, dx, ds in zip(owners_xs, chol_xs, dx_blk, ds_blk)
-            ])
-            v, dv = np.concatenate((s, sig)), np.concatenate((ds_slk, dsig))
+            for g, c, d in zip(groups, chol_xs, dxs):
+                table[g.cell_xs] = _guarded(_boundary_eig, g.owner2, failed, c, d)
+            v, dv = vec[: 2 * NS], dvec[: 2 * NS]
             table[lay.cell_slk2] = np.where(dv < 0, -v / dv, np.inf)
             table = table.reshape(2 * lay.P, lay.W)
-            t = _py_min(_first_or(np.fmin, table[:, : lay.nb]), table[:, lay.nb :].min(axis=1))
-            return _py_min(1.0, opts.step_fraction * t).reshape(2, lay.P)
+            blk = _first_or(np.fmin, _boundary_steps(table[:, : lay.nb]))
+            t = _py_min(blk, table[:, lay.nb :].min(axis=1))
+            return _py_min(1.0, opts.step_fraction * t)
 
-        def moved(blocks, t, d_blk):
-            return [x + t[o][:, None, None] * d for o, x, d in zip(owners, blocks, d_blk)]
+        def moved(t, dxs):
+            return [xs + t[g.step_at] * d for g, xs, d in zip(groups, XS, dxs)]
 
         # affine probe fixes the centering weight
-        dxa, _, dsa, dsla, dsga = directions(np.zeros(lay.P))
-        ap, ad = lengths(dxa, dsa, dsla, dsga)
+        dxa, dva = directions(np.zeros(lay.P))
+        ta = lengths(dxa, dva)
         (tr_aff,) = lay.block_sums(
-            [_inner(x, z) for x, z in zip(moved(X, ap, dxa), moved(S, ad, dsa))]
+            [_inner(xs[: g.n], xs[g.n :]) for g, xs in zip(groups, moved(ta, dxa))]
         )
-        tr_aff = tr_aff + lay.dots(
-            s + ap[lay.slack_owner] * dsla, sig + ad[lay.slack_owner] * dsga, slack=True
-        )
+        sa = vec[: 2 * NS] + ta[lay.vec_step_at[: 2 * NS]] * dva[: 2 * NS]
+        tr_aff = tr_aff + lay.dots(sa[:NS], sa[NS:], slack=True)
         mu_aff = tr_aff / lay.n_tot
         sigma = np.array([
             min(1.0, max((a / m) ** 3 if m > 0 else 0.0, 0.0))
             for a, m in zip(mu_aff.tolist(), mu.tolist())
         ])
 
-        dx, dy, ds, dsl, dsg = directions(sigma * mu)
-        ap, ad = lengths(dx, ds, dsl, dsg)
-        return failed, (
-            [_sym(x) for x in moved(X, ap, dx)],
-            [_sym(z) for z in moved(S, ad, ds)],
-            s + ap[lay.slack_owner] * dsl,
-            sig + ad[lay.slack_owner] * dsg,
-            self.y + ad[lay.row_owner] * dy,
-        )
-
-    def nonfinite(self, state) -> np.ndarray:
-        """Problems with a non-finite entry anywhere in state."""
-        lay = self.lay
-        Xn, Sn, sn, sign, yn = state
-        owners = [g.owner for g in lay.groups]
-        bad = np.zeros(lay.P, dtype=bool)
-        for a, owner in zip(
-            [*Xn, *Sn, sn, sign, yn],
-            [*owners, *owners, lay.slack_owner, lay.slack_owner, lay.row_owner],
-        ):
-            ok = np.isfinite(a)
-            if not ok.all():
-                bad[owner[~ok.reshape(len(owner), -1).all(axis=1)]] = True
-        return bad
+        dxs, dvec = directions(sigma * mu)
+        t = lengths(dxs, dvec)
+        return failed, moved(t, dxs), vec + t[lay.vec_step_at] * dvec
 
     def run(self) -> dict:
         """Iterate until every problem has stopped; returns the final
@@ -662,11 +691,12 @@ class _Batch:
                     report = [r[~stop] for r in report]
                     mu, r_p, rds, rd = mu[~stop], r_p[rows], rds[slk], _cut(rd, slots)
 
-                failed, state = self.step(mu, r_p, rd, rds)
-                bad = ~failed & self.nonfinite(state)
+                failed, XS, vec = self.step(mu, r_p, rd, rds)
+                nonfinite, self.large = self._scan(XS, vec)
+                bad = ~failed & nonfinite
                 self._record(failed, SolveStatus.NUMERICAL_FAILURE, it, report)
                 self._record(bad, SolveStatus.DIVERGED, it, report)
-                self.X, self.S, self.s, self.sig, self.y = state
+                self.XS, self.vec = XS, vec
                 stop = failed | bad
                 if stop.any():
                     if self._drop(~stop) is None:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +23,9 @@ import numpy as np
 from .errors import DimensionError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation, SeparableQcqp
 from .symkernel import SymMatrix
+
+#: the package's directory, which dropped-row warnings look past
+_HERE = os.path.dirname(__file__)
 
 #: slack coefficient per relation: <A,X> + c*s = rhs with s >= 0
 _SLACK_COEFF = {Relation.LE: 1, Relation.EQ: 0, Relation.GE: -1}
@@ -267,12 +272,16 @@ def _corner_matrix(dim: int) -> SymMatrix:
 
 
 def _warn_dropped(b: BlockSdp) -> BlockSdp:
-    """Warn about b's dropped rows at the line that called the public
-    builder (stacklevel 3: this helper, the builder, its caller)."""
+    """Warn about b's dropped rows at the innermost line outside this
+    package on the call stack: the caller of the public builder, or of
+    judge when judge built the relaxation."""
     if b.dropped_rows:
+        level, frame = 1, sys._getframe()
+        while frame is not None and os.path.dirname(frame.f_code.co_filename) == _HERE:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"dropping identically-zero rows with zero rhs: {list(b.dropped_rows)}",
-            stacklevel=3,
+            stacklevel=level,
         )
     return b
 

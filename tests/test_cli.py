@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -476,6 +477,38 @@ class TestCommands:
             capsys, "example51", "--alpha", "0", "--format", "json"
         )
         assert "generated_at" in json.loads(out)
+
+
+class TestWarnings:
+    # row 0 reads no matrix and has rhs 0; the ball moves to row 1
+    ZERO_ROW_TEXT = QCQP_TEXT.replace(
+        "relations le\nrhs 1.0", "relations le le\nrhs 0.0 1.0"
+    ).replace("matrix 1\n", "matrix 2\n")
+
+    @pytest.mark.parametrize("command", ["solve", "judge", "reduce", "certify"])
+    def test_dropped_row_is_one_stderr_line(self, capsys, tmp_path, command):
+        path = tmp_path / "zero.sq"
+        path.write_text(self.ZERO_ROW_TEXT)
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, str(path), "--format", "json",
+                                     "--no-timestamp")
+        assert code == 0
+        assert escaped == []
+        assert err == "warning: dropping identically-zero rows with zero rhs: [0]\n"
+        assert json.loads(out)["command"] == command
+
+    def test_report_unchanged_by_the_warning(self, capsys, tmp_path):
+        path = tmp_path / "zero.sq"
+        path.write_text(self.ZERO_ROW_TEXT)
+        _, with_line, _ = run_cli(capsys, "judge", str(path), "--format", "json",
+                                  "--no-timestamp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, without, err = run_cli(capsys, "judge", str(path), "--format", "json",
+                                      "--no-timestamp")
+        assert err == ""
+        assert with_line == without
 
 
 class TestExitCodes:

@@ -996,3 +996,32 @@ class TestJudgeOptions:
 
     def test_defaults_accepted(self):
         assert JudgeOptions().tol == JudgeOptions().rank_tol == 1e-6
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("oracle_grid", 0),  # read as the default grid
+            ("oracle_grid", 1),  # raised from inside the oracle
+            ("oracle_grid", 10),
+            ("oracle_grid", 41.0),
+            ("oracle_grid", True),
+            ("oracle_rounds", -1),  # ran no round: "no feasible grid point"
+            ("oracle_rounds", 2.5),
+            ("oracle_rounds", False),
+            ("oracle_rounds", None),
+        ],
+    )
+    def test_rejects_bad_oracle_settings(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            JudgeOptions(**{name: value})
+
+    def test_oracle_settings_accepted(self):
+        opts = JudgeOptions(oracle_grid=11, oracle_rounds=0)
+        assert (opts.oracle_grid, opts.oracle_rounds) == (11, 0)
+        assert JudgeOptions().oracle_grid is None
+
+    def test_smallest_grid_runs_the_oracle(self):
+        # alpha = 2.5 is NotExact only through the grid oracle
+        h = make_example51(2.5)
+        v = judge(SeparableQcqp([h], h.rhs), JudgeOptions(oracle_grid=11, oracle_rounds=0))
+        assert v.oracle_value is not None

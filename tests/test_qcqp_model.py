@@ -372,6 +372,13 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force(q, (-1.0, 1.0), grid_points=5)
 
+    def test_rejects_negative_rounds(self):
+        # a negative count ran no round and reported no feasible point
+        q = Qcqp(1, qf([[1.0]]), [(QuadFunc.zero(1), Relation.LE)], [0.0])
+        with pytest.raises(ValueError, match="refine_rounds"):
+            brute_force(q, (-1.0, 1.0), refine_rounds=-1)
+        assert brute_force(q, (-1.0, 1.0), refine_rounds=0)[0] == 0.0
+
     def test_per_coordinate_box(self):
         # min x1 + x2 over [0,1] x [2,3] -> 2 at (0, 2) (no constraints binding)
         obj = qf(np.zeros((2, 2)), [0.5, 0.5])

@@ -1,5 +1,6 @@
 """Interior-point solver: analytic values, duals, statuses, invariants."""
 
+import math
 import warnings
 
 import numpy as np
@@ -392,6 +393,35 @@ class TestConnectionSolve:
         flat = flatten(s)
         val, _ = brute_force(flat, (-4.0, 4.0), refine_rounds=6)
         assert sol.value <= val + 1e-5
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tol", 0.0),
+            ("tol", -1.0),
+            ("tol", math.nan),
+            ("tol", math.inf),  # reported Optimal after one iteration
+            ("initial_scale", 0.0),
+            ("initial_scale", math.nan),
+            ("initial_scale", math.inf),  # raised from SymMatrix
+            ("max_iter", 0),
+            ("max_iter", 2.5),  # raised TypeError mid-solve
+            ("max_iter", True),
+            ("max_iter", None),
+            ("step_fraction", 1.0),
+            ("step_fraction", math.nan),
+        ],
+    )
+    def test_rejects(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverOptions(**{name: value})
+
+    def test_accepts_the_edges(self):
+        opts = SolverOptions(tol=1e-300, max_iter=1, initial_scale=1e300)
+        sol = solve(build_hom(two_block_family(1.0)), opts)
+        assert sol.iterations == 1
 
 
 class TestNumpyErrorState:

@@ -21,7 +21,7 @@ from sepqcqp.qcqp_model import (
     is_feasible,
     lift,
 )
-from sepqcqp.connection import make_example52
+from sepqcqp.connection import judge, make_example52
 from sepqcqp.sdpr_builder import (
     BlockSdp,
     Row,
@@ -536,7 +536,7 @@ class TestOneEntryConnections:
             assert msgs == want_msgs
             assert_same_relaxation(got, want)
 
-    @pytest.mark.parametrize("which", ["shor", "hom", "block"])
+    @pytest.mark.parametrize("which", ["shor", "hom", "block", "judge"])
     def test_dropped_row_warning_names_the_caller(self, which):
         q = Qcqp(
             1, qf([[1.0]]),
@@ -550,10 +550,13 @@ class TestOneEntryConnections:
         )
         with pytest.warns(UserWarning, match="zero") as rec:
             if which == "shor":
-                b = build_shor(q)
+                dropped = build_shor(q).dropped_rows
             elif which == "hom":
-                b = build_hom(h)
-            else:
-                b = build_block(SeparableQcqp([q, q], [0.0, 2.0]))
-        assert b.dropped_rows == (0,)
+                dropped = build_hom(h).dropped_rows
+            elif which == "block":
+                dropped = build_block(SeparableQcqp([q, q], [0.0, 2.0])).dropped_rows
+            else:  # judge builds the relaxation inside the package
+                assert judge(SeparableQcqp([q, q], [0.0, 2.0])).exact
+                dropped = (0,)
+        assert dropped == (0,)
         assert [w.filename for w in rec] == [__file__]
