@@ -13,7 +13,10 @@ tight:
 
 The first two certificates are independent of the right-hand side; the
 third is checked against a concrete solution unless m <= 2 makes it
-structural.
+structural. The convexity test runs over many problems at once
+(check_convex_many): the quadratic parts of all of them are views of
+their matrices, tested with one stacked eigendecomposition per
+dimension; check_convex is its one-problem case.
 """
 
 from __future__ import annotations
@@ -65,42 +68,67 @@ def _kept_constraints(q: Qcqp):
     return [
         (f, rel, float(d))
         for (f, rel), d in zip(q.constraints, q.rhs)
-        if not (f.is_zero() and float(d) == 0.0)
+        if not (float(d) == 0.0 and f.is_zero())
     ]
+
 
 def check_convex(q: Qcqp, tol: float = 1e-9) -> Certificate:
     """Certificate that every function is convex and every row is <=.
 
     In that regime the relaxation is tight for any right-hand side and an
     optimal point can be read off the last column of any optimal matrix.
-    The quadratic parts share one dimension, so their PSD tests are one
-    stacked eigendecomposition (symkernel.is_psd_many); the first part
-    that fails names the certificate's failure, as testing them one by
-    one would.
+    This is check_convex_many of the one problem.
     """
-    kept = _kept_constraints(q)
-    bad_rel = [i for i, (_, rel, _) in enumerate(kept) if rel is not Relation.LE]
-    if bad_rel:
-        return Certificate(
-            CertificateKind.NONE,
-            f"constraint rows {bad_rel} are not <=",
-            depends_on_solution=False,
-        )
-    funcs = [q.objective] + [f for f, _, _ in kept]
-    psd = is_psd_many([f.quad_part() for f in funcs], tol=tol)
-    if not psd.all():
-        k = int(np.argmin(psd))
+    return check_convex_many([q], tol)[0]
+
+
+def check_convex_many(qs, tol: float = 1e-9) -> list:
+    """check_convex of every problem in qs, in one pass.
+
+    The quadratic parts of all problems' functions are read as views of
+    their matrices (no copy per function) and tested together: one
+    stacked eigendecomposition per dimension (symkernel.is_psd_many). In
+    each problem the first part that fails names the certificate's
+    failure, as testing them one by one would.
+    """
+    certs, spans, quads = [], [], []
+    for q in qs:
+        kept = _kept_constraints(q)
+        bad_rel = [i for i, (_, rel, _) in enumerate(kept) if rel is not Relation.LE]
+        if bad_rel:
+            certs.append(Certificate(
+                CertificateKind.NONE,
+                f"constraint rows {bad_rel} are not <=",
+                depends_on_solution=False,
+            ))
+            spans.append(None)
+            continue
+        n = q.n
+        funcs = [q.objective] + [f for f, _, _ in kept]
+        spans.append((len(quads), len(kept)))
+        quads += [f.B.array[:n, :n] for f in funcs]
+        certs.append(None)
+    psd = is_psd_many(quads, tol=tol)
+    for i, span in enumerate(spans):
+        if span is None:
+            continue
+        start, rows = span
+        flags = psd[start : start + rows + 1]
+        if flags.all():
+            certs[i] = Certificate(
+                CertificateKind.CONVEX,
+                f"all {rows} rows are <= and all {rows + 1} quadratic parts PSD",
+                depends_on_solution=False,
+            )
+            continue
+        k = int(np.argmin(flags))
         which = "objective" if k == 0 else f"constraint {k - 1}"
-        return Certificate(
+        certs[i] = Certificate(
             CertificateKind.NONE,
             f"quadratic part of {which} is not PSD",
             depends_on_solution=False,
         )
-    return Certificate(
-        CertificateKind.CONVEX,
-        f"all {len(kept)} rows are <= and all {len(funcs)} quadratic parts PSD",
-        depends_on_solution=False,
-    )
+    return certs
 
 
 def extract_convex_solution(x: SymMatrix) -> np.ndarray:

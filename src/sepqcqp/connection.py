@@ -21,6 +21,16 @@ itself hand over a rank-one solution, so certification and witnessing
 are reported independently. The module also renders the two-level
 reading of a connection (allocations as upper-level variables) and
 ships the seeded instance generators used across the test suite.
+
+Around the joint solve, each stage works on all entries at once
+(_EntryStacks holds every entry's function matrices stacked per block
+dimension): the row values at the solution blocks and at witness points
+are one stacked product per dimension, the dual-bound PSD tests of all
+entries one stacked eigh per dimension, and the convexity tests of all
+inhomogeneous entries one more (certificates.check_convex_many). Every
+value is bit for bit the one-entry loop's: a stacked dot product runs
+over C-contiguous rows (see sdp_solver), and sums over a homogeneous
+entry's blocks are added block by block onto zeros, as before.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ from .certificates import (
     CertificateKind,
     aggregated_graph,
     check_assumption_A,
-    check_convex,
+    check_convex,  # noqa: F401 - perfbench/tracing.py wraps connection.check_convex
+    check_convex_many,
     check_m_le_2,
     check_sign_pattern,
     extract_convex_solution,
@@ -60,10 +71,8 @@ from .qcqp_model import (
     SeparableQcqp,
     brute_force,
     flatten,
-    hom_values,
     split_point,
 )
-from .qcqp_model import eval as qf_eval
 from .rank_reduction import ReductionReport, reduce
 from .sdp_solver import SolverOptions, solve, solve_many
 from .sdpr_builder import (
@@ -75,7 +84,7 @@ from .sdpr_builder import (
     build_shor,
     to_standard_form,
 )
-from .symkernel import SymMatrix, frob_inner, is_psd, is_psd_many
+from .symkernel import SymMatrix, frob_inner_many, is_psd, is_psd_many
 
 
 class VerdictStatus(enum.Enum):
@@ -184,18 +193,146 @@ def _entry_slices(s: SeparableQcqp) -> list:
     return out
 
 
-def _entry_achieved(entry, blocks) -> np.ndarray:
-    """Values [objective, row 1..m] an entry contributes at its psd blocks."""
-    if isinstance(entry, HomSepQcqp):
-        out = np.zeros(entry.m + 1)
-        for q in range(entry.q_hat):
-            for k in range(entry.m + 1):
-                out[k] += frob_inner(entry.blocks[q][k], blocks[q])
+class _EntryStacks:
+    """Every entry's function matrices on its relaxation blocks, stacked
+    per block dimension, so that a stage over all entries is a few
+    stacked numpy calls.
+
+    Block i (build_block's order; slices from _entry_slices) carries its
+    entry's matrices there, objective first: B_0 .. B_m of an
+    inhomogeneous entry, C^q_0 .. C^q_m of block q of a homogeneous one.
+    groups holds, per dimension, the blocks' indices and their
+    (g, m + 1, d, d) stack. Per-block values become per-entry values as
+    the one-entry loops summed them (_per_entry).
+    """
+
+    def __init__(self, s: SeparableQcqp):
+        self.s = s
+        self.slices = _entry_slices(s)
+        #: each entry's first block
+        self.first = [sl.start for sl in self.slices]
+        self.hom = [
+            p for p, entry in enumerate(s.blocks) if isinstance(entry, HomSepQcqp)
+        ]
+        mats = []
+        for entry in s.blocks:
+            if isinstance(entry, HomSepQcqp):
+                mats += entry.blocks
+            else:
+                mats.append([entry.objective.B] + [f.B for f, _ in entry.constraints])
+        self.dims = [ms[0].dim for ms in mats]
+        #: the entry of each block, and the corner row of each inhomogeneous
+        #: entry's block (-1 elsewhere)
+        self.owner = np.repeat(
+            np.arange(len(s.blocks)), [sl.stop - sl.start for sl in self.slices]
+        )
+        self.corner = np.full(len(mats), -1, dtype=np.intp)
+        for p, entry in enumerate(s.blocks):
+            if not isinstance(entry, HomSepQcqp):
+                self.corner[self.slices[p].start] = entry.n
+        by_dim: dict[int, list[int]] = {}
+        for i, d in enumerate(self.dims):
+            by_dim.setdefault(d, []).append(i)
+        self.groups = [
+            (
+                np.array(idx, dtype=np.intp),
+                np.array([[a.array for a in mats[i]] for i in idx]),
+            )
+            for idx in by_dim.values()
+        ]
+        #: the rows whose matrix on a block is identically zero
+        self.zero = np.empty((len(mats), s.m), dtype=bool)
+        for idx, stack in self.groups:
+            self.zero[idx] = ~stack[:, 1:].any(axis=(2, 3))
+
+    def _per_entry(self, table: np.ndarray) -> np.ndarray:
+        """Per-block values (one row per block) as per-entry values: an
+        inhomogeneous entry's block row, or a homogeneous entry's rows
+        added block by block onto zeros."""
+        out = table[self.first]
+        for p in self.hom:
+            acc = np.zeros(table.shape[1])
+            for row in table[self.slices[p]]:
+                acc += row
+            out[p] = acc
         return out
-    x = blocks[0]
-    vals = [frob_inner(entry.objective.B, x)]
-    vals += [frob_inner(f.B, x) for f, _ in entry.constraints]
-    return np.array(vals)
+
+    def at_blocks(self, blocks) -> np.ndarray:
+        """[objective, row 1..m] of every entry at its psd blocks (the
+        relaxation's blocks, as SymMatrix): one row per entry, each value
+        bit for bit its frob_inner."""
+        dims = [x.dim for x in blocks]
+        if len(dims) != len(self.dims):
+            raise DimensionError(
+                f"{len(dims)} solution blocks, expected {len(self.dims)}"
+            )
+        if dims != self.dims:
+            got, want = next((a, b) for a, b in zip(dims, self.dims) if a != b)
+            raise DimensionError(f"solution block dim {got}, expected {want}")
+        table = np.empty((len(dims), self.s.m + 1))
+        for idx, mats in self.groups:
+            xs = np.stack([blocks[i].array for i in idx])
+            table[idx] = frob_inner_many(mats, xs[:, None])
+        return self._per_entry(table)
+
+    def at_points(self, points) -> np.ndarray:
+        """[objective, row 1..m] of every entry at one flat point each:
+        one row per entry, each value bit for bit that of evaluating the
+        entry's functions one at a time (qcqp_model.eval, hom_values)."""
+        zs = []
+        for entry, point in zip(self.s.blocks, points):
+            point = np.asarray(point, dtype=np.float64).reshape(-1)
+            if isinstance(entry, HomSepQcqp):
+                want = sum(entry.dims)
+                if point.shape[0] != want:
+                    raise DimensionError(
+                        f"point has {point.shape[0]} coordinates, expected {want}"
+                    )
+                ofs = 0
+                for d in entry.dims:
+                    zs.append(point[ofs : ofs + d])
+                    ofs += d
+            else:
+                if point.shape != (entry.n,):
+                    raise DimensionError(
+                        f"point has shape {point.shape}, expected ({entry.n},)"
+                    )
+                zs.append(np.append(point, 1.0))
+        table = np.empty((len(zs), self.s.m + 1))
+        for idx, mats in self.groups:
+            z = np.stack([zs[i] for i in idx])
+            # z B z per matrix: one gemv, then one dot over a contiguous row
+            table[idx] = np.matmul(
+                np.matmul(z[:, None, None, :], mats), z[:, None, :, None]
+            )[..., 0, 0]
+        return self._per_entry(table)
+
+    def reduced_psd(self, y, mus, tol) -> np.ndarray:
+        """Per entry, whether its reduced objective matrices (objective
+        minus y against the rows, minus mu at an inhomogeneous block's
+        corner; mus per entry) are all psd within tol. Each block's matrix
+        is built as the one-entry loop built it, term by term in row
+        order, skipping rows with y_k = 0; the tests are one is_psd_many.
+        A matrix that overflowed is not psd."""
+        nz = np.flatnonzero(y != 0.0)
+        flags = np.empty(len(self.dims), dtype=bool)
+        for idx, mats in self.groups:
+            if len(nz):
+                terms = np.concatenate(
+                    (mats[:, :1], y[nz][None, :, None, None] * mats[:, 1 + nz]), axis=1
+                )
+                acc = np.subtract.reduce(terms, axis=1)
+            else:
+                acc = mats[:, 0].copy()
+            pos = np.flatnonzero(self.corner[idx] >= 0)
+            if len(pos):
+                n = acc.shape[-1] - 1
+                mu = np.asarray(mus, dtype=np.float64)[self.owner[idx[pos]]]
+                acc[pos, n, n] -= mu
+            finite = np.isfinite(acc).all(axis=(1, 2))
+            flags[idx] = finite
+            flags[idx[finite]] = is_psd_many(acc[finite], tol)
+        return np.array([flags[sl].all() for sl in self.slices], dtype=bool)
 
 
 def decompose_delta(s: SeparableQcqp, sol) -> list:
@@ -207,35 +344,20 @@ def decompose_delta(s: SeparableQcqp, sol) -> list:
     sol is feasible the allocations jointly respect every relation
     against gamma.
     """
-    return [vals[1:] for vals in _achieved(s, sol, _entry_slices(s))]
-
-
-def _achieved(s: SeparableQcqp, sol, slices) -> list:
-    """_entry_achieved of every entry at its blocks of sol (slices, from
-    _entry_slices), [objective, rows]; decompose_delta's allocations are
-    the row parts."""
-    total = slices[-1].stop
-    if len(sol.blocks) != total:
-        raise DimensionError(f"{len(sol.blocks)} solution blocks, expected {total}")
-    out = []
-    for entry, sl in zip(s.blocks, slices):
-        blocks = sol.blocks[sl]
-        want = entry.dims if isinstance(entry, HomSepQcqp) else [entry.n + 1]
-        for x, d in zip(blocks, want):
-            if x.dim != d:
-                raise DimensionError(f"solution block dim {x.dim}, expected {d}")
-        out.append(_entry_achieved(entry, blocks))
-    return out
+    return list(_EntryStacks(s).at_blocks(sol.blocks)[:, 1:])
 
 
 def strip_variable_free_rows(q: Qcqp):
     """Remove constraints whose matrix is identically zero.
 
-    Returns (reduced problem, kept row indices). Zero rows carry no
-    variable information; whether their right-hand sides are consistent
-    is a separate check that depends on the allocation in play.
+    Returns (reduced problem, kept row indices); the reduced problem is q
+    itself when no row is zero. Zero rows carry no variable information;
+    whether their right-hand sides are consistent is a separate check
+    that depends on the allocation in play.
     """
     kept = [k for k, (f, _) in enumerate(q.constraints) if not f.is_zero()]
+    if len(kept) == q.m:
+        return q, kept
     reduced = Qcqp(
         q.n,
         q.objective,
@@ -255,7 +377,7 @@ def _hom_at(entry: HomSepQcqp, delta):
 def _sub_problem(entry, delta):
     """Entry-level relaxation at allocation delta: build_hom of the reduced
     homogeneous rows, or build_shor of the rows that involve variables
-    (whether the variable-free ones hold is _variable_free_rows_hold)."""
+    (whether the variable-free ones hold is _rows_hold's first test)."""
     delta = np.asarray(delta, dtype=np.float64)
     if isinstance(entry, HomSepQcqp):
         return build_hom(_hom_at(entry, delta)[1][0])
@@ -263,34 +385,39 @@ def _sub_problem(entry, delta):
     return build_shor(strip_variable_free_rows(full)[0])
 
 
-def _variable_free_rows_hold(entry: Qcqp, delta, tol) -> bool:
-    """Does allocation delta satisfy, within tol, every row of entry whose
-    matrix is zero (0 <relation> delta_k)?"""
-    for k, (f, rel) in enumerate(entry.constraints):
-        if f.is_zero():
-            dk = float(delta[k])
-            if not rel.holds(0.0, dk, tol * (1.0 + abs(dk))):
-                return False
-    return True
+def _within(s: SeparableQcqp, lhs, delta: np.ndarray, tol) -> np.ndarray:
+    """Relation.holds for every (entry, row) pair: lhs <relation_k>
+    delta within tol * (1 + |delta|), as the one-pair test computes it."""
+    rels = s.relations
+    le = np.array([r is Relation.LE for r in rels], dtype=bool)
+    eq = np.array([r is Relation.EQ for r in rels], dtype=bool)
+    t = tol * (1.0 + np.abs(delta))
+    with np.errstate(invalid="ignore", over="ignore"):
+        ge = lhs >= delta - t
+        return np.where(le, lhs <= delta + t, np.where(eq, np.abs(lhs - delta) <= t, ge))
 
 
-def _joint_rows_hold(entry: Qcqp, vals, delta, x, tol) -> bool:
-    """Does an inhomogeneous entry's joint block x satisfy, within tol, its
-    own relaxation's rows at allocation delta?
+def _rows_hold(stacks, blocks, achieved, deltas, tol):
+    """Two tests per entry, meaningful for the inhomogeneous ones:
+    (variable-free rows, joint rows).
 
-    vals are the entry's row values at x (_entry_achieved, objective
-    first); the rows are those that involve variables, each within
-    tol * (1 + |delta_k|), and the unit corner x[n, n] = 1 within 2 tol.
-    The variable-free rows are _variable_free_rows_hold's.
+    The first asks whether allocation deltas[p] satisfies, within tol,
+    every row of the entry whose matrix is zero (0 <relation> delta_k).
+    The second asks whether the entry's joint block satisfies its own
+    relaxation's other rows at that allocation, read off its row values
+    achieved[p] (objective first), each within tol * (1 + |delta_k|),
+    and the unit corner x[n, n] = 1 within 2 tol.
     """
-    for k, (f, rel) in enumerate(entry.constraints):
-        if f.is_zero():
-            continue
-        dk = float(delta[k])
-        if not rel.holds(float(vals[k + 1]), dk, tol * (1.0 + abs(dk))):
-            return False
+    first = stacks.first
+    zero = stacks.zero[first]
+    free = np.where(zero, _within(stacks.s, 0.0, deltas, tol), True).all(axis=1)
+    rows = np.where(zero, True, _within(stacks.s, achieved[:, 1:], deltas, tol))
+    corner = np.array(
+        [blocks[i].array[n, n] if n >= 0 else 1.0
+         for i, n in zip(first, stacks.corner[first])]
+    )
     # written so that a NaN fails it
-    return abs(x[entry.n, entry.n] - 1.0) <= 2.0 * tol
+    return free, rows.all(axis=1) & (np.abs(corner - 1.0) <= 2.0 * tol)
 
 
 def _connection_duals(s: SeparableQcqp, b, sol):
@@ -313,50 +440,20 @@ def _connection_duals(s: SeparableQcqp, b, sol):
     return y, mus
 
 
-def _reduced_objectives(entry, y, mu) -> list:
-    """The entry's objective matrices minus y against its rows (and minus
-    mu at the corner of an inhomogeneous entry's block), one per block."""
-    if isinstance(entry, HomSepQcqp):
-        out = []
-        for q in range(entry.q_hat):
-            acc = entry.blocks[q][0].to_dense().copy()
-            for k in range(entry.m):
-                if y[k] != 0.0:
-                    acc -= y[k] * entry.blocks[q][k + 1].to_dense()
-            out.append(SymMatrix.from_dense(acc))
-        return out
-    acc = entry.objective.B.to_dense().copy()
-    for k, (f, _) in enumerate(entry.constraints):
-        if y[k] != 0.0:
-            acc -= y[k] * f.B.to_dense()
-    acc[entry.n, entry.n] -= mu
-    return [SymMatrix.from_dense(acc)]
-
-
-def _dual_feasible(s: SeparableQcqp, y, mus, tol) -> np.ndarray:
+def _dual_feasible(stacks, y, mus, tol) -> np.ndarray:
     """Per entry, whether the connection's multipliers are dual-feasible
     for the entry's own relaxation: every inequality row's multiplier has
-    its relation's sign within tol, and the reduced objective matrices
-    (_reduced_objectives) are psd. The psd tests of all entries run as one
-    stacked eigendecomposition per block dimension (is_psd_many)."""
+    its relation's sign within tol (the entries share their relations, so
+    this test is one for all of them), and the reduced objective matrices
+    are psd (_EntryStacks.reduced_psd: one stacked eigendecomposition per
+    block dimension for all entries)."""
     yscale = tol * (1.0 + float(np.abs(y).max(initial=0.0)))
-    ok = np.ones(len(s.blocks), dtype=bool)
-    mats, owner = [], []
-    for p, entry in enumerate(s.blocks):
-        for k, rel in enumerate(entry.relations):
-            if (rel is Relation.LE and y[k] > yscale) or (
-                rel is Relation.GE and y[k] < -yscale
-            ):
-                ok[p] = False
-                break
-        else:
-            red = _reduced_objectives(entry, y, mus[p])
-            mats += red
-            owner += [p] * len(red)
-    psd = is_psd_many(mats, tol)
-    for p, flag in zip(owner, psd):
-        ok[p] &= flag
-    return ok
+    for k, rel in enumerate(stacks.s.relations):
+        if (rel is Relation.LE and y[k] > yscale) or (
+            rel is Relation.GE and y[k] < -yscale
+        ):
+            return np.zeros(len(stacks.slices), dtype=bool)
+    return stacks.reduced_psd(y, mus, tol)
 
 
 def _dual_bound(entry, delta, y, mu, feasible):
@@ -429,22 +526,20 @@ class _EntryAnalysis:
     sub: BlockSdp | None = None
 
 
-def _analyse_entries(
-    s: SeparableQcqp, b, sol, slices, achieved, deltas, tol, solver=None
-) -> list:
+def _analyse_entries(stacks, b, sol, achieved, deltas, tol, solver=None) -> list:
     """Every entry's _EntryAnalysis, in one pass over the entries.
 
-    Entry p's blocks of sol are sol.blocks[slices[p]] (_entry_slices),
-    achieved[p] is its [objective, row values] there (_entry_achieved)
-    and deltas[p] its allocation. The joint primal-dual pair comes
-    first. Its multipliers bound every entry's relaxation from
-    below (_dual_bound; the psd tests of all entries stacked, see
-    _dual_feasible); where the bound meets the achieved objective within
-    tol and the entry's joint blocks satisfy its own rows, the entry is
-    optimal at its allocation and is not re-solved. An inhomogeneous
-    entry's rows are checked on the row values it already has
-    (_variable_free_rows_hold, _joint_rows_hold), so no sub-problem is
-    built for it; its solution is not read later and stays None. A
+    stacks is the connection's _EntryStacks; entry p's blocks of sol are
+    sol.blocks[stacks.slices[p]], achieved[p] is its [objective, row
+    values] there (_EntryStacks.at_blocks) and deltas[p] its allocation.
+    The joint primal-dual pair comes first. Its multipliers bound every
+    entry's relaxation from below (_dual_bound; the psd tests of all
+    entries stacked, see _dual_feasible); where the bound meets the
+    achieved objective within tol and the entry's joint blocks satisfy
+    its own rows, the entry is optimal at its allocation and is not
+    re-solved. The inhomogeneous entries' rows are checked together on
+    the row values they already have (_rows_hold), so no sub-problem is
+    built for them; their solution is not read later and stays None. A
     homogeneous entry's row reduction is computed here, once, and its
     relaxation built: its joint blocks become its solution
     (_joint_subsol), which the certificate and witness stages read.
@@ -454,8 +549,15 @@ def _analyse_entries(
     nan marks an entry with neither, or one whose allocation leaves a
     variable-free row inconsistent.
     """
+    s, slices = stacks.s, stacks.slices
     y, mus = _connection_duals(s, b, sol)
-    feasible = _dual_feasible(s, y, mus, tol)
+    feasible = _dual_feasible(stacks, y, mus, tol)
+    achieved = np.asarray(achieved, dtype=np.float64)
+    free = joint = None
+    if len(stacks.hom) < len(s.blocks):
+        free, joint = _rows_hold(
+            stacks, sol.blocks, achieved, np.asarray(deltas, dtype=np.float64), tol
+        )
 
     def from_bound(obj, bound, subsol, resolved, **parts):
         if bound is None:
@@ -464,24 +566,25 @@ def _analyse_entries(
 
     out, retry = [], {}
     for p, entry in enumerate(s.blocks):
-        blocks = sol.blocks[slices[p]]
-        obj = float(achieved[p][0])
+        obj = float(achieved[p, 0])
         bound = _dual_bound(entry, deltas[p], y, mus[p], feasible[p])
         close = bound is not None and abs(obj - bound) <= tol * (1.0 + abs(obj))
         parts = {}
         if isinstance(entry, HomSepQcqp):
             h, reduction = _hom_at(entry, deltas[p])
             parts = dict(hom=h, reduction=reduction, sub=build_hom(reduction[0]))
-            subsol = _joint_subsol(parts["sub"], blocks, obj, tol) if close else None
+            subsol = (
+                _joint_subsol(parts["sub"], sol.blocks[slices[p]], obj, tol)
+                if close
+                else None
+            )
             accept = subsol is not None
-        elif not _variable_free_rows_hold(entry, deltas[p], tol):
+        elif not free[p]:
             out.append(_EntryAnalysis(math.nan, math.nan, None, False))
             continue
         else:
             subsol = None
-            accept = close and _joint_rows_hold(
-                entry, achieved[p], deltas[p], blocks[0], tol
-            )
+            accept = close and bool(joint[p])
             if not accept:
                 parts = dict(sub=_sub_problem(entry, deltas[p]))
         if accept:
@@ -560,70 +663,67 @@ def _no_certificate(note: str) -> Certificate:
     )
 
 
-def _certify_qcqp_entry(entry: Qcqp):
-    """Structural certificate and optional sign gauge for an inhomogeneous
-    entry.
+def _certify_qcqp_entries(stacks) -> dict:
+    """Structural certificate and optional sign gauge of every
+    inhomogeneous entry of the connection (stacks, its _EntryStacks), as
+    {entry index: (certificate, gauge)}.
 
     Variable-free rows are ignored: they constrain allocations, not the
-    entry's variables. Both recognized classes need every remaining row
-    to be <=, since their witness constructions only push constraint
-    values downward.
+    entry's variables (stacks.zero marks them). Both recognized classes
+    need every remaining row to be <=, since their witness constructions
+    only push constraint values downward. The convexity tests of all
+    entries are one pass (check_convex_many); only the entries it
+    rejects look for a gauge.
     """
-    stripped, _ = strip_variable_free_rows(entry)
-    if any(rel is not Relation.LE for rel in stripped.relations):
-        return _no_certificate("an equality or >= row involves variables"), None
-    cert = check_convex(stripped)
-    if cert.holds:
-        return cert, None
-    gauge = nonpositive_gauge(stripped)
-    if gauge is not None:
-        funcs = [stripped.objective] + [f for f, _ in stripped.constraints]
-        return (
-            check_sign_pattern(aggregated_graph([f.quad_part() for f in funcs])),
-            gauge,
-        )
-    return (
-        _no_certificate(
-            "neither convex nor sign-flippable to nonpositive couplings"
-        ),
-        None,
-    )
+    entries = stacks.s.blocks
+    inhom = [p for p, entry in enumerate(entries) if not isinstance(entry, HomSepQcqp)]
+    zero = stacks.zero[[stacks.first[p] for p in inhom]].any(axis=1)
+    stripped = [
+        strip_variable_free_rows(entries[p])[0] if z else entries[p]
+        for p, z in zip(inhom, zero.tolist())
+    ]
+    out, convex = [None] * len(inhom), []
+    for i, q in enumerate(stripped):
+        if any(rel is not Relation.LE for rel in q.relations):
+            out[i] = (_no_certificate("an equality or >= row involves variables"), None)
+        else:
+            convex.append(i)
+    for i, cert in zip(convex, check_convex_many([stripped[i] for i in convex])):
+        gauge = None
+        if not cert.holds:
+            gauge = nonpositive_gauge(stripped[i])
+            if gauge is None:
+                cert = _no_certificate(
+                    "neither convex nor sign-flippable to nonpositive couplings"
+                )
+            else:
+                q = stripped[i]
+                funcs = [q.objective] + [f for f, _ in q.constraints]
+                cert = check_sign_pattern(
+                    aggregated_graph([f.quad_part() for f in funcs])
+                )
+        out[i] = (cert, gauge)
+    return dict(zip(inhom, out))
 
 
 # ---------------------------------------------------------------------------
 # witnesses
 
 
-def _entry_point_values(entry, point) -> np.ndarray:
-    """[objective, row 1..m] of one entry at one flat point."""
-    point = np.asarray(point, dtype=np.float64).reshape(-1)
-    if isinstance(entry, HomSepQcqp):
-        vs, ofs = [], 0
-        for d in entry.dims:
-            vs.append(point[ofs : ofs + d])
-            ofs += d
-        if ofs != point.shape[0]:
-            raise DimensionError(
-                f"point has {point.shape[0]} coordinates, expected {ofs}"
-            )
-        return hom_values(entry, vs)
-    vals = [qf_eval(entry.objective, point)]
-    vals += [qf_eval(f, point) for f, _ in entry.constraints]
-    return np.array(vals)
-
-
-def _verify_witness(s: SeparableQcqp, points, eta, tol):
+def _verify_witness(stacks, points, eta, tol):
     """(objective, ok): does the per-entry point list satisfy every coupled
-    row and reproduce eta?"""
-    per_entry = [
-        _entry_point_values(entry, pt) for entry, pt in zip(s.blocks, points)
-    ]
-    totals = np.sum([v[1:] for v in per_entry], axis=0)
+    row and reproduce eta? The entries' values are one stacked
+    evaluation (_EntryStacks.at_points)."""
+    s = stacks.s
+    vals = stacks.at_points(points)
+    # the row values laid out as the one-entry list of rows was, so that
+    # np.sum takes the same order
+    totals = np.sum(np.ascontiguousarray(vals[:, 1:]), axis=0)
     for k, rel in enumerate(s.relations):
         gk = float(s.gamma[k])
         if not rel.holds(float(totals[k]), gk, tol * (1.0 + abs(gk))):
             return None, False
-    obj = float(sum(v[0] for v in per_entry))
+    obj = float(sum(vals[:, 0].tolist()))
     return obj, abs(obj - eta) <= tol * (1.0 + abs(eta))
 
 
@@ -745,13 +845,15 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
             relaxation=sol,
         )
     eta = float(sol.value)
-    slices = _entry_slices(s)
-    achieved = _achieved(s, sol, slices)
-    deltas = [vals[1:] for vals in achieved]
+    stacks = _EntryStacks(s)
+    slices = stacks.slices
+    achieved = stacks.at_blocks(sol.blocks)
+    deltas = list(achieved[:, 1:])
     analysed = _analyse_entries(
-        s, b, sol, slices, achieved, deltas, opts.tol, opts.solver
+        stacks, b, sol, achieved, deltas, opts.tol, opts.solver
     )
 
+    structural = _certify_qcqp_entries(stacks)
     certs, gauges, per_block = [], [], []
     for p, entry in enumerate(s.blocks):
         e = analysed[p]
@@ -774,7 +876,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
                         depends_on_solution=True,
                     )
         else:
-            cert, gauge = _certify_qcqp_entry(entry)
+            cert, gauge = structural[p]
 
         certs.append(cert)
         gauges.append(gauge)
@@ -786,7 +888,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     reduction, points = _global_witness(b, sol, slices, opts)
     witness_obj, witnessed = None, False
     if points is not None:
-        witness_obj, witnessed = _verify_witness(s, points, eta, opts.tol)
+        witness_obj, witnessed = _verify_witness(stacks, points, eta, opts.tol)
     if not witnessed:
         candidate = []
         for p, entry in enumerate(s.blocks):
@@ -803,7 +905,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
                 break
             candidate.append(pt)
         if candidate is not None:
-            obj2, ok2 = _verify_witness(s, candidate, eta, opts.tol)
+            obj2, ok2 = _verify_witness(stacks, candidate, eta, opts.tol)
             if ok2:
                 points, witness_obj, witnessed = candidate, obj2, True
 

@@ -14,9 +14,14 @@ the solver used), with the objective appended as its last row. Row
 values are the operator applied to the blocks. The restricted system
 projects, per block, only the rows active on that block, as one stacked
 F^T A F, so the (row, block) pairs without a matrix stay exactly zero.
-Every iterate takes one stacked eigendecomposition per block dimension
-(symkernel.eigh_many): inside the walk it gives the factors, and at the
-end the final ranks, the Pataki count and the extracted points.
+Every iterate takes one stacked eigendecomposition per block dimension,
+after one stacked norm per dimension has frozen the blocks that are
+numerically zero; it gives the factors. The last iterate's serves the
+report too (the final ranks, one stacked rank test per dimension, the
+Pataki count and the extracted points), unless that iterate froze a
+block, which is then decomposed once more. A walk that takes no step
+and freezes nothing returns its input blocks as the reduced solution,
+since symmetrizing them again would return them unchanged.
 
 At a null-free point the count sum_q r_q (r_q + 1) / 2 + #positive slacks
 cannot exceed the number of rows, which is what forces blockwise rank one
@@ -34,10 +39,13 @@ import numpy as np
 from .certificates import pataki_count
 from .errors import ReductionStallError, StaleSolutionError, StructureError
 from .sdpr_builder import BlockSdp, RowOperator, SdpSolution, SolveStatus
-from .symkernel import SymMatrix, eigh_many, rank_of_eigenvalues
+from .symkernel import SymMatrix, eigh_many, rank_of_eigenvalues_many
 
 #: steps shorter than this count as stalled; two of them abort the run
 _STALL_STEP = 1e-14
+
+#: half the largest double: symmetrizing an entry beyond it overflows
+_HALF_MAX = np.finfo(float).max / 2
 
 
 class BlockKind(enum.Enum):
@@ -128,7 +136,8 @@ def reduce(
     objective joins them as one extra row (RowOperator.with_row). Each
     iterate projects only the active (row, block) pairs, block by block in
     one stacked product, and factors all blocks with one stacked
-    eigendecomposition per block dimension.
+    eigendecomposition per block dimension; the last one also gives the
+    report when it froze no block.
     """
     for row in b.rows:
         if row.slack_coeff == -1:
@@ -174,21 +183,38 @@ def reduce(
     # far-away boundaries, which amplifies the off-null rounding error
     factor_cut = 0.1 * rank_tol
 
+    by_dim: dict[int, list[int]] = {}
+    for bi, d in enumerate(dims):
+        by_dim.setdefault(d, []).append(bi)
+    groups = [np.array(idx, dtype=np.intp) for idx in by_dim.values()]
+
     def factor_blocks():
-        """Per-block factors F with X ~= F F^T; frozen blocks get width 0."""
+        """Per-block factors F with X ~= F F^T (frozen blocks get width 0),
+        and the spectra of every block when none froze (else None).
+
+        Per dimension, one stacked Frobenius norm (np.linalg.norm's one
+        dot per block) decides the frozen blocks and one stacked eigh
+        decomposes the others; their eigenvalue cuts are one test."""
         fs = [np.zeros((d, 0)) for d in dims]
-        thawed = []
-        for bi in range(nb):
-            if np.linalg.norm(X[bi]) <= freeze:
+        eigs, any_cold = [None] * nb, False
+        for idx in groups:
+            st = np.stack([X[bi] for bi in idx])
+            flat = st.reshape(len(idx), -1)
+            norm = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
+            cold = norm <= freeze
+            for bi in idx[cold]:
                 X[bi] = np.zeros_like(X[bi])
-            else:
-                thawed.append(bi)
-        eigs = eigh_many([0.5 * (X[bi] + X[bi].T) for bi in thawed])
-        for bi, (lam, vec) in zip(thawed, eigs):
-            cut = factor_cut * max(1.0, lam.max(initial=0.0))
-            keep = lam > cut
-            fs[bi] = vec[:, keep] * np.sqrt(lam[keep])
-        return fs
+            any_cold |= bool(cold.any())
+            if cold.all():
+                continue
+            st = st[~cold]
+            lam, vec = np.linalg.eigh(0.5 * (st + st.swapaxes(1, 2)))
+            peak = lam.max(axis=1, initial=0.0)
+            keep = lam > (factor_cut * np.where(peak > 1.0, peak, 1.0))[:, None]
+            for k, bi in enumerate(idx[~cold]):
+                fs[bi] = vec[k][:, keep[k]] * np.sqrt(lam[k][keep[k]])
+                eigs[bi] = (lam[k], vec[k])
+        return fs, (None if any_cold else eigs)
 
     smax = np.abs(s).max(initial=0.0)
     slack_live = lambda: [
@@ -275,8 +301,10 @@ def reduce(
     def spectra():
         return eigh_many([0.5 * (x + x.T) for x in X])
 
-    def make_report(eigs, extracted=None):
-        ranks = [rank_of_eigenvalues(lam, rank_tol) for lam, _ in eigs]
+    def ranks_of(eigs):
+        return rank_of_eigenvalues_many([lam for lam, _ in eigs], rank_tol)
+
+    def make_report(ranks, extracted=None):
         return ReductionReport(
             iterations=iterations,
             final_ranks=ranks,
@@ -287,10 +315,12 @@ def reduce(
         )
 
     def stall(msg):
-        raise ReductionStallError(msg, report=make_report(spectra()))
+        raise ReductionStallError(msg, report=make_report(ranks_of(spectra())))
 
+    frozen = False
     while True:
-        fs = factor_blocks()
+        fs, eigs = factor_blocks()
+        frozen |= eigs is None
         live = slack_live()
         mat, widths = build_system(fs, live)
         res_budget = 3.0 * tol * scale_rhs
@@ -377,13 +407,23 @@ def reduce(
             )
 
     # one decomposition of the final iterate serves the ranks, the Pataki
-    # count and the extraction
-    eigs = spectra()
-    ext = _extract(eigs, block_kinds_of(b, op), tol=1e-6, rank_tol=rank_tol)
-    report = make_report(eigs, extracted=ext.points if ext.ok else None)
-    res, value = evaluate()
+    # count and the extraction: the last factor_blocks' when no block froze
+    # there, as it then decomposed every block of this iterate
+    if eigs is None:
+        eigs = spectra()
+    ranks = ranks_of(eigs)
+    ext = _extract(eigs, ranks, block_kinds_of(b, op), tol=1e-6)
+    report = make_report(ranks, extracted=ext.points if ext.ok else None)
+    if iterations or frozen or not xmax <= _HALF_MAX:
+        res, value = evaluate()
+        blocks = [SymMatrix.from_dense(x) for x in X]
+    else:
+        # nothing moved: the input blocks are the output, and symmetrizing
+        # them (exactly symmetric, no entry beyond half the largest
+        # double) would return them unchanged
+        res, value, blocks = res0, value0, list(sol.blocks)
     out = SdpSolution(
-        blocks=[SymMatrix.from_dense(x) for x in X],
+        blocks=blocks,
         slacks=s,
         dual_multipliers=sol.dual_multipliers.copy(),
         dual_blocks=list(sol.dual_blocks),
@@ -417,16 +457,16 @@ def extract_point(
             f"{len(block_kinds)} kinds for {len(sol.blocks)} blocks"
         )
     xs = [blk.to_dense() for blk in sol.blocks]
-    return _extract(
-        eigh_many([0.5 * (x + x.T) for x in xs]), block_kinds, tol, rank_tol
-    )
+    eigs = eigh_many([0.5 * (x + x.T) for x in xs])
+    ranks = rank_of_eigenvalues_many([lam for lam, _ in eigs], rank_tol)
+    return _extract(eigs, ranks, block_kinds, tol)
 
 
-def _extract(eigs, block_kinds, tol, rank_tol) -> ExtractResult:
-    """extract_point from each block's (ascending) eigendecomposition."""
+def _extract(eigs, ranks, block_kinds, tol) -> ExtractResult:
+    """extract_point from each block's (ascending) eigendecomposition and
+    numeric rank."""
     points = []
-    for bi, ((lam, vec), kind) in enumerate(zip(eigs, block_kinds)):
-        r = rank_of_eigenvalues(lam, rank_tol)
+    for bi, ((lam, vec), r, kind) in enumerate(zip(eigs, ranks, block_kinds)):
         if r > 1:
             return ExtractResult(
                 None, failed_block=bi, reason=f"block {bi} has rank {r} > 1"

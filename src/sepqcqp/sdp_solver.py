@@ -33,11 +33,23 @@ Bit-identity rule. The iteration is pinned to its loop-shaped form
 trims numpy calls keeps every floating-point operation, its operands and
 their order, so every SdpSolution stays the same bit for bit. Rewrites
 that only hold in exact arithmetic are out, such as reusing an inverted
-Cholesky factor or summing in another order. Dropping a symmetrization
-of an exactly symmetric matrix is allowed only where the overflow it
-would cause (an entry beyond half the largest double) keeps its outcome:
-the new X and S skip it, and the scan counts such an entry as non-finite.
-tools/pool_digest.py checks every benchmark pool instance.
+Cholesky factor or summing in another order. A stacked dot product
+(np.matmul of (n, 1, k) rows by a (k, 1) column) equals np.dot of each
+row only when the rows are C-contiguous: matmul then hands each row to
+BLAS's dot, and otherwise sums it in its own loop, in another order.
+Rows gathered by fancy indexing can come out in Fortran order (take()
+along the last axis, or np.ascontiguousarray, keeps them C), and a
+matrix-vector product (prod @ w) goes through gemv, which sums in
+another order too. Dropping a symmetrization of an exactly symmetric
+matrix is allowed only where the overflow it would cause (an entry
+beyond half the largest double) keeps its outcome: the new X and S skip
+it, and the scan counts such an entry as non-finite.
+tools/pool_digest.py checks every benchmark pool instance and the
+command-line reports.
+
+The centering weight min(1, max((mu_aff / mu)^3, 0)) is clamped before
+the cube where the ratio leaves [-1, 1], so a wildly scaled problem
+stops with a status instead of overflowing a Python float.
 """
 
 from __future__ import annotations
@@ -348,7 +360,9 @@ class _Layout:
         for d in sorted(by_dim):
             slots = by_dim[d]
             g = len(slots)
-            kmax = max(len(probs[i].active[bi]) for i, bi in slots)
+            acts = [probs[i].active[bi] for i, bi in slots]
+            ks = np.array([len(act) for act in acts], dtype=np.intp)
+            kmax = int(ks.max())
             grp = _Group()
             grp.dim, grp.n = d, g
             grp.owner = np.array([i for i, _ in slots], dtype=np.intp)
@@ -357,23 +371,31 @@ class _Layout:
             grp.step_at = np.concatenate((grp.owner, grp.owner + P))[:, None, None]
             grp.block = np.array([bi for _, bi in slots], dtype=np.intp)
             grp.C = np.stack([probs[i].C[bi] for i, bi in slots])
-            grp.A = np.zeros((kmax, g, d, d))
-            grp.rows = np.full((kmax, g, 1, 1), R, dtype=np.intp)
-            grp.row_at = np.full((kmax, g), R * nb, dtype=np.intp)
-            grp.schur_at = np.full((g, kmax, kmax), NM * nb, dtype=np.intp)
             for j, (i, bi) in enumerate(slots):
                 self.where[i][bi] = (len(self.groups), j)
-                p, act = probs[i], probs[i].active[bi]
-                k = len(act)
-                if not k:
-                    continue
-                rows = self.row_off[i] + act
-                grp.A[:k, j] = p.stacks[bi]
-                grp.rows[:k, j, 0, 0] = rows
-                grp.row_at[:k, j] = rows * nb + bi
-                grp.schur_at[j, :k, :k] = (
-                    sq_off[i] + act[:, None] * p.m + act[None, :]
-                ) * nb + bi
+            # every slot's active rows at once: pair t is row kk[t] of slot
+            # jj[t]; act_at[j, k] is slot j's k-th active row
+            jj = np.repeat(np.arange(g), ks)
+            kk = np.arange(len(jj)) - np.repeat(np.cumsum(ks) - ks, ks)
+            act_at = np.zeros((g, kmax), dtype=np.intp)
+            act_at[jj, kk] = np.concatenate(acts)
+            rows = self.row_off[grp.owner][jj] + act_at[jj, kk]
+            grp.A = np.zeros((kmax, g, d, d))
+            grp.A[kk, jj] = np.concatenate([probs[i].stacks[bi] for i, bi in slots])
+            grp.rows = np.full((kmax, g, 1, 1), R, dtype=np.intp)
+            grp.rows[kk, jj, 0, 0] = rows
+            grp.row_at = np.full((kmax, g), R * nb, dtype=np.intp)
+            grp.row_at[kk, jj] = rows * nb + grp.block[jj]
+            # (row a, row b) cells of each slot's Schur block
+            col = (
+                sq_off[grp.owner][:, None, None]
+                + act_at[:, :, None] * m[grp.owner][:, None, None]
+                + act_at[:, None, :]
+            ) * nb + grp.block[:, None, None]
+            live = np.arange(kmax) < ks[:, None]
+            grp.schur_at = np.where(
+                live[:, :, None] & live[:, None, :], col, NM * nb
+            )
             grp.blk_at = grp.owner * nb + grp.block
             grp.blk_at2 = np.concatenate((grp.blk_at, grp.blk_at + P * nb))
             grp.cell_blk = grp.owner * W + grp.block
@@ -661,10 +683,9 @@ class _Batch:
         sa = vec[: 2 * NS] + ta[lay.vec_step_at[: 2 * NS]] * dva[: 2 * NS]
         tr_aff = tr_aff + lay.dots(sa[:NS], sa[NS:], slack=True)
         mu_aff = tr_aff / lay.n_tot
-        sigma = np.array([
-            min(1.0, max((a / m) ** 3 if m > 0 else 0.0, 0.0))
-            for a, m in zip(mu_aff.tolist(), mu.tolist())
-        ])
+        sigma = np.array(
+            [_centering(a, m) for a, m in zip(mu_aff.tolist(), mu.tolist())]
+        )
 
         dxs, dvec = directions(sigma * mu)
         t = lengths(dxs, dvec)
@@ -720,6 +741,20 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).reshape(len(a), -1).sum(axis=1)
 
 
+def _centering(mu_aff: float, mu: float) -> float:
+    """The centering weight min(1, max((mu_aff / mu)^3, 0)), 0 when mu is
+    not positive. A ratio beyond [-1, 1] clamps without being cubed (its
+    cube could overflow a Python float); a NaN ratio gives 1."""
+    if not mu > 0:
+        return 0.0
+    r = mu_aff / mu
+    if r > 1.0:
+        return 1.0
+    if r < -1.0:
+        return 0.0
+    return min(1.0, max(r**3, 0.0))
+
+
 def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(chol chol^T)^-1 b by two general solves, as the Schur step always
     has."""
@@ -745,10 +780,10 @@ def _solution(p: _Problem, rec: dict, history: list) -> SdpSolution:
     pres_full = np.abs(p.full.rhs - full_lhs).max(initial=0.0)
 
     return SdpSolution(
-        blocks=[SymMatrix.from_dense(0.5 * (x + x.T)) for x in rec["X"]],
+        blocks=[SymMatrix(0.5 * (x + x.T)) for x in rec["X"]],
         slacks=slacks,
         dual_multipliers=duals,
-        dual_blocks=[SymMatrix.from_dense(0.5 * (s + s.T)) for s in rec["S"]],
+        dual_blocks=[SymMatrix(0.5 * (s + s.T)) for s in rec["S"]],
         status=rec["status"],
         value=float(rec["value"]),
         primal_residual=float(pres_full),

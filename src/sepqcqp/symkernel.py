@@ -5,7 +5,11 @@ blocks) is a SymMatrix: a real symmetric matrix held as one read-only
 dense float64 array. The kernel supplies the handful of operations
 everything else is built from: Frobenius inner products, the
 eigendecomposition (LAPACK ``eigh`` through numpy, one matrix or a
-stack of them), PSD tests and numeric rank.
+stack of them), PSD tests and numeric rank. The *_many forms work on
+stacks, one numpy call per dimension, and give each matrix the result
+its one-matrix form gives, bit for bit: LAPACK factors a stack one
+matrix at a time, and a stacked dot product is one BLAS dot per
+C-contiguous row, as np.dot of that row.
 """
 
 from __future__ import annotations
@@ -38,9 +42,23 @@ def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, w
 
 
-def _triangle_dot(a: np.ndarray, b: np.ndarray) -> float:
-    idx, w = _triangle(len(a))
-    return float(np.dot(a.take(idx) * b.take(idx), w))
+def frob_inner_many(a: np.ndarray, b: np.ndarray):
+    """Frobenius inner product of every pair of matrices of two (..., d, d)
+    array stacks that broadcast against each other (of one pair, for two
+    matrices): the triangle-weighted sum of a * b, as frob_inner sums it.
+
+    Each pair is one BLAS dot, the np.dot of the pair's gathered triangle
+    (for one pair, that np.dot itself), so every value is bit for bit the
+    one-pair value. take() gathers C-contiguous rows; over rows of another
+    layout matmul would sum in another order."""
+    d = a.shape[-1]
+    idx, w = _triangle(d)
+    if a.ndim == b.ndim == 2:
+        return np.dot(a.take(idx) * b.take(idx), w)
+    prod = a.reshape(a.shape[:-2] + (d * d,)).take(idx, axis=-1) * b.reshape(
+        b.shape[:-2] + (d * d,)
+    ).take(idx, axis=-1)
+    return np.matmul(prod[..., None, :], w[:, None])[..., 0, 0]
 
 
 class SymMatrix:
@@ -94,6 +112,12 @@ class SymMatrix:
         """The full symmetric matrix as a fresh, writable array."""
         return self._a.copy()
 
+    @property
+    def array(self) -> np.ndarray:
+        """The matrix itself: the read-only array, not a copy. Stacking
+        many matrices reads these, with no copy per matrix."""
+        return self._a
+
     def __getitem__(self, ij) -> float:
         i, j = ij
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -102,7 +126,7 @@ class SymMatrix:
 
     def norm(self) -> float:
         """Frobenius norm (off-diagonals counted twice, as in the full matrix)."""
-        return math.sqrt(_triangle_dot(self._a, self._a))
+        return math.sqrt(frob_inner_many(self._a, self._a))
 
     def is_zero(self) -> bool:
         """True iff every entry is exactly zero."""
@@ -152,7 +176,7 @@ def frob_inner(a: SymMatrix, b: SymMatrix) -> float:
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _triangle_dot(a._a, b._a)
+    return float(frob_inner_many(a._a, b._a))
 
 
 def eigen(a: SymMatrix) -> EigenDecomp:
@@ -161,35 +185,49 @@ def eigen(a: SymMatrix) -> EigenDecomp:
     return EigenDecomp(lam[::-1].copy(), vec[:, ::-1].copy())
 
 
+def _stacks(arrays) -> list[tuple[list[int], np.ndarray]]:
+    """The arrays of each length as one stack ((k, d, d) for matrices,
+    (k, d) for vectors), with their positions in arrays. An array that
+    is such a stack already is taken as it is."""
+    if isinstance(arrays, np.ndarray):
+        return [(list(range(len(arrays))), arrays)] if len(arrays) else []
+    by_dim: dict[int, list[int]] = {}
+    for i, a in enumerate(arrays):
+        by_dim.setdefault(a.shape[0], []).append(i)
+    return [(idx, np.stack([arrays[i] for i in idx])) for idx in by_dim.values()]
+
+
 def eigh_many(arrays) -> list[tuple[np.ndarray, np.ndarray]]:
     """np.linalg.eigh (eigenvalues ascending) of every symmetric array,
     one stacked call per dimension. LAPACK still factors one matrix at a
     time, so each result is bit for bit that of its own call (and of
     eigen, read in reverse)."""
     out = [None] * len(arrays)
-    by_dim: dict[int, list[int]] = {}
-    for i, a in enumerate(arrays):
-        by_dim.setdefault(a.shape[0], []).append(i)
-    for idx in by_dim.values():
-        lam, vec = np.linalg.eigh(np.stack([arrays[i] for i in idx]))
+    for idx, stack in _stacks(arrays):
+        lam, vec = np.linalg.eigh(stack)
         for k, i in enumerate(idx):
             out[i] = (lam[k], vec[k])
     return out
 
 
-def is_psd_many(mats, tol: float = 1e-9) -> np.ndarray:
-    """is_psd of every SymMatrix in mats, as one boolean array.
+def is_psd_many(arrays, tol: float = 1e-9) -> np.ndarray:
+    """is_psd of every symmetric array in arrays (a SymMatrix's array, or
+    a view of one; or a (k, d, d) stack), as one boolean array.
 
-    The spectra come from eigh_many, one stacked eigh per dimension, so
-    each flag is the one is_psd gives for that matrix alone: lambda_min(a)
-    >= -tol * max(1, ||a||_F), with the norm of SymMatrix.norm.
+    Each dimension takes one stacked eigh and one stacked norm
+    (frob_inner_many), so each flag is the one is_psd gives for that
+    matrix alone: lambda_min(a) >= -tol * max(1, ||a||_F).
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    flags = np.ones(len(mats), dtype=bool)
-    live = [i for i, a in enumerate(mats) if a.dim]
-    for i, (lam, _) in zip(live, eigh_many([mats[i]._a for i in live])):
-        flags[i] = float(lam[0]) >= -tol * max(1.0, mats[i].norm())
+    flags = np.ones(len(arrays), dtype=bool)
+    for idx, stack in _stacks(arrays):
+        if stack.shape[-1]:
+            # eigh, as is_psd's eigen: eigvalsh's eigenvalues differ in bits
+            lam = np.linalg.eigh(stack)[0][:, 0]
+            norm = np.sqrt(frob_inner_many(stack, stack))
+            # max(1, norm) as Python's max takes it
+            flags[idx] = lam >= -tol * np.where(norm > 1.0, norm, 1.0)
     return flags
 
 
@@ -210,12 +248,29 @@ def rank_of_eigenvalues(lam: np.ndarray, tol: float = 1e-6) -> int:
     epsilon times the dimension so that near-zero matrices of any scale
     report rank 0. lam may be in any order.
     """
-    if tol <= 0:
+    return rank_of_eigenvalues_many([np.asarray(lam, dtype=np.float64)], tol)[0]
+
+
+def rank_of_eigenvalues_many(lams, tol: float = 1e-6) -> list[int]:
+    """rank_of_eigenvalues of every spectrum in lams, one stacked test per
+    length: the same comparisons, so the same counts (and, as one test
+    per spectrum would, a bad tol raises only when there is a spectrum)."""
+    if tol <= 0 and len(lams):
         raise ValueError("tol must be positive")
-    if len(lam) == 0:
-        return 0
-    threshold = max(tol * max(1.0, float(np.max(np.abs(lam)))), _EPS * len(lam))
-    return int(np.sum(np.abs(lam) > threshold))
+    out = [0] * len(lams)
+    for idx, stack in _stacks(lams):
+        d = stack.shape[-1]
+        if not d:
+            continue
+        mag = np.abs(stack)
+        peak = mag.max(axis=1)
+        # max(tol * max(1, peak), eps * d) as Python's max takes it
+        rel = tol * np.where(peak > 1.0, peak, 1.0)
+        floor = _EPS * d
+        counts = np.sum(mag > np.where(floor > rel, floor, rel)[:, None], axis=1)
+        for i, c in zip(idx, counts.tolist()):
+            out[i] = c
+    return out
 
 
 def numeric_rank(a: SymMatrix, tol: float = 1e-6) -> int:

@@ -147,10 +147,10 @@ class TestDecomposeDelta:
 def entry_gaps(s, sol, deltas, tol=1e-6):
     """Each entry's optimality gap at allocation deltas, as judge's
     per-entry analysis reads it off sol; nan marks a failed check."""
-    slices = connection._entry_slices(s)
-    achieved = connection._achieved(s, sol, slices)
+    stacks = connection._EntryStacks(s)
+    achieved = stacks.at_blocks(sol.blocks)
     entries = connection._analyse_entries(
-        s, build_block(s), sol, slices, achieved, deltas, tol
+        stacks, build_block(s), sol, achieved, deltas, tol
     )
     return np.array([e.gap for e in entries], dtype=np.float64)
 
@@ -308,10 +308,7 @@ class TestJudge:
 
 def achieved_objectives(s, v) -> list:
     """The objective each entry achieves at the verdict's relaxation."""
-    return [
-        float(connection._entry_achieved(entry, v.relaxation.blocks[sl])[0])
-        for entry, sl in zip(s.blocks, connection._entry_slices(s))
-    ]
+    return connection._EntryStacks(s).at_blocks(v.relaxation.blocks)[:, 0].tolist()
 
 
 def failed(sol):
@@ -793,7 +790,7 @@ def reference_analysis(s, b, sol, deltas, tol):
     out, retry = [], {}
     for p, entry in enumerate(s.blocks):
         blocks = sol.blocks[p : p + 1]
-        achieved = float(connection._entry_achieved(entry, blocks)[0])
+        achieved = frob_inner(entry.objective.B, blocks[0])
         bound = reference_dual_bound(entry, deltas[p], y, mus[p], tol)
         sub, check = reference_sub_problem(entry, deltas[p])
         if check(tol) is not None:
@@ -889,12 +886,9 @@ class TestQcqpRowCheckReference:
                     if rng.uniform() < 0.7:
                         deltas[p][k] += margin(rng)
         tol = JudgeOptions().tol
-        slices = connection._entry_slices(s)
-        achieved = [
-            connection._entry_achieved(e, sol.blocks[p : p + 1])
-            for p, e in enumerate(s.blocks)
-        ]
-        got = connection._analyse_entries(s, b, sol, slices, achieved, deltas, tol)
+        stacks = connection._EntryStacks(s)
+        achieved = stacks.at_blocks(sol.blocks)
+        got = connection._analyse_entries(stacks, b, sol, achieved, deltas, tol)
         want = reference_analysis(s, b, sol, deltas, tol)
         assert [repr((e.value, e.gap, e.resolved)) for e in got] == [
             repr(w) for w in want

@@ -1,5 +1,7 @@
 """Rank reduction: boundary moves, extreme-point counts, point extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -880,6 +882,54 @@ class TestMatchesLoopReduction:
         assert len(steps) >= 30
         assert sum(n >= 2 for n in steps) >= 10
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frozen_block(self, seed):
+        """A block no row touches, at 1e-9 I, lies below the freeze
+        threshold: the first factorization zeroes it, so the report reads
+        the spectra of the final iterate afresh; report and solution are
+        the loop reference's, byte for byte."""
+        b0, sol0 = walk_instance(seed)
+        zero = SymMatrix.zeros(2)
+        b = BlockSdp(
+            b0.block_dims + (2,),
+            b0.objective + (zero,),
+            [Row(row.mats + (zero,), row.slack_coeff, row.rhs) for row in b0.rows],
+            normalization_rows=b0.normalization_rows,
+        )
+        sol = dataclasses.replace(
+            sol0,
+            blocks=sol0.blocks + [sym(1e-9 * np.eye(2))],
+            dual_blocks=sol0.dual_blocks + [zero],
+        )
+        got, want = run_both(b, sol)
+        assert_same_outcome(got, want)
+        if not isinstance(want, Exception):
+            assert got[1].final_ranks[-1] == 0
+            assert np.array_equal(got[0].blocks[-1].to_dense(), np.zeros((2, 2)))
+
+    def test_frozen_block_without_steps(self):
+        """The same at an extreme point, where the walk takes no step: the
+        frozen block is still zeroed in the returned solution."""
+        q = Qcqp(
+            1,
+            QuadFunc.from_parts([[1.0]]),
+            [(QuadFunc.from_parts([[1.0]]), Relation.EQ)],
+            [1.0],
+        )
+        b0 = to_standard_form(build_shor(q))
+        zero = SymMatrix.zeros(3)
+        b = BlockSdp(
+            b0.block_dims + (3,),
+            b0.objective + (zero,),
+            [Row(row.mats + (zero,), row.slack_coeff, row.rhs) for row in b0.rows],
+            normalization_rows=b0.normalization_rows,
+        )
+        sol = hand_solution(b, [lift(np.array([1.0])), 1e-10 * np.eye(3)], 1.0)
+        got, want = run_both(b, sol)
+        assert_same_outcome(got, want)
+        assert got[1].iterations == 0 and got[1].final_ranks == [1, 0]
+        assert not got[0].blocks[1].to_dense().any()
+
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
     def test_benchmark_family(self, alpha):
         b = to_standard_form(build_hom(two_block_family(alpha)))
@@ -943,8 +993,9 @@ class TestOneDecompositionPerIterate:
         assert_same_outcome(got, want)
         groups = len(set(b.block_dims))
         iterations = got[1].iterations
-        # factor every iterate, plus one for the final ranks and extraction
-        assert calls["eigh"] <= groups * (iterations + 2)
+        # factor every iterate; the last factorization, where no block
+        # froze, also gives the final ranks and the extraction
+        assert calls["eigh"] <= groups * (iterations + 1)
         pairs = sum(
             not mat.is_zero() for row in b.rows for mat in row.mats
         )

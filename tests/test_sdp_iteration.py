@@ -13,6 +13,7 @@ bit for bit, and every structural error.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -328,8 +329,19 @@ def _subtract_rows(grp: ParentGroup, base: np.ndarray, yx: np.ndarray) -> np.nda
 # the batched iteration
 
 
+def parent_centering(a: float, m: float) -> float:
+    """The parent's centering weight; raises OverflowError once the cube
+    of the ratio passes the largest double."""
+    return min(1.0, max((a / m) ** 3 if m > 0 else 0.0, 0.0))
+
+
 class ParentBatch:
-    """Lockstep IPM state of the unfinished problems of one solve_many call."""
+    """Lockstep IPM state of the unfinished problems of one solve_many call.
+
+    centering is the weight rule, the parent's unless a subclass (the
+    clamped reference) replaces it."""
+
+    centering = staticmethod(parent_centering)
 
     def __init__(self, probs: list, opts: SolverOptions):
         self.opts = opts
@@ -530,10 +542,7 @@ class ParentBatch:
             s + ap[lay.slack_owner] * dsla, sig + ad[lay.slack_owner] * dsga, slack=True
         )
         mu_aff = tr_aff / lay.n_tot
-        sigma = np.array([
-            min(1.0, max((a / m) ** 3 if m > 0 else 0.0, 0.0))
-            for a, m in zip(mu_aff.tolist(), mu.tolist())
-        ])
+        sigma = np.array([self.centering(a, m) for a, m in zip(mu_aff.tolist(), mu.tolist())])
 
         dx, dy, ds, dsl, dsg = directions(sigma * mu)
         ap, ad = lengths(dx, ds, dsl, dsg)
@@ -615,8 +624,17 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_tr(chol), np.linalg.solve(chol, b))
 
 
-def reference_solve_many(bs, opts: SolverOptions | None = None) -> list:
-    """solve_many with ParentBatch as the iteration."""
+class ClampedParentBatch(ParentBatch):
+    """ParentBatch with the centering weight clamped before it is cubed
+    (sdp_solver._centering, which test_centering_weight pins to the
+    parent's rule wherever that rule returns)."""
+
+    centering = staticmethod(sdp_solver._centering)
+
+
+def reference_solve_many(bs, opts: SolverOptions | None = None, batch=None) -> list:
+    """solve_many with ParentBatch (or batch) as the iteration."""
+    batch = batch or ParentBatch
     opts = opts or SolverOptions()
     out: list = [None] * len(bs)
     probs = []
@@ -626,7 +644,7 @@ def reference_solve_many(bs, opts: SolverOptions | None = None) -> list:
         except SepqcqpError as exc:
             out[i] = exc
     if probs:
-        batch = ParentBatch(probs, opts)
+        batch = batch(probs, opts)
         done = batch.run()
         for p in probs:
             out[p.index] = sdp_solver._solution(p, done[p.index], batch.history[p.index])
@@ -676,15 +694,17 @@ def bits(x) -> bytes:
 def assert_same_results(bs: list, opts: SolverOptions | None = None) -> list:
     """solve_many and reference_solve_many give every result bit for bit
     alike, signed zeros and NaN payloads included, and structural errors
-    (or an error of the whole call) alike in type and message; returns
-    solve_many's results."""
-    runs = []
-    for fn in (solve_many, reference_solve_many):
-        try:
-            runs.append(fn(bs, opts))
-        except ArithmeticError as exc:  # a run whose step overflows Python floats
-            runs.append([exc])
-    got, want = runs
+    alike in type and message; returns solve_many's results.
+
+    Where the parent's centering weight overflows a Python float (its
+    whole call raises OverflowError), solve_many returns a status
+    instead, and the reference is the parent iteration with the weight
+    clamped (ClampedParentBatch)."""
+    got = solve_many(bs, opts)
+    try:
+        want = reference_solve_many(bs, opts)
+    except OverflowError:
+        want = reference_solve_many(bs, opts, batch=ClampedParentBatch)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         if isinstance(b, Exception):
@@ -725,12 +745,16 @@ class TestMatchesParentIteration:
             (0, SolveStatus.OPTIMAL), (5, SolveStatus.DIVERGED),
             (14, SolveStatus.NUMERICAL_FAILURE), (131, SolveStatus.MAX_ITER),
             (28, InfeasibleStructureError),
-            (102, OverflowError),  # a fault: (mu_aff / mu) ** 3 overflows a Python float
+            # the parent's (mu_aff / mu) ** 3 overflows a Python float here
+            (102, SolveStatus.DIVERGED),
         ],
     )
     def test_draws_of_every_outcome(self, seed, outcome):
         (got,) = assert_same_results([random_sdp(seed)])
         assert getattr(got, "status", type(got)) is outcome
+        if seed == 102:
+            with pytest.raises(OverflowError):
+                reference_solve_many([random_sdp(seed)])
 
     @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=2, max_size=5))
     @settings(max_examples=20)
@@ -780,6 +804,25 @@ class TestMatchesParentIteration:
         np.testing.assert_array_equal(bad, want_bad)
         np.testing.assert_array_equal(large & ~bad, parent._too_large() & ~want_bad)
         assert bad[victim] or large[victim]
+
+    def test_centering_weight(self):
+        """sdp_solver._centering is the parent's weight wherever the
+        parent's rule returns, and clamps where its cube overflowed."""
+        ratios = [-2.0, -1.0, -0.5, -0.0, 0.0, 1e-120, 0.3, 0.999, 1.0,
+                  1.0 + 2**-52, 2.0, 5.6e102, 1e200, math.inf, -math.inf, math.nan]
+        for r in ratios:
+            for m in (1.0, 3.5e-7, 2e150, 0.0, -1.0, math.nan):
+                a = r * m if math.isfinite(m) else r
+                try:
+                    want = parent_centering(a, m)
+                except OverflowError:
+                    want = 1.0 if a / m > 0 else 0.0
+                got = sdp_solver._centering(a, m)
+                assert bits(got) == bits(want), (a, m)
+        with pytest.raises(OverflowError):
+            parent_centering(1e200, 1.0)
+        assert sdp_solver._centering(1e200, 1.0) == 1.0
+        assert sdp_solver._centering(-1e200, 1.0) == 0.0
 
     @pytest.mark.parametrize("index", [-4, -3, -2], ids=["alpha4", "infeasible", "unbounded"])
     def test_hard_cases(self, index):

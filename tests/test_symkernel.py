@@ -222,7 +222,7 @@ class TestStacked:
             assert lam.tobytes() == dec.eigenvalues[::-1].tobytes()
             assert vec.tobytes() == np.ascontiguousarray(dec.eigenvectors[:, ::-1]).tobytes()
         for tol in (1e-9, 0.1):
-            flags = is_psd_many(mats, tol)
+            flags = is_psd_many([a.array for a in mats], tol)
             assert flags.dtype == bool and flags.shape == (len(mats),)
             assert list(flags) == [is_psd(a, tol) for a in mats]
             for a, flag in zip(mats, flags):
@@ -237,7 +237,7 @@ class TestStacked:
         assert is_psd_many([]).shape == (0,)
         assert eigh_many([]) == []
         with pytest.raises(ValueError):
-            is_psd_many([SymMatrix.identity(2)], tol=-1.0)
+            is_psd_many([np.eye(2)], tol=-1.0)
 
 
 class TestNumericRank:

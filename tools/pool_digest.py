@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/pool_digest.py [workload ...] > digest.txt
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/pool_digest.py [workload ... | cli] > digest.txt
 
 One line per pool instance (all four workloads by default, 1003 lines):
 the workload and key, the verdict status, ``repr(eta)``, the reason, the
@@ -14,6 +14,13 @@ SHA-1 over the rest of the verdict (certificates, gaps, allocation,
 witness, oracle value and rank-reduction report). Floats are hashed by
 their bytes, so the digest changes with any bit of any result.
 
+After the pool lines (when no workload is named, or when ``cli`` is),
+one line per command-line report: a SHA-1 over the exit code, standard
+output and standard error of ``sepqcqp judge``, ``solve`` and ``reduce``
+with ``--format json --no-timestamp`` on the problem file of
+``make_example52(k)`` for k in 0..19, and of ``sepqcqp example51 --table
+--no-timestamp`` in JSON and in text.
+
 A change that must leave the solver's arithmetic as it is passes when
 the digest at the parent commit and at the change are identical:
 
@@ -24,14 +31,18 @@ The instances come from ``perfbench/workloads.py``, imported read-only.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
+import sepqcqp.cli as cli  # noqa: E402
 import sepqcqp.connection as connection  # noqa: E402
 import sepqcqp.sdp_solver as sdp_solver  # noqa: E402
 from workloads import HARD_CASES, SPECS, make_instance  # noqa: E402
@@ -90,13 +101,46 @@ def digest(instance) -> str:
     )
 
 
+#: seeds of make_example52 whose problem files the CLI lines judge
+CLI_SEEDS = range(20)
+
+
+def cli_digest(argv) -> str:
+    """SHA-1 over the exit code, stdout and stderr of one sepqcqp run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    h = hashlib.sha1(f"{code}|".encode())
+    h.update(out.getvalue().encode())
+    h.update(b"|")
+    h.update(err.getvalue().encode())
+    return h.hexdigest()
+
+
+def cli_lines() -> None:
+    flags = ["--format", "json", "--no-timestamp"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.sdpq")
+        for seed in CLI_SEEDS:
+            cli.write_problem(connection.make_example52(seed), path)
+            for cmd in ("judge", "solve", "reduce"):
+                print("cli", cmd, seed, cli_digest([cmd, path, *flags]), flush=True)
+    for fmt in ("json", "text"):
+        argv = ["example51", "--table", "--format", fmt, "--no-timestamp"]
+        print("cli example51-table", fmt, cli_digest(argv), flush=True)
+
+
 def main(names) -> None:
     for name in names or sorted(SPECS):
+        if name == "cli":
+            continue
         keys = list(range(SPECS[name].pool))
         if name == "ex51-sweep":
             keys += list(HARD_CASES)
         for k in keys:
             print(name, k, digest(make_instance(name, k)), flush=True)
+    if not names or "cli" in names:
+        cli_lines()
 
 
 if __name__ == "__main__":
