@@ -631,7 +631,7 @@ def _null_as_nan(x) -> float:
 
 def verdict_to_dict(v: ExactnessVerdict) -> dict:
     """JSON-ready form of a verdict; eta and the per-entry values are null
-    where they are not finite (no relaxation value, no re-solve)."""
+    where they are not finite (no relaxation value, no dual bound)."""
     return {
         "status": v.status.value,
         "eta": _finite_or_null(v.eta),

@@ -3,10 +3,10 @@
 Given a separable QCQP whose entries couple only through shared
 right-hand sides, the pipeline solves the block relaxation, splits the
 achieved constraint values into per-entry allocations, reads each
-entry's blockwise optimality off the joint primal-dual pair (re-solving
-an entry at its allocation only where the joint dual bound fails),
-certifies each entry against the known exact classes, and renders a
-verdict:
+entry's blockwise optimality off the joint primal-dual pair (its dual
+bound and its achieved objective bracket its relaxation value at its
+allocation), certifies each entry against the known exact classes, and
+renders a verdict:
 
 * ExactCertified  - every entry lands in an exact class and the block
                     relaxation solved to optimality;
@@ -46,7 +46,7 @@ from .certificates import (
     CertificateKind,
     aggregated_graph,
     check_assumption_A,
-    check_convex,  # noqa: F401 - perfbench/tracing.py wraps connection.check_convex
+    check_convex,  # noqa: F401 - in perfbench/tracing.py WRAPS
     check_convex_many,
     check_m_le_2,
     check_sign_pattern,
@@ -74,14 +74,14 @@ from .qcqp_model import (
     split_point,
 )
 from .rank_reduction import ReductionReport, reduce
-from .sdp_solver import SolverOptions, solve, solve_many
+from .sdp_solver import SolverOptions, solve
 from .sdpr_builder import (
     BlockSdp,
     SdpSolution,
     SolveStatus,
     build_block,
     build_hom,
-    build_shor,
+    build_shor,  # noqa: F401 - in perfbench/tracing.py WRAPS
     to_standard_form,
 )
 from .symkernel import SymMatrix, frob_inner_many, is_psd, is_psd_many
@@ -374,17 +374,6 @@ def _hom_at(entry: HomSepQcqp, delta):
     return h, reduce_homogeneous_rows(h)
 
 
-def _sub_problem(entry, delta):
-    """Entry-level relaxation at allocation delta: build_hom of the reduced
-    homogeneous rows, or build_shor of the rows that involve variables
-    (whether the variable-free ones hold is _rows_hold's first test)."""
-    delta = np.asarray(delta, dtype=np.float64)
-    if isinstance(entry, HomSepQcqp):
-        return build_hom(_hom_at(entry, delta)[1][0])
-    full = Qcqp(entry.n, entry.objective, list(entry.constraints), delta)
-    return build_shor(strip_variable_free_rows(full)[0])
-
-
 def _within(s: SeparableQcqp, lhs, delta: np.ndarray, tol) -> np.ndarray:
     """Relation.holds for every (entry, row) pair: lhs <relation_k>
     delta within tol * (1 + |delta|), as the one-pair test computes it."""
@@ -397,27 +386,12 @@ def _within(s: SeparableQcqp, lhs, delta: np.ndarray, tol) -> np.ndarray:
         return np.where(le, lhs <= delta + t, np.where(eq, np.abs(lhs - delta) <= t, ge))
 
 
-def _rows_hold(stacks, blocks, achieved, deltas, tol):
-    """Two tests per entry, meaningful for the inhomogeneous ones:
-    (variable-free rows, joint rows).
-
-    The first asks whether allocation deltas[p] satisfies, within tol,
-    every row of the entry whose matrix is zero (0 <relation> delta_k).
-    The second asks whether the entry's joint block satisfies its own
-    relaxation's other rows at that allocation, read off its row values
-    achieved[p] (objective first), each within tol * (1 + |delta_k|),
-    and the unit corner x[n, n] = 1 within 2 tol.
-    """
-    first = stacks.first
-    zero = stacks.zero[first]
-    free = np.where(zero, _within(stacks.s, 0.0, deltas, tol), True).all(axis=1)
-    rows = np.where(zero, True, _within(stacks.s, achieved[:, 1:], deltas, tol))
-    corner = np.array(
-        [blocks[i].array[n, n] if n >= 0 else 1.0
-         for i, n in zip(first, stacks.corner[first])]
-    )
-    # written so that a NaN fails it
-    return free, rows.all(axis=1) & (np.abs(corner - 1.0) <= 2.0 * tol)
+def _free_rows_hold(stacks, deltas, tol) -> np.ndarray:
+    """Per entry (meaningful for the inhomogeneous ones), whether
+    allocation deltas[p] satisfies, within tol, every row of the entry
+    whose matrix is zero (0 <relation> delta_k)."""
+    zero = stacks.zero[stacks.first]
+    return np.where(zero, _within(stacks.s, 0.0, deltas, tol), True).all(axis=1)
 
 
 def _connection_duals(s: SeparableQcqp, b, sol):
@@ -508,98 +482,70 @@ def _joint_subsol(sub, blocks, achieved, tol):
 class _EntryAnalysis:
     """One entry's optimality at its allocation (_analyse_entries).
 
-    value is a value of the entry's relaxation at its allocation, gap its
-    distance to the objective the entry achieves in the joint solution,
-    subsol the entry's solution and resolved whether that was re-solved.
-    A homogeneous entry also carries itself at its allocation (hom), that
-    problem's row reduction (reduction, from reduce_homogeneous_rows) and
-    its relaxation (sub, build_hom of the reduced problem); an
-    inhomogeneous one carries sub only when it was re-solved.
+    value is the dual bound on the entry's relaxation at its allocation,
+    gap its distance to the objective the entry achieves in the joint
+    solution (both nan without a bound). A homogeneous entry also carries
+    itself at its allocation (hom), that problem's row reduction
+    (reduction, from reduce_homogeneous_rows), its relaxation (sub,
+    build_hom of the reduced problem) and, where its joint blocks are
+    optimal there, those blocks as its solution (subsol).
     """
 
     value: float
     gap: float
-    subsol: SdpSolution | None
-    resolved: bool
+    subsol: SdpSolution | None = None
     hom: HomSepQcqp | None = None
     reduction: tuple | None = None
     sub: BlockSdp | None = None
 
 
-def _analyse_entries(stacks, b, sol, achieved, deltas, tol, solver=None) -> list:
-    """Every entry's _EntryAnalysis, in one pass over the entries.
+def _analyse_entries(stacks, b, sol, achieved, deltas, tol) -> list:
+    """Every entry's _EntryAnalysis, read off the joint primal-dual pair in
+    one pass over the entries.
 
     stacks is the connection's _EntryStacks; entry p's blocks of sol are
     sol.blocks[stacks.slices[p]], achieved[p] is its [objective, row
     values] there (_EntryStacks.at_blocks) and deltas[p] its allocation.
-    The joint primal-dual pair comes first. Its multipliers bound every
-    entry's relaxation from below (_dual_bound; the psd tests of all
-    entries stacked, see _dual_feasible); where the bound meets the
-    achieved objective within tol and the entry's joint blocks satisfy
-    its own rows, the entry is optimal at its allocation and is not
-    re-solved. The inhomogeneous entries' rows are checked together on
-    the row values they already have (_rows_hold), so no sub-problem is
-    built for them; their solution is not read later and stays None. A
-    homogeneous entry's row reduction is computed here, once, and its
-    relaxation built: its joint blocks become its solution
-    (_joint_subsol), which the certificate and witness stages read.
+    The joint multipliers bound every entry's relaxation from below
+    (_dual_bound; the psd tests of all entries stacked, see
+    _dual_feasible), and at the achieved allocation the entry's joint
+    blocks are feasible for it, so its achieved objective bounds it from
+    above. Each entry reports that bracket: the bound as its value and
+    the distance to the achieved objective as its gap, which
+    complementary slackness keeps within the joint gap. nan marks an
+    entry without a bound, or one whose allocation leaves a variable-free
+    row inconsistent (_free_rows_hold).
 
-    Only the other entries are re-solved, in one lockstep batch; an entry
-    whose re-solve stops short of Optimal keeps the bound (subsol None).
-    nan marks an entry with neither, or one whose allocation leaves a
-    variable-free row inconsistent.
+    A homogeneous entry's row reduction is computed here, once, and its
+    relaxation built. Where its bound meets the achieved objective within
+    tol and its joint blocks satisfy the reduced rows, those blocks become
+    its solution (_joint_subsol), which the certificate and witness stages
+    read; otherwise it has none.
     """
     s, slices = stacks.s, stacks.slices
     y, mus = _connection_duals(s, b, sol)
     feasible = _dual_feasible(stacks, y, mus, tol)
-    achieved = np.asarray(achieved, dtype=np.float64)
-    free = joint = None
-    if len(stacks.hom) < len(s.blocks):
-        free, joint = _rows_hold(
-            stacks, sol.blocks, achieved, np.asarray(deltas, dtype=np.float64), tol
-        )
-
-    def from_bound(obj, bound, subsol, resolved, **parts):
-        if bound is None:
-            return _EntryAnalysis(math.nan, math.nan, None, resolved, **parts)
-        return _EntryAnalysis(bound, abs(obj - bound), subsol, resolved, **parts)
-
-    out, retry = [], {}
+    free = _free_rows_hold(stacks, np.asarray(deltas, dtype=np.float64), tol)
+    out = []
     for p, entry in enumerate(s.blocks):
         obj = float(achieved[p, 0])
-        bound = _dual_bound(entry, deltas[p], y, mus[p], feasible[p])
-        close = bound is not None and abs(obj - bound) <= tol * (1.0 + abs(obj))
-        parts = {}
-        if isinstance(entry, HomSepQcqp):
-            h, reduction = _hom_at(entry, deltas[p])
-            parts = dict(hom=h, reduction=reduction, sub=build_hom(reduction[0]))
-            subsol = (
-                _joint_subsol(parts["sub"], sol.blocks[slices[p]], obj, tol)
-                if close
-                else None
-            )
-            accept = subsol is not None
-        elif not free[p]:
-            out.append(_EntryAnalysis(math.nan, math.nan, None, False))
+        hom = isinstance(entry, HomSepQcqp)
+        bound = None
+        if hom or free[p]:
+            bound = _dual_bound(entry, deltas[p], y, mus[p], feasible[p])
+        value = gap = math.nan
+        if bound is not None:
+            value, gap = bound, abs(obj - bound)
+        if not hom:
+            out.append(_EntryAnalysis(value, gap))
             continue
-        else:
-            subsol = None
-            accept = close and bool(joint[p])
-            if not accept:
-                parts = dict(sub=_sub_problem(entry, deltas[p]))
-        if accept:
-            out.append(from_bound(obj, bound, subsol, False, **parts))
-        else:
-            retry[p] = (obj, bound, parts)
-            out.append(None)
-
-    resolved = solve_many([parts["sub"] for _, _, parts in retry.values()], solver)
-    for (p, (obj, bound, parts)), cand in zip(retry.items(), resolved):
-        if isinstance(cand, SdpSolution) and cand.status is SolveStatus.OPTIMAL:
-            value = float(cand.value)
-            out[p] = _EntryAnalysis(value, abs(value - obj), cand, True, **parts)
-        else:
-            out[p] = from_bound(obj, bound, None, True, **parts)
+        h, reduction = _hom_at(entry, deltas[p])
+        sub = build_hom(reduction[0])
+        subsol = None
+        # written so that a nan gap fails it
+        if gap <= tol * (1.0 + abs(obj)):
+            subsol = _joint_subsol(sub, sol.blocks[slices[p]], obj, tol)
+        out.append(_EntryAnalysis(value, gap, subsol, h, reduction, sub))
     return out
 
 
@@ -752,8 +698,8 @@ def _global_witness(b, sol, slices, opts):
 
 def _hom_entry_point(sub, subsol, opts):
     """Rank-reduce a homogeneous entry's own relaxation sub (the
-    _EntryAnalysis one, whose compiled rows _joint_subsol or the re-solve
-    has left on its standard form) and read a point."""
+    _EntryAnalysis one, whose compiled rows _joint_subsol has left on its
+    standard form) and read a point."""
     try:
         _, rep = reduce(
             to_standard_form(sub), subsol, tol=opts.tol, rank_tol=opts.rank_tol
@@ -775,10 +721,9 @@ def _salvage_point(entry, cert, gauge, blocks, analysis, opts):
     """
     try:
         if isinstance(entry, HomSepQcqp):
-            subsol = analysis.subsol
-            if subsol is None or subsol.status is not SolveStatus.OPTIMAL:
+            if analysis.subsol is None:
                 return None
-            return _hom_entry_point(analysis.sub, subsol, opts)
+            return _hom_entry_point(analysis.sub, analysis.subsol, opts)
         if cert.kind is CertificateKind.CONVEX:
             return extract_convex_solution(blocks[0])
         if gauge is not None:
@@ -814,9 +759,9 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     """Render an exactness verdict for a horizontal connection.
 
     Solves the block relaxation, allocates right-hand sides to entries,
-    checks each entry's optimality at its allocation against the joint
-    dual bound (re-solving only the entries it fails), certifies entries
-    against the exact classes, then hunts for a matching feasible point:
+    reads each entry's optimality at its allocation off the joint
+    primal-dual pair, certifies entries against the exact classes, then
+    hunts for a matching feasible point:
     first by rank-reducing the full solution, next by class-specific
     construction, finally by the grid oracle, which alone can conclude
     NotExact.
@@ -849,9 +794,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     slices = stacks.slices
     achieved = stacks.at_blocks(sol.blocks)
     deltas = list(achieved[:, 1:])
-    analysed = _analyse_entries(
-        stacks, b, sol, achieved, deltas, opts.tol, opts.solver
-    )
+    analysed = _analyse_entries(stacks, b, sol, achieved, deltas, opts.tol)
 
     structural = _certify_qcqp_entries(stacks)
     certs, gauges, per_block = [], [], []
@@ -866,12 +809,11 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
                     reduced, e.subsol, tol=opts.tol
                 )
                 if holds_a:
-                    where = "re-solved allocation" if e.resolved else "joint solution"
                     cert = Certificate(
                         kind=CertificateKind.HOM_LIMITED,
                         details=(
                             f"{count} nonzero blocks and residuals >= "
-                            f"m - 1 = {reduced.m - 1} at the {where}"
+                            f"m - 1 = {reduced.m - 1} at the joint solution"
                         ),
                         depends_on_solution=True,
                     )
@@ -1003,9 +945,9 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
 
 def bilevel_report(s: SeparableQcqp, verdict: ExactnessVerdict) -> BilevelReport:
     """Two-level reading of a judged connection: allocations as upper-level
-    variables, entry relaxation values as lower-level responses. When every
-    entry's value is exact (its dual bound met, or its re-solve Optimal),
-    the row values sum to eta."""
+    variables, entry relaxation values as lower-level responses. Each
+    entry's value is its dual bound, so when every bound meets the
+    objective its entry achieves, the row values sum to eta."""
     if len(verdict.per_block) != len(s.blocks):
         raise DimensionError(
             f"verdict covers {len(verdict.per_block)} entries, "

@@ -85,11 +85,11 @@ def digest(instance) -> str:
         return out
 
     # solve is solve_many of one problem, so every result passes here once
-    sdp_solver.solve_many = connection.solve_many = recorded
+    sdp_solver.solve_many = recorded
     try:
         v = connection.judge(instance)
     finally:
-        sdp_solver.solve_many = connection.solve_many = real
+        sdp_solver.solve_many = real
     hs, hv = hashlib.sha1(), hashlib.sha1()
     for sol in sols:
         _hash_solution(hs, sol)
