@@ -6,7 +6,7 @@ Modules:
     qcqp_model     problem data model, evaluation, brute-force oracle
     sdpr_builder   the relaxation of a connection (Shor and homogeneous
                    relaxations are connections of one entry)
-    sdp_solver     batched primal-dual interior-point solver for block SDPs
+    sdp_solver     primal-dual interior-point solver for block SDPs
     certificates   exactness class checks (convex, sign-pattern, homogeneous)
     rank_reduction extreme-point rank reduction and point extraction
     connection     end-to-end exactness pipeline and example generators
@@ -52,7 +52,7 @@ from .sdpr_builder import (
     build_shor,
     to_standard_form,
 )
-from .sdp_solver import SolverOptions, solve, solve_many
+from .sdp_solver import SolverOptions, solve
 from .certificates import (
     AssumptionBreakdown,
     Certificate,

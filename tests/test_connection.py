@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepqcqp import certificates, connection, sdp_solver, sdpr_builder
+from sepqcqp import certificates, connection, sdpr_builder
 from sepqcqp.certificates import (
     CertificateKind,
     SignCase,
@@ -50,7 +50,7 @@ from sepqcqp.qcqp_model import (
     flatten,
 )
 from sepqcqp.qcqp_model import eval as qf_eval
-from sepqcqp.sdp_solver import solve, solve_many
+from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import SolveStatus, build_block, build_hom, build_shor
 from sepqcqp.symkernel import SymMatrix, frob_inner, is_psd
 
@@ -335,21 +335,21 @@ class TestEntryBracket:
         returns (s, verdict, the problems handed to the solver)."""
         s = make_example52(0)
         problems = []
-        bound, many = connection._dual_bound, sdp_solver.solve_many
+        bound, real = connection._dual_bound, connection.solve
 
         def moved_bound(entry, *args):
             value = bound(entry, *args)
             return move(value) if entry is s.blocks[p] else value
 
-        def counted(bs, *args, **kwargs):
-            problems.extend(bs)
-            return many(bs, *args, **kwargs)
+        def counted(b, *args, **kwargs):
+            problems.append(b)
+            return real(b, *args, **kwargs)
 
         with monkeypatch.context() as m:
             m.setattr(connection, "_dual_bound", moved_bound)
             if refuse_subsol:
                 m.setattr(connection, "_joint_subsol", lambda *args: None)
-            m.setattr(sdp_solver, "solve_many", counted)
+            m.setattr(connection, "solve", counted)
             v = judge(s)
         return s, v, problems
 
@@ -776,21 +776,19 @@ def judged_iterations(s, monkeypatch) -> tuple:
     solves plus those of re-solving every entry at its allocation on the
     side, and the number of problems judge hands to the solver."""
     sols = []
-    many = sdp_solver.solve_many
+    real = connection.solve
 
-    def counted(bs, *args, **kwargs):
-        out = many(bs, *args, **kwargs)
-        sols.extend(out)
-        return out
+    def counted(b, *args, **kwargs):
+        sols.append(real(b, *args, **kwargs))
+        return sols[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(sdp_solver, "solve_many", counted)
+        m.setattr(connection, "solve", counted)
         v = judge(s)
-    subs = [
-        side_sub_problem(entry, delta)
+    entries = sum(
+        solve(side_sub_problem(entry, delta)).iterations
         for entry, delta in zip(s.blocks, v.delta_decomposition)
-    ]
-    entries = sum(sol.iterations for sol in solve_many(subs))
+    )
     return sum(sol.iterations for sol in sols) + entries, len(sols)
 
 

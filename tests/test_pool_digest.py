@@ -1,0 +1,30 @@
+"""tools/pool_digest.py records the solve every verdict rests on.
+
+The digest wraps the name judge calls the solver through. If that name
+moved, the digest would record nothing and still compare equal between
+two commits; these tests catch that.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOL = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "pool_digest.py"
+)
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("pool_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["deep-blocks", "ex51-sweep", "ex52-cli", "wide-connection"])
+def test_digest_records_the_one_solve(tool, workload):
+    line = tool.digest(tool.make_instance(workload, 0))
+    assert " solves=1 " in line
+    assert tool.digest(tool.make_instance(workload, 0)) == line

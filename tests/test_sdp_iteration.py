@@ -5,9 +5,10 @@ were trimmed: per-group lists concatenated and scattered into the
 row-sum, Schur, block-sum and step-length tables, NT scaling through
 diagonal matrices, a Python loop over the rows in y_i A_i sums, a
 separate non-finite scan and magnitude scan of every iterate, and a
-symmetrizing pass over every new iterate. solve_many must return exactly what
-reference_solve_many returns on every input: every SdpSolution field,
-bit for bit, and every structural error.
+symmetrizing pass over every new iterate. ParentProblem is the problem it
+compiled. solve, given each problem of a batch alone, must return exactly
+what reference_solve_many returns for it on the whole batch: every
+SdpSolution field, bit for bit, and every structural error.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 
 from sepqcqp import sdp_solver
 from sepqcqp.errors import InfeasibleStructureError, SepqcqpError
-from sepqcqp.sdp_solver import SolverOptions, solve_many
-from sepqcqp.sdpr_builder import BlockSdp, Row, SolveStatus
+from sepqcqp.sdp_solver import SolverOptions, solve
+from sepqcqp.sdpr_builder import BlockSdp, Row, SolveStatus, to_standard_form
 from sepqcqp.symkernel import SymMatrix
 from test_sdp_solver import mixed_batch
 
@@ -152,7 +153,30 @@ def _py_min(a: np.ndarray, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the batch layout
+# compiled problems and the batch layout
+
+
+class ParentProblem:
+    """One BlockSdp standardized, presolved and compiled for the iteration
+    (full is the standard form's shared, read-only operator)."""
+
+    def __init__(self, index: int, b: BlockSdp):
+        self.index = index
+        self.b = b
+        std = to_standard_form(b)
+        self.full = std.operator
+        self.kept = sdp_solver._presolve(self.full)
+        op = self.full.take(self.kept)
+        self.dims = std.block_dims
+        self.C = [mat.to_dense() for mat in std.objective]
+        self.active, self.stacks = op.active, op.stacks
+        self.m = op.n_rows
+        self.d_vec = op.rhs
+        self.slack_rows = np.flatnonzero(op.slack_coeffs)
+        self.n_slack = len(self.slack_rows)
+        self.n_tot = max(sum(self.dims) + self.n_slack, 1)
+        self.d_scale = 1.0 + np.abs(self.d_vec).max(initial=0.0)
+        self.c_scale = 1.0 + max((np.linalg.norm(c) for c in self.C), default=0.0)
 
 
 class ParentGroup:
@@ -633,14 +657,15 @@ class ClampedParentBatch(ParentBatch):
 
 
 def reference_solve_many(bs, opts: SolverOptions | None = None, batch=None) -> list:
-    """solve_many with ParentBatch (or batch) as the iteration."""
+    """The parent's solve_many, with ParentBatch (or batch) as the iteration:
+    entry i is the solution of bs[i] or the SepqcqpError it raised."""
     batch = batch or ParentBatch
     opts = opts or SolverOptions()
     out: list = [None] * len(bs)
     probs = []
     for i, b in enumerate(bs):
         try:
-            probs.append(sdp_solver._Problem(i, b))
+            probs.append(ParentProblem(i, b))
         except SepqcqpError as exc:
             out[i] = exc
     if probs:
@@ -652,7 +677,7 @@ def reference_solve_many(bs, opts: SolverOptions | None = None, batch=None) -> l
 
 
 # ---------------------------------------------------------------------------
-# solve_many against the reference
+# solve against the reference
 
 
 def random_sdp(seed: int) -> BlockSdp:
@@ -691,16 +716,28 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def solve_each(bs: list, opts: SolverOptions | None = None) -> list:
+    """solve of every problem alone: its solution, or the error it raised."""
+    out = []
+    for b in bs:
+        try:
+            out.append(solve(b, opts))
+        except SepqcqpError as exc:
+            out.append(exc)
+    return out
+
+
 def assert_same_results(bs: list, opts: SolverOptions | None = None) -> list:
-    """solve_many and reference_solve_many give every result bit for bit
-    alike, signed zeros and NaN payloads included, and structural errors
-    alike in type and message; returns solve_many's results.
+    """solve of each problem alone and reference_solve_many of the whole
+    batch give every result bit for bit alike, signed zeros and NaN
+    payloads included, and structural errors alike in type and message;
+    returns solve's results.
 
     Where the parent's centering weight overflows a Python float (its
-    whole call raises OverflowError), solve_many returns a status
-    instead, and the reference is the parent iteration with the weight
-    clamped (ClampedParentBatch)."""
-    got = solve_many(bs, opts)
+    whole call raises OverflowError), solve returns a status instead, and
+    the reference is the parent iteration with the weight clamped
+    (ClampedParentBatch)."""
+    got = solve_each(bs, opts)
     try:
         want = reference_solve_many(bs, opts)
     except OverflowError:
@@ -774,36 +811,36 @@ class TestMatchesParentIteration:
     )
     @pytest.mark.parametrize("part", ["X", "S", "s", "sig", "y"])
     def test_scan_flags_as_the_old_scans(self, part, value):
-        """The one scan of a new iterate flags the problems the parent's
-        non-finite scan of the symmetrized iterate and its magnitude scan
-        flagged. An X or S entry beyond half the largest double, which the
-        update no longer symmetrizes, counts as non-finite there."""
+        """The one scan of a new iterate flags what the parent's non-finite
+        scan of the symmetrized iterate and its magnitude scan flagged. An
+        X or S entry beyond half the largest double, which the update no
+        longer symmetrizes, counts as non-finite there."""
         opts = SolverOptions()
-        probs = [sdp_solver._Problem(i, b) for i, b in enumerate(mixed_batch()[:-1])]
-        batch = sdp_solver._Batch(probs, opts)
-        parent = ParentBatch(probs, opts)
-        lay, NS = batch.lay, batch.lay.NS
-        victim = 1  # in the batch's order; it has a block, rows and a slack
-        gi, j = lay.where[victim][0]
-        g = lay.groups[gi]
-        XS, vec = [xs.copy() for xs in batch.XS], batch.vec.copy()
+        b = mixed_batch()[0]  # it has blocks, rows and slacks
+        p = sdp_solver._Problem(b)
+        assert p.groups and p.m and p.NS
+        ipm = sdp_solver._Ipm(p, opts)
+        parent = ParentBatch([ParentProblem(0, b)], opts)
+        XS, vec = [xs.copy() for xs in ipm.XS], ipm.vec.copy()
         X, S = [x.copy() for x in parent.X], [z.copy() for z in parent.S]
         s, sig, y = parent.s.copy(), parent.sig.copy(), parent.y.copy()
         if part in ("X", "S"):
-            XS[gi][j + (g.n if part == "S" else 0), 0, 0] = value
+            gi, j = p.where[0]
+            XS[gi][j + (p.groups[gi].n if part == "S" else 0), 0, 0] = value
             (X if part == "X" else S)[gi][j, 0, 0] = value
         else:
-            k = {"s": lay.slk_off[victim], "sig": lay.slk_off[victim],
-                 "y": lay.row_off[victim]}[part]
-            vec[{"s": 0, "sig": NS, "y": 2 * NS}[part] + k] = value
-            {"s": s, "sig": sig, "y": y}[part][k] = value
+            vec[{"s": 0, "sig": p.NS, "y": 2 * p.NS}[part]] = value
+            {"s": s, "sig": sig, "y": y}[part][0] = value
         with np.errstate(over="ignore", invalid="ignore"):
-            bad, large = batch._scan(XS, vec)
-            want_bad = parent.nonfinite(([_sym(x) for x in X], [_sym(z) for z in S], s, sig, y))
+            bad, large = ipm._scan(XS, vec)
+            (want_bad,) = parent.nonfinite(
+                ([_sym(x) for x in X], [_sym(z) for z in S], s, sig, y)
+            )
         parent.X, parent.S, parent.s, parent.sig, parent.y = X, S, s, sig, y
-        np.testing.assert_array_equal(bad, want_bad)
-        np.testing.assert_array_equal(large & ~bad, parent._too_large() & ~want_bad)
-        assert bad[victim] or large[victim]
+        (want_large,) = parent._too_large()
+        assert bad == want_bad
+        assert (large and not bad) == (want_large and not want_bad)
+        assert bad or large
 
     def test_centering_weight(self):
         """sdp_solver._centering is the parent's weight wherever the

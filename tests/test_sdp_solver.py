@@ -28,7 +28,6 @@ from sepqcqp.sdp_solver import (
     SolverOptions,
     check_solution,
     solve,
-    solve_many,
 )
 from sepqcqp.sdpr_builder import (
     BlockSdp,
@@ -504,6 +503,9 @@ def single(b):
 
 
 class TestSolveMany:
+    """A batch of problems is solved one problem at a time: every result
+    is the problem's own, whatever the other problems and their order."""
+
     def test_batch_equals_single_solves(self):
         bs = mixed_batch()
         singles = [single(b) for b in bs]
@@ -513,73 +515,114 @@ class TestSolveMany:
             SolveStatus.DIVERGED,
             SolveStatus.NUMERICAL_FAILURE,
         }
-        for order in (bs, bs[::-1]):
-            batch = solve_many(order)
-            want = singles if order is bs else singles[::-1]
-            assert len(batch) == len(order)
-            for got, ref in zip(batch, want):
-                if isinstance(ref, InfeasibleStructureError):
-                    assert isinstance(got, InfeasibleStructureError)
-                    assert str(got) == str(ref)
-                else:
-                    assert_same_solution(got, ref)
-
-    def test_structural_error_stays_in_its_slot(self):
-        bs = mixed_batch()
-        out = solve_many(bs)
-        bad = [i for i, r in enumerate(out) if isinstance(r, Exception)]
+        # only the contradictory rows raise, and they raise again
+        bad = [i for i, r in enumerate(singles) if isinstance(r, Exception)]
         assert bad == [len(bs) - 1]
-        assert all(isinstance(r, SdpSolution) for r in out[:-1])
-        with pytest.raises(InfeasibleStructureError):
+        with pytest.raises(InfeasibleStructureError, match="contradictory"):
             solve(bs[-1])
-
-    def test_empty_batch(self):
-        assert solve_many([]) == []
+        for got, ref in zip([single(b) for b in bs[::-1]], singles[::-1]):
+            if isinstance(ref, InfeasibleStructureError):
+                assert isinstance(got, InfeasibleStructureError)
+                assert str(got) == str(ref)
+            else:
+                assert_same_solution(got, ref)
 
     def test_problem_without_blocks(self):
         # s = 1 with s >= 0 and nothing else: only the slack moves
         free = BlockSdp((), (), [Row((), 1, 1.0)])
-        for sol in (solve(free), solve_many([free, mixed_batch()[0]])[0]):
-            assert sol.status is SolveStatus.OPTIMAL
-            assert sol.blocks == []
-            assert sol.slacks[0] == pytest.approx(1.0, abs=1e-7)
+        sol = solve(free)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.blocks == []
+        assert sol.slacks[0] == pytest.approx(1.0, abs=1e-7)
 
     def test_failed_slot_fails_only_its_problem(self, monkeypatch):
-        # the first stacked NT scaling raises, and so does the retry of
-        # its first slot: only that slot's problem stops, at iteration 1
+        # the middle problem's first NT scaling raises: its solve stops at
+        # iteration 1 with the starting iterate, and the others solve as
+        # if nothing had happened
         bs = [build_hom(two_block_family(a)) for a in (0.0, 1.0, 3.0)]
         singles = [solve(b) for b in bs]
         real = sdp_solver._nt_scaling
         fired = []
 
         def flaky(x, s):
-            if not fired and (x.ndim == 2 or len(x) > 1):
-                if x.ndim == 2:
-                    fired.append(True)
+            if not fired:
+                fired.append(True)
                 raise np.linalg.LinAlgError("injected")
             return real(x, s)
 
-        monkeypatch.setattr(sdp_solver, "_nt_scaling", flaky)
         before = np.geterr()
-        out = solve_many(bs)
+        out = [solve(bs[0])]
+        with monkeypatch.context() as m:
+            m.setattr(sdp_solver, "_nt_scaling", flaky)
+            out.append(solve(bs[1]))
+        out.append(solve(bs[2]))
         assert np.geterr() == before
-        failed = [i for i, r in enumerate(out) if r.status is SolveStatus.NUMERICAL_FAILURE]
-        assert len(failed) == 1
-        hit = out[failed[0]]
+        hit = out[1]
+        assert hit.status is SolveStatus.NUMERICAL_FAILURE
         assert hit.iterations == 1
+        assert hit.mu_history == singles[1].mu_history[:1]
         np.testing.assert_array_equal(hit.blocks[0].to_dense(), 10.0 * np.eye(2))
-        for i, (got, ref) in enumerate(zip(out, singles)):
-            if i != failed[0]:
-                assert_same_solution(got, ref)
+        assert_same_solution(out[0], singles[0])
+        assert_same_solution(out[2], singles[2])
 
     def test_error_state_restored_after_a_failing_batch(self, monkeypatch):
         def broken(x, s):
             raise RuntimeError("scaling failed")
 
+        bs = mixed_batch()
         before = np.geterr()
-        solve_many(mixed_batch())
+        [single(b) for b in bs]
         assert np.geterr() == before
         monkeypatch.setattr(sdp_solver, "_nt_scaling", broken)
         with pytest.raises(RuntimeError, match="scaling failed"):
-            solve_many(mixed_batch())
+            [single(b) for b in bs]
         assert np.geterr() == before
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestEarlyAbort:
+    """A LinAlgError from any LAPACK call of a step ends the solve as
+    NumericalFailure at that iteration, with the iterate the step started
+    from: the iterate that max_iter = k - 1 returns."""
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    @pytest.mark.parametrize(
+        "name", ["_nt_scaling", "_xs_factor", "_cholesky_solve", "_boundary_eig"]
+    )
+    def test_linalg_error_at_iteration(self, monkeypatch, name, k):
+        b = build_block(make_example52(0))
+        clean = solve(b)
+        assert clean.status is SolveStatus.OPTIMAL and clean.iterations > 12
+        real, residuals = getattr(sdp_solver, name), sdp_solver._Ipm.residuals
+        iteration = [0]
+
+        def counted(self):
+            iteration[0] += 1
+            return residuals(self)
+
+        def flaky(*args):
+            if iteration[0] == k:
+                raise np.linalg.LinAlgError("injected")
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(sdp_solver._Ipm, "residuals", counted)
+            m.setattr(sdp_solver, name, flaky)
+            before = np.geterr()
+            sol = solve(b)
+            assert np.geterr() == before
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert sol.iterations == k
+        assert sol.mu_history == clean.mu_history[:k]
+        if k == 1:
+            return
+        ref = solve(b, SolverOptions(max_iter=k - 1))
+        assert ref.status is SolveStatus.MAX_ITER
+        for f in ("slacks", "dual_multipliers"):
+            assert bits(getattr(sol, f)) == bits(getattr(ref, f)), f
+        for f in ("blocks", "dual_blocks"):
+            for xa, xb in zip(getattr(sol, f), getattr(ref, f)):
+                assert bits(xa.to_dense()) == bits(xb.to_dense()), f

@@ -44,7 +44,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import sepqcqp.cli as cli  # noqa: E402
 import sepqcqp.connection as connection  # noqa: E402
-import sepqcqp.sdp_solver as sdp_solver  # noqa: E402
 from workloads import HARD_CASES, SPECS, make_instance  # noqa: E402
 
 
@@ -77,19 +76,19 @@ def _hash_verdict(h, v) -> None:
 
 def digest(instance) -> str:
     sols = []
-    real = sdp_solver.solve_many
+    real = connection.solve
 
-    def recorded(bs, opts=None):
-        out = real(bs, opts)
-        sols.extend(r for r in out if not isinstance(r, Exception))
-        return out
+    def recorded(b, opts=None):
+        sol = real(b, opts)
+        sols.append(sol)
+        return sol
 
-    # solve is solve_many of one problem, so every result passes here once
-    sdp_solver.solve_many = recorded
+    # judge solves through connection.solve, so every result passes here
+    connection.solve = recorded
     try:
         v = connection.judge(instance)
     finally:
-        sdp_solver.solve_many = real
+        connection.solve = real
     hs, hv = hashlib.sha1(), hashlib.sha1()
     for sol in sols:
         _hash_solution(hs, sol)
