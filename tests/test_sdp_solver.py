@@ -515,17 +515,23 @@ class TestSolveMany:
             SolveStatus.DIVERGED,
             SolveStatus.NUMERICAL_FAILURE,
         }
-        # only the contradictory rows raise, and they raise again
-        bad = [i for i, r in enumerate(singles) if isinstance(r, Exception)]
-        assert bad == [len(bs) - 1]
-        with pytest.raises(InfeasibleStructureError, match="contradictory"):
-            solve(bs[-1])
         for got, ref in zip([single(b) for b in bs[::-1]], singles[::-1]):
             if isinstance(ref, InfeasibleStructureError):
                 assert isinstance(got, InfeasibleStructureError)
                 assert str(got) == str(ref)
             else:
                 assert_same_solution(got, ref)
+
+    def test_structural_error_stays_in_its_slot(self):
+        # only the contradictory rows raise, and they raise again; the
+        # problems solved before and after them are untouched
+        bs = mixed_batch()
+        out = [single(b) for b in bs]
+        bad = [i for i, r in enumerate(out) if isinstance(r, Exception)]
+        assert bad == [len(bs) - 1]
+        assert all(isinstance(r, SdpSolution) for r in out[:-1])
+        with pytest.raises(InfeasibleStructureError, match="contradictory"):
+            solve(bs[-1])
 
     def test_problem_without_blocks(self):
         # s = 1 with s >= 0 and nothing else: only the slack moves
