@@ -275,24 +275,6 @@ def cycle_basis(g: SparsityGraph, reverse: bool = False) -> list[list[tuple]]:
     return cycles
 
 
-def _is_bipartite(g: SparsityGraph) -> bool:
-    color: dict[int, int] = {}
-    for root in range(1, g.n + 1):
-        if root in color:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
 def check_sign_pattern(g: SparsityGraph) -> Certificate:
     """Parity certificate on the interaction graph.
 
@@ -300,6 +282,11 @@ def check_sign_pattern(g: SparsityGraph) -> Certificate:
     cycle, the product of labels equal to (-1)^length, which holds
     exactly when a +-1 rescaling of the variables makes all
     interactions nonpositive.
+
+    The case is read off the same cycle basis: a graph without cycles is
+    a forest, and an all-positive graph that passes parity has only
+    even cycles (every cycle is a sum of fundamental ones), so it is
+    bipartite.
     """
     mixed = sorted(e for e, s in g.sigma.items() if s == 0)
     if mixed:
@@ -308,7 +295,8 @@ def check_sign_pattern(g: SparsityGraph) -> Certificate:
             f"edges {mixed} carry mixed signs",
             depends_on_solution=False,
         )
-    for cyc in cycle_basis(g):
+    cycles = cycle_basis(g)
+    for cyc in cycles:
         prod = 1
         for e in cyc:
             prod *= g.sigma[e]
@@ -321,9 +309,9 @@ def check_sign_pattern(g: SparsityGraph) -> Certificate:
             )
     if all(s == -1 for s in g.sigma.values()):
         case = SignCase.ALL_NONPOSITIVE
-    elif not cycle_basis(g):
+    elif not cycles:
         case = SignCase.FOREST
-    elif _is_bipartite(g) and all(s == 1 for s in g.sigma.values()):
+    elif all(s == 1 for s in g.sigma.values()):
         case = SignCase.BIPARTITE_POSITIVE
     else:
         case = SignCase.GENERAL

@@ -583,13 +583,16 @@ def nonpositive_gauge(q: Qcqp) -> np.ndarray | None:
     diagonal always yield a feasible point at least as good.
     """
     funcs = [q.objective] + [f for f, _ in q.constraints]
-    g = aggregated_graph([f.quad_part() for f in funcs])
-    if not check_sign_pattern(g).holds:
-        return None
+    return _oriented_gauge(aggregated_graph([f.quad_part() for f in funcs]), funcs)
+
+
+def _oriented_gauge(g, funcs) -> np.ndarray | None:
+    """nonpositive_gauge on g, the aggregated graph of funcs' quadratic
+    parts. sign_gauge finds a gauge exactly when g passes the cycle
+    parity test of check_sign_pattern."""
     d = sign_gauge(g)
     if d is None:
         return None
-    d = d.astype(np.float64)
     lins = np.array([f.linear_part() for f in funcs])
     for comp in _components(g):
         idx = [i - 1 for i in comp]
@@ -618,8 +621,9 @@ def _certify_qcqp_entries(stacks) -> dict:
     entry's variables (stacks.zero marks them). Both recognized classes
     need every remaining row to be <=, since their witness constructions
     only push constraint values downward. The convexity tests of all
-    entries are one pass (check_convex_many); only the entries it
-    rejects look for a gauge.
+    entries are one pass (check_convex_many); each entry it rejects has
+    its aggregated graph built once, and both its gauge and its
+    SIGN_PATTERN certificate are read off that graph.
     """
     entries = stacks.s.blocks
     inhom = [p for p, entry in enumerate(entries) if not isinstance(entry, HomSepQcqp)]
@@ -637,17 +641,16 @@ def _certify_qcqp_entries(stacks) -> dict:
     for i, cert in zip(convex, check_convex_many([stripped[i] for i in convex])):
         gauge = None
         if not cert.holds:
-            gauge = nonpositive_gauge(stripped[i])
+            q = stripped[i]
+            funcs = [q.objective] + [f for f, _ in q.constraints]
+            g = aggregated_graph([f.quad_part() for f in funcs])
+            gauge = _oriented_gauge(g, funcs)
             if gauge is None:
                 cert = _no_certificate(
                     "neither convex nor sign-flippable to nonpositive couplings"
                 )
             else:
-                q = stripped[i]
-                funcs = [q.objective] + [f for f, _ in q.constraints]
-                cert = check_sign_pattern(
-                    aggregated_graph([f.quad_part() for f in funcs])
-                )
+                cert = check_sign_pattern(g)
         out[i] = (cert, gauge)
     return dict(zip(inhom, out))
 
@@ -657,9 +660,9 @@ def _certify_qcqp_entries(stacks) -> dict:
 
 
 def _verify_witness(stacks, points, eta, tol):
-    """(objective, ok): does the per-entry point list satisfy every coupled
-    row and reproduce eta? The entries' values are one stacked
-    evaluation (_EntryStacks.at_points)."""
+    """The objective of the per-entry point list when it satisfies every
+    coupled row and reproduces eta within tol, else None. The entries'
+    values are one stacked evaluation (_EntryStacks.at_points)."""
     s = stacks.s
     vals = stacks.at_points(points)
     # the row values laid out as the one-entry list of rows was, so that
@@ -668,47 +671,24 @@ def _verify_witness(stacks, points, eta, tol):
     for k, rel in enumerate(s.relations):
         gk = float(s.gamma[k])
         if not rel.holds(float(totals[k]), gk, tol * (1.0 + abs(gk))):
-            return None, False
+            return None
     obj = float(sum(vals[:, 0].tolist()))
-    return obj, abs(obj - eta) <= tol * (1.0 + abs(eta))
+    return obj if abs(obj - eta) <= tol * (1.0 + abs(eta)) else None
 
 
-def _global_witness(b, sol, slices, opts):
-    """Rank reduction of the full block solution: (report, per-entry points),
-    each entry's point joined from its blocks' vectors (slices, from
-    _entry_slices).
-
-    The report is None when the reduction stalls or finds the solution
-    stale; the points are None unless every block ended at rank <= 1.
-    """
+def _reduce_points(b, sol, opts):
+    """Rank reduction of sol, an Optimal solution of b (the joint
+    relaxation, or a homogeneous entry's own): (report, the blocks'
+    extracted vectors). The report is None when the reduction stalls or
+    finds the solution stale; the vectors are None unless every block
+    ended at rank <= 1."""
     try:
         _, rep = reduce(
             to_standard_form(b), sol, tol=opts.tol, rank_tol=opts.rank_tol
         )
     except (ReductionStallError, StaleSolutionError):
         return None, None
-    if rep.extracted is None:
-        return rep, None
-    points = []
-    for sl in slices:
-        vecs = rep.extracted[sl]
-        points.append(np.concatenate(vecs) if len(vecs) > 1 else vecs[0])
-    return rep, points
-
-
-def _hom_entry_point(sub, subsol, opts):
-    """Rank-reduce a homogeneous entry's own relaxation sub (the
-    _EntryAnalysis one, whose compiled rows _joint_subsol has left on its
-    standard form) and read a point."""
-    try:
-        _, rep = reduce(
-            to_standard_form(sub), subsol, tol=opts.tol, rank_tol=opts.rank_tol
-        )
-    except (ReductionStallError, StaleSolutionError):
-        return None
-    if rep.extracted is None:
-        return None
-    return np.concatenate(rep.extracted)
+    return rep, rep.extracted
 
 
 def _salvage_point(entry, cert, gauge, blocks, analysis, opts):
@@ -717,13 +697,15 @@ def _salvage_point(entry, cert, gauge, blocks, analysis, opts):
     Convex entries read the last column of their lifted block; sign
     entries take gauge-signed square roots of the diagonal; homogeneous
     entries rank-reduce their own sub-relaxation (analysis is the entry's
-    _EntryAnalysis).
+    _EntryAnalysis, whose compiled rows _joint_subsol has left on the
+    standard form) and join their blocks' vectors.
     """
     try:
         if isinstance(entry, HomSepQcqp):
             if analysis.subsol is None:
                 return None
-            return _hom_entry_point(analysis.sub, analysis.subsol, opts)
+            _, vecs = _reduce_points(analysis.sub, analysis.subsol, opts)
+            return None if vecs is None else np.concatenate(vecs)
         if cert.kind is CertificateKind.CONVEX:
             return extract_convex_solution(blocks[0])
         if gauge is not None:
@@ -736,10 +718,13 @@ def _salvage_point(entry, cert, gauge, blocks, analysis, opts):
     return None
 
 
-def _oracle_box(s, sol, opts):
-    """Uniform integer half-width box whose default grid lands on the
+def _oracle_box(n, sol, opts):
+    """Uniform integer half-width box r and grid for the oracle over n
+    variables. The default grid, 10 r + 1 points per axis, lands on the
     small-integer lattice (spacing 0.2), keeping equality rows with
-    integer solutions attainable on the grid."""
+    integer solutions attainable on the grid; it is cut to at most 101
+    points per axis and 101**3 points a round, which keeps a round of a
+    4-variable box near a million points rather than 1e8."""
     if opts.oracle_box is not None:
         return opts.oracle_box, opts.oracle_grid or 41
     diag_max = 0.0
@@ -747,8 +732,41 @@ def _oracle_box(s, sol, opts):
         dense = blk.to_dense()
         diag_max = max(diag_max, float(np.max(np.diag(dense), initial=0.0)))
     r = int(math.ceil(1.2 * max(1.0, math.sqrt(max(diag_max, 0.0))) + 1.0))
-    grid = opts.oracle_grid or min(10 * r + 1, 101)
+    grid = opts.oracle_grid
+    if grid is None:
+        grid = min(10 * r + 1, 101)
+        while grid**n > 101**3:
+            grid -= 1
     return (-float(r), float(r)), grid
+
+
+def _oracle_verdict(s, sol, eta, opts):
+    """The grid oracle's reading of a connection no certificate or
+    witness settled: (status, reason, oracle value, witness). Only a
+    value above eta by more than 10 tol makes it NotExact; one within
+    tol (1 + |eta|) of eta is a witness."""
+    flat = flatten(s)
+    if flat.n > 4:
+        reason = "no witness found and too many variables for the oracle"
+        return VerdictStatus.UNDETERMINED, reason, None, None
+    box, grid = _oracle_box(flat.n, sol, opts)
+    value, point = brute_force(
+        flat, box, grid_points=grid, refine_rounds=opts.oracle_rounds
+    )
+    if value == INFEASIBLE:
+        reason = "oracle found no feasible grid point"
+        return VerdictStatus.UNDETERMINED, reason, None, None
+    value = float(value)
+    if value > eta + 10.0 * opts.tol:
+        reason = (
+            f"best feasible value {value:.9g} exceeds the "
+            f"relaxation value {eta:.9g}"
+        )
+        return VerdictStatus.NOT_EXACT, reason, value, None
+    if abs(value - eta) <= opts.tol * (1.0 + abs(eta)):
+        return VerdictStatus.EXACT_WITNESSED, "", value, split_point(s, point)
+    reason = "oracle value inside the ambiguity band around eta"
+    return VerdictStatus.UNDETERMINED, reason, value, None
 
 
 # ---------------------------------------------------------------------------
@@ -824,120 +842,45 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         gauges.append(gauge)
         per_block.append(PerBlockReport(cert, e.value, e.gap))
 
-    certified = all(c.holds for c in certs)
-
     # witness hunt: global rank reduction, then per-entry constructions
-    reduction, points = _global_witness(b, sol, slices, opts)
-    witness_obj, witnessed = None, False
-    if points is not None:
-        witness_obj, witnessed = _verify_witness(stacks, points, eta, opts.tol)
-    if not witnessed:
-        candidate = []
+    reduction, vecs = _reduce_points(b, sol, opts)
+    witness = zeta = None
+    if vecs is not None:
+        witness = [np.concatenate(vecs[sl]) for sl in slices]
+        zeta = _verify_witness(stacks, witness, eta, opts.tol)
+    if zeta is None:
+        witness = []
         for p, entry in enumerate(s.blocks):
             pt = _salvage_point(
-                entry,
-                certs[p],
-                gauges[p],
-                sol.blocks[slices[p]],
-                analysed[p],
-                opts,
+                entry, certs[p], gauges[p], sol.blocks[slices[p]], analysed[p], opts
             )
             if pt is None:
-                candidate = None
                 break
-            candidate.append(pt)
-        if candidate is not None:
-            obj2, ok2 = _verify_witness(stacks, candidate, eta, opts.tol)
-            if ok2:
-                points, witness_obj, witnessed = candidate, obj2, True
+            witness.append(pt)
+        else:
+            zeta = _verify_witness(stacks, witness, eta, opts.tol)
+    if zeta is None:
+        witness = None
 
-    if certified:
-        return ExactnessVerdict(
-            status=VerdictStatus.EXACT_CERTIFIED,
-            eta=eta,
-            zeta_witness=witness_obj if witnessed else None,
-            delta_decomposition=deltas,
-            per_block=per_block,
-            witness=points if witnessed else None,
-            relaxation=sol,
-            reduction=reduction,
-        )
-    if witnessed:
-        return ExactnessVerdict(
-            status=VerdictStatus.EXACT_WITNESSED,
-            eta=eta,
-            zeta_witness=witness_obj,
-            delta_decomposition=deltas,
-            per_block=per_block,
-            witness=points,
-            relaxation=sol,
-            reduction=reduction,
-        )
-
-    # oracle fallback: the only road to NotExact
-    flat = flatten(s)
-    if flat.n > 4:
-        return ExactnessVerdict(
-            status=VerdictStatus.UNDETERMINED,
-            eta=eta,
-            zeta_witness=None,
-            delta_decomposition=deltas,
-            per_block=per_block,
-            reason="no witness found and too many variables for the oracle",
-            relaxation=sol,
-            reduction=reduction,
-        )
-    box, grid = _oracle_box(s, sol, opts)
-    oracle_val, oracle_pt = brute_force(
-        flat, box, grid_points=grid, refine_rounds=opts.oracle_rounds
-    )
-    if oracle_val == INFEASIBLE:
-        return ExactnessVerdict(
-            status=VerdictStatus.UNDETERMINED,
-            eta=eta,
-            zeta_witness=None,
-            delta_decomposition=deltas,
-            per_block=per_block,
-            reason="oracle found no feasible grid point",
-            relaxation=sol,
-            reduction=reduction,
-        )
-    oracle_val = float(oracle_val)
-    if oracle_val > eta + 10.0 * opts.tol:
-        return ExactnessVerdict(
-            status=VerdictStatus.NOT_EXACT,
-            eta=eta,
-            zeta_witness=None,
-            delta_decomposition=deltas,
-            per_block=per_block,
-            oracle_value=oracle_val,
-            reason=(
-                f"best feasible value {oracle_val:.9g} exceeds the "
-                f"relaxation value {eta:.9g}"
-            ),
-            relaxation=sol,
-            reduction=reduction,
-        )
-    if abs(oracle_val - eta) <= opts.tol * (1.0 + abs(eta)):
-        return ExactnessVerdict(
-            status=VerdictStatus.EXACT_WITNESSED,
-            eta=eta,
-            zeta_witness=oracle_val,
-            delta_decomposition=deltas,
-            per_block=per_block,
-            witness=split_point(s, oracle_pt),
-            oracle_value=oracle_val,
-            relaxation=sol,
-            reduction=reduction,
-        )
+    # the verdict: certified, else witnessed, else the grid oracle's, the
+    # only road to NotExact
+    reason, oracle_value = "", None
+    if all(c.holds for c in certs):
+        status = VerdictStatus.EXACT_CERTIFIED
+    elif witness is not None:
+        status = VerdictStatus.EXACT_WITNESSED
+    else:
+        status, reason, oracle_value, witness = _oracle_verdict(s, sol, eta, opts)
+        zeta = oracle_value if witness is not None else None
     return ExactnessVerdict(
-        status=VerdictStatus.UNDETERMINED,
+        status=status,
         eta=eta,
-        zeta_witness=None,
+        zeta_witness=zeta,
         delta_decomposition=deltas,
         per_block=per_block,
-        oracle_value=oracle_val,
-        reason="oracle value inside the ambiguity band around eta",
+        witness=witness,
+        oracle_value=oracle_value,
+        reason=reason,
         relaxation=sol,
         reduction=reduction,
     )

@@ -215,15 +215,15 @@ def is_psd_many(arrays, tol: float = 1e-9) -> np.ndarray:
     a view of one; or a (k, d, d) stack), as one boolean array.
 
     Each dimension takes one stacked eigh and one stacked norm
-    (frob_inner_many), so each flag is the one is_psd gives for that
-    matrix alone: lambda_min(a) >= -tol * max(1, ||a||_F).
+    (frob_inner_many), so each flag is the one that matrix alone gets:
+    lambda_min(a) >= -tol * max(1, ||a||_F).
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     flags = np.ones(len(arrays), dtype=bool)
     for idx, stack in _stacks(arrays):
         if stack.shape[-1]:
-            # eigh, as is_psd's eigen: eigvalsh's eigenvalues differ in bits
+            # eigh, as eigen: eigvalsh's eigenvalues differ in bits
             lam = np.linalg.eigh(stack)[0][:, 0]
             norm = np.sqrt(frob_inner_many(stack, stack))
             # max(1, norm) as Python's max takes it
@@ -232,13 +232,9 @@ def is_psd_many(arrays, tol: float = 1e-9) -> np.ndarray:
 
 
 def is_psd(a: SymMatrix, tol: float = 1e-9) -> bool:
-    """True iff lambda_min(a) >= -tol * max(1, ||a||_F)."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if a.dim == 0:
-        return True
-    dec = eigen(a)
-    return float(dec.eigenvalues[-1]) >= -tol * max(1.0, a.norm())
+    """True iff lambda_min(a) >= -tol * max(1, ||a||_F): is_psd_many of
+    the one matrix."""
+    return bool(is_psd_many([a.array], tol)[0])
 
 
 def rank_of_eigenvalues(lam: np.ndarray, tol: float = 1e-6) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sepqcqp import certificates
 from sepqcqp.certificates import (
     Certificate,
     CertificateKind,
@@ -239,6 +240,100 @@ class TestCheckSignPattern:
                 for cyc in cycle_basis(g, reverse=True)
             ) and all(s != 0 for s in g.sigma.values())
             assert ok_rev == (verdict_default is CertificateKind.SIGN_PATTERN)
+
+    def test_balanced_graph_walks_one_cycle_basis(self, monkeypatch):
+        # a square with a chord: two fundamental cycles, both edge
+        # signs, and every cycle passes parity
+        g = graph_from_edges(
+            4, {(1, 2): 1, (2, 3): -1, (3, 4): 1, (1, 4): -1, (1, 3): 1}
+        )
+        walks = []
+        real = certificates.cycle_basis
+
+        def counted(*args, **kwargs):
+            walks.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "cycle_basis", counted)
+        cert = check_sign_pattern(g)
+        assert cert.kind is CertificateKind.SIGN_PATTERN
+        assert cert.case is SignCase.GENERAL
+        assert len(real(g)) == 2
+        assert len(walks) == 1
+
+    def test_matches_the_parent_case_analysis(self):
+        """The same certificate as the parity test with its own forest and
+        bipartite walks, on random graphs of every sign mix."""
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 8))
+            p_edge, p_pos = rng.uniform(0.1, 0.9), rng.choice([0.0, 0.5, 1.0])
+            sigma = {}
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    if rng.random() < p_edge:
+                        sigma[(i, j)] = 1 if rng.random() < p_pos else -1
+            if sigma and rng.random() < 0.05:
+                sigma[next(iter(sigma))] = 0
+            g = graph_from_edges(n, sigma)
+            cert = check_sign_pattern(g)
+            assert cert == parent_check_sign_pattern(g)
+            seen.add(cert.case)
+        assert seen == set(SignCase) | {None}
+
+
+def parent_is_bipartite(g) -> bool:
+    color = {}
+    for root in range(1, g.n + 1):
+        if root in color:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
+
+
+def parent_check_sign_pattern(g) -> Certificate:
+    """check_sign_pattern as it read with a cycle basis per question and
+    a bipartite walk of its own."""
+    mixed = sorted(e for e, s in g.sigma.items() if s == 0)
+    if mixed:
+        return Certificate(
+            CertificateKind.NONE,
+            f"edges {mixed} carry mixed signs",
+            depends_on_solution=False,
+        )
+    for cyc in cycle_basis(g):
+        prod = int(np.prod([g.sigma[e] for e in cyc]))
+        if prod != (-1) ** len(cyc):
+            return Certificate(
+                CertificateKind.NONE,
+                f"cycle {cyc} has sign product {prod}, parity needs "
+                f"{(-1) ** len(cyc)}",
+                depends_on_solution=False,
+            )
+    if all(s == -1 for s in g.sigma.values()):
+        case = SignCase.ALL_NONPOSITIVE
+    elif not cycle_basis(g):
+        case = SignCase.FOREST
+    elif parent_is_bipartite(g) and all(s == 1 for s in g.sigma.values()):
+        case = SignCase.BIPARTITE_POSITIVE
+    else:
+        case = SignCase.GENERAL
+    return Certificate(
+        CertificateKind.SIGN_PATTERN,
+        f"{len(g.edges)} edges pass the cycle parity test ({case.value})",
+        depends_on_solution=False,
+        case=case,
+    )
 
 
 class TestSignGauge:

@@ -1036,6 +1036,61 @@ class TestJudgeDoesEachOnce:
         assert sum(isinstance(e, HomSepQcqp) for e in s.blocks) == 1
         assert calls["reduce_rows"] == 1
 
+    def test_example52_decides_the_sign_pattern_once(self, monkeypatch):
+        # entry 2 is the one non-convex inhomogeneous entry: its graph is
+        # built, its parity checked and its cycle basis walked once
+        calls = {"aggregated_graph": 0, "check_sign_pattern": 0, "cycle_basis": 0}
+        for module, name in (
+            (connection, "aggregated_graph"),
+            (connection, "check_sign_pattern"),
+            (certificates, "cycle_basis"),
+        ):
+            real = getattr(module, name)
+
+            def wrapped(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+        v = judge(make_example52(0))
+        assert v.per_block[1].certificate.kind is CertificateKind.SIGN_PATTERN
+        assert calls == {"aggregated_graph": 1, "check_sign_pattern": 1, "cycle_basis": 1}
+
+
+class TestOracleGrid:
+    def test_four_variables_take_a_capped_grid(self, monkeypatch):
+        """random_connection(557) has 4 flat variables and a box of
+        half-width 29: the default grid (101 points per axis before the
+        cap) is cut to 31, at most 101**3 points a round, and the verdict
+        stays NotExact."""
+        s, _ = random_connection(557)
+        assert flatten(s).n == 4
+        real, grids = connection.brute_force, []
+
+        def recorded(flat, box, **kwargs):
+            grids.append((box, kwargs["grid_points"]))
+            return real(flat, box, **kwargs)
+
+        monkeypatch.setattr(connection, "brute_force", recorded)
+        v = judge(s)
+        assert grids == [((-29.0, 29.0), 31)]
+        assert 31**4 <= 101**3 < 32**4
+        assert v.status is VerdictStatus.NOT_EXACT
+        assert v.oracle_value > v.eta + 10 * JudgeOptions().tol
+
+    def test_three_variables_keep_the_full_grid(self, monkeypatch):
+        real, grids = connection.brute_force, []
+
+        def recorded(flat, box, **kwargs):
+            grids.append(kwargs["grid_points"])
+            return real(flat, box, **kwargs)
+
+        monkeypatch.setattr(connection, "brute_force", recorded)
+        h = make_example51(2.5)
+        assert judge(SeparableQcqp([h], h.rhs)).status is VerdictStatus.NOT_EXACT
+        # a box of half-width r takes 10 r + 1 points, below the cap
+        assert len(grids) == 1 and grids[0] % 10 == 1 and grids[0] <= 101
+
 
 class TestJudgeOptions:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

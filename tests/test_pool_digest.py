@@ -1,4 +1,5 @@
-"""tools/pool_digest.py records the solve every verdict rests on.
+"""tools/pool_digest.py records the solve every verdict rests on, and
+its command-line lines hash a run that succeeded.
 
 The digest wraps the name judge calls the solver through. If that name
 moved, the digest would record nothing and still compare equal between
@@ -28,3 +29,22 @@ def test_digest_records_the_one_solve(tool, workload):
     line = tool.digest(tool.make_instance(workload, 0))
     assert " solves=1 " in line
     assert tool.digest(tool.make_instance(workload, 0)) == line
+
+
+@pytest.mark.parametrize("command", ["judge", "solve", "reduce"])
+def test_cli_digest_is_stable(tool, command, tmp_path, monkeypatch):
+    """The command-line half of the digest: one command on the problem
+    file of make_example52(0) exits 0 and hashes the same twice."""
+    path = str(tmp_path / "problem.sdpq")
+    tool.cli.write_problem(tool.connection.make_example52(0), path)
+    real, codes = tool.cli.run, []
+
+    def recorded(argv):
+        codes.append(real(argv))
+        return codes[-1]
+
+    monkeypatch.setattr(tool.cli, "run", recorded)
+    argv = [command, path, "--format", "json", "--no-timestamp"]
+    first = tool.cli_digest(argv)
+    assert tool.cli_digest(argv) == first
+    assert codes == [0, 0]

@@ -202,6 +202,36 @@ class TestIsPsd:
         assert is_psd(a, tol=1e-9)
         assert not is_psd(sym([[1.0, 0.0], [0.0, -1e-5]]), tol=1e-9)
 
+    def test_negative_tol_rejected(self):
+        for a in (SymMatrix.zeros(0), SymMatrix.identity(2)):
+            with pytest.raises(ValueError, match="tol"):
+                is_psd(a, tol=-1e-9)
+
+    @given(seeds)
+    @settings(max_examples=40)
+    def test_matches_the_one_matrix_eigen_test(self, seed):
+        """is_psd, now is_psd_many of one matrix, against the test it
+        replaced (eigen's smallest eigenvalue against the norm), bit for
+        bit: matrices of every scale with lambda_min set on, just above
+        and just below the threshold."""
+        rng = np.random.default_rng(seed)
+        for d in range(0, 7):
+            lam = rng.uniform(0.0, 2.0, size=d) * 10.0 ** float(rng.integers(-6, 7))
+            for tol in (1e-9, 1e-3):
+                for step in (-1, 0, 1):
+                    if d:
+                        cut = -tol * max(1.0, float(np.linalg.norm(lam)))
+                        lam[np.argmin(lam)] = cut + step * abs(cut) * 1e-12
+                    a = with_spectrum(rng, lam) if d else SymMatrix.zeros(0)
+                    assert is_psd(a, tol) is parent_is_psd(a, tol)
+
+
+def parent_is_psd(a, tol=1e-9):
+    """is_psd as it read before it became is_psd_many of one matrix."""
+    if a.dim == 0:
+        return True
+    return float(eigen(a).eigenvalues[-1]) >= -tol * max(1.0, a.norm())
+
 
 class TestStacked:
     """eigh_many and is_psd_many against one call per matrix, bit for bit:

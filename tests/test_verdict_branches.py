@@ -1,0 +1,197 @@
+"""Every verdict judge renders after an Optimal solve, field by field.
+
+Several of these outcomes are reached by no bundled instance, so each
+test forces its branch by wrapping a name judge looks up in
+connection: rank reduction (connection.reduce) with its extracted points
+dropped, or the grid oracle (connection.brute_force) with its value
+replaced. Each test pins the verdict's full field set, so that the
+fields a branch leaves empty stay empty.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from sepqcqp import connection
+from sepqcqp.certificates import CertificateKind
+from sepqcqp.connection import VerdictStatus, judge, make_example51, make_example52
+from sepqcqp.qcqp_model import INFEASIBLE, SeparableQcqp
+
+TOL = 1e-6
+
+
+def family(alpha, copies=1):
+    h = make_example51(alpha)
+    return SeparableQcqp([h] * copies, copies * h.rhs)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Make connection.reduce drop its extracted points: on the first call
+    only (the joint reduction) with drop("joint"), on every call with
+    drop("all"). Returns the list of whether each real call extracted."""
+    real = connection.reduce
+    extracted = []
+
+    def drop(which):
+        def wrapped(*args, **kwargs):
+            x, rep = real(*args, **kwargs)
+            extracted.append(rep.extracted is not None)
+            if which == "all" or len(extracted) == 1:
+                rep = dataclasses.replace(rep, extracted=None)
+            return x, rep
+
+        monkeypatch.setattr(connection, "reduce", wrapped)
+        return extracted
+
+    return drop
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Record connection.brute_force's calls; value(eta) replaces the
+    value it returns (the point stays), INFEASIBLE included."""
+    real = connection.brute_force
+    calls = []
+
+    def install(value=None):
+        def wrapped(*args, **kwargs):
+            val, pt = real(*args, **kwargs)
+            calls.append(val)
+            return (val if value is None else value), pt
+
+        monkeypatch.setattr(connection, "brute_force", wrapped)
+        return calls
+
+    return install
+
+
+def assert_fields(v, status, reason="", zeta=None, oracle_value=None, witness=None):
+    """The verdict's status and reason exactly; zeta_witness, oracle_value
+    and each witness point to 1e-9 relative, or None where given None."""
+    assert v.status is status
+    assert v.reason == reason
+    for got, want in ((v.zeta_witness, zeta), (v.oracle_value, oracle_value)):
+        if want is None:
+            assert got is None
+        else:
+            assert isinstance(got, float)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+    if witness is None:
+        assert v.witness is None
+    else:
+        assert len(v.witness) == len(witness)
+        for got, want in zip(v.witness, witness):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+    assert v.relaxation is not None and v.relaxation.value == v.eta
+    assert v.reduction is not None
+    assert len(v.delta_decomposition) == len(v.per_block)
+
+
+class TestWitnessedWithoutTheJointPoints:
+    def test_homogeneous_salvage_point(self, reductions, oracle):
+        # the joint reduction's points gone, the homogeneous entry's own
+        # rank reduction supplies the witness; the oracle never runs
+        extracted = reductions("joint")
+        calls = oracle()
+        v = judge(family(3.0))
+        assert extracted == [True, True]
+        assert calls == []
+        assert v.eta == pytest.approx(9.000000021154838, rel=1e-9)
+        assert_fields(
+            v,
+            VerdictStatus.EXACT_WITNESSED,
+            zeta=9.000000021924476,
+            witness=[[3.0, 1.0, 0.0]],
+        )
+        assert [pb.certificate.kind for pb in v.per_block] == [CertificateKind.NONE]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_certified_entries_salvage_example52(self, reductions, seed):
+        reductions("joint")
+        v = judge(make_example52(seed))
+        assert v.status is VerdictStatus.EXACT_CERTIFIED
+        assert v.witness is not None and v.zeta_witness is not None
+        assert abs(v.zeta_witness - v.eta) <= TOL * (1.0 + abs(v.eta))
+        assert v.oracle_value is None and v.reason == ""
+
+    def test_certified_without_any_witness(self, reductions, oracle):
+        # every reduction's points gone: the homogeneous entry has no
+        # salvage point, so the certified verdict carries no witness
+        reductions("all")
+        calls = oracle()
+        v = judge(make_example52(0))
+        assert calls == []
+        assert_fields(v, VerdictStatus.EXACT_CERTIFIED)
+
+
+class TestOracleVerdicts:
+    def test_oracle_witnessed(self, reductions, oracle):
+        reductions("all")
+        calls = oracle()
+        v = judge(family(3.0))
+        assert calls == [9.0]
+        assert_fields(
+            v,
+            VerdictStatus.EXACT_WITNESSED,
+            zeta=9.0,
+            oracle_value=9.0,
+            witness=[[-3.0, -1.0, 0.0]],
+        )
+        assert v.zeta_witness == v.oracle_value
+
+    def test_ambiguity_band(self, reductions, oracle):
+        # a value above eta by more than tol (1 + |eta|) but by no more
+        # than 10 tol: neither a witness nor a proof of a gap
+        reductions("all")
+        eta = judge(family(2.0)).eta
+        band = eta + 0.5 * (TOL * (1.0 + abs(eta)) + 10.0 * TOL)
+        assert eta + TOL * (1.0 + abs(eta)) < band <= eta + 10.0 * TOL
+        calls = oracle(band)
+        v = judge(family(2.0))
+        assert v.eta == eta
+        assert calls == [4.0]
+        assert_fields(
+            v,
+            VerdictStatus.UNDETERMINED,
+            reason="oracle value inside the ambiguity band around eta",
+            oracle_value=band,
+        )
+
+    def test_no_feasible_grid_point(self, reductions, oracle):
+        reductions("all")
+        oracle(INFEASIBLE)
+        v = judge(family(3.0))
+        # no oracle_value: the oracle found no value to report
+        assert_fields(
+            v, VerdictStatus.UNDETERMINED, reason="oracle found no feasible grid point"
+        )
+
+    def test_not_exact(self, oracle):
+        calls = oracle()
+        v = judge(family(2.5))
+        assert calls == [9.0]
+        assert_fields(
+            v,
+            VerdictStatus.NOT_EXACT,
+            reason=(
+                f"best feasible value {9.0:.9g} exceeds the "
+                f"relaxation value {v.eta:.9g}"
+            ),
+            oracle_value=9.0,
+        )
+        assert v.eta == pytest.approx((14 * 2.5 - 24) / 1.5, rel=1e-6)
+
+    def test_too_many_variables(self, reductions, oracle):
+        reductions("all")
+        calls = oracle()
+        v = judge(family(3.0, copies=2))
+        assert calls == []
+        assert math.isfinite(v.eta)
+        assert_fields(
+            v,
+            VerdictStatus.UNDETERMINED,
+            reason="no witness found and too many variables for the oracle",
+        )
