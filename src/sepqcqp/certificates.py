@@ -468,7 +468,9 @@ def check_assumption_A(
     structurally zero and never counted. Returns
     (holds, nonzero_count, breakdown). The verdict speaks only for the
     solution at hand, not for every optimal solution; the breakdown's note
-    records that caveat.
+    records that caveat. Where the rhs are the rows' own values at sol's
+    blocks (judge's joint blocks at their allocation) no residual counts,
+    and the count is that of the nonzero blocks.
     """
     if len(sol.blocks) != h.q_hat:
         raise DimensionError(

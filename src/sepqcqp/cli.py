@@ -828,31 +828,19 @@ def _cmd_reduce(ns):
 
 
 def _example51_row(alpha: float, ns) -> tuple[dict, bool]:
-    conn = _as_connection(make_example51(alpha))
-    b = build_block(conn)
-    v = judge(conn, _judge_options(ns))
-    # judge's relaxation solution is that of b
+    v = judge(_as_connection(make_example51(alpha)), _judge_options(ns))
     sol = v.relaxation
     if sol is None:
-        sol = solve(b, _solver_options(ns))
+        raise SepqcqpError(v.reason)
     prov = _provenance(sol, ns.rank_tol)
     rank = prov["block_ranks"][0]
     pataki = prov["pataki_sum"]
-    stalled = False
-    # judge has rank-reduced that solution already; reduce here only when
-    # its reduction is missing, which is how a stall shows
+    # judge rank-reduces an Optimal solution; a missing reduction is how a
+    # stall (or a solution found stale) shows
+    stalled = sol.status is SolveStatus.OPTIMAL and v.reduction is None
     if v.reduction is not None:
         rank = int(v.reduction.final_ranks[0])
         pataki = int(v.reduction.pataki_sum)
-    elif sol.status is SolveStatus.OPTIMAL:
-        try:
-            _, rep = reduce_solution(
-                to_standard_form(b), sol, rank_tol=ns.rank_tol
-            )
-            rank = int(rep.final_ranks[0])
-            pataki = int(rep.pataki_sum)
-        except ReductionStallError:
-            stalled = True
     zeta = v.zeta_witness if v.zeta_witness is not None else v.oracle_value
     row = {
         "alpha": float(alpha),

@@ -76,7 +76,6 @@ from .qcqp_model import (
 from .rank_reduction import ReductionReport, reduce
 from .sdp_solver import SolverOptions, solve
 from .sdpr_builder import (
-    BlockSdp,
     SdpSolution,
     SolveStatus,
     build_block,
@@ -352,8 +351,8 @@ def strip_variable_free_rows(q: Qcqp):
 
     Returns (reduced problem, kept row indices); the reduced problem is q
     itself when no row is zero. Zero rows carry no variable information;
-    whether their right-hand sides are consistent is a separate check
-    that depends on the allocation in play.
+    at an achieved allocation their right-hand sides are 0, which holds
+    under any relation.
     """
     kept = [k for k, (f, _) in enumerate(q.constraints) if not f.is_zero()]
     if len(kept) == q.m:
@@ -372,26 +371,6 @@ def _hom_at(entry: HomSepQcqp, delta):
     (reduce_homogeneous_rows: the reduced problem, the dropped rows)."""
     h = HomSepQcqp(entry.blocks, list(entry.relations), delta)
     return h, reduce_homogeneous_rows(h)
-
-
-def _within(s: SeparableQcqp, lhs, delta: np.ndarray, tol) -> np.ndarray:
-    """Relation.holds for every (entry, row) pair: lhs <relation_k>
-    delta within tol * (1 + |delta|), as the one-pair test computes it."""
-    rels = s.relations
-    le = np.array([r is Relation.LE for r in rels], dtype=bool)
-    eq = np.array([r is Relation.EQ for r in rels], dtype=bool)
-    t = tol * (1.0 + np.abs(delta))
-    with np.errstate(invalid="ignore", over="ignore"):
-        ge = lhs >= delta - t
-        return np.where(le, lhs <= delta + t, np.where(eq, np.abs(lhs - delta) <= t, ge))
-
-
-def _free_rows_hold(stacks, deltas, tol) -> np.ndarray:
-    """Per entry (meaningful for the inhomogeneous ones), whether
-    allocation deltas[p] satisfies, within tol, every row of the entry
-    whose matrix is zero (0 <relation> delta_k)."""
-    zero = stacks.zero[stacks.first]
-    return np.where(zero, _within(stacks.s, 0.0, deltas, tol), True).all(axis=1)
 
 
 def _connection_duals(s: SeparableQcqp, b, sol):
@@ -448,29 +427,20 @@ def _dual_bound(entry, delta, y, mu, feasible):
     return float(y @ delta) + mu
 
 
-def _joint_subsol(sub, blocks, achieved, tol):
-    """An entry's joint blocks as an Optimal solution of its sub-problem sub,
-    or None when they miss one of its rows by more than tol.
+def _joint_subsol(reduced: HomSepQcqp, blocks, achieved):
+    """A homogeneous entry's joint blocks as an Optimal solution of its
+    reduced problem at its allocation (reduced, from _hom_at).
 
-    Slacks are read off the rows of sub's standard form, through the
-    operator the entry's rank reduction reads later (_hom_entry_point);
-    negating a >= row negates its residual exactly, so the slacks are
-    those of sub's own rows. The value is the objective the entry
-    achieves. The solution carries no dual part (NaN multipliers, no dual
-    blocks): the entry's dual certificate is the joint multipliers'
-    bound, reported next to it.
+    The reduced rows' right-hand sides are those rows' own values at these
+    very blocks, so every row holds with a zero slack. The value is the
+    objective the entry achieves. The solution carries no dual part (NaN
+    multipliers, no dual blocks): the entry's dual certificate is the
+    joint multipliers' bound, reported next to it.
     """
-    op = to_standard_form(sub).operator
-    resid = op.rhs - op.apply([x.to_dense() for x in blocks])
-    slacks = op.slack_coeffs * resid
-    miss = np.where(op.slack_coeffs == 0.0, np.abs(resid), -slacks)
-    # written so that a NaN fails it
-    if not np.all(miss <= tol * (1.0 + np.abs(op.rhs))):
-        return None
     return SdpSolution(
         blocks=list(blocks),
-        slacks=slacks,
-        dual_multipliers=np.full(sub.n_rows, math.nan),
+        slacks=np.zeros(reduced.m),
+        dual_multipliers=np.full(reduced.m, math.nan),
         dual_blocks=[],
         status=SolveStatus.OPTIMAL,
         value=achieved,
@@ -486,9 +456,8 @@ class _EntryAnalysis:
     gap its distance to the objective the entry achieves in the joint
     solution (both nan without a bound). A homogeneous entry also carries
     itself at its allocation (hom), that problem's row reduction
-    (reduction, from reduce_homogeneous_rows), its relaxation (sub,
-    build_hom of the reduced problem) and, where its joint blocks are
-    optimal there, those blocks as its solution (subsol).
+    (reduction, from reduce_homogeneous_rows) and, where its bound meets
+    its achieved objective, its joint blocks as its solution (subsol).
     """
 
     value: float
@@ -496,56 +465,49 @@ class _EntryAnalysis:
     subsol: SdpSolution | None = None
     hom: HomSepQcqp | None = None
     reduction: tuple | None = None
-    sub: BlockSdp | None = None
 
 
-def _analyse_entries(stacks, b, sol, achieved, deltas, tol) -> list:
+def _analyse_entries(stacks, b, sol, achieved, tol) -> list:
     """Every entry's _EntryAnalysis, read off the joint primal-dual pair in
     one pass over the entries.
 
     stacks is the connection's _EntryStacks; entry p's blocks of sol are
-    sol.blocks[stacks.slices[p]], achieved[p] is its [objective, row
-    values] there (_EntryStacks.at_blocks) and deltas[p] its allocation.
-    The joint multipliers bound every entry's relaxation from below
-    (_dual_bound; the psd tests of all entries stacked, see
-    _dual_feasible), and at the achieved allocation the entry's joint
-    blocks are feasible for it, so its achieved objective bounds it from
-    above. Each entry reports that bracket: the bound as its value and
-    the distance to the achieved objective as its gap, which
-    complementary slackness keeps within the joint gap. nan marks an
-    entry without a bound, or one whose allocation leaves a variable-free
-    row inconsistent (_free_rows_hold).
+    sol.blocks[stacks.slices[p]] and achieved[p] is its [objective, row
+    values] there (_EntryStacks.at_blocks). Its allocation is those row
+    values, achieved[p, 1:], so its joint blocks satisfy every one of its
+    rows by construction: a variable-free row of an inhomogeneous entry
+    reads exactly 0 there, which holds under any relation. The joint
+    multipliers bound every entry's relaxation from below (_dual_bound;
+    the psd tests of all entries stacked, see _dual_feasible), and the
+    entry's achieved objective bounds it from above. Each entry reports
+    that bracket: the bound as its value and the distance to the achieved
+    objective as its gap, which complementary slackness keeps within the
+    joint gap; nan marks an entry without a bound.
 
-    A homogeneous entry's row reduction is computed here, once, and its
-    relaxation built. Where its bound meets the achieved objective within
-    tol and its joint blocks satisfy the reduced rows, those blocks become
+    A homogeneous entry's row reduction is computed here, once. Where its
+    bound meets the achieved objective within tol, its joint blocks become
     its solution (_joint_subsol), which the certificate and witness stages
     read; otherwise it has none.
     """
     s, slices = stacks.s, stacks.slices
     y, mus = _connection_duals(s, b, sol)
     feasible = _dual_feasible(stacks, y, mus, tol)
-    free = _free_rows_hold(stacks, np.asarray(deltas, dtype=np.float64), tol)
     out = []
     for p, entry in enumerate(s.blocks):
-        obj = float(achieved[p, 0])
-        hom = isinstance(entry, HomSepQcqp)
-        bound = None
-        if hom or free[p]:
-            bound = _dual_bound(entry, deltas[p], y, mus[p], feasible[p])
+        obj, delta = float(achieved[p, 0]), achieved[p, 1:]
+        bound = _dual_bound(entry, delta, y, mus[p], feasible[p])
         value = gap = math.nan
         if bound is not None:
             value, gap = bound, abs(obj - bound)
-        if not hom:
+        if not isinstance(entry, HomSepQcqp):
             out.append(_EntryAnalysis(value, gap))
             continue
-        h, reduction = _hom_at(entry, deltas[p])
-        sub = build_hom(reduction[0])
+        h, reduction = _hom_at(entry, delta)
         subsol = None
         # written so that a nan gap fails it
         if gap <= tol * (1.0 + abs(obj)):
-            subsol = _joint_subsol(sub, sol.blocks[slices[p]], obj, tol)
-        out.append(_EntryAnalysis(value, gap, subsol, h, reduction, sub))
+            subsol = _joint_subsol(reduction[0], sol.blocks[slices[p]], obj)
+        out.append(_EntryAnalysis(value, gap, subsol, h, reduction))
     return out
 
 
@@ -696,15 +658,16 @@ def _salvage_point(entry, cert, gauge, blocks, analysis, opts):
 
     Convex entries read the last column of their lifted block; sign
     entries take gauge-signed square roots of the diagonal; homogeneous
-    entries rank-reduce their own sub-relaxation (analysis is the entry's
-    _EntryAnalysis, whose compiled rows _joint_subsol has left on the
-    standard form) and join their blocks' vectors.
+    entries rank-reduce their joint blocks (analysis.subsol, from the
+    entry's _EntryAnalysis) within the relaxation of their reduced rows,
+    built here, and join their blocks' vectors.
     """
     try:
         if isinstance(entry, HomSepQcqp):
             if analysis.subsol is None:
                 return None
-            _, vecs = _reduce_points(analysis.sub, analysis.subsol, opts)
+            sub = build_hom(analysis.reduction[0])
+            _, vecs = _reduce_points(sub, analysis.subsol, opts)
             return None if vecs is None else np.concatenate(vecs)
         if cert.kind is CertificateKind.CONVEX:
             return extract_convex_solution(blocks[0])
@@ -743,8 +706,9 @@ def _oracle_box(n, sol, opts):
 def _oracle_verdict(s, sol, eta, opts):
     """The grid oracle's reading of a connection no certificate or
     witness settled: (status, reason, oracle value, witness). Only a
-    value above eta by more than 10 tol makes it NotExact; one within
-    tol (1 + |eta|) of eta is a witness."""
+    value above eta by more than 10 tol (1 + |eta|) makes it NotExact;
+    one within tol (1 + |eta|) of eta is a witness, so the band between
+    the two is never empty."""
     flat = flatten(s)
     if flat.n > 4:
         reason = "no witness found and too many variables for the oracle"
@@ -757,7 +721,7 @@ def _oracle_verdict(s, sol, eta, opts):
         reason = "oracle found no feasible grid point"
         return VerdictStatus.UNDETERMINED, reason, None, None
     value = float(value)
-    if value > eta + 10.0 * opts.tol:
+    if value > eta + 10.0 * opts.tol * (1.0 + abs(eta)):
         reason = (
             f"best feasible value {value:.9g} exceeds the "
             f"relaxation value {eta:.9g}"
@@ -811,8 +775,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     stacks = _EntryStacks(s)
     slices = stacks.slices
     achieved = stacks.at_blocks(sol.blocks)
-    deltas = list(achieved[:, 1:])
-    analysed = _analyse_entries(stacks, b, sol, achieved, deltas, opts.tol)
+    analysed = _analyse_entries(stacks, b, sol, achieved, opts.tol)
 
     structural = _certify_qcqp_entries(stacks)
     certs, gauges, per_block = [], [], []
@@ -822,6 +785,8 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         if isinstance(entry, HomSepQcqp):
             cert = check_m_le_2(e.hom, reduction=e.reduction)
             if not cert.holds and e.subsol is not None:
+                # the reduced rows hold with equality at the joint blocks,
+                # so no residual counts: count is the nonzero-block count
                 reduced = e.reduction[0]
                 holds_a, count, _ = check_assumption_A(
                     reduced, e.subsol, tol=opts.tol
@@ -876,7 +841,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         status=status,
         eta=eta,
         zeta_witness=zeta,
-        delta_decomposition=deltas,
+        delta_decomposition=list(achieved[:, 1:]),
         per_block=per_block,
         witness=witness,
         oracle_value=oracle_value,

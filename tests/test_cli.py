@@ -1,6 +1,7 @@
 """Problem file grammar, round-trips, command dispatch, exit codes, and
 report schemas."""
 
+import dataclasses
 import json
 import math
 import os
@@ -408,16 +409,72 @@ class TestCommands:
         assert rep["solver"]["value"] == rep["verdict"]["eta"]
 
     def test_example51_does_not_solve_twice(self, capsys, monkeypatch):
-        # every row reads its relaxation from the verdict, alpha = 4 too
-        def no_solve(*args, **kwargs):
-            raise AssertionError("cli.solve called during example51")
+        # every row reads its relaxation and its rank reduction from the
+        # verdict, alpha = 4 too: the CLI builds, solves and reduces nothing
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"cli.{name} called during example51")
+            return call
 
-        monkeypatch.setattr(cli, "solve", no_solve)
+        for name in ("build_block", "solve", "reduce_solution"):
+            monkeypatch.setattr(cli, name, refused(name))
         code, out, _ = run_cli(
             capsys, "example51", "--table", "--format", "json", "--no-timestamp"
         )
         assert code == 0
-        assert len(json.loads(out)["report"]["rows"]) == 7
+        rows = json.loads(out)["report"]["rows"]
+        assert [row["reduction_stalled"] for row in rows] == [False] * 7
+
+    def test_example51_missing_reduction_reads_as_stalled(self, capsys, monkeypatch):
+        # judge leaves no reduction when the reduction stalls or finds the
+        # solution stale: the row reports the solver's rank and Pataki sum
+        real = cli.judge
+
+        def unreduced(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), reduction=None)
+
+        monkeypatch.setattr(cli, "judge", unreduced)
+        code, out, _ = run_cli(
+            capsys, "example51", "--alpha", "2.5", "--format", "json",
+            "--no-timestamp",
+        )
+        assert code == 2
+        rep = json.loads(out)["report"]
+        assert rep["reduction_stalled"] is True
+        assert rep["rank"] == rep["solver"]["block_ranks"][0]
+        assert rep["pataki_sum"] == rep["solver"]["pataki_sum"]
+
+    def test_example51_structural_failure_exits_1(self, capsys, monkeypatch):
+        # a relaxation that failed structurally leaves no solution to
+        # report: the row is an error carrying judge's reason
+        real = cli.judge
+
+        def failed(*args, **kwargs):
+            v = real(*args, **kwargs)
+            return dataclasses.replace(
+                v, relaxation=None, reason="relaxation failed structurally: x"
+            )
+
+        monkeypatch.setattr(cli, "judge", failed)
+        code, out, err = run_cli(capsys, "example51", "--alpha", "2")
+        assert code == 1
+        assert out == ""
+        assert "relaxation failed structurally: x" in err
+
+    def test_reduce_short_of_optimal_exits_2(self, capsys, tmp_path):
+        # alpha = 4 has no strictly feasible point and the solver diverges
+        path = tmp_path / "alpha4.sq"
+        write_problem(make_example51(4.0), str(path))
+        code, out, err = run_cli(
+            capsys, "reduce", str(path), "--format", "json", "--no-timestamp"
+        )
+        assert code == 2
+        assert err == ""
+        rep = strict_json(out)["report"]
+        assert rep["solver"]["status"] == "Diverged"
+        assert rep["stalled"] is False
+        assert rep["note"] == "solver did not reach Optimal, nothing to reduce"
+        assert "final_ranks" not in rep
 
     def test_judge_json_is_strict_when_the_relaxation_fails(
         self, capsys, tmp_path

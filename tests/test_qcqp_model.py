@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepqcqp import qcqp_model
+from sepqcqp.certificates import CertificateKind
+from sepqcqp.connection import VerdictStatus, judge, make_example51
 from sepqcqp.errors import DimensionError, StructureError
 from sepqcqp.qcqp_model import (
     INFEASIBLE,
@@ -181,6 +183,26 @@ class TestConnect:
         assert padded.m == 2
         assert padded.constraints[1][0].is_zero()
         assert padded.constraints[1][1] is Relation.GE
+
+    def test_homogeneous_padding_is_judged(self):
+        # a one-row homogeneous entry next to example 5.1's three rows is
+        # padded with zero matrices under the longer list's relations; the
+        # connection builds and judges, and the padded rows allocate 0
+        q = Qcqp(1, qf([[1.0]], [-2.0]), [(qf([[1.0]]), Relation.EQ)], [1.0])
+        one = SymMatrix.identity(1)
+        short = HomSepQcqp([[one, one]], [Relation.EQ], [1.0])
+        h = make_example51(3.0)
+        s = connect([q, short, h], [3.0, 0.0, 0.0])
+        padded = s.blocks[1]
+        assert isinstance(padded, HomSepQcqp)
+        assert padded.relations == h.relations
+        assert all(c.is_zero() for c in padded.blocks[0][2:])
+        assert list(padded.rhs) == [1.0, 0.0, 0.0]
+        v = judge(s)
+        assert v.status is VerdictStatus.EXACT_WITNESSED
+        assert list(v.delta_decomposition[1][1:]) == [0.0, 0.0]
+        assert v.per_block[1].certificate.kind is CertificateKind.HOM_LIMITED
+        assert abs(v.zeta_witness - v.eta) <= 1e-6 * (1.0 + abs(v.eta))
 
     def test_gamma_length_checked(self):
         a = Qcqp(1, qf([[1.0]]), [(qf([[1.0]]), Relation.LE)], [1.0])

@@ -325,6 +325,22 @@ class TestGuards:
         with pytest.raises(StaleSolutionError, match="not finite"):
             reduce(b, sol0)
 
+    def test_rejects_a_non_optimal_solution(self):
+        # X = I is feasible for X11 + X22 = 2, X12 = 0 but not optimal for
+        # diag(1, 0): the one feasibility-preserving direction, diag(1, -1),
+        # changes the objective
+        b = BlockSdp(
+            (2,),
+            (sym(np.diag([1.0, 0.0])),),
+            [
+                Row((SymMatrix.identity(2),), 0, 2.0),
+                Row((sym([[0.0, 0.5], [0.5, 0.0]]),), 0, 0.0),
+            ],
+        )
+        sol0 = hand_solution(b, [np.eye(2)], 1.0)
+        with pytest.raises(StaleSolutionError, match="changes the objective"):
+            reduce(b, sol0)
+
     def test_rejects_non_finite_rhs(self):
         b = BlockSdp(
             (2,),

@@ -17,7 +17,7 @@ import pytest
 from sepqcqp import connection
 from sepqcqp.certificates import CertificateKind
 from sepqcqp.connection import VerdictStatus, judge, make_example51, make_example52
-from sepqcqp.qcqp_model import INFEASIBLE, SeparableQcqp
+from sepqcqp.qcqp_model import INFEASIBLE, HomSepQcqp, SeparableQcqp
 
 TOL = 1e-6
 
@@ -158,6 +158,31 @@ class TestOracleVerdicts:
             VerdictStatus.UNDETERMINED,
             reason="oracle value inside the ambiguity band around eta",
             oracle_value=band,
+        )
+
+    def test_large_eta_within_the_witness_tolerance(self, reductions, oracle):
+        # example 5.1 at alpha = 3 with its objective scaled by 3 (eta near
+        # 27): an oracle value 1.5e-5 above eta lies within the witness
+        # tolerance tol (1 + |eta|), so it witnesses exactness and is no
+        # proof of a gap, although it exceeds eta by more than 10 tol
+        h = make_example51(3.0)
+        blocks = [[mats[0].scaled(3.0)] + mats[1:] for mats in h.blocks]
+        s = SeparableQcqp([HomSepQcqp(blocks, list(h.relations), h.rhs)], h.rhs)
+        reductions("all")
+        eta = judge(s).eta
+        assert eta == pytest.approx(27.0, rel=1e-6)
+        value = eta + 1.5e-5
+        assert 10.0 * TOL < value - eta <= TOL * (1.0 + abs(eta))
+        calls = oracle(value)
+        v = judge(s)
+        assert v.eta == eta
+        assert calls == [27.0]
+        assert_fields(
+            v,
+            VerdictStatus.EXACT_WITNESSED,
+            zeta=value,
+            oracle_value=value,
+            witness=[[-3.0, -1.0, 0.0]],
         )
 
     def test_no_feasible_grid_point(self, reductions, oracle):
