@@ -1046,8 +1046,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="two-group benchmark family: report one alpha or sweep a grid",
     )
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument(
+    pick = sp.add_mutually_exclusive_group()
+    pick.add_argument("--alpha", type=float, default=None)
+    pick.add_argument(
         "--table", action="store_true", help="sweep the built-in alpha grid"
     )
     sp.set_defaults(handler=_cmd_example51)

@@ -139,7 +139,6 @@ class JudgeOptions:
     tol: float = 1e-6
     rank_tol: float = 1e-6
     solver: SolverOptions | None = None
-    oracle_box: tuple | None = None
     oracle_grid: int | None = None
     oracle_rounds: int = 4
 
@@ -149,6 +148,8 @@ class JudgeOptions:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.rank_tol < math.inf:
             raise ValueError("rank_tol must be positive and finite")
+        if self.solver is not None and not isinstance(self.solver, SolverOptions):
+            raise ValueError("solver must be None or a SolverOptions")
         if self.oracle_grid is not None and not _is_int_at_least(self.oracle_grid, 11):
             raise ValueError("oracle_grid must be None or an integer of at least 11")
         if not _is_int_at_least(self.oracle_rounds, 0):
@@ -688,8 +689,6 @@ def _oracle_box(n, sol, opts):
     integer solutions attainable on the grid; it is cut to at most 101
     points per axis and 101**3 points a round, which keeps a round of a
     4-variable box near a million points rather than 1e8."""
-    if opts.oracle_box is not None:
-        return opts.oracle_box, opts.oracle_grid or 41
     diag_max = 0.0
     for blk in sol.blocks:
         dense = blk.to_dense()

@@ -18,22 +18,26 @@ Call budget of one iteration. Per dimension group: 2 eigh (NT scaling),
 1 inv (S^-1), 1 Cholesky of the (X, S) stack, and 2 x (2 solve + 1
 eigvalsh) for the affine and the centering step lengths. Per iteration:
 1 Schur Cholesky and 2 x 2 solve for the two directions. Around these,
-each group writes straight into the row-sum, Schur and block-sum tables,
-and one scan of each new iterate serves both the non-finite test and the
-next divergence test. A LinAlgError from any of these calls ends the
-solve as NumericalFailure with the iterate the step started from; only
-the (X, S) Cholesky (a slot at a time, ridged) and the Schur Cholesky
-(ridged) retry first.
+every sum over blocks (row sums, the Schur matrix, objective and
+complementarity) is one np.bincount of the groups' parts, and one scan of
+each new iterate serves both the non-finite test and the next divergence
+test. A LinAlgError from any of these calls ends the solve as
+NumericalFailure with the iterate the step started from; only the (X, S)
+Cholesky (a slot at a time, ridged) and the Schur Cholesky (ridged) retry
+first.
 
 Bit-identity rule. The iteration is pinned to its loop-shaped form
 (tests/test_sdp_iteration.py keeps it as the reference): a change that
 trims numpy calls keeps every floating-point operation, its operands and
 their order, so every SdpSolution stays the same bit for bit. Rewrites
 that only hold in exact arithmetic are out, such as reusing an inverted
-Cholesky factor or summing in another order. A stacked dot product
-(np.matmul of (n, 1, k) rows by a (k, 1) column) equals np.dot of each
-row only when the rows are C-contiguous: matmul then hands each row to
-BLAS's dot, and otherwise sums it in its own loop, in another order.
+Cholesky factor or summing in another order. A sum over blocks adds
+each cell's terms one at a time in block order, left to right from +0.0
+(_ordered_sum); np.sum and np.add.reduceat may add them pairwise.
+A stacked dot product (np.matmul of (n, 1, k) rows by a (k, 1)
+column) equals np.dot of each row only when the rows are C-contiguous:
+matmul then hands each row to BLAS's dot, and otherwise sums it in its
+own loop, in another order.
 Rows gathered by fancy indexing can come out in Fortran order (take()
 along the last axis, or np.ascontiguousarray, keeps them C), and a
 matrix-vector product (prod @ w) goes through gemv, which sums in
@@ -207,14 +211,6 @@ def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_tr(chol), np.linalg.solve(chol, b))
 
 
-def _left_sum(table: np.ndarray) -> np.ndarray:
-    """Row sums of a table added left to right from +0.0, as Python's sum
-    adds a generator."""
-    if table.shape[1] > 1:
-        table = np.add.accumulate(table, axis=1)
-    return table[:, -1] + 0.0
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.sum(a_j * b_j) per slot."""
     return (a * b).reshape(len(a), -1).sum(axis=1)
@@ -244,12 +240,30 @@ class _Group:
     block[j] is slot j's block index; the group's X and S live in one
     (2n, d, d) stack, X slots first. A[k, j] is the k-th active row matrix
     of slot j (zero padding past its count), rows[k, j, 0, 0] that row's
-    index (padding points at the zero past the multipliers). row_at and
-    schur_at are slot j's cells of the row-sum and Schur tables (padding
-    lands in a spare last row).
+    index (padding points at the zero past the multipliers).
     """
 
-    __slots__ = ("dim", "n", "block", "C", "A", "rows", "row_at", "schur_at")
+    __slots__ = ("dim", "n", "block", "C", "A", "rows")
+
+
+def _ordered_sum(n: int, at: list):
+    """The n sums over blocks of the groups' parts (flattened in C order,
+    joined in group order); at[g] is group g's (cells, blocks), each
+    term's cell (padding goes to the spare cell n) and block. bincount
+    adds in index order from +0.0, so with the terms put in block order
+    once, here, each cell adds its blocks left to right and never reads
+    -0.0: an absent term acts as the +0.0 it stands for. The + 0.0 makes
+    floats of bincount's integer zeros when there are no terms."""
+    order = np.argsort(_joined([b for _, b in at], np.intp), kind="stable")
+    cells = _joined([c for c, _ in at], np.intp)[order]
+    return lambda parts: np.bincount(
+        cells, weights=_joined(parts, float)[order], minlength=n + 1
+    )[:n] + 0.0
+
+
+def _joined(arrays: list, dtype) -> np.ndarray:
+    """The arrays flattened and joined; empty without blocks."""
+    return np.concatenate([np.zeros(0, dtype), *arrays], axis=None)
 
 
 class _Problem:
@@ -258,9 +272,11 @@ class _Problem:
 
     Its blocks are grouped by dimension: where[b] and where_s[b] name the
     group and the slots of block b's X and S in the group's (X, S) stack.
-    Sums over blocks go through tables with one column per block index,
-    summed left to right. The vector part of an iterate is one array
-    [s | sig | y | 0]; its sections start at 0, NS and 2 NS.
+    Sums over blocks are _ordered_sums of the groups' parts: row_sums per
+    row, schur the m x m Schur matrix flat, slot_sum of one value per X
+    slot, xs_sums of the X slots' values and of the S slots'. The vector
+    part of an iterate is one array [s | sig | y | 0]; its sections
+    start at 0, NS and 2 NS.
     """
 
     def __init__(self, b: BlockSdp):
@@ -280,13 +296,12 @@ class _Problem:
         self.d_scale = 1.0 + np.abs(self.d_vec).max(initial=0.0)
         self.c_scale = 1.0 + max((np.linalg.norm(c) for c in C), default=0.0)
 
-        nb = self.nb = max(1, len(dims))
         by_dim: dict[int, list] = {}
         for bi, d in enumerate(dims):
             by_dim.setdefault(d, []).append(bi)
         self.where = [None] * len(dims)
         self.where_s = [None] * len(dims)
-        self.groups = []
+        self.groups, at = [], []
         for d in sorted(by_dim):
             blocks = by_dim[d]
             g = len(blocks)
@@ -306,46 +321,29 @@ class _Problem:
             kk = np.arange(len(jj)) - np.repeat(np.cumsum(ks) - ks, ks)
             act_at = np.zeros((g, kmax), dtype=np.intp)
             act_at[jj, kk] = np.concatenate(acts)
-            rows = act_at[jj, kk]
             grp.A = np.zeros((kmax, g, d, d))
             grp.A[kk, jj] = np.concatenate([op.stacks[bi] for bi in blocks])
             grp.rows = np.full((kmax, g, 1, 1), m, dtype=np.intp)
-            grp.rows[kk, jj, 0, 0] = rows
-            grp.row_at = np.full((kmax, g), m * nb, dtype=np.intp)
-            grp.row_at[kk, jj] = rows * nb + grp.block[jj]
-            # (row a, row b) cells of each slot's Schur block
-            col = (
-                act_at[:, :, None] * m + act_at[:, None, :]
-            ) * nb + grp.block[:, None, None]
+            grp.rows[kk, jj, 0, 0] = act_at[jj, kk]
+            # (cells, blocks) of the group's part of each sum
             live = np.arange(kmax) < ks[:, None]
-            grp.schur_at = np.where(live[:, :, None] & live[:, None, :], col, m * m * nb)
+            sch = np.where(
+                live[:, :, None] & live[:, None, :],
+                act_at[:, :, None] * m + act_at[:, None, :],
+                m * m,
+            )
+            blk = grp.block
+            at.append((
+                (grp.rows, blk[None].repeat(kmax, 0)),
+                (sch, blk.repeat(kmax * kmax)),
+                (np.zeros(g, np.intp), blk),
+                (np.arange(2).repeat(g), blk[None].repeat(2, 0)),
+            ))
             self.groups.append(grp)
-
-    # -- sums in block order ------------------------------------------------
-
-    def row_sums(self, parts) -> np.ndarray:
-        """sum over blocks of the (row, block) pair values, per row."""
-        table = np.zeros((self.m + 1) * self.nb)
-        for g, part in zip(self.groups, parts):
-            table[g.row_at] = part
-        return _left_sum(table.reshape(self.m + 1, self.nb))[: self.m]
-
-    def schur(self, parts) -> np.ndarray:
-        """The Schur matrix, flat, summed over blocks."""
-        mm = self.m * self.m
-        table = np.zeros((mm + 1) * self.nb)
-        for g, part in zip(self.groups, parts):
-            table[g.schur_at] = part
-        return _left_sum(table.reshape(mm + 1, self.nb))[:mm]
-
-    def block_sums(self, parts, halves: int = 1) -> np.ndarray:
-        """sum over blocks of the per-slot values: (halves,). With two
-        halves, each group's part holds its X slots' values, then its S
-        slots'."""
-        table = np.zeros((halves, self.nb))
-        for g, part in zip(self.groups, parts):
-            table[:, g.block] = part.reshape(halves, g.n)
-        return _left_sum(table)
+        self.row_sums, self.schur, self.slot_sum, self.xs_sums = (
+            _ordered_sum(n, [a[i] for a in at])
+            for i, n in enumerate((m, m * m, 1, 2))
+        )
 
 
 def _pairs(grp: _Group, z: np.ndarray) -> np.ndarray:
@@ -416,12 +414,11 @@ class _Ipm:
         rds = -y[p.slack_rows] - sig
 
         # <C, X> and <X, S> of every slot as one stack [X; S] * [C; X]
-        pobj, compl = p.block_sums(
+        pobj, compl = p.xs_sums(
             [
                 _inner(xs, np.concatenate((g.C, xs[: g.n])))
                 for g, xs in zip(p.groups, XS)
-            ],
-            halves=2,
+            ]
         )
         dobj = np.dot(p.d_vec, y)
         compl = compl + np.dot(s, sig)
@@ -528,7 +525,7 @@ class _Ipm:
         # affine probe fixes the centering weight
         dxa, dva = directions(0.0)
         ta = lengths(dxa, dva)
-        (tr_aff,) = p.block_sums(
+        (tr_aff,) = p.slot_sum(
             [_inner(xs[: g.n], xs[g.n :]) for g, xs in zip(groups, moved(ta, dxa))]
         )
         sa = vec[: 2 * NS] + np.repeat(ta, NS) * dva[: 2 * NS]

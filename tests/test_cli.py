@@ -344,6 +344,22 @@ class TestCommands:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--alpha", "1", "--table"), ("--table", "--alpha", "1")],
+        ids=["alpha-first", "table-first"],
+    )
+    def test_example51_alpha_with_table_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # rejected while parsing: --table used to run and drop --alpha
+        def no_judge(*args, **kwargs):
+            raise AssertionError("judge ran on a rejected flag pair")
+
+        monkeypatch.setattr(cli, "judge", no_judge)
+        code, out, err = run_cli(capsys, "example51", *argv)
+        assert code == 1
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_example52_command(self, capsys):
         code, out, _ = run_cli(
             capsys, "example52", "--seed", "0", "--format", "json",

@@ -51,7 +51,7 @@ from sepqcqp.qcqp_model import (
     flatten,
 )
 from sepqcqp.qcqp_model import eval as qf_eval
-from sepqcqp.sdp_solver import solve
+from sepqcqp.sdp_solver import SolverOptions, solve
 from sepqcqp.sdpr_builder import SolveStatus, build_block, build_hom, build_shor
 from sepqcqp.symkernel import SymMatrix, frob_inner, is_psd
 
@@ -1124,6 +1124,19 @@ class TestJudgeOptions:
     def test_rejects_bad_oracle_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             JudgeOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", ["fast", {"tol": 1e-8}, 1e-8])
+    def test_rejects_a_solver_that_is_no_solver_options(self, value):
+        with pytest.raises(ValueError, match="solver"):
+            JudgeOptions(solver=value)
+        assert JudgeOptions(solver=SolverOptions(max_iter=3)).solver.max_iter == 3
+
+    @pytest.mark.parametrize("box", [(1.0, -1.0), (math.nan, 1.0)])
+    def test_the_oracle_box_always_comes_from_the_solution(self, box):
+        """There is no oracle_box field: a box that would have reached
+        brute_force unchecked, after the joint solve, is not accepted."""
+        with pytest.raises(TypeError, match="oracle_box"):
+            JudgeOptions(oracle_box=box)
 
     def test_oracle_settings_accepted(self):
         opts = JudgeOptions(oracle_grid=11, oracle_rounds=0)
