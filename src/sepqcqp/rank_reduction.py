@@ -39,7 +39,7 @@ import numpy as np
 from .certificates import pataki_count
 from .errors import ReductionStallError, StaleSolutionError, StructureError
 from .sdpr_builder import BlockSdp, RowOperator, SdpSolution, SolveStatus
-from .symkernel import SymMatrix, eigh_many, rank_of_eigenvalues_many
+from .symkernel import SymMatrix, eigh, eigh_many, eigvalsh, rank_of_eigenvalues_many
 
 #: steps shorter than this count as stalled; two of them abort the run
 _STALL_STEP = 1e-14
@@ -208,7 +208,7 @@ def reduce(
             if cold.all():
                 continue
             st = st[~cold]
-            lam, vec = np.linalg.eigh(0.5 * (st + st.swapaxes(1, 2)))
+            lam, vec = eigh(0.5 * (st + st.swapaxes(1, 2)))
             peak = lam.max(axis=1, initial=0.0)
             keep = lam > (factor_cut * np.where(peak > 1.0, peak, 1.0))[:, None]
             for k, bi in enumerate(idx[~cold]):
@@ -277,7 +277,7 @@ def reduce(
             lam_dir = sign * lams[bi]
             if lam_dir.size == 0:
                 continue
-            lmin = float(np.linalg.eigvalsh(lam_dir)[0])
+            lmin = float(eigvalsh(lam_dir)[0])
             if lmin < -1e-300:
                 t = -1.0 / lmin
                 if t < best_t - 1e-15 or (

@@ -14,26 +14,31 @@ own vectors. Every sum over blocks is taken in block order, and every
 LAPACK call factors one matrix at a time. A caller with many problems
 solves them one after another; no result depends on the others.
 
-Call budget of one iteration. Per dimension group: 2 eigh (NT scaling),
-1 inv (S^-1), 1 Cholesky of the (X, S) stack, and 2 x (2 solve + 1
-eigvalsh) for the affine and the centering step lengths. Per iteration:
-1 Schur Cholesky and 2 x 2 solve for the two directions. Around these,
-every sum over blocks (row sums, the Schur matrix, objective and
-complementarity) is one np.bincount of the groups' parts, and one scan of
-each new iterate serves both the non-finite test and the next divergence
-test. A LinAlgError from any of these calls ends the solve as
-NumericalFailure with the iterate the step started from; only the (X, S)
-Cholesky (a slot at a time, ridged) and the Schur Cholesky (ridged) retry
-first.
+Call budget of one iteration, in calls of symkernel's LAPACK layer
+(tests/test_sdp_iteration.py counts them). Per dimension group: 2 eigh
+(NT scaling), 1 inv (S^-1), 1 cholesky of the (X, S) stack, and 2 x (2
+solve + 1 eigvalsh) for the affine and the centering step lengths. Per
+iteration: 1 Schur cholesky and 2 x 2 solve for the two directions.
+Around these, every sum over blocks (row sums, the Schur matrix,
+objective and complementarity) is one np.bincount of the groups' parts,
+and one scan of each new iterate serves both the non-finite test and the
+next divergence test. A LinAlgError from any of these calls ends the
+solve as NumericalFailure with the iterate the step started from; only
+the (X, S) Cholesky (a slot at a time, ridged) and the Schur Cholesky
+(ridged) retry first.
 
 Bit-identity rule. The iteration is pinned to its loop-shaped form
 (tests/test_sdp_iteration.py keeps it as the reference): a change that
 trims numpy calls keeps every floating-point operation, its operands and
-their order, so every SdpSolution stays the same bit for bit. Rewrites
-that only hold in exact arithmetic are out, such as reusing an inverted
-Cholesky factor or summing in another order. A sum over blocks adds
-each cell's terms one at a time in block order, left to right from +0.0
-(_ordered_sum); np.sum and np.add.reduceat may add them pairwise.
+their order, so every SdpSolution stays the same bit for bit. Calling
+the C function a numpy wrapper calls, with the wrapper's arguments, is
+the same operation: a numpy.linalg function's gufunc with its signature
+(the symkernel layer), np.add.reduce for ndarray.sum, np.maximum.reduce
+for ndarray.max, ndarray.repeat for np.repeat. Rewrites that only hold
+in exact arithmetic are out, such as reusing an inverted Cholesky factor
+or summing in another order. A sum over blocks adds each cell's terms
+one at a time in block order, left to right from +0.0 (_ordered_sum);
+np.sum and np.add.reduceat may add them pairwise.
 A stacked dot product (np.matmul of (n, 1, k) rows by a (k, 1)
 column) equals np.dot of each row only when the rows are C-contiguous:
 matmul then hands each row to BLAS's dot, and otherwise sums it in its
@@ -60,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import symkernel as sk
 from .errors import DimensionError, InfeasibleStructureError
 from .sdpr_builder import (
     BlockSdp,
@@ -144,11 +150,11 @@ def _sym(a: np.ndarray, out=None) -> np.ndarray:
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Nesterov-Todd scaling points W with W S W = X, all arguments PD.
     u * r[..., None, :] scales the columns of u: the product u @ diag(r)."""
-    lam, u = np.linalg.eigh(s)
+    lam, u = sk.eigh(s)
     root = np.sqrt(np.maximum(lam, 1e-300))
     rt = (u * root[..., None, :]) @ _tr(u)
     irt = (u * (1.0 / root)[..., None, :]) @ _tr(u)
-    om, v = np.linalg.eigh(_sym(rt @ x @ rt))
+    om, v = sk.eigh(_sym(rt @ x @ rt))
     om = np.maximum(om, 1e-300)
     return irt @ ((v * np.sqrt(om)[..., None, :]) @ _tr(v)) @ irt
 
@@ -157,17 +163,17 @@ def _psd_factor(x: np.ndarray) -> np.ndarray:
     """Cholesky factor of one PSD matrix, with a trace-scaled ridge when
     it is singular to working precision."""
     try:
-        return np.linalg.cholesky(x)
+        return sk.cholesky(x)
     except _LinAlgError:
         ridge = 1e-12 * max(1.0, np.trace(x).real)
-        return np.linalg.cholesky(x + ridge * np.eye(len(x)))
+        return sk.cholesky(x + ridge * np.eye(len(x)))
 
 
 def _xs_factor(xs: np.ndarray) -> np.ndarray:
     """Cholesky factors of a group's (X, S) stack; when LAPACK rejects the
     stack, every slot is factored alone through _psd_factor."""
     try:
-        return np.linalg.cholesky(xs)
+        return sk.cholesky(xs)
     except _LinAlgError:
         return np.stack([_psd_factor(a) for a in xs])
 
@@ -177,8 +183,8 @@ def _boundary_eig(chol: np.ndarray, dx: np.ndarray) -> np.ndarray:
     _boundary_step reads the largest t with x + t*dx still PSD, for
     x = chol chol^T. h is that matrix transposed, and _sym(h) is the same
     either way round."""
-    h = np.linalg.solve(chol, _tr(np.linalg.solve(chol, dx)))
-    return np.linalg.eigvalsh(_sym(h))[..., 0]
+    h = sk.solve(chol, _tr(sk.solve(chol, dx)))
+    return sk.eigvalsh(_sym(h))[..., 0]
 
 
 def _boundary_step(lam_min: float) -> float:
@@ -192,14 +198,14 @@ def _schur_factor(m: np.ndarray) -> np.ndarray:
     steps when it is not numerically positive definite; LinAlgError when
     even the widest ridge fails."""
     try:
-        return np.linalg.cholesky(m)
+        return sk.cholesky(m)
     except _LinAlgError:
         pass
     reg = 0.0
     base = 1e-12 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
     for attempt in range(4):
         try:
-            return np.linalg.cholesky(m + reg * np.eye(len(m)))
+            return sk.cholesky(m + reg * np.eye(len(m)))
         except _LinAlgError:
             reg = base * (100.0 ** attempt) if reg else base
     raise _LinAlgError("Schur complement is not positive definite")
@@ -208,12 +214,12 @@ def _schur_factor(m: np.ndarray) -> np.ndarray:
 def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(chol chol^T)^-1 b by two general solves, as the Schur step always
     has."""
-    return np.linalg.solve(_tr(chol), np.linalg.solve(chol, b))
+    return sk.solve(_tr(chol), sk.solve(chol, b))
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.sum(a_j * b_j) per slot."""
-    return (a * b).reshape(len(a), -1).sum(axis=1)
+    return np.add.reduce((a * b).reshape(len(a), -1), axis=1)
 
 
 def _centering(mu_aff: float, mu: float) -> float:
@@ -349,7 +355,7 @@ class _Problem:
 def _pairs(grp: _Group, z: np.ndarray) -> np.ndarray:
     """np.sum(A_i * Z) for every (active row, slot) pair of a group."""
     k, g, d = grp.A.shape[:3]
-    return (grp.A * z).reshape(k, g, d * d).sum(axis=-1)
+    return np.add.reduce((grp.A * z).reshape(k, g, d * d), axis=-1)
 
 
 def _subtract_rows(grp: _Group, base: np.ndarray, yx: np.ndarray) -> np.ndarray:
@@ -428,9 +434,9 @@ class _Ipm:
         for r in rd:
             flat = r.reshape(len(r), 1, -1)
             norms.append(np.sqrt(np.matmul(flat, _tr(flat))[:, 0, 0]).tolist())
-        pres = np.abs(r_p).max(initial=0.0)
+        pres = np.maximum.reduce(np.abs(r_p), axis=None, initial=0.0)
         dres = max((norms[gi][j] for gi, j in p.where), default=0.0)
-        dres_s = np.abs(rds).max(initial=0.0)
+        dres_s = np.maximum.reduce(np.abs(rds), axis=None, initial=0.0)
         dres = dres_s if dres_s > dres else dres
         gap = np.abs(pobj - dobj)
         gap = (compl if compl > gap else gap) / (1.0 + np.abs(pobj) + np.abs(dobj))
@@ -447,11 +453,11 @@ class _Ipm:
         or an X or S entry beyond half the largest double (where
         symmetrizing, 0.5 * (v + v), overflows); large an entry beyond
         _DIVERGE_CAP."""
-        peaks = [np.abs(xs).max() for xs in XS] + [np.abs(vec).max()]
+        peaks = [np.maximum.reduce(np.abs(a), axis=None) for a in (*XS, vec)]
         if all(p <= _DIVERGE_CAP for p in peaks):
             return False, False
-        blk = np.max(peaks[:-1], initial=0.0)
-        rest = np.abs(vec[:-1]).max(initial=0.0)
+        blk = np.maximum.reduce(peaks[:-1], axis=None, initial=0.0)
+        rest = np.maximum.reduce(np.abs(vec[:-1]), axis=None, initial=0.0)
         bad = not blk <= _HALF_MAX or not np.isfinite(rest)
         return bad, bool(np.maximum(blk, rest) > _DIVERGE_CAP)
 
@@ -464,7 +470,7 @@ class _Ipm:
 
         W = [_nt_scaling(xs[: g.n], xs[g.n :]) for g, xs in zip(groups, XS)]
         w2 = s / sig
-        s_inv = [np.linalg.inv(xs[g.n :]) for g, xs in zip(groups, XS)]
+        s_inv = [sk.inv(xs[g.n :]) for g, xs in zip(groups, XS)]
         # X and S of a group factor as one stack, and their step lengths
         # come out of one stack too
         chol_xs = [_xs_factor(xs) for xs in XS]
@@ -512,13 +518,15 @@ class _Ipm:
             ]
             if NS:
                 v, dv = vec[: 2 * NS], dvec[: 2 * NS]
-                slk = np.where(dv < 0, -v / dv, np.inf).reshape(2, NS).min(axis=1)
+                slk = np.minimum.reduce(
+                    np.where(dv < 0, -v / dv, np.inf).reshape(2, NS), axis=1
+                )
                 t = [min(b, s) for b, s in zip(t, slk.tolist())]
             return np.array([min(1.0, opts.step_fraction * x) for x in t])
 
         def moved(t, dxs):
             return [
-                xs + np.repeat(t, g.n)[:, None, None] * d
+                xs + t.repeat(g.n)[:, None, None] * d
                 for g, xs, d in zip(groups, XS, dxs)
             ]
 
@@ -528,7 +536,7 @@ class _Ipm:
         (tr_aff,) = p.slot_sum(
             [_inner(xs[: g.n], xs[g.n :]) for g, xs in zip(groups, moved(ta, dxa))]
         )
-        sa = vec[: 2 * NS] + np.repeat(ta, NS) * dva[: 2 * NS]
+        sa = vec[: 2 * NS] + ta.repeat(NS) * dva[: 2 * NS]
         tr_aff = tr_aff + np.dot(sa[:NS], sa[NS:])
         sigma = _centering(float(tr_aff / p.n_tot), float(mu))
 
@@ -536,7 +544,7 @@ class _Ipm:
         t = lengths(dxs, dvec)
         # s and the zero past y move with the primal step, sig and y with
         # the dual one
-        return moved(t, dxs), vec + np.repeat(t[[0, 1, 0]], (NS, NS + m, 1)) * dvec
+        return moved(t, dxs), vec + t[[0, 1, 0]].repeat((NS, NS + m, 1)) * dvec
 
     def run(self) -> dict:
         """Iterate until the problem stops; returns its final record."""
@@ -642,7 +650,7 @@ def check_solution(b: BlockSdp, sol: SdpSolution, tol: float) -> ResidualReport:
     lhs = op.apply([x.to_dense() for x in sol.blocks])
     res = lhs + op.slack_coeffs * sol.slacks - op.rhs
     min_eigs = [
-        float(np.linalg.eigvalsh(x.to_dense())[0]) if x.dim else 0.0
+        float(sk.eigvalsh(x.to_dense())[0]) if x.dim else 0.0
         for x in sol.blocks
     ]
     min_slack = float(sol.slacks.min(initial=0.0))

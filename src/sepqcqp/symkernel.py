@@ -4,12 +4,19 @@ Every matrix in the package (coefficient matrices, PSD variables, dual
 blocks) is a SymMatrix: a real symmetric matrix held as one read-only
 dense float64 array. The kernel supplies the handful of operations
 everything else is built from: Frobenius inner products, the
-eigendecomposition (LAPACK ``eigh`` through numpy, one matrix or a
-stack of them), PSD tests and numeric rank. The *_many forms work on
-stacks, one numpy call per dimension, and give each matrix the result
-its one-matrix form gives, bit for bit: LAPACK factors a stack one
-matrix at a time, and a stacked dot product is one BLAS dot per
-C-contiguous row, as np.dot of that row.
+eigendecomposition (LAPACK ``eigh``, one matrix or a stack of them), PSD
+tests and numeric rank. The *_many forms work on stacks, one numpy call
+per dimension, and give each matrix the result its one-matrix form
+gives, bit for bit: LAPACK factors a stack one matrix at a time, and a
+stacked dot product is one BLAS dot per C-contiguous row, as np.dot of
+that row.
+
+It is also the package's one LAPACK layer: eigh, eigvalsh, cholesky,
+solve and inv each call the gufunc of numpy.linalg's function of that
+name (lower triangle, float64 signature) under the error state that
+function sets, so each returns its bytes or raises its LinAlgError,
+without the wrapper's per-call checks and conversions. They take
+float64 (..., m, m) stacks (solve's right-hand side is (..., m, n)).
 """
 
 from __future__ import annotations
@@ -19,10 +26,55 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _lapack(message: str):
+    """Decorator: run the function under numpy.linalg's error state for
+    its LAPACK gufuncs, where a failed factorization (the invalid flag)
+    raises LinAlgError(message)."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(
+        call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+
+@_lapack("Eigenvalues did not converge")
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh of a: eigenvalues ascending, eigenvectors as
+    columns."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+@_lapack("Eigenvalues did not converge")
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg.eigvalsh of a: eigenvalues ascending."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+@_lapack("Matrix is not positive definite")
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg.cholesky of a: the lower-triangular factor."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+@_lapack("Singular matrix")
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.linalg.solve of a and a (..., m, n) right-hand side b."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+@_lapack("Singular matrix")
+def inv(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg.inv of a."""
+    return _umath_linalg.inv(a, signature="d->d")
 
 
 @functools.cache
@@ -138,16 +190,9 @@ class SymMatrix:
         if self.dim != other.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        self._check_same_dim(other)
-        return SymMatrix(self._a + other._a)
-
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
         self._check_same_dim(other)
         return SymMatrix(self._a - other._a)
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(-self._a)
 
     def scaled(self, c: float) -> "SymMatrix":
         return SymMatrix(float(c) * self._a)
@@ -181,7 +226,7 @@ def frob_inner(a: SymMatrix, b: SymMatrix) -> float:
 
 def eigen(a: SymMatrix) -> EigenDecomp:
     """Eigendecomposition by LAPACK ``eigh``, eigenvalues descending."""
-    lam, vec = np.linalg.eigh(a._a)
+    lam, vec = eigh(a._a)
     return EigenDecomp(lam[::-1].copy(), vec[:, ::-1].copy())
 
 
@@ -198,13 +243,13 @@ def _stacks(arrays) -> list[tuple[list[int], np.ndarray]]:
 
 
 def eigh_many(arrays) -> list[tuple[np.ndarray, np.ndarray]]:
-    """np.linalg.eigh (eigenvalues ascending) of every symmetric array,
+    """eigh (eigenvalues ascending) of every symmetric array,
     one stacked call per dimension. LAPACK still factors one matrix at a
     time, so each result is bit for bit that of its own call (and of
     eigen, read in reverse)."""
     out = [None] * len(arrays)
     for idx, stack in _stacks(arrays):
-        lam, vec = np.linalg.eigh(stack)
+        lam, vec = eigh(stack)
         for k, i in enumerate(idx):
             out[i] = (lam[k], vec[k])
     return out
@@ -218,13 +263,14 @@ def is_psd_many(arrays, tol: float = 1e-9) -> np.ndarray:
     (frob_inner_many), so each flag is the one that matrix alone gets:
     lambda_min(a) >= -tol * max(1, ||a||_F).
     """
-    if tol < 0:
+    # written so that a NaN fails it
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     flags = np.ones(len(arrays), dtype=bool)
     for idx, stack in _stacks(arrays):
         if stack.shape[-1]:
             # eigh, as eigen: eigvalsh's eigenvalues differ in bits
-            lam = np.linalg.eigh(stack)[0][:, 0]
+            lam = eigh(stack)[0][:, 0]
             norm = np.sqrt(frob_inner_many(stack, stack))
             # max(1, norm) as Python's max takes it
             flags[idx] = lam >= -tol * np.where(norm > 1.0, norm, 1.0)
@@ -251,7 +297,8 @@ def rank_of_eigenvalues_many(lams, tol: float = 1e-6) -> list[int]:
     """rank_of_eigenvalues of every spectrum in lams, one stacked test per
     length: the same comparisons, so the same counts (and, as one test
     per spectrum would, a bad tol raises only when there is a spectrum)."""
-    if tol <= 0 and len(lams):
+    # written so that a NaN fails it
+    if not tol > 0 and len(lams):
         raise ValueError("tol must be positive")
     out = [0] * len(lams)
     for idx, stack in _stacks(lams):

@@ -61,6 +61,12 @@ class TestCheckConvex:
         assert cert.kind is CertificateKind.CONVEX
         assert not cert.depends_on_solution
 
+    def test_nan_tol_rejected(self):
+        # is_psd_many rejects it; a NaN tol used to fail every PSD test
+        q = Qcqp(1, qf([[1.0]]), [(qf([[1.0]]), Relation.LE)], [1.0])
+        with pytest.raises(ValueError, match="tol"):
+            check_convex(q, tol=float("nan"))
+
     def test_indefinite_quadratic_part(self):
         # det of [[1,-2],[-2,0]] is -4: mixed eigenvalues
         q = Qcqp(

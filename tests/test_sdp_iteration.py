@@ -13,6 +13,7 @@ SdpSolution field, bit for bit, and every structural error.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import tracemalloc
@@ -22,7 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepqcqp import sdp_solver
+from sepqcqp import sdp_solver, symkernel
+from sepqcqp.connection import make_example52
 from sepqcqp.errors import InfeasibleStructureError, SepqcqpError
 from sepqcqp.sdp_solver import SolverOptions, solve
 from sepqcqp.qcqp_model import QuadFunc, Qcqp, Relation, SeparableQcqp
@@ -976,3 +978,51 @@ def test_solve_of_many_entries_stays_small():
         tracemalloc.stop()
     assert sol.status is SolveStatus.OPTIMAL
     assert peak < 8e6, peak
+
+
+#: the five symkernel LAPACK functions
+_LAPACK = ("eigh", "eigvalsh", "cholesky", "solve", "inv")
+
+
+@pytest.mark.parametrize(
+    "make, groups",
+    [
+        (lambda: build_block(make_example52(0)), 2),
+        (lambda: convex_connection_sdp(0, 16, 3), 1),
+    ],
+    ids=["ex52-two-groups", "wide-connection-one-group"],
+)
+def test_lapack_calls_per_step(monkeypatch, make, groups):
+    """One solve makes exactly the symkernel LAPACK calls the sdp_solver
+    docstring budgets. Per step and dimension group: 2 eigh, 1 inv, 1
+    cholesky, 4 solve and 2 eigvalsh; per step: 1 cholesky and 4 solve.
+    On these instances no factorization fails, so none retries."""
+    b = make()
+    assert len(set(b.block_dims)) == groups
+    calls, failed = collections.Counter(), collections.Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            try:
+                return f(*args)
+            except _LinAlgError:
+                failed[name] += 1
+                raise
+
+        return call
+
+    for name in _LAPACK:
+        monkeypatch.setattr(symkernel, name, counted(name, getattr(symkernel, name)))
+    sol = solve(b)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert not failed
+    steps = sol.iterations - 1
+    assert steps > 0
+    assert calls == {
+        "eigh": 2 * groups * steps,
+        "inv": groups * steps,
+        "cholesky": (groups + 1) * steps,
+        "solve": (4 * groups + 4) * steps,
+        "eigvalsh": 2 * groups * steps,
+    }

@@ -7,11 +7,14 @@ beyond it, repeated eigenvalues, and the rank and PSD thresholds. Plain
 numpy (eigvalsh, matrix_rank, dense sums) is the oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sepqcqp import symkernel
 from sepqcqp.errors import DimensionError
 from sepqcqp.symkernel import (
     SymMatrix,
@@ -21,6 +24,8 @@ from sepqcqp.symkernel import (
     is_psd,
     is_psd_many,
     numeric_rank,
+    rank_of_eigenvalues,
+    rank_of_eigenvalues_many,
 )
 
 
@@ -71,7 +76,6 @@ class TestSymMatrix:
     def test_arithmetic(self):
         a = sym([[1.0, 2.0], [2.0, 0.0]])
         b = sym([[0.0, 1.0], [1.0, 3.0]])
-        assert np.array_equal((a + b).to_dense(), a.to_dense() + b.to_dense())
         assert np.array_equal((a - b).to_dense(), a.to_dense() - b.to_dense())
         assert np.array_equal(a.scaled(-2.0).to_dense(), -2.0 * a.to_dense())
         assert (a - a).is_zero()
@@ -207,6 +211,11 @@ class TestIsPsd:
             with pytest.raises(ValueError, match="tol"):
                 is_psd(a, tol=-1e-9)
 
+    def test_nan_tol_rejected(self):
+        for a in (SymMatrix.zeros(0), SymMatrix.identity(2)):
+            with pytest.raises(ValueError, match="tol"):
+                is_psd(a, float("nan"))
+
     @given(seeds)
     @settings(max_examples=40)
     def test_matches_the_one_matrix_eigen_test(self, seed):
@@ -268,6 +277,9 @@ class TestStacked:
         assert eigh_many([]) == []
         with pytest.raises(ValueError):
             is_psd_many([np.eye(2)], tol=-1.0)
+        for arrays in ([], [np.eye(2)]):
+            with pytest.raises(ValueError, match="tol"):
+                is_psd_many(arrays, tol=float("nan"))
 
 
 class TestNumericRank:
@@ -277,6 +289,17 @@ class TestNumericRank:
         assert numeric_rank(sym([[1.0, 0.0], [0.0, 1e-12]]), tol=1e-6) == 1
         u = np.array([1.0, -2.0, 3.0])
         assert numeric_rank(SymMatrix.from_dense(np.outer(u, u))) == 1
+
+    def test_nan_tol_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="tol"):
+            rank_of_eigenvalues(np.array([1.0, 2.0]), nan)
+        with pytest.raises(ValueError, match="tol"):
+            rank_of_eigenvalues_many([np.array([1.0])], nan)
+        with pytest.raises(ValueError, match="tol"):
+            numeric_rank(SymMatrix.identity(2), nan)
+        # as for a tol <= 0: without a spectrum there is nothing to count
+        assert rank_of_eigenvalues_many([], nan) == []
 
     def test_relative_threshold(self):
         # both eigenvalues large: full rank even though ratio is 1e-3
@@ -307,3 +330,102 @@ class TestNumericRank:
         lam[:3] = 2.0
         lam[3:r] = rng.uniform(0.5, 1.0, r - 3)
         assert numeric_rank(with_spectrum(rng, lam)) == r
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK layer against numpy.linalg
+
+#: each function of the layer with the numpy.linalg function it stands for
+_LAPACK = {
+    "eigh": (symkernel.eigh, np.linalg.eigh),
+    "eigvalsh": (symkernel.eigvalsh, np.linalg.eigvalsh),
+    "cholesky": (symkernel.cholesky, np.linalg.cholesky),
+    "solve": (symkernel.solve, np.linalg.solve),
+    "inv": (symkernel.inv, np.linalg.inv),
+}
+
+
+@st.composite
+def lapack_calls(draw):
+    """(name, args): one matrix or a stack of 0-4 (dimension 0-6) that is
+    SPD, singular (a zero row and column), indefinite, nonsymmetric or
+    lower triangular, maybe with a NaN or infinite entry, maybe passed as
+    a transposed view; solve's right-hand side has 0-3 columns."""
+    name = draw(st.sampled_from(sorted(_LAPACK)))
+    k = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+    d = draw(st.integers(min_value=0, max_value=6))
+    kind = draw(st.sampled_from(["spd", "singular", "indefinite", "general", "lower"]))
+    poison = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    transposed = draw(st.booleans())
+    rng = np.random.default_rng(draw(seeds))
+    batch = () if k is None else (k,)
+    g = rng.standard_normal(batch + (d, d))
+    if kind in ("spd", "singular"):
+        a = g @ g.swapaxes(-1, -2) + 0.1 * np.eye(d)
+        if kind == "singular" and d:
+            j = int(rng.integers(d))
+            a[..., j, :] = 0.0
+            a[..., :, j] = 0.0
+    elif kind == "indefinite":
+        a = g + g.swapaxes(-1, -2)
+    elif kind == "general":
+        a = g
+    else:
+        a = np.tril(g) + d * np.eye(d)
+    if poison is not None and a.size:
+        a.flat[int(rng.integers(a.size))] = poison
+    if transposed:
+        # as _cholesky_solve passes a factor: the transpose, not a copy
+        a = a.swapaxes(-1, -2)
+    if name != "solve":
+        return name, (a,)
+    n = int(rng.integers(4))
+    b = rng.standard_normal(batch + ((n, d) if transposed else (d, n)))
+    return name, (a, b.swapaxes(-1, -2) if transposed else b)
+
+
+def _outcome(f, args):
+    """(results as (dtype, shape, bytes) triples, None), or (None, message)
+    when f raised LinAlgError; the error state must be as it was either
+    way."""
+    state = np.geterr()
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as exc:
+        return None, str(exc)
+    finally:
+        assert np.geterr() == state
+    out = out if isinstance(out, tuple) else (out,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in out], None
+
+
+def _same_as_numpy(name, args):
+    """The layer's outcome of one call, asserted equal to numpy.linalg's."""
+    ours, theirs = _LAPACK[name]
+    want = _outcome(theirs, args)
+    assert _outcome(ours, args) == want
+    return want
+
+
+class TestLapackLayer:
+    """Each layer function is numpy.linalg's function of its name, bit for
+    bit: the same bytes and shapes, or the same LinAlgError."""
+
+    @given(lapack_calls())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_linalg(self, call):
+        _same_as_numpy(*call)
+
+    @pytest.mark.parametrize(
+        "name, args, message",
+        [
+            ("cholesky", (-np.eye(3),), "Matrix is not positive definite"),
+            ("inv", (np.zeros((2, 3, 3)),), "Singular matrix"),
+            ("solve", (np.zeros((2, 2)), np.ones((2, 1))), "Singular matrix"),
+        ],
+    )
+    def test_raises_as_numpy_linalg(self, name, args, message):
+        """The failures the solver catches raise numpy's LinAlgError under
+        any outer error state, and leave that state as it was."""
+        with np.errstate(all="ignore"):
+            assert _same_as_numpy(name, args) == (None, message)
