@@ -44,7 +44,6 @@ from .qcqp_model import (
 from .qcqp_model import eval as eval_quad
 from .sdpr_builder import (
     BlockSdp,
-    Row,
     SdpSolution,
     SolveStatus,
     build_block,

@@ -983,7 +983,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol", type=_positive_float, default=1e-6,
-        help="verification tolerance",
+        help="verification tolerance of certify, judge, example51 and "
+        "example52 (solve and reduce ignore it)",
     )
     common.add_argument(
         "--rank-tol",

@@ -377,13 +377,11 @@ def _hom_at(entry: HomSepQcqp, delta):
 def _connection_duals(s: SeparableQcqp, b, sol):
     """Multipliers of the coupled rows by original index, and the corner-row
     multiplier of each entry (0 for homogeneous entries, which have none)."""
+    origins = b.operator.origins
+    coupled = origins >= 0
     y = np.zeros(s.m)
-    corner_duals = []
-    for i, row in enumerate(b.rows):
-        if row.origin >= 0:
-            y[row.origin] = float(sol.dual_multipliers[i])
-        else:
-            corner_duals.append(float(sol.dual_multipliers[i]))
+    y[origins[coupled]] = sol.dual_multipliers[coupled]
+    corner_duals = sol.dual_multipliers[~coupled].tolist()
     mus, j = [], 0
     for entry in s.blocks:
         if isinstance(entry, HomSepQcqp):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError, RangeError, StructureError
 from .symkernel import SymMatrix, frob_inner
 
 
@@ -139,6 +139,7 @@ class Qcqp:
             raise DimensionError(
                 f"{len(constraints)} constraints but rhs has shape {rhs.shape}"
             )
+        _check_finite("rhs", rhs)
         self.n = n
         self.objective = objective
         self.constraints = constraints
@@ -176,12 +177,15 @@ class HomSepQcqp:
         m = len(relations)
         if rhs.shape != (m,):
             raise DimensionError(f"{m} relations but rhs has shape {rhs.shape}")
+        _check_finite("rhs", rhs)
         for q, mats in enumerate(blocks):
             if len(mats) != m + 1:
                 raise DimensionError(
                     f"block {q} has {len(mats)} matrices, expected m+1 = {m + 1}"
                 )
             d = mats[0].dim
+            if d < 1:
+                raise DimensionError(f"block {q} dim {d}: dimensions must be positive")
             for k, c in enumerate(mats):
                 if c.dim != d:
                     raise DimensionError(
@@ -236,6 +240,7 @@ class SeparableQcqp:
             raise DimensionError(
                 f"gamma has shape {gamma.shape}, expected ({len(rels0)},)"
             )
+        _check_finite("gamma", gamma)
         self.blocks = blocks
         self.gamma = gamma
 
@@ -253,6 +258,11 @@ class SeparableQcqp:
 
     def __repr__(self) -> str:
         return f"SeparableQcqp(p_hat={self.p_hat}, m={self.m})"
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    for k in np.flatnonzero(~np.isfinite(values)):
+        raise RangeError(f"{name}[{k}]: value must be finite, got {values[k]}")
 
 
 def _block_relations(blk) -> list[Relation]:

@@ -9,8 +9,8 @@ directions of that restricted system until none remain. Each move steps
 exactly to the cone boundary, so every iteration kills at least one block
 eigenvalue or one slack while preserving feasibility and objective value.
 
-The rows are the BlockSdp's compiled sdpr_builder.RowOperator (the one
-the solver used), with the objective appended as its last row. Row
+The rows are the BlockSdp's sdpr_builder.RowOperator (the one the
+solver read), with the objective appended as its last row. Row
 values are the operator applied to the blocks. The restricted system
 projects, per block, only the rows active on that block, as one stacked
 F^T A F, so the (row, block) pairs without a matrix stay exactly zero.
@@ -56,7 +56,7 @@ class BlockKind(enum.Enum):
 def block_kinds_of(b: BlockSdp, op: RowOperator | None = None) -> list[BlockKind]:
     """A block is inhomogeneous exactly when a normalization row pins it.
 
-    op is b's compiled row operator (b.operator when not given; it may
+    op is b's row operator (b.operator when not given; it may
     carry extra rows after b's): a row pins a block when it is active there.
     """
     if op is None:
@@ -131,17 +131,15 @@ def reduce(
     the row-count bound, and the extracted per-block factors when every
     block ended at rank <= 1.
 
-    b's rows are read from its compiled operator (b.operator), which the
-    solver built when it solved b, so nothing is compiled again; the
-    objective joins them as one extra row (RowOperator.with_row). Each
-    iterate projects only the active (row, block) pairs, block by block in
-    one stacked product, and factors all blocks with one stacked
-    eigendecomposition per block dimension; the last one also gives the
-    report when it froze no block.
+    b's rows are its operator (b.operator), the one the solver read when
+    it solved b; the objective joins them as one extra row
+    (RowOperator.with_row). Each iterate projects only the active (row,
+    block) pairs, block by block in one stacked product, and factors all
+    blocks with one stacked eigendecomposition per block dimension; the
+    last one also gives the report when it froze no block.
     """
-    for row in b.rows:
-        if row.slack_coeff == -1:
-            raise StructureError("reduce requires a standard-form BlockSdp")
+    if (b.operator.slack_coeffs == -1.0).any():
+        raise StructureError("reduce requires a standard-form BlockSdp")
     if sol.status is not SolveStatus.OPTIMAL:
         raise StaleSolutionError(f"solution status is {sol.status.value}")
     if len(sol.blocks) != b.n_blocks or len(sol.slacks) != b.n_rows:

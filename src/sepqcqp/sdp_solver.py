@@ -7,7 +7,7 @@ an adaptive centering weight chosen from an affine probe step (the probe
 and the centering step share one factorization of the Schur complement).
 
 solve iterates one problem. Its rows are the RowOperator of its standard
-form (BlockSdp.operator, compiled once and read again by rank reduction),
+form (BlockSdp.operator, which rank reduction reads again),
 its blocks of one dimension live in one (g, d, d) stack (X and S of a
 group in one (2g, d, d) stack), and its slacks are scalar cones with their
 own vectors. Every sum over blocks is taken in block order, and every
@@ -572,11 +572,11 @@ def _solution(p: _Problem, rec: dict, history: list) -> SdpSolution:
     """The user-facing solution of one problem, in the orientation of its
     input BlockSdp."""
     b, kept = p.b, np.array(p.kept, dtype=np.intp)
-    slacks = np.zeros(len(b.rows))
-    duals = np.zeros(len(b.rows))
+    slacks = np.zeros(b.n_rows)
+    duals = np.zeros(b.n_rows)
     if len(kept):
         slacks[kept[p.slack_rows]] = rec["s"]
-        coeff = np.array([r.slack_coeff for r in b.rows])[kept]
+        coeff = b.operator.slack_coeffs[kept]
         duals[kept] = np.where(coeff == -1, -1.0, 1.0) * rec["y"]
 
     # residuals reported against the full standardized system, so presolve-
@@ -643,16 +643,13 @@ def check_solution(b: BlockSdp, sol: SdpSolution, tol: float) -> ResidualReport:
     for x, dim in zip(sol.blocks, b.block_dims):
         if x.dim != dim:
             raise DimensionError(f"solution block dim {x.dim} != {dim}")
-    if len(sol.slacks) != len(b.rows):
+    if len(sol.slacks) != b.n_rows:
         raise DimensionError("slack vector length mismatch")
 
     op = b.operator
     lhs = op.apply([x.to_dense() for x in sol.blocks])
     res = lhs + op.slack_coeffs * sol.slacks - op.rhs
-    min_eigs = [
-        float(sk.eigvalsh(x.to_dense())[0]) if x.dim else 0.0
-        for x in sol.blocks
-    ]
+    min_eigs = [float(sk.eigvalsh(x.to_dense())[0]) for x in sol.blocks]
     min_slack = float(sol.slacks.min(initial=0.0))
     pobj = sum(
         float(np.sum(cb.to_dense() * xb.to_dense()))

@@ -12,7 +12,6 @@ work with equalities plus nonnegative slacks only.
 from __future__ import annotations
 
 import enum
-import functools
 import os
 import sys
 import warnings
@@ -21,83 +20,70 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, StructureError
-from .qcqp_model import HomSepQcqp, Qcqp, Relation, SeparableQcqp
+from .qcqp_model import HomSepQcqp, Qcqp, Relation, SeparableQcqp, _check_finite
 from .symkernel import SymMatrix
 
 #: the package's directory, which dropped-row warnings look past
 _HERE = os.path.dirname(__file__)
 
 #: slack coefficient per relation: <A,X> + c*s = rhs with s >= 0
-_SLACK_COEFF = {Relation.LE: 1, Relation.EQ: 0, Relation.GE: -1}
-
-
-@dataclass(frozen=True)
-class Row:
-    """One linear constraint row: sum_b <mats[b], X_b> + slack_coeff * s = rhs.
-
-    origin is the 0-based index of the QCQP constraint the row encodes, or
-    -1 for a normalization row.
-    """
-
-    mats: tuple
-    slack_coeff: int
-    rhs: float
-    origin: int = -1
+_SLACK_COEFF = {Relation.LE: 1.0, Relation.EQ: 0.0, Relation.GE: -1.0}
 
 
 class BlockSdp:
     """Linear SDP over a product of PSD blocks plus per-row scalar slacks.
 
     minimize   sum_b <objective[b], X_b>
-    subject to sum_b <row.mats[b], X_b> + row.slack_coeff * s_row = row.rhs
-               X_b PSD, s_row >= 0 where present.
+    subject to sum_b <A_ib, X_b> + c_i * s_i = rhs_i,
+               X_b PSD, s_i >= 0 where c_i is not 0.
 
-    normalization_rows indexes the corner-pinning equality rows; slack_signs
-    holds 1 for rows carrying a nonnegative slack and 0 for equalities.
-    dropped_rows records original constraint indices removed because both
-    their matrices and rhs were identically zero.
+    The rows are operator, a RowOperator: per block, the rows whose matrix
+    there is not identically zero and those matrices stacked, plus each
+    row's slack coefficient c_i (-1, 0 or 1), rhs and origin (the 0-based
+    index of the QCQP constraint the row encodes, or -1 for a
+    normalization row and for every row of a hand-built problem, which
+    from_rows compiles). normalization_rows indexes the corner-pinning
+    equality rows. dropped_rows records original constraint indices
+    removed because both their matrices and rhs were identically zero.
 
-    An instance is treated as immutable: its compiled rows (operator) and
-    its standard form (to_standard_form) are computed once and kept on it.
+    An instance is treated as immutable: its standard form
+    (to_standard_form) is computed once and kept on it.
     """
 
     __slots__ = (
         "block_dims",
         "objective",
-        "rows",
+        "operator",
         "normalization_rows",
-        "slack_signs",
         "block_owner",
         "dropped_rows",
-        "_operator",
         "_standard",
     )
 
-    def __init__(self, block_dims, objective, rows, normalization_rows=(),
+    def __init__(self, block_dims, objective, operator, normalization_rows=(),
                  block_owner=None, dropped_rows=()):
         block_dims = tuple(int(d) for d in block_dims)
         objective = tuple(objective)
-        rows = tuple(rows)
         if len(objective) != len(block_dims):
             raise DimensionError(
                 f"{len(objective)} objective blocks for {len(block_dims)} dims"
             )
         for b, (mat, d) in enumerate(zip(objective, block_dims)):
+            if d < 1:
+                raise DimensionError(f"block {b} dim {d}: dimensions must be positive")
             if mat.dim != d:
                 raise DimensionError(f"objective block {b} dim {mat.dim} != {d}")
-        for i, row in enumerate(rows):
-            if len(row.mats) != len(block_dims):
-                raise DimensionError(f"row {i} has {len(row.mats)} blocks")
-            for b, (mat, d) in enumerate(zip(row.mats, block_dims)):
-                if mat.dim != d:
-                    raise DimensionError(f"row {i} block {b} dim {mat.dim} != {d}")
-            if row.slack_coeff not in (-1, 0, 1):
-                raise StructureError(f"row {i} slack coefficient {row.slack_coeff}")
+        if operator.dims != block_dims:
+            raise DimensionError(f"rows over dims {list(operator.dims)}")
+        coeffs = operator.slack_coeffs
+        for i in np.flatnonzero((coeffs != 0.0) & (np.abs(coeffs) != 1.0)):
+            raise StructureError(f"row {i} slack coefficient {coeffs[i]:g}")
+        _check_finite("rhs", operator.rhs)
         normalization_rows = frozenset(int(i) for i in normalization_rows)
         for i in normalization_rows:
-            if not 0 <= i < len(rows):
+            if not 0 <= i < operator.n_rows:
                 raise StructureError(f"normalization row index {i} out of range")
-            if rows[i].slack_coeff != 0:
+            if coeffs[i] != 0:
                 raise StructureError(f"normalization row {i} carries a slack")
         if block_owner is None:
             block_owner = (0,) * len(block_dims)
@@ -106,20 +92,38 @@ class BlockSdp:
             raise DimensionError("block_owner length mismatch")
         self.block_dims = block_dims
         self.objective = objective
-        self.rows = rows
+        self.operator = operator
         self.normalization_rows = normalization_rows
-        self.slack_signs = tuple(1 if r.slack_coeff != 0 else 0 for r in rows)
         self.block_owner = block_owner
         self.dropped_rows = tuple(int(k) for k in dropped_rows)
-        self._operator = None
         self._standard = None
 
-    @property
-    def operator(self) -> "RowOperator":
-        """The rows compiled into a RowOperator, once per instance."""
-        if self._operator is None:
-            self._operator = RowOperator(self.rows, self.block_dims)
-        return self._operator
+    @classmethod
+    def from_rows(cls, block_dims, objective, rows, **kw) -> "BlockSdp":
+        """A hand-built problem: rows lists (mats, slack_coeff, rhs) with one
+        SymMatrix per block in mats, compiled pair by pair. The keywords
+        are __init__'s."""
+        dims = tuple(int(d) for d in block_dims)
+        rows = list(rows)
+        for i, (mats, _, _) in enumerate(rows):
+            if len(mats) != len(dims):
+                raise DimensionError(f"row {i} has {len(mats)} blocks")
+            for b, (mat, d) in enumerate(zip(mats, dims)):
+                if mat.dim != d:
+                    raise DimensionError(f"row {i} block {b} dim {mat.dim} != {d}")
+        active = [
+            [i for i, (mats, _, _) in enumerate(rows) if not mats[b].is_zero()]
+            for b in range(len(dims))
+        ]
+        stacks = [
+            np.array([rows[i][0][b].array for i in act]).reshape(len(act), d, d)
+            for b, (act, d) in enumerate(zip(active, dims))
+        ]
+        op = RowOperator(
+            dims, active, stacks, [float(c) for _, c, _ in rows],
+            [float(r) for _, _, r in rows], [-1] * len(rows),
+        )
+        return cls(dims, objective, op, **kw)
 
     @property
     def n_blocks(self) -> int:
@@ -127,11 +131,11 @@ class BlockSdp:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.operator.n_rows
 
     def __repr__(self) -> str:
         return (
-            f"BlockSdp(dims={list(self.block_dims)}, rows={len(self.rows)}, "
+            f"BlockSdp(dims={list(self.block_dims)}, rows={self.n_rows}, "
             f"norm={sorted(self.normalization_rows)})"
         )
 
@@ -166,74 +170,55 @@ class SdpSolution:
 
 
 class RowOperator:
-    """The rows of a block SDP compiled once into per-block stacks.
+    """The rows of a block SDP as per-block stacks.
 
     For every block b, active[b] lists (ascending) the rows whose matrix on
     b is not identically zero and stacks[b] holds those matrices densely as
     one (k, d, d) array, as SDPT3 keeps one stacked constraint matrix per
-    block. Row sums run over the active blocks in block order, one
-    np.sum(A * X) per (row, block) pair, so their roundoff is that of the
-    plain double loop. Only the nonzero matrices are densified, and a
-    matrix object shared by many pairs (the zeros of build_block's
-    normalization rows) is tested once. The compiled arrays are
-    read-only: one operator is shared by everyone who reads the same
-    BlockSdp (BlockSdp.operator).
+    block. slack_coeffs, rhs and origins hold one entry per row. Row sums
+    run over the active blocks in block order, one np.sum(A * X) per (row,
+    block) pair, so their roundoff is that of the plain double loop. The
+    arrays are read-only: one operator is shared by everyone who reads the
+    same BlockSdp.
     """
 
-    __slots__ = ("dims", "n_rows", "active", "stacks", "slack_coeffs", "rhs")
+    __slots__ = ("dims", "n_rows", "active", "stacks", "slack_coeffs", "rhs", "origins")
 
-    def __init__(self, rows, dims):
+    def __init__(self, dims, active, stacks, slack_coeffs, rhs, origins):
         self.dims = tuple(dims)
-        self.n_rows = len(rows)
-        self.active, self.stacks = [], []
-        # rows may share one matrix object (build_block's zeros): test each once
-        nonzero: dict[int, bool] = {}
-        for bi, d in enumerate(self.dims):
-            act = []
-            for i, row in enumerate(rows):
-                mat = row.mats[bi]
-                hit = nonzero.get(id(mat))
-                if hit is None:
-                    hit = nonzero[id(mat)] = not mat.is_zero()
-                if hit:
-                    act.append(i)
-            stack = np.array([rows[i].mats[bi].to_dense() for i in act])
-            self.active.append(_frozen(np.array(act, dtype=np.intp)))
-            self.stacks.append(_frozen(stack.reshape(len(act), d, d)))
-        self.slack_coeffs = _frozen(np.array([float(r.slack_coeff) for r in rows]))
-        self.rhs = _frozen(np.array([float(r.rhs) for r in rows]))
+        self.active = [_frozen(np.asarray(a, dtype=np.intp)) for a in active]
+        self.stacks = [_frozen(np.asarray(s, dtype=np.float64)) for s in stacks]
+        self.slack_coeffs = _frozen(np.asarray(slack_coeffs, dtype=np.float64))
+        self.rhs = _frozen(np.asarray(rhs, dtype=np.float64))
+        self.origins = _frozen(np.asarray(origins, dtype=np.intp))
+        self.n_rows = len(self.rhs)
 
     def with_row(self, mats) -> "RowOperator":
-        """This operator plus one equality row (index n_rows, rhs 0) whose
-        matrix on block b is mats[b]; the other rows' arrays are shared."""
-        out = object.__new__(RowOperator)
-        out.dims, out.n_rows = self.dims, self.n_rows + 1
-        out.active, out.stacks = [], []
-        for act, stack, mat in zip(self.active, self.stacks, mats):
+        """This operator plus one equality row (index n_rows, rhs 0, origin
+        -1) whose matrix on block b is mats[b]; the other rows' arrays are
+        shared."""
+        active, stacks = list(self.active), list(self.stacks)
+        for b, mat in enumerate(mats):
             if not mat.is_zero():
-                act = _frozen(np.append(act, self.n_rows))
-                stack = _frozen(np.concatenate([stack, mat.to_dense()[None]]))
-            out.active.append(act)
-            out.stacks.append(stack)
-        out.slack_coeffs = _frozen(np.append(self.slack_coeffs, 0.0))
-        out.rhs = _frozen(np.append(self.rhs, 0.0))
-        return out
+                active[b] = np.append(active[b], self.n_rows)
+                stacks[b] = np.concatenate([stacks[b], mat.array[None]])
+        return RowOperator(
+            self.dims, active, stacks, np.append(self.slack_coeffs, 0.0),
+            np.append(self.rhs, 0.0), np.append(self.origins, -1),
+        )
 
     def take(self, keep) -> "RowOperator":
         """The operator of the rows keep (ascending), renumbered 0.."""
         keep = np.asarray(keep, dtype=np.intp)
         pos = np.full(self.n_rows, -1, dtype=np.intp)
         pos[keep] = np.arange(len(keep))
-        out = object.__new__(RowOperator)
-        out.dims, out.n_rows = self.dims, len(keep)
-        out.active, out.stacks = [], []
-        for act, stack in zip(self.active, self.stacks):
-            sel = pos[act] >= 0
-            out.active.append(pos[act[sel]])
-            out.stacks.append(stack[sel])
-        out.slack_coeffs = self.slack_coeffs[keep]
-        out.rhs = self.rhs[keep]
-        return out
+        sel = [pos[act] >= 0 for act in self.active]
+        return RowOperator(
+            self.dims,
+            [pos[act[s]] for act, s in zip(self.active, sel)],
+            [stack[s] for stack, s in zip(self.stacks, sel)],
+            self.slack_coeffs[keep], self.rhs[keep], self.origins[keep],
+        )
 
     def apply(self, blocks) -> np.ndarray:
         """sum_b <mats[b], X_b> for every row, slack not included; blocks
@@ -261,14 +246,6 @@ class RowOperator:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@functools.cache
-def _corner_matrix(dim: int) -> SymMatrix:
-    """The unit corner matrix of one dimension (immutable, so shared)."""
-    e = np.zeros((dim, dim))
-    e[dim - 1, dim - 1] = 1.0
-    return SymMatrix.from_dense(e)
 
 
 def _warn_dropped(b: BlockSdp) -> BlockSdp:
@@ -318,65 +295,61 @@ def build_block(s: SeparableQcqp) -> BlockSdp:
 def _relax(s: SeparableQcqp) -> BlockSdp:
     """build_block's relaxation, without the warning.
 
-    A normalization row is zero on every block but its own. SymMatrix is
-    immutable, so those zeros are one matrix per block dimension, shared
-    by all P rows, and the unit corner one per dimension too.
+    Entries share only the right-hand sides, so every row's matrix on a
+    block is a matrix of the entry that owns the block. Each block's stack
+    is written from that entry alone: the matrices of its coupled rows
+    that are not identically zero, then, on an inhomogeneous entry's
+    block, the unit corner of the entry's normalization row. The coupled
+    rows come first, the normalization rows after them in entry order.
     """
-    dims: list[int] = []
-    owner: list[int] = []
-    obj: list[SymMatrix] = []
-    per_entry_row_mats: list[list[list[SymMatrix]]] = []
-
-    for p, blk in enumerate(s.blocks):
-        if isinstance(blk, Qcqp):
-            dims.append(blk.n + 1)
+    m = s.m
+    objective, by_row, owner, pinned = [], [], [], []
+    for p, entry in enumerate(s.blocks):
+        pin = isinstance(entry, Qcqp)
+        if pin:
+            groups = [[entry.objective.B] + [f.B for f, _ in entry.constraints]]
+        else:
+            groups = entry.blocks
+        for mats in groups:
+            d = mats[0].dim
+            objective.append(mats[0])
+            # row k's matrix on this block at k
+            by_row.append(np.array([c.array for c in mats[1:]]).reshape(m, d, d))
             owner.append(p)
-            obj.append(blk.objective.B)
-            per_entry_row_mats.append([[f.B] for f, _ in blk.constraints])
-        else:
-            for q in range(blk.q_hat):
-                dims.append(blk.blocks[q][0].dim)
-                owner.append(p)
-                obj.append(blk.blocks[q][0])
-            per_entry_row_mats.append(
-                [
-                    [blk.blocks[q][k + 1] for q in range(blk.q_hat)]
-                    for k in range(blk.m)
-                ]
-            )
+            pinned.append(pin)
+    live = np.array([a.any(axis=(1, 2)) for a in by_row]).reshape(len(by_row), m)
+    vacuous = (s.gamma == 0.0) & ~live.any(axis=0)
+    kept = np.flatnonzero(~vacuous)
+    row_of = np.cumsum(~vacuous) - 1
+    n_norm = sum(pinned)
+    norm_of = len(kept) + np.cumsum(pinned) - 1
 
-    rows, dropped = [], []
-    for k, rel in enumerate(s.relations):
-        mats = [mat for entry in per_entry_row_mats for mat in entry[k]]
-        rhs = float(s.gamma[k])
-        if rhs == 0.0 and all(m.is_zero() for m in mats):
-            dropped.append(k)
-        else:
-            rows.append(Row(tuple(mats), _SLACK_COEFF[rel], rhs, origin=k))
-
-    norm_indices = set()
-    zero_row = None
-    b0 = 0
-    for p, blk in enumerate(s.blocks):
-        if isinstance(blk, Qcqp):
-            if zero_row is None:
-                zero = {d: SymMatrix.zeros(d) for d in set(dims)}
-                zero_row = [zero[d] for d in dims]
-            mats = list(zero_row)
-            mats[b0] = _corner_matrix(dims[b0])
-            norm_indices.add(len(rows))
-            rows.append(Row(tuple(mats), 0, 1.0, origin=-1))
-            b0 += 1
-        else:
-            b0 += blk.q_hat
-
+    active, stacks = [], []
+    for a, hit, pin, norm in zip(by_row, live, pinned, norm_of):
+        act, stack = row_of[hit], a[hit]
+        if pin:
+            d = a.shape[-1]
+            corner = np.zeros((1, d, d))
+            corner[0, d - 1, d - 1] = 1.0
+            act, stack = np.append(act, norm), np.concatenate((stack, corner))
+        active.append(act)
+        stacks.append(stack)
+    slack = np.array([_SLACK_COEFF[rel] for rel in s.relations])
+    op = RowOperator(
+        [mat.dim for mat in objective],
+        active,
+        stacks,
+        np.concatenate((slack[kept], np.zeros(n_norm))),
+        np.concatenate((s.gamma[kept], np.ones(n_norm))),
+        np.concatenate((kept, np.full(n_norm, -1))),
+    )
     return BlockSdp(
-        tuple(dims),
-        tuple(obj),
-        rows,
-        normalization_rows=norm_indices,
-        block_owner=tuple(owner),
-        dropped_rows=dropped,
+        op.dims,
+        objective,
+        op,
+        normalization_rows=range(len(kept), len(kept) + n_norm),
+        block_owner=owner,
+        dropped_rows=np.flatnonzero(vacuous),
     )
 
 
@@ -384,35 +357,35 @@ def to_standard_form(b: BlockSdp) -> BlockSdp:
     """Rewrite every inequality row as an equality with a nonnegative slack.
 
     Rows with slack coefficient -1 (originally >=) are negated so all
-    slacks enter with +1. Block structure, row count, row order, and the
+    slacks enter with +1: their rhs, and their matrices in every stack as
+    -1.0 * A. Block structure, row count, row order, origins and the
     optimal value are preserved.
 
     A standard-form input is returned unchanged, and any other input
     gets its standard form built once and kept, so every caller (the
     solver, rank reduction, judge) reads the same BlockSdp and with it
-    the same compiled operator.
+    the same operator.
     """
     if b._standard is not None:
         return b._standard
-    if all(row.slack_coeff != -1 for row in b.rows):
+    op = b.operator
+    flip = op.slack_coeffs == -1.0
+    if not flip.any():
         return b
-    rows = []
-    for row in b.rows:
-        if row.slack_coeff == -1:
-            rows.append(
-                Row(
-                    tuple(m.scaled(-1.0) for m in row.mats),
-                    1,
-                    -row.rhs,
-                    origin=row.origin,
-                )
-            )
-        else:
-            rows.append(row)
+    stacks = []
+    for act, stack in zip(op.active, op.stacks):
+        neg = flip[act]
+        if neg.any():
+            stack = stack.copy()
+            stack[neg] = -1.0 * stack[neg]
+        stacks.append(stack)
     std = BlockSdp(
         b.block_dims,
         b.objective,
-        rows,
+        RowOperator(
+            op.dims, op.active, stacks, np.where(flip, 1.0, op.slack_coeffs),
+            np.where(flip, -op.rhs, op.rhs), op.origins,
+        ),
         normalization_rows=b.normalization_rows,
         block_owner=b.block_owner,
         dropped_rows=b.dropped_rows,

@@ -477,7 +477,7 @@ PUBLIC_NAMES = {
     "ExactnessVerdict", "ExtractResult", "GenerationError", "HomSepQcqp",
     "INFEASIBLE", "InfeasibleStructureError", "JudgeOptions", "ParseError",
     "PerBlockReport", "Qcqp", "QuadFunc", "RangeError", "ReductionReport",
-    "ReductionStallError", "Relation", "Row", "SdpSolution", "SeparableQcqp",
+    "ReductionStallError", "Relation", "SdpSolution", "SeparableQcqp",
     "SepqcqpError", "SignCase", "SolveStatus", "SolverOptions",
     "SparsityGraph", "StaleSolutionError", "StructureError", "SymMatrix",
     "ValidationError", "VerdictStatus", "aggregated_graph", "bilevel_report",
@@ -499,4 +499,4 @@ def test_public_names_are_the_audited_list():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 67
+    assert len(names) == 66

@@ -396,6 +396,20 @@ class TestCommands:
         assert abs(rep["solver"]["value"] - 22.0 / 3.0) <= 1e-4
         assert rep["solver"]["block_ranks"][0] == 2
 
+    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    def test_tol_changes_only_the_echoed_flag(self, capsys, tmp_path, command):
+        # solve and reduce accept --tol and echo it in flags but read it
+        # nowhere else: the report is the default one but for flags.tol
+        path = tmp_path / "mixed.sq"
+        write_problem(make_example52(0), str(path))
+        args = (command, str(path), "--format", "json", "--no-timestamp")
+        code, out, err = run_cli(capsys, *args)
+        code_tol, out_tol, err_tol = run_cli(capsys, *args, "--tol", "1e-3")
+        default, with_tol = json.loads(out), json.loads(out_tol)
+        assert (default["flags"]["tol"], with_tol["flags"]["tol"]) == (1e-6, 1e-3)
+        with_tol["flags"]["tol"] = 1e-6
+        assert (code_tol, with_tol, err_tol) == (code, default, err)
+
     def test_judge_convex_file(self, capsys, tmp_path):
         path = tmp_path / "cvx.sq"
         write_problem(small_qcqp(), str(path))

@@ -968,17 +968,20 @@ def convex_connection(entries, n, m, seed):
 
 
 class TestJudgeDoesEachOnce:
-    """Counts of the work judge repeated: the row operator is compiled
-    once, no inhomogeneous sub-problem is built, build_block allocates one
-    zero matrix per block dimension, a homogeneous entry's rows are
-    reduced once and its relaxation is built only on the salvage route."""
+    """Counts of the work judge repeated: the joint relaxation is built
+    once and no row is compiled pair by pair (BlockSdp.from_rows), no
+    inhomogeneous sub-problem is built, build_block allocates no zero
+    matrix, a homogeneous entry's rows are reduced once and its relaxation
+    is built only on the salvage route."""
 
     def counted(self, monkeypatch, s):
         calls = {
-            "compile": 0, "build_shor": 0, "build_hom": 0, "zeros": 0, "reduce_rows": 0
+            "relax": 0, "compile": 0, "build_shor": 0, "build_hom": 0, "zeros": 0,
+            "reduce_rows": 0,
         }
         in_build = []
-        init, zeros = sdpr_builder.RowOperator.__init__, SymMatrix.zeros
+        relax, zeros = sdpr_builder._relax, SymMatrix.zeros
+        from_rows = sdpr_builder.BlockSdp.from_rows
         build, shor = connection.build_block, connection.build_shor
         hom = connection.build_hom
         reduce_rows = certificates.reduce_homogeneous_rows
@@ -1001,7 +1004,8 @@ class TestJudgeDoesEachOnce:
                 in_build.pop()
 
         with monkeypatch.context() as m:
-            m.setattr(sdpr_builder.RowOperator, "__init__", counter("compile", init))
+            m.setattr(sdpr_builder, "_relax", counter("relax", relax))
+            m.setattr(sdpr_builder.BlockSdp, "from_rows", counter("compile", from_rows))
             m.setattr(SymMatrix, "zeros", staticmethod(counted_zeros))
             m.setattr(connection, "build_block", counted_build)
             m.setattr(connection, "build_shor", counter("build_shor", shor))
@@ -1017,9 +1021,9 @@ class TestJudgeDoesEachOnce:
         v, calls = self.counted(monkeypatch, s)
         assert v.status is VerdictStatus.EXACT_CERTIFIED
         assert v.reduction is not None
-        assert calls["compile"] == 1
+        assert calls["relax"] == 1 and calls["compile"] == 0
         assert calls["build_shor"] == 0
-        assert 1 <= calls["zeros"] <= len({e.n + 1 for e in s.blocks})
+        assert calls["zeros"] == 0
 
     def test_example52_reduces_homogeneous_rows_once(self, monkeypatch):
         s = make_example52(0)
@@ -1028,9 +1032,9 @@ class TestJudgeDoesEachOnce:
         assert sum(isinstance(e, HomSepQcqp) for e in s.blocks) == 1
         assert calls["reduce_rows"] == 1
         # the homogeneous entry's joint blocks are read as its solution
-        # without compiling its rows; its relaxation is built only when it
-        # has to be rank-reduced on its own
-        assert calls["compile"] == 1
+        # without building its rows again; its relaxation is built only
+        # when it has to be rank-reduced on its own
+        assert calls["relax"] == 1 and calls["compile"] == 0
         assert calls["build_hom"] == 0
 
     def test_salvage_route_builds_the_entry_relaxation_once(self, monkeypatch):

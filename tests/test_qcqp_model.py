@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sepqcqp import qcqp_model
 from sepqcqp.certificates import CertificateKind
 from sepqcqp.connection import VerdictStatus, judge, make_example51
-from sepqcqp.errors import DimensionError, StructureError
+from sepqcqp.errors import DimensionError, RangeError, StructureError
 from sepqcqp.qcqp_model import (
     INFEASIBLE,
     HomSepQcqp,
@@ -29,6 +29,7 @@ from sepqcqp.qcqp_model import (
     lift,
     split_point,
 )
+from sepqcqp.sdpr_builder import BlockSdp
 from sepqcqp.symkernel import SymMatrix, frob_inner
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -150,6 +151,13 @@ class TestHomSep:
         with pytest.raises(DimensionError):
             HomSepQcqp([[SymMatrix.identity(1)]], [Relation.LE], [0.0])
 
+    def test_zero_dimensional_block_rejected(self):
+        # judge used to fail inside the IPM's first scan with numpy's
+        # "zero-size array to reduction operation maximum"
+        z0, i2 = SymMatrix.zeros(0), SymMatrix.identity(2)
+        with pytest.raises(DimensionError, match="positive"):
+            judge(SeparableQcqp([HomSepQcqp([[z0, z0], [i2, i2]], [Relation.EQ], [1.0])], [1.0]))
+
     def test_hom_to_qcqp_agrees_pointwise(self):
         h = self.make()
         s = hom_to_qcqp(h)
@@ -160,6 +168,28 @@ class TestHomSep:
         emb_g1 = sum(eval_quad(b.constraints[0][0], vi) for b, vi in zip(s.blocks, v))
         assert emb_obj == pytest.approx(direct[0])
         assert emb_g1 == pytest.approx(direct[1])
+
+
+def _non_finite_rhs(model, bad):
+    """model built with one non-finite right-hand side."""
+    i2 = SymMatrix.identity(2)
+    if model == "Qcqp":
+        return Qcqp(1, qf([[1.0]]), [(qf([[1.0]]), Relation.LE)], [bad])
+    if model == "HomSepQcqp":
+        return HomSepQcqp([[i2, i2]], [Relation.EQ], [bad])
+    if model == "SeparableQcqp":
+        h = HomSepQcqp([[i2, i2]], [Relation.EQ], [1.0])
+        return SeparableQcqp([h], [bad])
+    return BlockSdp.from_rows((2,), (i2,), [((i2,), 0, bad)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model", ["Qcqp", "HomSepQcqp", "SeparableQcqp", "BlockSdp"])
+def test_non_finite_rhs_rejected(model, bad):
+    # these used to run the whole IPM and end Undetermined, "solver status
+    # Diverged"
+    with pytest.raises(RangeError, match=r"\[0\]: value must be finite"):
+        _non_finite_rhs(model, bad)
 
 
 class TestConnect:

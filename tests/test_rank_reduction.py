@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from sepqcqp import rank_reduction
 from sepqcqp.certificates import pataki_count
-from sepqcqp.errors import ReductionStallError, StaleSolutionError, StructureError
+from sepqcqp.errors import (
+    RangeError,
+    ReductionStallError,
+    StaleSolutionError,
+    StructureError,
+)
 from sepqcqp.qcqp_model import (
     Qcqp,
     QuadFunc,
@@ -28,7 +33,6 @@ from sepqcqp.rank_reduction import (
 from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import (
     BlockSdp,
-    Row,
     SdpSolution,
     SolveStatus,
     build_block,
@@ -61,11 +65,29 @@ def hand_solution(b, blocks, value, slacks=None):
 
 
 def max_residual(b, sol):
-    vals = b.operator.apply([x.to_dense() for x in sol.blocks]) + sol.slacks * np.array(
-        [row.slack_coeff for row in b.rows], dtype=float
-    )
-    rhs = np.array([row.rhs for row in b.rows])
-    return float(np.abs(vals - rhs).max(initial=0.0))
+    op = b.operator
+    vals = op.apply([x.to_dense() for x in sol.blocks]) + sol.slacks * op.slack_coeffs
+    return float(np.abs(vals - op.rhs).max(initial=0.0))
+
+
+def row_table(b):
+    """A[i][bi]: row i's dense matrix on block bi, zero where the row is not
+    active there, read off b's operator."""
+    op = b.operator
+    A = [[np.zeros((d, d)) for d in b.block_dims] for _ in range(b.n_rows)]
+    for bi, (act, stack) in enumerate(zip(op.active, op.stacks)):
+        for i, mat in zip(act, stack):
+            A[i][bi] = mat.copy()
+    return A
+
+
+def row_tuples(b):
+    """b's rows as BlockSdp.from_rows takes them: (mats, slack_coeff, rhs)."""
+    op = b.operator
+    return [
+        (tuple(SymMatrix(a) for a in mats), float(c), float(r))
+        for mats, c, r in zip(row_table(b), op.slack_coeffs, op.rhs)
+    ]
 
 
 def min_eig(blk):
@@ -77,10 +99,10 @@ class TestTraceIdentity:
     def test_interior_point_walks_to_rank_one(self):
         # min <I, X> s.t. <I, X> = 1: every feasible point is optimal, so
         # reduction from the center I/2 must reach a rank-one extreme point
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (SymMatrix.identity(2),),
-            [Row((SymMatrix.identity(2),), 0, 1.0)],
+            [((SymMatrix.identity(2),), 0, 1.0)],
         )
         sol0 = hand_solution(b, [0.5 * np.eye(2)], 1.0)
         red, rep = reduce(b, sol0)
@@ -94,10 +116,10 @@ class TestTraceIdentity:
         assert rep.extracted is not None
 
     def test_trace_three_dims(self):
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (4,),
             (SymMatrix.identity(4),),
-            [Row((SymMatrix.identity(4),), 0, 2.0)],
+            [((SymMatrix.identity(4),), 0, 2.0)],
         )
         sol0 = hand_solution(b, [0.5 * np.eye(4)], 2.0)
         red, rep = reduce(b, sol0)
@@ -257,17 +279,17 @@ class TestExtractPoint:
 
 class TestGuards:
     def tiny_problem(self):
-        return BlockSdp(
+        return BlockSdp.from_rows(
             (2,),
             (SymMatrix.identity(2),),
-            [Row((SymMatrix.identity(2),), 0, 1.0)],
+            [((SymMatrix.identity(2),), 0, 1.0)],
         )
 
     def test_rejects_nonstandard_form(self):
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (SymMatrix.identity(2),),
-            [Row((SymMatrix.identity(2),), -1, 1.0)],
+            [((SymMatrix.identity(2),), -1, 1.0)],
         )
         sol0 = SdpSolution(
             blocks=[sym(np.eye(2))],
@@ -316,10 +338,10 @@ class TestGuards:
     def test_rejects_non_finite_slack(self, bad):
         # every comparison with NaN is false, so a NaN slack used to pass
         # the residual guard and come back as the reduced slack
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (SymMatrix.identity(2),),
-            [Row((SymMatrix.identity(2),), 1, 1.0)],
+            [((SymMatrix.identity(2),), 1, 1.0)],
         )
         sol0 = hand_solution(b, [0.5 * np.eye(2)], 1.0, slacks=[bad])
         with pytest.raises(StaleSolutionError, match="not finite"):
@@ -329,12 +351,12 @@ class TestGuards:
         # X = I is feasible for X11 + X22 = 2, X12 = 0 but not optimal for
         # diag(1, 0): the one feasibility-preserving direction, diag(1, -1),
         # changes the objective
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
             [
-                Row((SymMatrix.identity(2),), 0, 2.0),
-                Row((sym([[0.0, 0.5], [0.5, 0.0]]),), 0, 0.0),
+                ((SymMatrix.identity(2),), 0, 2.0),
+                ((sym([[0.0, 0.5], [0.5, 0.0]]),), 0, 0.0),
             ],
         )
         sol0 = hand_solution(b, [np.eye(2)], 1.0)
@@ -342,14 +364,14 @@ class TestGuards:
             reduce(b, sol0)
 
     def test_rejects_non_finite_rhs(self):
-        b = BlockSdp(
-            (2,),
-            (SymMatrix.identity(2),),
-            [Row((SymMatrix.identity(2),), 0, float("nan"))],
-        )
-        sol0 = hand_solution(b, [0.5 * np.eye(2)], 1.0)
-        with pytest.raises(StaleSolutionError, match="residual nan"):
-            reduce(b, sol0)
+        # a problem with a non-finite rhs is refused when it is built, so
+        # reduce never meets one
+        with pytest.raises(RangeError, match="must be finite"):
+            BlockSdp.from_rows(
+                (2,),
+                (SymMatrix.identity(2),),
+                [((SymMatrix.identity(2),), 0, float("nan"))],
+            )
 
 
 def random_equality_instance(seed, with_slack_rows=0):
@@ -364,7 +386,7 @@ def random_equality_instance(seed, with_slack_rows=0):
     amats = [0.5 * (a + a.T) for a in rng.standard_normal((m, dim, dim))]
     cmat = s0 + sum(y * a for y, a in zip(y0, amats))
     rows = [
-        Row((SymMatrix.from_dense(a),), 0, float(np.sum(a * x0)))
+        ((SymMatrix.from_dense(a),), 0, float(np.sum(a * x0)))
         for a in amats
     ]
     for k in range(with_slack_rows):
@@ -372,9 +394,9 @@ def random_equality_instance(seed, with_slack_rows=0):
         a = 0.5 * (a + a.T)
         margin = float(rng.uniform(0.5, 2.0))
         rows.append(
-            Row((SymMatrix.from_dense(a),), 1, float(np.sum(a * x0)) + margin)
+            ((SymMatrix.from_dense(a),), 1, float(np.sum(a * x0)) + margin)
         )
-    return BlockSdp((dim,), (SymMatrix.from_dense(cmat),), rows)
+    return BlockSdp.from_rows((dim,), (SymMatrix.from_dense(cmat),), rows)
 
 
 class TestInvariants:
@@ -386,7 +408,7 @@ class TestInvariants:
         tol = 1e-7
         budget = sum(numeric_rank(blk, tol=1e-9) for blk in sol.blocks)
         red, rep = reduce(b, sol, tol=tol)
-        rhs_scale = 1.0 + max(abs(row.rhs) for row in b.rows)
+        rhs_scale = 1.0 + np.abs(b.operator.rhs).max()
         assert max_residual(b, red) <= 10 * tol * rhs_scale
         assert abs(red.value - sol.value) <= tol * (1.0 + abs(sol.value))
         assert rep.iterations <= budget
@@ -404,7 +426,7 @@ class TestInvariants:
             np.sum(sol.slacks > tol * (1.0 + smax))
         )
         red, rep = reduce(b, sol, tol=tol)
-        rhs_scale = 1.0 + max(abs(row.rhs) for row in b.rows)
+        rhs_scale = 1.0 + np.abs(b.operator.rhs).max()
         assert max_residual(b, red) <= 10 * tol * rhs_scale
         assert abs(red.value - sol.value) <= tol * (1.0 + abs(sol.value))
         assert rep.iterations <= budget
@@ -429,7 +451,7 @@ class TestInvariants:
             g = rng.standard_normal((d, d))
             cs.append(g @ g.T + d * np.eye(d))
         rows = [
-            Row(
+            (
                 tuple(SymMatrix.from_dense(amats[bi][k]) for bi in range(2)),
                 0 if k == 0 else 1,
                 sum(float(np.sum(amats[bi][k] * v0[bi])) for bi in range(2))
@@ -437,7 +459,7 @@ class TestInvariants:
             )
             for k in range(2)
         ]
-        b = BlockSdp(dims, tuple(SymMatrix.from_dense(c) for c in cs), rows)
+        b = BlockSdp.from_rows(dims, tuple(SymMatrix.from_dense(c) for c in cs), rows)
         sol = solve(b)
         assert sol.status is SolveStatus.OPTIMAL
         red, rep = reduce(b, sol)
@@ -468,9 +490,10 @@ def _loop_unsvec(v, d):
 
 def loop_block_kinds(b):
     kinds = [BlockKind.HOMOGENEOUS] * b.n_blocks
+    A = row_table(b)
     for i in b.normalization_rows:
-        for bi, mat in enumerate(b.rows[i].mats):
-            if not mat.is_zero():
+        for bi, mat in enumerate(A[i]):
+            if mat.any():
                 kinds[bi] = BlockKind.INHOMOGENEOUS
     return kinds
 
@@ -519,8 +542,8 @@ def loop_reduce(b, sol, tol=1e-7, rank_tol=1e-6):
     """Rank reduction over a dense table of every (row, block) matrix, with
     one eigh per block per use: the reference that reduce must match bit
     for bit (guards as reduce's, so non-finite slacks are rejected too)."""
-    for row in b.rows:
-        if row.slack_coeff == -1:
+    for coeff in b.operator.slack_coeffs:
+        if coeff == -1:
             raise StructureError("reduce requires a standard-form BlockSdp")
     if sol.status is not SolveStatus.OPTIMAL:
         raise StaleSolutionError(f"solution status is {sol.status.value}")
@@ -531,10 +554,10 @@ def loop_reduce(b, sol, tol=1e-7, rank_tol=1e-6):
 
     nb = b.n_blocks
     dims = list(b.block_dims)
-    A = [[row.mats[bi].to_dense() for bi in range(nb)] for row in b.rows]
+    A = row_table(b)
     C = [mat.to_dense() for mat in b.objective]
-    d_vec = np.array([row.rhs for row in b.rows])
-    has_slack = np.array([row.slack_coeff != 0 for row in b.rows])
+    d_vec = b.operator.rhs.copy()
+    has_slack = b.operator.slack_coeffs != 0
 
     X = [blk.to_dense().copy() for blk in sol.blocks]
     s = sol.slacks.astype(np.float64).copy()
@@ -865,14 +888,14 @@ def walk_instance(seed):
             s0[i] = float(rng.uniform(0.1, 1.0))
         elif touch.sum() == 1:
             norm.append(i)
-        rows.append(Row(tuple(mats), int(slack[i]), lhs + s0[i]))
+        rows.append((tuple(mats), int(slack[i]), lhs + s0[i]))
     eq_rows = [i for i in range(m) if not slack[i]]
     if eq_rows and rng.random() < 0.8:
         pick = eq_rows[int(rng.integers(len(eq_rows)))]
-        objective = rows[pick].mats
+        objective = rows[pick][0]
     else:
         objective = tuple(SymMatrix.zeros(d) for d in dims)
-    b = BlockSdp(dims, objective, rows, normalization_rows=norm)
+    b = BlockSdp.from_rows(dims, objective, rows, normalization_rows=norm)
     value = sum(float(np.sum(c.to_dense() * x)) for c, x in zip(objective, x0))
     return b, hand_solution(b, x0, value, slacks=s0)
 
@@ -906,10 +929,10 @@ class TestMatchesLoopReduction:
         the loop reference's, byte for byte."""
         b0, sol0 = walk_instance(seed)
         zero = SymMatrix.zeros(2)
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             b0.block_dims + (2,),
             b0.objective + (zero,),
-            [Row(row.mats + (zero,), row.slack_coeff, row.rhs) for row in b0.rows],
+            [(mats + (zero,), c, r) for mats, c, r in row_tuples(b0)],
             normalization_rows=b0.normalization_rows,
         )
         sol = dataclasses.replace(
@@ -934,10 +957,10 @@ class TestMatchesLoopReduction:
         )
         b0 = to_standard_form(build_shor(q))
         zero = SymMatrix.zeros(3)
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             b0.block_dims + (3,),
             b0.objective + (zero,),
-            [Row(row.mats + (zero,), row.slack_coeff, row.rhs) for row in b0.rows],
+            [(mats + (zero,), c, r) for mats, c, r in row_tuples(b0)],
             normalization_rows=b0.normalization_rows,
         )
         sol = hand_solution(b, [lift(np.array([1.0])), 1e-10 * np.eye(3)], 1.0)
@@ -1013,7 +1036,7 @@ class TestOneDecompositionPerIterate:
         # froze, also gives the final ranks and the extraction
         assert calls["eigh"] <= groups * (iterations + 1)
         pairs = sum(
-            not mat.is_zero() for row in b.rows for mat in row.mats
+            mat.any() for row in row_table(b) for mat in row
         )
         assert pairs == 64
         assert calls["triu_indices"] <= max(b.block_dims)

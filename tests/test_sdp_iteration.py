@@ -31,7 +31,6 @@ from sepqcqp.qcqp_model import QuadFunc, Qcqp, Relation, SeparableQcqp
 from sepqcqp.qcqp_model import eval as qf_eval
 from sepqcqp.sdpr_builder import (
     BlockSdp,
-    Row,
     SolveStatus,
     build_block,
     to_standard_form,
@@ -709,7 +708,7 @@ def random_sdp(seed: int) -> BlockSdp:
     objective = tuple(SymMatrix.from_dense(rand_sym(d)) for d in dims)
     rows = []
     if rng.random() < 0.8:
-        rows.append(Row(tuple(SymMatrix.identity(d) for d in dims), 1, 2.0 * sum(dims)))
+        rows.append((tuple(SymMatrix.identity(d) for d in dims), 1, 2.0 * sum(dims)))
     for _ in range(int(rng.integers(0, 6))):
         mats = [rand_sym(d) if rng.random() < 0.7 else np.zeros((d, d)) for d in dims]
         coeff = int(rng.choice([0, 1, -1]))
@@ -719,8 +718,8 @@ def random_sdp(seed: int) -> BlockSdp:
         if kind == "wild scale":
             scale = 10.0 ** int(rng.integers(-150, 151))
             mats, rhs = [scale * m for m in mats], scale * rhs
-        rows.append(Row(tuple(SymMatrix.from_dense(m) for m in mats), coeff, float(rhs)))
-    return BlockSdp(dims, objective, rows)
+        rows.append((tuple(SymMatrix.from_dense(m) for m in mats), coeff, float(rhs)))
+    return BlockSdp.from_rows(dims, objective, rows)
 
 
 def convex_connection_sdp(seed: int, entries: int, m: int, n: int = 3) -> BlockSdp:

@@ -31,7 +31,6 @@ from sepqcqp.sdp_solver import (
 )
 from sepqcqp.sdpr_builder import (
     BlockSdp,
-    Row,
     SdpSolution,
     SolveStatus,
     build_block,
@@ -73,10 +72,10 @@ def family_value(alpha):
 class TestTrivialSdp:
     def test_corner_pin(self):
         # min X11 s.t. X22 = 1 -> 0 at diag(0, 1)
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
-            [Row((sym(np.diag([0.0, 1.0])),), 0, 1.0)],
+            [((sym(np.diag([0.0, 1.0])),), 0, 1.0)],
         )
         sol = solve(b)
         assert sol.status is SolveStatus.OPTIMAL
@@ -140,22 +139,22 @@ class TestFamilyValues:
 
 class TestStatuses:
     def test_contradictory_equalities(self):
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
             [
-                Row((sym(np.diag([0.0, 1.0])),), 0, 1.0),
-                Row((sym(np.diag([0.0, 1.0])),), 0, 2.0),
+                ((sym(np.diag([0.0, 1.0])),), 0, 1.0),
+                ((sym(np.diag([0.0, 1.0])),), 0, 2.0),
             ],
         )
         with pytest.raises(InfeasibleStructureError):
             solve(b)
 
     def test_zero_row_nonzero_rhs_infeasible(self):
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
-            [Row((SymMatrix.zeros(2),), 0, 1.0)],
+            [((SymMatrix.zeros(2),), 0, 1.0)],
         )
         with pytest.raises(InfeasibleStructureError):
             solve(b)
@@ -163,10 +162,10 @@ class TestStatuses:
     def test_redundant_consistent_row_dropped(self):
         # duplicate normalization row: consistent, solvable, zero dual on dup
         e22 = sym(np.diag([0.0, 1.0]))
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
-            [Row((e22,), 0, 1.0), Row((e22,), 0, 1.0)],
+            [((e22,), 0, 1.0), ((e22,), 0, 1.0)],
         )
         sol = solve(b)
         assert sol.status is SolveStatus.OPTIMAL
@@ -186,33 +185,33 @@ class TestStatuses:
 
         def presolved(rows):
             widths.clear()
-            op = BlockSdp((2,), (e11,), rows).operator
+            op = BlockSdp.from_rows((2,), (e11,), rows).operator
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "matrix_rank", counted)
                 return sdp_solver._presolve(op)
 
-        assert presolved([Row((e11,), 0, 1.0), Row((e22,), 0, 1.0)]) == [0, 1]
+        assert presolved([((e11,), 0, 1.0), ((e22,), 0, 1.0)]) == [0, 1]
         assert widths == [4]
-        assert presolved([Row((e22,), 0, 1.0), Row((e22,), 0, 1.0)]) == [0]
+        assert presolved([((e22,), 0, 1.0), ((e22,), 0, 1.0)]) == [0]
         assert widths[:2] == [4, 5]  # rows, then rows | rhs
         assert widths.count(5) == 1
         with pytest.raises(InfeasibleStructureError):
-            presolved([Row((e22,), 0, 1.0), Row((e22,), 0, 2.0)])
+            presolved([((e22,), 0, 1.0), ((e22,), 0, 2.0)])
         assert widths == [4, 5]
 
     def test_primal_infeasible_diverges(self):
         # X11 <= -1 with X PSD is infeasible -> heuristic Diverged flag
-        b = BlockSdp(
+        b = BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
-            [Row((sym(np.diag([1.0, 0.0])),), 1, -1.0)],
+            [((sym(np.diag([1.0, 0.0])),), 1, -1.0)],
         )
         sol = solve(b)
         assert sol.status is SolveStatus.DIVERGED
 
     def test_unbounded_diverges(self):
         # min -X11 with no rows: unbounded below -> Diverged
-        b = BlockSdp((2,), (sym(np.diag([-1.0, 0.0])),), [])
+        b = BlockSdp.from_rows((2,), (sym(np.diag([-1.0, 0.0])),), [])
         sol = solve(b)
         assert sol.status is SolveStatus.DIVERGED
 
@@ -234,10 +233,10 @@ class TestRandomStrictlyFeasible:
             amats.append(0.5 * (a + a.T))
         cmat = s0 + sum(y * a for y, a in zip(y0, amats))
         rows = [
-            Row((SymMatrix.from_dense(a),), 0, float(np.sum(a * x0)))
+            ((SymMatrix.from_dense(a),), 0, float(np.sum(a * x0)))
             for a in amats
         ]
-        b = BlockSdp((dim,), (SymMatrix.from_dense(cmat),), rows)
+        b = BlockSdp.from_rows((dim,), (SymMatrix.from_dense(cmat),), rows)
         sol = solve(b)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.iterations <= 200
@@ -256,10 +255,10 @@ class TestRandomStrictlyFeasible:
         cmat = rng.standard_normal((dim, dim))
         cmat = cmat @ cmat.T + dim * np.eye(dim)
         rows = [
-            Row((SymMatrix.from_dense(a),), 0, float(np.sum(a * x0)))
+            ((SymMatrix.from_dense(a),), 0, float(np.sum(a * x0)))
             for a in amats
         ]
-        sol = solve(BlockSdp((dim,), (SymMatrix.from_dense(cmat),), rows))
+        sol = solve(BlockSdp.from_rows((dim,), (SymMatrix.from_dense(cmat),), rows))
         assert sol.status is SolveStatus.OPTIMAL
         hist = sol.mu_history
         for a, b2 in zip(hist, hist[1:]):
@@ -291,10 +290,10 @@ class TestLowerBound:
 
 class TestCheckSolution:
     def trivial(self):
-        return BlockSdp(
+        return BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
-            [Row((sym(np.diag([0.0, 1.0])),), 0, 1.0)],
+            [((sym(np.diag([0.0, 1.0])),), 0, 1.0)],
         )
 
     def test_hand_built_optimal(self):
@@ -470,12 +469,12 @@ def mixed_batch() -> list:
     out.append(build_shor(Qcqp(2, qf(np.eye(2)), [(qf(np.eye(2)), Relation.LE)], [-1.0])))
     out.append(build_shor(Qcqp(1, qf([[-1.0]]), [(qf([[0.0]], [1.0]), Relation.LE)], [1.0])))
     out.append(
-        BlockSdp(
+        BlockSdp.from_rows(
             (2,),
             (sym(np.diag([1.0, 0.0])),),
             [
-                Row((sym(np.diag([0.0, 1.0])),), 0, 1.0),
-                Row((sym(np.diag([0.0, 1.0])),), 0, 2.0),
+                ((sym(np.diag([0.0, 1.0])),), 0, 1.0),
+                ((sym(np.diag([0.0, 1.0])),), 0, 2.0),
             ],
         )
     )
@@ -535,7 +534,7 @@ class TestSolveMany:
 
     def test_problem_without_blocks(self):
         # s = 1 with s >= 0 and nothing else: only the slack moves
-        free = BlockSdp((), (), [Row((), 1, 1.0)])
+        free = BlockSdp.from_rows((), (), [((), 1, 1.0)])
         sol = solve(free)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.blocks == []

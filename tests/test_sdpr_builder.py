@@ -1,14 +1,18 @@
-"""Relaxation builders: structural contracts, lift consistency, and the
-one-entry connections against the row assembly they replaced."""
+"""Relaxation builders: structural contracts, lift consistency, the
+one-entry connections against the row assembly they replaced, and the
+block-major build against the row-major assembly and pair-by-pair compile
+it replaced."""
 
+import functools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepqcqp.errors import StructureError
+from sepqcqp.errors import DimensionError, RangeError, StructureError
 from sepqcqp.qcqp_model import (
     HomSepQcqp,
     Qcqp,
@@ -24,7 +28,6 @@ from sepqcqp.qcqp_model import (
 from sepqcqp.connection import judge, make_example52
 from sepqcqp.sdpr_builder import (
     BlockSdp,
-    Row,
     RowOperator,
     build_block,
     build_hom,
@@ -65,16 +68,19 @@ class TestBuildShor:
         b = build_shor(tiny_qcqp())
         assert b.block_dims == (2,)
         assert b.n_rows == 2
+        op = b.operator
         # constraint row: <B_1, X> + s = 1
-        assert b.rows[0].slack_coeff == 1
-        assert b.rows[0].rhs == 1.0
-        assert b.rows[0].origin == 0
+        assert op.slack_coeffs[0] == 1
+        assert op.rhs[0] == 1.0
+        assert op.origins[0] == 0
         # normalization row: X_22 = 1
         assert b.normalization_rows == {1}
-        assert b.rows[1].slack_coeff == 0
-        assert b.rows[1].mats[0][1, 1] == 1.0
-        assert b.rows[1].mats[0][0, 0] == 0.0
-        assert b.slack_signs == (1, 0)
+        assert op.slack_coeffs[1] == 0 and op.origins[1] == -1
+        assert list(op.active[0]) == [0, 1]
+        assert op.stacks[0][1, 1, 1] == 1.0
+        assert op.stacks[0][1, 0, 0] == 0.0
+        assert list(op.slack_coeffs) == [1, 0]
+        assert repr(b) == "BlockSdp(dims=[2], rows=2, norm=[1])"
 
     def test_relation_slack_signs(self):
         cons = [
@@ -83,7 +89,7 @@ class TestBuildShor:
             (qf([[3.0]]), Relation.GE),
         ]
         b = build_shor(Qcqp(1, qf([[1.0]]), cons, [1.0, 2.0, 3.0]))
-        assert [r.slack_coeff for r in b.rows[:3]] == [1, 0, -1]
+        assert list(b.operator.slack_coeffs[:3]) == [1, 0, -1]
 
     def test_zero_constraint_problem(self):
         b = build_shor(Qcqp(1, qf([[1.0]]), [], []))
@@ -94,7 +100,7 @@ class TestBuildShor:
         with pytest.warns(UserWarning, match="zero"):
             b = build_shor(Qcqp(1, qf([[1.0]]), cons, [0.0, 1.0]))
         assert b.dropped_rows == (0,)
-        assert [r.origin for r in b.rows] == [1, -1]
+        assert list(b.operator.origins) == [1, -1]
 
     def test_zero_row_nonzero_rhs_kept(self):
         cons = [(QuadFunc.zero(1), Relation.LE)]
@@ -108,8 +114,8 @@ class TestBuildHom:
         assert b.block_dims == (2, 1)
         assert b.n_rows == 3
         assert b.normalization_rows == frozenset()
-        assert [r.slack_coeff for r in b.rows] == [0, 1, 1]
-        assert [r.rhs for r in b.rows] == [1.0, 0.0, 0.0]
+        assert list(b.operator.slack_coeffs) == [0, 1, 1]
+        assert list(b.operator.rhs) == [1.0, 0.0, 0.0]
 
     def test_lift_preserves_row_values(self):
         h = hom_two_blocks()
@@ -138,10 +144,7 @@ class TestBuildBlock:
         assert blk.block_dims == shor.block_dims
         assert blk.normalization_rows == shor.normalization_rows
         assert blk.n_rows == shor.n_rows
-        for ra, rb in zip(blk.rows, shor.rows):
-            assert ra.slack_coeff == rb.slack_coeff
-            assert ra.rhs == rb.rhs
-            assert all((ma - mb).is_zero() for ma, mb in zip(ra.mats, rb.mats))
+        assert_same_operator(blk.operator, shor.operator)
 
     def test_mixed_connection_shape(self):
         # 2 inhomogeneous entries + 1 homogeneous entry with 3 sub-blocks,
@@ -170,9 +173,8 @@ class TestBuildBlock:
         assert coupled == list(range(7))
         # normalization rows touch exactly their own block's corner
         for i in sorted(b.normalization_rows):
-            row = b.rows[i]
-            nonzero = [j for j, mm in enumerate(row.mats) if not mm.is_zero()]
-            assert len(nonzero) == 1 and row.rhs == 1.0
+            nonzero = [j for j, act in enumerate(b.operator.active) if i in act]
+            assert len(nonzero) == 1 and b.operator.rhs[i] == 1.0
 
     def test_lift_feasible_point(self):
         a = Qcqp(1, qf([[1.0]], [1.0]), [(qf([[1.0]]), Relation.LE)], [4.0])
@@ -210,7 +212,7 @@ class TestBuildBlock:
                 blocks += [SymMatrix.from_dense(np.outer(v, v)) for v in vs]
                 want += hom_values(entry, vs)
         got = row_values(b, blocks)
-        origins = [r.origin for r in b.rows]
+        origins = b.operator.origins
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
         for i, k in enumerate(origins):
             expect = 1.0 if k < 0 else want[k + 1]
@@ -223,16 +225,16 @@ class TestStandardForm:
         b = build_shor(q)
         std = to_standard_form(b)
         assert std.n_rows == b.n_rows
-        for ra, rb in zip(std.rows, b.rows):
-            assert ra.slack_coeff == rb.slack_coeff and ra.rhs == rb.rhs
+        assert_same_operator(std.operator, b.operator)
 
     def test_ge_negated(self):
         q = Qcqp(1, qf([[1.0]]), [(qf([[1.0]]), Relation.GE)], [1.0])
         std = to_standard_form(build_shor(q))
-        row = std.rows[0]
-        assert row.slack_coeff == 1
-        assert row.rhs == -1.0
-        assert row.mats[0][0, 0] == -1.0
+        op = std.operator
+        assert op.slack_coeffs[0] == 1
+        assert op.rhs[0] == -1.0
+        assert op.stacks[0][0, 0, 0] == -1.0
+        assert op.origins[0] == 0
 
     def test_idempotent(self):
         cons = [
@@ -242,9 +244,7 @@ class TestStandardForm:
         ]
         b = to_standard_form(build_shor(Qcqp(1, qf([[1.0]]), cons, [1.0, 2.0, 3.0])))
         again = to_standard_form(b)
-        for ra, rb in zip(again.rows, b.rows):
-            assert ra.slack_coeff == rb.slack_coeff and ra.rhs == rb.rhs
-            assert all((ma - mb).is_zero() for ma, mb in zip(ra.mats, rb.mats))
+        assert again is b
 
     def test_built_once(self):
         # a standard-form input is its own standard form; any other input
@@ -262,17 +262,34 @@ class TestStandardForm:
 class TestBlockSdpValidation:
     def test_normalization_row_must_be_equality(self):
         mats = (SymMatrix.identity(2),)
-        rows = [Row(mats, 1, 1.0)]
+        rows = [(mats, 1, 1.0)]
         with pytest.raises(StructureError):
-            BlockSdp((2,), (SymMatrix.zeros(2),), rows, normalization_rows={0})
+            BlockSdp.from_rows((2,), (SymMatrix.zeros(2),), rows, normalization_rows={0})
 
     def test_bad_slack_coeff(self):
         with pytest.raises(StructureError):
-            BlockSdp(
+            BlockSdp.from_rows(
                 (2,),
                 (SymMatrix.zeros(2),),
-                [Row((SymMatrix.identity(2),), 2, 1.0)],
+                [((SymMatrix.identity(2),), 2, 1.0)],
             )
+
+    @pytest.mark.parametrize(
+        "mats", [(), (SymMatrix.identity(2), SymMatrix.identity(2)), (SymMatrix.identity(3),)],
+        ids=["no-block", "two-blocks", "wrong-dim"],
+    )
+    def test_row_shape_checked(self, mats):
+        with pytest.raises(DimensionError, match="row 0"):
+            BlockSdp.from_rows((2,), (SymMatrix.zeros(2),), [(mats, 0, 1.0)])
+
+    def test_zero_dimensional_block(self):
+        with pytest.raises(DimensionError, match="positive"):
+            BlockSdp.from_rows((2, 0), (SymMatrix.zeros(2), SymMatrix.zeros(0)), [])
+
+    def test_rows_over_other_blocks(self):
+        op = BlockSdp.from_rows((2,), (SymMatrix.zeros(2),), []).operator
+        with pytest.raises(DimensionError):
+            BlockSdp((3,), (SymMatrix.zeros(3),), op)
 
 
 class TestRowOperator:
@@ -282,7 +299,8 @@ class TestRowOperator:
     @pytest.mark.parametrize("seed", range(4))
     def test_apply_dense_and_take_match_the_loop(self, seed):
         b = to_standard_form(build_block(make_example52(seed)))
-        op = RowOperator(b.rows, b.block_dims)
+        op = b.operator
+        rows = reference_standard_rows(reference_relax(make_example52(seed))[2])
         rng = np.random.default_rng(seed)
         xs = []
         for d in b.block_dims:
@@ -290,13 +308,13 @@ class TestRowOperator:
             xs.append(a + a.T)
         loop = np.array([
             sum(float(np.sum(m.to_dense() * x)) for m, x in zip(row.mats, xs))
-            for row in b.rows
+            for row in rows
         ])
         np.testing.assert_array_equal(op.apply(xs), loop)
 
-        slack_rows = [i for i, r in enumerate(b.rows) if r.slack_coeff]
+        slack_rows = [i for i, r in enumerate(rows) if r.slack_coeff]
         dense = op.dense()
-        for i, row in enumerate(b.rows):
+        for i, row in enumerate(rows):
             flat = np.concatenate([m.to_dense().ravel() for m in row.mats])
             np.testing.assert_array_equal(dense[i, : len(flat)], flat)
             tail = np.zeros(len(slack_rows))
@@ -304,10 +322,11 @@ class TestRowOperator:
                 tail[slack_rows.index(i)] = row.slack_coeff
             np.testing.assert_array_equal(dense[i, len(flat) :], tail)
 
-        keep = [i for i in range(len(b.rows)) if i % 2 == 0]
+        keep = [i for i in range(len(rows)) if i % 2 == 0]
         part = op.take(keep)
         np.testing.assert_array_equal(part.apply(xs), loop[keep])
         np.testing.assert_array_equal(part.rhs, op.rhs[keep])
+        np.testing.assert_array_equal(part.origins, op.origins[keep])
         for act, stack, full_act in zip(part.active, part.stacks, op.active):
             assert list(np.asarray(keep)[act]) == [i for i in full_act if i % 2 == 0]
             assert len(stack) == len(act)
@@ -316,7 +335,7 @@ class TestRowOperator:
         b = build_block(make_example52(0))
         op = b.operator
         assert b.operator is op
-        for arrays in (op.active, op.stacks, [op.slack_coeffs, op.rhs]):
+        for arrays in (op.active, op.stacks, [op.slack_coeffs, op.rhs, op.origins]):
             for a in arrays:
                 with pytest.raises(ValueError):
                     a[...] = 0
@@ -325,39 +344,145 @@ class TestRowOperator:
     def test_with_row_matches_compiling_the_row(self, seed):
         b = to_standard_form(build_block(make_example52(seed)))
         extended = b.operator.with_row(b.objective)
-        plain = RowOperator(b.rows + (Row(b.objective, 0, 0.0),), b.block_dims)
+        rows = reference_standard_rows(reference_relax(make_example52(seed))[2])
+        plain = reference_compile(rows + [RefRow(b.objective, 0, 0.0)], b.block_dims)
         assert extended.n_rows == plain.n_rows == b.n_rows + 1
-        for got, want in zip(extended.active, plain.active):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(extended.stacks, plain.stacks):
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(extended.slack_coeffs, plain.slack_coeffs)
-        np.testing.assert_array_equal(extended.rhs, plain.rhs)
+        assert_same_operator(extended, plain)
 
 
-class TestBuildBlockSharing:
-    def test_normalization_rows_share_one_zero_per_dimension(self):
+class TestBuildBlockStacks:
+    def test_each_block_holds_its_entrys_rows_then_its_corner(self):
         entries = [
             Qcqp(n, qf(np.eye(n)), [(qf(np.eye(n)), Relation.LE)], [float(n)])
             for n in (1, 2, 2, 1, 3)
         ]
         s = SeparableQcqp(entries, [9.0])
         b = build_block(s)
-        norm = [b.rows[i] for i in sorted(b.normalization_rows)]
-        assert len(norm) == len(entries)
-        zeros = {}
-        for bi, row in enumerate(norm):
-            for bj, mat in enumerate(row.mats):
-                if bj == bi:
-                    assert mat[mat.dim - 1, mat.dim - 1] == 1.0
-                else:
-                    assert mat.is_zero()
-                    assert zeros.setdefault(mat.dim, mat) is mat
-        assert sorted(zeros) == [2, 3, 4]  # block dims n + 1
+        op = b.operator
+        norm = sorted(b.normalization_rows)
+        assert norm == [1, 2, 3, 4, 5]
+        for bi, (entry, act, stack) in enumerate(zip(entries, op.active, op.stacks)):
+            assert list(act) == [0, norm[bi]]
+            np.testing.assert_array_equal(stack[0], entry.constraints[0][0].B.to_dense())
+            corner = np.zeros((entry.n + 1, entry.n + 1))
+            corner[-1, -1] = 1.0
+            np.testing.assert_array_equal(stack[1], corner)
 
 
 # ---------------------------------------------------------------------------
+# The row-major representation build_block's stacks replaced, kept here as
+# the reference: one RefRow per row with one SymMatrix per block (the
+# normalization rows sharing one zero per block dimension), the row-major
+# assembly of a connection, its standard form, and the pair-by-pair
+# compile into per-block stacks.
+
+
+@dataclass(frozen=True)
+class RefRow:
+    """sum_b <mats[b], X_b> + slack_coeff * s = rhs; origin is the QCQP
+    constraint's index, or -1 for a normalization row."""
+
+    mats: tuple
+    slack_coeff: int
+    rhs: float
+    origin: int = -1
+
+
+def reference_compile(rows, dims):
+    """Every (block, row) pair walked, a matrix object shared by many pairs
+    tested once; each block's nonzero matrices densified into a stack."""
+    active, stacks = [], []
+    nonzero: dict[int, bool] = {}
+    for bi, d in enumerate(dims):
+        act = []
+        for i, row in enumerate(rows):
+            mat = row.mats[bi]
+            hit = nonzero.get(id(mat))
+            if hit is None:
+                hit = nonzero[id(mat)] = not mat.is_zero()
+            if hit:
+                act.append(i)
+        stack = np.array([rows[i].mats[bi].to_dense() for i in act])
+        active.append(np.array(act, dtype=np.intp))
+        stacks.append(stack.reshape(len(act), d, d))
+    return RowOperator(
+        dims, active, stacks,
+        np.array([float(r.slack_coeff) for r in rows]),
+        np.array([float(r.rhs) for r in rows]),
+        np.array([r.origin for r in rows], dtype=np.intp),
+    )
+
+
+@functools.cache
+def _reference_corner(dim):
+    e = np.zeros((dim, dim))
+    e[dim - 1, dim - 1] = 1.0
+    return SymMatrix.from_dense(e)
+
+
+def reference_relax(s):
+    """(dims, objective, rows, normalization rows, block owner, dropped rows)
+    of the connection s, row by row."""
+    dims, owner, obj, per_entry_row_mats = [], [], [], []
+    for p, blk in enumerate(s.blocks):
+        if isinstance(blk, Qcqp):
+            dims.append(blk.n + 1)
+            owner.append(p)
+            obj.append(blk.objective.B)
+            per_entry_row_mats.append([[f.B] for f, _ in blk.constraints])
+        else:
+            for q in range(blk.q_hat):
+                dims.append(blk.blocks[q][0].dim)
+                owner.append(p)
+                obj.append(blk.blocks[q][0])
+            per_entry_row_mats.append(
+                [[blk.blocks[q][k + 1] for q in range(blk.q_hat)] for k in range(blk.m)]
+            )
+    rows, dropped = [], []
+    for k, rel in enumerate(s.relations):
+        mats = [mat for entry in per_entry_row_mats for mat in entry[k]]
+        rhs = float(s.gamma[k])
+        if rhs == 0.0 and all(m.is_zero() for m in mats):
+            dropped.append(k)
+        else:
+            rows.append(RefRow(tuple(mats), _REFERENCE_SLACK[rel], rhs, origin=k))
+    norm, zero_row, b0 = set(), None, 0
+    for blk in s.blocks:
+        if isinstance(blk, Qcqp):
+            if zero_row is None:
+                zero = {d: SymMatrix.zeros(d) for d in set(dims)}
+                zero_row = [zero[d] for d in dims]
+            mats = list(zero_row)
+            mats[b0] = _reference_corner(dims[b0])
+            norm.add(len(rows))
+            rows.append(RefRow(tuple(mats), 0, 1.0, origin=-1))
+            b0 += 1
+        else:
+            b0 += blk.q_hat
+    return tuple(dims), tuple(obj), rows, norm, tuple(owner), dropped
+
+
+def reference_standard_rows(rows):
+    """Each >= row negated matrix by matrix (SymMatrix.scaled(-1.0))."""
+    return [
+        RefRow(tuple(m.scaled(-1.0) for m in r.mats), 1, -r.rhs, r.origin)
+        if r.slack_coeff == -1 else r
+        for r in rows
+    ]
+
+
+def assert_same_operator(got, want):
+    """Same rows, bit for bit: active arrays, stack bytes, rhs, slack
+    coefficients and origins, dtypes and shapes included."""
+    assert got.dims == want.dims and got.n_rows == want.n_rows
+    pairs = [*zip(got.active, want.active, strict=True),
+             *zip(got.stacks, want.stacks, strict=True),
+             (got.slack_coeffs, want.slack_coeffs), (got.rhs, want.rhs),
+             (got.origins, want.origins)]
+    for a, b in pairs:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 # build_shor and build_hom are one-entry connections: the row assembly they
 # had of their own is kept here as the reference
 
@@ -383,15 +508,15 @@ def reference_build_shor(q):
         [[f.B] for f, _ in q.constraints], q.rhs
     )
     rows = [
-        Row((q.constraints[k][0].B,), _REFERENCE_SLACK[q.constraints[k][1]],
-            float(q.rhs[k]), origin=k)
+        RefRow((q.constraints[k][0].B,), _REFERENCE_SLACK[q.constraints[k][1]],
+               float(q.rhs[k]), origin=k)
         for k in kept
     ]
     corner = np.zeros((dim, dim))
     corner[-1, -1] = 1.0
-    rows.append(Row((SymMatrix.from_dense(corner),), 0, 1.0, origin=-1))
+    rows.append(RefRow((SymMatrix.from_dense(corner),), 0, 1.0, origin=-1))
     return BlockSdp(
-        (dim,), (q.objective.B,), rows,
+        (dim,), (q.objective.B,), reference_compile(rows, (dim,)),
         normalization_rows={len(rows) - 1}, dropped_rows=dropped,
     )
 
@@ -402,13 +527,13 @@ def reference_build_hom(h):
     ]
     kept, dropped = _reference_drop_zero_rows(mats_per_row, h.rhs)
     rows = [
-        Row(tuple(mats_per_row[k]), _REFERENCE_SLACK[h.relations[k]],
-            float(h.rhs[k]), origin=k)
+        RefRow(tuple(mats_per_row[k]), _REFERENCE_SLACK[h.relations[k]],
+               float(h.rhs[k]), origin=k)
         for k in kept
     ]
     return BlockSdp(
-        tuple(h.dims), tuple(h.blocks[q][0] for q in range(h.q_hat)), rows,
-        dropped_rows=dropped,
+        tuple(h.dims), tuple(h.blocks[q][0] for q in range(h.q_hat)),
+        reference_compile(rows, tuple(h.dims)), dropped_rows=dropped,
     )
 
 
@@ -502,11 +627,7 @@ def assert_same_relaxation(got, want):
     assert got.block_owner == want.block_owner
     for a, b in zip(got.objective, want.objective, strict=True):
         np.testing.assert_array_equal(a.to_dense(), b.to_dense())
-    assert len(got.rows) == len(want.rows)
-    for ra, rb in zip(got.rows, want.rows):
-        assert (ra.slack_coeff, ra.rhs, ra.origin) == (rb.slack_coeff, rb.rhs, rb.origin)
-        for a, b in zip(ra.mats, rb.mats, strict=True):
-            np.testing.assert_array_equal(a.to_dense(), b.to_dense())
+    assert_same_operator(got.operator, want.operator)
     assert got.normalization_rows == want.normalization_rows
     assert got.dropped_rows == want.dropped_rows
     assert solved_fingerprint(got) == solved_fingerprint(want)
@@ -560,3 +681,77 @@ class TestOneEntryConnections:
                 dropped = (0,)
         assert dropped == (0,)
         assert [w.filename for w in rec] == [__file__]
+
+
+def random_connection(rng):
+    """1..4 entries, each inhomogeneous (1..3 variables) or homogeneous
+    (1..3 blocks of dimension 1..3), over 0..4 shared rows of any
+    relation. A row's function is identically zero in some entries, in
+    every entry on some rows, and gamma is 0 on about half of the rows,
+    so some rows are dropped and some zero rows are kept."""
+    m = int(rng.integers(0, 5))
+    rels = [Relation(str(rng.choice(["le", "eq", "ge"]))) for _ in range(m)]
+    free = rng.random(m) < 0.3
+    gamma = np.where(rng.random(m) < 0.5, 0.0, rng.standard_normal(m))
+
+    def mat(d, k):
+        if k >= 0 and (free[k] or rng.random() < 0.3):
+            return np.zeros((d, d))
+        a = rng.standard_normal((d, d))
+        return a + a.T
+
+    def func(n, k):
+        a = mat(n, k)
+        return QuadFunc.from_parts(a, rng.standard_normal(n) if a.any() else None)
+
+    entries = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.5:
+            n = int(rng.integers(1, 4))
+            funcs = [func(n, k) for k in range(-1, m)]
+            entries.append(Qcqp(n, funcs[0], list(zip(funcs[1:], rels)), gamma))
+        else:
+            dims = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+            blocks = [
+                [SymMatrix.from_dense(mat(int(d), k)) for k in range(-1, m)] for d in dims
+            ]
+            entries.append(HomSepQcqp(blocks, rels, gamma))
+    return SeparableQcqp(entries, gamma)
+
+
+class TestBlockMajorBuild:
+    """build_block writes each block's stack from the entry that owns it;
+    the operator is the pair-by-pair compile of the row-major assembly,
+    bit for bit, before and after to_standard_form."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80)
+    def test_equals_the_row_major_compile(self, seed):
+        s = random_connection(np.random.default_rng(seed))
+        dims, obj, rows, norm, owner, dropped = reference_relax(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            b = build_block(s)
+        assert (b.block_dims, b.block_owner) == (dims, owner)
+        assert b.normalization_rows == norm and b.dropped_rows == tuple(dropped)
+        assert all(x is y for x, y in zip(b.objective, obj, strict=True))
+        assert_same_operator(b.operator, reference_compile(rows, dims))
+        std = to_standard_form(b)
+        assert std.normalization_rows == norm
+        assert_same_operator(
+            std.operator, reference_compile(reference_standard_rows(rows), dims)
+        )
+
+    def test_draws_cover_every_case(self):
+        # the property's draws reach both entry kinds, dropped rows, kept
+        # zero rows and every relation
+        seen = set()
+        for seed in range(60):
+            s = random_connection(np.random.default_rng(seed))
+            seen |= {type(e).__name__ for e in s.blocks}
+            seen |= {r.value for r in s.relations}
+            _, _, rows, _, _, dropped = reference_relax(s)
+            seen |= {"dropped"} if dropped else set()
+            if any(r.origin >= 0 and all(m.is_zero() for m in r.mats) for r in rows):
+                seen.add("zero row kept")
+        assert seen == {"Qcqp", "HomSepQcqp", "le", "eq", "ge", "dropped", "zero row kept"}
