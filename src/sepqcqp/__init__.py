@@ -64,6 +64,7 @@ from .certificates import (
     check_m_le_2,
     check_sign_pattern,
     extract_convex_solution,
+    nonpositive_gauge,
     reduce_homogeneous_rows,
     sign_gauge,
 )
@@ -80,7 +81,6 @@ from .connection import (
     judge,
     make_example51,
     make_example52,
-    nonpositive_gauge,
     strip_variable_free_rows,
 )
 

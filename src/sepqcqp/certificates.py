@@ -6,7 +6,9 @@ tight:
 * convex problems (all constraints <=, every quadratic part PSD);
 * problems whose aggregated sign pattern over the variable-interaction
   graph can be flipped to all-nonpositive off-diagonals by a +-1 gauge,
-  detected through a cycle-basis parity test;
+  detected by one depth-first walk that propagates the gauge along a
+  spanning forest and tests each non-tree edge (the parity of its
+  fundamental cycle);
 * homogeneous separable problems where, at an optimal relaxation point,
   at most one of the blocks and inequality residuals vanishes (so an
   extreme-point rank bound forces every block to rank <= 1).
@@ -22,6 +24,7 @@ dimension; check_convex is its one-problem case.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,39 +218,40 @@ def aggregated_graph(mats) -> SparsityGraph:
     return SparsityGraph(n, sigma)
 
 
-def _spanning_forest(g: SparsityGraph, reverse: bool = False):
-    """Iterative DFS forest; returns (parent map, tree-edge set).
+def _walk(g: SparsityGraph):
+    """The one depth-first walk of g behind every sign-pattern question.
 
-    reverse flips the neighbor visiting order, yielding a different
-    spanning tree on graphs with cycles (for basis-independence checks).
+    Roots are taken in vertex order, so each component's root is its
+    first vertex. Returns (parent, d, comps, loose): keyed by vertex, the
+    vertex each one was reached from (None at a root) and the walk's
+    gauge, +1 at a root and d_w = -sigma_vw d_v for w reached from v;
+    the vertices of each component in the order reached; and the
+    non-tree edges in sorted order. The tree path between the ends of a
+    non-tree edge (i, j) has sign product (-1)^(length) d_i d_j, so its
+    fundamental cycle passes parity exactly when d_i d_j sigma_ij = -1.
     """
     parent: dict[int, int | None] = {}
-    tree_edges = set()
-    vertices = range(1, g.n + 1)
-    for root in vertices:
-        if root in parent:
+    d, comps = {}, []
+    for r in range(1, g.n + 1):
+        if r in parent:
             continue
-        parent[root] = None
-        stack = [root]
+        parent[r], d[r] = None, 1
+        comps.append([r])
+        stack = [r]
         while stack:
             v = stack.pop()
-            nbrs = g.neighbors(v)
-            if reverse:
-                nbrs = nbrs[::-1]
-            for w in nbrs:
+            for w in g.neighbors(v):
                 if w not in parent:
                     parent[w] = v
-                    tree_edges.add((min(v, w), max(v, w)))
+                    d[w] = -g.sigma[(min(v, w), max(v, w))] * d[v]
+                    comps[-1].append(w)
                     stack.append(w)
-    return parent, tree_edges
+    loose = [(i, j) for i, j in sorted(g.edges) if j != parent[i] and i != parent[j]]
+    return parent, d, comps, loose
 
 
-def cycle_basis(g: SparsityGraph, reverse: bool = False) -> list[list[tuple]]:
-    """Fundamental cycles of a spanning forest, one per non-tree edge.
-
-    Each cycle is a list of (i, j) edges with i < j. Forests give [].
-    """
-    parent, tree_edges = _spanning_forest(g, reverse=reverse)
+def _fundamental_cycle(parent, e) -> list[tuple]:
+    """The tree path between the ends of the non-tree edge e, then e."""
 
     def path_to_root(v):
         out = [v]
@@ -256,23 +260,27 @@ def cycle_basis(g: SparsityGraph, reverse: bool = False) -> list[list[tuple]]:
             out.append(v)
         return out
 
-    cycles = []
-    for e in sorted(g.edges):
-        if e in tree_edges:
-            continue
-        u, v = e
-        pu, pv = path_to_root(u), path_to_root(v)
-        # splice the two root paths at the lowest common ancestor
-        su = set(pu)
-        k = next(i for i, x in enumerate(pv) if x in su)
-        lca = pv[k]
-        up = pu[: pu.index(lca) + 1]
-        down = pv[:k]
-        path = up + down[::-1]  # u ... lca ... v
-        cyc = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
-        cyc.append(e)
-        cycles.append(cyc)
-    return cycles
+    u, v = e
+    pu, pv = path_to_root(u), path_to_root(v)
+    # splice the two root paths at the lowest common ancestor
+    su = set(pu)
+    k = next(i for i, x in enumerate(pv) if x in su)
+    lca = pv[k]
+    up = pu[: pu.index(lca) + 1]
+    down = pv[:k]
+    path = up + down[::-1]  # u ... lca ... v
+    cyc = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+    cyc.append(e)
+    return cyc
+
+
+def cycle_basis(g: SparsityGraph) -> list[list[tuple]]:
+    """Fundamental cycles of a spanning forest, one per non-tree edge.
+
+    Each cycle is a list of (i, j) edges with i < j. Forests give [].
+    """
+    parent, _, _, loose = _walk(g)
+    return [_fundamental_cycle(parent, e) for e in loose]
 
 
 def check_sign_pattern(g: SparsityGraph) -> Certificate:
@@ -281,12 +289,12 @@ def check_sign_pattern(g: SparsityGraph) -> Certificate:
     Requires every edge label in {-1, +1} and, for each fundamental
     cycle, the product of labels equal to (-1)^length, which holds
     exactly when a +-1 rescaling of the variables makes all
-    interactions nonpositive.
+    interactions nonpositive. One walk (_walk) decides every cycle: the
+    first failing one in sorted non-tree-edge order is named.
 
-    The case is read off the same cycle basis: a graph without cycles is
-    a forest, and an all-positive graph that passes parity has only
-    even cycles (every cycle is a sum of fundamental ones), so it is
-    bipartite.
+    A graph without cycles is a forest, and an all-positive graph that
+    passes parity has only even cycles (every cycle is a sum of
+    fundamental ones), so it is bipartite.
     """
     mixed = sorted(e for e, s in g.sigma.items() if s == 0)
     if mixed:
@@ -295,21 +303,19 @@ def check_sign_pattern(g: SparsityGraph) -> Certificate:
             f"edges {mixed} carry mixed signs",
             depends_on_solution=False,
         )
-    cycles = cycle_basis(g)
-    for cyc in cycles:
-        prod = 1
-        for e in cyc:
-            prod *= g.sigma[e]
-        if prod != (-1) ** len(cyc):
+    parent, d, _, loose = _walk(g)
+    for e in loose:
+        if d[e[0]] * d[e[1]] * g.sigma[e] != -1:
+            cyc = _fundamental_cycle(parent, e)
             return Certificate(
                 CertificateKind.NONE,
-                f"cycle {cyc} has sign product {prod}, parity needs "
-                f"{(-1) ** len(cyc)}",
+                f"cycle {cyc} has sign product {math.prod(g.sigma[f] for f in cyc)}, "
+                f"parity needs {(-1) ** len(cyc)}",
                 depends_on_solution=False,
             )
     if all(s == -1 for s in g.sigma.values()):
         case = SignCase.ALL_NONPOSITIVE
-    elif not cycles:
+    elif not loose:
         case = SignCase.FOREST
     elif all(s == 1 for s in g.sigma.values()):
         case = SignCase.BIPARTITE_POSITIVE
@@ -327,28 +333,51 @@ def sign_gauge(g: SparsityGraph) -> np.ndarray | None:
     """A vector d in {-1, +1}^n with d_i d_j sigma_ij = -1 on every edge,
     or None when no such rescaling exists.
 
-    Isolated vertices get +1; callers may flip whole components freely
+    This is the walk's gauge, the nonpositive gauge of g with no linear
+    parts to orient: the first vertex of each component (an isolated
+    vertex too) gets +1. Callers may flip whole components freely
     (flipping all of a component preserves the edge products).
     """
+    return _oriented_gauge(g, np.zeros((0, g.n)))
+
+
+def nonpositive_gauge(q: Qcqp) -> np.ndarray | None:
+    """Sign vector d making every function of q have nonpositive couplings
+    and nonpositive linear coefficients under u_i -> d_i u_i, or None.
+
+    The quadratic couplings fix d up to one free flip per connected
+    component of the interaction graph; the linear coefficients then pin
+    each component's orientation, since the homogenization coordinate
+    cannot flip. With such a d, gauged square roots of a solution-matrix
+    diagonal always yield a feasible point at least as good.
+    """
+    funcs = [q.objective] + [f for f, _ in q.constraints]
+    return _oriented_gauge(
+        aggregated_graph([f.quad_part() for f in funcs]),
+        np.array([f.linear_part() for f in funcs]),
+    )
+
+
+def _oriented_gauge(g: SparsityGraph, lins: np.ndarray) -> np.ndarray | None:
+    """nonpositive_gauge on g, the aggregated graph of the quadratic parts
+    of functions whose linear parts are the rows of lins: the walk's
+    gauge, each component flipped as its linear coefficients ask."""
     if any(s == 0 for s in g.sigma.values()):
         return None
-    d = np.zeros(g.n, dtype=np.int64)
-    for root in range(1, g.n + 1):
-        if d[root - 1] != 0:
+    _, d, comps, loose = _walk(g)
+    if any(d[i] * d[j] * g.sigma[(i, j)] != -1 for i, j in loose):
+        return None
+    d = np.array([d[v] for v in range(1, g.n + 1)], dtype=np.float64)
+    for comp in comps:
+        idx = [v - 1 for v in comp]
+        vals = (lins[:, idx] * d[idx]).ravel()
+        if np.all(vals <= 1e-12):
             continue
-        d[root - 1] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                e = (min(v, w), max(v, w))
-                want = -g.sigma[e] * d[v - 1]
-                if d[w - 1] == 0:
-                    d[w - 1] = want
-                    stack.append(w)
-                elif d[w - 1] != want:
-                    return None
-    return d.astype(np.float64)
+        if np.all(vals >= -1e-12):
+            d[idx] = -d[idx]
+            continue
+        return None
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +392,9 @@ def reduce_homogeneous_rows(h: HomSepQcqp, tol: float = 1e-12):
     Returns (reduced problem, dropped original row indices). Used before
     the rank-count certificate so redundant rows do not inflate m.
     """
+    # written so that a NaN fails it
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     m = h.m
     drop = set()
     for k in range(m):

@@ -43,16 +43,13 @@ from .qcqp_model import HomSepQcqp, Qcqp, QuadFunc, Relation, SeparableQcqp
 from .rank_reduction import reduce as reduce_solution
 from .sdp_solver import SolverOptions, solve
 from .sdpr_builder import SolveStatus, build_block, to_standard_form
-from .symkernel import SymMatrix, numeric_rank
+from .symkernel import HALF_MAX, SymMatrix, numeric_rank
 
 SCHEMA_VERSION = 1
 
 _KINDS = ("qcqp", "separable", "homogeneous")
 _RELATION_NAMES = tuple(r.value for r in Relation)
 _TABLE_ALPHAS = (0.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0)
-#: largest |entry| a problem file may give: building its matrix forms
-#: (A + A^T) / 2, whose sum doubles every entry before halving it
-_SYMMETRIZABLE_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def validate_problem_file(pf: ProblemFile) -> None:
                 seen_ij.add((i, j))
                 if not np.isfinite(v):
                     raise ValidationError("value must be finite", field=epath)
-                if abs(v) > _SYMMETRIZABLE_MAX:
+                if abs(v) > HALF_MAX:
                     raise ValidationError(
                         "value overflows when the matrix is symmetrized",
                         field=epath,

@@ -52,7 +52,7 @@ from .certificates import (
     check_sign_pattern,
     extract_convex_solution,
     reduce_homogeneous_rows,
-    sign_gauge,
+    _oriented_gauge,
 )
 from .errors import (
     DimensionError,
@@ -83,7 +83,7 @@ from .sdpr_builder import (
     build_shor,  # noqa: F401 - in perfbench/tracing.py WRAPS
     to_standard_form,
 )
-from .symkernel import SymMatrix, frob_inner_many, is_psd, is_psd_many
+from .symkernel import SymMatrix, by_dim, frob_inner_many, is_psd, is_psd_many
 
 
 class VerdictStatus(enum.Enum):
@@ -230,15 +230,9 @@ class _EntryStacks:
         for p, entry in enumerate(s.blocks):
             if not isinstance(entry, HomSepQcqp):
                 self.corner[self.slices[p].start] = entry.n
-        by_dim: dict[int, list[int]] = {}
-        for i, d in enumerate(self.dims):
-            by_dim.setdefault(d, []).append(i)
         self.groups = [
-            (
-                np.array(idx, dtype=np.intp),
-                np.array([[a.array for a in mats[i]] for i in idx]),
-            )
-            for idx in by_dim.values()
+            (idx, np.array([[a.array for a in mats[i]] for i in idx]))
+            for idx in by_dim(self.dims)
         ]
         #: the rows whose matrix on a block is identically zero
         self.zero = np.empty((len(mats), s.m), dtype=bool)
@@ -514,59 +508,6 @@ def _analyse_entries(stacks, b, sol, achieved, tol) -> list:
 # per-entry certificates
 
 
-def _components(g) -> list:
-    seen: set[int] = set()
-    comps = []
-    for start in range(1, g.n + 1):
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def nonpositive_gauge(q: Qcqp) -> np.ndarray | None:
-    """Sign vector d making every function of q have nonpositive couplings
-    and nonpositive linear coefficients under u_i -> d_i u_i, or None.
-
-    The quadratic couplings fix d up to one free flip per connected
-    component of the interaction graph; the linear coefficients then pin
-    each component's orientation, since the homogenization coordinate
-    cannot flip. With such a d, gauged square roots of a solution-matrix
-    diagonal always yield a feasible point at least as good.
-    """
-    funcs = [q.objective] + [f for f, _ in q.constraints]
-    return _oriented_gauge(aggregated_graph([f.quad_part() for f in funcs]), funcs)
-
-
-def _oriented_gauge(g, funcs) -> np.ndarray | None:
-    """nonpositive_gauge on g, the aggregated graph of funcs' quadratic
-    parts. sign_gauge finds a gauge exactly when g passes the cycle
-    parity test of check_sign_pattern."""
-    d = sign_gauge(g)
-    if d is None:
-        return None
-    lins = np.array([f.linear_part() for f in funcs])
-    for comp in _components(g):
-        idx = [i - 1 for i in comp]
-        vals = (lins[:, idx] * d[idx]).ravel()
-        if np.all(vals <= 1e-12):
-            continue
-        if np.all(vals >= -1e-12):
-            d[idx] = -d[idx]
-            continue
-        return None
-    return d
-
-
 def _no_certificate(note: str) -> Certificate:
     return Certificate(
         kind=CertificateKind.NONE, details=note, depends_on_solution=False
@@ -584,7 +525,8 @@ def _certify_qcqp_entries(stacks) -> dict:
     only push constraint values downward. The convexity tests of all
     entries are one pass (check_convex_many); each entry it rejects has
     its aggregated graph built once, and both its gauge and its
-    SIGN_PATTERN certificate are read off that graph.
+    SIGN_PATTERN certificate are read off that graph: the gauge is
+    oriented only where the certificate holds.
     """
     entries = stacks.s.blocks
     inhom = [p for p, entry in enumerate(entries) if not isinstance(entry, HomSepQcqp)]
@@ -605,13 +547,14 @@ def _certify_qcqp_entries(stacks) -> dict:
             q = stripped[i]
             funcs = [q.objective] + [f for f, _ in q.constraints]
             g = aggregated_graph([f.quad_part() for f in funcs])
-            gauge = _oriented_gauge(g, funcs)
+            cert = check_sign_pattern(g)
+            if cert.holds:
+                lins = np.array([f.linear_part() for f in funcs])
+                gauge = _oriented_gauge(g, lins)
             if gauge is None:
                 cert = _no_certificate(
                     "neither convex nor sign-flippable to nonpositive couplings"
                 )
-            else:
-                cert = check_sign_pattern(g)
         out[i] = (cert, gauge)
     return dict(zip(inhom, out))
 

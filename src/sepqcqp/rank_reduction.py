@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,18 @@ import numpy as np
 from .certificates import pataki_count
 from .errors import ReductionStallError, StaleSolutionError, StructureError
 from .sdpr_builder import BlockSdp, RowOperator, SdpSolution, SolveStatus
-from .symkernel import SymMatrix, eigh, eigh_many, eigvalsh, rank_of_eigenvalues_many
+from .symkernel import (
+    HALF_MAX,
+    SymMatrix,
+    by_dim,
+    eigh,
+    eigh_many,
+    eigvalsh,
+    rank_of_eigenvalues_many,
+)
 
 #: steps shorter than this count as stalled; two of them abort the run
 _STALL_STEP = 1e-14
-
-#: half the largest double: symmetrizing an entry beyond it overflows
-_HALF_MAX = np.finfo(float).max / 2
 
 
 class BlockKind(enum.Enum):
@@ -181,10 +187,7 @@ def reduce(
     # far-away boundaries, which amplifies the off-null rounding error
     factor_cut = 0.1 * rank_tol
 
-    by_dim: dict[int, list[int]] = {}
-    for bi, d in enumerate(dims):
-        by_dim.setdefault(d, []).append(bi)
-    groups = [np.array(idx, dtype=np.intp) for idx in by_dim.values()]
+    groups = by_dim(dims)
 
     def factor_blocks():
         """Per-block factors F with X ~= F F^T (frozen blocks get width 0),
@@ -412,7 +415,7 @@ def reduce(
     ranks = ranks_of(eigs)
     ext = _extract(eigs, ranks, block_kinds_of(b, op), tol=1e-6)
     report = make_report(ranks, extracted=ext.points if ext.ok else None)
-    if iterations or frozen or not xmax <= _HALF_MAX:
+    if iterations or frozen or not xmax <= HALF_MAX:
         res, value = evaluate()
         blocks = [SymMatrix.from_dense(x) for x in X]
     else:
@@ -449,6 +452,9 @@ def extract_point(
     coordinate within tol of +-1; the returned point is g / g_last minus
     the final coordinate. Any block of rank > 1 aborts with its index.
     """
+    # written so that a NaN fails it
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     block_kinds = list(block_kinds)
     if len(block_kinds) != len(sol.blocks):
         raise StructureError(

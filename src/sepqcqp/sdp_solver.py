@@ -74,13 +74,10 @@ from .sdpr_builder import (
     SolveStatus,
     to_standard_form,
 )
-from .symkernel import SymMatrix
+from .symkernel import HALF_MAX, SymMatrix, by_dim
 
 #: iterate magnitude cap; beyond this the run is flagged Diverged
 _DIVERGE_CAP = 1e10
-
-#: half the largest double: symmetrizing an entry beyond it overflows
-_HALF_MAX = np.finfo(float).max / 2
 
 _LinAlgError = np.linalg.LinAlgError
 
@@ -302,15 +299,11 @@ class _Problem:
         self.d_scale = 1.0 + np.abs(self.d_vec).max(initial=0.0)
         self.c_scale = 1.0 + max((np.linalg.norm(c) for c in C), default=0.0)
 
-        by_dim: dict[int, list] = {}
-        for bi, d in enumerate(dims):
-            by_dim.setdefault(d, []).append(bi)
         self.where = [None] * len(dims)
         self.where_s = [None] * len(dims)
         self.groups, at = [], []
-        for d in sorted(by_dim):
-            blocks = by_dim[d]
-            g = len(blocks)
+        for blocks in by_dim(dims):
+            d, g = dims[blocks[0]], len(blocks)
             acts = [op.active[bi] for bi in blocks]
             ks = np.array([len(act) for act in acts], dtype=np.intp)
             kmax = int(ks.max())
@@ -458,7 +451,7 @@ class _Ipm:
             return False, False
         blk = np.maximum.reduce(peaks[:-1], axis=None, initial=0.0)
         rest = np.maximum.reduce(np.abs(vec[:-1]), axis=None, initial=0.0)
-        bad = not blk <= _HALF_MAX or not np.isfinite(rest)
+        bad = not blk <= HALF_MAX or not np.isfinite(rest)
         return bad, bool(np.maximum(blk, rest) > _DIVERGE_CAP)
 
     def step(self, mu, r_p, rd, rds):

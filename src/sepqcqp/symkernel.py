@@ -32,6 +32,10 @@ from .errors import DimensionError
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: half the largest double: symmetrizing an entry beyond it, (v + v) / 2,
+#: overflows
+HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+
 
 def _lapack(message: str):
     """Decorator: run the function under numpy.linalg's error state for
@@ -230,16 +234,25 @@ def eigen(a: SymMatrix) -> EigenDecomp:
     return EigenDecomp(lam[::-1].copy(), vec[:, ::-1].copy())
 
 
-def _stacks(arrays) -> list[tuple[list[int], np.ndarray]]:
+def by_dim(dims) -> list[np.ndarray]:
+    """The positions of each value in dims (block dimensions), one index
+    array per value in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, d in enumerate(dims):
+        groups.setdefault(d, []).append(i)
+    return [np.array(idx, dtype=np.intp) for idx in groups.values()]
+
+
+def _stacks(arrays) -> list[tuple[np.ndarray, np.ndarray]]:
     """The arrays of each length as one stack ((k, d, d) for matrices,
     (k, d) for vectors), with their positions in arrays. An array that
     is such a stack already is taken as it is."""
     if isinstance(arrays, np.ndarray):
-        return [(list(range(len(arrays))), arrays)] if len(arrays) else []
-    by_dim: dict[int, list[int]] = {}
-    for i, a in enumerate(arrays):
-        by_dim.setdefault(a.shape[0], []).append(i)
-    return [(idx, np.stack([arrays[i] for i in idx])) for idx in by_dim.values()]
+        return [(np.arange(len(arrays)), arrays)] if len(arrays) else []
+    return [
+        (idx, np.stack([arrays[i] for i in idx]))
+        for idx in by_dim([a.shape[0] for a in arrays])
+    ]
 
 
 def eigh_many(arrays) -> list[tuple[np.ndarray, np.ndarray]]:

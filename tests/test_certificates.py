@@ -1,7 +1,11 @@
 """Certificates: convexity, sign patterns, homogeneous rank counting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sepqcqp import certificates
 from sepqcqp.certificates import (
@@ -16,10 +20,12 @@ from sepqcqp.certificates import (
     check_sign_pattern,
     cycle_basis,
     extract_convex_solution,
+    nonpositive_gauge,
     pataki_count,
     reduce_homogeneous_rows,
     sign_gauge,
 )
+from sepqcqp.connection import make_example51
 from sepqcqp.errors import DimensionError, StructureError
 from sepqcqp.qcqp_model import (
     HomSepQcqp,
@@ -240,32 +246,32 @@ class TestCheckSignPattern:
         for sigma in cases:
             g = graph_from_edges(4, sigma)
             verdict_default = check_sign_pattern(g).kind
-            # re-run the parity test over the reversed-traversal basis
+            # re-run the parity test over the reference's reversed basis
             ok_rev = all(
                 int(np.prod([g.sigma[e] for e in cyc])) == (-1) ** len(cyc)
-                for cyc in cycle_basis(g, reverse=True)
+                for cyc in parent_cycle_basis(g, reverse=True)
             ) and all(s != 0 for s in g.sigma.values())
             assert ok_rev == (verdict_default is CertificateKind.SIGN_PATTERN)
 
     def test_balanced_graph_walks_one_cycle_basis(self, monkeypatch):
         # a square with a chord: two fundamental cycles, both edge
-        # signs, and every cycle passes parity
+        # signs, and every cycle passes parity: one walk decides them all
         g = graph_from_edges(
             4, {(1, 2): 1, (2, 3): -1, (3, 4): 1, (1, 4): -1, (1, 3): 1}
         )
         walks = []
-        real = certificates.cycle_basis
+        real = certificates._walk
 
         def counted(*args, **kwargs):
             walks.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(certificates, "cycle_basis", counted)
+        monkeypatch.setattr(certificates, "_walk", counted)
         cert = check_sign_pattern(g)
         assert cert.kind is CertificateKind.SIGN_PATTERN
         assert cert.case is SignCase.GENERAL
-        assert len(real(g)) == 2
         assert len(walks) == 1
+        assert len(cycle_basis(g)) == 2
 
     def test_matches_the_parent_case_analysis(self):
         """The same certificate as the parity test with its own forest and
@@ -307,6 +313,118 @@ def parent_is_bipartite(g) -> bool:
     return True
 
 
+def parent_spanning_forest(g, reverse=False):
+    """The DFS forest the cycle basis was read from, as (parent map,
+    tree-edge set); reverse flips the neighbor visiting order, yielding a
+    different spanning tree on graphs with cycles."""
+    parent = {}
+    tree_edges = set()
+    for root in range(1, g.n + 1):
+        if root in parent:
+            continue
+        parent[root] = None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            nbrs = g.neighbors(v)
+            if reverse:
+                nbrs = nbrs[::-1]
+            for w in nbrs:
+                if w not in parent:
+                    parent[w] = v
+                    tree_edges.add((min(v, w), max(v, w)))
+                    stack.append(w)
+    return parent, tree_edges
+
+
+def parent_cycle_basis(g, reverse=False):
+    """cycle_basis as it read with a spanning-forest walk of its own."""
+    parent, tree_edges = parent_spanning_forest(g, reverse=reverse)
+
+    def path_to_root(v):
+        out = [v]
+        while parent[v] is not None:
+            v = parent[v]
+            out.append(v)
+        return out
+
+    cycles = []
+    for e in sorted(g.edges):
+        if e in tree_edges:
+            continue
+        u, v = e
+        pu, pv = path_to_root(u), path_to_root(v)
+        su = set(pu)
+        k = next(i for i, x in enumerate(pv) if x in su)
+        lca = pv[k]
+        path = pu[: pu.index(lca) + 1] + pv[:k][::-1]
+        cycles.append([(min(a, b), max(a, b)) for a, b in zip(path, path[1:])] + [e])
+    return cycles
+
+
+def parent_sign_gauge(g):
+    """sign_gauge as it read with a gauge-propagating walk of its own."""
+    if any(s == 0 for s in g.sigma.values()):
+        return None
+    d = np.zeros(g.n, dtype=np.int64)
+    for root in range(1, g.n + 1):
+        if d[root - 1] != 0:
+            continue
+        d[root - 1] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                want = -g.sigma[(min(v, w), max(v, w))] * d[v - 1]
+                if d[w - 1] == 0:
+                    d[w - 1] = want
+                    stack.append(w)
+                elif d[w - 1] != want:
+                    return None
+    return d.astype(np.float64)
+
+
+def parent_components(g):
+    """The connected components of g, each sorted, by a walk of their own."""
+    seen = set()
+    comps = []
+    for start in range(1, g.n + 1):
+        if start in seen:
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in g.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def parent_nonpositive_gauge(q):
+    """nonpositive_gauge as it read with sign_gauge and a component walk
+    of its own."""
+    funcs = [q.objective] + [f for f, _ in q.constraints]
+    g = aggregated_graph([f.quad_part() for f in funcs])
+    d = parent_sign_gauge(g)
+    if d is None:
+        return None
+    lins = np.array([f.linear_part() for f in funcs])
+    for comp in parent_components(g):
+        idx = [i - 1 for i in comp]
+        vals = (lins[:, idx] * d[idx]).ravel()
+        if np.all(vals <= 1e-12):
+            continue
+        if np.all(vals >= -1e-12):
+            d[idx] = -d[idx]
+            continue
+        return None
+    return d
+
+
 def parent_check_sign_pattern(g) -> Certificate:
     """check_sign_pattern as it read with a cycle basis per question and
     a bipartite walk of its own."""
@@ -317,7 +435,7 @@ def parent_check_sign_pattern(g) -> Certificate:
             f"edges {mixed} carry mixed signs",
             depends_on_solution=False,
         )
-    for cyc in cycle_basis(g):
+    for cyc in parent_cycle_basis(g):
         prod = int(np.prod([g.sigma[e] for e in cyc]))
         if prod != (-1) ** len(cyc):
             return Certificate(
@@ -328,7 +446,7 @@ def parent_check_sign_pattern(g) -> Certificate:
             )
     if all(s == -1 for s in g.sigma.values()):
         case = SignCase.ALL_NONPOSITIVE
-    elif not cycle_basis(g):
+    elif not parent_cycle_basis(g):
         case = SignCase.FOREST
     elif parent_is_bipartite(g) and all(s == 1 for s in g.sigma.values()):
         case = SignCase.BIPARTITE_POSITIVE
@@ -374,6 +492,72 @@ class TestSignGauge:
             cert = check_sign_pattern(g)
             d = sign_gauge(g)
             assert (d is not None) == (cert.kind is CertificateKind.SIGN_PATTERN)
+
+
+@st.composite
+def signed_graphs(draw):
+    """Graphs on up to 7 vertices whose labels are all -1, all +1, or both,
+    with a mixed (0) label allowed in some of them."""
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    labels = [None, None, *draw(st.sampled_from([(-1,), (1,), (-1, 1)]))]
+    if draw(st.booleans()):
+        labels.append(0)
+    drawn = draw(st.lists(st.sampled_from(labels), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, {e: s for e, s in zip(pairs, drawn) if s is not None})
+
+
+@st.composite
+def gauge_qcqps(draw):
+    """Problems of 1 to 5 variables and 1 to 3 functions whose couplings
+    are 0 or +-1 (some of them sign-mixed across functions) and whose
+    linear coefficients sit at, near and away from zero."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    couplings = st.sampled_from((0.0, 0.0, *draw(st.sampled_from([(-1.0,), (1.0,), (-1.0, 1.0)]))))
+    linears = st.sampled_from([0.0, 0.0, 1.0, -1.0, 1e-13, -1e-13])
+    funcs = []
+    for _ in range(k):
+        quad = np.diag(draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0]), min_size=n, max_size=n)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                quad[i, j] = quad[j, i] = draw(couplings)
+        funcs.append(qf(quad, draw(st.lists(linears, min_size=n, max_size=n))))
+    return Qcqp(n, funcs[0], [(f, Relation.LE) for f in funcs[1:]], [1.0] * (k - 1))
+
+
+class TestOneWalk:
+    """check_sign_pattern, sign_gauge, cycle_basis and nonpositive_gauge read
+    one walk, and answer as the parent's separate walks did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs())
+    @example(graph_from_edges(0, {}))
+    @example(graph_from_edges(3, {}))
+    @example(graph_from_edges(5, {(1, 2): -1, (2, 3): 0, (4, 5): 1}))
+    @example(graph_from_edges(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1}))
+    @example(graph_from_edges(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): 1}))
+    @example(graph_from_edges(
+        7, {(1, 2): 1, (2, 3): -1, (1, 3): 1, (4, 5): 1, (5, 6): 1, (6, 7): 1, (4, 7): 1}
+    ))
+    def test_graph_answers_match_the_parent_walks(self, g):
+        assert check_sign_pattern(g) == parent_check_sign_pattern(g)
+        d, want = sign_gauge(g), parent_sign_gauge(g)
+        assert (d is None) == (want is None)
+        if d is not None:
+            assert d.dtype == want.dtype and np.array_equal(d, want)
+        assert cycle_basis(g) == parent_cycle_basis(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gauge_qcqps())
+    @example(Qcqp(2, qf([[0.0, 1.0], [1.0, 0.0]], [-2.0, 2.0]), [], []))
+    @example(Qcqp(2, qf([[0.0, 1.0], [1.0, 0.0]], [2.0, 2.0]), [], []))
+    @example(Qcqp(3, qf(np.zeros((3, 3)), [1.0, -1.0, 1e-13]), [], []))
+    def test_nonpositive_gauge_matches_the_parent_walks(self, q):
+        d, want = nonpositive_gauge(q), parent_nonpositive_gauge(q)
+        assert (d is None) == (want is None)
+        if d is not None:
+            assert np.array_equal(d, want)
 
 
 class TestAssumptionA:
@@ -513,6 +697,13 @@ class TestReduceRows:
         reduced, dropped = reduce_homogeneous_rows(h)
         assert dropped == [0]
         assert reduced.rhs[0] == 2.0
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol would read any two nonzero <= rows as proportional, and
+        # drop one of this family's rows so that check_m_le_2 holds
+        with pytest.raises(ValueError, match="tol"):
+            reduce_homogeneous_rows(make_example51(2.5), tol=tol)
 
 
 class TestPatakiBound:

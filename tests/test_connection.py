@@ -17,6 +17,7 @@ from sepqcqp.certificates import (
     SignCase,
     check_convex,
     check_m_le_2,
+    nonpositive_gauge,
     reduce_homogeneous_rows,
 )
 from sepqcqp.cli import verdict_to_dict
@@ -30,7 +31,6 @@ from sepqcqp.connection import (
     judge,
     make_example51,
     make_example52,
-    nonpositive_gauge,
     strip_variable_free_rows,
     validate_example52,
 )
@@ -1047,12 +1047,13 @@ class TestJudgeDoesEachOnce:
 
     def test_example52_decides_the_sign_pattern_once(self, monkeypatch):
         # entry 2 is the one non-convex inhomogeneous entry: its graph is
-        # built, its parity checked and its cycle basis walked once
-        calls = {"aggregated_graph": 0, "check_sign_pattern": 0, "cycle_basis": 0}
+        # built and its parity checked once, and the one walk runs twice
+        # (for the certificate, then for the gauge it orients)
+        calls = {"aggregated_graph": 0, "check_sign_pattern": 0, "_walk": 0}
         for module, name in (
             (connection, "aggregated_graph"),
             (connection, "check_sign_pattern"),
-            (certificates, "cycle_basis"),
+            (certificates, "_walk"),
         ):
             real = getattr(module, name)
 
@@ -1063,7 +1064,7 @@ class TestJudgeDoesEachOnce:
             monkeypatch.setattr(module, name, wrapped)
         v = judge(make_example52(0))
         assert v.per_block[1].certificate.kind is CertificateKind.SIGN_PATTERN
-        assert calls == {"aggregated_graph": 1, "check_sign_pattern": 1, "cycle_basis": 1}
+        assert calls == {"aggregated_graph": 1, "check_sign_pattern": 1, "_walk": 2}
 
 
 class TestOracleGrid:

@@ -31,7 +31,7 @@ def test_digest_records_the_one_solve(tool, workload):
     assert tool.digest(tool.make_instance(workload, 0)) == line
 
 
-@pytest.mark.parametrize("command", ["judge", "solve", "reduce"])
+@pytest.mark.parametrize("command", ["judge", "solve", "reduce", "certify"])
 def test_cli_digest_is_stable(tool, command, tmp_path, monkeypatch):
     """The command-line half of the digest: one command on the problem
     file of make_example52(0) exits 0 and hashes the same twice."""

@@ -1,6 +1,7 @@
 """Rank reduction: boundary moves, extreme-point counts, point extraction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -228,6 +229,13 @@ class TestExtractPoint:
         assert not out.ok
         assert out.failed_block == 0
         assert "corner" in out.reason
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-6, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol would accept this corner coordinate of 2 and return [0.5]
+        sol = self.lifted_solution([np.outer([1.0, 2.0], [1.0, 2.0])])
+        with pytest.raises(ValueError, match="tol"):
+            extract_point(sol, [BlockKind.INHOMOGENEOUS], tol=tol)
 
     def test_zero_inhomogeneous_block_fails(self):
         sol = self.lifted_solution([np.zeros((2, 2))])

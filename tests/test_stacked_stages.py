@@ -28,8 +28,8 @@ from sepqcqp.certificates import (
     check_convex,
     check_convex_many,
     check_sign_pattern,
+    nonpositive_gauge,
 )
-from sepqcqp.connection import nonpositive_gauge
 from sepqcqp.errors import DimensionError
 from sepqcqp.qcqp_model import (
     HomSepQcqp,

@@ -16,8 +16,8 @@ their bytes, so the digest changes with any bit of any result.
 
 After the pool lines (when no workload is named, or when ``cli`` is),
 one line per command-line report: a SHA-1 over the exit code, standard
-output and standard error of ``sepqcqp judge``, ``solve`` and ``reduce``
-with ``--format json --no-timestamp`` on the problem file of
+output and standard error of ``sepqcqp judge``, ``solve``, ``reduce`` and
+``certify`` with ``--format json --no-timestamp`` on the problem file of
 ``make_example52(k)`` for k in 0..19, and of ``sepqcqp example51 --table
 --no-timestamp`` in JSON and in text.
 
@@ -122,7 +122,7 @@ def cli_lines() -> None:
         path = os.path.join(tmp, "problem.sdpq")
         for seed in CLI_SEEDS:
             cli.write_problem(connection.make_example52(seed), path)
-            for cmd in ("judge", "solve", "reduce"):
+            for cmd in ("judge", "solve", "reduce", "certify"):
                 print("cli", cmd, seed, cli_digest([cmd, path, *flags]), flush=True)
     for fmt in ("json", "text"):
         argv = ["example51", "--table", "--format", fmt, "--no-timestamp"]
