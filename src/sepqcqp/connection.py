@@ -69,6 +69,7 @@ from .qcqp_model import (
     QuadFunc,
     Relation,
     SeparableQcqp,
+    _is_int_at_least,
     brute_force,
     flatten,
     split_point,
@@ -127,11 +128,6 @@ class ExactnessVerdict:
             VerdictStatus.EXACT_CERTIFIED,
             VerdictStatus.EXACT_WITNESSED,
         )
-
-
-def _is_int_at_least(value, low: int) -> bool:
-    """value is an int (not a bool) of at least low."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)

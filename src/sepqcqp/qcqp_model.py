@@ -265,6 +265,11 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise RangeError(f"{name}[{k}]: value must be finite, got {values[k]}")
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    """value is an int (not a bool) of at least low."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 def _block_relations(blk) -> list[Relation]:
     if isinstance(blk, Qcqp):
         return blk.relations
@@ -439,6 +444,11 @@ INFEASIBLE = math.inf
 #: grid points screened at once; bounds the oracle's memory at any grid size
 _SLAB = 1 << 16
 
+#: a round of several slabs is walked as one list of survivors when that
+#: list holds at most _SLAB / _LIST_SHARE points: a row screened on the
+#: list costs several times more per point than on the tensor grid
+_LIST_SHARE = 8
+
 #: smallest batch whose eval_many values match those of any larger batch:
 #: numpy sums a batch of one or two points in another order
 _MIN_BATCH = 3
@@ -469,13 +479,20 @@ def _terms(f: QuadFunc) -> list:
     return out
 
 
-def _screen_tol(terms, d: float, bounds, feas_tol: float) -> float:
-    """feas_tol widened by 1e-12 times a bound on the sum of |term| and |d|:
-    hundreds of times the rounding error of the grid sum or of eval_many."""
-    size = sum(
-        abs(c) * bounds[i] * (1.0 if j is None else bounds[j]) for c, i, j in terms
-    )
-    return feas_tol + 1e-12 * (1.0 + size + abs(d))
+def _margin(terms, d: float, bounds) -> float:
+    """1e-12 times a bound on the sum of |term| and |d|: hundreds of times
+    the rounding error of the grid sum or of eval_many, so the two lie
+    within it of each other. inf where either could overflow: the sum of
+    the terms with each factor raised to at least 1 bounds every product
+    and partial sum einsum forms, in whatever order it multiplies."""
+    size = reach = 0.0
+    for c, i, j in terms:
+        bj = 1.0 if j is None else bounds[j]
+        size += abs(c) * bounds[i] * bj
+        reach += max(1.0, abs(c)) * max(1.0, bounds[i]) * max(1.0, bj)
+    if not (2.0 * reach < math.inf and size < math.inf):
+        return math.inf
+    return 1e-12 * (1.0 + size + abs(d))
 
 
 def _grid_values(terms, coords):
@@ -487,28 +504,119 @@ def _grid_values(terms, coords):
     return vals
 
 
-def _slab_feasible(rows, coords, axis_of, shape, feas_tol) -> np.ndarray:
-    """Exactly feasible points of one slab, in C order, as an (N, n) array.
+def _points(cols, which) -> np.ndarray:
+    """The points cols[:, which] as a C-ordered (N, n) array: eval_many's
+    sums follow the memory layout, and the full-grid pass is C-ordered."""
+    return np.ascontiguousarray(cols[:, which].T)
 
-    rows holds (f, relation, rhs, terms, screen tolerance). The screen keeps
-    a point where every row holds within its screen tolerance or its grid
-    sum is NaN; the survivors are re-checked with eval_many and feas_tol.
-    """
-    keep = True
-    for _, rel, d, terms, tol in rows:
-        vals = _grid_values(terms, coords)
-        keep = keep & (rel.holds(vals, d, tol) | np.isnan(vals))
-        if not np.any(keep):
-            return np.empty((0, len(coords)))
-    idx = np.unravel_index(np.flatnonzero(np.broadcast_to(keep, shape)), shape)
-    pts = np.empty((idx[0].shape[0], len(coords)))
+
+def _listing(keep, sure, coords, axis_of, shape):
+    """The points keep holds, in C order, as the columns of an (n, N)
+    array, and sure at each of them; None when the scan would cover more
+    than _SLAB points. keep and sure broadcast along their axes of length
+    1, sure along every axis keep does; keep is scanned only up to its
+    last longer axis, and the axes after it are filled in by repetition."""
+    ks = np.shape(keep)
+    last = max((a + 1 for a, k in enumerate(ks) if k > 1), default=len(shape))
+    head, tail = shape[:last], shape[last:]
+    if math.prod(head) > _SLAB:
+        return None
+    at = np.flatnonzero(np.broadcast_to(np.reshape(keep, ks[:last]), head))
+    idx = np.unravel_index(at, head)
+    sure = np.broadcast_to(np.reshape(sure, np.shape(sure)[:last]), head)[idx]
+    cols = np.empty((len(coords), at.shape[0] * math.prod(tail)))
+    if not tail:
+        for v, c in enumerate(coords):
+            cols[v] = c.ravel()[idx[axis_of[v]]]
+        return cols, sure
+    r = math.prod(tail)
+    inner = np.unravel_index(np.arange(r), tail)
     for v, c in enumerate(coords):
-        pts[:, v] = c.ravel()[idx[axis_of[v]]]
-    for f, rel, d, _, _ in rows:
-        pts = pts[rel.holds(_eval_batched(f, pts), d, feas_tol)]
-        if pts.shape[0] == 0:
+        a = axis_of[v]
+        if a < last:
+            cols[v] = np.repeat(c.ravel()[idx[a]], r)
+        else:
+            cols[v] = np.tile(c.ravel()[inner[a - last]], at.shape[0])
+    return cols, np.repeat(sure, r)
+
+
+def _screen(rel, vals, d: float, feas_tol: float, margin: float):
+    """A row's screen on its grid sums, as (kept, sure) masks. kept holds
+    where a sum holds within feas_tol + margin or is NaN, so every
+    feasible point is kept; sure where it holds within feas_tol - margin,
+    so eval_many holds within feas_tol there. A finite margin makes every
+    sum finite (see _margin); with an infinite one no point is sure."""
+    kept = rel.holds(vals, d, feas_tol + margin) | np.isnan(vals)
+    if margin == math.inf:
+        return kept, False
+    return kept, rel.holds(vals, d, feas_tol - margin)
+
+
+def _slab_feasible(rows, coords, axis_of, shape, feas_tol, whole=False):
+    """Exactly feasible points of one slab, in C order, as the columns of
+    an (n, N) array.
+
+    rows holds (f, relation, rhs, terms, margin). Each row is screened by
+    its grid sums (_screen) on the slab's broadcast tensor grid, and the
+    survivors are listed once, in C order. whole marks a slab that is a
+    whole round of more than _SLAB points: there a row takes its own
+    broadcast grid only while keep's grid stays within _SLAB points, and
+    every other row, such as one over every axis, is screened on the
+    survivors' coordinate columns, where a value takes the same operations
+    as on the grid and so is bit-equal to it. Such a slab gives None when
+    its list would hold more than _SLAB / _LIST_SHARE points or its scan
+    more than _SLAB, and the round is walked slab by slab instead. A
+    survivor that every row's screen finds sure is feasible; only the
+    rest, the band, is re-checked with eval_many and feas_tol.
+    """
+    n = len(coords)
+    keep = sure = True
+    listed, grid_axes = [], set()
+    for row in rows:
+        _, rel, d, terms, margin = row
+        if whole:
+            axes = {axis_of[v] for _, i, j in terms for v in (i, j) if v is not None}
+            axes |= grid_axes
+            if math.prod(shape[a] for a in axes) > _SLAB:
+                listed.append(row)
+                continue
+            grid_axes = axes
+        kept, certain = _screen(rel, _grid_values(terms, coords), d, feas_tol, margin)
+        keep = keep & kept
+        if not keep.any():
+            return np.empty((n, 0))
+        sure = sure & certain
+    # keep broadcasts evenly along the axes it leaves out
+    survivors = np.count_nonzero(keep) * (math.prod(shape) // np.size(keep))
+    if whole and _LIST_SHARE * survivors > _SLAB:
+        return None
+    listing = _listing(keep, sure, coords, axis_of, shape)
+    if listing is None:
+        return None
+    cols, sure = listing
+    kept = True
+    for _, rel, d, terms, margin in listed:
+        row_kept, certain = _screen(rel, _grid_values(terms, cols), d, feas_tol, margin)
+        kept = kept & row_kept
+        sure &= certain
+    band = np.flatnonzero(kept & ~sure)
+    for f, rel, d, *_ in rows:
+        if band.shape[0] == 0:
             break
-    return pts
+        band = band[rel.holds(_eval_batched(f, _points(cols, band)), d, feas_tol)]
+    sure[band] = True
+    return cols[:, sure]
+
+
+def _near_minimum(terms, margin, cols) -> np.ndarray:
+    """Mask of the points (columns of cols) whose exact objective may be
+    the least: grid value within 2 margin of the least grid value, which
+    keeps every exact minimum. All points where a grid value is not
+    finite, and so where the margin is not (eval_many may read NaN)."""
+    vals = _grid_values(terms, cols)
+    if not np.all(np.isfinite(vals)):
+        return np.ones(cols.shape[1], dtype=bool)
+    return np.broadcast_to(vals <= np.min(vals) + 2.0 * margin, cols.shape[1:])
 
 
 def brute_force(
@@ -527,22 +635,33 @@ def brute_force(
     grid point was found. Ties go to the first point in C order of the grid.
 
     A round walks its grid in C order, in slabs of about _SLAB points, so
-    memory stays bounded at any grid size. In each slab every row is first
-    screened on the tensor grid with a widened tolerance, which keeps a
-    superset of the feasible points; the survivors are then confirmed with
-    QuadFunc.eval_many and the exact relation test, and only the confirmed
-    points reach the objective. Value and point are bit-equal to one
-    eval_many pass over the whole grid.
+    memory stays bounded at any grid size; a round whose rows over part of
+    the axes leave few enough survivors is taken as one slab, listed point
+    by point. The rows' grid sums, added term by term from the 1-D axes,
+    first screen the grid with feas_tol widened by an error margin, which
+    keeps a superset of the feasible points. A survivor whose sums hold
+    within feas_tol narrowed by the same margin is feasible; only the
+    others, the band, are confirmed with QuadFunc.eval_many and the exact
+    relation test (_slab_feasible). Of a slab's feasible points, only those
+    whose grid objective lies within twice its margin of the slab's least
+    are evaluated exactly, every point where a grid objective is not
+    finite. Value and point are bit-equal to one eval_many pass over the
+    whole grid.
+
+    grid_points (at least 11) and refine_rounds (at least 0) are integers,
+    not bools; feas_tol is finite and at least 0.
 
     Only intended for q.n <= 4 (the grid is exponential in n). The reported
     value is an upper bound on the true minimum that tightens with rounds.
     """
     if q.n > 4:
         raise DimensionError(f"brute force limited to n <= 4, got n = {q.n}")
-    if grid_points < 11:
-        raise ValueError("grid_points must be at least 11")
-    if refine_rounds < 0:
-        raise ValueError("refine_rounds must be at least 0")
+    if not _is_int_at_least(grid_points, 11):
+        raise ValueError("grid_points must be an integer of at least 11")
+    if not _is_int_at_least(refine_rounds, 0):
+        raise ValueError("refine_rounds must be an integer of at least 0")
+    if not 0.0 <= feas_tol < math.inf:
+        raise ValueError(f"feas_tol must be finite and at least 0, got {feas_tol!r}")
     if q.n == 0:
         return 0.0, np.zeros(0)
 
@@ -571,8 +690,10 @@ def brute_force(
     per_slab = max(1, _SLAB // g**t)
     axis_of = [0] * lead + list(range(1, t + 1))
     trail_shape = [(1,) * (1 + k) + (g,) + (1,) * (t - 1 - k) for k in range(t)]
+    lead_idx = np.unravel_index(np.arange(n_tuples), (g,) * lead) if lead else ()
 
     terms = [_terms(f) for f, _ in q.constraints]
+    obj_terms = _terms(q.objective)
     best_val = INFEASIBLE
     best_pt = None
 
@@ -580,38 +701,49 @@ def brute_force(
         los = np.maximum(pairs[:, 0], centers - 0.5 * widths)
         his = np.minimum(pairs[:, 1], centers + 0.5 * widths)
         axes = [np.linspace(lo, hi, grid_points) for lo, hi in zip(los, his)]
-        bounds = [float(np.max(np.abs(a))) for a in axes]
+        bounds = [max(abs(float(a[0])), abs(float(a[-1]))) for a in axes]
+        # a round's coordinates along the slab axes, axis 0 over all tuples
+        coords = [axes[i][lead_idx[i]].reshape((-1,) + (1,) * t) for i in range(lead)]
+        coords += [axes[lead + k].reshape(trail_shape[k]) for k in range(t)]
         rows = [
-            (f, rel, d, tm, _screen_tol(tm, d, bounds, feas_tol))
+            (f, rel, d, tm, _margin(tm, d, bounds))
             for (f, rel), d, tm in zip(q.constraints, q.rhs, terms)
         ]
+        obj_margin = _margin(obj_terms, 0.0, bounds)
 
         # each slab's first minimum, in slab order; `first` keeps the round's
         # first feasible points in case it finds fewer than _MIN_BATCH
         cand_vals, cand_pts = [], []
         found, first = 0, []
-        for s0 in range(0, n_tuples, per_slab):
-            s1 = min(s0 + per_slab, n_tuples)
-            coords = []
-            if lead:
-                lead_idx = np.unravel_index(np.arange(s0, s1), (g,) * lead)
-                coords = [
-                    axes[i][lead_idx[i]].reshape((-1,) + (1,) * t)
-                    for i in range(lead)
-                ]
-            coords += [axes[lead + k].reshape(trail_shape[k]) for k in range(t)]
-            pts = _slab_feasible(
-                rows, coords, axis_of, (s1 - s0,) + (g,) * t, feas_tol
+        slabs = None
+        if n_tuples > per_slab:
+            # a round of several slabs is first tried as one list
+            whole = _slab_feasible(
+                rows, coords, axis_of, (n_tuples,) + (g,) * t, feas_tol, whole=True
             )
-            if pts.shape[0] == 0:
+            slabs = None if whole is None else [whole]
+        if slabs is None:
+            slabs = (
+                _slab_feasible(
+                    rows,
+                    [c[s0 : s0 + per_slab] for c in coords[:lead]] + coords[lead:],
+                    axis_of,
+                    (min(per_slab, n_tuples - s0),) + (g,) * t,
+                    feas_tol,
+                )
+                for s0 in range(0, n_tuples, per_slab)
+            )
+        for cols in slabs:
+            if cols.shape[1] == 0:
                 continue
-            obj = _eval_batched(q.objective, pts)
+            near = _points(cols, _near_minimum(obj_terms, obj_margin, cols))
+            obj = _eval_batched(q.objective, near)
             i = int(np.argmin(obj))
             cand_vals.append(obj[i])
-            cand_pts.append(pts[i].copy())
+            cand_pts.append(near[i].copy())
             if found < _MIN_BATCH:
-                first.append(pts[:_MIN_BATCH].copy())
-            found += pts.shape[0]
+                first.append(_points(cols, slice(0, _MIN_BATCH)))
+            found += cols.shape[1]
 
         if 0 < found < _MIN_BATCH:
             # a pass over the whole grid evaluates exactly these points

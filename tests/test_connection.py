@@ -1101,6 +1101,22 @@ class TestOracleGrid:
         # a box of half-width r takes 10 r + 1 points, below the cap
         assert len(grids) == 1 and grids[0] % 10 == 1 and grids[0] <= 101
 
+    def test_oracle_evaluates_few_points_exactly(self, monkeypatch):
+        """Re-checking every point the oracle's screen keeps, and then
+        every feasible point's objective, sends 12 840 points of one
+        judge of example 5.1 at alpha = 2.8 through eval_many; only the
+        points the screen cannot decide need it, 27 of them."""
+        real, points = QuadFunc.eval_many, []
+
+        def counted(f, pts):
+            points.append(pts.shape[0])
+            return real(f, pts)
+
+        monkeypatch.setattr(QuadFunc, "eval_many", counted)
+        h = make_example51(2.8)
+        assert judge(SeparableQcqp([h], h.rhs)).status is VerdictStatus.NOT_EXACT
+        assert 0 < sum(points) <= 128
+
 
 class TestJudgeOptions:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

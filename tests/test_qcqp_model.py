@@ -327,9 +327,12 @@ half_steps = st.integers(min_value=-4, max_value=4).map(lambda k: 0.5 * k)
 
 @st.composite
 def lattice_qcqps(draw):
-    """QCQPs with n <= 4 and coefficients on the 0.5 lattice, so ties, points
-    exactly on a row's boundary and infeasible draws all occur."""
+    """QCQPs with n <= 4 and coefficients on the 0.5 lattice times a drawn
+    scale, so ties, points exactly on a row's boundary and infeasible draws
+    all occur. At the scale 1e307 the oracle's grid sums can overflow, so
+    its overflow guards run too."""
     n = draw(st.integers(min_value=1, max_value=4))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e300, 1e307]))
 
     def func():
         quad = np.array(draw(st.lists(half_steps, min_size=n * n, max_size=n * n)))
@@ -337,11 +340,11 @@ def lattice_qcqps(draw):
         if draw(st.booleans()):
             quad = np.diag(np.diag(quad))
         lin = np.array(draw(st.lists(half_steps, min_size=n, max_size=n)))
-        return qf(quad, lin)
+        return qf(scale * quad, scale * lin)
 
     rels = draw(st.lists(st.sampled_from(list(Relation)), max_size=3))
     rhs = draw(st.lists(half_steps, min_size=len(rels), max_size=len(rels)))
-    return Qcqp(n, func(), [(func(), rel) for rel in rels], rhs)
+    return Qcqp(n, func(), [(func(), rel) for rel in rels], scale * np.array(rhs))
 
 
 def same_result(got, want) -> bool:
@@ -552,3 +555,180 @@ class TestBruteForce:
             tracemalloc.stop()
         assert val == -4.0 and np.array_equal(pt, [-1.0] * 4)
         assert peak < 64 * 2**20
+
+    def test_memory_stays_bounded_with_a_row_over_one_axis(self):
+        # the row on u1 alone keeps every point of the 41^4 grid: listed as
+        # one round they would take about 90 MB, so the round goes by slabs
+        q = Qcqp(4, qf(np.zeros((4, 4)), [0.5] * 4), [(qf(np.diag([1.0, 0, 0, 0])), Relation.LE)], [4.0])
+        tracemalloc.start()
+        try:
+            val, pt = brute_force(q, (-2.0, 2.0), grid_points=41, refine_rounds=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert val == -8.0 and np.array_equal(pt, [-2.0] * 4)
+        assert peak < 64 * 2**20
+
+    def test_round_whose_survivors_lie_along_the_last_axis(self):
+        # u3 >= 4.9 keeps one value of u3 and 51^2 survivors, few enough to
+        # list the round of 51^3 points at once, but finding them would
+        # scan all of it: the round is walked slab by slab
+        rng = np.random.default_rng(3)
+        q = Qcqp(
+            3,
+            qf(rng.standard_normal((3, 3)), rng.standard_normal(3)),
+            [(qf(np.zeros((3, 3)), [0.0, 0.0, 0.5]), Relation.GE)],
+            [4.9],
+        )
+        got = brute_force(q, (-5.0, 5.0), grid_points=51, refine_rounds=1)
+        assert same_result(got, full_grid_brute_force(q, (-5.0, 5.0), 51, 1))
+
+    @pytest.mark.parametrize("feas_tol", [math.nan, math.inf, -math.inf, -1e-6])
+    def test_rejects_bad_feas_tol(self, feas_tol):
+        # NaN read as "no feasible point", inf as "every grid point feasible"
+        q = Qcqp(1, qf([[1.0]]), [(qf([[1.0]]), Relation.LE)], [1.0])
+        with pytest.raises(ValueError, match="feas_tol"):
+            brute_force(q, (-1.0, 1.0), feas_tol=feas_tol)
+        assert brute_force(q, (-1.0, 1.0), feas_tol=0.0)[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"grid_points": 11.5}, "grid_points"), ({"grid_points": 11.0}, "grid_points"),
+         ({"grid_points": True}, "grid_points"), ({"refine_rounds": True}, "refine_rounds"),
+         ({"refine_rounds": 2.0}, "refine_rounds")],
+    )
+    def test_rejects_non_integer_counts(self, kwargs, name):
+        # a bool ran one round, and a float failed inside linspace or range
+        q = Qcqp(1, qf([[1.0]]), [(QuadFunc.zero(1), Relation.LE)], [0.0])
+        with pytest.raises(ValueError, match=name):
+            brute_force(q, (-1.0, 1.0), **kwargs)
+
+    @pytest.mark.parametrize(
+        "rel, rhs, at", [(Relation.LE, -1.5e308, (10, 3)), (Relation.GE, 1.5e308, (10, 7)),
+                         (Relation.EQ, None, (10, 6))],
+    )
+    @pytest.mark.parametrize("slab", [100, 1 << 16])
+    def test_an_overflowing_grid_sum_is_never_sure(self, rel, rhs, at, slab):
+        # the coupling 2 * 8e307 u1 u2 overflows on the grid once |u1| >= 1.2
+        # (to inf, or NaN where u2 = 0) while eval_many stays finite as long
+        # as |u1 u2| <= 1.12; u1 >= 1.9 leaves u1 = 2, and the objective
+        # favours small |u2|. At (2, 0.4) the grid reads inf, which holds
+        # within any tolerance of a >= row, while eval_many reads
+        # 1.28e308 < 1.5e308: only the exact re-check may decide such a
+        # point (likewise -inf for <=). A slab of 100 points makes the
+        # round one list, so the coupled row is screened on the survivors
+        coupled = qf([[0.0, 8e307], [8e307, 0.0]])
+        u1 = qf(np.zeros((2, 2)), [0.5, 0.0])
+        axis = np.linspace(-2.0, 2.0, 11)
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qcqp_model, "_SLAB", slab)
+            if rhs is None:
+                rhs = coupled.eval_many(grid)[11 * 10 + 6]
+            q = Qcqp(2, qf(np.diag([-1.0, 1.0])), [(u1, Relation.GE), (coupled, rel)], [1.9, rhs])
+            want = full_grid_brute_force(q, (-2.0, 2.0), refine_rounds=0)
+            got = brute_force(q, (-2.0, 2.0), refine_rounds=0)
+            assert np.isinf((1.6e308 * axis[10]) * axis[6])
+        assert np.array_equal(want[1], axis[list(at)])
+        assert same_result(got, want)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_objective_whose_grid_sum_overflows(self, rows):
+        # the grid objective reads NaN at (+-1.2, 0) and inf beyond, where
+        # eval_many reads 0 or finite values: every point is evaluated
+        obj = qf([[0.0, 8e307], [8e307, 0.0]], [-0.5, 0.0])
+        cons = [(qf(np.eye(2)), Relation.LE)][:rows]
+        q = Qcqp(2, obj, cons, [1.45][:rows])
+        with np.errstate(all="ignore"):
+            want = full_grid_brute_force(q, (-2.0, 2.0), refine_rounds=1)
+            got = brute_force(q, (-2.0, 2.0), refine_rounds=1)
+        assert want[1] is not None
+        assert same_result(got, want)
+
+    def test_eval_many_overflow_where_the_grid_sum_does_not(self):
+        # with |u1| <= 1e-3 the grid sum (2e307 u1) u2 stays below 2e306,
+        # but eval_many also forms u2 * 1e307 * u1, whose first product
+        # overflows: such a row gets an infinite margin, so neither the
+        # screen nor the band test trusts its finite grid sum
+        box = [(-1e-3, 1e-3), (-100.0, 100.0)]
+        row = qf([[0.0, 1e307], [1e307, 0.0]])
+        with np.errstate(all="ignore"):
+            assert np.isinf(row.eval_many(np.array([[1e-3, 100.0], [0.0, 0.0], [0.0, 0.0]]))[0])
+            for rel, rhs in [(Relation.LE, 1e307), (Relation.GE, 1e307)]:
+                q = Qcqp(2, qf(np.diag([0.0, -1.0])), [(row, rel)], [rhs])
+                want = full_grid_brute_force(q, box, refine_rounds=0)
+                got = brute_force(q, box, refine_rounds=0)
+                assert want[1] is not None
+                assert same_result(got, want), rel
+
+    @pytest.mark.parametrize(
+        "rel, rhs, feasible",
+        [(Relation.EQ, 1e-6, True), (Relation.EQ, 1e-6 + 1e-13, False),
+         (Relation.LE, -1e-6, True), (Relation.LE, -1e-6 - 1e-13, False),
+         (Relation.GE, 1e-6, True), (Relation.GE, 1e-6 + 1e-13, False)],
+    )
+    @pytest.mark.parametrize("objective", [qf(np.eye(2), [1.0, 0.0]), QuadFunc.zero(2)])
+    def test_variable_free_row_inside_the_margin(self, rel, rhs, feasible, objective):
+        # the grid value is the scalar 0.0, and rhs lies within the
+        # screen's margin of feas_tol: the screen keeps every point, and
+        # only the exact test may decide it either way
+        q = Qcqp(2, objective, [(QuadFunc.zero(2), rel)], [rhs])
+        got = brute_force(q, (-2.0, 2.0), refine_rounds=1)
+        assert same_result(got, full_grid_brute_force(q, (-2.0, 2.0), refine_rounds=1))
+        assert (got[1] is not None) is feasible
+
+    @pytest.mark.parametrize("slab", [5, 60, 1 << 16])
+    def test_one_or_two_band_points(self, slab):
+        # with feas_tol = 0 an = row is never sure; the first row leaves u2
+        # out and is tight at one grid point, the second keeps one or two
+        # values of u2, so the band holds one or two points, which must be
+        # evaluated as a larger batch would be
+        real, sizes, bands = qcqp_model._eval_batched, [], set()
+
+        def recorded(f, pts):
+            sizes.append(pts.shape[0])
+            return real(f, pts)
+
+        axis = np.linspace(-1.0, 1.0, 11)
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qcqp_model, "_SLAB", slab)
+            for seed in range(16):
+                rng = np.random.default_rng(seed)
+                quad = rng.standard_normal((3, 3))
+                quad[1, :] = quad[:, 1] = 0.0
+                row = qf(quad, [rng.standard_normal(), 0.0, rng.standard_normal()])
+                d = row.eval_many(grid)[121 * rng.integers(11) + rng.integers(11)]
+                u2 = qf(np.zeros((3, 3)), [0.0, 0.5, 0.0])
+                q = Qcqp(3, qf(rng.standard_normal((3, 3))),
+                         [(row, Relation.EQ), (u2, Relation.LE)], [d, -0.7 - 0.2 * (seed % 2)])
+                want = full_grid_brute_force(q, (-1.0, 1.0), refine_rounds=0, feas_tol=0.0)
+                sizes.clear()
+                mp.setattr(qcqp_model, "_eval_batched", recorded)
+                got = brute_force(q, (-1.0, 1.0), refine_rounds=0, feas_tol=0.0)
+                mp.setattr(qcqp_model, "_eval_batched", real)
+                assert want[1] is not None
+                assert same_result(got, want), seed
+                bands.add(sizes[0])
+        # points that differ in u2 alone lie 11 apart in C order, so a slab
+        # of 5 points never holds two of them
+        assert bands == ({1} if slab == 5 else {1, 2})
+
+    @pytest.mark.parametrize("slab", [5, 60, 1 << 16])
+    def test_ties_at_the_slab_minimum(self, slab):
+        # (v'u)^2 + 2 b'u with v and b on a lattice takes equal or nearly
+        # equal values at many grid points, where eval_many and the grid sum
+        # may round apart: the first exact minimum wins, not the first
+        # minimum of the grid sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qcqp_model, "_SLAB", slab)
+            for seed in range(12):
+                rng = np.random.default_rng(seed)
+                n = 2 + seed % 2
+                v = 0.5 * rng.integers(-3, 4, n)
+                obj = qf(np.outer(v, v), 0.25 * rng.integers(-2, 3, n))
+                q = Qcqp(n, obj, [(qf(np.eye(n)), Relation.LE)], [rng.uniform(0.5, 3.0)])
+                for grid in (11, 21):
+                    want = full_grid_brute_force(q, (-1.3, 1.3), grid, 1)
+                    got = brute_force(q, (-1.3, 1.3), grid, 1)
+                    assert same_result(got, want), (seed, grid)
