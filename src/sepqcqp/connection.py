@@ -11,8 +11,11 @@ renders a verdict:
 * ExactCertified  - every entry lands in an exact class and the block
                     relaxation solved to optimality;
 * ExactWitnessed  - a feasible point of the original problem matches the
-                    relaxation value (found by rank reduction, by a
-                    class-specific construction, or by the grid oracle);
+                    relaxation value (found by rank reduction of the joint
+                    solution; else, when no entry is homogeneous, by each
+                    entry's own construction, the last column of a convex
+                    entry's block or the gauge-signed root of a sign
+                    entry's diagonal; else by the grid oracle);
 * NotExact        - the grid oracle sits strictly above the relaxation;
 * Undetermined    - none of the above could be established.
 
@@ -80,7 +83,7 @@ from .sdpr_builder import (
     SdpSolution,
     SolveStatus,
     build_block,
-    build_hom,
+    build_hom,  # noqa: F401 - in perfbench/tracing.py WRAPS
     build_shor,  # noqa: F401 - in perfbench/tracing.py WRAPS
     to_standard_form,
 )
@@ -357,13 +360,6 @@ def strip_variable_free_rows(q: Qcqp):
     return reduced, kept
 
 
-def _hom_at(entry: HomSepQcqp, delta):
-    """A homogeneous entry at allocation delta, and its row reduction
-    (reduce_homogeneous_rows: the reduced problem, the dropped rows)."""
-    h = HomSepQcqp(entry.blocks, list(entry.relations), delta)
-    return h, reduce_homogeneous_rows(h)
-
-
 def _connection_duals(s: SeparableQcqp, b, sol):
     """Multipliers of the coupled rows by original index, and the corner-row
     multiplier of each entry (0 for homogeneous entries, which have none)."""
@@ -418,7 +414,7 @@ def _dual_bound(entry, delta, y, mu, feasible):
 
 def _joint_subsol(reduced: HomSepQcqp, blocks, achieved):
     """A homogeneous entry's joint blocks as an Optimal solution of its
-    reduced problem at its allocation (reduced, from _hom_at).
+    reduced problem at its allocation (reduce_homogeneous_rows).
 
     The reduced rows' right-hand sides are those rows' own values at these
     very blocks, so every row holds with a zero slack. The value is the
@@ -435,69 +431,6 @@ def _joint_subsol(reduced: HomSepQcqp, blocks, achieved):
         value=achieved,
         iterations=0,
     )
-
-
-@dataclass(frozen=True)
-class _EntryAnalysis:
-    """One entry's optimality at its allocation (_analyse_entries).
-
-    value is the dual bound on the entry's relaxation at its allocation,
-    gap its distance to the objective the entry achieves in the joint
-    solution (both nan without a bound). A homogeneous entry also carries
-    itself at its allocation (hom), that problem's row reduction
-    (reduction, from reduce_homogeneous_rows) and, where its bound meets
-    its achieved objective, its joint blocks as its solution (subsol).
-    """
-
-    value: float
-    gap: float
-    subsol: SdpSolution | None = None
-    hom: HomSepQcqp | None = None
-    reduction: tuple | None = None
-
-
-def _analyse_entries(stacks, b, sol, achieved, tol) -> list:
-    """Every entry's _EntryAnalysis, read off the joint primal-dual pair in
-    one pass over the entries.
-
-    stacks is the connection's _EntryStacks; entry p's blocks of sol are
-    sol.blocks[stacks.slices[p]] and achieved[p] is its [objective, row
-    values] there (_EntryStacks.at_blocks). Its allocation is those row
-    values, achieved[p, 1:], so its joint blocks satisfy every one of its
-    rows by construction: a variable-free row of an inhomogeneous entry
-    reads exactly 0 there, which holds under any relation. The joint
-    multipliers bound every entry's relaxation from below (_dual_bound;
-    the psd tests of all entries stacked, see _dual_feasible), and the
-    entry's achieved objective bounds it from above. Each entry reports
-    that bracket: the bound as its value and the distance to the achieved
-    objective as its gap, which complementary slackness keeps within the
-    joint gap; nan marks an entry without a bound.
-
-    A homogeneous entry's row reduction is computed here, once. Where its
-    bound meets the achieved objective within tol, its joint blocks become
-    its solution (_joint_subsol), which the certificate and witness stages
-    read; otherwise it has none.
-    """
-    s, slices = stacks.s, stacks.slices
-    y, mus = _connection_duals(s, b, sol)
-    feasible = _dual_feasible(stacks, y, mus, tol)
-    out = []
-    for p, entry in enumerate(s.blocks):
-        obj, delta = float(achieved[p, 0]), achieved[p, 1:]
-        bound = _dual_bound(entry, delta, y, mus[p], feasible[p])
-        value = gap = math.nan
-        if bound is not None:
-            value, gap = bound, abs(obj - bound)
-        if not isinstance(entry, HomSepQcqp):
-            out.append(_EntryAnalysis(value, gap))
-            continue
-        h, reduction = _hom_at(entry, delta)
-        subsol = None
-        # written so that a nan gap fails it
-        if gap <= tol * (1.0 + abs(obj)):
-            subsol = _joint_subsol(reduction[0], sol.blocks[slices[p]], obj)
-        out.append(_EntryAnalysis(value, gap, subsol, h, reduction))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +488,77 @@ def _certify_qcqp_entries(stacks) -> dict:
     return dict(zip(inhom, out))
 
 
+def _hom_certificate(entry, delta, blocks, obj, gap, tol) -> Certificate:
+    """A homogeneous entry's certificate at its allocation delta: at most
+    2 effective rows (check_m_le_2, on the rows reduced once), else
+    assumption A at its joint blocks, which achieve objective obj and are
+    read as the reduced problem's solution (_joint_subsol) only where the
+    entry's bound meets obj within tol (gap, from _entry_reports)."""
+    h = HomSepQcqp(entry.blocks, list(entry.relations), delta)
+    reduction = reduce_homogeneous_rows(h)
+    cert = check_m_le_2(h, reduction=reduction)
+    # written so that a nan gap fails it
+    if cert.holds or not gap <= tol * (1.0 + abs(obj)):
+        return cert
+    # the reduced rows hold with equality at the joint blocks, so no
+    # residual counts: count is the nonzero-block count
+    reduced = reduction[0]
+    holds_a, count, _ = check_assumption_A(
+        reduced, _joint_subsol(reduced, blocks, obj), tol=tol
+    )
+    if not holds_a:
+        return cert
+    return Certificate(
+        CertificateKind.HOM_LIMITED,
+        f"{count} nonzero blocks and residuals >= m - 1 = {reduced.m - 1} "
+        "at the joint solution",
+        depends_on_solution=True,
+    )
+
+
+def _entry_reports(stacks, b, sol, achieved, tol) -> tuple:
+    """Every entry's PerBlockReport and sign gauge (None but for a sign
+    entry), read off the joint primal-dual pair in one pass over the
+    entries: (per_block, gauges).
+
+    stacks is the connection's _EntryStacks; entry p's blocks of sol are
+    sol.blocks[stacks.slices[p]] and achieved[p] is its [objective, row
+    values] there (_EntryStacks.at_blocks). Its allocation is those row
+    values, achieved[p, 1:], so its joint blocks satisfy every one of its
+    rows by construction: a variable-free row of an inhomogeneous entry
+    reads exactly 0 there, which holds under any relation. The joint
+    multipliers bound every entry's relaxation from below (_dual_bound;
+    the psd tests of all entries stacked, see _dual_feasible), and the
+    entry's achieved objective bounds it from above. Each entry reports
+    that bracket: the bound as its value and the distance to the achieved
+    objective as its gap, which complementary slackness keeps within the
+    joint gap; nan marks an entry without a bound.
+
+    The inhomogeneous entries are certified in one batch
+    (_certify_qcqp_entries), each homogeneous one by _hom_certificate.
+    """
+    s = stacks.s
+    y, mus = _connection_duals(s, b, sol)
+    feasible = _dual_feasible(stacks, y, mus, tol)
+    structural = _certify_qcqp_entries(stacks)
+    per_block, gauges = [], []
+    for p, entry in enumerate(s.blocks):
+        obj, delta = float(achieved[p, 0]), achieved[p, 1:]
+        bound = _dual_bound(entry, delta, y, mus[p], feasible[p])
+        value = gap = math.nan
+        if bound is not None:
+            value, gap = bound, abs(obj - bound)
+        gauge = None
+        if isinstance(entry, HomSepQcqp):
+            blocks = sol.blocks[stacks.slices[p]]
+            cert = _hom_certificate(entry, delta, blocks, obj, gap, tol)
+        else:
+            cert, gauge = structural[p]
+        per_block.append(PerBlockReport(cert, value, gap))
+        gauges.append(gauge)
+    return per_block, gauges
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -576,47 +580,20 @@ def _verify_witness(stacks, points, eta, tol):
     return obj if abs(obj - eta) <= tol * (1.0 + abs(eta)) else None
 
 
-def _reduce_points(b, sol, opts):
-    """Rank reduction of sol, an Optimal solution of b (the joint
-    relaxation, or a homogeneous entry's own): (report, the blocks'
-    extracted vectors). The report is None when the reduction stalls or
-    finds the solution stale; the vectors are None unless every block
-    ended at rank <= 1."""
-    try:
-        _, rep = reduce(
-            to_standard_form(b), sol, tol=opts.tol, rank_tol=opts.rank_tol
-        )
-    except (ReductionStallError, StaleSolutionError):
-        return None, None
-    return rep, rep.extracted
-
-
-def _salvage_point(entry, cert, gauge, blocks, analysis, opts):
-    """Class-specific witness candidate for one entry, or None.
-
-    Convex entries read the last column of their lifted block; sign
-    entries take gauge-signed square roots of the diagonal; homogeneous
-    entries rank-reduce their joint blocks (analysis.subsol, from the
-    entry's _EntryAnalysis) within the relaxation of their reduced rows,
-    built here, and join their blocks' vectors.
-    """
-    try:
-        if isinstance(entry, HomSepQcqp):
-            if analysis.subsol is None:
-                return None
-            sub = build_hom(analysis.reduction[0])
-            _, vecs = _reduce_points(sub, analysis.subsol, opts)
-            return None if vecs is None else np.concatenate(vecs)
-        if cert.kind is CertificateKind.CONVEX:
-            return extract_convex_solution(blocks[0])
-        if gauge is not None:
-            diag = np.array(
-                [max(float(blocks[0][i, i]), 0.0) for i in range(entry.n)]
-            )
-            return gauge * np.sqrt(diag)
-    except SepqcqpError:
+def _salvage_point(entry, cert, gauge, block):
+    """Class-specific witness candidate for one inhomogeneous entry at its
+    joint block, or None: a convex entry reads the last column of its
+    lifted block, a sign entry takes gauge-signed square roots of the
+    diagonal."""
+    if cert.kind is CertificateKind.CONVEX:
+        try:
+            return extract_convex_solution(block)
+        except SepqcqpError:
+            return None
+    if gauge is None:
         return None
-    return None
+    diag = np.array([max(float(block[i, i]), 0.0) for i in range(entry.n)])
+    return gauge * np.sqrt(diag)
 
 
 def _oracle_box(n, sol, opts):
@@ -679,8 +656,8 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     Solves the block relaxation, allocates right-hand sides to entries,
     reads each entry's optimality at its allocation off the joint
     primal-dual pair, certifies entries against the exact classes, then
-    hunts for a matching feasible point:
-    first by rank-reducing the full solution, next by class-specific
+    hunts for a matching feasible point: first by rank-reducing the full
+    solution, next (when no entry is homogeneous) by each entry's own
     construction, finally by the grid oracle, which alone can conclude
     NotExact.
     """
@@ -709,56 +686,28 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         )
     eta = float(sol.value)
     stacks = _EntryStacks(s)
-    slices = stacks.slices
     achieved = stacks.at_blocks(sol.blocks)
-    analysed = _analyse_entries(stacks, b, sol, achieved, opts.tol)
+    per_block, gauges = _entry_reports(stacks, b, sol, achieved, opts.tol)
 
-    structural = _certify_qcqp_entries(stacks)
-    certs, gauges, per_block = [], [], []
-    for p, entry in enumerate(s.blocks):
-        e = analysed[p]
-        gauge = None
-        if isinstance(entry, HomSepQcqp):
-            cert = check_m_le_2(e.hom, reduction=e.reduction)
-            if not cert.holds and e.subsol is not None:
-                # the reduced rows hold with equality at the joint blocks,
-                # so no residual counts: count is the nonzero-block count
-                reduced = e.reduction[0]
-                holds_a, count, _ = check_assumption_A(
-                    reduced, e.subsol, tol=opts.tol
-                )
-                if holds_a:
-                    cert = Certificate(
-                        kind=CertificateKind.HOM_LIMITED,
-                        details=(
-                            f"{count} nonzero blocks and residuals >= "
-                            f"m - 1 = {reduced.m - 1} at the joint solution"
-                        ),
-                        depends_on_solution=True,
-                    )
-        else:
-            cert, gauge = structural[p]
-
-        certs.append(cert)
-        gauges.append(gauge)
-        per_block.append(PerBlockReport(cert, e.value, e.gap))
-
-    # witness hunt: global rank reduction, then per-entry constructions
-    reduction, vecs = _reduce_points(b, sol, opts)
+    # witness hunt: global rank reduction, then, when no entry is
+    # homogeneous, each entry's own construction
+    try:
+        _, reduction = reduce(
+            to_standard_form(b), sol, tol=opts.tol, rank_tol=opts.rank_tol
+        )
+    except (ReductionStallError, StaleSolutionError):
+        reduction = None
     witness = zeta = None
-    if vecs is not None:
-        witness = [np.concatenate(vecs[sl]) for sl in slices]
+    if reduction is not None and reduction.extracted is not None:
+        witness = [np.concatenate(reduction.extracted[sl]) for sl in stacks.slices]
         zeta = _verify_witness(stacks, witness, eta, opts.tol)
-    if zeta is None:
-        witness = []
-        for p, entry in enumerate(s.blocks):
-            pt = _salvage_point(
-                entry, certs[p], gauges[p], sol.blocks[slices[p]], analysed[p], opts
-            )
-            if pt is None:
-                break
-            witness.append(pt)
-        else:
+    if zeta is None and not stacks.hom:
+        # every entry is inhomogeneous, so each has one block, in order
+        witness = [
+            _salvage_point(entry, pb.certificate, gauge, block)
+            for entry, pb, gauge, block in zip(s.blocks, per_block, gauges, sol.blocks)
+        ]
+        if all(pt is not None for pt in witness):
             zeta = _verify_witness(stacks, witness, eta, opts.tol)
     if zeta is None:
         witness = None
@@ -766,7 +715,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     # the verdict: certified, else witnessed, else the grid oracle's, the
     # only road to NotExact
     reason, oracle_value = "", None
-    if all(c.holds for c in certs):
+    if all(pb.certificate.holds for pb in per_block):
         status = VerdictStatus.EXACT_CERTIFIED
     elif witness is not None:
         status = VerdictStatus.EXACT_WITNESSED

@@ -94,7 +94,10 @@ class QuadFunc:
         return self.B.is_zero()
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at many points at once; pts has shape (N, n)."""
+        """Evaluate at many points at once; pts has shape (N, n). The points
+        are read in C order, since einsum sums in the order of the strides:
+        the bits do not depend on the points' memory layout."""
+        pts = np.ascontiguousarray(pts)
         dense = self.B.to_dense()
         q = dense[: self.n, : self.n]
         b = dense[: self.n, self.n]
@@ -619,6 +622,8 @@ def _near_minimum(terms, margin, cols) -> np.ndarray:
     return np.broadcast_to(vals <= np.min(vals) + 2.0 * margin, cols.shape[1:])
 
 
+# the screen's grid sums overflow on purpose near 1e307 (see _margin)
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force(
     q: Qcqp,
     box,
@@ -653,6 +658,7 @@ def brute_force(
 
     Only intended for q.n <= 4 (the grid is exponential in n). The reported
     value is an upper bound on the true minimum that tightens with rounds.
+    Overflow and invalid-value warnings stay inside the call.
     """
     if q.n > 4:
         raise DimensionError(f"brute force limited to n <= 4, got n = {q.n}")

@@ -152,8 +152,8 @@ def entry_gaps(s, sol, tol=1e-6):
     analysis reads it off sol; nan marks an entry without a bound."""
     stacks = connection._EntryStacks(s)
     achieved = stacks.at_blocks(sol.blocks)
-    entries = connection._analyse_entries(stacks, build_block(s), sol, achieved, tol)
-    return np.array([e.gap for e in entries], dtype=np.float64)
+    per_block, _ = connection._entry_reports(stacks, build_block(s), sol, achieved, tol)
+    return np.array([pb.optimality_gap for pb in per_block], dtype=np.float64)
 
 
 class TestVerifySuboptimality:
@@ -883,10 +883,13 @@ class TestQcqpRowCheckReference:
         tol = JudgeOptions().tol
         stacks = connection._EntryStacks(s)
         achieved = stacks.at_blocks(sol.blocks)
-        got = connection._analyse_entries(stacks, b, sol, achieved, tol)
+        got, _ = connection._entry_reports(stacks, b, sol, achieved, tol)
         want = reference_analysis(s, b, sol, decompose_delta(s, sol), tol)
-        assert [repr((e.value, e.gap)) for e in got] == [repr(w) for w in want]
-        assert all(e.subsol is None for e in got)
+        assert [
+            repr((pb.sub_sdpr_value, pb.optimality_gap)) for pb in got
+        ] == [repr(w) for w in want]
+        # no entry's certificate reads its joint blocks as its solution
+        assert not any(pb.certificate.depends_on_solution for pb in got)
 
 
 class TestAchievedAllocation:
@@ -911,7 +914,9 @@ class TestAchievedAllocation:
         for p, entry in enumerate(s.blocks):
             blocks = sol.blocks[stacks.slices[p]]
             if isinstance(entry, HomSepQcqp):
-                _, (reduced, _) = connection._hom_at(entry, achieved[p, 1:])
+                # the reduced rows connection._hom_certificate reads
+                h = HomSepQcqp(entry.blocks, list(entry.relations), achieved[p, 1:])
+                reduced, _ = reduce_homogeneous_rows(h)
                 subsol = connection._joint_subsol(reduced, blocks, achieved[p, 0])
                 _, count, parts = certificates.check_assumption_A(reduced, subsol)
                 assert np.all(parts.residuals == 0.0)
@@ -972,18 +977,18 @@ class TestJudgeDoesEachOnce:
     once and no row is compiled pair by pair (BlockSdp.from_rows), no
     inhomogeneous sub-problem is built, build_block allocates no zero
     matrix, a homogeneous entry's rows are reduced once and its relaxation
-    is built only on the salvage route."""
+    is never built."""
 
     def counted(self, monkeypatch, s):
         calls = {
             "relax": 0, "compile": 0, "build_shor": 0, "build_hom": 0, "zeros": 0,
-            "reduce_rows": 0,
+            "reduce_rows": 0, "reduce": 0,
         }
         in_build = []
         relax, zeros = sdpr_builder._relax, SymMatrix.zeros
         from_rows = sdpr_builder.BlockSdp.from_rows
         build, shor = connection.build_block, connection.build_shor
-        hom = connection.build_hom
+        hom, rank_reduce = connection.build_hom, connection.reduce
         reduce_rows = certificates.reduce_homogeneous_rows
 
         def counter(key, fn):
@@ -1010,6 +1015,7 @@ class TestJudgeDoesEachOnce:
             m.setattr(connection, "build_block", counted_build)
             m.setattr(connection, "build_shor", counter("build_shor", shor))
             m.setattr(connection, "build_hom", counter("build_hom", hom))
+            m.setattr(connection, "reduce", counter("reduce", rank_reduce))
             wrapped = counter("reduce_rows", reduce_rows)
             m.setattr(connection, "reduce_homogeneous_rows", wrapped)
             m.setattr(certificates, "reduce_homogeneous_rows", wrapped)
@@ -1032,18 +1038,18 @@ class TestJudgeDoesEachOnce:
         assert sum(isinstance(e, HomSepQcqp) for e in s.blocks) == 1
         assert calls["reduce_rows"] == 1
         # the homogeneous entry's joint blocks are read as its solution
-        # without building its rows again; its relaxation is built only
-        # when it has to be rank-reduced on its own
+        # without building its rows again
         assert calls["relax"] == 1 and calls["compile"] == 0
         assert calls["build_hom"] == 0
 
-    def test_salvage_route_builds_the_entry_relaxation_once(self, monkeypatch):
+    def test_not_exact_builds_no_entry_relaxation(self, monkeypatch):
         # NotExact: neither the joint reduction nor a certificate settles
-        # it, so the homogeneous entry is rank-reduced on its own
+        # it, and the homogeneous entry is not rank-reduced on its own
+        # either: the grid oracle decides
         h = make_example51(2.5)
         v, calls = self.counted(monkeypatch, SeparableQcqp([h], h.rhs))
         assert v.status is VerdictStatus.NOT_EXACT
-        assert calls["build_hom"] == 1
+        assert calls["build_hom"] == 0 and calls["reduce"] == 1
 
     def test_example52_decides_the_sign_pattern_once(self, monkeypatch):
         # entry 2 is the one non-convex inhomogeneous entry: its graph is

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ class TestQuadFunc:
         fast = f.eval_many(pts)
         slow = [eval_quad(f, p) for p in pts]
         assert np.allclose(fast, slow, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 3, 1000])
+    def test_eval_many_bits_do_not_depend_on_layout(self, count):
+        # einsum sums in the order of the strides: Fortran-ordered and
+        # column-sliced points must still give the C-ordered points' bits
+        rng = np.random.default_rng(count)
+        for n in (2, 3, 4):
+            f = qf(rng.standard_normal((n, n)), rng.standard_normal(n))
+            pts = rng.uniform(-2.0, 2.0, size=(count, n))
+            want = f.eval_many(pts)
+            assert np.array_equal(f.eval_many(np.asfortranarray(pts)), want)
+            wide = np.concatenate((pts, pts), axis=1)
+            assert np.array_equal(f.eval_many(wide[:, :n]), want)
 
 
 class TestLift:
@@ -479,7 +493,9 @@ class TestBruteForce:
     def test_matches_full_grid_bit_for_bit(self, q, half_width, grid, rounds, slab):
         if q.n == 4:
             grid = 11
-        want = full_grid_brute_force(q, (-half_width, half_width), grid, rounds)
+        # the reference's eval_many overflows at the 1e307 scale on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = full_grid_brute_force(q, (-half_width, half_width), grid, rounds)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qcqp_model, "_SLAB", slab)
             got = brute_force(q, (-half_width, half_width), grid, rounds)
@@ -642,6 +658,24 @@ class TestBruteForce:
         with np.errstate(all="ignore"):
             want = full_grid_brute_force(q, (-2.0, 2.0), refine_rounds=1)
             got = brute_force(q, (-2.0, 2.0), refine_rounds=1)
+        assert want[1] is not None
+        assert same_result(got, want)
+
+    def test_no_warning_reaches_the_caller(self):
+        # a lattice problem at the scale 1e307: the screen's grid sums
+        # overflow (to inf, and NaN where two infinities meet), which
+        # brute_force handles without letting numpy's warnings out
+        scale = 1e307
+        obj = qf(scale * np.array([[1.0, -1.5], [-1.5, 2.0]]), [0.5 * scale, -scale])
+        row = qf(scale * np.array([[2.0, 1.5], [1.5, 2.0]]))
+        q = Qcqp(2, obj, [(row, Relation.LE)], [scale * 1.5])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = brute_force(q, (-4.0, 4.0))
+        assert np.geterr() == before
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = full_grid_brute_force(q, (-4.0, 4.0))
         assert want[1] is not None
         assert same_result(got, want)
 

@@ -3,8 +3,9 @@
 Several of these outcomes are reached by no bundled instance, so each
 test forces its branch by wrapping a name judge looks up in
 connection: rank reduction (connection.reduce) with its extracted points
-dropped, or the grid oracle (connection.brute_force) with its value
-replaced. Each test pins the verdict's full field set, so that the
+dropped, the grid oracle (connection.brute_force) with its value
+replaced, or an entry's own witness point (connection._salvage_point)
+withheld. Each test pins the verdict's full field set, so that the
 fields a branch leaves empty stay empty.
 """
 
@@ -17,7 +18,14 @@ import pytest
 from sepqcqp import connection
 from sepqcqp.certificates import CertificateKind
 from sepqcqp.connection import VerdictStatus, judge, make_example51, make_example52
-from sepqcqp.qcqp_model import INFEASIBLE, HomSepQcqp, SeparableQcqp
+from sepqcqp.qcqp_model import (
+    INFEASIBLE,
+    HomSepQcqp,
+    Qcqp,
+    QuadFunc,
+    Relation,
+    SeparableQcqp,
+)
 
 TOL = 1e-6
 
@@ -68,6 +76,20 @@ def oracle(monkeypatch):
     return install
 
 
+def convex_rank_two():
+    """One convex entry of two variables whose joint rank reduction ends
+    at rank 2: min 2 x1 + 2 x2 subject to x2^2 <= 1 and -2 x1 <= 2 (each
+    QuadFunc is x'Ax + 2 b'x), with value -4 at (-1, -1)."""
+    obj = QuadFunc.from_parts(np.zeros((2, 2)), [1.0, 1.0])
+    rows = [
+        QuadFunc.from_parts(np.diag([0.0, 1.0])),
+        QuadFunc.from_parts(np.zeros((2, 2)), [-1.0, 0.0]),
+    ]
+    gamma = np.array([1.0, 2.0])
+    q = Qcqp(2, obj, [(f, Relation.LE) for f in rows], gamma)
+    return SeparableQcqp([q], gamma)
+
+
 def assert_fields(v, status, reason="", zeta=None, oracle_value=None, witness=None):
     """The verdict's status and reason exactly; zeta_witness, oracle_value
     and each witness point to 1e-9 relative, or None where given None."""
@@ -91,40 +113,66 @@ def assert_fields(v, status, reason="", zeta=None, oracle_value=None, witness=No
 
 
 class TestWitnessedWithoutTheJointPoints:
-    def test_homogeneous_salvage_point(self, reductions, oracle):
-        # the joint reduction's points gone, the homogeneous entry's own
-        # rank reduction supplies the witness; the oracle never runs
+    def test_homogeneous_entry_falls_to_the_oracle(self, reductions, oracle):
+        # the joint reduction's points gone, a homogeneous entry builds no
+        # point of its own (judge reduces once), so the grid oracle
+        # supplies the witness
         extracted = reductions("joint")
         calls = oracle()
         v = judge(family(3.0))
-        assert extracted == [True, True]
-        assert calls == []
+        assert extracted == [True]
+        assert calls == [9.0]
         assert v.eta == pytest.approx(9.000000021154838, rel=1e-9)
         assert_fields(
             v,
             VerdictStatus.EXACT_WITNESSED,
-            zeta=9.000000021924476,
-            witness=[[3.0, 1.0, 0.0]],
+            zeta=9.0,
+            oracle_value=9.0,
+            witness=[[-3.0, -1.0, 0.0]],
         )
         assert [pb.certificate.kind for pb in v.per_block] == [CertificateKind.NONE]
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_certified_entries_salvage_example52(self, reductions, seed):
-        reductions("joint")
+    def test_certified_example52_without_the_joint_points(self, reductions, seed):
+        # the homogeneous entry leaves the convex and sign entries'
+        # constructions unused: certified, with no witness
+        extracted = reductions("joint")
         v = judge(make_example52(seed))
-        assert v.status is VerdictStatus.EXACT_CERTIFIED
-        assert v.witness is not None and v.zeta_witness is not None
-        assert abs(v.zeta_witness - v.eta) <= TOL * (1.0 + abs(v.eta))
-        assert v.oracle_value is None and v.reason == ""
+        assert extracted == [True]
+        assert_fields(v, VerdictStatus.EXACT_CERTIFIED)
 
     def test_certified_without_any_witness(self, reductions, oracle):
         # every reduction's points gone: the homogeneous entry has no
-        # salvage point, so the certified verdict carries no witness
+        # point of its own, so the certified verdict carries no witness
         reductions("all")
         calls = oracle()
         v = judge(make_example52(0))
         assert calls == []
         assert_fields(v, VerdictStatus.EXACT_CERTIFIED)
+
+    def test_convex_salvage_point(self, monkeypatch, oracle):
+        # the joint reduction ends at rank 2, so only the last column of
+        # the lifted block (extract_convex_solution) gives the point
+        # (-1, -1); without it the certified verdict has no witness
+        calls = oracle()
+        v = judge(convex_rank_two())
+        assert calls == []
+        assert v.eta == pytest.approx(-4.0, abs=1e-5)
+        assert v.reduction.final_ranks == [2]
+        assert v.reduction.extracted is None
+        assert v.status is VerdictStatus.EXACT_CERTIFIED
+        assert [pb.certificate.kind for pb in v.per_block] == [CertificateKind.CONVEX]
+        assert len(v.witness) == 1
+        np.testing.assert_allclose(v.witness[0], [-1.0, -1.0], rtol=0.0, atol=1e-4)
+        want = connection.extract_convex_solution(v.relaxation.blocks[0])
+        np.testing.assert_array_equal(v.witness[0], want)
+        assert abs(v.zeta_witness - v.eta) <= TOL * (1.0 + abs(v.eta))
+
+        monkeypatch.setattr(connection, "_salvage_point", lambda *args: None)
+        v = judge(convex_rank_two())
+        assert calls == []
+        assert_fields(v, VerdictStatus.EXACT_CERTIFIED)
+        assert v.reduction.extracted is None
 
 
 class TestOracleVerdicts:

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/pool_digest.py [workload ... | cli] > digest.txt
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/pool_digest.py [workload ... | cli | routes] > digest.txt
 
 One line per pool instance (all four workloads by default, 1003 lines):
 the workload and key, the verdict status, ``repr(eta)``, the reason, the
@@ -20,6 +20,15 @@ output and standard error of ``sepqcqp judge``, ``solve``, ``reduce`` and
 ``certify`` with ``--format json --no-timestamp`` on the problem file of
 ``make_example52(k)`` for k in 0..19, and of ``sepqcqp example51 --table
 --no-timestamp`` in JSON and in text.
+
+After those (when no workload is named, or when ``routes`` is), one line
+per instance of the witness routes the pools never take: the 81 joins of
+two ``make_example51`` entries over the alpha grid ``ALPHAS`` (certified,
+witnessed by rank reduction, and undetermined with too many variables
+for the oracle), the 40 joins of ``make_example52(2k)`` and ``(2k + 1)``
+with their right-hand sides summed (witnessed by rank reduction, and
+one undetermined), and one convex entry whose joint rank reduction ends
+at rank 2, witnessed by the last column of its block.
 
 A change that must leave the solver's arithmetic as it is passes when
 the digest at the parent commit and at the change are identical:
@@ -44,6 +53,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import sepqcqp.cli as cli  # noqa: E402
 import sepqcqp.connection as connection  # noqa: E402
+from sepqcqp.qcqp_model import Qcqp, QuadFunc, Relation, SeparableQcqp  # noqa: E402
 from workloads import HARD_CASES, SPECS, make_instance  # noqa: E402
 
 
@@ -129,9 +139,42 @@ def cli_lines() -> None:
         print("cli example51-table", fmt, cli_digest(argv), flush=True)
 
 
+#: the alpha grid of the example-5.1 joins
+ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.2, 2.5, 2.8, 3.0, 3.5)
+
+#: the example-5.2 joins pair make_example52(2k) with (2k + 1)
+JOINS52 = range(40)
+
+
+def convex_rank_two() -> SeparableQcqp:
+    """One convex entry, min 2 x1 + 2 x2 subject to x2^2 <= 1 and
+    -2 x1 <= 2: its joint rank reduction ends at rank 2."""
+    obj = QuadFunc.from_parts(np.zeros((2, 2)), [1.0, 1.0])
+    rows = [
+        QuadFunc.from_parts(np.diag([0.0, 1.0])),
+        QuadFunc.from_parts(np.zeros((2, 2)), [-1.0, 0.0]),
+    ]
+    gamma = np.array([1.0, 2.0])
+    q = Qcqp(2, obj, [(f, Relation.LE) for f in rows], gamma)
+    return SeparableQcqp([q], gamma)
+
+
+def route_lines() -> None:
+    for a in ALPHAS:
+        for b in ALPHAS:
+            h1, h2 = connection.make_example51(a), connection.make_example51(b)
+            s = SeparableQcqp([h1, h2], h1.rhs + h2.rhs)
+            print("routes ex51-join", a, b, digest(s), flush=True)
+    for k in JOINS52:
+        s1, s2 = connection.make_example52(2 * k), connection.make_example52(2 * k + 1)
+        s = SeparableQcqp(s1.blocks + s2.blocks, s1.gamma + s2.gamma)
+        print("routes ex52-join", k, digest(s), flush=True)
+    print("routes convex-rank-two", digest(convex_rank_two()), flush=True)
+
+
 def main(names) -> None:
     for name in names or sorted(SPECS):
-        if name == "cli":
+        if name in ("cli", "routes"):
             continue
         keys = list(range(SPECS[name].pool))
         if name == "ex51-sweep":
@@ -140,6 +183,8 @@ def main(names) -> None:
             print(name, k, digest(make_instance(name, k)), flush=True)
     if not names or "cli" in names:
         cli_lines()
+    if not names or "routes" in names:
+        route_lines()
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/traffic_lines.py [workload ... | cli]
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/traffic_lines.py [workload ... | cli | routes]
 
 The traffic is that of ``tools/pool_digest.py`` with the same arguments
 (every pool instance judged by the library, then the command-line
