@@ -51,7 +51,7 @@ from .sdpr_builder import (
     build_shor,
     to_standard_form,
 )
-from .sdp_solver import SolverOptions, solve
+from .sdp_solver import solve
 from .certificates import (
     AssumptionBreakdown,
     Certificate,

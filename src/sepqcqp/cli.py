@@ -41,7 +41,7 @@ from .errors import (
 )
 from .qcqp_model import HomSepQcqp, Qcqp, QuadFunc, Relation, SeparableQcqp
 from .rank_reduction import reduce as reduce_solution
-from .sdp_solver import SolverOptions, solve
+from .sdp_solver import solve
 from .sdpr_builder import SolveStatus, build_block, to_standard_form
 from .symkernel import HALF_MAX, SymMatrix, numeric_rank
 
@@ -275,7 +275,7 @@ def validate_problem_file(pf: ProblemFile) -> None:
     m = len(pf.relations)
 
     if pf.kind == "separable":
-        if pf.rhs is None and pf.gamma is None:
+        if pf.rhs is None and pf.gamma is None and m > 0:
             raise ValidationError(
                 "a separable file needs a budget vector (rhs or gamma)",
                 field="rhs",
@@ -426,7 +426,7 @@ def problem_file_to_model(pf: ProblemFile):
     """Validated ProblemFile -> model object of the matching kind."""
     validate_problem_file(pf)
     relations = [Relation(r) for r in pf.relations]
-    budget = list(pf.gamma if pf.rhs is None else pf.rhs)
+    budget = list((pf.gamma if pf.rhs is None else pf.rhs) or ())
     if pf.kind == "qcqp":
         return _qcqp_of_block(pf.blocks[0], relations, budget)
     if pf.kind == "homogeneous":
@@ -701,14 +701,8 @@ def _kind_name(model) -> str:
     return "separable"
 
 
-def _solver_options(ns) -> SolverOptions:
-    return SolverOptions(max_iter=ns.max_iter)
-
-
 def _judge_options(ns) -> JudgeOptions:
-    return JudgeOptions(
-        tol=ns.tol, rank_tol=ns.rank_tol, solver=_solver_options(ns)
-    )
+    return JudgeOptions(tol=ns.tol, rank_tol=ns.rank_tol, max_iter=ns.max_iter)
 
 
 def _exit_for(v: ExactnessVerdict) -> int:
@@ -721,7 +715,7 @@ def _exit_for(v: ExactnessVerdict) -> int:
 
 def _cmd_solve(ns):
     model = parse(ns.file)
-    sol = solve(build_block(_as_connection(model)), _solver_options(ns))
+    sol = solve(build_block(_as_connection(model)), ns.max_iter)
     payload = {"kind": _kind_name(model), "solver": _provenance(sol, ns.rank_tol)}
     return (0 if sol.status is SolveStatus.OPTIMAL else 2), payload
 
@@ -781,7 +775,7 @@ def _cmd_judge(ns):
 def _cmd_reduce(ns):
     model = parse(ns.file)
     b = build_block(_as_connection(model))
-    sol = solve(b, _solver_options(ns))
+    sol = solve(b, ns.max_iter)
     prov = _provenance(sol, ns.rank_tol)
     if sol.status is not SolveStatus.OPTIMAL:
         return 2, {
@@ -794,7 +788,7 @@ def _cmd_reduce(ns):
     stalled = False
     note = ""
     try:
-        red, rep = reduce_solution(std, sol, rank_tol=ns.rank_tol)
+        red, rep = reduce_solution(std, sol, tol=ns.tol, rank_tol=ns.rank_tol)
         drift = abs(float(red.value) - float(sol.value))
     except ReductionStallError as e:
         rep = e.report
@@ -921,12 +915,9 @@ def _table_text(rows: list) -> str:
 
 def _render(ns, payload: dict) -> str:
     env = {"command": ns.command, "report": payload}
-    env["flags"] = {
-        "tol": ns.tol,
-        "rank_tol": ns.rank_tol,
-        "max_iter": ns.max_iter,
-        "format": ns.format,
-    }
+    # the flags the command has: solve has no --tol
+    names = ("tol", "rank_tol", "max_iter", "format")
+    env["flags"] = {name: getattr(ns, name) for name in names if name in ns}
     if not ns.no_timestamp:
         env["generated_at"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds"
@@ -977,12 +968,13 @@ def _int_at_least(low: int):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # every command but solve, which has no tolerance to read
+    with_tol = argparse.ArgumentParser(add_help=False)
+    with_tol.add_argument(
         "--tol", type=_positive_float, default=1e-6,
-        help="verification tolerance of certify, judge, example51 and "
-        "example52 (solve and reduce ignore it)",
+        help="verification tolerance of the verdict and of rank reduction",
     )
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--rank-tol",
         dest="rank_tol",
@@ -1022,26 +1014,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_solve)
 
     sp = sub.add_parser(
-        "certify", parents=[common], help="per-block exactness certificates"
+        "certify", parents=[with_tol, common], help="per-block exactness certificates"
     )
     sp.add_argument("file")
     sp.set_defaults(handler=_cmd_certify)
 
     sp = sub.add_parser(
-        "judge", parents=[common], help="full exactness pipeline and verdict"
+        "judge", parents=[with_tol, common], help="full exactness pipeline and verdict"
     )
     sp.add_argument("file")
     sp.set_defaults(handler=_cmd_judge)
 
     sp = sub.add_parser(
-        "reduce", parents=[common], help="rank reduction report"
+        "reduce", parents=[with_tol, common], help="rank reduction report"
     )
     sp.add_argument("file")
     sp.set_defaults(handler=_cmd_reduce)
 
     sp = sub.add_parser(
         "example51",
-        parents=[common],
+        parents=[with_tol, common],
         help="two-group benchmark family: report one alpha or sweep a grid",
     )
     pick = sp.add_mutually_exclusive_group()
@@ -1053,7 +1045,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "example52",
-        parents=[common],
+        parents=[with_tol, common],
         help="seeded three-entry mixed-class instance: generate and judge",
     )
     sp.add_argument("--seed", type=_int_at_least(0), required=True)

@@ -78,7 +78,7 @@ from .qcqp_model import (
     split_point,
 )
 from .rank_reduction import ReductionReport, reduce
-from .sdp_solver import SolverOptions, solve
+from .sdp_solver import solve
 from .sdpr_builder import (
     SdpSolution,
     SolveStatus,
@@ -137,9 +137,7 @@ class ExactnessVerdict:
 class JudgeOptions:
     tol: float = 1e-6
     rank_tol: float = 1e-6
-    solver: SolverOptions | None = None
-    oracle_grid: int | None = None
-    oracle_rounds: int = 4
+    max_iter: int = 200
 
     def __post_init__(self):
         # written so that a NaN fails them
@@ -147,12 +145,8 @@ class JudgeOptions:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.rank_tol < math.inf:
             raise ValueError("rank_tol must be positive and finite")
-        if self.solver is not None and not isinstance(self.solver, SolverOptions):
-            raise ValueError("solver must be None or a SolverOptions")
-        if self.oracle_grid is not None and not _is_int_at_least(self.oracle_grid, 11):
-            raise ValueError("oracle_grid must be None or an integer of at least 11")
-        if not _is_int_at_least(self.oracle_rounds, 0):
-            raise ValueError("oracle_rounds must be an integer of at least 0")
+        if not _is_int_at_least(self.max_iter, 1):
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -596,9 +590,13 @@ def _salvage_point(entry, cert, gauge, block):
     return gauge * np.sqrt(diag)
 
 
-def _oracle_box(n, sol, opts):
+#: refinement rounds of the grid oracle around its best point
+_ORACLE_ROUNDS = 4
+
+
+def _oracle_box(n, sol):
     """Uniform integer half-width box r and grid for the oracle over n
-    variables. The default grid, 10 r + 1 points per axis, lands on the
+    variables. The grid, 10 r + 1 points per axis, lands on the
     small-integer lattice (spacing 0.2), keeping equality rows with
     integer solutions attainable on the grid; it is cut to at most 101
     points per axis and 101**3 points a round, which keeps a round of a
@@ -608,11 +606,9 @@ def _oracle_box(n, sol, opts):
         dense = blk.to_dense()
         diag_max = max(diag_max, float(np.max(np.diag(dense), initial=0.0)))
     r = int(math.ceil(1.2 * max(1.0, math.sqrt(max(diag_max, 0.0))) + 1.0))
-    grid = opts.oracle_grid
-    if grid is None:
-        grid = min(10 * r + 1, 101)
-        while grid**n > 101**3:
-            grid -= 1
+    grid = min(10 * r + 1, 101)
+    while grid**n > 101**3:
+        grid -= 1
     return (-float(r), float(r)), grid
 
 
@@ -626,9 +622,9 @@ def _oracle_verdict(s, sol, eta, opts):
     if flat.n > 4:
         reason = "no witness found and too many variables for the oracle"
         return VerdictStatus.UNDETERMINED, reason, None, None
-    box, grid = _oracle_box(flat.n, sol, opts)
+    box, grid = _oracle_box(flat.n, sol)
     value, point = brute_force(
-        flat, box, grid_points=grid, refine_rounds=opts.oracle_rounds
+        flat, box, grid_points=grid, refine_rounds=_ORACLE_ROUNDS
     )
     if value == INFEASIBLE:
         reason = "oracle found no feasible grid point"
@@ -664,7 +660,7 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     opts = opts or JudgeOptions()
     b = build_block(s)
     try:
-        sol = solve(b, opts.solver)
+        sol = solve(b, opts.max_iter)
     except SepqcqpError as exc:
         return ExactnessVerdict(
             status=VerdictStatus.UNDETERMINED,
@@ -917,23 +913,16 @@ def validate_example52(s: SeparableQcqp) -> list:
     return bad
 
 
-def make_example52(seed: int, dims=None) -> SeparableQcqp:
+def make_example52(seed: int) -> SeparableQcqp:
     """Seeded three-entry connection: convex + nonpositive-coupling +
     homogeneous separable, wired so every entry certifies.
 
-    dims is (n1, n2, (d1, ..., dq)) with each dimension in 1..4. Every
-    draw fixes a reference point, generates matrices with the required
-    sign structure, and back-solves the right-hand sides to leave
-    feasibility margins; draws failing the validator are resampled.
+    Entries of 2, 2 and (2, 2, 2) variables. Every draw fixes a
+    reference point, generates matrices with the required sign structure,
+    and back-solves the right-hand sides to leave feasibility margins;
+    draws failing the validator are resampled.
     """
-    if dims is None:
-        dims = (2, 2, (2, 2, 2))
-    n1, n2, hom_dims = int(dims[0]), int(dims[1]), tuple(dims[2])
-    if len(hom_dims) < 3:
-        raise RangeError("the homogeneous entry needs at least 3 blocks")
-    for n in (n1, n2, *hom_dims):
-        if not (1 <= int(n) <= 4):
-            raise RangeError(f"every dimension must lie in 1..4, got {n}")
+    n1, n2, hom_dims = 2, 2, (2, 2, 2)
     rng = np.random.default_rng(seed)
     m = 7
     relations = [Relation.EQ, Relation.GE] + [Relation.LE] * 5

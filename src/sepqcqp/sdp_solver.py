@@ -5,6 +5,8 @@ subject to the equality rows of a standardized BlockSdp. The method is an
 infeasible-start path follower using the Nesterov-Todd scaling point, with
 an adaptive centering weight chosen from an affine probe step (the probe
 and the centering step share one factorization of the Schur complement).
+Three module constants set the method (_TOL, _INITIAL_SCALE and
+_STEP_FRACTION); the caller sets only the iteration cap, solve's max_iter.
 
 solve iterates one problem. Its rows are the RowOperator of its standard
 form (BlockSdp.operator, which rank reduction reads again),
@@ -67,6 +69,7 @@ import numpy as np
 
 from . import symkernel as sk
 from .errors import DimensionError, InfeasibleStructureError
+from .qcqp_model import _is_int_at_least
 from .sdpr_builder import (
     BlockSdp,
     RowOperator,
@@ -78,29 +81,14 @@ from .symkernel import HALF_MAX, SymMatrix, by_dim
 
 #: iterate magnitude cap; beyond this the run is flagged Diverged
 _DIVERGE_CAP = 1e10
+#: stopping tolerance of the scaled residuals and the relative gap
+_TOL = 1e-8
+#: the starting X, S, s and sig: this multiple of the identity
+_INITIAL_SCALE = 10.0
+#: the share of the way to the cone boundary that a step goes
+_STEP_FRACTION = 0.98
 
 _LinAlgError = np.linalg.LinAlgError
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-8
-    max_iter: int = 200
-    initial_scale: float = 10.0
-    step_fraction: float = 0.98
-
-    def __post_init__(self):
-        # written so that a NaN fails them
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
-            raise ValueError("max_iter must be an integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.initial_scale < math.inf:
-            raise ValueError("initial_scale must be positive and finite")
 
 
 def _presolve(op: RowOperator) -> list[int]:
@@ -370,9 +358,9 @@ class _Ipm:
     the iterate has an entry beyond _DIVERGE_CAP.
     """
 
-    def __init__(self, p: _Problem, opts: SolverOptions):
-        self.p, self.opts = p, opts
-        scale = opts.initial_scale
+    def __init__(self, p: _Problem, max_iter: int):
+        self.p, self.max_iter = p, max_iter
+        scale = _INITIAL_SCALE
         self.XS = [
             np.repeat((scale * np.eye(g.dim))[None], 2 * g.n, axis=0)
             for g in p.groups
@@ -401,7 +389,7 @@ class _Ipm:
         """Residuals, objectives and stopping tests at the current iterate:
         (report, mu, optimal, diverged, (r_p, rd, rds)), with report =
         (primal objective, dual residual, relative gap)."""
-        p, opts, XS, NS = self.p, self.opts, self.XS, self.p.NS
+        p, XS, NS = self.p, self.XS, self.p.NS
         s, sig, yx = self.vec[:NS], self.vec[NS : 2 * NS], self.vec[2 * NS :]
         y = yx[: p.m]
         lhs = p.row_sums([_pairs(g, xs[: g.n]) for g, xs in zip(p.groups, XS)])
@@ -434,9 +422,9 @@ class _Ipm:
         gap = np.abs(pobj - dobj)
         gap = (compl if compl > gap else gap) / (1.0 + np.abs(pobj) + np.abs(dobj))
         optimal = bool(
-            pres <= p.d_scale * opts.tol
-            and dres <= p.c_scale * opts.tol
-            and gap <= opts.tol
+            pres <= p.d_scale * _TOL
+            and dres <= p.c_scale * _TOL
+            and gap <= _TOL
         )
         diverged = not optimal and self.large
         return (pobj, dres, gap), mu, optimal, diverged, (r_p, rd, rds)
@@ -457,7 +445,7 @@ class _Ipm:
     def step(self, mu, r_p, rd, rds):
         """One predictor-corrector step; returns the new (XS, vec). A
         LinAlgError means the linear algebra broke down."""
-        p, opts, XS, vec = self.p, self.opts, self.XS, self.vec
+        p, XS, vec = self.p, self.XS, self.vec
         groups, NS, m = p.groups, p.NS, p.m
         s, sig = vec[:NS], vec[NS : 2 * NS]
 
@@ -515,7 +503,7 @@ class _Ipm:
                     np.where(dv < 0, -v / dv, np.inf).reshape(2, NS), axis=1
                 )
                 t = [min(b, s) for b, s in zip(t, slk.tolist())]
-            return np.array([min(1.0, opts.step_fraction * x) for x in t])
+            return np.array([min(1.0, _STEP_FRACTION * x) for x in t])
 
         def moved(t, dxs):
             return [
@@ -544,7 +532,7 @@ class _Ipm:
         # overflow in a diverging run is detected by the finite-iterate guard
         # below; suppress the intermediate warnings it would spray
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for it in range(1, self.opts.max_iter + 1):
+            for it in range(1, self.max_iter + 1):
                 report, mu, optimal, diverged, (r_p, rd, rds) = self.residuals()
                 self.history.append(float(mu))
                 if optimal or diverged:
@@ -558,7 +546,7 @@ class _Ipm:
                 if nonfinite:
                     return self._record(SolveStatus.DIVERGED, it, report)
                 self.XS, self.vec = XS, vec
-        return self._record(SolveStatus.MAX_ITER, self.opts.max_iter, report)
+        return self._record(SolveStatus.MAX_ITER, self.max_iter, report)
 
 
 def _solution(p: _Problem, rec: dict, history: list) -> SdpSolution:
@@ -594,8 +582,9 @@ def _solution(p: _Problem, rec: dict, history: list) -> SdpSolution:
     )
 
 
-def solve(b: BlockSdp, opts: SolverOptions | None = None) -> SdpSolution:
-    """Solve a BlockSdp and return a primal-dual solution.
+def solve(b: BlockSdp, max_iter: int = 200) -> SdpSolution:
+    """Solve a BlockSdp and return a primal-dual solution, stopping after
+    at most max_iter iterations (an int of at least 1).
 
     The input may use any mix of relations; it is standardized internally.
     Reported slacks are the nonnegative amounts by which inequality rows
@@ -604,8 +593,10 @@ def solve(b: BlockSdp, opts: SolverOptions | None = None) -> SdpSolution:
     of its standardized, negated form). A structural fault, such as
     contradictory equality rows, raises.
     """
+    if not _is_int_at_least(max_iter, 1):
+        raise ValueError("max_iter must be an integer of at least 1")
     p = _Problem(b)
-    ipm = _Ipm(p, opts or SolverOptions())
+    ipm = _Ipm(p, max_iter)
     return _solution(p, ipm.run(), ipm.history)
 
 

@@ -55,13 +55,12 @@ class BlockSdp:
         "objective",
         "operator",
         "normalization_rows",
-        "block_owner",
         "dropped_rows",
         "_standard",
     )
 
     def __init__(self, block_dims, objective, operator, normalization_rows=(),
-                 block_owner=None, dropped_rows=()):
+                 dropped_rows=()):
         block_dims = tuple(int(d) for d in block_dims)
         objective = tuple(objective)
         if len(objective) != len(block_dims):
@@ -85,16 +84,10 @@ class BlockSdp:
                 raise StructureError(f"normalization row index {i} out of range")
             if coeffs[i] != 0:
                 raise StructureError(f"normalization row {i} carries a slack")
-        if block_owner is None:
-            block_owner = (0,) * len(block_dims)
-        block_owner = tuple(int(p) for p in block_owner)
-        if len(block_owner) != len(block_dims):
-            raise DimensionError("block_owner length mismatch")
         self.block_dims = block_dims
         self.objective = objective
         self.operator = operator
         self.normalization_rows = normalization_rows
-        self.block_owner = block_owner
         self.dropped_rows = tuple(int(k) for k in dropped_rows)
         self._standard = None
 
@@ -303,8 +296,8 @@ def _relax(s: SeparableQcqp) -> BlockSdp:
     rows come first, the normalization rows after them in entry order.
     """
     m = s.m
-    objective, by_row, owner, pinned = [], [], [], []
-    for p, entry in enumerate(s.blocks):
+    objective, by_row, pinned = [], [], []
+    for entry in s.blocks:
         pin = isinstance(entry, Qcqp)
         if pin:
             groups = [[entry.objective.B] + [f.B for f, _ in entry.constraints]]
@@ -315,7 +308,6 @@ def _relax(s: SeparableQcqp) -> BlockSdp:
             objective.append(mats[0])
             # row k's matrix on this block at k
             by_row.append(np.array([c.array for c in mats[1:]]).reshape(m, d, d))
-            owner.append(p)
             pinned.append(pin)
     live = np.array([a.any(axis=(1, 2)) for a in by_row]).reshape(len(by_row), m)
     vacuous = (s.gamma == 0.0) & ~live.any(axis=0)
@@ -348,7 +340,6 @@ def _relax(s: SeparableQcqp) -> BlockSdp:
         objective,
         op,
         normalization_rows=range(len(kept), len(kept) + n_norm),
-        block_owner=owner,
         dropped_rows=np.flatnonzero(vacuous),
     )
 
@@ -387,7 +378,6 @@ def to_standard_form(b: BlockSdp) -> BlockSdp:
             np.where(flip, -op.rhs, op.rhs), op.origins,
         ),
         normalization_rows=b.normalization_rows,
-        block_owner=b.block_owner,
         dropped_rows=b.dropped_rows,
     )
     b._standard = std

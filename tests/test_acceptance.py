@@ -478,7 +478,7 @@ PUBLIC_NAMES = {
     "INFEASIBLE", "InfeasibleStructureError", "JudgeOptions", "ParseError",
     "PerBlockReport", "Qcqp", "QuadFunc", "RangeError", "ReductionReport",
     "ReductionStallError", "Relation", "SdpSolution", "SeparableQcqp",
-    "SepqcqpError", "SignCase", "SolveStatus", "SolverOptions",
+    "SepqcqpError", "SignCase", "SolveStatus",
     "SparsityGraph", "StaleSolutionError", "StructureError", "SymMatrix",
     "ValidationError", "VerdictStatus", "aggregated_graph", "bilevel_report",
     "brute_force", "build_block", "build_hom", "build_shor",
@@ -499,4 +499,4 @@ def test_public_names_are_the_audited_list():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 66
+    assert len(names) == 65

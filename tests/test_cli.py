@@ -34,6 +34,7 @@ from sepqcqp.qcqp_model import (
     Relation,
     SeparableQcqp,
 )
+from sepqcqp.symkernel import SymMatrix
 
 
 def qf(quad, linear=None):
@@ -212,6 +213,25 @@ class TestRoundTrip:
         v, v2 = judge(s), judge(s2)
         assert v2.status is v.status
         assert abs(v2.eta - v.eta) <= 1e-9 * (1 + abs(v.eta))
+
+    @pytest.mark.parametrize("kind", ["qcqp", "homogeneous", "separable"])
+    def test_no_rows_round_trips(self, kind):
+        q = Qcqp(1, qf([[1.0]], [2.0]), [], [])
+        h = HomSepQcqp(
+            [[SymMatrix.from_dense(np.eye(2))], [SymMatrix.from_dense(-np.eye(1))]],
+            [],
+            [],
+        )
+        model = {
+            "qcqp": q,
+            "homogeneous": h,
+            "separable": SeparableQcqp([q, HomSepQcqp(h.blocks, [], [])], []),
+        }[kind]
+        text = emit(model)
+        assert "relations" not in text and "rhs" not in text
+        back = parse_text(text)
+        assert type(back) is type(model)
+        assert emit(back) == text
 
     def test_gamma_alias_for_separable(self):
         s = make_example52(0)
@@ -396,19 +416,67 @@ class TestCommands:
         assert abs(rep["solver"]["value"] - 22.0 / 3.0) <= 1e-4
         assert rep["solver"]["block_ranks"][0] == 2
 
-    @pytest.mark.parametrize("command", ["solve", "reduce"])
-    def test_tol_changes_only_the_echoed_flag(self, capsys, tmp_path, command):
-        # solve and reduce accept --tol and echo it in flags but read it
-        # nowhere else: the report is the default one but for flags.tol
+    def test_solve_takes_no_tol(self, capsys, tmp_path):
+        # solve has no tolerance to read, so it neither accepts nor echoes one
         path = tmp_path / "mixed.sq"
         write_problem(make_example52(0), str(path))
-        args = (command, str(path), "--format", "json", "--no-timestamp")
-        code, out, err = run_cli(capsys, *args)
-        code_tol, out_tol, err_tol = run_cli(capsys, *args, "--tol", "1e-3")
-        default, with_tol = json.loads(out), json.loads(out_tol)
-        assert (default["flags"]["tol"], with_tol["flags"]["tol"]) == (1e-6, 1e-3)
-        with_tol["flags"]["tol"] = 1e-6
-        assert (code_tol, with_tol, err_tol) == (code, default, err)
+        args = ("solve", str(path), "--format", "json", "--no-timestamp")
+        code, out, err = run_cli(capsys, *args, "--tol", "1e-3")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --tol" in err
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert "tol" not in json.loads(out)["flags"]
+
+    def test_reduce_hands_tol_to_reduce(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        real = cli.reduce_solution
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "reduce_solution", recorded)
+        path = tmp_path / "mixed.sq"
+        write_problem(make_example52(0), str(path))
+        args = ("reduce", str(path), "--format", "json", "--no-timestamp")
+        code, out, _ = run_cli(capsys, *args, "--tol", "1e-5")
+        assert code == 0
+        assert json.loads(out)["flags"]["tol"] == 1e-5
+        run_cli(capsys, *args)
+        assert seen == [1e-5, 1e-6]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "p.sq"),
+            ("judge", "p.sq"),
+            ("reduce", "p.sq"),
+            ("example51", "--alpha", "2"),
+            ("example52", "--seed", "0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_but_solve_reads_tol(self, capsys, argv):
+        # --tol is parsed and checked on each command that reads it
+        ns = cli.build_arg_parser().parse_args([*argv, "--tol", "1e-4"])
+        assert ns.tol == 1e-4
+        assert cli.build_arg_parser().parse_args(list(argv)).tol == 1e-6
+        code, out, err = run_cli(capsys, *argv, "--tol", "nan")
+        assert (code, out) == (1, "")
+        assert "argument --tol" in err
+
+    def test_solve_unconstrained_file(self, capsys, tmp_path):
+        # one variable and no rows: min u^2 + 4 u, value -4 at u = -2
+        path = tmp_path / "free.sq"
+        write_problem(Qcqp(1, qf([[1.0]], [2.0]), [], []), str(path))
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--format", "json", "--no-timestamp"
+        )
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["solver"]["status"] == "Optimal"
+        assert abs(rep["solver"]["value"] + 4.0) <= 1e-6
 
     def test_judge_convex_file(self, capsys, tmp_path):
         path = tmp_path / "cvx.sq"

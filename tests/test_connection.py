@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ from sepqcqp.qcqp_model import (
     flatten,
 )
 from sepqcqp.qcqp_model import eval as qf_eval
-from sepqcqp.sdp_solver import SolverOptions, solve
+from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import SolveStatus, build_block, build_hom, build_shor
 from sepqcqp.symkernel import SymMatrix, frob_inner, is_psd
 
@@ -433,9 +434,9 @@ class TestEntryWeakDuality:
     """Every entry's reported relaxation value is a lower bound on the
     objective it achieves, and the entry values sum to eta."""
 
-    def check(self, s, opts=None):
+    def check(self, s):
         tol = JudgeOptions().tol
-        v = judge(s, opts)
+        v = judge(s)
         assert v.relaxation is not None
         assert v.relaxation.status is SolveStatus.OPTIMAL
         for pb, achieved in zip(v.per_block, achieved_objectives(s, v)):
@@ -457,10 +458,7 @@ class TestEntryWeakDuality:
     @given(st.sampled_from(JOINT_OPTIMAL_SEEDS))
     @settings(max_examples=25)
     def test_random_connections(self, seed):
-        # the smallest oracle: the entry values are read before it runs
-        self.check(
-            random_connection(seed)[0], JudgeOptions(oracle_grid=11, oracle_rounds=0)
-        )
+        self.check(random_connection(seed)[0])
 
     @pytest.mark.parametrize("seed", sorted(RESOLVED_BEFORE))
     def test_formerly_resolved_draws(self, seed):
@@ -571,17 +569,12 @@ class TestMakeExample52:
         assert 5 in dropped and 6 in dropped  # the all-zero trailing rows
         assert 3 in dropped or 4 in dropped  # one of the proportional pair
 
-    def test_custom_dims(self):
-        s = make_example52(5, dims=(3, 2, (2, 1, 2)))
+    def test_fixed_shape(self):
+        s = make_example52(5)
         assert validate_example52(s) == []
-        assert s.blocks[0].n == 3
-        assert s.blocks[2].dims == [2, 1, 2]
-
-    def test_dimension_range_errors(self):
-        with pytest.raises(RangeError):
-            make_example52(0, dims=(5, 2, (2, 2, 2)))
-        with pytest.raises(RangeError):
-            make_example52(0, dims=(2, 2, (2, 2)))
+        assert (s.blocks[0].n, s.blocks[1].n, s.blocks[2].dims) == (2, 2, [2, 2, 2])
+        with pytest.raises(TypeError, match="dims"):
+            make_example52(5, dims=(3, 2, (2, 1, 2)))
 
     def test_exhausted_draws_raise(self, monkeypatch):
         import sepqcqp.connection as conn
@@ -1107,6 +1100,33 @@ class TestOracleGrid:
         # a box of half-width r takes 10 r + 1 points, below the cap
         assert len(grids) == 1 and grids[0] % 10 == 1 and grids[0] <= 101
 
+    @pytest.mark.parametrize(
+        "n, diag, want",
+        [
+            (1, 0.0, (3.0, 31)),  # r = ceil(1.2 + 1)
+            (2, 100.0, (13.0, 101)),  # 131 points cut to 101 per axis
+            (3, 100.0, (13.0, 101)),  # 101**3 points: at the cap
+            (4, 100.0, (13.0, 31)),  # cut until grid**4 <= 101**3
+        ],
+    )
+    def test_grid_is_ten_r_plus_one_within_the_caps(self, n, diag, want):
+        sol = types.SimpleNamespace(blocks=[SymMatrix.from_dense(np.diag([diag, 1.0]))])
+        r, grid = want
+        assert connection._oracle_box(n, sol) == ((-r, r), grid)
+
+    def test_every_oracle_call_refines_four_rounds(self, monkeypatch):
+        real, rounds = connection.brute_force, []
+
+        def recorded(flat, box, **kwargs):
+            rounds.append(kwargs["refine_rounds"])
+            return real(flat, box, **kwargs)
+
+        monkeypatch.setattr(connection, "brute_force", recorded)
+        for alpha in (2.5, 2.8):
+            h = make_example51(alpha)
+            assert judge(SeparableQcqp([h], h.rhs)).status is VerdictStatus.NOT_EXACT
+        assert rounds == [4, 4]
+
     def test_oracle_evaluates_few_points_exactly(self, monkeypatch):
         """Re-checking every point the oracle's screen keeps, and then
         every feasible point's objective, sends 12 840 points of one
@@ -1133,30 +1153,19 @@ class TestJudgeOptions:
 
     def test_defaults_accepted(self):
         assert JudgeOptions().tol == JudgeOptions().rank_tol == 1e-6
+        assert JudgeOptions().max_iter == 200
+        assert list(JudgeOptions.__dataclass_fields__) == ["tol", "rank_tol", "max_iter"]
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("oracle_grid", 0),  # read as the default grid
-            ("oracle_grid", 1),  # raised from inside the oracle
-            ("oracle_grid", 10),
-            ("oracle_grid", 41.0),
-            ("oracle_grid", True),
-            ("oracle_rounds", -1),  # ran no round: "no feasible grid point"
-            ("oracle_rounds", 2.5),
-            ("oracle_rounds", False),
-            ("oracle_rounds", None),
-        ],
-    )
-    def test_rejects_bad_oracle_settings(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            JudgeOptions(**{name: value})
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, None, "fast"])
+    def test_rejects_a_max_iter_that_is_no_positive_int(self, value):
+        with pytest.raises(ValueError, match="max_iter"):
+            JudgeOptions(max_iter=value)
 
-    @pytest.mark.parametrize("value", ["fast", {"tol": 1e-8}, 1e-8])
-    def test_rejects_a_solver_that_is_no_solver_options(self, value):
-        with pytest.raises(ValueError, match="solver"):
-            JudgeOptions(solver=value)
-        assert JudgeOptions(solver=SolverOptions(max_iter=3)).solver.max_iter == 3
+    def test_max_iter_caps_the_solve(self):
+        h = make_example51(2.0)
+        v = judge(SeparableQcqp([h], h.rhs), JudgeOptions(max_iter=3))
+        assert v.reason == "solver status MaxIter"
+        assert v.relaxation.iterations == 3
 
     @pytest.mark.parametrize("box", [(1.0, -1.0), (math.nan, 1.0)])
     def test_the_oracle_box_always_comes_from_the_solution(self, box):
@@ -1165,13 +1174,7 @@ class TestJudgeOptions:
         with pytest.raises(TypeError, match="oracle_box"):
             JudgeOptions(oracle_box=box)
 
-    def test_oracle_settings_accepted(self):
-        opts = JudgeOptions(oracle_grid=11, oracle_rounds=0)
-        assert (opts.oracle_grid, opts.oracle_rounds) == (11, 0)
-        assert JudgeOptions().oracle_grid is None
-
-    def test_smallest_grid_runs_the_oracle(self):
-        # alpha = 2.5 is NotExact only through the grid oracle
-        h = make_example51(2.5)
-        v = judge(SeparableQcqp([h], h.rhs), JudgeOptions(oracle_grid=11, oracle_rounds=0))
-        assert v.oracle_value is not None
+    @pytest.mark.parametrize("name", ["oracle_grid", "oracle_rounds", "solver"])
+    def test_the_oracle_and_the_solver_take_no_settings(self, name):
+        with pytest.raises(TypeError, match=name):
+            JudgeOptions(**{name: 11})

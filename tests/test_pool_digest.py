@@ -48,3 +48,15 @@ def test_cli_digest_is_stable(tool, command, tmp_path, monkeypatch):
     first = tool.cli_digest(argv)
     assert tool.cli_digest(argv) == first
     assert codes == [0, 0]
+
+
+def test_new_route_instances(tool):
+    """The sign-salvage line is certified with the gauge witness, and the
+    direct oracle searches return their pinned values."""
+    line = tool.digest(tool.sign_salvage())
+    assert line.startswith("ExactCertified -1.4442420857387317 '' iters=12 solves=1 ")
+    values = [
+        tool.oracle_digest(q, grid, rounds).split()[0]
+        for _, q, grid, rounds in tool.oracle_searches()
+    ]
+    assert values == ["-4.605", "-4.0", "-3.2"]

@@ -17,6 +17,7 @@ import collections
 import functools
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from sepqcqp import sdp_solver, symkernel
 from sepqcqp.connection import make_example52
 from sepqcqp.errors import InfeasibleStructureError, SepqcqpError
-from sepqcqp.sdp_solver import SolverOptions, solve
+from sepqcqp.sdp_solver import solve
 from sepqcqp.qcqp_model import QuadFunc, Qcqp, Relation, SeparableQcqp
 from sepqcqp.qcqp_model import eval as qf_eval
 from sepqcqp.sdpr_builder import (
@@ -47,6 +48,17 @@ _DIVERGE_CAP = 1e10
 _ZERO = np.zeros(1)
 
 _HALF_MAX = np.finfo(float).max / 2
+
+
+@dataclass(frozen=True)
+class IpmOptions:
+    """What the parent iteration reads as settings: sdp_solver's three
+    constants and solve's max_iter, at their values by default."""
+
+    tol: float = 1e-8
+    max_iter: int = 200
+    initial_scale: float = 10.0
+    step_fraction: float = 0.98
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +389,7 @@ class ParentBatch:
 
     centering = staticmethod(parent_centering)
 
-    def __init__(self, probs: list, opts: SolverOptions):
+    def __init__(self, probs: list, opts: IpmOptions):
         self.opts = opts
         self.lay = ParentLayout(sorted(probs, key=lambda p: (p.m, p.n_slack)))
         scale = opts.initial_scale
@@ -666,11 +678,11 @@ class ClampedParentBatch(ParentBatch):
     centering = staticmethod(sdp_solver._centering)
 
 
-def reference_solve_many(bs, opts: SolverOptions | None = None, batch=None) -> list:
+def reference_solve_many(bs, opts: IpmOptions | None = None, batch=None) -> list:
     """The parent's solve_many, with ParentBatch (or batch) as the iteration:
     entry i is the solution of bs[i] or the SepqcqpError it raised."""
     batch = batch or ParentBatch
-    opts = opts or SolverOptions()
+    opts = opts or IpmOptions()
     out: list = [None] * len(bs)
     probs = []
     for i, b in enumerate(bs):
@@ -804,18 +816,24 @@ def test_ordered_sum_adds_each_cell_in_block_order(case):
         assert bits(got[cell]) == bits(want), (cell, mine)
 
 
-def solve_each(bs: list, opts: SolverOptions | None = None) -> list:
-    """solve of every problem alone: its solution, or the error it raised."""
+def solve_each(bs: list, opts: IpmOptions | None = None) -> list:
+    """solve of every problem alone, with sdp_solver's constants patched to
+    opts: its solution, or the error it raised."""
+    opts = opts or IpmOptions()
     out = []
-    for b in bs:
-        try:
-            out.append(solve(b, opts))
-        except SepqcqpError as exc:
-            out.append(exc)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sdp_solver, "_TOL", opts.tol)
+        m.setattr(sdp_solver, "_INITIAL_SCALE", opts.initial_scale)
+        m.setattr(sdp_solver, "_STEP_FRACTION", opts.step_fraction)
+        for b in bs:
+            try:
+                out.append(solve(b, opts.max_iter))
+            except SepqcqpError as exc:
+                out.append(exc)
     return out
 
 
-def assert_same_results(bs: list, opts: SolverOptions | None = None) -> list:
+def assert_same_results(bs: list, opts: IpmOptions | None = None) -> list:
     """solve of each problem alone and reference_solve_many of the whole
     batch give every result bit for bit alike, signed zeros and NaN
     payloads included, and structural errors alike in type and message;
@@ -849,13 +867,18 @@ def assert_same_results(bs: list, opts: SolverOptions | None = None) -> list:
 
 
 OPTIONS = [
-    SolverOptions(),
-    SolverOptions(max_iter=3),
-    SolverOptions(tol=1e-13),
-    SolverOptions(initial_scale=1e-3),
-    SolverOptions(initial_scale=1e11),  # beyond the divergence cap at once
-    SolverOptions(step_fraction=0.5),
+    IpmOptions(),
+    IpmOptions(max_iter=3),
+    IpmOptions(tol=1e-13),
+    IpmOptions(initial_scale=1e-3),
+    IpmOptions(step_fraction=0.5),
 ]
+
+
+def test_default_options_are_the_solvers_constants():
+    assert (sdp_solver._TOL, sdp_solver._INITIAL_SCALE, sdp_solver._STEP_FRACTION) == (
+        IpmOptions.tol, IpmOptions.initial_scale, IpmOptions.step_fraction
+    )
 
 
 class TestMatchesParentIteration:
@@ -903,11 +926,11 @@ class TestMatchesParentIteration:
         scan of the symmetrized iterate and its magnitude scan flagged. An
         X or S entry beyond half the largest double, which the update no
         longer symmetrizes, counts as non-finite there."""
-        opts = SolverOptions()
+        opts = IpmOptions()
         b = mixed_batch()[0]  # it has blocks, rows and slacks
         p = sdp_solver._Problem(b)
         assert p.groups and p.m and p.NS
-        ipm = sdp_solver._Ipm(p, opts)
+        ipm = sdp_solver._Ipm(p, opts.max_iter)
         parent = ParentBatch([ParentProblem(0, b)], opts)
         XS, vec = [xs.copy() for xs in ipm.XS], ipm.vec.copy()
         X, S = [x.copy() for x in parent.X], [z.copy() for z in parent.S]

@@ -166,7 +166,6 @@ class TestBuildBlock:
         s = connect([inhom(1), inhom(2), h], np.arange(1.0, m + 1))
         b = build_block(s)
         assert b.block_dims == (2, 3, 2, 2, 1)
-        assert b.block_owner == (0, 1, 2, 2, 2)
         assert b.n_rows == 9
         assert len(b.normalization_rows) == 2
         coupled = [i for i in range(b.n_rows) if i not in b.normalization_rows]
@@ -290,6 +289,13 @@ class TestBlockSdpValidation:
         op = BlockSdp.from_rows((2,), (SymMatrix.zeros(2),), []).operator
         with pytest.raises(DimensionError):
             BlockSdp((3,), (SymMatrix.zeros(3),), op)
+
+    def test_takes_no_block_owner(self):
+        # no reader of a relaxation asks which entry a block came from
+        b = BlockSdp.from_rows((2,), (SymMatrix.zeros(2),), [])
+        assert not hasattr(b, "block_owner")
+        with pytest.raises(TypeError, match="block_owner"):
+            BlockSdp((2,), (SymMatrix.zeros(2),), b.operator, block_owner=(0,))
 
 
 class TestRowOperator:
@@ -421,19 +427,17 @@ def _reference_corner(dim):
 
 
 def reference_relax(s):
-    """(dims, objective, rows, normalization rows, block owner, dropped rows)
-    of the connection s, row by row."""
-    dims, owner, obj, per_entry_row_mats = [], [], [], []
-    for p, blk in enumerate(s.blocks):
+    """(dims, objective, rows, normalization rows, dropped rows) of the
+    connection s, row by row."""
+    dims, obj, per_entry_row_mats = [], [], []
+    for blk in s.blocks:
         if isinstance(blk, Qcqp):
             dims.append(blk.n + 1)
-            owner.append(p)
             obj.append(blk.objective.B)
             per_entry_row_mats.append([[f.B] for f, _ in blk.constraints])
         else:
             for q in range(blk.q_hat):
                 dims.append(blk.blocks[q][0].dim)
-                owner.append(p)
                 obj.append(blk.blocks[q][0])
             per_entry_row_mats.append(
                 [[blk.blocks[q][k + 1] for q in range(blk.q_hat)] for k in range(blk.m)]
@@ -459,7 +463,7 @@ def reference_relax(s):
             b0 += 1
         else:
             b0 += blk.q_hat
-    return tuple(dims), tuple(obj), rows, norm, tuple(owner), dropped
+    return tuple(dims), tuple(obj), rows, norm, dropped
 
 
 def reference_standard_rows(rows):
@@ -624,7 +628,6 @@ def solved_fingerprint(b):
 
 def assert_same_relaxation(got, want):
     assert got.block_dims == want.block_dims
-    assert got.block_owner == want.block_owner
     for a, b in zip(got.objective, want.objective, strict=True):
         np.testing.assert_array_equal(a.to_dense(), b.to_dense())
     assert_same_operator(got.operator, want.operator)
@@ -728,11 +731,11 @@ class TestBlockMajorBuild:
     @settings(max_examples=80)
     def test_equals_the_row_major_compile(self, seed):
         s = random_connection(np.random.default_rng(seed))
-        dims, obj, rows, norm, owner, dropped = reference_relax(s)
+        dims, obj, rows, norm, dropped = reference_relax(s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             b = build_block(s)
-        assert (b.block_dims, b.block_owner) == (dims, owner)
+        assert b.block_dims == dims
         assert b.normalization_rows == norm and b.dropped_rows == tuple(dropped)
         assert all(x is y for x, y in zip(b.objective, obj, strict=True))
         assert_same_operator(b.operator, reference_compile(rows, dims))
@@ -750,7 +753,7 @@ class TestBlockMajorBuild:
             s = random_connection(np.random.default_rng(seed))
             seen |= {type(e).__name__ for e in s.blocks}
             seen |= {r.value for r in s.relations}
-            _, _, rows, _, _, dropped = reference_relax(s)
+            _, _, rows, _, dropped = reference_relax(s)
             seen |= {"dropped"} if dropped else set()
             if any(r.origin >= 0 and all(m.is_zero() for m in r.mats) for r in rows):
                 seen.add("zero row kept")

@@ -90,6 +90,20 @@ def convex_rank_two():
     return SeparableQcqp([q], gamma)
 
 
+def sign_salvage():
+    """One sign entry of one variable, min q u^2 + 2 l u over two <= rows:
+    its joint rank reduction ends at rank 1, but the point it extracts
+    lies 3.9e-6 above eta, past tol (1 + |eta|) = 2.44e-6."""
+    obj = QuadFunc.from_parts([[-861.594207583315]], [-0.0005468386752403011])
+    rows = [
+        QuadFunc.from_parts([[15.114684912307293]], [-0.01543637661106943]),
+        QuadFunc.from_parts([[99.20060492637393]], [-0.0016235197573212902]),
+    ]
+    gamma = np.array([1.5242410941764937, 0.1661463218805923])
+    q = Qcqp(1, obj, [(f, Relation.LE) for f in rows], gamma)
+    return SeparableQcqp([q], gamma)
+
+
 def assert_fields(v, status, reason="", zeta=None, oracle_value=None, witness=None):
     """The verdict's status and reason exactly; zeta_witness, oracle_value
     and each witness point to 1e-9 relative, or None where given None."""
@@ -173,6 +187,38 @@ class TestWitnessedWithoutTheJointPoints:
         assert calls == []
         assert_fields(v, VerdictStatus.EXACT_CERTIFIED)
         assert v.reduction.extracted is None
+
+
+    def test_sign_salvage_point(self, monkeypatch, oracle):
+        # the rank-one point of the joint reduction misses eta, so the
+        # gauge-signed square root of the block's diagonal is the witness;
+        # without the sign branch the certified verdict has none
+        calls = oracle()
+        v = judge(sign_salvage())
+        assert calls == []
+        assert v.eta == -1.4442420857387317
+        assert v.reduction.final_ranks == [1]
+        (point,) = v.reduction.extracted
+        value = float(sign_salvage().blocks[0].objective.eval_many(point[None, :])[0])
+        assert value - v.eta > TOL * (1.0 + abs(v.eta))
+        assert v.status is VerdictStatus.EXACT_CERTIFIED
+        kinds = [pb.certificate.kind for pb in v.per_block]
+        assert kinds == [CertificateKind.SIGN_PATTERN]
+        assert v.zeta_witness == -1.444242085799576
+        block = v.relaxation.blocks[0].to_dense()
+        np.testing.assert_array_equal(np.abs(v.witness[0]), [np.sqrt(block[0, 0])])
+
+        real = connection._salvage_point
+
+        def no_sign(entry, cert, gauge, block):
+            if cert.kind is CertificateKind.SIGN_PATTERN:
+                return None
+            return real(entry, cert, gauge, block)
+
+        monkeypatch.setattr(connection, "_salvage_point", no_sign)
+        v = judge(sign_salvage())
+        assert calls == []
+        assert_fields(v, VerdictStatus.EXACT_CERTIFIED)
 
 
 class TestOracleVerdicts:

@@ -27,8 +27,14 @@ two ``make_example51`` entries over the alpha grid ``ALPHAS`` (certified,
 witnessed by rank reduction, and undetermined with too many variables
 for the oracle), the 40 joins of ``make_example52(2k)`` and ``(2k + 1)``
 with their right-hand sides summed (witnessed by rank reduction, and
-one undetermined), and one convex entry whose joint rank reduction ends
-at rank 2, witnessed by the last column of its block.
+one undetermined), one convex entry whose joint rank reduction ends
+at rank 2, witnessed by the last column of its block, and one sign
+entry whose extracted point misses eta, witnessed by the gauge-signed
+square root of its block's diagonal. Three more lines hash the value
+and point of direct ``brute_force`` calls: one over four variables whose
+round is too long to list whole, so the oracle walks it slab by slab,
+and two over two variables whose points sit on a row's band, so the
+oracle re-checks them exactly.
 
 A change that must leave the solver's arithmetic as it is passes when
 the digest at the parent commit and at the change are identical:
@@ -53,7 +59,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import sepqcqp.cli as cli  # noqa: E402
 import sepqcqp.connection as connection  # noqa: E402
-from sepqcqp.qcqp_model import Qcqp, QuadFunc, Relation, SeparableQcqp  # noqa: E402
+from sepqcqp.qcqp_model import (  # noqa: E402
+    Qcqp,
+    QuadFunc,
+    Relation,
+    SeparableQcqp,
+    brute_force,
+)
 from workloads import HARD_CASES, SPECS, make_instance  # noqa: E402
 
 
@@ -88,8 +100,8 @@ def digest(instance) -> str:
     sols = []
     real = connection.solve
 
-    def recorded(b, opts=None):
-        sol = real(b, opts)
+    def recorded(*args, **kwargs):
+        sol = real(*args, **kwargs)
         sols.append(sol)
         return sol
 
@@ -159,6 +171,44 @@ def convex_rank_two() -> SeparableQcqp:
     return SeparableQcqp([q], gamma)
 
 
+def sign_salvage() -> SeparableQcqp:
+    """One sign entry over one variable, f(u) = q u^2 + 2 l u for the
+    objective and two <= rows: its certificate holds, but the point rank
+    reduction extracts misses eta by 3.9e-6, past tol (1 + |eta|), and
+    the gauge-signed square root of the block's diagonal is the witness."""
+    obj = QuadFunc.from_parts([[-861.594207583315]], [-0.0005468386752403011])
+    rows = [
+        QuadFunc.from_parts([[15.114684912307293]], [-0.01543637661106943]),
+        QuadFunc.from_parts([[99.20060492637393]], [-0.0016235197573212902]),
+    ]
+    gamma = np.array([1.5242410941764937, 0.1661463218805923])
+    q = Qcqp(1, obj, [(f, Relation.LE) for f in rows], gamma)
+    return SeparableQcqp([q], gamma)
+
+
+def oracle_searches():
+    """(name, Qcqp, grid points, refinement rounds) of the direct oracle
+    calls, each over the box (-2, 2)."""
+    ring4 = [(QuadFunc.from_parts(np.eye(4)), Relation.LE)]
+    obj4 = QuadFunc.from_parts(np.zeros((4, 4)), [1.0, 0.5, -0.25, 0.125])
+    obj2 = QuadFunc.from_parts(np.zeros((2, 2)), [1.0, 0.0])
+    ring2 = QuadFunc.from_parts(np.eye(2))
+    return [
+        ("slabs", Qcqp(4, obj4, ring4, [4.0]), 41, 1),
+        ("band-le", Qcqp(2, obj2, [(ring2, Relation.LE)], [4.0 - 1e-6]), 21, 0),
+        ("band-eq", Qcqp(2, obj2, [(ring2, Relation.EQ)], [4.0 + 1e-6]), 21, 0),
+    ]
+
+
+def oracle_digest(q, grid, rounds) -> str:
+    """SHA-1 over the value and point brute_force returns."""
+    value, point = brute_force(q, (-2.0, 2.0), grid_points=grid, refine_rounds=rounds)
+    h = hashlib.sha1()
+    _floats(h, [value])
+    _floats(h, [] if point is None else point)
+    return f"{float(value)!r} {h.hexdigest()}"
+
+
 def route_lines() -> None:
     for a in ALPHAS:
         for b in ALPHAS:
@@ -170,6 +220,9 @@ def route_lines() -> None:
         s = SeparableQcqp(s1.blocks + s2.blocks, s1.gamma + s2.gamma)
         print("routes ex52-join", k, digest(s), flush=True)
     print("routes convex-rank-two", digest(convex_rank_two()), flush=True)
+    print("routes sign-salvage", digest(sign_salvage()), flush=True)
+    for name, q, grid, rounds in oracle_searches():
+        print("routes oracle", name, oracle_digest(q, grid, rounds), flush=True)
 
 
 def main(names) -> None:
