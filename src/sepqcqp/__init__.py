@@ -9,7 +9,8 @@ Modules:
     sdp_solver     primal-dual interior-point solver for block SDPs
     certificates   exactness class checks (convex, sign-pattern, homogeneous)
     rank_reduction extreme-point rank reduction and point extraction
-    connection     end-to-end exactness pipeline and example generators
+    connection     end-to-end exactness pipeline
+    examples       the paper's examples 5.1 and 5.2 as seeded generators
     cli            command-line front end and problem file I/O
 """
 
@@ -79,9 +80,8 @@ from .connection import (
     bilevel_report,
     decompose_delta,
     judge,
-    make_example51,
-    make_example52,
     strip_variable_free_rows,
 )
+from .examples import make_example51, make_example52
 
 __version__ = "0.1.0"

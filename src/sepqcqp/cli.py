@@ -30,8 +30,6 @@ from .connection import (
     VerdictStatus,
     bilevel_report,
     judge,
-    make_example51,
-    make_example52,
 )
 from .errors import (
     ParseError,
@@ -39,6 +37,7 @@ from .errors import (
     SepqcqpError,
     ValidationError,
 )
+from .examples import make_example51, make_example52
 from .qcqp_model import HomSepQcqp, Qcqp, QuadFunc, Relation, SeparableQcqp
 from .rank_reduction import reduce as reduce_solution
 from .sdp_solver import solve
@@ -939,6 +938,18 @@ class _ArgParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Subcommand(_ArgParser):
+    """A subcommand's parser reports the arguments it does not take
+    itself, so the usage printed is the subcommand's, not the top-level
+    parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return ns, extras
+
+
 def _positive_float(text: str) -> float:
     """argparse type of a tolerance: a finite number > 0."""
     try:
@@ -1005,7 +1016,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "exactness, and recover rank-one solutions."
         ),
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     sp = sub.add_parser(
         "solve", parents=[common], help="solve the relaxation of a problem file"

@@ -186,13 +186,12 @@ def _schur_factor(m: np.ndarray) -> np.ndarray:
         return sk.cholesky(m)
     except _LinAlgError:
         pass
-    reg = 0.0
     base = 1e-12 * (1.0 + np.abs(np.diag(m)).max(initial=0.0))
-    for attempt in range(4):
+    for attempt in range(3):
         try:
-            return sk.cholesky(m + reg * np.eye(len(m)))
+            return sk.cholesky(m + base * (100.0 ** attempt) * np.eye(len(m)))
         except _LinAlgError:
-            reg = base * (100.0 ** attempt) if reg else base
+            pass
     raise _LinAlgError("Schur complement is not positive definite")
 
 

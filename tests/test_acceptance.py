@@ -24,13 +24,9 @@ from sepqcqp.certificates import (
     extract_convex_solution,
 )
 from sepqcqp.cli import run
-from sepqcqp.connection import (
-    VerdictStatus,
-    judge,
-    make_example51,
-    make_example52,
-)
+from sepqcqp.connection import VerdictStatus, judge
 from sepqcqp.errors import ReductionStallError
+from sepqcqp.examples import make_example51, make_example52
 from sepqcqp.qcqp_model import (
     HomSepQcqp,
     Qcqp,

@@ -25,8 +25,8 @@ from sepqcqp.certificates import (
     reduce_homogeneous_rows,
     sign_gauge,
 )
-from sepqcqp.connection import make_example51
 from sepqcqp.errors import DimensionError, StructureError
+from sepqcqp.examples import make_example51
 from sepqcqp.qcqp_model import (
     HomSepQcqp,
     Qcqp,

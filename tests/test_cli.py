@@ -25,8 +25,9 @@ from sepqcqp.cli import (
     verdict_to_dict,
     write_problem,
 )
-from sepqcqp.connection import judge, make_example51, make_example52
+from sepqcqp.connection import judge
 from sepqcqp.errors import ParseError, ValidationError
+from sepqcqp.examples import make_example51, make_example52
 from sepqcqp.qcqp_model import (
     HomSepQcqp,
     Qcqp,
@@ -689,6 +690,28 @@ class TestExitCodes:
     def test_usage_error_exits_1(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
         assert run_cli(capsys, "example52")[0] == 1
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("solve", ["--tol", "1e-3"]), ("judge", ["--bogus"])],
+        ids=["solve-tol", "judge-bogus"],
+    )
+    def test_unknown_flag_prints_the_subcommand_usage(
+        self, capsys, tmp_path, command, extra
+    ):
+        # the command's own parser reports the arguments it does not take,
+        # so the usage lists the flags that command accepts
+        path = tmp_path / "mixed.sq"
+        write_problem(make_example52(0), str(path))
+        code, out, err = run_cli(capsys, command, str(path), *extra)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: sepqcqp {command} [-h] ")
+        assert "{solve," not in err
+        assert "--max-iter MAX_ITER" in err
+        assert lines[-1] == (
+            f"sepqcqp {command}: error: unrecognized arguments: {' '.join(extra)}"
+        )
 
     @pytest.mark.parametrize(
         "case", ["overflowing-entry", "not-utf8", "out-dir-missing", "negative-seed"]

@@ -30,10 +30,7 @@ from sepqcqp.connection import (
     bilevel_report,
     decompose_delta,
     judge,
-    make_example51,
-    make_example52,
     strip_variable_free_rows,
-    validate_example52,
 )
 from sepqcqp.errors import (
     DimensionError,
@@ -41,6 +38,7 @@ from sepqcqp.errors import (
     RangeError,
     SepqcqpError,
 )
+from sepqcqp.examples import make_example51, make_example52, validate_example52
 from sepqcqp.qcqp_model import (
     INFEASIBLE,
     HomSepQcqp,
@@ -56,8 +54,8 @@ from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import SolveStatus, build_block, build_hom, build_shor
 from sepqcqp.symkernel import SymMatrix, frob_inner, is_psd
 
+from instances import family, random_connection
 from test_sdp_solver import family_value
-from test_stacked_stages import random_connection
 
 
 def qf(quad, linear=None):
@@ -94,10 +92,6 @@ def two_convex_connection():
         [4.0, 40.0],
     )
     return SeparableQcqp([mk(a1), mk(a2)], [4.0, 40.0])
-
-
-def family_connection(alpha):
-    return SeparableQcqp([make_example51(alpha)], [1.0, 0.0, 0.0])
 
 
 def solved(s):
@@ -186,14 +180,14 @@ class TestJudge:
             3.5: VerdictStatus.EXACT_CERTIFIED,
         }
         for alpha, status in expect.items():
-            v = judge(family_connection(alpha))
+            v = judge(family(alpha))
             assert v.status is status, (alpha, v.status, v.reason)
             assert abs(v.eta - family_value(alpha)) <= 1e-4 * (
                 1 + abs(family_value(alpha))
             )
 
     def test_not_exact_reports_oracle(self):
-        v = judge(family_connection(2.5))
+        v = judge(family(2.5))
         assert v.status is VerdictStatus.NOT_EXACT
         assert v.oracle_value is not None
         assert abs(v.oracle_value - 9.0) <= 1e-6
@@ -203,7 +197,7 @@ class TestJudge:
 
     def test_exact_verdicts_carry_witnesses(self):
         for alpha in (0.0, 2.0, 3.0):
-            v = judge(family_connection(alpha))
+            v = judge(family(alpha))
             assert v.exact
             assert v.witness is not None
             assert v.zeta_witness is not None
@@ -577,13 +571,13 @@ class TestMakeExample52:
             make_example52(5, dims=(3, 2, (2, 1, 2)))
 
     def test_exhausted_draws_raise(self, monkeypatch):
-        import sepqcqp.connection as conn
+        from sepqcqp import examples
 
         monkeypatch.setattr(
-            conn, "validate_example52", lambda s: ["always rejected"]
+            examples, "validate_example52", lambda s: ["always rejected"]
         )
         with pytest.raises(GenerationError):
-            conn.make_example52(0)
+            examples.make_example52(0)
 
 
 class TestStripVariableFreeRows:
@@ -636,7 +630,7 @@ class TestNonpositiveGauge:
 class TestInvariants:
     def test_eta_lower_bounds_oracle(self):
         for alpha in (0.0, 1.0, 2.0, 2.5, 3.0, 4.0):
-            s = family_connection(alpha)
+            s = family(alpha)
             v = judge(s)
             val, _ = brute_force(flatten(s), (-5.0, 5.0), grid_points=51)
             assert val is not INFEASIBLE
@@ -650,7 +644,7 @@ class TestInvariants:
         for s in (
             two_convex_connection(),
             make_example52(4),
-            family_connection(1.0),
+            family(1.0),
         ):
             sol = solved(s)
             ofs, total = 0, 0.0

@@ -36,7 +36,7 @@ def test_cli_digest_is_stable(tool, command, tmp_path, monkeypatch):
     """The command-line half of the digest: one command on the problem
     file of make_example52(0) exits 0 and hashes the same twice."""
     path = str(tmp_path / "problem.sdpq")
-    tool.cli.write_problem(tool.connection.make_example52(0), path)
+    tool.cli.write_problem(tool.make_example52(0), path)
     real, codes = tool.cli.run, []
 
     def recorded(argv):
@@ -60,3 +60,13 @@ def test_new_route_instances(tool):
         for _, q, grid, rounds in tool.oracle_searches()
     ]
     assert values == ["-4.605", "-4.0", "-3.2"]
+
+
+def test_walk_lines(tool):
+    """A walk line holds the steps, ranks and solution hash of a reduction
+    that ends, and the error of one that stalls (seed 20)."""
+    line = tool.walk_digest(*tool.walk_instance(1))
+    assert line.startswith("steps=") and " ranks=[" in line and " sol=" in line
+    assert tool.walk_digest(*tool.walk_instance(1)) == line
+    stalled = tool.walk_digest(*tool.walk_instance(20))
+    assert stalled.startswith("ReductionStallError 'invariants broken: ")

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from sepqcqp import qcqp_model
 from sepqcqp.certificates import CertificateKind
-from sepqcqp.connection import VerdictStatus, judge, make_example51
+from sepqcqp.connection import VerdictStatus, judge
 from sepqcqp.errors import DimensionError, RangeError, StructureError
+from sepqcqp.examples import make_example51
 from sepqcqp.qcqp_model import (
     INFEASIBLE,
     HomSepQcqp,

@@ -43,26 +43,8 @@ from sepqcqp.sdpr_builder import (
 )
 from sepqcqp.symkernel import SymMatrix, numeric_rank
 
+from instances import hand_solution, sym, walk_instance
 from test_sdp_solver import family_value, two_block_family
-
-
-def sym(rows):
-    if isinstance(rows, SymMatrix):
-        return rows
-    return SymMatrix.from_dense(np.asarray(rows, dtype=float))
-
-
-def hand_solution(b, blocks, value, slacks=None):
-    if slacks is None:
-        slacks = np.zeros(b.n_rows)
-    return SdpSolution(
-        blocks=[sym(x) for x in blocks],
-        slacks=np.asarray(slacks, dtype=float),
-        dual_multipliers=np.zeros(b.n_rows),
-        dual_blocks=[SymMatrix.zeros(d) for d in b.block_dims],
-        status=SolveStatus.OPTIMAL,
-        value=value,
-    )
 
 
 def max_residual(b, sol):
@@ -862,50 +844,6 @@ def assert_same_outcome(got, want):
     assert red.value == red0.value
     assert red.primal_residual == red0.primal_residual
     assert same_report(rep, rep0)
-
-
-def walk_instance(seed):
-    """A standard-form block SDP on which every feasible point is optimal,
-    with a full-rank feasible point (and positive slacks) to walk from.
-
-    1-4 blocks of dimension <= 5 and 1-6 rows mixing slack and no-slack
-    rows; some (row, block) pairs are empty, and a no-slack row that
-    touches one block only is marked as normalization row. The objective
-    is zero or a copy of one no-slack row's matrices, so it is constant on
-    the feasible set and reduction takes several steps.
-    """
-    rng = np.random.default_rng(seed)
-    nb = int(rng.integers(1, 5))
-    dims = tuple(int(d) for d in rng.integers(1, 6, size=nb))
-    x0 = []
-    for d in dims:
-        g = rng.standard_normal((d, d))
-        x0.append(g @ g.T + 0.1 * np.eye(d))
-    m = int(rng.integers(1, 7))
-    slack = rng.random(m) < 0.4
-    rows, s0, norm = [], np.zeros(m), []
-    for i in range(m):
-        touch = rng.random(nb) < 0.7
-        touch[int(rng.integers(nb))] = True
-        mats = []
-        for bi, d in enumerate(dims):
-            a = rng.standard_normal((d, d)) if touch[bi] else np.zeros((d, d))
-            mats.append(SymMatrix.from_dense(a))
-        lhs = sum(float(np.sum(mm.to_dense() * x)) for mm, x in zip(mats, x0))
-        if slack[i]:
-            s0[i] = float(rng.uniform(0.1, 1.0))
-        elif touch.sum() == 1:
-            norm.append(i)
-        rows.append((tuple(mats), int(slack[i]), lhs + s0[i]))
-    eq_rows = [i for i in range(m) if not slack[i]]
-    if eq_rows and rng.random() < 0.8:
-        pick = eq_rows[int(rng.integers(len(eq_rows)))]
-        objective = rows[pick][0]
-    else:
-        objective = tuple(SymMatrix.zeros(d) for d in dims)
-    b = BlockSdp.from_rows(dims, objective, rows, normalization_rows=norm)
-    value = sum(float(np.sum(c.to_dense() * x)) for c, x in zip(objective, x0))
-    return b, hand_solution(b, x0, value, slacks=s0)
 
 
 class TestMatchesLoopReduction:

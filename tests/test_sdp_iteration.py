@@ -25,8 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepqcqp import sdp_solver, symkernel
-from sepqcqp.connection import make_example52
 from sepqcqp.errors import InfeasibleStructureError, SepqcqpError
+from sepqcqp.examples import make_example52
 from sepqcqp.sdp_solver import solve
 from sepqcqp.qcqp_model import QuadFunc, Qcqp, Relation, SeparableQcqp
 from sepqcqp.qcqp_model import eval as qf_eval
@@ -1048,3 +1048,35 @@ def test_lapack_calls_per_step(monkeypatch, make, groups):
         "solve": (4 * groups + 4) * steps,
         "eigvalsh": 2 * groups * steps,
     }
+
+
+@pytest.mark.parametrize(
+    "m, calls, rescued",
+    [
+        (np.diag([1.0, 0.0]), 2, True),  # the first ridge, 2e-12, rescues it
+        (-np.eye(2), 4, False),  # no ridge does: m, then 1, 100, 1e4 ridges
+    ],
+    ids=["first-ridge", "no-ridge"],
+)
+def test_schur_factor_cholesky_calls(monkeypatch, m, calls, rescued):
+    """_schur_factor factors m once, then once per ridge: the first retry
+    adds the smallest ridge, not a zero one."""
+    real, seen = symkernel.cholesky, []
+
+    def counted(x):
+        seen.append(x)
+        return real(x)
+
+    monkeypatch.setattr(symkernel, "cholesky", counted)
+    if rescued:
+        chol = sdp_solver._schur_factor(m)
+        base = 1e-12 * (1.0 + np.abs(np.diag(m)).max())
+        assert np.array_equal(chol, real(m + base * np.eye(2)))
+    else:
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp_solver._schur_factor(m)
+    assert len(seen) == calls
+    assert np.array_equal(seen[0], m)
+    # every retry adds a larger ridge than the one before
+    ridges = [float(x[0, 0] - m[0, 0]) for x in seen]
+    assert all(a < b for a, b in zip(ridges, ridges[1:]))

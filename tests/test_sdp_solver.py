@@ -5,13 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sepqcqp.connection import (
-    decompose_delta,
-    make_example51,
-    make_example52,
-    strip_variable_free_rows,
-)
+from sepqcqp.connection import decompose_delta, strip_variable_free_rows
 from sepqcqp.errors import InfeasibleStructureError
+from sepqcqp.examples import make_example51, make_example52
 from sepqcqp.qcqp_model import (
     HomSepQcqp,
     Qcqp,

@@ -25,7 +25,8 @@ from sepqcqp.qcqp_model import (
     is_feasible,
     lift,
 )
-from sepqcqp.connection import judge, make_example52
+from sepqcqp.connection import judge
+from sepqcqp.examples import make_example52
 from sepqcqp.sdpr_builder import (
     BlockSdp,
     RowOperator,

@@ -48,6 +48,8 @@ from sepqcqp.symkernel import (
     rank_of_eigenvalues_many,
 )
 
+from instances import random_connection, scaled
+
 # ---------------------------------------------------------------------------
 # the parent's one-entry stages
 
@@ -227,89 +229,7 @@ def parent_dual_feasible(s: SeparableQcqp, y, mus, tol) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# random connections
-
-KINDS = ("convex", "gauge", "mixed", "equality", "zero", "hom")
-
-
-def _psd(rng, n, ridge=0.0):
-    g = rng.standard_normal((n, n))
-    return g @ g.T / n + ridge * np.eye(n)
-
-
-def _scaled(rng, a):
-    """a at a random scale, so row values and norms spread over decades."""
-    return a * 10.0 ** float(rng.integers(-3, 4))
-
-
-def random_entry(rng, kind, n, relations):
-    """One entry of the given kind over the connection's relations.
-
-    convex: psd quadratic parts, nonzero matrices on <= rows only (zero
-    on = and >= rows). gauge: nonpositive couplings and linear terms
-    under a random sign flip, indefinite diagonals. mixed: arbitrary
-    symmetric parts. equality: convex, plus a nonzero = or >= row when
-    the connection has one. zero: convex with some rows zero. hom: a
-    homogeneous entry of 1 to 3 blocks of dims 1 to 4, some matrices
-    zero.
-    """
-    m = len(relations)
-    if kind == "hom":
-        dims = [int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
-        blocks = []
-        for d in dims:
-            mats = []
-            for k in range(m + 1):
-                if k and rng.random() < 0.25:
-                    mats.append(SymMatrix.zeros(d))
-                    continue
-                g = rng.standard_normal((d, d))
-                mats.append(SymMatrix.from_dense(_scaled(rng, g + g.T)))
-            blocks.append(mats)
-        return HomSepQcqp(blocks, relations, np.zeros(m))
-
-    flip = rng.choice([-1.0, 1.0], size=n)
-
-    def func():
-        if kind == "gauge":
-            w = np.abs(rng.standard_normal((n, n)))
-            quad = -0.5 * (w + w.T)
-            np.fill_diagonal(quad, rng.standard_normal(n))
-            quad = quad * np.outer(flip, flip)
-            lin = -np.abs(rng.standard_normal(n)) * flip
-        elif kind == "mixed":
-            g = rng.standard_normal((n, n))
-            quad, lin = g + g.T, rng.standard_normal(n)
-        else:
-            quad = _psd(rng, n, 0.1 * float(rng.random() < 0.5))
-            lin = rng.standard_normal(n) if rng.random() < 0.7 else None
-        if lin is not None:
-            lin = _scaled(rng, lin)
-        return QuadFunc.from_parts(_scaled(rng, quad), lin)
-
-    cons = []
-    for rel in relations:
-        zero = (
-            (kind in ("convex", "gauge", "zero") and rel is not Relation.LE)
-            or (kind == "zero" and rng.random() < 0.5)
-            or (kind == "equality" and rel is Relation.LE and rng.random() < 0.3)
-        )
-        cons.append((QuadFunc.zero(n) if zero else func(), rel))
-    rhs = np.where(rng.random(m) < 0.5, 0.0, rng.standard_normal(m))
-    return Qcqp(n, func(), cons, rhs)
-
-
-def random_connection(seed, n_max=4, n_fixed=None):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(0, 5))
-    pool = [Relation.LE, Relation.LE, Relation.EQ, Relation.GE]
-    relations = [pool[i] for i in rng.integers(len(pool), size=m)]
-    entries = []
-    for _ in range(int(rng.integers(1, 7))):
-        kind = KINDS[int(rng.integers(len(KINDS)))]
-        n = n_fixed or int(rng.integers(1, n_max + 1))
-        entries.append(random_entry(rng, kind, n, relations))
-    return SeparableQcqp(entries, rng.standard_normal(m)), rng
+# random draws around a connection
 
 
 def random_blocks(rng, stacks):
@@ -317,13 +237,13 @@ def random_blocks(rng, stacks):
     out = []
     for d in stacks.dims:
         g = rng.standard_normal((d, d))
-        out.append(SymMatrix.from_dense(_scaled(rng, g + g.T)))
+        out.append(SymMatrix.from_dense(scaled(rng, g + g.T)))
     return out
 
 
 def random_points(rng, s):
     sizes = [sum(e.dims) if isinstance(e, HomSepQcqp) else e.n for e in s.blocks]
-    return [_scaled(rng, rng.standard_normal(n)) for n in sizes]
+    return [scaled(rng, rng.standard_normal(n)) for n in sizes]
 
 
 def bits(x) -> bytes:

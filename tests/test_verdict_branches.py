@@ -17,22 +17,13 @@ import pytest
 
 from sepqcqp import connection
 from sepqcqp.certificates import CertificateKind
-from sepqcqp.connection import VerdictStatus, judge, make_example51, make_example52
-from sepqcqp.qcqp_model import (
-    INFEASIBLE,
-    HomSepQcqp,
-    Qcqp,
-    QuadFunc,
-    Relation,
-    SeparableQcqp,
-)
+from sepqcqp.connection import VerdictStatus, judge
+from sepqcqp.examples import make_example51, make_example52
+from sepqcqp.qcqp_model import INFEASIBLE, HomSepQcqp, SeparableQcqp
+
+from instances import convex_rank_two, family, sign_salvage
 
 TOL = 1e-6
-
-
-def family(alpha, copies=1):
-    h = make_example51(alpha)
-    return SeparableQcqp([h] * copies, copies * h.rhs)
 
 
 @pytest.fixture
@@ -74,34 +65,6 @@ def oracle(monkeypatch):
         return calls
 
     return install
-
-
-def convex_rank_two():
-    """One convex entry of two variables whose joint rank reduction ends
-    at rank 2: min 2 x1 + 2 x2 subject to x2^2 <= 1 and -2 x1 <= 2 (each
-    QuadFunc is x'Ax + 2 b'x), with value -4 at (-1, -1)."""
-    obj = QuadFunc.from_parts(np.zeros((2, 2)), [1.0, 1.0])
-    rows = [
-        QuadFunc.from_parts(np.diag([0.0, 1.0])),
-        QuadFunc.from_parts(np.zeros((2, 2)), [-1.0, 0.0]),
-    ]
-    gamma = np.array([1.0, 2.0])
-    q = Qcqp(2, obj, [(f, Relation.LE) for f in rows], gamma)
-    return SeparableQcqp([q], gamma)
-
-
-def sign_salvage():
-    """One sign entry of one variable, min q u^2 + 2 l u over two <= rows:
-    its joint rank reduction ends at rank 1, but the point it extracts
-    lies 3.9e-6 above eta, past tol (1 + |eta|) = 2.44e-6."""
-    obj = QuadFunc.from_parts([[-861.594207583315]], [-0.0005468386752403011])
-    rows = [
-        QuadFunc.from_parts([[15.114684912307293]], [-0.01543637661106943]),
-        QuadFunc.from_parts([[99.20060492637393]], [-0.0016235197573212902]),
-    ]
-    gamma = np.array([1.5242410941764937, 0.1661463218805923])
-    q = Qcqp(1, obj, [(f, Relation.LE) for f in rows], gamma)
-    return SeparableQcqp([q], gamma)
 
 
 def assert_fields(v, status, reason="", zeta=None, oracle_value=None, witness=None):

@@ -36,12 +36,27 @@ round is too long to list whole, so the oracle walks it slab by slab,
 and two over two variables whose points sit on a row's band, so the
 oracle re-checks them exactly.
 
+Three more route sections follow. ``routes hom-steps`` judges 4, 8, 16
+and 32 copies of example 5.1 at alpha = 2 joined into one connection,
+whose joint rank reduction steps copies - 1 times (no pool instance
+steps it). ``routes walk`` runs ``rank_reduction.reduce`` on
+``walk_instance(seed)`` for seeds 0..499, one line each: the step count,
+the final ranks and a SHA-1 over the reduced solution, or the type and
+message of the error the walk ends in (seeds 20, 249, 385 and 412 stall
+with "invariants broken"). ``routes random`` judges
+``random_connection(seed)`` for seeds 0..149, whose relaxations end in
+every solver stop (MaxIter, Diverged, NumericalFailure) and in
+structural failures as well as in exact verdicts.
+
 A change that must leave the solver's arithmetic as it is passes when
 the digest at the parent commit and at the change are identical:
 
     diff parent-digest.txt change-digest.txt
 
-The instances come from ``perfbench/workloads.py``, imported read-only.
+The pool instances come from ``perfbench/workloads.py``, the examples
+from ``sepqcqp.examples`` and the other route instances from
+``tests/instances.py`` (the builders the tests check), all imported
+read-only.
 """
 
 from __future__ import annotations
@@ -55,16 +70,22 @@ import tempfile
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import sepqcqp.cli as cli  # noqa: E402
 import sepqcqp.connection as connection  # noqa: E402
-from sepqcqp.qcqp_model import (  # noqa: E402
-    Qcqp,
-    QuadFunc,
-    Relation,
-    SeparableQcqp,
-    brute_force,
+from sepqcqp import rank_reduction  # noqa: E402
+from sepqcqp.errors import SepqcqpError  # noqa: E402
+from sepqcqp.examples import make_example51, make_example52  # noqa: E402
+from sepqcqp.qcqp_model import Qcqp, QuadFunc, Relation, SeparableQcqp, brute_force  # noqa: E402
+from instances import (  # noqa: E402
+    convex_rank_two,
+    family,
+    random_connection,
+    sign_salvage,
+    walk_instance,
 )
 from workloads import HARD_CASES, SPECS, make_instance  # noqa: E402
 
@@ -143,7 +164,7 @@ def cli_lines() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.sdpq")
         for seed in CLI_SEEDS:
-            cli.write_problem(connection.make_example52(seed), path)
+            cli.write_problem(make_example52(seed), path)
             for cmd in ("judge", "solve", "reduce", "certify"):
                 print("cli", cmd, seed, cli_digest([cmd, path, *flags]), flush=True)
     for fmt in ("json", "text"):
@@ -157,33 +178,13 @@ ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.2, 2.5, 2.8, 3.0, 3.5)
 #: the example-5.2 joins pair make_example52(2k) with (2k + 1)
 JOINS52 = range(40)
 
+#: copies of example 5.1 at alpha = 2 in the hom-steps connections: the
+#: joint rank reduction steps copies - 1 times
+HOM_STEPS = (4, 8, 16, 32)
 
-def convex_rank_two() -> SeparableQcqp:
-    """One convex entry, min 2 x1 + 2 x2 subject to x2^2 <= 1 and
-    -2 x1 <= 2: its joint rank reduction ends at rank 2."""
-    obj = QuadFunc.from_parts(np.zeros((2, 2)), [1.0, 1.0])
-    rows = [
-        QuadFunc.from_parts(np.diag([0.0, 1.0])),
-        QuadFunc.from_parts(np.zeros((2, 2)), [-1.0, 0.0]),
-    ]
-    gamma = np.array([1.0, 2.0])
-    q = Qcqp(2, obj, [(f, Relation.LE) for f in rows], gamma)
-    return SeparableQcqp([q], gamma)
-
-
-def sign_salvage() -> SeparableQcqp:
-    """One sign entry over one variable, f(u) = q u^2 + 2 l u for the
-    objective and two <= rows: its certificate holds, but the point rank
-    reduction extracts misses eta by 3.9e-6, past tol (1 + |eta|), and
-    the gauge-signed square root of the block's diagonal is the witness."""
-    obj = QuadFunc.from_parts([[-861.594207583315]], [-0.0005468386752403011])
-    rows = [
-        QuadFunc.from_parts([[15.114684912307293]], [-0.01543637661106943]),
-        QuadFunc.from_parts([[99.20060492637393]], [-0.0016235197573212902]),
-    ]
-    gamma = np.array([1.5242410941764937, 0.1661463218805923])
-    q = Qcqp(1, obj, [(f, Relation.LE) for f in rows], gamma)
-    return SeparableQcqp([q], gamma)
+#: seeds of the walk_instance reductions and of the random_connection judges
+WALK_SEEDS = range(500)
+RANDOM_SEEDS = range(150)
 
 
 def oracle_searches():
@@ -209,20 +210,39 @@ def oracle_digest(q, grid, rounds) -> str:
     return f"{float(value)!r} {h.hexdigest()}"
 
 
+def walk_digest(b, sol) -> str:
+    """rank_reduction.reduce from sol: the step count, the final ranks and
+    a SHA-1 over the reduced solution, or the exception's type and
+    message."""
+    try:
+        red, rep = rank_reduction.reduce(b, sol)
+    except SepqcqpError as e:
+        return f"{type(e).__name__} {str(e)!r}"
+    h = hashlib.sha1()
+    _hash_solution(h, red)
+    return f"steps={rep.iterations} ranks={rep.final_ranks} sol={h.hexdigest()}"
+
+
 def route_lines() -> None:
     for a in ALPHAS:
         for b in ALPHAS:
-            h1, h2 = connection.make_example51(a), connection.make_example51(b)
+            h1, h2 = make_example51(a), make_example51(b)
             s = SeparableQcqp([h1, h2], h1.rhs + h2.rhs)
             print("routes ex51-join", a, b, digest(s), flush=True)
     for k in JOINS52:
-        s1, s2 = connection.make_example52(2 * k), connection.make_example52(2 * k + 1)
+        s1, s2 = make_example52(2 * k), make_example52(2 * k + 1)
         s = SeparableQcqp(s1.blocks + s2.blocks, s1.gamma + s2.gamma)
         print("routes ex52-join", k, digest(s), flush=True)
     print("routes convex-rank-two", digest(convex_rank_two()), flush=True)
     print("routes sign-salvage", digest(sign_salvage()), flush=True)
     for name, q, grid, rounds in oracle_searches():
         print("routes oracle", name, oracle_digest(q, grid, rounds), flush=True)
+    for copies in HOM_STEPS:
+        print("routes hom-steps", copies, digest(family(2.0, copies)), flush=True)
+    for seed in WALK_SEEDS:
+        print("routes walk", seed, walk_digest(*walk_instance(seed)), flush=True)
+    for seed in RANDOM_SEEDS:
+        print("routes random", seed, digest(random_connection(seed)[0]), flush=True)
 
 
 def main(names) -> None:
