@@ -68,7 +68,7 @@ from .qcqp_model import (
     Qcqp,
     Relation,
     SeparableQcqp,
-    _is_int_at_least,
+    _int_at_least,
     brute_force,
     flatten,
     split_point,
@@ -141,8 +141,11 @@ class JudgeOptions:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.rank_tol < math.inf:
             raise ValueError("rank_tol must be positive and finite")
-        if not _is_int_at_least(self.max_iter, 1):
+        max_iter = _int_at_least(self.max_iter, 1)
+        if max_iter is None:
             raise ValueError("max_iter must be an integer of at least 1")
+        # a numpy integer is kept as an int
+        object.__setattr__(self, "max_iter", max_iter)
 
 
 @dataclass(frozen=True)

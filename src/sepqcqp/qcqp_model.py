@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,9 +269,13 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise RangeError(f"{name}[{k}]: value must be finite, got {values[k]}")
 
 
-def _is_int_at_least(value, low: int) -> bool:
-    """value is an int (not a bool) of at least low."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+def _int_at_least(value, low: int) -> int | None:
+    """value as an int when it is an integer of at least low (a Python or
+    numpy integer, not a bool), else None."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if value >= low:
+            return int(value)
+    return None
 
 
 def _block_relations(blk) -> list[Relation]:
@@ -662,9 +667,11 @@ def brute_force(
     """
     if q.n > 4:
         raise DimensionError(f"brute force limited to n <= 4, got n = {q.n}")
-    if not _is_int_at_least(grid_points, 11):
+    grid_points = _int_at_least(grid_points, 11)
+    if grid_points is None:
         raise ValueError("grid_points must be an integer of at least 11")
-    if not _is_int_at_least(refine_rounds, 0):
+    refine_rounds = _int_at_least(refine_rounds, 0)
+    if refine_rounds is None:
         raise ValueError("refine_rounds must be an integer of at least 0")
     if not 0.0 <= feas_tol < math.inf:
         raise ValueError(f"feas_tol must be finite and at least 0, got {feas_tol!r}")

@@ -36,7 +36,11 @@ their order, so every SdpSolution stays the same bit for bit. Calling
 the C function a numpy wrapper calls, with the wrapper's arguments, is
 the same operation: a numpy.linalg function's gufunc with its signature
 (the symkernel layer), np.add.reduce for ndarray.sum, np.maximum.reduce
-for ndarray.max, ndarray.repeat for np.repeat. Rewrites that only hold
+for ndarray.max, ndarray.repeat for np.repeat. So is a float64 scalar
+operation done in Python floats (the same IEEE double operation;
+abs, comparisons and Python's max are exact), and the layer's error
+state built once, at import, rather than on every call (the same state,
+entered and left around the same gufunc). Rewrites that only hold
 in exact arithmetic are out, such as reusing an inverted Cholesky factor
 or summing in another order. A sum over blocks adds each cell's terms
 one at a time in block order, left to right from +0.0 (_ordered_sum);
@@ -69,7 +73,7 @@ import numpy as np
 
 from . import symkernel as sk
 from .errors import DimensionError, InfeasibleStructureError
-from .qcqp_model import _is_int_at_least
+from .qcqp_model import _int_at_least
 from .sdpr_builder import (
     BlockSdp,
     RowOperator,
@@ -121,27 +125,22 @@ def _presolve(op: RowOperator) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# stacked matrix kernels; every argument is a (..., d, d) stack
-
-
-def _tr(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
-
-
-def _sym(a: np.ndarray, out=None) -> np.ndarray:
-    return np.multiply(0.5, a + _tr(a), out=out)
+# stacked matrix kernels; every argument is a (..., d, d) stack, a.mT its
+# transposes and 0.5 * (a + a.mT) its symmetric parts
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Nesterov-Todd scaling points W with W S W = X, all arguments PD.
     u * r[..., None, :] scales the columns of u: the product u @ diag(r)."""
     lam, u = sk.eigh(s)
+    ut = u.mT
     root = np.sqrt(np.maximum(lam, 1e-300))
-    rt = (u * root[..., None, :]) @ _tr(u)
-    irt = (u * (1.0 / root)[..., None, :]) @ _tr(u)
-    om, v = sk.eigh(_sym(rt @ x @ rt))
+    rt = (u * root[..., None, :]) @ ut
+    irt = (u * (1.0 / root)[..., None, :]) @ ut
+    h = rt @ x @ rt
+    om, v = sk.eigh(0.5 * (h + h.mT))
     om = np.maximum(om, 1e-300)
-    return irt @ ((v * np.sqrt(om)[..., None, :]) @ _tr(v)) @ irt
+    return irt @ ((v * np.sqrt(om)[..., None, :]) @ v.mT) @ irt
 
 
 def _psd_factor(x: np.ndarray) -> np.ndarray:
@@ -165,17 +164,11 @@ def _xs_factor(xs: np.ndarray) -> np.ndarray:
 
 def _boundary_eig(chol: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of chol^-1 dx chol^-T (symmetrized), from which
-    _boundary_step reads the largest t with x + t*dx still PSD, for
-    x = chol chol^T. h is that matrix transposed, and _sym(h) is the same
-    either way round."""
-    h = sk.solve(chol, _tr(sk.solve(chol, dx)))
-    return sk.eigvalsh(_sym(h))[..., 0]
-
-
-def _boundary_step(lam_min: float) -> float:
-    """The step length of a smallest eigenvalue (inf when dx points
-    inward); an inf eigenvalue gives an inf step."""
-    return math.inf if lam_min >= -1e-14 else -1.0 / lam_min
+    lengths reads the largest t with x + t*dx still PSD, for
+    x = chol chol^T. h is that matrix transposed, and its symmetric part
+    is the same either way round."""
+    h = sk.solve(chol, sk.solve(chol, dx).mT)
+    return sk.eigvalsh(0.5 * (h + h.mT))[..., 0]
 
 
 def _schur_factor(m: np.ndarray) -> np.ndarray:
@@ -198,7 +191,7 @@ def _schur_factor(m: np.ndarray) -> np.ndarray:
 def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(chol chol^T)^-1 b by two general solves, as the Schur step always
     has."""
-    return sk.solve(_tr(chol), sk.solve(chol, b))
+    return sk.solve(chol.mT, sk.solve(chol, b))
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -228,12 +221,14 @@ class _Group:
     """The blocks of one dimension, one slot per block.
 
     block[j] is slot j's block index; the group's X and S live in one
-    (2n, d, d) stack, X slots first. A[k, j] is the k-th active row matrix
-    of slot j (zero padding past its count), rows[k, j, 0, 0] that row's
-    index (padding points at the zero past the multipliers).
+    (2n, d, d) stack, X slots first, and side[j, 0, 0] is 0 on X slots and
+    1 on S slots (which of a (primal, dual) pair of step lengths moves
+    the slot). A[k, j] is the k-th active row matrix of slot j (zero
+    padding past its count), rows[k, j, 0, 0] that row's index (padding
+    points at the zero past the multipliers).
     """
 
-    __slots__ = ("dim", "n", "block", "C", "A", "rows")
+    __slots__ = ("dim", "n", "block", "side", "C", "A", "rows")
 
 
 def _ordered_sum(n: int, at: list):
@@ -242,13 +237,15 @@ def _ordered_sum(n: int, at: list):
     term's cell (padding goes to the spare cell n) and block. bincount
     adds in index order from +0.0, so with the terms put in block order
     once, here, each cell adds its blocks left to right and never reads
-    -0.0: an absent term acts as the +0.0 it stands for. The + 0.0 makes
-    floats of bincount's integer zeros when there are no terms."""
+    -0.0: an absent term acts as the +0.0 it stands for. Without terms
+    the sums are float zeros (bincount's would be integers)."""
     order = np.argsort(_joined([b for _, b in at], np.intp), kind="stable")
     cells = _joined([c for c, _ in at], np.intp)[order]
+    if not len(cells):
+        return lambda parts: np.zeros(n)
     return lambda parts: np.bincount(
-        cells, weights=_joined(parts, float)[order], minlength=n + 1
-    )[:n] + 0.0
+        cells, weights=np.concatenate(parts, axis=None)[order], minlength=n + 1
+    )[:n]
 
 
 def _joined(arrays: list, dtype) -> np.ndarray:
@@ -266,7 +263,8 @@ class _Problem:
     row, schur the m x m Schur matrix flat, slot_sum of one value per X
     slot, xs_sums of the X slots' values and of the S slots'. The vector
     part of an iterate is one array [s | sig | y | 0]; its sections
-    start at 0, NS and 2 NS.
+    start at 0, NS and 2 NS, and vec_side is 0 where it moves with the
+    primal step (s and the zero) and 1 where with the dual one.
     """
 
     def __init__(self, b: BlockSdp):
@@ -283,8 +281,9 @@ class _Problem:
         self.slack_diag = self.slack_rows * (m + 1)
         self.NS = len(self.slack_rows)
         self.n_tot = float(max(sum(dims) + self.NS, 1))
-        self.d_scale = 1.0 + np.abs(self.d_vec).max(initial=0.0)
-        self.c_scale = 1.0 + max((np.linalg.norm(c) for c in C), default=0.0)
+        self.d_scale = 1.0 + float(np.abs(self.d_vec).max(initial=0.0))
+        self.c_scale = 1.0 + max((float(np.linalg.norm(c)) for c in C), default=0.0)
+        self.vec_side = np.repeat([0, 1, 0], (self.NS, self.NS + m, 1))
 
         self.where = [None] * len(dims)
         self.where_s = [None] * len(dims)
@@ -297,6 +296,7 @@ class _Problem:
             grp = _Group()
             grp.dim, grp.n = d, g
             grp.block = np.array(blocks, dtype=np.intp)
+            grp.side = np.arange(2).repeat(g)[:, None, None]
             grp.C = np.stack([C[bi] for bi in blocks])
             for j, bi in enumerate(blocks):
                 self.where[bi] = (len(self.groups), j)
@@ -323,7 +323,7 @@ class _Problem:
                 (grp.rows, blk[None].repeat(kmax, 0)),
                 (sch, blk.repeat(kmax * kmax)),
                 (np.zeros(g, np.intp), blk),
-                (np.arange(2).repeat(g), blk[None].repeat(2, 0)),
+                (grp.side, blk[None].repeat(2, 0)),
             ))
             self.groups.append(grp)
         self.row_sums, self.schur, self.slot_sum, self.xs_sums = (
@@ -405,22 +405,24 @@ class _Ipm:
                 _inner(xs, np.concatenate((g.C, xs[: g.n])))
                 for g, xs in zip(p.groups, XS)
             ]
-        )
-        dobj = np.dot(p.d_vec, y)
-        compl = compl + np.dot(s, sig)
+        ).tolist()
+        # the scalars are Python floats from here on; no divisor can be 0
+        # (n_tot and 1 + |pobj| + |dobj| are at least 1, or NaN)
+        dobj = float(np.dot(p.d_vec, y))
+        compl += float(np.dot(s, sig))
         mu = compl / p.n_tot
         # |rd| per slot, and Python's max of them in block order
         norms = []
         for r in rd:
             flat = r.reshape(len(r), 1, -1)
-            norms.append(np.sqrt(np.matmul(flat, _tr(flat))[:, 0, 0]).tolist())
-        pres = np.maximum.reduce(np.abs(r_p), axis=None, initial=0.0)
+            norms.append(np.sqrt(np.matmul(flat, flat.mT)[:, 0, 0]).tolist())
+        pres = float(np.maximum.reduce(np.abs(r_p), axis=None, initial=0.0))
         dres = max((norms[gi][j] for gi, j in p.where), default=0.0)
-        dres_s = np.maximum.reduce(np.abs(rds), axis=None, initial=0.0)
+        dres_s = float(np.maximum.reduce(np.abs(rds), axis=None, initial=0.0))
         dres = dres_s if dres_s > dres else dres
-        gap = np.abs(pobj - dobj)
-        gap = (compl if compl > gap else gap) / (1.0 + np.abs(pobj) + np.abs(dobj))
-        optimal = bool(
+        gap = abs(pobj - dobj)
+        gap = (compl if compl > gap else gap) / (1.0 + abs(pobj) + abs(dobj))
+        optimal = (
             pres <= p.d_scale * _TOL
             and dres <= p.c_scale * _TOL
             and gap <= _TOL
@@ -479,8 +481,10 @@ class _Ipm:
             dxs = []
             for g, r, e, w in zip(groups, rd, e_blk, W):
                 d = np.empty((2 * g.n, g.dim, g.dim))
-                ds = _sym(_subtract_rows(g, r, dyx), out=d[g.n :])
-                _sym(e - w @ ds @ w, out=d[: g.n])
+                a = _subtract_rows(g, r, dyx)
+                ds = np.multiply(0.5, a + a.mT, out=d[g.n :])
+                a = e - w @ ds @ w
+                np.multiply(0.5, a + a.mT, out=d[: g.n])
                 dxs.append(d)
             dsig = np.subtract(rds, dyx[p.slack_rows], out=dvec[NS : 2 * NS])
             np.subtract(e_slk, w2 * dsig, out=dvec[:NS])
@@ -489,11 +493,19 @@ class _Ipm:
         def lengths(dxs, dvec):
             """The (primal, dual) step lengths: the largest steps keeping
             the blocks PSD and the slacks nonnegative, cut back by the step
-            fraction and capped at 1. Over blocks, the minimum is Python's,
-            in block order; over slacks, numpy's, so a NaN wins."""
+            fraction and capped at 1. A block's step is inf where its
+            smallest eigenvalue v is at least -1e-14 (dx points inward),
+            else -1 / v. Over blocks, the minimum is Python's, in block
+            order; over slacks, numpy's, so a NaN wins."""
             lam = [_boundary_eig(c, d).tolist() for c, d in zip(chol_xs, dxs)]
             t = [
-                min((_boundary_step(lam[gi][j]) for gi, j in slots), default=math.inf)
+                min(
+                    (
+                        math.inf if v >= -1e-14 else -1.0 / v
+                        for v in (lam[gi][j] for gi, j in slots)
+                    ),
+                    default=math.inf,
+                )
                 for slots in (p.where, p.where_s)
             ]
             if NS:
@@ -505,26 +517,21 @@ class _Ipm:
             return np.array([min(1.0, _STEP_FRACTION * x) for x in t])
 
         def moved(t, dxs):
-            return [
-                xs + t.repeat(g.n)[:, None, None] * d
-                for g, xs, d in zip(groups, XS, dxs)
-            ]
+            return [xs + t[g.side] * d for g, xs, d in zip(groups, XS, dxs)]
 
         # affine probe fixes the centering weight
         dxa, dva = directions(0.0)
         ta = lengths(dxa, dva)
         (tr_aff,) = p.slot_sum(
             [_inner(xs[: g.n], xs[g.n :]) for g, xs in zip(groups, moved(ta, dxa))]
-        )
-        sa = vec[: 2 * NS] + ta.repeat(NS) * dva[: 2 * NS]
-        tr_aff = tr_aff + np.dot(sa[:NS], sa[NS:])
-        sigma = _centering(float(tr_aff / p.n_tot), float(mu))
+        ).tolist()
+        sa = vec[: 2 * NS] + ta[p.vec_side[: 2 * NS]] * dva[: 2 * NS]
+        tr_aff += float(np.dot(sa[:NS], sa[NS:]))
+        sigma = _centering(tr_aff / p.n_tot, mu)
 
         dxs, dvec = directions(sigma * mu)
         t = lengths(dxs, dvec)
-        # s and the zero past y move with the primal step, sig and y with
-        # the dual one
-        return moved(t, dxs), vec + t[[0, 1, 0]].repeat((NS, NS + m, 1)) * dvec
+        return moved(t, dxs), vec + t[p.vec_side] * dvec
 
     def run(self) -> dict:
         """Iterate until the problem stops; returns its final record."""
@@ -533,7 +540,7 @@ class _Ipm:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for it in range(1, self.max_iter + 1):
                 report, mu, optimal, diverged, (r_p, rd, rds) = self.residuals()
-                self.history.append(float(mu))
+                self.history.append(mu)
                 if optimal or diverged:
                     status = SolveStatus.OPTIMAL if optimal else SolveStatus.DIVERGED
                     return self._record(status, it, report)
@@ -583,7 +590,7 @@ def _solution(p: _Problem, rec: dict, history: list) -> SdpSolution:
 
 def solve(b: BlockSdp, max_iter: int = 200) -> SdpSolution:
     """Solve a BlockSdp and return a primal-dual solution, stopping after
-    at most max_iter iterations (an int of at least 1).
+    at most max_iter iterations (an integer of at least 1, not a bool).
 
     The input may use any mix of relations; it is standardized internally.
     Reported slacks are the nonnegative amounts by which inequality rows
@@ -592,10 +599,11 @@ def solve(b: BlockSdp, max_iter: int = 200) -> SdpSolution:
     of its standardized, negated form). A structural fault, such as
     contradictory equality rows, raises.
     """
-    if not _is_int_at_least(max_iter, 1):
+    n = _int_at_least(max_iter, 1)
+    if n is None:
         raise ValueError("max_iter must be an integer of at least 1")
     p = _Problem(b)
-    ipm = _Ipm(p, max_iter)
+    ipm = _Ipm(p, n)
     return _solution(p, ipm.run(), ipm.history)
 
 

@@ -14,9 +14,11 @@ that row.
 It is also the package's one LAPACK layer: eigh, eigvalsh, cholesky,
 solve and inv each call the gufunc of numpy.linalg's function of that
 name (lower triangle, float64 signature) under the error state that
-function sets, so each returns its bytes or raises its LinAlgError,
-without the wrapper's per-call checks and conversions. They take
-float64 (..., m, m) stacks (solve's right-hand side is (..., m, n)).
+function sets (built once, at import), so each returns its bytes or
+raises its LinAlgError, without the wrapper's per-call checks and
+conversions. They take float64 (..., m, m) stacks (solve's right-hand
+side is (..., m, n)). Like _umath_linalg, the error state's context
+variable and constructor are numpy 2's private internals.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError
@@ -37,48 +40,75 @@ _EPS = float(np.finfo(np.float64).eps)
 HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
-def _lapack(message: str):
-    """Decorator: run the function under numpy.linalg's error state for
-    its LAPACK gufuncs, where a failed factorization (the invalid flag)
-    raises LinAlgError(message)."""
+def _error_state(message: str):
+    """numpy.linalg's error state for its LAPACK gufuncs, where a failed
+    factorization (the invalid flag) raises LinAlgError(message): the
+    state np.errstate(call=..., invalid="call", over="ignore",
+    divide="ignore", under="ignore") enters, built once. Each function
+    below sets numpy's error-state context variable to it around its
+    gufunc and resets the variable after, as that errstate does on every
+    call, where it builds the state anew. Every flag and the handler are
+    set here; only the buffer size comes from the state at import rather
+    than the caller's, and it changes no result of these float64 calls."""
 
     def fail(err, flag):
         raise np.linalg.LinAlgError(message)
 
-    return np.errstate(
+    return _make_extobj(
         call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
     )
 
 
-@_lapack("Eigenvalues did not converge")
+_NO_CONVERGENCE = _error_state("Eigenvalues did not converge")
+_NOT_PD = _error_state("Matrix is not positive definite")
+_SINGULAR = _error_state("Singular matrix")
+_enter, _leave = _extobj_contextvar.set, _extobj_contextvar.reset
+
+
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy.linalg.eigh of a: eigenvalues ascending, eigenvectors as
     columns."""
-    return _umath_linalg.eigh_lo(a, signature="d->dd")
+    token = _enter(_NO_CONVERGENCE)
+    try:
+        return _umath_linalg.eigh_lo(a, signature="d->dd")
+    finally:
+        _leave(token)
 
 
-@_lapack("Eigenvalues did not converge")
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """numpy.linalg.eigvalsh of a: eigenvalues ascending."""
-    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+    token = _enter(_NO_CONVERGENCE)
+    try:
+        return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+    finally:
+        _leave(token)
 
 
-@_lapack("Matrix is not positive definite")
 def cholesky(a: np.ndarray) -> np.ndarray:
     """numpy.linalg.cholesky of a: the lower-triangular factor."""
-    return _umath_linalg.cholesky_lo(a, signature="d->d")
+    token = _enter(_NOT_PD)
+    try:
+        return _umath_linalg.cholesky_lo(a, signature="d->d")
+    finally:
+        _leave(token)
 
 
-@_lapack("Singular matrix")
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """numpy.linalg.solve of a and a (..., m, n) right-hand side b."""
-    return _umath_linalg.solve(a, b, signature="dd->d")
+    token = _enter(_SINGULAR)
+    try:
+        return _umath_linalg.solve(a, b, signature="dd->d")
+    finally:
+        _leave(token)
 
 
-@_lapack("Singular matrix")
 def inv(a: np.ndarray) -> np.ndarray:
     """numpy.linalg.inv of a."""
-    return _umath_linalg.inv(a, signature="d->d")
+    token = _enter(_SINGULAR)
+    try:
+        return _umath_linalg.inv(a, signature="d->d")
+    finally:
+        _leave(token)
 
 
 @functools.cache

@@ -9,7 +9,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sepqcqp import certificates, connection, sdpr_builder
@@ -686,6 +686,50 @@ class TestInvariants:
         assert hits >= 6
 
 
+def permuted_statuses(s: SeparableQcqp, perm) -> tuple:
+    """The verdict statuses of s and of s with its entries in perm's order
+    (the shared right-hand sides as they are)."""
+    moved = SeparableQcqp([s.blocks[i] for i in perm], s.gamma)
+    return judge(s).status, judge(moved).status
+
+
+#: the alphas the pool digest joins example 5.1 over
+JOIN_ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.2, 2.5, 2.8, 3.0, 3.5)
+
+
+class TestEntryOrder:
+    """Permuting a connection's entries changes no verdict status. The
+    relaxation's sums over blocks run in block order, so the bits may
+    move, and with them a failing solve's stop (MaxIter for
+    NumericalFailure, say), but not what the verdict says."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_random_connections(self, seed, data):
+        s, _ = random_connection(seed)
+        assume(len(s.blocks) > 1)
+        perm = data.draw(st.permutations(range(len(s.blocks))))
+        before, after = permuted_statuses(s, perm)
+        assert before is after
+
+    @given(st.lists(st.sampled_from(JOIN_ALPHAS), min_size=2, max_size=3), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_joined_example51(self, alphas, data):
+        hs = [make_example51(a) for a in alphas]
+        s = SeparableQcqp(hs, sum(h.rhs for h in hs))
+        perm = data.draw(st.permutations(range(len(hs))))
+        before, after = permuted_statuses(s, perm)
+        assert before is after
+
+    @given(st.integers(min_value=0, max_value=299), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_example52(self, seed, data):
+        s = make_example52(seed)
+        perm = data.draw(st.permutations(range(len(s.blocks))))
+        before, after = permuted_statuses(s, perm)
+        assert before is after
+
+
 REFERENCES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "perfbench",
@@ -1155,11 +1199,18 @@ class TestJudgeOptions:
         with pytest.raises(ValueError, match="max_iter"):
             JudgeOptions(max_iter=value)
 
-    def test_max_iter_caps_the_solve(self):
+    @pytest.mark.parametrize("cast", [int, np.int32, np.int64])
+    def test_max_iter_caps_the_solve(self, cast):
         h = make_example51(2.0)
-        v = judge(SeparableQcqp([h], h.rhs), JudgeOptions(max_iter=3))
+        v = judge(SeparableQcqp([h], h.rhs), JudgeOptions(max_iter=cast(3)))
         assert v.reason == "solver status MaxIter"
-        assert v.relaxation.iterations == 3
+        assert type(v.relaxation.iterations) is int and v.relaxation.iterations == 3
+
+    def test_a_numpy_max_iter_is_kept_as_an_int(self):
+        opts = JudgeOptions(max_iter=np.int32(10))
+        assert type(opts.max_iter) is int and opts == JudgeOptions(max_iter=10)
+        with pytest.raises(ValueError, match="max_iter"):
+            JudgeOptions(max_iter=np.bool_(True))
 
     @pytest.mark.parametrize("box", [(1.0, -1.0), (math.nan, 1.0)])
     def test_the_oracle_box_always_comes_from_the_solution(self, box):

@@ -612,13 +612,21 @@ class TestBruteForce:
         "kwargs, name",
         [({"grid_points": 11.5}, "grid_points"), ({"grid_points": 11.0}, "grid_points"),
          ({"grid_points": True}, "grid_points"), ({"refine_rounds": True}, "refine_rounds"),
-         ({"refine_rounds": 2.0}, "refine_rounds")],
+         ({"refine_rounds": 2.0}, "refine_rounds"), ({"grid_points": np.bool_(True)}, "grid_points"),
+         ({"refine_rounds": np.bool_(False)}, "refine_rounds"),
+         ({"grid_points": np.float64(11.0)}, "grid_points"), ({"grid_points": np.int64(10)}, "grid_points")],
     )
     def test_rejects_non_integer_counts(self, kwargs, name):
         # a bool ran one round, and a float failed inside linspace or range
         q = Qcqp(1, qf([[1.0]]), [(QuadFunc.zero(1), Relation.LE)], [0.0])
         with pytest.raises(ValueError, match=name):
             brute_force(q, (-1.0, 1.0), **kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        q = Qcqp(2, qf([[1.0, 0.3], [0.3, -1.0]], [0.2, -0.1]), [(qf(np.eye(2)), Relation.LE)], [2.0])
+        want = brute_force(q, (-2.0, 2.0), grid_points=21, refine_rounds=2)
+        got = brute_force(q, (-2.0, 2.0), grid_points=np.int64(21), refine_rounds=np.int32(2))
+        assert same_result(got, want)
 
     @pytest.mark.parametrize(
         "rel, rhs, at", [(Relation.LE, -1.5e308, (10, 3)), (Relation.GE, 1.5e308, (10, 7)),

@@ -1050,6 +1050,33 @@ def test_lapack_calls_per_step(monkeypatch, make, groups):
     }
 
 
+def test_one_error_state_per_run(monkeypatch):
+    """The LAPACK layer's error states are built once, at import, so a
+    step builds none: one run of the iteration builds exactly one error
+    state, its own np.errstate, whatever its iteration count. solve builds
+    one more, once per call: presolve's matrix_rank (numpy's svd)."""
+    from numpy._core import _ufunc_config
+
+    real, built = _ufunc_config._make_extobj, [0]
+
+    def counted(*args, **kwargs):
+        built[0] += 1
+        return real(*args, **kwargs)
+
+    b = build_block(make_example52(0))
+    full = solve(b)
+    assert full.status is SolveStatus.OPTIMAL and full.iterations > 5
+    monkeypatch.setattr(_ufunc_config, "_make_extobj", counted)
+    for max_iter in (1, 2, 5, full.iterations):
+        p = sdp_solver._Problem(b)
+        built[0] = 0
+        rec = sdp_solver._Ipm(p, max_iter).run()
+        assert (rec["iterations"], built[0]) == (max_iter, 1)
+        built[0] = 0
+        assert solve(b, max_iter).iterations == max_iter
+        assert built[0] == 2
+
+
 @pytest.mark.parametrize(
     "m, calls, rescued",
     [

@@ -388,7 +388,9 @@ class TestConnectionSolve:
 
 
 class TestMaxIter:
-    @pytest.mark.parametrize("value", [0, -1, 2.5, True, None, "3"])
+    @pytest.mark.parametrize(
+        "value", [0, -1, 2.5, True, None, "3", np.bool_(True), np.int64(0), np.float64(3.0)]
+    )
     def test_rejects(self, value):
         with pytest.raises(ValueError, match="max_iter"):
             solve(build_hom(two_block_family(1.0)), value)
@@ -396,6 +398,18 @@ class TestMaxIter:
     def test_accepts_one(self):
         sol = solve(build_hom(two_block_family(1.0)), 1)
         assert sol.iterations == 1
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint8])
+    def test_accepts_numpy_integers(self, cast):
+        """A numpy integer caps the solve as the int does; a MaxIter stop
+        records its iterations as an int."""
+        b = build_hom(two_block_family(1.0))
+        sol = solve(b, cast(50))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.mu_history == solve(b, 50).mu_history
+        capped = solve(b, cast(3))
+        assert capped.status is SolveStatus.MAX_ITER
+        assert type(capped.iterations) is int and capped.iterations == 3
 
 
 class TestNumpyErrorState:

@@ -8,6 +8,7 @@ numpy (eigvalsh, matrix_rank, dense sums) is the oracle.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -429,3 +430,105 @@ class TestLapackLayer:
         any outer error state, and leave that state as it was."""
         with np.errstate(all="ignore"):
             assert _same_as_numpy(name, args) == (None, message)
+
+
+@given(
+    st.sampled_from([None, 1, 3]),
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from(["spd", "indefinite"]),
+    seeds,
+    st.lists(
+        st.one_of(st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]), st.floats()),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+@example(None, 3, "spd", 0, [math.nan])
+@example(1, 2, "indefinite", 0, [math.inf])
+def test_cholesky_reads_only_the_lower_triangle(k, d, kind, seed, garbage):
+    """numpy's cholesky, and the layer's, factor a matrix with anything
+    above the diagonal, NaN and inf included, to the bytes of the
+    symmetric matrix, or fail as it fails: the upper triangle of a
+    matrix to be factored need not be written."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(((k,) if k else ()) + (d, d))
+    a = g @ g.swapaxes(-1, -2) + 0.1 * np.eye(d) if kind == "spd" else g + g.swapaxes(-1, -2)
+    dirty = a.copy()
+    iu = np.triu_indices(d, 1)
+    upper = dirty[..., iu[0], iu[1]]
+    upper[...] = np.resize(np.array(garbage), upper.shape)
+    dirty[..., iu[0], iu[1]] = upper
+    for f in (np.linalg.cholesky, symkernel.cholesky):
+        assert _outcome(f, (dirty,)) == _outcome(f, (a,))
+
+
+# ---------------------------------------------------------------------------
+# the error state each layer function enters, built once
+
+#: a failing call of each layer function, the message it raises, and a
+#: call that succeeds
+_FAILING = {
+    "eigh": ((np.full((3, 3), np.nan),), "Eigenvalues did not converge", (np.eye(2),)),
+    "eigvalsh": ((np.full((2, 3, 3), np.nan),), "Eigenvalues did not converge", (np.eye(2),)),
+    "cholesky": ((-np.eye(3),), "Matrix is not positive definite", (np.eye(2),)),
+    "solve": ((np.zeros((2, 2)), np.ones((2, 1))), "Singular matrix", (np.eye(2), np.ones((2, 1)))),
+    "inv": ((np.zeros((2, 3, 3)),), "Singular matrix", (np.eye(2),)),
+}
+
+
+def _own_error_under(name: str, outer: str) -> None:
+    """Call name's failing and succeeding calls under an outer error state
+    that would turn its failure into something else: invalid="raise" (a
+    FloatingPointError) or a call= handler (a call, and no error). The
+    function raises its own LinAlgError, never calls the handler, and
+    leaves np.geterr() and np.geterrcall() as it found them."""
+    f = getattr(symkernel, name)
+    bad, message, good = _FAILING[name]
+    called = []
+
+    def handler(err, flag):
+        called.append(err)
+
+    kwargs = {"invalid": "raise"} if outer == "raise" else {"call": handler, "all": "call"}
+    with np.errstate(**kwargs):
+        state = np.geterr(), np.geterrcall()
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            f(*bad)
+        assert str(info.value) == message
+        assert (np.geterr(), np.geterrcall()) == state
+        f(*good)
+        assert (np.geterr(), np.geterrcall()) == state
+    assert not called
+
+
+class TestErrorState:
+    @pytest.mark.parametrize("outer", ["raise", "call"])
+    @pytest.mark.parametrize("name", sorted(_FAILING))
+    def test_raises_its_own_error_under_any_outer_state(self, name, outer):
+        _own_error_under(name, outer)
+
+    def test_in_a_second_thread(self):
+        """A thread starts from numpy's default error state; the layer's
+        state is entered and left there as in the main thread, whose state
+        the thread leaves alone."""
+        errors = []
+
+        def work():
+            try:
+                for name in sorted(_FAILING):
+                    for outer in ("raise", "call"):
+                        _own_error_under(name, outer)
+            except (Exception, pytest.fail.Exception) as exc:
+                errors.append(exc)
+
+        state = np.geterr(), np.geterrcall()
+        with np.errstate(divide="raise"):
+            inside = np.geterr(), np.geterrcall()
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert (np.geterr(), np.geterrcall()) == inside
+        assert not errors, errors
+        assert (np.geterr(), np.geterrcall()) == state
