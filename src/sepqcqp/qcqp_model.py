@@ -272,10 +272,8 @@ def _check_finite(name: str, values: np.ndarray) -> None:
 def _int_at_least(value, low: int) -> int | None:
     """value as an int when it is an integer of at least low (a Python or
     numpy integer, not a bool), else None."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        if value >= low:
-            return int(value)
-    return None
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return int(value) if integral and value >= low else None
 
 
 def _block_relations(blk) -> list[Relation]:
