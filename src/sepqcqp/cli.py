@@ -4,9 +4,15 @@ machine- or human-readable reports.
 Problem files use a line-oriented plain-text format (full grammar in
 FORMAT.md at the repository root): whitespace-separated tokens, `#`
 comments, top-level key/value fields, and block sections listing sparse
-upper-triangular matrix entries. Reports render either as indented text
-or as stable-keyed JSON; exit codes separate "ran and concluded" (0),
-"ran but not exact / not definitive" (2), and genuine failures (1).
+upper-triangular matrix entries. A `matrix k` section describes one dense
+frame, laid out by block kind: the homogenized (n+1) frame QuadFunc.B of
+a `qcqp` block, the n x n matrix C of one group of a `homogeneous` file,
+the block-diagonal sum(dims) frame of a `hom` block. Models are built
+from a block's filled frames and emit renders the frames straight from
+the model; ProblemFile is the parse tree validation reads. Reports
+render either as indented text or as stable-keyed JSON; exit codes
+separate "ran and concluded" (0), "ran but not exact / not definitive"
+(2), and genuine failures (1).
 """
 
 from __future__ import annotations
@@ -273,6 +279,13 @@ def validate_problem_file(pf: ProblemFile) -> None:
             )
     m = len(pf.relations)
 
+    if pf.kind != "separable" and pf.gamma is not None:
+        raise ValidationError("only meaningful for kind separable", field="gamma")
+    # each vector under its own name, before the two are compared
+    for name in ("rhs", "gamma"):
+        for i, v in enumerate(getattr(pf, name) or ()):
+            if not math.isfinite(v):
+                raise ValidationError("value must be finite", field=f"{name}[{i}]")
     if pf.kind == "separable":
         if pf.rhs is None and pf.gamma is None and m > 0:
             raise ValidationError(
@@ -284,25 +297,15 @@ def validate_problem_file(pf: ProblemFile) -> None:
                 "gamma and rhs disagree; a connection carries one budget vector",
                 field="gamma",
             )
-    else:
-        if pf.gamma is not None:
-            raise ValidationError(
-                "only meaningful for kind separable", field="gamma"
-            )
-        if pf.rhs is None and m > 0:
-            raise ValidationError("missing", field="rhs")
+    elif pf.rhs is None and m > 0:
+        raise ValidationError("missing", field="rhs")
 
-    budget = pf.gamma if pf.rhs is None else pf.rhs
-    if budget is None:
-        budget = ()
+    budget = (pf.gamma if pf.rhs is None else pf.rhs) or ()
     if len(budget) != m:
         raise ValidationError(
             f"{len(budget)} values for {m} relations",
             field="gamma" if pf.rhs is None else "rhs",
         )
-    for i, v in enumerate(budget):
-        if not np.isfinite(v):
-            raise ValidationError("value must be finite", field=f"rhs[{i}]")
 
     if not pf.blocks:
         raise ValidationError("at least one block is required", field="blocks")
@@ -383,42 +386,26 @@ def validate_problem_file(pf: ProblemFile) -> None:
                         )
 
 
-def _dense_of(frame: int, mt: MatrixTriples | None) -> np.ndarray:
-    a = np.zeros((frame, frame))
-    if mt is not None:
+def _frames_of(blk: FileBlock, size: int, m: int) -> np.ndarray:
+    """The block's matrices k = 0..m as dense size x size frames, one
+    (m+1, size, size) array; a matrix the block leaves out is zero."""
+    frames = np.zeros((m + 1, size, size))
+    for mt in blk.matrices:
+        a = frames[mt.k]
         for i, j, v in mt.entries:
             a[i - 1, j - 1] = v
             a[j - 1, i - 1] = v
-    return a
+    return frames
 
 
-def _matrices_by_k(blk: FileBlock) -> dict:
-    return {mt.k: mt for mt in blk.matrices}
-
-
-def _qcqp_of_block(blk: FileBlock, relations, rhs) -> Qcqp:
-    n = blk.dims[0]
-    by_k = _matrices_by_k(blk)
-    funcs = []
-    for k in range(len(relations) + 1):
-        full = _dense_of(n + 1, by_k.get(k))
-        funcs.append(QuadFunc.from_parts(full[:n, :n], full[:n, n]))
-    cons = [(funcs[k + 1], rel) for k, rel in enumerate(relations)]
-    return Qcqp(n, funcs[0], cons, rhs)
-
-
-def _hom_entry_of_block(blk: FileBlock, relations, rhs) -> HomSepQcqp:
-    total = sum(blk.dims)
-    by_k = _matrices_by_k(blk)
-    dense = [_dense_of(total, by_k.get(k)) for k in range(len(relations) + 1)]
-    qblocks = []
+def _groups(frames: np.ndarray, dims) -> list:
+    """Block-diagonal frames cut into one [C_0, ..., C_m] list per group."""
+    groups = []
     ofs = 0
-    for d in blk.dims:
-        qblocks.append(
-            [SymMatrix.from_dense(a[ofs : ofs + d, ofs : ofs + d]) for a in dense]
-        )
+    for d in dims:
+        groups.append([SymMatrix(c) for c in frames[:, ofs : ofs + d, ofs : ofs + d]])
         ofs += d
-    return HomSepQcqp(qblocks, list(relations), rhs)
+    return groups
 
 
 def problem_file_to_model(pf: ProblemFile):
@@ -426,27 +413,23 @@ def problem_file_to_model(pf: ProblemFile):
     validate_problem_file(pf)
     relations = [Relation(r) for r in pf.relations]
     budget = list((pf.gamma if pf.rhs is None else pf.rhs) or ())
-    if pf.kind == "qcqp":
-        return _qcqp_of_block(pf.blocks[0], relations, budget)
-    if pf.kind == "homogeneous":
-        m = len(relations)
-        qblocks = []
-        for blk in pf.blocks:
-            by_k = _matrices_by_k(blk)
-            n = blk.dims[0]
-            qblocks.append(
-                [
-                    SymMatrix.from_dense(_dense_of(n, by_k.get(k)))
-                    for k in range(m + 1)
-                ]
-            )
-        return HomSepQcqp(qblocks, relations, budget)
-    entries = []
+    entries, groups = [], []
     for blk in pf.blocks:
-        if _block_type("separable", blk, "") == "qcqp":
-            entries.append(_qcqp_of_block(blk, relations, budget))
+        btype = _block_type(pf.kind, blk, "")
+        frames = _frames_of(blk, _frame_of(btype, blk), len(relations))
+        if btype == "qcqp":
+            n = blk.dims[0]
+            frames[:, n, n] = 0.0  # an explicit -0.0 corner reads as +0.0
+            f = [QuadFunc(n, SymMatrix(a)) for a in frames]
+            entries.append(Qcqp(n, f[0], zip(f[1:], relations), budget))
+        elif btype == "hom":
+            entries.append(HomSepQcqp(_groups(frames, blk.dims), relations, budget))
         else:
-            entries.append(_hom_entry_of_block(blk, relations, budget))
+            groups += _groups(frames, blk.dims)
+    if pf.kind == "qcqp":
+        return entries[0]
+    if pf.kind == "homogeneous":
+        return HomSepQcqp(groups, relations, budget)
     return SeparableQcqp(entries, budget)
 
 
@@ -473,114 +456,58 @@ def parse(path: str):
 # emission
 
 
-def _triples_of_dense(a: np.ndarray) -> tuple:
-    out = []
-    d = a.shape[0]
-    for i in range(d):
-        for j in range(i, d):
-            if a[i, j] != 0.0:
-                out.append((i + 1, j + 1, float(a[i, j])))
-    return tuple(out)
+def _qcqp_block(q: Qcqp, head: str) -> tuple:
+    funcs = [q.objective] + [f for f, _ in q.constraints]
+    return head, f"n {q.n}", [f.B.array for f in funcs]
 
 
-def _file_block_of_qcqp(q: Qcqp, tag: str | None) -> FileBlock:
-    mats = [q.objective] + [f for f, _ in q.constraints]
-    return FileBlock(
-        tag=tag,
-        size_key="n",
-        dims=(q.n,),
-        matrices=tuple(
-            MatrixTriples(k=k, entries=_triples_of_dense(f.B.to_dense()))
-            for k, f in enumerate(mats)
-        ),
-    )
-
-
-def _file_block_of_hom_entry(h: HomSepQcqp) -> FileBlock:
+def _hom_block(h: HomSepQcqp) -> tuple:
+    """A homogeneous entry as one block: its groups' matrices on the
+    diagonal of each sum(dims) frame."""
     total = sum(h.dims)
-    mats = []
-    for k in range(h.m + 1):
-        full = np.zeros((total, total))
-        ofs = 0
-        for q, d in enumerate(h.dims):
-            full[ofs : ofs + d, ofs : ofs + d] = h.blocks[q][k].to_dense()
-            ofs += d
-        mats.append(MatrixTriples(k=k, entries=_triples_of_dense(full)))
-    return FileBlock(tag="hom", size_key="dims", dims=tuple(h.dims), matrices=tuple(mats))
-
-
-def problem_file_of(model) -> ProblemFile:
-    """Model object -> ProblemFile ready for rendering."""
-    if isinstance(model, Qcqp):
-        return ProblemFile(
-            schema_version=SCHEMA_VERSION,
-            kind="qcqp",
-            blocks=(_file_block_of_qcqp(model, None),),
-            relations=tuple(r.value for _, r in model.constraints),
-            rhs=tuple(float(v) for v in model.rhs),
-            gamma=None,
-        )
-    if isinstance(model, HomSepQcqp):
-        blocks = []
-        for q in range(model.q_hat):
-            blocks.append(
-                FileBlock(
-                    tag=None,
-                    size_key="n",
-                    dims=(model.dims[q],),
-                    matrices=tuple(
-                        MatrixTriples(
-                            k=k, entries=_triples_of_dense(model.blocks[q][k].to_dense())
-                        )
-                        for k in range(model.m + 1)
-                    ),
-                )
-            )
-        return ProblemFile(
-            schema_version=SCHEMA_VERSION,
-            kind="homogeneous",
-            blocks=tuple(blocks),
-            relations=tuple(r.value for r in model.relations),
-            rhs=tuple(float(v) for v in model.rhs),
-            gamma=None,
-        )
-    if isinstance(model, SeparableQcqp):
-        blocks = []
-        for entry in model.blocks:
-            if isinstance(entry, HomSepQcqp):
-                blocks.append(_file_block_of_hom_entry(entry))
-            else:
-                blocks.append(_file_block_of_qcqp(entry, "qcqp"))
-        return ProblemFile(
-            schema_version=SCHEMA_VERSION,
-            kind="separable",
-            blocks=tuple(blocks),
-            relations=tuple(r.value for r in model.relations),
-            rhs=tuple(float(v) for v in model.gamma),
-            gamma=None,
-        )
-    raise ValidationError(f"cannot serialize {type(model).__name__}", field="kind")
+    frames = np.zeros((h.m + 1, total, total))
+    ofs = 0
+    for mats in h.blocks:
+        d = mats[0].dim
+        frames[:, ofs : ofs + d, ofs : ofs + d] = [c.array for c in mats]
+        ofs += d
+    return "block hom", "dims " + " ".join(str(d) for d in h.dims), frames
 
 
 def emit(model) -> str:
-    """Model object -> problem file text (parse(emit(x)) rebuilds x)."""
-    pf = problem_file_of(model)
-    lines = [f"schema_version {pf.schema_version}", f"kind {pf.kind}"]
-    if pf.relations:
-        lines.append("relations " + " ".join(pf.relations))
-        lines.append("rhs " + " ".join(repr(v) for v in pf.rhs))
-    for blk in pf.blocks:
-        lines.append("")
-        lines.append("block" if blk.tag is None else f"block {blk.tag}")
-        lines.append(
-            f"n {blk.dims[0]}"
-            if blk.size_key == "n"
-            else "dims " + " ".join(str(d) for d in blk.dims)
-        )
-        for mt in blk.matrices:
-            lines.append(f"matrix {mt.k}")
-            for i, j, v in mt.entries:
-                lines.append(f"{i} {j} {repr(v)}")
+    """Model object -> problem file text (parse(emit(x)) rebuilds x).
+    Each block is rendered from its (block line, size line, frames): the
+    upper triangle's nonzero entries of every frame k = 0..m."""
+    if isinstance(model, Qcqp):
+        kind, budget = "qcqp", model.rhs
+        blocks = [_qcqp_block(model, "block")]
+    elif isinstance(model, HomSepQcqp):
+        kind, budget = "homogeneous", model.rhs
+        blocks = [
+            ("block", f"n {mats[0].dim}", [c.array for c in mats])
+            for mats in model.blocks
+        ]
+    elif isinstance(model, SeparableQcqp):
+        kind, budget = "separable", model.gamma
+        blocks = [
+            _hom_block(e) if isinstance(e, HomSepQcqp) else _qcqp_block(e, "block qcqp")
+            for e in model.blocks
+        ]
+    else:
+        raise ValidationError(f"cannot serialize {type(model).__name__}", field="kind")
+    lines = [f"schema_version {SCHEMA_VERSION}", f"kind {kind}"]
+    if model.relations:
+        lines.append("relations " + " ".join(r.value for r in model.relations))
+        lines.append("rhs " + " ".join(repr(v) for v in budget.tolist()))
+    for head, size, frames in blocks:
+        lines += ["", head, size]
+        for k, a in enumerate(frames):
+            lines.append(f"matrix {k}")
+            # rows as Python floats: indexing numpy scalars is far slower
+            for i, row in enumerate(a.tolist(), start=1):
+                for j, v in enumerate(row[i - 1 :], start=i):
+                    if v != 0.0:
+                        lines.append(f"{i} {j} {v!r}")
             lines.append("end")
         lines.append("end")
     return "\n".join(lines) + "\n"

@@ -281,11 +281,7 @@ def reduce(
             lmin = float(eigvalsh(lam_dir)[0])
             if lmin < -1e-300:
                 t = -1.0 / lmin
-                if t < best_t - 1e-15 or (
-                    abs(t - best_t) <= 1e-15
-                    and hit is not None
-                    and hit[0] == "slack"
-                ):
+                if t < best_t - 1e-15:
                     best_t, hit = t, ("block", bi)
         for j, i in enumerate(live):
             dv = sign * ds[j]

@@ -201,8 +201,11 @@ class RowOperator:
         )
 
     def take(self, keep) -> "RowOperator":
-        """The operator of the rows keep (ascending), renumbered 0.."""
+        """The operator of the rows keep (ascending), renumbered 0..;
+        the operator itself where keep is every row."""
         keep = np.asarray(keep, dtype=np.intp)
+        if len(keep) == self.n_rows:
+            return self
         pos = np.full(self.n_rows, -1, dtype=np.intp)
         pos[keep] = np.arange(len(keep))
         sel = [pos[act] >= 0 for act in self.active]

@@ -17,7 +17,6 @@ from sepqcqp.cli import (
     emit,
     parse,
     parse_text,
-    problem_file_of,
     read_problem_text,
     run,
     validate_problem_file,
@@ -66,6 +65,18 @@ matrix 1
 1 1 1.0
 2 2 1.0
 end
+end
+"""
+
+
+SEPARABLE_BUDGET_TEXT = """\
+schema_version 1
+kind separable
+relations le
+{budget}
+
+block qcqp
+n 1
 end
 """
 
@@ -157,6 +168,23 @@ class TestValidation:
             parse_text(bad)
         assert "gamma" in str(ei.value)
 
+    def test_non_finite_gamma_is_named_gamma(self):
+        """A separable file with only 'gamma nan' names gamma, not the rhs
+        it does not have."""
+        text = SEPARABLE_BUDGET_TEXT.format(budget="gamma nan")
+        with pytest.raises(ValidationError) as ei:
+            parse_text(text)
+        assert str(ei.value) == "gamma[0]: value must be finite"
+
+    def test_non_finite_budget_is_not_a_disagreement(self):
+        """'rhs 1 nan' with 'gamma 1 nan' is a value that is not finite,
+        not two vectors that disagree (NaN != NaN)."""
+        text = SEPARABLE_BUDGET_TEXT.format(budget="rhs 1 nan\ngamma 1 nan")
+        text = text.replace("relations le", "relations le le")
+        with pytest.raises(ValidationError) as ei:
+            parse_text(text)
+        assert str(ei.value) == "rhs[1]: value must be finite"
+
     def test_cross_block_entry_in_hom_entry(self):
         text = (
             "schema_version 1\nkind separable\nrelations le\nrhs 1.0\n"
@@ -246,8 +274,8 @@ class TestRoundTrip:
         q = parse(str(path))
         assert isinstance(q, Qcqp) and q.n == 2
 
-    def test_problem_file_of_orders_matrices(self):
-        pf = problem_file_of(make_example51(1.0))
+    def test_emit_orders_matrices(self):
+        pf = read_problem_text(emit(make_example51(1.0)))
         for blk in pf.blocks:
             assert [mt.k for mt in blk.matrices] == list(range(4))
 

@@ -50,6 +50,16 @@ def test_cli_digest_is_stable(tool, command, tmp_path, monkeypatch):
     assert codes == [0, 0]
 
 
+def test_emit_digest_is_stable(tool):
+    """A cli emit line hashes the problem file text itself: the same
+    twice, and another text for another seed."""
+    line = tool.emit_digest(0)
+    assert len(line) == 40 and tool.emit_digest(0) == line
+    text = tool.cli.emit(tool.make_example52(0))
+    assert tool.hashlib.sha1(text.encode()).hexdigest() == line
+    assert tool.emit_digest(1) != line
+
+
 def test_new_route_instances(tool):
     """The sign-salvage line is certified with the gauge witness, and the
     direct oracle searches return their pinned values."""

@@ -329,6 +329,8 @@ class TestRowOperator:
                 tail[slack_rows.index(i)] = row.slack_coeff
             np.testing.assert_array_equal(dense[i, len(flat) :], tail)
 
+        # keeping every row copies no stack; a proper subset is renumbered
+        assert op.take(range(op.n_rows)) is op
         keep = [i for i in range(len(rows)) if i % 2 == 0]
         part = op.take(keep)
         np.testing.assert_array_equal(part.apply(xs), loop[keep])

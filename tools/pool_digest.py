@@ -19,7 +19,10 @@ one line per command-line report: a SHA-1 over the exit code, standard
 output and standard error of ``sepqcqp judge``, ``solve``, ``reduce`` and
 ``certify`` with ``--format json --no-timestamp`` on the problem file of
 ``make_example52(k)`` for k in 0..19, and of ``sepqcqp example51 --table
---no-timestamp`` in JSON and in text.
+--no-timestamp`` in JSON and in text. Each seed's command lines follow a
+``cli emit`` line, the SHA-1 of ``cli.emit(make_example52(k))``: the
+problem file itself, which FORMAT.md promises is written byte for byte
+the same.
 
 After those (when no workload is named, or when ``routes`` is), one line
 per instance of the witness routes the pools never take: the 81 joins of
@@ -159,11 +162,17 @@ def cli_digest(argv) -> str:
     return h.hexdigest()
 
 
+def emit_digest(seed) -> str:
+    """SHA-1 of the problem file text of make_example52(seed)."""
+    return hashlib.sha1(cli.emit(make_example52(seed)).encode()).hexdigest()
+
+
 def cli_lines() -> None:
     flags = ["--format", "json", "--no-timestamp"]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.sdpq")
         for seed in CLI_SEEDS:
+            print("cli emit", seed, emit_digest(seed), flush=True)
             cli.write_problem(make_example52(seed), path)
             for cmd in ("judge", "solve", "reduce", "certify"):
                 print("cli", cmd, seed, cli_digest([cmd, path, *flags]), flush=True)
