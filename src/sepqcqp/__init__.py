@@ -80,7 +80,6 @@ from .connection import (
     bilevel_report,
     decompose_delta,
     judge,
-    strip_variable_free_rows,
 )
 from .examples import make_example51, make_example52
 

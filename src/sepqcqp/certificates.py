@@ -16,9 +16,9 @@ tight:
 The first two certificates are independent of the right-hand side; the
 third is checked against a concrete solution unless m <= 2 makes it
 structural. The convexity test runs over many problems at once
-(check_convex_many): the quadratic parts of all of them are views of
-their matrices, tested with one stacked eigendecomposition per
-dimension; check_convex is its one-problem case.
+(_convex_certificates): the quadratic parts of all of them are tested
+with one stacked eigendecomposition per dimension; check_convex is its
+one-problem case.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation
 from .sdpr_builder import SdpSolution
-from .symkernel import SymMatrix, frob_inner, is_psd_many
+from .symkernel import SymMatrix, by_dim, frob_inner_many, is_psd_many
 
 
 class CertificateKind(enum.Enum):
@@ -65,72 +65,65 @@ class Certificate:
 # convexity
 
 
-def _kept_constraints(q: Qcqp):
-    """Constraint rows minus the vacuous all-zero rows with zero rhs,
-    mirroring what the relaxation builder keeps."""
-    return [
-        (f, rel, float(d))
-        for (f, rel), d in zip(q.constraints, q.rhs)
-        if not (float(d) == 0.0 and f.is_zero())
-    ]
-
-
 def check_convex(q: Qcqp, tol: float = 1e-9) -> Certificate:
     """Certificate that every function is convex and every row is <=.
 
     In that regime the relaxation is tight for any right-hand side and an
     optimal point can be read off the last column of any optimal matrix.
-    This is check_convex_many of the one problem.
+    The quadratic parts are read as views of the functions' matrices and
+    tested together (_convex_certificates).
     """
-    return check_convex_many([q], tol)[0]
+    # the vacuous rows (zero matrix, zero rhs) are dropped, as the
+    # relaxation builder drops them
+    kept = [
+        (f, rel)
+        for (f, rel), d in zip(q.constraints, q.rhs)
+        if not (float(d) == 0.0 and f.is_zero())
+    ]
+    bad_rel = [i for i, (_, rel) in enumerate(kept) if rel is not Relation.LE]
+    if bad_rel:
+        return Certificate(
+            CertificateKind.NONE,
+            f"constraint rows {bad_rel} are not <=",
+            depends_on_solution=False,
+        )
+    n = q.n
+    funcs = [q.objective] + [f for f, _ in kept]
+    return _convex_certificates([np.array([f.B.array[:n, :n] for f in funcs])], tol)[0]
 
 
-def check_convex_many(qs, tol: float = 1e-9) -> list:
-    """check_convex of every problem in qs, in one pass.
-
-    The quadratic parts of all problems' functions are read as views of
-    their matrices (no copy per function) and tested together: one
-    stacked eigendecomposition per dimension (symkernel.is_psd_many). In
-    each problem the first part that fails names the certificate's
-    failure, as testing them one by one would.
-    """
-    certs, spans, quads = [], [], []
-    for q in qs:
-        kept = _kept_constraints(q)
-        bad_rel = [i for i, (_, rel, _) in enumerate(kept) if rel is not Relation.LE]
-        if bad_rel:
-            certs.append(Certificate(
-                CertificateKind.NONE,
-                f"constraint rows {bad_rel} are not <=",
-                depends_on_solution=False,
-            ))
-            spans.append(None)
-            continue
-        n = q.n
-        funcs = [q.objective] + [f for f, _, _ in kept]
-        spans.append((len(quads), len(kept)))
-        quads += [f.B.array[:n, :n] for f in funcs]
-        certs.append(None)
-    psd = is_psd_many(quads, tol=tol)
-    for i, span in enumerate(spans):
-        if span is None:
-            continue
-        start, rows = span
-        flags = psd[start : start + rows + 1]
+def _convex_certificates(parts, tol: float = 1e-9) -> list:
+    """The certificate of each problem whose rows are all <=, from its
+    quadratic parts (parts[i]: a (k, n, n) stack, the objective's first,
+    then one per row): CONVEX when every part is PSD, else NONE naming
+    the first part that is not, as testing them one by one would. The
+    parts of one dimension are tested together: one stacked
+    eigendecomposition (symkernel.is_psd_many)."""
+    psd = [None] * len(parts)
+    for idx in by_dim([ps.shape[-1] for ps in parts]):
+        idx = idx.tolist()
+        flags = is_psd_many(np.concatenate([parts[i] for i in idx]), tol=tol)
+        start = 0
+        for i in idx:
+            psd[i] = flags[start : start + len(parts[i])]
+            start += len(parts[i])
+    certs = []
+    for flags in psd:
+        rows = len(flags) - 1
         if flags.all():
-            certs[i] = Certificate(
+            certs.append(Certificate(
                 CertificateKind.CONVEX,
                 f"all {rows} rows are <= and all {rows + 1} quadratic parts PSD",
                 depends_on_solution=False,
-            )
+            ))
             continue
         k = int(np.argmin(flags))
         which = "objective" if k == 0 else f"constraint {k - 1}"
-        certs[i] = Certificate(
+        certs.append(Certificate(
             CertificateKind.NONE,
             f"quadratic part of {which} is not PSD",
             depends_on_solution=False,
-        )
+        ))
     return certs
 
 
@@ -190,31 +183,34 @@ class SparsityGraph:
 
 
 def aggregated_graph(mats) -> SparsityGraph:
-    """Build the interaction graph of a family of same-dim matrices.
+    """Build the interaction graph of a family of same-dim matrices: a
+    list of SymMatrix, or their arrays as one (k, n, n) stack.
 
     Pass quadratic parts only: every index of the matrices becomes a
     vertex, so any homogenization coordinate must be stripped first.
     """
-    mats = list(mats)
-    if not mats:
+    if not isinstance(mats, np.ndarray):
+        mats = list(mats)
+        if not mats:
+            raise DimensionError("need at least one matrix")
+        n = mats[0].dim
+        for m in mats:
+            if m.dim != n:
+                raise DimensionError(f"mixed dims {m.dim} and {n}")
+        mats = np.array([m.array for m in mats])
+    if not len(mats):
         raise DimensionError("need at least one matrix")
-    n = mats[0].dim
-    for m in mats:
-        if m.dim != n:
-            raise DimensionError(f"mixed dims {m.dim} and {n}")
+    n = mats.shape[-1]
+    # per pair i < j (row-major), how many matrices are positive there and
+    # how many negative; a pair with a nonzero entry is an edge
+    iu, ju = np.triu_indices(n, 1)
+    vals = mats[:, iu, ju]
+    pos = (vals > 0.0).sum(axis=0).tolist()
+    neg = (vals < 0.0).sum(axis=0).tolist()
     sigma = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vals = [m[i, j] for m in mats if m[i, j] != 0.0]
-            if not vals:
-                continue
-            if all(v > 0 for v in vals):
-                s = 1
-            elif all(v < 0 for v in vals):
-                s = -1
-            else:
-                s = 0
-            sigma[(i + 1, j + 1)] = s
+    for i, j, p, q in zip(iu.tolist(), ju.tolist(), pos, neg):
+        if p or q:
+            sigma[(i + 1, j + 1)] = 1 if not q else -1 if not p else 0
     return SparsityGraph(n, sigma)
 
 
@@ -384,6 +380,14 @@ def _oriented_gauge(g: SparsityGraph, lins: np.ndarray) -> np.ndarray | None:
 # homogeneous problems with limited constraints
 
 
+def _row_stacks(h: HomSepQcqp) -> list:
+    """h's row matrices C^q_1 .. C^q_m as one (m, d, d) stack per block."""
+    return [
+        np.array([c.array for c in mats[1:]]).reshape(h.m, mats[0].dim, mats[0].dim)
+        for mats in h.blocks
+    ]
+
+
 def reduce_homogeneous_rows(h: HomSepQcqp, tol: float = 1e-12):
     """Drop rows that cannot constrain anything: all-zero-matrix rows that
     are trivially satisfied, and <= rows positively proportional to another
@@ -396,31 +400,42 @@ def reduce_homogeneous_rows(h: HomSepQcqp, tol: float = 1e-12):
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be nonnegative and finite")
     m = h.m
+    rows = _row_stacks(h)
+    live = np.zeros(m, dtype=bool)
+    for st in rows:
+        live |= st.any(axis=(1, 2))
     drop = set()
-    for k in range(m):
-        if all(h.blocks[q][k + 1].is_zero() for q in range(h.q_hat)):
-            d = float(h.rhs[k])
-            rel = h.relations[k]
-            vacuous = (
-                (rel is Relation.LE and d >= 0.0)
-                or (rel is Relation.GE and d <= 0.0)
-                or (rel is Relation.EQ and d == 0.0)
-            )
-            if vacuous:
-                drop.add(k)
-
-    def row_mats(k):
-        return [h.blocks[q][k + 1] for q in range(h.q_hat)]
+    for k in np.flatnonzero(~live).tolist():
+        d = float(h.rhs[k])
+        rel = h.relations[k]
+        vacuous = (
+            (rel is Relation.LE and d >= 0.0)
+            or (rel is Relation.GE and d <= 0.0)
+            or (rel is Relation.EQ and d == 0.0)
+        )
+        if vacuous:
+            drop.add(k)
+    # the Frobenius norm of every row on every block (SymMatrix.norm's, one
+    # stacked product per block), and each row's largest one
+    norms = [np.sqrt(frob_inner_many(st, st)).tolist() for st in rows]
+    peak = [max(nq[k] for nq in norms) for k in range(m)]
 
     def proportional(k, j):
-        """Positive c with row j = c * row k, or None."""
-        nk = max(mm.norm() for mm in row_mats(k))
-        nj = max(mm.norm() for mm in row_mats(j))
+        """Positive c with row j = c * row k, or None: every block's
+        c C_k - C_j small against C_j. That difference is the matrix a
+        SymMatrix would hold, and one that is not finite raises as
+        SymMatrix does. That happens exactly where c is not finite: an
+        entry of C_k is at most its peak norm, so otherwise every entry
+        of c C_k - C_j is at most twice row j's finite peak norm."""
+        nk, nj = peak[k], peak[j]
         if nk == 0.0 or nj == 0.0:
             return None
         c = nj / nk
-        for a, b in zip(row_mats(k), row_mats(j)):
-            if (a.scaled(c) - b).norm() > tol * (1.0 + b.norm()):
+        if not math.isfinite(c):
+            raise ValueError("SymMatrix entries must be finite")
+        for st, nq in zip(rows, norms):
+            diff = c * st[k] - st[j]
+            if math.sqrt(frob_inner_many(diff, diff)) > tol * (1.0 + nq[j]):
                 return None
         return c
 
@@ -517,13 +532,14 @@ def check_assumption_A(
     vmax = max(norms, default=0.0)
     block_nonzero = [nv > tol * (1.0 + vmax) for nv in norms]
 
+    # frob_inner of every row on every block, one stacked product per block
+    vals = [
+        frob_inner_many(st, v.array).tolist() for st, v in zip(_row_stacks(h), sol.blocks)
+    ]
     residuals = np.zeros(h.m)
     counted = []
     for k in range(h.m):
-        lhs = sum(
-            frob_inner(h.blocks[q][k + 1], sol.blocks[q])
-            for q in range(h.q_hat)
-        )
+        lhs = sum(vq[k] for vq in vals)
         residuals[k] = float(h.rhs[k]) - lhs
         is_eq = h.relations[k] is Relation.EQ
         counted.append(

@@ -129,10 +129,16 @@ def read_problem_text(text: str) -> ProblemFile:
                 )
                 cur_matrix = None
             elif len(toks) == 3:
-                i = _int_tok(toks[0], lineno, "row index")
-                j = _int_tok(toks[1], lineno, "column index")
-                v = _float_tok(toks[2], lineno, "matrix entry")
-                cur_matrix[1].append((i, j, v))
+                try:
+                    entry = int(toks[0]), int(toks[1]), float(toks[2])
+                except ValueError:
+                    # the same conversions again, to name the bad token
+                    entry = (
+                        _int_tok(toks[0], lineno, "row index"),
+                        _int_tok(toks[1], lineno, "column index"),
+                        _float_tok(toks[2], lineno, "matrix entry"),
+                    )
+                cur_matrix[1].append(entry)
             else:
                 raise ParseError("expected 'i j value' or 'end'", line=lineno)
             continue
@@ -246,15 +252,6 @@ def _frame_of(btype: str, blk: FileBlock) -> int:
     return sum(blk.dims)
 
 
-def _owner_of(index0: int, dims: tuple) -> int:
-    ofs = 0
-    for q, d in enumerate(dims):
-        if index0 < ofs + d:
-            return q
-        ofs += d
-    return -1
-
-
 def validate_problem_file(pf: ProblemFile) -> None:
     """Semantic checks; raises ValidationError with a field path."""
     if pf.schema_version is None:
@@ -336,6 +333,8 @@ def validate_problem_file(pf: ProblemFile) -> None:
                     "dimensions must be positive", field=f"{path}.dims[{di}]"
                 )
         frame = _frame_of(btype, blk)
+        # the diagonal block of each frame index of a hom block
+        owner = [q for q, d in enumerate(blk.dims) for _ in range(d)]
         seen_k: set = set()
         for mi, mt in enumerate(blk.matrices):
             mpath = f"{path}.matrices[{mi}]"
@@ -350,40 +349,25 @@ def validate_problem_file(pf: ProblemFile) -> None:
                 )
             seen_ij: set = set()
             for ei, (i, j, v) in enumerate(mt.entries):
-                epath = f"{mpath}.entries[{ei}]"
                 if not (1 <= i <= frame and 1 <= j <= frame):
-                    raise ValidationError(
-                        f"index ({i},{j}) outside the {frame}x{frame} frame",
-                        field=epath,
-                    )
-                if i > j:
-                    raise ValidationError(
-                        f"lower-triangle entry ({i},{j}); give i <= j",
-                        field=epath,
-                    )
-                if (i, j) in seen_ij:
-                    raise ValidationError(
-                        f"duplicate entry ({i},{j})", field=epath
-                    )
-                seen_ij.add((i, j))
-                if not np.isfinite(v):
-                    raise ValidationError("value must be finite", field=epath)
-                if abs(v) > HALF_MAX:
-                    raise ValidationError(
-                        "value overflows when the matrix is symmetrized",
-                        field=epath,
-                    )
-                if btype == "qcqp" and i == frame and j == frame and v != 0.0:
-                    raise ValidationError(
-                        "homogenization corner entry must be absent or zero",
-                        field=epath,
-                    )
-                if btype == "hom":
-                    if _owner_of(i - 1, blk.dims) != _owner_of(j - 1, blk.dims):
-                        raise ValidationError(
-                            f"entry ({i},{j}) couples two diagonal blocks",
-                            field=epath,
-                        )
+                    msg = f"index ({i},{j}) outside the {frame}x{frame} frame"
+                elif i > j:
+                    msg = f"lower-triangle entry ({i},{j}); give i <= j"
+                elif (i, j) in seen_ij:
+                    msg = f"duplicate entry ({i},{j})"
+                # v is the Python float _float_tok read
+                elif not math.isfinite(v):
+                    msg = "value must be finite"
+                elif abs(v) > HALF_MAX:
+                    msg = "value overflows when the matrix is symmetrized"
+                elif btype == "qcqp" and i == frame and j == frame and v != 0.0:
+                    msg = "homogenization corner entry must be absent or zero"
+                elif btype == "hom" and owner[i - 1] != owner[j - 1]:
+                    msg = f"entry ({i},{j}) couples two diagonal blocks"
+                else:
+                    seen_ij.add((i, j))
+                    continue
+                raise ValidationError(msg, field=f"{mpath}.entries[{ei}]")
 
 
 def _frames_of(blk: FileBlock, size: int, m: int) -> np.ndarray:
@@ -398,18 +382,29 @@ def _frames_of(blk: FileBlock, size: int, m: int) -> np.ndarray:
     return frames
 
 
+def _matrices(frames: np.ndarray) -> list:
+    """A C-contiguous stack of validated frames as SymMatrix views of it,
+    one per frame: validate_problem_file checked every entry finite, so
+    the views are adopted without a copy or a second check."""
+    frames.flags.writeable = False
+    return [SymMatrix._adopt(a) for a in frames]
+
+
 def _groups(frames: np.ndarray, dims) -> list:
     """Block-diagonal frames cut into one [C_0, ..., C_m] list per group."""
     groups = []
     ofs = 0
     for d in dims:
-        groups.append([SymMatrix(c) for c in frames[:, ofs : ofs + d, ofs : ofs + d]])
+        group = np.ascontiguousarray(frames[:, ofs : ofs + d, ofs : ofs + d])
+        groups.append(_matrices(group))
         ofs += d
     return groups
 
 
 def problem_file_to_model(pf: ProblemFile):
-    """Validated ProblemFile -> model object of the matching kind."""
+    """Validated ProblemFile -> model object of the matching kind. The
+    frames' SymMatrix objects share one array per block or group
+    (_matrices)."""
     validate_problem_file(pf)
     relations = [Relation(r) for r in pf.relations]
     budget = list((pf.gamma if pf.rhs is None else pf.rhs) or ())
@@ -420,7 +415,7 @@ def problem_file_to_model(pf: ProblemFile):
         if btype == "qcqp":
             n = blk.dims[0]
             frames[:, n, n] = 0.0  # an explicit -0.0 corner reads as +0.0
-            f = [QuadFunc(n, SymMatrix(a)) for a in frames]
+            f = [QuadFunc(n, a) for a in _matrices(frames)]
             entries.append(Qcqp(n, f[0], zip(f[1:], relations), budget))
         elif btype == "hom":
             entries.append(HomSepQcqp(_groups(frames, blk.dims), relations, budget))

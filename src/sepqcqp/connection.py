@@ -29,7 +29,7 @@ Around the joint solve, each stage works on all entries at once
 dimension): the row values at the solution blocks and at witness points
 are one stacked product per dimension, the dual-bound PSD tests of all
 entries one stacked eigh per dimension, and the convexity tests of all
-inhomogeneous entries one more (certificates.check_convex_many). Every
+inhomogeneous entries one more (certificates._convex_certificates). Every
 value is bit for bit the one-entry loop's: a stacked dot product runs
 over C-contiguous rows (see sdp_solver), and sums over a homogeneous
 entry's blocks are added block by block onto zeros, as before.
@@ -49,11 +49,11 @@ from .certificates import (
     aggregated_graph,
     check_assumption_A,
     check_convex,  # noqa: F401 - in perfbench/tracing.py WRAPS
-    check_convex_many,
     check_m_le_2,
     check_sign_pattern,
     extract_convex_solution,
     reduce_homogeneous_rows,
+    _convex_certificates,
     _oriented_gauge,
 )
 from .errors import (
@@ -65,7 +65,6 @@ from .errors import (
 from .qcqp_model import (
     INFEASIBLE,
     HomSepQcqp,
-    Qcqp,
     Relation,
     SeparableQcqp,
     _int_at_least,
@@ -83,7 +82,7 @@ from .sdpr_builder import (
     build_shor,  # noqa: F401 - in perfbench/tracing.py WRAPS
     to_standard_form,
 )
-from .symkernel import by_dim, frob_inner_many, is_psd_many
+from .symkernel import HALF_MAX, by_dim, frob_inner_many, is_psd_many
 
 
 class VerdictStatus(enum.Enum):
@@ -226,10 +225,14 @@ class _EntryStacks:
             (idx, np.array([[a.array for a in mats[i]] for i in idx]))
             for idx in by_dim(self.dims)
         ]
+        #: each block's (m + 1, d, d) matrices, a view of its group's stack
+        self.mats = [None] * len(mats)
         #: the rows whose matrix on a block is identically zero
         self.zero = np.empty((len(mats), s.m), dtype=bool)
         for idx, stack in self.groups:
             self.zero[idx] = ~stack[:, 1:].any(axis=(2, 3))
+            for k, i in enumerate(idx.tolist()):
+                self.mats[i] = stack[k]
 
     def _per_entry(self, table: np.ndarray) -> np.ndarray:
         """Per-block values (one row per block) as per-entry values: an
@@ -301,24 +304,27 @@ class _EntryStacks:
         order, skipping rows with y_k = 0; the tests are one is_psd_many.
         A matrix that overflowed is not psd."""
         nz = np.flatnonzero(y != 0.0)
+        ynz, rows = y[nz][None, :, None, None], 1 + nz
+        mus = np.asarray(mus, dtype=np.float64)
         flags = np.empty(len(self.dims), dtype=bool)
         for idx, mats in self.groups:
             if len(nz):
-                terms = np.concatenate(
-                    (mats[:, :1], y[nz][None, :, None, None] * mats[:, 1 + nz]), axis=1
-                )
+                terms = np.concatenate((mats[:, :1], ynz * mats[:, rows]), axis=1)
                 acc = np.subtract.reduce(terms, axis=1)
             else:
                 acc = mats[:, 0].copy()
             pos = np.flatnonzero(self.corner[idx] >= 0)
             if len(pos):
                 n = acc.shape[-1] - 1
-                mu = np.asarray(mus, dtype=np.float64)[self.owner[idx[pos]]]
-                acc[pos, n, n] -= mu
+                acc[pos, n, n] -= mus[self.owner[idx[pos]]]
             finite = np.isfinite(acc).all(axis=(1, 2))
-            flags[idx] = finite
-            flags[idx[finite]] = is_psd_many(acc[finite], tol)
-        return np.array([flags[sl].all() for sl in self.slices], dtype=bool)
+            if finite.all():
+                flags[idx] = is_psd_many(acc, tol)
+            else:
+                flags[idx] = finite
+                flags[idx[finite]] = is_psd_many(acc[finite], tol)
+        flags = flags.tolist()
+        return np.array([all(flags[sl]) for sl in self.slices], dtype=bool)
 
 
 def decompose_delta(s: SeparableQcqp, sol) -> list:
@@ -331,26 +337,6 @@ def decompose_delta(s: SeparableQcqp, sol) -> list:
     against gamma.
     """
     return list(_EntryStacks(s).at_blocks(sol.blocks)[:, 1:])
-
-
-def strip_variable_free_rows(q: Qcqp):
-    """Remove constraints whose matrix is identically zero.
-
-    Returns (reduced problem, kept row indices); the reduced problem is q
-    itself when no row is zero. Zero rows carry no variable information;
-    at an achieved allocation their right-hand sides are 0, which holds
-    under any relation.
-    """
-    kept = [k for k, (f, _) in enumerate(q.constraints) if not f.is_zero()]
-    if len(kept) == q.m:
-        return q, kept
-    reduced = Qcqp(
-        q.n,
-        q.objective,
-        [q.constraints[k] for k in kept],
-        [float(q.rhs[k]) for k in kept],
-    )
-    return reduced, kept
 
 
 def _connection_duals(s: SeparableQcqp, b, sol):
@@ -444,41 +430,47 @@ def _certify_qcqp_entries(stacks) -> dict:
     Variable-free rows are ignored: they constrain allocations, not the
     entry's variables (stacks.zero marks them). Both recognized classes
     need every remaining row to be <=, since their witness constructions
-    only push constraint values downward. The convexity tests of all
-    entries are one pass (check_convex_many); each entry it rejects has
-    its aggregated graph built once, and both its gauge and its
-    SIGN_PATTERN certificate are read off that graph: the gauge is
-    oriented only where the certificate holds.
+    only push constraint values downward. An entry's functions are read
+    off its block's stack: the objective and the rows with variables,
+    as the entry stripped of its variable-free rows has them. The
+    convexity tests of all entries are one pass (_convex_certificates);
+    each entry it rejects has its aggregated graph built once, and both
+    its gauge and its SIGN_PATTERN certificate are read off that graph:
+    the gauge is oriented only where the certificate holds.
     """
-    entries = stacks.s.blocks
-    inhom = [p for p, entry in enumerate(entries) if not isinstance(entry, HomSepQcqp)]
-    zero = stacks.zero[[stacks.first[p] for p in inhom]].any(axis=1)
-    stripped = [
-        strip_variable_free_rows(entries[p])[0] if z else entries[p]
-        for p, z in zip(inhom, zero.tolist())
-    ]
-    out, convex = [None] * len(inhom), []
-    for i, q in enumerate(stripped):
-        if any(rel is not Relation.LE for rel in q.relations):
-            out[i] = (_no_certificate("an equality or >= row involves variables"), None)
-        else:
-            convex.append(i)
-    for i, cert in zip(convex, check_convex_many([stripped[i] for i in convex])):
+    s = stacks.s
+    le = np.array([rel is Relation.LE for rel in s.relations], dtype=bool)
+    out, convex = {}, []
+    for p, entry in enumerate(s.blocks):
+        if isinstance(entry, HomSepQcqp):
+            continue
+        i = stacks.first[p]
+        live = np.flatnonzero(~stacks.zero[i])
+        if not le[live].all():
+            out[p] = (_no_certificate("an equality or >= row involves variables"), None)
+            continue
+        out[p] = None
+        funcs = stacks.mats[i][np.concatenate(([0], live + 1))]
+        convex.append((p, entry.n, funcs))
+    certs = _convex_certificates([funcs[:, :n, :n] for _, n, funcs in convex])
+    for (p, n, funcs), cert in zip(convex, certs):
         gauge = None
         if not cert.holds:
-            q = stripped[i]
-            funcs = [q.objective] + [f for f, _ in q.constraints]
-            g = aggregated_graph([f.quad_part() for f in funcs])
+            quads = funcs[:, :n, :n]
+            # the entry's quadratic parts as SymMatrix objects reject an
+            # entry beyond HALF_MAX (its symmetrization overflows)
+            if np.abs(quads).max(initial=0.0) > HALF_MAX:
+                raise ValueError("SymMatrix entries must be finite")
+            g = aggregated_graph(quads)
             cert = check_sign_pattern(g)
             if cert.holds:
-                lins = np.array([f.linear_part() for f in funcs])
-                gauge = _oriented_gauge(g, lins)
+                gauge = _oriented_gauge(g, funcs[:, :n, n])
             if gauge is None:
                 cert = _no_certificate(
                     "neither convex nor sign-flippable to nonpositive couplings"
                 )
-        out[i] = (cert, gauge)
-    return dict(zip(inhom, out))
+        out[p] = (cert, gauge)
+    return out
 
 
 def _hom_certificate(entry, delta, blocks, obj, gap, tol) -> Certificate:

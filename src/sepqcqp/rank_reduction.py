@@ -21,7 +21,10 @@ report too (the final ranks, one stacked rank test per dimension, the
 Pataki count and the extracted points), unless that iterate froze a
 block, which is then decomposed once more. A walk that takes no step
 and freezes nothing returns its input blocks as the reduced solution,
-since symmetrizing them again would return them unchanged.
+since symmetrizing them again would return them unchanged: it costs one
+eigendecomposition per dimension, the restricted system and its two
+null-space tests (symkernel.svd, numpy's svd without the wrapper), and
+no copy of a block.
 
 At a null-free point the count sum_q r_q (r_q + 1) / 2 + #positive slacks
 cannot exceed the number of rows, which is what forces blockwise rank one
@@ -48,6 +51,7 @@ from .symkernel import (
     eigh_many,
     eigvalsh,
     rank_of_eigenvalues_many,
+    svd,
 )
 
 #: steps shorter than this count as stalled; two of them abort the run
@@ -161,7 +165,8 @@ def reduce(
     d_vec = op.rhs[:m]
     has_slack = op.slack_coeffs[:m] != 0
 
-    X = [blk.to_dense() for blk in sol.blocks]
+    # read-only; an iterate replaces its blocks, never writes into them
+    X = [blk.array for blk in sol.blocks]
     s = sol.slacks.astype(np.float64)
     s[~has_slack] = 0.0
 
@@ -195,7 +200,9 @@ def reduce(
 
         Per dimension, one stacked Frobenius norm (np.linalg.norm's one
         dot per block) decides the frozen blocks and one stacked eigh
-        decomposes the others; their eigenvalue cuts are one test."""
+        decomposes the others; their eigenvalue cuts are one test, and
+        the eigenvectors are scaled by the roots of their eigenvalues as
+        one product."""
         fs = [np.zeros((d, 0)) for d in dims]
         eigs, any_cold = [None] * nb, False
         for idx in groups:
@@ -203,17 +210,19 @@ def reduce(
             flat = st.reshape(len(idx), -1)
             norm = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
             cold = norm <= freeze
-            for bi in idx[cold]:
-                X[bi] = np.zeros_like(X[bi])
-            any_cold |= bool(cold.any())
-            if cold.all():
-                continue
-            st = st[~cold]
+            if cold.any():
+                any_cold = True
+                for bi in idx[cold]:
+                    X[bi] = np.zeros_like(X[bi])
+                if cold.all():
+                    continue
+                st, idx = st[~cold], idx[~cold]
             lam, vec = eigh(0.5 * (st + st.swapaxes(1, 2)))
             peak = lam.max(axis=1, initial=0.0)
             keep = lam > (factor_cut * np.where(peak > 1.0, peak, 1.0))[:, None]
-            for k, bi in enumerate(idx[~cold]):
-                fs[bi] = vec[k][:, keep[k]] * np.sqrt(lam[k][keep[k]])
+            roots = vec * np.sqrt(np.where(keep, lam, 0.0))[:, None, :]
+            for k, bi in enumerate(idx.tolist()):
+                fs[bi] = roots[k][:, keep[k]]
                 eigs[bi] = (lam[k], vec[k])
         return fs, (None if any_cold else eigs)
 
@@ -247,9 +256,10 @@ def reduce(
         """
         if mat.shape[1] == 0:
             return []
-        norms = np.linalg.norm(mat, axis=1)
+        # np.linalg.norm(mat, axis=1) and np.linalg.svd, their operations
+        norms = np.sqrt(np.add.reduce(mat * mat, axis=1))
         scaled = mat / np.maximum(norms, 1.0)[:, None]
-        _, sig, vt = np.linalg.svd(scaled, full_matrices=True)
+        _, sig, vt = svd(scaled)
         rank = int(np.sum(sig > 1e-9 * max(1.0, sig[0] if sig.size else 0.0)))
         return [vt[j] for j in range(mat.shape[1] - 1, rank - 1, -1)]
 

@@ -16,6 +16,14 @@ own vectors. Every sum over blocks is taken in block order, and every
 LAPACK call factors one matrix at a time. A caller with many problems
 solves them one after another; no result depends on the others.
 
+The compile (_Problem) runs once per solve: standard form, presolve,
+then per dimension group a fixed handful of numpy calls (the padded row
+stacks filled by one scatter each, the Schur cells by one broadcast
+test), whatever the group's size, and the four ordered sums. Each
+group's side array is a structural constant, built once per group size.
+tests/test_once_per_verdict.py keeps the compile as a loop over blocks
+and rows, the reference it must match bit for bit.
+
 Call budget of one iteration, in calls of symkernel's LAPACK layer
 (tests/test_sdp_iteration.py counts them). Per dimension group: 2 eigh
 (NT scaling), 1 inv (S^-1), 1 cholesky of the (X, S) stack, and 2 x (2
@@ -66,6 +74,7 @@ stops with a status instead of overflowing a Python float.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -231,6 +240,15 @@ class _Group:
     __slots__ = ("dim", "n", "block", "side", "C", "A", "rows")
 
 
+@functools.cache
+def _sides(g: int) -> np.ndarray:
+    """The side of each slot of a group of g blocks' (X, S) stack, shaped
+    (2g, 1, 1): 0 on the X slots, 1 on the S slots (read-only)."""
+    side = np.arange(2).repeat(g)[:, None, None]
+    side.flags.writeable = False
+    return side
+
+
 def _ordered_sum(n: int, at: list):
     """The n sums over blocks of the groups' parts (flattened in C order,
     joined in group order); at[g] is group g's (cells, blocks), each
@@ -250,7 +268,7 @@ def _ordered_sum(n: int, at: list):
 
 def _joined(arrays: list, dtype) -> np.ndarray:
     """The arrays flattened and joined; empty without blocks."""
-    return np.concatenate([np.zeros(0, dtype), *arrays], axis=None)
+    return np.concatenate(arrays, axis=None) if arrays else np.zeros(0, dtype)
 
 
 class _Problem:
@@ -274,7 +292,7 @@ class _Problem:
         self.kept = _presolve(self.full)
         op = self.full.take(self.kept)
         dims = std.block_dims
-        C = [mat.to_dense() for mat in std.objective]
+        C = [mat.array for mat in std.objective]
         m = self.m = op.n_rows
         self.d_vec = op.rhs
         self.slack_rows = np.flatnonzero(op.slack_coeffs)
@@ -282,48 +300,47 @@ class _Problem:
         self.NS = len(self.slack_rows)
         self.n_tot = float(max(sum(dims) + self.NS, 1))
         self.d_scale = 1.0 + float(np.abs(self.d_vec).max(initial=0.0))
-        self.c_scale = 1.0 + max((float(np.linalg.norm(c)) for c in C), default=0.0)
+        # np.linalg.norm of each C: the root of its flat (C order) dot product
+        flat = [c.ravel() for c in C]
+        self.c_scale = 1.0 + max((math.sqrt(r.dot(r)) for r in flat), default=0.0)
         self.vec_side = np.repeat([0, 1, 0], (self.NS, self.NS + m, 1))
 
         self.where = [None] * len(dims)
         self.where_s = [None] * len(dims)
         self.groups, at = [], []
-        for blocks in by_dim(dims):
+        for gi, blocks in enumerate(by_dim(dims)):
             d, g = dims[blocks[0]], len(blocks)
             acts = [op.active[bi] for bi in blocks]
-            ks = np.array([len(act) for act in acts], dtype=np.intp)
-            kmax = int(ks.max())
+            ks = [len(act) for act in acts]
+            kmax = max(ks)
             grp = _Group()
-            grp.dim, grp.n = d, g
-            grp.block = np.array(blocks, dtype=np.intp)
-            grp.side = np.arange(2).repeat(g)[:, None, None]
-            grp.C = np.stack([C[bi] for bi in blocks])
-            for j, bi in enumerate(blocks):
-                self.where[bi] = (len(self.groups), j)
-                self.where_s[bi] = (len(self.groups), g + j)
-            # every slot's active rows at once: pair t is row kk[t] of slot
-            # jj[t]; act_at[j, k] is slot j's k-th active row
-            jj = np.repeat(np.arange(g), ks)
-            kk = np.arange(len(jj)) - np.repeat(np.cumsum(ks) - ks, ks)
-            act_at = np.zeros((g, kmax), dtype=np.intp)
-            act_at[jj, kk] = np.concatenate(acts)
+            grp.dim, grp.n, grp.block = d, g, blocks
+            grp.side = _sides(g)
+            grp.C = np.array([C[bi] for bi in blocks])
+            for j, bi in enumerate(blocks.tolist()):
+                self.where[bi] = (gi, j)
+                self.where_s[bi] = (gi, g + j)
+            # pair t is the kk[t]-th active row of slot jj[t]
+            jj = [j for j, k in enumerate(ks) for _ in range(k)]
+            kk = [t for k in ks for t in range(k)]
             grp.A = np.zeros((kmax, g, d, d))
             grp.A[kk, jj] = np.concatenate([op.stacks[bi] for bi in blocks])
             grp.rows = np.full((kmax, g, 1, 1), m, dtype=np.intp)
-            grp.rows[kk, jj, 0, 0] = act_at[jj, kk]
-            # (cells, blocks) of the group's part of each sum
-            live = np.arange(kmax) < ks[:, None]
+            grp.rows[kk, jj, 0, 0] = np.concatenate(acts)
+            # (cells, blocks) of the group's part of each sum; act_at[j, k]
+            # is slot j's k-th active row, m past its count
+            act_at = grp.rows[:, :, 0, 0].T
+            live = act_at < m
             sch = np.where(
                 live[:, :, None] & live[:, None, :],
                 act_at[:, :, None] * m + act_at[:, None, :],
                 m * m,
             )
-            blk = grp.block
             at.append((
-                (grp.rows, blk[None].repeat(kmax, 0)),
-                (sch, blk.repeat(kmax * kmax)),
-                (np.zeros(g, np.intp), blk),
-                (grp.side, blk[None].repeat(2, 0)),
+                (grp.rows, blocks[None].repeat(kmax, 0)),
+                (sch, blocks.repeat(kmax * kmax)),
+                (np.zeros(g, np.intp), blocks),
+                (grp.side, blocks[None].repeat(2, 0)),
             ))
             self.groups.append(grp)
         self.row_sums, self.schur, self.slot_sum, self.xs_sums = (
@@ -573,11 +590,14 @@ def _solution(p: _Problem, rec: dict, history: list) -> SdpSolution:
     full_lhs[with_slack] += slacks[with_slack]
     pres_full = np.abs(p.full.rhs - full_lhs).max(initial=0.0)
 
+    # the record's iterate passed _Ipm._scan (or is the starting one): every
+    # entry is finite and at most HALF_MAX, so the symmetric parts are
+    # finite and each is adopted as it is
     return SdpSolution(
-        blocks=[SymMatrix(0.5 * (x + x.T)) for x in rec["X"]],
+        blocks=[SymMatrix._adopt(0.5 * (x + x.T)) for x in rec["X"]],
         slacks=slacks,
         dual_multipliers=duals,
-        dual_blocks=[SymMatrix(0.5 * (s + s.T)) for s in rec["S"]],
+        dual_blocks=[SymMatrix._adopt(0.5 * (s + s.T)) for s in rec["S"]],
         status=rec["status"],
         value=float(rec["value"]),
         primal_residual=float(pres_full),

@@ -193,8 +193,8 @@ class RowOperator:
         active, stacks = list(self.active), list(self.stacks)
         for b, mat in enumerate(mats):
             if not mat.is_zero():
-                active[b] = np.append(active[b], self.n_rows)
-                stacks[b] = np.concatenate([stacks[b], mat.array[None]])
+                active[b] = np.concatenate((active[b], (self.n_rows,)))
+                stacks[b] = np.concatenate((stacks[b], mat.array[None]))
         return RowOperator(
             self.dims, active, stacks, np.append(self.slack_coeffs, 0.0),
             np.append(self.rhs, 0.0), np.append(self.origins, -1),

@@ -12,26 +12,45 @@ stacked dot product is one BLAS dot per C-contiguous row, as np.dot of
 that row.
 
 It is also the package's one LAPACK layer: eigh, eigvalsh, cholesky,
-solve and inv each call the gufunc of numpy.linalg's function of that
-name (lower triangle, float64 signature) under the error state that
-function sets (built once, at import), so each returns its bytes or
-raises its LinAlgError, without the wrapper's per-call checks and
-conversions. They take float64 (..., m, m) stacks (solve's right-hand
-side is (..., m, n)). Like _umath_linalg, the error state's context
-variable and constructor are numpy 2's private internals.
+solve, inv and svd each call the gufunc of numpy.linalg's function of
+that name (lower triangle, float64 signature; svd's with full matrices)
+under the error state that function sets (built once, at import), so
+each returns its bytes or raises its LinAlgError, without the wrapper's
+per-call checks and conversions. They take float64 (..., m, m) stacks
+(solve's right-hand side is (..., m, n), svd's input (..., m, n)). Like
+_umath_linalg, the error state's context variable and constructor are
+numpy 2's private internals; where a numpy release no longer has them,
+each call enters one np.errstate of the same flags instead, which gives
+the same bits, only slower.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError
+
+try:
+    from numpy._core.umath import _extobj_contextvar, _make_extobj
+except ImportError:
+    # the state is errstate's keywords, and each call enters and leaves an
+    # np.errstate of them
+    _make_extobj = dict
+
+    def _enter(flags):
+        state = np.errstate(**flags)
+        state.__enter__()
+        return state
+
+    _leave = operator.methodcaller("__exit__", None, None, None)
+else:
+    _enter, _leave = _extobj_contextvar.set, _extobj_contextvar.reset
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -62,7 +81,7 @@ def _error_state(message: str):
 _NO_CONVERGENCE = _error_state("Eigenvalues did not converge")
 _NOT_PD = _error_state("Matrix is not positive definite")
 _SINGULAR = _error_state("Singular matrix")
-_enter, _leave = _extobj_contextvar.set, _extobj_contextvar.reset
+_NO_SVD = _error_state("SVD did not converge")
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +126,16 @@ def inv(a: np.ndarray) -> np.ndarray:
     token = _enter(_SINGULAR)
     try:
         return _umath_linalg.inv(a, signature="d->d")
+    finally:
+        _leave(token)
+
+
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy.linalg.svd of a with full matrices: (u, singular values
+    descending, vh)."""
+    token = _enter(_NO_SVD)
+    try:
+        return _umath_linalg.svd_f(a, signature="d->ddd")
     finally:
         _leave(token)
 
@@ -170,6 +199,18 @@ class SymMatrix:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "SymMatrix":
+        """Wrap a square, symmetric float64 array without a copy or a
+        finite check, for a caller that checked its entries just before
+        and hands the array over (it becomes read-only). The array keeps
+        its layout, as the constructor's copy would."""
+        out = object.__new__(cls)
+        a.flags.writeable = False
+        out.dim = a.shape[0]
+        out._a = a
+        return out
+
     @staticmethod
     def from_dense(a) -> "SymMatrix":
         """Build from a square array; the input is symmetrized as (A+A^T)/2."""
@@ -212,21 +253,13 @@ class SymMatrix:
 
     def norm(self) -> float:
         """Frobenius norm (off-diagonals counted twice, as in the full matrix)."""
-        return math.sqrt(frob_inner_many(self._a, self._a))
+        return math.sqrt(frob_inner(self, self))
 
     def is_zero(self) -> bool:
         """True iff every entry is exactly zero."""
         return not self._a.any()
 
     # -- arithmetic (returns new instances) ---------------------------------
-
-    def _check_same_dim(self, other: "SymMatrix") -> None:
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        self._check_same_dim(other)
-        return SymMatrix(self._a - other._a)
 
     def scaled(self, c: float) -> "SymMatrix":
         return SymMatrix(float(c) * self._a)
@@ -331,32 +364,43 @@ def rank_of_eigenvalues(lam: np.ndarray, tol: float = 1e-6) -> int:
 
     The threshold is tol * max(1, |lambda|_max), floored at machine
     epsilon times the dimension so that near-zero matrices of any scale
-    report rank 0. lam may be in any order.
+    report rank 0. lam may be in any order. This is
+    rank_of_eigenvalues_many of the one spectrum.
     """
-    return rank_of_eigenvalues_many([np.asarray(lam, dtype=np.float64)], tol)[0]
+    _check_rank_tol(tol)
+    return _ranks(np.asarray(lam, dtype=np.float64)[None], tol)[0]
 
 
 def rank_of_eigenvalues_many(lams, tol: float = 1e-6) -> list[int]:
     """rank_of_eigenvalues of every spectrum in lams, one stacked test per
     length: the same comparisons, so the same counts (and, as one test
     per spectrum would, a bad tol raises only when there is a spectrum)."""
-    # written so that a NaN fails it
-    if not tol > 0 and len(lams):
-        raise ValueError("tol must be positive")
+    if len(lams):
+        _check_rank_tol(tol)
     out = [0] * len(lams)
     for idx, stack in _stacks(lams):
-        d = stack.shape[-1]
-        if not d:
-            continue
-        mag = np.abs(stack)
-        peak = mag.max(axis=1)
-        # max(tol * max(1, peak), eps * d) as Python's max takes it
-        rel = tol * np.where(peak > 1.0, peak, 1.0)
-        floor = _EPS * d
-        counts = np.sum(mag > np.where(floor > rel, floor, rel)[:, None], axis=1)
-        for i, c in zip(idx, counts.tolist()):
+        for i, c in zip(idx, _ranks(stack, tol)):
             out[i] = c
     return out
+
+
+def _check_rank_tol(tol: float) -> None:
+    # written so that a NaN fails it
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
+def _ranks(stack: np.ndarray, tol: float) -> list[int]:
+    """The rank count of each spectrum of a (k, d) stack."""
+    d = stack.shape[-1]
+    if not d:
+        return [0] * len(stack)
+    mag = np.abs(stack)
+    peak = mag.max(axis=1)
+    # max(tol * max(1, peak), eps * d) as Python's max takes it
+    rel = tol * np.where(peak > 1.0, peak, 1.0)
+    floor = _EPS * d
+    return np.sum(mag > np.where(floor > rel, floor, rel)[:, None], axis=1).tolist()
 
 
 def numeric_rank(a: SymMatrix, tol: float = 1e-6) -> int:

@@ -7,7 +7,9 @@ need: each is defined here once and imported read-only.
 * walk_instance(seed): a block SDP whose every feasible point is optimal,
   with a full-rank hand_solution to walk rank reduction from;
 * random_connection(seed): a seeded connection of mixed entry kinds
-  (random_entry), the draws that reach every solver stop.
+  (random_entry), the draws that reach every solver stop;
+* strip_variable_free_rows(q): q without its identically-zero rows, the
+  problem whose certificates judge reads off an inhomogeneous entry.
 
 This module imports neither pytest nor hypothesis, so a tool can import
 it with only numpy and sepqcqp on its path.
@@ -217,3 +219,20 @@ def random_connection(seed, n_max=4, n_fixed=None):
         n = n_fixed or int(rng.integers(1, n_max + 1))
         entries.append(random_entry(rng, kind, n, relations))
     return SeparableQcqp(entries, rng.standard_normal(m)), rng
+
+
+def strip_variable_free_rows(q: Qcqp):
+    """(q without the constraints whose matrix is identically zero, the
+    kept row indices); q itself when no row is zero. At an allocation a
+    variable-free row's value is 0, which holds under any relation, so
+    judge certifies an entry by its other rows."""
+    kept = [k for k, (f, _) in enumerate(q.constraints) if not f.is_zero()]
+    if len(kept) == q.m:
+        return q, kept
+    reduced = Qcqp(
+        q.n,
+        q.objective,
+        [q.constraints[k] for k in kept],
+        [float(q.rhs[k]) for k in kept],
+    )
+    return reduced, kept

@@ -483,8 +483,7 @@ PUBLIC_NAMES = {
     "extract_convex_solution", "flatten", "frob_inner", "hom_values",
     "is_psd", "judge", "lift", "make_example51", "make_example52",
     "nonpositive_gauge", "numeric_rank", "reduce", "reduce_homogeneous_rows",
-    "sign_gauge", "solve", "split_point",
-    "strip_variable_free_rows", "to_standard_form",
+    "sign_gauge", "solve", "split_point", "to_standard_form",
 }
 
 
@@ -495,4 +494,4 @@ def test_public_names_are_the_audited_list():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 65
+    assert len(names) == 64

@@ -185,6 +185,24 @@ class TestValidation:
             parse_text(text)
         assert str(ei.value) == "rhs[1]: value must be finite"
 
+    @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize(
+        "old, new, path",
+        [
+            ("1 3 -1.0", "1 3 {}", "blocks[0].matrices[0].entries[1]"),
+            ("2 2 1.0\nend\nend", "2 2 {}\nend\nend", "blocks[0].matrices[1].entries[1]"),
+        ],
+    )
+    def test_non_finite_entry_names_its_entry(self, token, old, new, path):
+        """A matrix entry float() reads as NaN or infinite is rejected,
+        with the path of that entry, before any matrix is built."""
+        bad = QCQP_TEXT.replace(old, new.format(token))
+        assert bad != QCQP_TEXT
+        with pytest.raises(ValidationError) as ei:
+            parse_text(bad)
+        assert str(ei.value) == f"{path}: value must be finite"
+        assert ei.value.field == path
+
     def test_cross_block_entry_in_hom_entry(self):
         text = (
             "schema_version 1\nkind separable\nrelations le\nrhs 1.0\n"

@@ -30,7 +30,6 @@ from sepqcqp.connection import (
     bilevel_report,
     decompose_delta,
     judge,
-    strip_variable_free_rows,
 )
 from sepqcqp.errors import (
     DimensionError,
@@ -54,7 +53,7 @@ from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import SolveStatus, build_block, build_hom, build_shor
 from sepqcqp.symkernel import SymMatrix, frob_inner, is_psd
 
-from instances import family, random_connection
+from instances import family, random_connection, strip_variable_free_rows
 from test_sdp_solver import family_value
 
 
@@ -578,29 +577,6 @@ class TestMakeExample52:
         )
         with pytest.raises(GenerationError):
             examples.make_example52(0)
-
-
-class TestStripVariableFreeRows:
-    def test_drop_and_keep(self):
-        q = Qcqp(
-            1,
-            qf([[1.0]]),
-            [
-                (QuadFunc.zero(1), Relation.EQ),
-                (qf([[1.0]]), Relation.LE),
-                (QuadFunc.zero(1), Relation.GE),
-            ],
-            [5.0, 1.0, -2.0],
-        )
-        reduced, kept = strip_variable_free_rows(q)
-        assert kept == [1]
-        assert reduced.m == 1
-        assert reduced.rhs[0] == 1.0
-
-    def test_noop_when_all_rows_live(self):
-        q = Qcqp(1, qf([[1.0]]), [(qf([[1.0]]), Relation.LE)], [1.0])
-        reduced, kept = strip_variable_free_rows(q)
-        assert kept == [0] and reduced.m == 1
 
 
 class TestNonpositiveGauge:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sepqcqp.connection import decompose_delta, strip_variable_free_rows
+from sepqcqp.connection import decompose_delta
 from sepqcqp.errors import InfeasibleStructureError
 from sepqcqp.examples import make_example51, make_example52
 from sepqcqp.qcqp_model import (
@@ -32,6 +32,8 @@ from sepqcqp.sdpr_builder import (
     build_shor,
 )
 from sepqcqp.symkernel import SymMatrix, numeric_rank
+
+from instances import strip_variable_free_rows
 
 
 def qf(quad, linear=None):

@@ -24,9 +24,9 @@ from sepqcqp import connection
 from sepqcqp.certificates import (
     Certificate,
     CertificateKind,
+    _convex_certificates,
     aggregated_graph,
     check_convex,
-    check_convex_many,
     check_sign_pattern,
     nonpositive_gauge,
 )
@@ -264,9 +264,9 @@ def assert_stages_match(s, rng):
     stacks = connection._EntryStacks(s)
     inhom = [e for e in s.blocks if not isinstance(e, HomSepQcqp)]
 
-    # certificates: the convexity pass over raw and stripped entries
-    for q, cert in zip(inhom, check_convex_many(inhom)):
-        assert same_certificate(cert, parent_check_convex(q))
+    # certificates: the convexity test of the raw entries, and the pass
+    # over the stripped ones
+    for q in inhom:
         assert same_certificate(check_convex(q), parent_check_convex(q))
     structural = connection._certify_qcqp_entries(stacks)
     assert len(structural) == len(inhom)
@@ -373,9 +373,9 @@ class TestStackedStages:
         f_bad = QuadFunc.from_parts(-np.eye(2))
         rows = [(f_ok, Relation.LE), (f_bad, Relation.LE), (f_bad, Relation.LE)]
         q = Qcqp(2, f_ok, rows, [1.0, 1.0, 1.0])
-        both = check_convex_many([q, Qcqp(2, f_bad, [], [])])
+        both = [check_convex(q), check_convex(Qcqp(2, f_bad, [], []))]
         assert [c.details for c in both] == [
             "quadratic part of constraint 1 is not PSD",
             "quadratic part of objective is not PSD",
         ]
-        assert check_convex_many([]) == []
+        assert _convex_certificates([]) == []

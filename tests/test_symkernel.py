@@ -7,6 +7,7 @@ beyond it, repeated eigenvalues, and the rank and PSD thresholds. Plain
 numpy (eigvalsh, matrix_rank, dense sums) is the oracle.
 """
 
+import importlib.util
 import math
 import threading
 
@@ -76,10 +77,8 @@ class TestSymMatrix:
 
     def test_arithmetic(self):
         a = sym([[1.0, 2.0], [2.0, 0.0]])
-        b = sym([[0.0, 1.0], [1.0, 3.0]])
-        assert np.array_equal((a - b).to_dense(), a.to_dense() - b.to_dense())
         assert np.array_equal(a.scaled(-2.0).to_dense(), -2.0 * a.to_dense())
-        assert (a - a).is_zero()
+        assert a.scaled(0.0).is_zero()
         assert not a.is_zero()
 
     def test_rejects_nonfinite(self):
@@ -343,6 +342,7 @@ _LAPACK = {
     "cholesky": (symkernel.cholesky, np.linalg.cholesky),
     "solve": (symkernel.solve, np.linalg.solve),
     "inv": (symkernel.inv, np.linalg.inv),
+    "svd": (symkernel.svd, np.linalg.svd),
 }
 
 
@@ -350,13 +350,17 @@ _LAPACK = {
 def lapack_calls(draw):
     """(name, args): one matrix or a stack of 0-4 (dimension 0-6) that is
     SPD, singular (a zero row and column), indefinite, nonsymmetric or
-    lower triangular, maybe with a NaN or infinite entry, maybe passed as
-    a transposed view; solve's right-hand side has 0-3 columns."""
+    lower triangular, maybe with a NaN or infinite entry (not for svd),
+    maybe passed as a transposed view; solve's right-hand side has 0-3
+    columns."""
     name = draw(st.sampled_from(sorted(_LAPACK)))
     k = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
     d = draw(st.integers(min_value=0, max_value=6))
     kind = draw(st.sampled_from(["spd", "singular", "indefinite", "general", "lower"]))
-    poison = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    # LAPACK's svd can hang on a non-finite entry (numpy's does too), so
+    # svd draws finite matrices only
+    poisons = [None] if name == "svd" else [None, math.nan, math.inf, -math.inf]
+    poison = draw(st.sampled_from(poisons))
     transposed = draw(st.booleans())
     rng = np.random.default_rng(draw(seeds))
     batch = () if k is None else (k,)
@@ -474,6 +478,7 @@ _FAILING = {
     "cholesky": ((-np.eye(3),), "Matrix is not positive definite", (np.eye(2),)),
     "solve": ((np.zeros((2, 2)), np.ones((2, 1))), "Singular matrix", (np.eye(2), np.ones((2, 1)))),
     "inv": ((np.zeros((2, 3, 3)),), "Singular matrix", (np.eye(2),)),
+    "svd": ((np.full((3, 3), np.nan),), "SVD did not converge", (np.eye(2),)),
 }
 
 
@@ -532,3 +537,55 @@ class TestErrorState:
             assert (np.geterr(), np.geterrcall()) == inside
         assert not errors, errors
         assert (np.geterr(), np.geterrcall()) == state
+
+
+# ---------------------------------------------------------------------------
+# the layer without numpy's private error-state internals
+
+
+@pytest.fixture(scope="module")
+def fallback():
+    """symkernel loaded once more while numpy's _make_extobj and
+    _extobj_contextvar are hidden, as a numpy release without them would
+    leave it: the copy enters one np.errstate per call. The copy is not
+    registered in sys.modules, so every other test keeps the fast path."""
+    from numpy._core import umath
+
+    hidden = {name: getattr(umath, name) for name in ("_make_extobj", "_extobj_contextvar")}
+    for name in hidden:
+        delattr(umath, name)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "sepqcqp._symkernel_fallback", symkernel.__file__
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        for name, value in hidden.items():
+            setattr(umath, name, value)
+    return module
+
+
+class TestErrstateFallback:
+    def test_takes_the_fallback(self, fallback):
+        assert fallback._enter is not symkernel._enter
+        assert isinstance(fallback._SINGULAR, dict)
+
+    @given(lapack_calls())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_the_fast_path(self, fallback, call):
+        name, args = call
+        fast, slow = getattr(symkernel, name), getattr(fallback, name)
+        assert _outcome(slow, args) == _outcome(fast, args)
+
+    @pytest.mark.parametrize("name", sorted(_FAILING))
+    def test_same_errors_as_the_fast_path(self, fallback, name):
+        """The failing call raises the fast path's LinAlgError message
+        under an outer error state that would turn it into something else,
+        and the succeeding call gives its bytes; np.geterr() is as it was
+        after each (_outcome)."""
+        bad, message, good = _FAILING[name]
+        f = getattr(fallback, name)
+        with np.errstate(invalid="raise"):
+            assert _outcome(f, bad) == (None, message)
+        assert _outcome(f, good) == _outcome(getattr(symkernel, name), good)
