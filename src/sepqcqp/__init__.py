@@ -12,6 +12,10 @@ Modules:
     connection     end-to-end exactness pipeline
     examples       the paper's examples 5.1 and 5.2 as seeded generators
     cli            command-line front end and problem file I/O
+
+The namespace holds what the paper names: the model and connect, the
+builders, solve, the certificate checks, reduce, judge, bilevel_report,
+the example generators and the error types.
 """
 
 from . import errors
@@ -38,7 +42,6 @@ from .qcqp_model import (
     brute_force,
     connect,
     flatten,
-    hom_values,
     lift,
     split_point,
 )
@@ -65,9 +68,7 @@ from .certificates import (
     check_m_le_2,
     check_sign_pattern,
     extract_convex_solution,
-    nonpositive_gauge,
     reduce_homogeneous_rows,
-    sign_gauge,
 )
 from .rank_reduction import BlockKind, ExtractResult, ReductionReport, reduce
 from .connection import (
@@ -78,7 +79,6 @@ from .connection import (
     PerBlockReport,
     VerdictStatus,
     bilevel_report,
-    decompose_delta,
     judge,
 )
 from .examples import make_example51, make_example52

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError, RangeError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation
 from .sdpr_builder import SdpSolution
 from .symkernel import SymMatrix, by_dim, frob_inner_many, is_psd_many
@@ -270,15 +270,6 @@ def _fundamental_cycle(parent, e) -> list[tuple]:
     return cyc
 
 
-def cycle_basis(g: SparsityGraph) -> list[list[tuple]]:
-    """Fundamental cycles of a spanning forest, one per non-tree edge.
-
-    Each cycle is a list of (i, j) edges with i < j. Forests give [].
-    """
-    parent, _, _, loose = _walk(g)
-    return [_fundamental_cycle(parent, e) for e in loose]
-
-
 def check_sign_pattern(g: SparsityGraph) -> Certificate:
     """Parity certificate on the interaction graph.
 
@@ -325,39 +316,18 @@ def check_sign_pattern(g: SparsityGraph) -> Certificate:
     )
 
 
-def sign_gauge(g: SparsityGraph) -> np.ndarray | None:
-    """A vector d in {-1, +1}^n with d_i d_j sigma_ij = -1 on every edge,
-    or None when no such rescaling exists.
-
-    This is the walk's gauge, the nonpositive gauge of g with no linear
-    parts to orient: the first vertex of each component (an isolated
-    vertex too) gets +1. Callers may flip whole components freely
-    (flipping all of a component preserves the edge products).
-    """
-    return _oriented_gauge(g, np.zeros((0, g.n)))
-
-
-def nonpositive_gauge(q: Qcqp) -> np.ndarray | None:
-    """Sign vector d making every function of q have nonpositive couplings
-    and nonpositive linear coefficients under u_i -> d_i u_i, or None.
-
-    The quadratic couplings fix d up to one free flip per connected
-    component of the interaction graph; the linear coefficients then pin
-    each component's orientation, since the homogenization coordinate
-    cannot flip. With such a d, gauged square roots of a solution-matrix
-    diagonal always yield a feasible point at least as good.
-    """
-    funcs = [q.objective] + [f for f, _ in q.constraints]
-    return _oriented_gauge(
-        aggregated_graph([f.quad_part() for f in funcs]),
-        np.array([f.linear_part() for f in funcs]),
-    )
-
-
 def _oriented_gauge(g: SparsityGraph, lins: np.ndarray) -> np.ndarray | None:
-    """nonpositive_gauge on g, the aggregated graph of the quadratic parts
-    of functions whose linear parts are the rows of lins: the walk's
-    gauge, each component flipped as its linear coefficients ask."""
+    """Sign vector d making every function have nonpositive couplings and
+    nonpositive linear coefficients under u_i -> d_i u_i, or None; g is
+    the aggregated graph of the functions' quadratic parts and the rows
+    of lins are their linear parts.
+
+    The couplings fix d up to one free flip per connected component of
+    g (the walk's gauge gives each component's first vertex +1); the
+    linear coefficients then pin each component's orientation, since the
+    homogenization coordinate cannot flip. With such a d, gauged square
+    roots of a solution-matrix diagonal always yield a feasible point at
+    least as good."""
     if any(s == 0 for s in g.sigma.values()):
         return None
     _, d, comps, loose = _walk(g)
@@ -394,7 +364,9 @@ def reduce_homogeneous_rows(h: HomSepQcqp, tol: float = 1e-12):
     <= row when one implies the other.
 
     Returns (reduced problem, dropped original row indices). Used before
-    the rank-count certificate so redundant rows do not inflate m.
+    the rank-count certificate so redundant rows do not inflate m. Two <=
+    rows whose norm ratio overflows raise RangeError naming them (1-based,
+    as the problem file numbers rows).
     """
     # written so that a NaN fails it
     if not 0.0 <= tol < math.inf:
@@ -422,17 +394,19 @@ def reduce_homogeneous_rows(h: HomSepQcqp, tol: float = 1e-12):
 
     def proportional(k, j):
         """Positive c with row j = c * row k, or None: every block's
-        c C_k - C_j small against C_j. That difference is the matrix a
-        SymMatrix would hold, and one that is not finite raises as
-        SymMatrix does. That happens exactly where c is not finite: an
-        entry of C_k is at most its peak norm, so otherwise every entry
-        of c C_k - C_j is at most twice row j's finite peak norm."""
+        c C_k - C_j small against C_j. That difference is not finite
+        exactly where c is not finite (an entry of C_k is at most its peak
+        norm, so otherwise every entry of c C_k - C_j is at most twice row
+        j's finite peak norm), and then the rows cannot be compared."""
         nk, nj = peak[k], peak[j]
         if nk == 0.0 or nj == 0.0:
             return None
         c = nj / nk
         if not math.isfinite(c):
-            raise ValueError("SymMatrix entries must be finite")
+            raise RangeError(
+                f"row {j + 1}: the ratio of its norm {nj:.6g} to row "
+                f"{k + 1}'s {nk:.6g} is not finite"
+            )
         for st, nq in zip(rows, norms):
             diff = c * st[k] - st[j]
             if math.sqrt(frob_inner_many(diff, diff)) > tol * (1.0 + nq[j]):

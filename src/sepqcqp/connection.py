@@ -58,6 +58,7 @@ from .certificates import (
 )
 from .errors import (
     DimensionError,
+    RangeError,
     ReductionStallError,
     SepqcqpError,
     StaleSolutionError,
@@ -267,7 +268,8 @@ class _EntryStacks:
     def at_points(self, points) -> np.ndarray:
         """[objective, row 1..m] of every entry at one flat point each:
         one row per entry, each value bit for bit that of evaluating the
-        entry's functions one at a time (qcqp_model.eval, hom_values)."""
+        entry's functions one at a time (qcqp_model.eval; on a homogeneous
+        entry, v^T C v per block, summed in block order)."""
         zs = []
         for entry, point in zip(self.s.blocks, points):
             point = np.asarray(point, dtype=np.float64).reshape(-1)
@@ -325,18 +327,6 @@ class _EntryStacks:
                 flags[idx[finite]] = is_psd_many(acc[finite], tol)
         flags = flags.tolist()
         return np.array([all(flags[sl]) for sl in self.slices], dtype=bool)
-
-
-def decompose_delta(s: SeparableQcqp, sol) -> list:
-    """Per-entry achieved constraint values at a block-relaxation solution.
-
-    Entry p receives delta^p with delta^p_k the inner product of its row-k
-    matrices against its own solved psd blocks. Summing delta^p_k over p
-    reproduces the achieved left-hand side of coupled row k, so whenever
-    sol is feasible the allocations jointly respect every relation
-    against gamma.
-    """
-    return list(_EntryStacks(s).at_blocks(sol.blocks)[:, 1:])
 
 
 def _connection_duals(s: SeparableQcqp, b, sol):
@@ -450,17 +440,22 @@ def _certify_qcqp_entries(stacks) -> dict:
             out[p] = (_no_certificate("an equality or >= row involves variables"), None)
             continue
         out[p] = None
-        funcs = stacks.mats[i][np.concatenate(([0], live + 1))]
-        convex.append((p, entry.n, funcs))
-    certs = _convex_certificates([funcs[:, :n, :n] for _, n, funcs in convex])
-    for (p, n, funcs), cert in zip(convex, certs):
+        rows = np.concatenate(([0], live + 1))
+        convex.append((p, entry.n, rows, stacks.mats[i][rows]))
+    certs = _convex_certificates([funcs[:, :n, :n] for _, n, _, funcs in convex])
+    for (p, n, rows, funcs), cert in zip(convex, certs):
         gauge = None
         if not cert.holds:
             quads = funcs[:, :n, :n]
-            # the entry's quadratic parts as SymMatrix objects reject an
-            # entry beyond HALF_MAX (its symmetrization overflows)
+            # symmetrizing an entry beyond HALF_MAX overflows, so no
+            # problem file or QuadFunc.from_parts carries one
             if np.abs(quads).max(initial=0.0) > HALF_MAX:
-                raise ValueError("SymMatrix entries must be finite")
+                k = int(rows[np.argmax(np.abs(quads).max(axis=(1, 2)) > HALF_MAX)])
+                where = f"row {k}" if k else "objective"
+                raise RangeError(
+                    f"entry {p} {where}: a quadratic-part entry exceeds "
+                    f"{HALF_MAX:.6g}, half the largest double"
+                )
             g = aggregated_graph(quads)
             cert = check_sign_pattern(g)
             if cert.holds:
@@ -536,7 +531,10 @@ def _entry_reports(stacks, b, sol, achieved, tol) -> tuple:
         gauge = None
         if isinstance(entry, HomSepQcqp):
             blocks = sol.blocks[stacks.slices[p]]
-            cert = _hom_certificate(entry, delta, blocks, obj, gap, tol)
+            try:
+                cert = _hom_certificate(entry, delta, blocks, obj, gap, tol)
+            except RangeError as exc:
+                raise RangeError(f"entry {p} {exc}") from None
         else:
             cert, gauge = structural[p]
         per_block.append(PerBlockReport(cert, value, gap))

@@ -292,42 +292,6 @@ def block_nvars(blk) -> int:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and feasibility
-
-
-def is_feasible(q: Qcqp, u, tol: float) -> bool:
-    """Constraint-wise feasibility within an absolute tolerance.
-
-    LE rows need f(u) <= rhs + tol, EQ rows |f(u) - rhs| <= tol, GE rows
-    f(u) >= rhs - tol.
-    """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if u.shape != (q.n,):
-        raise DimensionError(f"point has shape {u.shape}, expected ({q.n},)")
-    for (f, rel), d in zip(q.constraints, q.rhs):
-        if not rel.holds(eval(f, u), float(d), tol):
-            return False
-    return True
-
-
-def hom_values(h: HomSepQcqp, vs) -> np.ndarray:
-    """Row values [g_0, g_1, ..., g_m] of a homogeneous problem at block
-    points vs = [v^1, ..., v^q_hat]."""
-    if len(vs) != h.q_hat:
-        raise DimensionError(f"got {len(vs)} block points, expected {h.q_hat}")
-    vals = np.zeros(h.m + 1)
-    for mats, v in zip(h.blocks, vs):
-        v = np.asarray(v, dtype=np.float64).reshape(-1)
-        if v.shape != (mats[0].dim,):
-            raise DimensionError(
-                f"block point has shape {v.shape}, expected ({mats[0].dim},)"
-            )
-        for k, c in enumerate(mats):
-            vals[k] += float(v @ c.to_dense() @ v)
-    return vals
-
-
-# ---------------------------------------------------------------------------
 # composition
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -444,13 +443,9 @@ def reduce(
     return out, report
 
 
-def extract_point(
-    sol: SdpSolution,
-    block_kinds,
-    tol: float = 1e-6,
-    rank_tol: float = 1e-6,
-) -> ExtractResult:
-    """Read QCQP points out of a blockwise rank-<=1 solution.
+def _extract(eigs, ranks, block_kinds, tol) -> ExtractResult:
+    """Read QCQP points out of a blockwise rank-<=1 solution, given each
+    block's (ascending) eigendecomposition and numeric rank.
 
     Homogeneous blocks give their factor vector (zero block -> zero
     vector; sign fixed by making the largest-magnitude coordinate
@@ -458,23 +453,6 @@ def extract_point(
     coordinate within tol of +-1; the returned point is g / g_last minus
     the final coordinate. Any block of rank > 1 aborts with its index.
     """
-    # written so that a NaN fails it
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tol must be nonnegative and finite")
-    block_kinds = list(block_kinds)
-    if len(block_kinds) != len(sol.blocks):
-        raise StructureError(
-            f"{len(block_kinds)} kinds for {len(sol.blocks)} blocks"
-        )
-    xs = [blk.to_dense() for blk in sol.blocks]
-    eigs = eigh_many([0.5 * (x + x.T) for x in xs])
-    ranks = rank_of_eigenvalues_many([lam for lam, _ in eigs], rank_tol)
-    return _extract(eigs, ranks, block_kinds, tol)
-
-
-def _extract(eigs, ranks, block_kinds, tol) -> ExtractResult:
-    """extract_point from each block's (ascending) eigendecomposition and
-    numeric rank."""
     points = []
     for bi, ((lam, vec), r, kind) in enumerate(zip(eigs, ranks, block_kinds)):
         if r > 1:

@@ -76,12 +76,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import symkernel as sk
-from .errors import DimensionError, InfeasibleStructureError
+from .errors import InfeasibleStructureError
 from .qcqp_model import _int_at_least
 from .sdpr_builder import (
     BlockSdp,
@@ -625,62 +624,3 @@ def solve(b: BlockSdp, max_iter: int = 200) -> SdpSolution:
     p = _Problem(b)
     ipm = _Ipm(p, n)
     return _solution(p, ipm.run(), ipm.history)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Pure verification summary of a solution against its BlockSdp."""
-
-    row_residuals: np.ndarray
-    min_eigenvalues: list
-    min_slack: float
-    primal_objective: float
-    dual_objective: float
-    gap: float
-    within_tol: bool
-
-    @property
-    def max_row_residual(self) -> float:
-        return float(np.abs(self.row_residuals).max(initial=0.0))
-
-
-def check_solution(b: BlockSdp, sol: SdpSolution, tol: float) -> ResidualReport:
-    """Recompute feasibility residuals, block eigenvalue floors, and the
-    duality gap of sol for b; no mutation, no solving."""
-    if len(sol.blocks) != b.n_blocks:
-        raise DimensionError(
-            f"{len(sol.blocks)} solution blocks for {b.n_blocks} problem blocks"
-        )
-    for x, dim in zip(sol.blocks, b.block_dims):
-        if x.dim != dim:
-            raise DimensionError(f"solution block dim {x.dim} != {dim}")
-    if len(sol.slacks) != b.n_rows:
-        raise DimensionError("slack vector length mismatch")
-
-    op = b.operator
-    lhs = op.apply([x.to_dense() for x in sol.blocks])
-    res = lhs + op.slack_coeffs * sol.slacks - op.rhs
-    min_eigs = [float(sk.eigvalsh(x.to_dense())[0]) for x in sol.blocks]
-    min_slack = float(sol.slacks.min(initial=0.0))
-    pobj = sum(
-        float(np.sum(cb.to_dense() * xb.to_dense()))
-        for cb, xb in zip(b.objective, sol.blocks)
-    )
-    dobj = float(op.rhs @ sol.dual_multipliers)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    scale = 1.0 + max((x.norm() for x in sol.blocks), default=0.0)
-    ok = (
-        float(np.abs(res).max(initial=0.0)) <= tol * (1.0 + np.abs(op.rhs).max(initial=0.0))
-        and min(min_eigs, default=0.0) >= -tol * scale
-        and min_slack >= -tol
-        and gap <= tol
-    )
-    return ResidualReport(
-        row_residuals=res,
-        min_eigenvalues=min_eigs,
-        min_slack=min_slack,
-        primal_objective=pobj,
-        dual_objective=dobj,
-        gap=gap,
-        within_tol=bool(ok),
-    )

@@ -4,12 +4,17 @@ need: each is defined here once and imported read-only.
 * family(alpha, copies): copies of example 5.1 joined, rhs summed;
 * convex_rank_two() and sign_salvage(): the one-entry connections of
   judge's convex and sign witness routes;
+* row_ratio_overflow(): a connection judge stops on with a RangeError;
 * walk_instance(seed): a block SDP whose every feasible point is optimal,
   with a full-rank hand_solution to walk rank reduction from;
 * random_connection(seed): a seeded connection of mixed entry kinds
   (random_entry), the draws that reach every solver stop;
 * strip_variable_free_rows(q): q without its identically-zero rows, the
-  problem whose certificates judge reads off an inhomogeneous entry.
+  problem whose certificates judge reads off an inhomogeneous entry;
+* is_feasible(q, u, tol), hom_values(h, vs) and check_solution(b, sol,
+  tol): independent one-instance loops (a point's feasibility, a
+  homogeneous entry's row values, a solution's residuals) that the
+  stacked library stages are checked against.
 
 This module imports neither pytest nor hypothesis, so a tool can import
 it with only numpy and sepqcqp on its path.
@@ -17,10 +22,15 @@ it with only numpy and sepqcqp on its path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from sepqcqp import symkernel as sk
+from sepqcqp.errors import DimensionError
 from sepqcqp.examples import make_example51
 from sepqcqp.qcqp_model import HomSepQcqp, Qcqp, QuadFunc, Relation, SeparableQcqp
+from sepqcqp.qcqp_model import eval as eval_quad
 from sepqcqp.sdpr_builder import BlockSdp, SdpSolution, SolveStatus
 from sepqcqp.symkernel import SymMatrix
 
@@ -64,6 +74,20 @@ def sign_salvage():
     gamma = np.array([1.5242410941764937, 0.1661463218805923])
     q = Qcqp(1, obj, [(f, Relation.LE) for f in rows], gamma)
     return SeparableQcqp([q], gamma)
+
+
+def row_ratio_overflow():
+    """Two homogeneous entries of one 2 x 2 block over two <= rows; the
+    second entry's rows are I and 1e200 I, so the squared norm of its row
+    2 overflows and judge cannot compare the two rows for proportionality."""
+    i1, i2 = SymMatrix.identity(1), SymMatrix.identity(2)
+    first = HomSepQcqp([[i1, i1, SymMatrix.zeros(1)]], [Relation.LE] * 2, [1.0, 0.0])
+    second = HomSepQcqp(
+        [[SymMatrix.from_dense(np.diag([1.0, 2.0])), i2, SymMatrix.from_dense(1e200 * np.eye(2))]],
+        [Relation.LE] * 2,
+        [1.0, 1e200],
+    )
+    return SeparableQcqp([first, second], [2.0, 1e200])
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +260,98 @@ def strip_variable_free_rows(q: Qcqp):
         [float(q.rhs[k]) for k in kept],
     )
     return reduced, kept
+
+
+# ---------------------------------------------------------------------------
+# one-instance references of the stacked stages
+
+
+def is_feasible(q: Qcqp, u, tol: float) -> bool:
+    """Constraint-wise feasibility within an absolute tolerance.
+
+    LE rows need f(u) <= rhs + tol, EQ rows |f(u) - rhs| <= tol, GE rows
+    f(u) >= rhs - tol.
+    """
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    if u.shape != (q.n,):
+        raise DimensionError(f"point has shape {u.shape}, expected ({q.n},)")
+    for (f, rel), d in zip(q.constraints, q.rhs):
+        if not rel.holds(eval_quad(f, u), float(d), tol):
+            return False
+    return True
+
+
+def hom_values(h: HomSepQcqp, vs) -> np.ndarray:
+    """Row values [g_0, g_1, ..., g_m] of a homogeneous problem at block
+    points vs = [v^1, ..., v^q_hat]."""
+    if len(vs) != h.q_hat:
+        raise DimensionError(f"got {len(vs)} block points, expected {h.q_hat}")
+    vals = np.zeros(h.m + 1)
+    for mats, v in zip(h.blocks, vs):
+        v = np.asarray(v, dtype=np.float64).reshape(-1)
+        if v.shape != (mats[0].dim,):
+            raise DimensionError(
+                f"block point has shape {v.shape}, expected ({mats[0].dim},)"
+            )
+        for k, c in enumerate(mats):
+            vals[k] += float(v @ c.to_dense() @ v)
+    return vals
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    """Verification summary of a solution against its BlockSdp."""
+
+    row_residuals: np.ndarray
+    min_eigenvalues: list
+    min_slack: float
+    primal_objective: float
+    dual_objective: float
+    gap: float
+    within_tol: bool
+
+    @property
+    def max_row_residual(self) -> float:
+        return float(np.abs(self.row_residuals).max(initial=0.0))
+
+
+def check_solution(b: BlockSdp, sol: SdpSolution, tol: float) -> ResidualReport:
+    """Recompute feasibility residuals, block eigenvalue floors, and the
+    duality gap of sol for b; no mutation, no solving."""
+    if len(sol.blocks) != b.n_blocks:
+        raise DimensionError(
+            f"{len(sol.blocks)} solution blocks for {b.n_blocks} problem blocks"
+        )
+    for x, dim in zip(sol.blocks, b.block_dims):
+        if x.dim != dim:
+            raise DimensionError(f"solution block dim {x.dim} != {dim}")
+    if len(sol.slacks) != b.n_rows:
+        raise DimensionError("slack vector length mismatch")
+
+    op = b.operator
+    lhs = op.apply([x.to_dense() for x in sol.blocks])
+    res = lhs + op.slack_coeffs * sol.slacks - op.rhs
+    min_eigs = [float(sk.eigvalsh(x.to_dense())[0]) for x in sol.blocks]
+    min_slack = float(sol.slacks.min(initial=0.0))
+    pobj = sum(
+        float(np.sum(cb.to_dense() * xb.to_dense()))
+        for cb, xb in zip(b.objective, sol.blocks)
+    )
+    dobj = float(op.rhs @ sol.dual_multipliers)
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    scale = 1.0 + max((x.norm() for x in sol.blocks), default=0.0)
+    ok = (
+        float(np.abs(res).max(initial=0.0)) <= tol * (1.0 + np.abs(op.rhs).max(initial=0.0))
+        and min(min_eigs, default=0.0) >= -tol * scale
+        and min_slack >= -tol
+        and gap <= tol
+    )
+    return ResidualReport(
+        row_residuals=res,
+        min_eigenvalues=min_eigs,
+        min_slack=min_slack,
+        primal_objective=pobj,
+        dual_objective=dobj,
+        gap=gap,
+        within_tol=bool(ok),
+    )

@@ -8,6 +8,7 @@ family, and the blockwise rank-one guarantee for two-row instances.
 
 import inspect
 import json
+import os
 import time
 
 import numpy as np
@@ -36,12 +37,13 @@ from sepqcqp.qcqp_model import (
     brute_force,
     eval as qeval,
     flatten,
-    is_feasible,
 )
 from sepqcqp.rank_reduction import reduce
 from sepqcqp.sdp_solver import SolveStatus, solve
 from sepqcqp.sdpr_builder import build_hom, build_shor, to_standard_form
 from sepqcqp.symkernel import SymMatrix
+
+from instances import is_feasible
 
 # expected family optima: eta(alpha) for the rows where the relaxation
 # value is pinned, with 22/3 = (14*2.5 - 24)/(2.5 - 1)
@@ -479,11 +481,10 @@ PUBLIC_NAMES = {
     "ValidationError", "VerdictStatus", "aggregated_graph", "bilevel_report",
     "brute_force", "build_block", "build_hom", "build_shor",
     "check_assumption_A", "check_convex", "check_m_le_2",
-    "check_sign_pattern", "connect", "decompose_delta", "eval_quad",
-    "extract_convex_solution", "flatten", "frob_inner", "hom_values",
-    "is_psd", "judge", "lift", "make_example51", "make_example52",
-    "nonpositive_gauge", "numeric_rank", "reduce", "reduce_homogeneous_rows",
-    "sign_gauge", "solve", "split_point", "to_standard_form",
+    "check_sign_pattern", "connect", "eval_quad", "extract_convex_solution",
+    "flatten", "frob_inner", "is_psd", "judge", "lift", "make_example51",
+    "make_example52", "numeric_rank", "reduce", "reduce_homogeneous_rows",
+    "solve", "split_point", "to_standard_form",
 }
 
 
@@ -494,4 +495,33 @@ def test_public_names_are_the_audited_list():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 64
+    assert len(names) == 60
+
+
+def test_reprs_name_the_shapes():
+    s = make_example52(0)
+    first, _, hom = s.blocks
+    assert [repr(x) for x in (s, first, hom, first.objective, first.objective.B)] == [
+        "SeparableQcqp(p_hat=3, m=7)",
+        "Qcqp(n=2, m=7)",
+        "HomSepQcqp(q_hat=3, dims=[2, 2, 2], m=7)",
+        "QuadFunc(n=2)",
+        "SymMatrix(dim=3)",
+    ]
+    assert repr(aggregated_graph(np.ones((1, 2, 2)))) == "SparsityGraph(n=2, edges=1)"
+
+
+def test_readme_library_tour_runs(capsys):
+    """The README's library tour runs as written and prints what its
+    comments say, up to solver tolerance."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        tour = fh.read().split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert abs(ns["sol"].value + 1.0) <= 1e-6
+    assert np.allclose(ns["x"], [1.0, 0.0], rtol=0.0, atol=1e-3)
+    assert ns["v"].status is VerdictStatus.EXACT_CERTIFIED
+    assert abs(ns["v"].eta + 1.0) <= 1e-6

@@ -18,12 +18,9 @@ from sepqcqp.certificates import (
     check_convex,
     check_m_le_2,
     check_sign_pattern,
-    cycle_basis,
     extract_convex_solution,
-    nonpositive_gauge,
     pataki_count,
     reduce_homogeneous_rows,
-    sign_gauge,
 )
 from sepqcqp.errors import DimensionError, StructureError
 from sepqcqp.examples import make_example51
@@ -163,6 +160,28 @@ class TestAggregatedGraph:
 
 def graph_from_edges(n, sigma_edges):
     return SparsityGraph(n, dict(sigma_edges))
+
+
+def cycle_basis(g):
+    """The fundamental cycles check_sign_pattern tests: one per non-tree
+    edge of the walk's spanning forest, in sorted edge order."""
+    parent, _, _, loose = certificates._walk(g)
+    return [certificates._fundamental_cycle(parent, e) for e in loose]
+
+
+def sign_gauge(g):
+    """The walk's gauge, with no linear parts to orient."""
+    return certificates._oriented_gauge(g, np.zeros((0, g.n)))
+
+
+def nonpositive_gauge(q):
+    """The gauge of q's functions: their aggregated graph's walk, each
+    component oriented by the linear parts."""
+    funcs = [q.objective] + [f for f, _ in q.constraints]
+    return certificates._oriented_gauge(
+        aggregated_graph([f.quad_part() for f in funcs]),
+        np.array([f.linear_part() for f in funcs]),
+    )
 
 
 class TestCycleBasis:
@@ -527,8 +546,8 @@ def gauge_qcqps(draw):
 
 
 class TestOneWalk:
-    """check_sign_pattern, sign_gauge, cycle_basis and nonpositive_gauge read
-    one walk, and answer as the parent's separate walks did."""
+    """check_sign_pattern, the walk's cycles and the gauges read one walk,
+    and answer as the parent's separate walks did."""
 
     @settings(max_examples=300, deadline=None)
     @given(signed_graphs())

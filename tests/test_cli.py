@@ -36,6 +36,8 @@ from sepqcqp.qcqp_model import (
 )
 from sepqcqp.symkernel import SymMatrix
 
+from instances import row_ratio_overflow
+
 
 def qf(quad, linear=None):
     return QuadFunc.from_parts(np.asarray(quad, dtype=float), linear)
@@ -760,7 +762,8 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "case", ["overflowing-entry", "not-utf8", "out-dir-missing", "negative-seed"]
+        "case",
+        ["overflowing-entry", "row-ratio-overflow", "not-utf8", "out-dir-missing", "negative-seed"],
     )
     def test_failure_exits_1_with_one_error_line(self, capsys, tmp_path, case):
         path = tmp_path / "p.sq"
@@ -769,6 +772,8 @@ class TestExitCodes:
         if case == "overflowing-entry":
             # symmetrizing doubles the entry past the largest float
             path.write_text(QCQP_TEXT.replace("1 3 -1.0", "1 3 1e308"))
+        elif case == "row-ratio-overflow":
+            write_problem(row_ratio_overflow(), str(path))
         elif case == "not-utf8":
             path.write_bytes(QCQP_TEXT.encode().replace(b"tiny", b"t\xffny"))
         elif case == "out-dir-missing":
@@ -781,6 +786,7 @@ class TestExitCodes:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         want = {
             "overflowing-entry": "blocks[0].matrices[0].entries[1]",
+            "row-ratio-overflow": "error: entry 1 row 2: the ratio of its norm inf",
             "not-utf8": "line 1: not UTF-8",
             "out-dir-missing": "No such file or directory",
             "negative-seed": "argument --seed",

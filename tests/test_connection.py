@@ -18,7 +18,6 @@ from sepqcqp.certificates import (
     SignCase,
     check_convex,
     check_m_le_2,
-    nonpositive_gauge,
     reduce_homogeneous_rows,
 )
 from sepqcqp.cli import verdict_to_dict
@@ -28,7 +27,6 @@ from sepqcqp.connection import (
     JudgeOptions,
     VerdictStatus,
     bilevel_report,
-    decompose_delta,
     judge,
 )
 from sepqcqp.errors import (
@@ -53,7 +51,12 @@ from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import SolveStatus, build_block, build_hom, build_shor
 from sepqcqp.symkernel import SymMatrix, frob_inner, is_psd
 
-from instances import family, random_connection, strip_variable_free_rows
+from instances import (
+    family,
+    random_connection,
+    row_ratio_overflow,
+    strip_variable_free_rows,
+)
 from test_sdp_solver import family_value
 
 
@@ -100,11 +103,11 @@ def solved(s):
     return sol
 
 
-class TestDecomposeDelta:
+class TestDeltaDecomposition:
     def test_single_entry_is_achieved_values(self):
         s = single_convex_connection()
-        sol = solved(s)
-        deltas = decompose_delta(s, sol)
+        v = judge(s)
+        sol, deltas = v.relaxation, v.delta_decomposition
         assert len(deltas) == 1
         x = sol.blocks[0]
         entry = s.blocks[0]
@@ -115,8 +118,8 @@ class TestDecomposeDelta:
 
     def test_two_block_sum_matches_gamma_on_active_rows(self):
         s = two_convex_connection()
-        sol = solved(s)
-        deltas = decompose_delta(s, sol)
+        v = judge(s)
+        sol, deltas = v.relaxation, v.delta_decomposition
         total = np.sum(deltas, axis=0)
         for k in range(s.m):
             if sol.slacks[k] <= 1e-7:
@@ -126,19 +129,12 @@ class TestDecomposeDelta:
 
     def test_example52_hom_rows_carry_the_whole_residual(self):
         s = make_example52(0)
-        sol = solved(s)
-        d1, d2, d3 = decompose_delta(s, sol)
+        d1, d2, d3 = judge(s).delta_decomposition
         # rows 1 and 2 are variable-free for the first two entries
         assert d1[0] == 0.0 and d1[1] == 0.0
         assert d2[0] == 0.0 and d2[1] == 0.0
         # the equality row is carried entirely by the homogeneous entry
         assert abs(d3[0] - (s.gamma[0] - d1[0] - d2[0])) <= 1e-6
-
-    def test_block_count_mismatch(self):
-        s = single_convex_connection()
-        other = solved(two_convex_connection())
-        with pytest.raises(DimensionError):
-            decompose_delta(s, other)
 
 
 def entry_gaps(s, sol, tol=1e-6):
@@ -546,15 +542,14 @@ class TestMakeExample52:
     def test_second_entry_gauges_to_nonpositive(self):
         s = make_example52(2)
         stripped, _ = strip_variable_free_rows(s.blocks[1])
-        d = nonpositive_gauge(stripped)
+        d = judged_gauge(stripped)
         assert d is not None
         # all couplings already nonpositive, so the identity gauge works
         assert np.allclose(d, np.ones(stripped.n))
 
     def test_hom_entry_reduces_to_four_rows_at_allocation(self):
         s = make_example52(0)
-        sol = solved(s)
-        deltas = decompose_delta(s, sol)
+        deltas = judge(s).delta_decomposition
         h = s.blocks[2]
         h_alloc = HomSepQcqp(h.blocks, list(h.relations), deltas[2])
         reduced, dropped = reduce_homogeneous_rows(h_alloc)
@@ -579,12 +574,18 @@ class TestMakeExample52:
             examples.make_example52(0)
 
 
+def judged_gauge(q):
+    """The sign gauge judge reads off the one-entry connection of q."""
+    stacks = connection._EntryStacks(SeparableQcqp([q], q.rhs))
+    return connection._certify_qcqp_entries(stacks)[0][1]
+
+
 class TestNonpositiveGauge:
     def test_positive_coupling_flipped(self):
         # +xy coupling plus linear parts that pin the orientation
         obj = qf([[0.0, 1.0], [1.0, 0.0]], [-2.0, 2.0])
         q = Qcqp(2, obj, [(qf(np.eye(2)), Relation.LE)], [1.0])
-        d = nonpositive_gauge(q)
+        d = judged_gauge(q)
         assert d is not None
         assert np.allclose(d, [1.0, -1.0])
 
@@ -593,14 +594,42 @@ class TestNonpositiveGauge:
         # leave some gauged linear coefficient positive
         obj = qf([[0.0, 1.0], [1.0, 0.0]], [2.0, 2.0])
         q = Qcqp(2, obj, [(qf(np.eye(2)), Relation.LE)], [1.0])
-        assert nonpositive_gauge(q) is None
+        assert judged_gauge(q) is None
 
     def test_odd_positive_cycle_fails(self):
         quad = np.array(
             [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         )
         q = Qcqp(3, qf(quad), [(qf(np.eye(3)), Relation.LE)], [1.0])
-        assert nonpositive_gauge(q) is None
+        assert judged_gauge(q) is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOverflowingRows:
+    """Rows judge cannot compare or symmetrize stop it with a RangeError
+    naming the entry (0-based, as blocks[p] in a problem file) and the row
+    (1-based, as its matrix k)."""
+
+    def test_homogeneous_row_norm_ratio(self):
+        with pytest.raises(RangeError) as exc:
+            judge(row_ratio_overflow())
+        assert str(exc.value) == (
+            "entry 1 row 2: the ratio of its norm inf to row 1's 1.41421 is not finite"
+        )
+
+    def test_inhomogeneous_quadratic_part_beyond_half_max(self):
+        # SymMatrix(...) takes the entry as given, where from_dense would
+        # overflow symmetrizing it; row 2 pins x2 = 0, so the solve is
+        # Optimal and the entry is not convex
+        def quad(diag):
+            return QuadFunc(2, SymMatrix(np.diag([*diag, 0.0])))
+
+        le = Relation.LE
+        first = Qcqp(1, qf([[1.0]]), [(qf([[1.0]]), le), (QuadFunc.zero(1), le)], [1.0, 0.0])
+        rows = [(quad([1.0, 0.0]), le), (quad([0.0, 1e308]), le)]
+        second = Qcqp(2, quad([-1.0, 1.0]), rows, [1.0, 0.0])
+        with pytest.raises(RangeError, match="^entry 1 row 2: a quadratic-part entry exceeds"):
+            judge(SeparableQcqp([first, second], [2.0, 0.0]))
 
 
 class TestInvariants:
@@ -677,7 +706,9 @@ class TestEntryOrder:
     """Permuting a connection's entries changes no verdict status. The
     relaxation's sums over blocks run in block order, so the bits may
     move, and with them a failing solve's stop (MaxIter for
-    NumericalFailure, say), but not what the verdict says."""
+    NumericalFailure, say), but not what the verdict says. The known
+    exceptions, where the bits decide whether the solve reaches Optimal
+    at all, are pinned as expected failures."""
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
     @settings(max_examples=15, deadline=None)
@@ -685,6 +716,26 @@ class TestEntryOrder:
         s, _ = random_connection(seed)
         assume(len(s.blocks) > 1)
         perm = data.draw(st.permutations(range(len(s.blocks))))
+        before, after = permuted_statuses(s, perm)
+        assert before is after
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 7: the block-order sums decide whether the "
+        "solve stops short of Optimal, and with it the verdict status",
+    )
+    @pytest.mark.parametrize(
+        "seed, perm",
+        [
+            # NumericalFailure at iteration 87 (Undetermined) in one order,
+            # Optimal at 83 (ExactCertified) in the other
+            (1886, [3, 1, 0, 2]),
+            # Optimal at 142 (ExactWitnessed), MaxIter at 200 (Undetermined)
+            (67, [2, 1, 0]),
+        ],
+    )
+    def test_random_connection_flips(self, seed, perm):
+        s, _ = random_connection(seed)
         before, after = permuted_statuses(s, perm)
         assert before is after
 
@@ -891,7 +942,7 @@ class TestQcqpRowCheckReference:
         stacks = connection._EntryStacks(s)
         achieved = stacks.at_blocks(sol.blocks)
         got, _ = connection._entry_reports(stacks, b, sol, achieved, tol)
-        want = reference_analysis(s, b, sol, decompose_delta(s, sol), tol)
+        want = reference_analysis(s, b, sol, list(achieved[:, 1:]), tol)
         assert [
             repr((pb.sub_sdpr_value, pb.optimality_gap)) for pb in got
         ] == [repr(w) for w in want]

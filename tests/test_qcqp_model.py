@@ -26,13 +26,13 @@ from sepqcqp.qcqp_model import (
     eval as eval_quad,
     flatten,
     hom_to_qcqp,
-    hom_values,
-    is_feasible,
     lift,
     split_point,
 )
 from sepqcqp.sdpr_builder import BlockSdp
 from sepqcqp.symkernel import SymMatrix, frob_inner
+
+from instances import hom_values, is_feasible
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sepqcqp.connection import decompose_delta
+from sepqcqp.connection import judge
 from sepqcqp.errors import InfeasibleStructureError
 from sepqcqp.examples import make_example51, make_example52
 from sepqcqp.qcqp_model import (
@@ -18,11 +18,7 @@ from sepqcqp.qcqp_model import (
     flatten,
 )
 from sepqcqp import sdp_solver
-from sepqcqp.sdp_solver import (
-    ResidualReport,
-    check_solution,
-    solve,
-)
+from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import (
     BlockSdp,
     SdpSolution,
@@ -33,7 +29,7 @@ from sepqcqp.sdpr_builder import (
 )
 from sepqcqp.symkernel import SymMatrix, numeric_rank
 
-from instances import strip_variable_free_rows
+from instances import check_solution, strip_variable_free_rows
 
 
 def qf(quad, linear=None):
@@ -442,7 +438,7 @@ def mixed_batch() -> list:
     for seed in (0, 3):
         s = make_example52(seed)
         out.append(build_block(s))
-        deltas = decompose_delta(s, solve(out[-1]))
+        deltas = judge(s).delta_decomposition
         for entry, delta in zip(s.blocks, deltas):
             if isinstance(entry, Qcqp):
                 q = Qcqp(entry.n, entry.objective, list(entry.constraints), delta)

@@ -21,8 +21,6 @@ from sepqcqp.qcqp_model import (
     SeparableQcqp,
     connect,
     eval as eval_quad,
-    hom_values,
-    is_feasible,
     lift,
 )
 from sepqcqp.connection import judge
@@ -37,6 +35,8 @@ from sepqcqp.sdpr_builder import (
 )
 from sepqcqp.sdp_solver import solve
 from sepqcqp.symkernel import SymMatrix, frob_inner
+
+from instances import hom_values, is_feasible
 
 
 def qf(quad, linear=None):

@@ -28,7 +28,6 @@ from sepqcqp.certificates import (
     aggregated_graph,
     check_convex,
     check_sign_pattern,
-    nonpositive_gauge,
 )
 from sepqcqp.errors import DimensionError
 from sepqcqp.qcqp_model import (
@@ -37,7 +36,6 @@ from sepqcqp.qcqp_model import (
     QuadFunc,
     Relation,
     SeparableQcqp,
-    hom_values,
 )
 from sepqcqp.qcqp_model import eval as qf_eval
 from sepqcqp.symkernel import (
@@ -48,7 +46,8 @@ from sepqcqp.symkernel import (
     rank_of_eigenvalues_many,
 )
 
-from instances import random_connection, scaled
+from instances import hom_values, random_connection, scaled
+from test_certificates import parent_nonpositive_gauge
 
 # ---------------------------------------------------------------------------
 # the parent's one-entry stages
@@ -144,7 +143,7 @@ def parent_certify_qcqp_entry(entry: Qcqp):
     cert = parent_check_convex(stripped)
     if cert.holds:
         return cert, None
-    gauge = nonpositive_gauge(stripped)
+    gauge = parent_nonpositive_gauge(stripped)
     if gauge is not None:
         funcs = [stripped.objective] + [f for f, _ in stripped.constraints]
         return (
