@@ -388,8 +388,10 @@ def reduce_homogeneous_rows(h: HomSepQcqp, tol: float = 1e-12):
         if vacuous:
             drop.add(k)
     # the Frobenius norm of every row on every block (SymMatrix.norm's, one
-    # stacked product per block), and each row's largest one
-    norms = [np.sqrt(frob_inner_many(st, st)).tolist() for st in rows]
+    # stacked product per block), and each row's largest one; a norm that
+    # overflows to inf is reported by the ratio test below
+    with np.errstate(over="ignore"):
+        norms = [np.sqrt(frob_inner_many(st, st)).tolist() for st in rows]
     peak = [max(nq[k] for nq in norms) for k in range(m)]
 
     def proportional(k, j):

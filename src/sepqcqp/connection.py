@@ -592,8 +592,7 @@ def _oracle_box(n, sol):
     4-variable box near a million points rather than 1e8."""
     diag_max = 0.0
     for blk in sol.blocks:
-        dense = blk.to_dense()
-        diag_max = max(diag_max, float(np.max(np.diag(dense), initial=0.0)))
+        diag_max = max(diag_max, float(np.max(np.diag(blk.array), initial=0.0)))
     r = int(math.ceil(1.2 * max(1.0, math.sqrt(max(diag_max, 0.0))) + 1.0))
     grid = min(10 * r + 1, 101)
     while grid**n > 101**3:

@@ -12,7 +12,9 @@ variant (no linear or constant terms, no homogenization coordinate) is kept
 in HomSepQcqp with per-block coefficient matrices C^q_k.
 
 The brute-force grid search at the bottom is the desk-scale oracle used to
-cross-check relaxation values on problems with at most 4 variables.
+cross-check relaxation values on problems with at most 4 variables. It
+evaluates a function at a grid point as its term sum, and that one value
+decides both feasibility and the minimum.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, RangeError, StructureError
-from .symkernel import SymMatrix, frob_inner
+from .symkernel import SymMatrix
 
 
 class Relation(enum.Enum):
@@ -411,26 +412,13 @@ def split_point(s: SeparableQcqp, u) -> list[np.ndarray]:
 #: returned as the value when no feasible grid point exists
 INFEASIBLE = math.inf
 
-#: grid points screened at once; bounds the oracle's memory at any grid size
+#: grid points evaluated at once; bounds the oracle's memory at any grid size
 _SLAB = 1 << 16
 
 #: a round of several slabs is walked as one list of survivors when that
-#: list holds at most _SLAB / _LIST_SHARE points: a row screened on the
+#: list holds at most _SLAB / _LIST_SHARE points: a row evaluated on the
 #: list costs several times more per point than on the tensor grid
 _LIST_SHARE = 8
-
-#: smallest batch whose eval_many values match those of any larger batch:
-#: numpy sums a batch of one or two points in another order
-_MIN_BATCH = 3
-
-
-def _eval_batched(f: QuadFunc, pts: np.ndarray) -> np.ndarray:
-    """f.eval_many(pts), each value bit-equal to the one a larger batch gives."""
-    if pts.shape[0] >= _MIN_BATCH:
-        return f.eval_many(pts)
-    padded = np.zeros((_MIN_BATCH, f.n))
-    padded[: pts.shape[0]] = pts
-    return f.eval_many(padded)[: pts.shape[0]]
 
 
 def _terms(f: QuadFunc) -> list:
@@ -449,42 +437,22 @@ def _terms(f: QuadFunc) -> list:
     return out
 
 
-def _margin(terms, d: float, bounds) -> float:
-    """1e-12 times a bound on the sum of |term| and |d|: hundreds of times
-    the rounding error of the grid sum or of eval_many, so the two lie
-    within it of each other. inf where either could overflow: the sum of
-    the terms with each factor raised to at least 1 bounds every product
-    and partial sum einsum forms, in whatever order it multiplies."""
-    size = reach = 0.0
-    for c, i, j in terms:
-        bj = 1.0 if j is None else bounds[j]
-        size += abs(c) * bounds[i] * bj
-        reach += max(1.0, abs(c)) * max(1.0, bounds[i]) * max(1.0, bj)
-    if not (2.0 * reach < math.inf and size < math.inf):
-        return math.inf
-    return 1e-12 * (1.0 + size + abs(d))
-
-
 def _grid_values(terms, coords):
-    """Sum of terms on the tensor grid; coords[i] varies along one slab axis.
-    A numpy scalar when there are no terms, so relation tests stay boolean."""
+    """The oracle's value of a function at every point: its terms added in
+    order, each (c u_i) u_j or c u_i. coords[i] holds u_i, varying along
+    one axis of the tensor grid or listed point by point; either way a
+    point's value takes the same operations, so the same bits. A numpy
+    scalar when there are no terms, so relation tests stay boolean."""
     vals = np.float64(0.0)
     for c, i, j in terms:
         vals = vals + (c * coords[i] if j is None else (c * coords[i]) * coords[j])
     return vals
 
 
-def _points(cols, which) -> np.ndarray:
-    """The points cols[:, which] as a C-ordered (N, n) array: eval_many's
-    sums follow the memory layout, and the full-grid pass is C-ordered."""
-    return np.ascontiguousarray(cols[:, which].T)
-
-
-def _listing(keep, sure, coords, axis_of, shape):
+def _listing(keep, coords, axis_of, shape):
     """The points keep holds, in C order, as the columns of an (n, N)
-    array, and sure at each of them; None when the scan would cover more
-    than _SLAB points. keep and sure broadcast along their axes of length
-    1, sure along every axis keep does; keep is scanned only up to its
+    array; None when the scan would cover more than _SLAB points. keep
+    broadcasts along its axes of length 1; it is scanned only up to its
     last longer axis, and the axes after it are filled in by repetition."""
     ks = np.shape(keep)
     last = max((a + 1 for a, k in enumerate(ks) if k > 1), default=len(shape))
@@ -493,57 +461,37 @@ def _listing(keep, sure, coords, axis_of, shape):
         return None
     at = np.flatnonzero(np.broadcast_to(np.reshape(keep, ks[:last]), head))
     idx = np.unravel_index(at, head)
-    sure = np.broadcast_to(np.reshape(sure, np.shape(sure)[:last]), head)[idx]
-    cols = np.empty((len(coords), at.shape[0] * math.prod(tail)))
-    if not tail:
-        for v, c in enumerate(coords):
-            cols[v] = c.ravel()[idx[axis_of[v]]]
-        return cols, sure
     r = math.prod(tail)
-    inner = np.unravel_index(np.arange(r), tail)
+    inner = np.unravel_index(np.arange(r), tail) if tail else ()
+    cols = np.empty((len(coords), at.shape[0] * r))
     for v, c in enumerate(coords):
         a = axis_of[v]
         if a < last:
             cols[v] = np.repeat(c.ravel()[idx[a]], r)
         else:
             cols[v] = np.tile(c.ravel()[inner[a - last]], at.shape[0])
-    return cols, np.repeat(sure, r)
-
-
-def _screen(rel, vals, d: float, feas_tol: float, margin: float):
-    """A row's screen on its grid sums, as (kept, sure) masks. kept holds
-    where a sum holds within feas_tol + margin or is NaN, so every
-    feasible point is kept; sure where it holds within feas_tol - margin,
-    so eval_many holds within feas_tol there. A finite margin makes every
-    sum finite (see _margin); with an infinite one no point is sure."""
-    kept = rel.holds(vals, d, feas_tol + margin) | np.isnan(vals)
-    if margin == math.inf:
-        return kept, False
-    return kept, rel.holds(vals, d, feas_tol - margin)
+    return cols
 
 
 def _slab_feasible(rows, coords, axis_of, shape, feas_tol, whole=False):
-    """Exactly feasible points of one slab, in C order, as the columns of
-    an (n, N) array.
+    """Feasible points of one slab, in C order, as the columns of an
+    (n, N) array: those where every row's value (_grid_values) holds its
+    relation within feas_tol. A NaN value holds no relation.
 
-    rows holds (f, relation, rhs, terms, margin). Each row is screened by
-    its grid sums (_screen) on the slab's broadcast tensor grid, and the
-    survivors are listed once, in C order. whole marks a slab that is a
-    whole round of more than _SLAB points: there a row takes its own
-    broadcast grid only while keep's grid stays within _SLAB points, and
-    every other row, such as one over every axis, is screened on the
-    survivors' coordinate columns, where a value takes the same operations
-    as on the grid and so is bit-equal to it. Such a slab gives None when
-    its list would hold more than _SLAB / _LIST_SHARE points or its scan
-    more than _SLAB, and the round is walked slab by slab instead. A
-    survivor that every row's screen finds sure is feasible; only the
-    rest, the band, is re-checked with eval_many and feas_tol.
+    rows holds (relation, rhs, terms). Each row is evaluated on the
+    slab's broadcast tensor grid, and the points that hold are listed
+    once, in C order. whole marks a slab that is a whole round of more
+    than _SLAB points: there a row takes its own broadcast grid only
+    while keep's grid stays within _SLAB points, and every other row,
+    such as one over every axis, is evaluated on the listed points'
+    coordinate columns. Such a slab gives None when its list would hold
+    more than _SLAB / _LIST_SHARE points or its scan more than _SLAB,
+    and the round is walked slab by slab instead.
     """
-    n = len(coords)
-    keep = sure = True
+    keep = True
     listed, grid_axes = [], set()
     for row in rows:
-        _, rel, d, terms, margin = row
+        rel, d, terms = row
         if whole:
             axes = {axis_of[v] for _, i, j in terms for v in (i, j) if v is not None}
             axes |= grid_axes
@@ -551,45 +499,24 @@ def _slab_feasible(rows, coords, axis_of, shape, feas_tol, whole=False):
                 listed.append(row)
                 continue
             grid_axes = axes
-        kept, certain = _screen(rel, _grid_values(terms, coords), d, feas_tol, margin)
-        keep = keep & kept
+        keep = keep & rel.holds(_grid_values(terms, coords), d, feas_tol)
         if not keep.any():
-            return np.empty((n, 0))
-        sure = sure & certain
+            return np.empty((len(coords), 0))
     # keep broadcasts evenly along the axes it leaves out
     survivors = np.count_nonzero(keep) * (math.prod(shape) // np.size(keep))
     if whole and _LIST_SHARE * survivors > _SLAB:
         return None
-    listing = _listing(keep, sure, coords, axis_of, shape)
-    if listing is None:
+    cols = _listing(keep, coords, axis_of, shape)
+    if cols is None:
         return None
-    cols, sure = listing
-    kept = True
-    for _, rel, d, terms, margin in listed:
-        row_kept, certain = _screen(rel, _grid_values(terms, cols), d, feas_tol, margin)
-        kept = kept & row_kept
-        sure &= certain
-    band = np.flatnonzero(kept & ~sure)
-    for f, rel, d, *_ in rows:
-        if band.shape[0] == 0:
-            break
-        band = band[rel.holds(_eval_batched(f, _points(cols, band)), d, feas_tol)]
-    sure[band] = True
-    return cols[:, sure]
+    for rel, d, terms in listed:
+        # a listed row has terms, so its values are one per column
+        cols = cols[:, rel.holds(_grid_values(terms, cols), d, feas_tol)]
+    return cols
 
 
-def _near_minimum(terms, margin, cols) -> np.ndarray:
-    """Mask of the points (columns of cols) whose exact objective may be
-    the least: grid value within 2 margin of the least grid value, which
-    keeps every exact minimum. All points where a grid value is not
-    finite, and so where the margin is not (eval_many may read NaN)."""
-    vals = _grid_values(terms, cols)
-    if not np.all(np.isfinite(vals)):
-        return np.ones(cols.shape[1], dtype=bool)
-    return np.broadcast_to(vals <= np.min(vals) + 2.0 * margin, cols.shape[1:])
-
-
-# the screen's grid sums overflow on purpose near 1e307 (see _margin)
+# the grid values of rows with huge coefficients overflow to inf, and to
+# NaN where two infinities meet or one meets a zero coordinate
 @np.errstate(over="ignore", invalid="ignore")
 def brute_force(
     q: Qcqp,
@@ -606,19 +533,22 @@ def brute_force(
     around it. Returns (value, point); (math.inf, None) when no feasible
     grid point was found. Ties go to the first point in C order of the grid.
 
+    A function's value at a grid point is its term sum: the terms
+    c u_i u_j and c u_i of its quadratic and linear parts, added in a
+    fixed order from the 1-D axes (_grid_values). A point is feasible
+    where every row's value holds its relation within feas_tol; a NaN
+    holds none, and +-inf compare as IEEE compares them. The round's
+    value is the least objective value over its feasible points, the
+    first in C order (a NaN there, as np.argmin finds it first, leaves
+    the incumbent as it was). Apart from the last bits of rounding, this
+    agrees with QuadFunc.eval_many except where a coefficient times a
+    coordinate squared comes near 1e308, where one sum overflows and the
+    other need not.
+
     A round walks its grid in C order, in slabs of about _SLAB points, so
     memory stays bounded at any grid size; a round whose rows over part of
-    the axes leave few enough survivors is taken as one slab, listed point
-    by point. The rows' grid sums, added term by term from the 1-D axes,
-    first screen the grid with feas_tol widened by an error margin, which
-    keeps a superset of the feasible points. A survivor whose sums hold
-    within feas_tol narrowed by the same margin is feasible; only the
-    others, the band, are confirmed with QuadFunc.eval_many and the exact
-    relation test (_slab_feasible). Of a slab's feasible points, only those
-    whose grid objective lies within twice its margin of the slab's least
-    are evaluated exactly, every point where a grid objective is not
-    finite. Value and point are bit-equal to one eval_many pass over the
-    whole grid.
+    the axes leave few enough feasible points is taken as one slab, listed
+    point by point (_slab_feasible).
 
     grid_points (at least 11) and refine_rounds (at least 0) are integers,
     not bools; feas_tol is finite and at least 0.
@@ -667,7 +597,7 @@ def brute_force(
     trail_shape = [(1,) * (1 + k) + (g,) + (1,) * (t - 1 - k) for k in range(t)]
     lead_idx = np.unravel_index(np.arange(n_tuples), (g,) * lead) if lead else ()
 
-    terms = [_terms(f) for f, _ in q.constraints]
+    rows = [(rel, d, _terms(f)) for (f, rel), d in zip(q.constraints, q.rhs)]
     obj_terms = _terms(q.objective)
     best_val = INFEASIBLE
     best_pt = None
@@ -676,20 +606,10 @@ def brute_force(
         los = np.maximum(pairs[:, 0], centers - 0.5 * widths)
         his = np.minimum(pairs[:, 1], centers + 0.5 * widths)
         axes = [np.linspace(lo, hi, grid_points) for lo, hi in zip(los, his)]
-        bounds = [max(abs(float(a[0])), abs(float(a[-1]))) for a in axes]
         # a round's coordinates along the slab axes, axis 0 over all tuples
         coords = [axes[i][lead_idx[i]].reshape((-1,) + (1,) * t) for i in range(lead)]
         coords += [axes[lead + k].reshape(trail_shape[k]) for k in range(t)]
-        rows = [
-            (f, rel, d, tm, _margin(tm, d, bounds))
-            for (f, rel), d, tm in zip(q.constraints, q.rhs, terms)
-        ]
-        obj_margin = _margin(obj_terms, 0.0, bounds)
 
-        # each slab's first minimum, in slab order; `first` keeps the round's
-        # first feasible points in case it finds fewer than _MIN_BATCH
-        cand_vals, cand_pts = [], []
-        found, first = 0, []
         slabs = None
         if n_tuples > per_slab:
             # a round of several slabs is first tried as one list
@@ -708,22 +628,15 @@ def brute_force(
                 )
                 for s0 in range(0, n_tuples, per_slab)
             )
+        # each slab's first minimum, in slab order
+        cand_vals, cand_pts = [], []
         for cols in slabs:
             if cols.shape[1] == 0:
                 continue
-            near = _points(cols, _near_minimum(obj_terms, obj_margin, cols))
-            obj = _eval_batched(q.objective, near)
+            obj = np.broadcast_to(_grid_values(obj_terms, cols), cols.shape[1:])
             i = int(np.argmin(obj))
             cand_vals.append(obj[i])
-            cand_pts.append(near[i].copy())
-            if found < _MIN_BATCH:
-                first.append(_points(cols, slice(0, _MIN_BATCH)))
-            found += cols.shape[1]
-
-        if 0 < found < _MIN_BATCH:
-            # a pass over the whole grid evaluates exactly these points
-            feasible = np.concatenate(first)
-            cand_vals, cand_pts = list(q.objective.eval_many(feasible)), list(feasible)
+            cand_pts.append(cols[:, i].copy())
         if cand_vals:
             # argmin over the slabs' first minima is the round's first
             # minimum (or first NaN), as one argmin over every point gives

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation, SeparableQcqp, _check_finite
-from .symkernel import SymMatrix
 
 #: the package's directory, which dropped-row warnings look past
 _HERE = os.path.dirname(__file__)

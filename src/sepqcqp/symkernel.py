@@ -145,9 +145,10 @@ def _triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the upper triangle in row-major order, and weights
     1 on diagonal slots, 2 off-diagonal (both read-only).
 
-    Frobenius sums run over the triangle in this order, so their roundoff,
-    and with it the solver's iteration counts, stays as it was when the
-    triangle was the storage.
+    Frobenius sums (frob_inner_many) run over the triangle in this order,
+    so their roundoff stays as it was when the triangle was the storage:
+    the bits of delta, of witness row values and of the norms that is_psd
+    and the homogeneous row reduction compare against.
     """
     iu, ju = np.triu_indices(dim)
     idx = iu * dim + ju
@@ -337,7 +338,9 @@ def is_psd_many(arrays, tol: float = 1e-9) -> np.ndarray:
 
     Each dimension takes one stacked eigh and one stacked norm
     (frob_inner_many), so each flag is the one that matrix alone gets:
-    lambda_min(a) >= -tol * max(1, ||a||_F).
+    lambda_min(a) >= -tol * max(1, ||a||_F). Where ||a||_F overflows (an
+    entry past about 1e154), lambda_min and the norm are both taken in
+    units of a's largest entry, so the test still reads the spectrum.
     """
     # written so that a NaN fails it
     if not tol >= 0:
@@ -347,9 +350,16 @@ def is_psd_many(arrays, tol: float = 1e-9) -> np.ndarray:
         if stack.shape[-1]:
             # eigh, as eigen: eigvalsh's eigenvalues differ in bits
             lam = eigh(stack)[0][:, 0]
-            norm = np.sqrt(frob_inner_many(stack, stack))
+            with np.errstate(over="ignore"):
+                norm = np.sqrt(frob_inner_many(stack, stack))
+            unit = np.ones(len(stack))
+            big = np.flatnonzero(norm == math.inf)
+            if big.size:
+                unit[big] = np.abs(stack[big]).max(axis=(1, 2))
+                scaled = stack[big] / unit[big, None, None]
+                norm[big] = np.sqrt(frob_inner_many(scaled, scaled))
             # max(1, norm) as Python's max takes it
-            flags[idx] = lam >= -tol * np.where(norm > 1.0, norm, 1.0)
+            flags[idx] = lam / unit >= -tol * np.where(norm > 1.0, norm, 1.0)
     return flags
 
 

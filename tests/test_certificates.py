@@ -92,6 +92,16 @@ class TestCheckConvex:
         assert cert.kind is CertificateKind.NONE
         assert "objective" in cert.details
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e150, 1e155])
+    def test_objective_with_an_overflowing_norm(self, scale):
+        # the norm of diag(-1e155, 1) overflows; the objective is no less
+        # concave for it
+        q = Qcqp(2, qf(np.diag([-scale, 1.0])), [(qf(np.eye(2)), Relation.LE)], [1.0])
+        cert = check_convex(q)
+        assert cert.kind is CertificateKind.NONE
+        assert cert.details == "quadratic part of objective is not PSD"
+
     def test_vacuous_zero_row_ignored(self):
         q = Qcqp(
             1,

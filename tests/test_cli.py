@@ -792,6 +792,11 @@ class TestExitCodes:
             "negative-seed": "argument --seed",
         }[case]
         assert want in err
+        if case == "row-ratio-overflow":
+            # the overflowing row norm is reported once, with no warning
+            assert err == (
+                "error: entry 1 row 2: the ratio of its norm inf to row 1's 1.41421 is not finite\n"
+            )
 
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

