@@ -70,7 +70,7 @@ from .certificates import (
     extract_convex_solution,
     reduce_homogeneous_rows,
 )
-from .rank_reduction import BlockKind, ExtractResult, ReductionReport, reduce
+from .rank_reduction import ReductionReport, reduce
 from .connection import (
     BilevelReport,
     BilevelRow,

@@ -14,7 +14,7 @@ tight:
   extreme-point rank bound forces every block to rank <= 1).
 
 The first two certificates are independent of the right-hand side; the
-third is checked against a concrete solution unless m <= 2 makes it
+third is checked against a solution's blocks unless m <= 2 makes it
 structural. The convexity test runs over many problems at once
 (_convex_certificates): the quadratic parts of all of them are tested
 with one stacked eigendecomposition per dimension; check_convex is its
@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DimensionError, RangeError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation
-from .sdpr_builder import SdpSolution
 from .symkernel import SymMatrix, by_dim, frob_inner_many, is_psd_many
 
 
@@ -481,36 +480,35 @@ class AssumptionBreakdown:
     note: str
 
 
-def check_assumption_A(
-    h: HomSepQcqp, sol: SdpSolution, tol: float = 1e-6
-):
-    """Count nonzero blocks and nonzero inequality residuals at sol.
+def check_assumption_A(h: HomSepQcqp, blocks, tol: float = 1e-6):
+    """Count nonzero blocks and nonzero inequality residuals at blocks, a
+    solution's one SymMatrix per block of h.
 
     The condition needs at least m - 1 nonzeros among the blocks V^q and
     the row residuals rhs_k - sum_q <C^q_k, V^q>. Residuals of = rows are
     structurally zero and never counted. Returns
     (holds, nonzero_count, breakdown). The verdict speaks only for the
     solution at hand, not for every optimal solution; the breakdown's note
-    records that caveat. Where the rhs are the rows' own values at sol's
+    records that caveat. Where the rhs are the rows' own values at these
     blocks (judge's joint blocks at their allocation) no residual counts,
     and the count is that of the nonzero blocks.
     """
-    if len(sol.blocks) != h.q_hat:
+    if len(blocks) != h.q_hat:
         raise DimensionError(
-            f"{len(sol.blocks)} solution blocks for {h.q_hat} problem blocks"
+            f"{len(blocks)} solution blocks for {h.q_hat} problem blocks"
         )
-    for v, mats in zip(sol.blocks, h.blocks):
+    for v, mats in zip(blocks, h.blocks):
         if v.dim != mats[0].dim:
             raise DimensionError(
                 f"solution block dim {v.dim} != problem dim {mats[0].dim}"
             )
-    norms = [v.norm() for v in sol.blocks]
+    norms = [v.norm() for v in blocks]
     vmax = max(norms, default=0.0)
     block_nonzero = [nv > tol * (1.0 + vmax) for nv in norms]
 
     # frob_inner of every row on every block, one stacked product per block
     vals = [
-        frob_inner_many(st, v.array).tolist() for st, v in zip(_row_stacks(h), sol.blocks)
+        frob_inner_many(st, v.array).tolist() for st, v in zip(_row_stacks(h), blocks)
     ]
     residuals = np.zeros(h.m)
     counted = []

@@ -381,27 +381,6 @@ def _dual_bound(entry, delta, y, mu, feasible):
     return float(y @ delta) + mu
 
 
-def _joint_subsol(reduced: HomSepQcqp, blocks, achieved):
-    """A homogeneous entry's joint blocks as an Optimal solution of its
-    reduced problem at its allocation (reduce_homogeneous_rows).
-
-    The reduced rows' right-hand sides are those rows' own values at these
-    very blocks, so every row holds with a zero slack. The value is the
-    objective the entry achieves. The solution carries no dual part (NaN
-    multipliers, no dual blocks): the entry's dual certificate is the
-    joint multipliers' bound, reported next to it.
-    """
-    return SdpSolution(
-        blocks=list(blocks),
-        slacks=np.zeros(reduced.m),
-        dual_multipliers=np.full(reduced.m, math.nan),
-        dual_blocks=[],
-        status=SolveStatus.OPTIMAL,
-        value=achieved,
-        iterations=0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # per-entry certificates
 
@@ -472,8 +451,8 @@ def _hom_certificate(entry, delta, blocks, obj, gap, tol) -> Certificate:
     """A homogeneous entry's certificate at its allocation delta: at most
     2 effective rows (check_m_le_2, on the rows reduced once), else
     assumption A at its joint blocks, which achieve objective obj and are
-    read as the reduced problem's solution (_joint_subsol) only where the
-    entry's bound meets obj within tol (gap, from _entry_reports)."""
+    read as the reduced problem's solution only where the entry's bound
+    meets obj within tol (gap, from _entry_reports)."""
     h = HomSepQcqp(entry.blocks, list(entry.relations), delta)
     reduction = reduce_homogeneous_rows(h)
     cert = check_m_le_2(h, reduction=reduction)
@@ -483,9 +462,7 @@ def _hom_certificate(entry, delta, blocks, obj, gap, tol) -> Certificate:
     # the reduced rows hold with equality at the joint blocks, so no
     # residual counts: count is the nonzero-block count
     reduced = reduction[0]
-    holds_a, count, _ = check_assumption_A(
-        reduced, _joint_subsol(reduced, blocks, obj), tol=tol
-    )
+    holds_a, count, _ = check_assumption_A(reduced, blocks, tol=tol)
     if not holds_a:
         return cert
     return Certificate(

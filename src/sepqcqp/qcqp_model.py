@@ -538,12 +538,12 @@ def brute_force(
     fixed order from the 1-D axes (_grid_values). A point is feasible
     where every row's value holds its relation within feas_tol; a NaN
     holds none, and +-inf compare as IEEE compares them. The round's
-    value is the least objective value over its feasible points, the
-    first in C order (a NaN there, as np.argmin finds it first, leaves
-    the incumbent as it was). Apart from the last bits of rounding, this
-    agrees with QuadFunc.eval_many except where a coefficient times a
-    coordinate squared comes near 1e308, where one sum overflows and the
-    other need not.
+    value is the least non-NaN objective value over its feasible points,
+    the first in C order: a NaN value never wins, and a round whose
+    feasible values are all NaN leaves the incumbent as it was. Apart
+    from the last bits of rounding, this agrees with QuadFunc.eval_many
+    except where a coefficient times a coordinate squared comes near
+    1e308, where one sum overflows and the other need not.
 
     A round walks its grid in C order, in slabs of about _SLAB points, so
     memory stays bounded at any grid size; a round whose rows over part of
@@ -628,18 +628,24 @@ def brute_force(
                 )
                 for s0 in range(0, n_tuples, per_slab)
             )
-        # each slab's first minimum, in slab order
+        # each slab's first least non-NaN value, in slab order
         cand_vals, cand_pts = [], []
         for cols in slabs:
             if cols.shape[1] == 0:
                 continue
             obj = np.broadcast_to(_grid_values(obj_terms, cols), cols.shape[1:])
             i = int(np.argmin(obj))
+            if np.isnan(obj[i]):
+                # np.argmin stops at the first NaN; a NaN never wins
+                real = np.flatnonzero(~np.isnan(obj))
+                if real.size == 0:
+                    continue
+                i = int(real[np.argmin(obj[real])])
             cand_vals.append(obj[i])
             cand_pts.append(cols[:, i].copy())
         if cand_vals:
             # argmin over the slabs' first minima is the round's first
-            # minimum (or first NaN), as one argmin over every point gives
+            # minimum, as one argmin over every non-NaN value gives
             i = int(np.argmin(cand_vals))
             if float(cand_vals[i]) < best_val:
                 best_val = float(cand_vals[i])

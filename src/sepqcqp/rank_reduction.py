@@ -15,11 +15,10 @@ values are the operator applied to the blocks. The restricted system
 projects, per block, only the rows active on that block, as one stacked
 F^T A F, so the (row, block) pairs without a matrix stay exactly zero.
 Every iterate takes one stacked eigendecomposition per block dimension,
-after one stacked norm per dimension has frozen the blocks that are
-numerically zero; it gives the factors. The last iterate's serves the
-report too (the final ranks, one stacked rank test per dimension, the
-Pataki count and the extracted points), unless that iterate froze a
-block, which is then decomposed once more. A walk that takes no step
+after one stacked norm per dimension has frozen (zeroed) the blocks that
+are numerically zero; it gives the factors. The last iterate's serves
+the report too: the final ranks (one stacked rank test per dimension),
+the Pataki count and the extracted points. A walk that takes no step
 and freezes nothing returns its input blocks as the reduced solution,
 since symmetrizing them again would return them unchanged: it costs one
 eigendecomposition per dimension, the restricted system and its two
@@ -33,7 +32,6 @@ in the certified regimes.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -41,7 +39,7 @@ import numpy as np
 
 from .certificates import pataki_count
 from .errors import ReductionStallError, StaleSolutionError, StructureError
-from .sdpr_builder import BlockSdp, RowOperator, SdpSolution, SolveStatus
+from .sdpr_builder import BlockSdp, SdpSolution, SolveStatus
 from .symkernel import (
     HALF_MAX,
     SymMatrix,
@@ -57,27 +55,6 @@ from .symkernel import (
 _STALL_STEP = 1e-14
 
 
-class BlockKind(enum.Enum):
-    INHOMOGENEOUS = "inhom"
-    HOMOGENEOUS = "hom"
-
-
-def block_kinds_of(b: BlockSdp, op: RowOperator | None = None) -> list[BlockKind]:
-    """A block is inhomogeneous exactly when a normalization row pins it.
-
-    op is b's row operator (b.operator when not given; it may
-    carry extra rows after b's): a row pins a block when it is active there.
-    """
-    if op is None:
-        op = b.operator
-    pins = np.zeros(op.n_rows, dtype=bool)
-    pins[list(b.normalization_rows)] = True
-    return [
-        BlockKind.INHOMOGENEOUS if pins[act].any() else BlockKind.HOMOGENEOUS
-        for act in op.active
-    ]
-
-
 @dataclass(frozen=True)
 class ReductionReport:
     iterations: int
@@ -85,17 +62,6 @@ class ReductionReport:
     pataki_sum: int
     bound_m: int
     extracted: list | None
-
-
-@dataclass(frozen=True)
-class ExtractResult:
-    points: list | None
-    failed_block: int | None = None
-    reason: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.points is not None
 
 
 @functools.cache
@@ -137,15 +103,16 @@ def reduce(
     100*tol. The returned solution is feasible within 10*tol with the
     objective preserved within tol*(1+|value|), and admits no further
     null-space move. The report carries final ranks, the rank/slack count,
-    the row-count bound, and the extracted per-block factors when every
-    block ended at rank <= 1.
+    the row-count bound, and the extracted per-block points when every
+    block ended at rank <= 1 (_extract; a block is pinned where one of
+    b's normalization rows is active on it).
 
     b's rows are its operator (b.operator), the one the solver read when
     it solved b; the objective joins them as one extra row
     (RowOperator.with_row). Each iterate projects only the active (row,
-    block) pairs, block by block in one stacked product, and factors all
-    blocks with one stacked eigendecomposition per block dimension; the
-    last one also gives the report when it froze no block.
+    block) pairs, block by block in one stacked product, and decomposes
+    every block with one stacked eigendecomposition per block dimension;
+    the last one also gives the report.
     """
     if (b.operator.slack_coeffs == -1.0).any():
         raise StructureError("reduce requires a standard-form BlockSdp")
@@ -195,27 +162,25 @@ def reduce(
 
     def factor_blocks():
         """Per-block factors F with X ~= F F^T (frozen blocks get width 0),
-        and the spectra of every block when none froze (else None).
+        the spectra of every block, and whether a block froze.
 
         Per dimension, one stacked Frobenius norm (np.linalg.norm's one
-        dot per block) decides the frozen blocks and one stacked eigh
-        decomposes the others; their eigenvalue cuts are one test, and
+        dot per block) decides the frozen blocks, which are zeroed in X and
+        in the stack, and one stacked eigh decomposes every block; their
+        eigenvalue cuts are one test (a zero block keeps no column), and
         the eigenvectors are scaled by the roots of their eigenvalues as
         one product."""
-        fs = [np.zeros((d, 0)) for d in dims]
-        eigs, any_cold = [None] * nb, False
+        fs, eigs, froze = [None] * nb, [None] * nb, False
         for idx in groups:
             st = np.stack([X[bi] for bi in idx])
             flat = st.reshape(len(idx), -1)
             norm = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
             cold = norm <= freeze
             if cold.any():
-                any_cold = True
+                froze = True
+                st[cold] = 0.0
                 for bi in idx[cold]:
                     X[bi] = np.zeros_like(X[bi])
-                if cold.all():
-                    continue
-                st, idx = st[~cold], idx[~cold]
             lam, vec = eigh(0.5 * (st + st.swapaxes(1, 2)))
             peak = lam.max(axis=1, initial=0.0)
             keep = lam > (factor_cut * np.where(peak > 1.0, peak, 1.0))[:, None]
@@ -223,7 +188,7 @@ def reduce(
             for k, bi in enumerate(idx.tolist()):
                 fs[bi] = roots[k][:, keep[k]]
                 eigs[bi] = (lam[k], vec[k])
-        return fs, (None if any_cold else eigs)
+        return fs, eigs, froze
 
     smax = np.abs(s).max(initial=0.0)
     slack_live = lambda: [
@@ -323,10 +288,10 @@ def reduce(
     def stall(msg):
         raise ReductionStallError(msg, report=make_report(ranks_of(spectra())))
 
-    frozen = False
     while True:
-        fs, eigs = factor_blocks()
-        frozen |= eigs is None
+        # a frozen block stays zero, so the last iterate froze one exactly
+        # when some iterate did
+        fs, eigs, frozen = factor_blocks()
         live = slack_live()
         mat, widths = build_system(fs, live)
         res_budget = 3.0 * tol * scale_rhs
@@ -412,14 +377,14 @@ def reduce(
                 f"{drift:.2e}"
             )
 
-    # one decomposition of the final iterate serves the ranks, the Pataki
-    # count and the extraction: the last factor_blocks' when no block froze
-    # there, as it then decomposed every block of this iterate
-    if eigs is None:
-        eigs = spectra()
+    # the last factor_blocks decomposed every block of the final iterate:
+    # its spectra serve the ranks, the Pataki count and the extraction,
+    # where a block is pinned when a normalization row is active on it
     ranks = ranks_of(eigs)
-    ext = _extract(eigs, ranks, block_kinds_of(b, op), tol=1e-6)
-    report = make_report(ranks, extracted=ext.points if ext.ok else None)
+    pins = np.zeros(op.n_rows, dtype=bool)
+    pins[list(b.normalization_rows)] = True
+    pinned = [pins[act].any() for act in op.active]
+    report = make_report(ranks, extracted=_extract(eigs, ranks, pinned, tol=1e-6))
     if iterations or frozen or not xmax <= HALF_MAX:
         res, value = evaluate()
         blocks = [SymMatrix.from_dense(x) for x in X]
@@ -443,47 +408,31 @@ def reduce(
     return out, report
 
 
-def _extract(eigs, ranks, block_kinds, tol) -> ExtractResult:
-    """Read QCQP points out of a blockwise rank-<=1 solution, given each
-    block's (ascending) eigendecomposition and numeric rank.
+def _extract(eigs, ranks, pinned, tol) -> list | None:
+    """QCQP points read out of a blockwise rank-<=1 solution, given each
+    block's (ascending) eigendecomposition and numeric rank and whether a
+    normalization row pins it, or None.
 
-    Homogeneous blocks give their factor vector (zero block -> zero
-    vector; sign fixed by making the largest-magnitude coordinate
-    positive). Inhomogeneous blocks must factor as g g^T with last
-    coordinate within tol of +-1; the returned point is g / g_last minus
-    the final coordinate. Any block of rank > 1 aborts with its index.
+    An unpinned block gives its factor vector (zero block -> zero vector;
+    sign fixed by making the largest-magnitude coordinate positive). A
+    pinned block must factor as g g^T with last coordinate within tol of
+    +-1; its point is g / g_last minus the final coordinate. A block of
+    rank > 1, a zero pinned block or a pinned corner off +-1 gives None.
     """
     points = []
-    for bi, ((lam, vec), r, kind) in enumerate(zip(eigs, ranks, block_kinds)):
-        if r > 1:
-            return ExtractResult(
-                None, failed_block=bi, reason=f"block {bi} has rank {r} > 1"
-            )
+    for (lam, vec), r, pin in zip(eigs, ranks, pinned):
+        if r > 1 or (r == 0 and pin):
+            return None
         if r == 0:
-            if kind is BlockKind.INHOMOGENEOUS:
-                return ExtractResult(
-                    None,
-                    failed_block=bi,
-                    reason=f"block {bi} is zero but carries a unit corner",
-                )
             points.append(np.zeros(len(lam)))
             continue
         g = vec[:, -1] * np.sqrt(max(lam[-1], 0.0))
-        if kind is BlockKind.HOMOGENEOUS:
-            j = int(np.argmax(np.abs(g)))
-            if g[j] < 0:
-                g = -g
-            points.append(g)
-        else:
+        if pin:
             last = g[-1]
             if abs(abs(last) - 1.0) > tol:
-                return ExtractResult(
-                    None,
-                    failed_block=bi,
-                    reason=(
-                        f"block {bi} factor has corner coordinate {last:.6g}, "
-                        "expected magnitude 1"
-                    ),
-                )
+                return None
             points.append((g / last)[:-1])
-    return ExtractResult(points)
+        else:
+            j = int(np.argmax(np.abs(g)))
+            points.append(-g if g[j] < 0 else g)
+    return points

@@ -594,7 +594,7 @@ class TestAssumptionA:
         h = two_block_family(1.0)
         sol = solve(build_hom(h))
         assert sol.status is SolveStatus.OPTIMAL
-        holds, count, bd = check_assumption_A(h, sol)
+        holds, count, bd = check_assumption_A(h, sol.blocks)
         assert holds and count >= 2
         assert bd.m == 3
         assert bd.block_nonzero == [True, True]
@@ -602,7 +602,7 @@ class TestAssumptionA:
     def test_family_alpha25_fails(self):
         h = two_block_family(2.5)
         sol = solve(build_hom(h))
-        holds, count, bd = check_assumption_A(h, sol)
+        holds, count, bd = check_assumption_A(h, sol.blocks)
         assert not holds
         assert count == 1
         assert bd.block_nonzero == [True, False]
@@ -611,47 +611,23 @@ class TestAssumptionA:
         h = HomSepQcqp(
             [[sym([[1.0]]), sym([[1.0]])]], [Relation.LE], [1.0]
         )
-        sol = SdpSolution(
-            blocks=[SymMatrix.zeros(1)],
-            slacks=np.zeros(1),
-            dual_multipliers=np.zeros(1),
-            dual_blocks=[SymMatrix.zeros(1)],
-            status=SolveStatus.OPTIMAL,
-            value=0.0,
-        )
-        holds, count, _ = check_assumption_A(h, sol)
+        holds, count, _ = check_assumption_A(h, [SymMatrix.zeros(1)])
         assert holds  # m - 1 = 0
 
     def test_eq_residual_never_counted(self):
-        # EQ row with huge residual on a hand-built (wrong) solution: count 0
+        # EQ row with huge residual on hand-built (wrong) blocks: count 0
         h = HomSepQcqp(
             [[sym([[1.0]]), sym([[1.0]])]], [Relation.EQ], [5.0]
         )
-        sol = SdpSolution(
-            blocks=[SymMatrix.zeros(1)],
-            slacks=np.zeros(1),
-            dual_multipliers=np.zeros(1),
-            dual_blocks=[SymMatrix.zeros(1)],
-            status=SolveStatus.OPTIMAL,
-            value=0.0,
-        )
-        _, count, bd = check_assumption_A(h, sol)
+        _, count, bd = check_assumption_A(h, [SymMatrix.zeros(1)])
         assert count == 0
         assert bd.residual_counted == [False]
         assert bd.residuals[0] == pytest.approx(5.0)
 
     def test_shape_mismatch(self):
         h = two_block_family(1.0)
-        sol = SdpSolution(
-            blocks=[SymMatrix.zeros(2)],
-            slacks=np.zeros(3),
-            dual_multipliers=np.zeros(3),
-            dual_blocks=[SymMatrix.zeros(2)],
-            status=SolveStatus.OPTIMAL,
-            value=0.0,
-        )
         with pytest.raises(DimensionError):
-            check_assumption_A(h, sol)
+            check_assumption_A(h, [SymMatrix.zeros(2)])
 
 
 class TestMLe2:

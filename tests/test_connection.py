@@ -975,8 +975,7 @@ class TestAchievedAllocation:
                 # the reduced rows connection._hom_certificate reads
                 h = HomSepQcqp(entry.blocks, list(entry.relations), achieved[p, 1:])
                 reduced, _ = reduce_homogeneous_rows(h)
-                subsol = connection._joint_subsol(reduced, blocks, achieved[p, 0])
-                _, count, parts = certificates.check_assumption_A(reduced, subsol)
+                _, count, parts = certificates.check_assumption_A(reduced, blocks)
                 assert np.all(parts.residuals == 0.0)
                 assert not any(parts.residual_counted)
                 assert count == sum(parts.block_nonzero)
@@ -1250,3 +1249,58 @@ class TestJudgeOptions:
     def test_the_oracle_and_the_solver_take_no_settings(self, name):
         with pytest.raises(TypeError, match=name):
             JudgeOptions(**{name: 11})
+
+
+# ---------------------------------------------------------------------------
+# verdict-path branches no pool instance reaches
+
+
+class TestVerdictPathBranches:
+    def test_a_wrong_signed_multiplier_leaves_no_entry_a_bound(self):
+        # the budget row is <=, so its multiplier is at most 0: at +1 the
+        # multipliers are dual-feasible for no entry, and each entry
+        # reports nan as its value and its gap
+        s = two_convex_connection()
+        b = build_block(s)
+        sol = solved(s)
+        duals = sol.dual_multipliers.copy()
+        duals[b.operator.origins == 0] = 1.0
+        sol = dataclasses.replace(sol, dual_multipliers=duals)
+        stacks = connection._EntryStacks(s)
+        y, mus = connection._connection_duals(s, b, sol)
+        assert y[0] == 1.0
+        feasible = connection._dual_feasible(stacks, y, mus, 1e-6)
+        assert feasible.tolist() == [False, False]
+        for p, entry in enumerate(s.blocks):
+            assert connection._dual_bound(entry, s.gamma, y, mus[p], feasible[p]) is None
+        achieved = stacks.at_blocks(sol.blocks)
+        per_block, _ = connection._entry_reports(stacks, b, sol, achieved, 1e-6)
+        for pb in per_block:
+            assert math.isnan(pb.sub_sdpr_value) and math.isnan(pb.optimality_gap)
+
+    @pytest.mark.parametrize("other, other_psd", [(1.0, True), (-20.0, False)])
+    def test_an_overflowing_reduced_matrix_is_not_psd(self, other, other_psd):
+        # entry 0's objective minus y = -10 times its row overflows to inf;
+        # entry 1's 2x2 block, in the same group, is still tested: its
+        # reduced matrix is diag(other + 10, 0)
+        big = Qcqp(1, qf([[8e307]]), [(qf([[8e307]]), Relation.LE)], [1.0])
+        small = Qcqp(1, qf([[other]]), [(qf([[1.0]]), Relation.LE)], [1.0])
+        stacks = connection._EntryStacks(SeparableQcqp([big, small], [2.0]))
+        assert [idx.tolist() for idx, _ in stacks.groups] == [[0, 1]]
+        with np.errstate(over="ignore"):
+            got = stacks.reduced_psd(np.array([-10.0]), [0.0, 0.0], 1e-6)
+        assert got.tolist() == [False, other_psd]
+
+    def test_a_convex_block_whose_corner_misses_one_is_no_witness(self):
+        entry = two_convex_connection().blocks[0]
+        cert = check_convex(entry)
+        assert cert.kind is CertificateKind.CONVEX
+        col = [0.5, -0.5]
+        block = np.eye(3)
+        block[:2, 2] = block[2, :2] = col
+        block[2, 2] = 1.0 + 2e-6
+        assert connection._salvage_point(entry, cert, None, SymMatrix.from_dense(block)) is None
+        # within 1e-6 of 1 the corner's column is the point
+        block[2, 2] = 1.0 + 5e-7
+        point = connection._salvage_point(entry, cert, None, SymMatrix.from_dense(block))
+        assert point.tolist() == col

@@ -204,27 +204,29 @@ def calls_outside_the_loop(monkeypatch, s):
 
 
 @pytest.mark.parametrize(
-    "make, status",
+    "make, status, eigh_lo",
     [
-        (lambda: make_example52(0), VerdictStatus.EXACT_CERTIFIED),
+        (lambda: make_example52(0), VerdictStatus.EXACT_CERTIFIED, 5),
         (
             lambda: SeparableQcqp([make_example51(2.0)], make_example51(2.0).rhs),
             VerdictStatus.EXACT_WITNESSED,
+            4,
         ),
     ],
     ids=["example52-0", "example51-2.0"],
 )
-def test_lapack_calls_outside_the_loop(monkeypatch, make, status):
+def test_lapack_calls_outside_the_loop(monkeypatch, make, status, eigh_lo):
     """Both connections have blocks of two dimensions, and neither
     reduction takes a step. Outside the loop one judge makes: presolve's
     matrix_rank (one singular-value call); per dimension, one eigh for
-    the entries' dual-bound PSD tests; two full SVDs, the null-space
-    tests of the reduction's system with and without its objective row;
-    and three more eigh. On example 5.2 they are rank reduction's
-    factors, one per dimension, whose spectra also give the final ranks,
-    and the convexity tests of the two 2-variable inhomogeneous entries.
-    On example 5.1 the 1x1 block is numerically zero and freezes, so the
-    factors take one eigh and the final spectra one per dimension."""
+    the entries' dual-bound PSD tests and one for rank reduction's
+    factors, whose spectra also give the final ranks; and two full SVDs,
+    the null-space tests of the reduction's system with and without its
+    objective row. On example 5.2 one more eigh is the convexity test of
+    the two 2-variable inhomogeneous entries. On example 5.1 the 1x1
+    block is numerically zero and freezes: the factors' one eigh per
+    dimension decomposes it as a zero block, and those spectra are the
+    final ones too."""
     verdict, calls = calls_outside_the_loop(monkeypatch, make())
     assert verdict.status is status
-    assert calls == {"svd": 1, "eigh_lo": 5, "svd_f": 2}
+    assert calls == {"svd": 1, "eigh_lo": eigh_lo, "svd_f": 2}

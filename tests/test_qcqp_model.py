@@ -391,9 +391,11 @@ def full_grid_brute_force(q, box, grid_points=11, refine_rounds=4, feas_tol=1e-6
                 feas &= vals >= d - feas_tol
             else:
                 feas &= np.abs(vals - d) <= feas_tol
-        if feas.any():
-            obj = term_sum(q.objective, pts[feas])
-            i = int(np.argmin(obj))
+        obj = term_sum(q.objective, pts[feas])
+        real = np.flatnonzero(~np.isnan(obj))
+        if real.size:
+            # a NaN value never wins: the first least of the others
+            i = int(real[np.argmin(obj[real])])
             if float(obj[i]) < best_val:
                 best_val = float(obj[i])
                 best_pt = pts[feas][i].copy()
@@ -739,20 +741,19 @@ class TestBruteForce:
             assert np.array_equal(want[1], axis[list(at)])
         assert same_result(got, want)
 
-    @pytest.mark.parametrize("rhs, found", [(None, False), (1.45, False), (1.0, True)])
-    def test_objective_whose_value_overflows(self, rhs, found):
+    @pytest.mark.parametrize("rhs", [None, 1.45, 1.0])
+    def test_objective_whose_value_overflows(self, rhs):
         # the objective's coupling term reads NaN at (+-1.2, 0) and +-inf
-        # beyond. Every feasible point's value is compared as np.argmin
-        # compares it, so where (+-1.2, 0) is feasible (no row, or
-        # x'x <= 1.45) the round's first NaN wins and leaves the round
-        # without a point; x'x <= 1 leaves only finite values
+        # beyond. A NaN value never wins, so where (+-1.2, 0) is feasible
+        # (no row, or x'x <= 1.45) the round's least other value does, as
+        # where x'x <= 1 leaves only finite values
         obj = qf([[0.0, 8e307], [8e307, 0.0]], [-0.5, 0.0])
         rows = [] if rhs is None else [(qf(np.eye(2)), Relation.LE)]
         q = Qcqp(2, obj, rows, [] if rhs is None else [rhs])
         got = brute_force(q, (-2.0, 2.0), refine_rounds=1)
         with np.errstate(all="ignore"):
             want = full_grid_brute_force(q, (-2.0, 2.0), refine_rounds=1)
-        assert (want[1] is not None) is found
+        assert want[1] is not None
         assert same_result(got, want)
 
     def test_no_warning_reaches_the_caller(self):

@@ -22,12 +22,7 @@ from sepqcqp.qcqp_model import (
     SeparableQcqp,
     lift,
 )
-from sepqcqp.rank_reduction import (
-    BlockKind,
-    ExtractResult,
-    block_kinds_of,
-    reduce,
-)
+from sepqcqp.rank_reduction import reduce
 from sepqcqp.sdp_solver import solve
 from sepqcqp.sdpr_builder import (
     BlockSdp,
@@ -135,12 +130,13 @@ class TestZeroIterations:
         assert rep.extracted[0] == pytest.approx([1.0], abs=1e-9)
 
 
-def extract_point(sol, block_kinds, tol=1e-6, rank_tol=1e-6):
+def extract_point(sol, pinned, tol=1e-6, rank_tol=1e-6):
     """rank_reduction._extract at sol's blocks, decomposed as reduce
-    decomposes its last iterate."""
+    decomposes its last iterate; pinned marks the blocks a normalization
+    row pins."""
     eigs = eigh_many([0.5 * (x + x.T) for x in (blk.to_dense() for blk in sol.blocks)])
     ranks = rank_of_eigenvalues_many([lam for lam, _ in eigs], rank_tol)
-    return rank_reduction._extract(eigs, ranks, block_kinds, tol)
+    return rank_reduction._extract(eigs, ranks, pinned, tol)
 
 
 class TestBenchmarkFamily:
@@ -172,9 +168,7 @@ class TestBenchmarkFamily:
         assert rep.final_ranks[0] == 2
         assert rep.extracted is None
         assert red.value == pytest.approx(22.0 / 3.0, abs=1e-6)
-        ext = extract_point(red, block_kinds_of(b))
-        assert not ext.ok
-        assert ext.failed_block == 0
+        assert extract_point(red, loop_pinned(b)) is None
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0, 3.5])
     def test_round_trip_recovers_optimum(self, alpha):
@@ -202,65 +196,67 @@ class TestExtractPoint:
 
     def test_inhomogeneous_lift_round_trip(self):
         sol = self.lifted_solution([[[9.0, 3.0], [3.0, 1.0]]])
-        out = extract_point(sol, [BlockKind.INHOMOGENEOUS])
-        assert out.ok
-        assert out.points[0] == pytest.approx([3.0], abs=1e-10)
+        out = extract_point(sol, [True])
+        assert out is not None
+        assert out[0] == pytest.approx([3.0], abs=1e-10)
 
     def test_negative_corner_factor_is_flipped(self):
         # g g^T with g = (3, -1) lifts u = -3 after normalizing the corner
         sol = self.lifted_solution([np.outer([3.0, -1.0], [3.0, -1.0])])
-        out = extract_point(sol, [BlockKind.INHOMOGENEOUS])
-        assert out.ok
-        assert out.points[0] == pytest.approx([-3.0], abs=1e-10)
+        out = extract_point(sol, [True])
+        assert out is not None
+        assert out[0] == pytest.approx([-3.0], abs=1e-10)
 
     def test_corner_magnitude_mismatch_fails(self):
         sol = self.lifted_solution([np.outer([2.0, 1.1], [2.0, 1.1])])
-        out = extract_point(sol, [BlockKind.INHOMOGENEOUS])
-        assert not out.ok
-        assert out.failed_block == 0
-        assert "corner" in out.reason
+        assert extract_point(sol, [True]) is None
 
     def test_zero_inhomogeneous_block_fails(self):
         sol = self.lifted_solution([np.zeros((2, 2))])
-        out = extract_point(sol, [BlockKind.INHOMOGENEOUS])
-        assert not out.ok
-        assert out.failed_block == 0
+        assert extract_point(sol, [True]) is None
 
     def test_zero_homogeneous_block_gives_zero_vector(self):
         sol = self.lifted_solution([np.zeros((3, 3))])
-        out = extract_point(sol, [BlockKind.HOMOGENEOUS])
-        assert out.ok
-        assert out.points[0] == pytest.approx([0.0, 0.0, 0.0], abs=0)
+        out = extract_point(sol, [False])
+        assert out is not None
+        assert out[0] == pytest.approx([0.0, 0.0, 0.0], abs=0)
 
     def test_homogeneous_sign_convention(self):
         sol = self.lifted_solution([np.outer([-2.0, 1.0], [-2.0, 1.0])])
-        out = extract_point(sol, [BlockKind.HOMOGENEOUS])
-        assert out.ok
-        assert out.points[0] == pytest.approx([2.0, -1.0], abs=1e-10)
+        out = extract_point(sol, [False])
+        assert out is not None
+        assert out[0] == pytest.approx([2.0, -1.0], abs=1e-10)
 
-    def test_rank_two_reports_offender(self):
+    def test_rank_two_fails(self):
         sol = self.lifted_solution(
             [np.outer([1.0, 1.0], [1.0, 1.0]), np.eye(2)]
         )
-        out = extract_point(
-            sol, [BlockKind.INHOMOGENEOUS, BlockKind.HOMOGENEOUS]
-        )
-        assert not out.ok
-        assert out.failed_block == 1
-        assert "rank" in out.reason
+        assert extract_point(sol, [True, False]) is None
 
-    def test_block_kinds_of_marks_pinned_blocks(self):
-        q = Qcqp(
-            1,
-            QuadFunc.from_parts([[1.0]]),
-            [(QuadFunc.from_parts([[1.0]]), Relation.LE)],
-            [1.0],
+    def test_reduce_pins_blocks_by_their_normalization_rows(self):
+        # the normalization row is active on block 0 (its corner entry) and
+        # not on block 1: reduce reads u = 3 off block 0's lift, and block
+        # 1's factor vector with its sign fixed, (2, -1)
+        corner = np.zeros((2, 2))
+        corner[1, 1] = 1.0
+        zero = SymMatrix.zeros(2)
+        b = BlockSdp.from_rows(
+            (2, 2),
+            (SymMatrix.identity(2), SymMatrix.identity(2)),
+            [
+                ((sym(corner), zero), 0, 1.0),
+                ((zero, SymMatrix.identity(2)), 0, 5.0),
+            ],
+            normalization_rows=(0,),
         )
-        assert block_kinds_of(build_shor(q)) == [BlockKind.INHOMOGENEOUS]
-        assert block_kinds_of(build_hom(two_block_family(1.0))) == [
-            BlockKind.HOMOGENEOUS,
-            BlockKind.HOMOGENEOUS,
-        ]
+        assert loop_pinned(b) == [True, False]
+        sol = hand_solution(
+            b, [[[9.0, 3.0], [3.0, 1.0]], np.outer([-2.0, 1.0], [-2.0, 1.0])], 15.0
+        )
+        red, rep = reduce(b, sol)
+        assert rep.iterations == 0 and rep.final_ranks == [1, 1]
+        assert rep.extracted[0] == pytest.approx([3.0], abs=1e-10)
+        assert rep.extracted[1] == pytest.approx([2.0, -1.0], abs=1e-10)
 
 
 class TestGuards:
@@ -474,37 +470,33 @@ def _loop_unsvec(v, d):
     return a
 
 
-def loop_block_kinds(b):
-    kinds = [BlockKind.HOMOGENEOUS] * b.n_blocks
+def loop_pinned(b):
+    """Per block, whether a normalization row has a nonzero matrix on it."""
+    pinned = [False] * b.n_blocks
     A = row_table(b)
     for i in b.normalization_rows:
         for bi, mat in enumerate(A[i]):
             if mat.any():
-                kinds[bi] = BlockKind.INHOMOGENEOUS
-    return kinds
+                pinned[bi] = True
+    return pinned
 
 
-def loop_extract_point(sol, block_kinds, tol=1e-6, rank_tol=1e-6):
+def loop_extract_point(sol, pinned, tol=1e-6, rank_tol=1e-6):
+    """The points of sol's rank-<=1 blocks, one eigh per block, or None."""
     points = []
-    for bi, (blk, kind) in enumerate(zip(sol.blocks, block_kinds)):
+    for blk, pin in zip(sol.blocks, pinned):
         x = blk.to_dense()
         r = numeric_rank(blk, tol=rank_tol)
         if r > 1:
-            return ExtractResult(
-                None, failed_block=bi, reason=f"block {bi} has rank {r} > 1"
-            )
+            return None
         if r == 0:
-            if kind is BlockKind.INHOMOGENEOUS:
-                return ExtractResult(
-                    None,
-                    failed_block=bi,
-                    reason=f"block {bi} is zero but carries a unit corner",
-                )
+            if pin:
+                return None
             points.append(np.zeros(blk.dim))
             continue
         lam, vec = np.linalg.eigh(0.5 * (x + x.T))
         g = vec[:, -1] * np.sqrt(max(lam[-1], 0.0))
-        if kind is BlockKind.HOMOGENEOUS:
+        if not pin:
             j = int(np.argmax(np.abs(g)))
             if g[j] < 0:
                 g = -g
@@ -512,16 +504,9 @@ def loop_extract_point(sol, block_kinds, tol=1e-6, rank_tol=1e-6):
         else:
             last = g[-1]
             if abs(abs(last) - 1.0) > tol:
-                return ExtractResult(
-                    None,
-                    failed_block=bi,
-                    reason=(
-                        f"block {bi} factor has corner coordinate {last:.6g}, "
-                        "expected magnitude 1"
-                    ),
-                )
+                return None
             points.append((g / last)[:-1])
-    return ExtractResult(points)
+    return points
 
 
 def loop_reduce(b, sol, tol=1e-7, rank_tol=1e-6):
@@ -770,7 +755,7 @@ def loop_reduce(b, sol, tol=1e-7, rank_tol=1e-6):
                 f"{drift:.2e}"
             )
 
-    ext = loop_extract_point(
+    points = loop_extract_point(
         SdpSolution(
             blocks=[SymMatrix.from_dense(x) for x in X],
             slacks=s,
@@ -779,10 +764,10 @@ def loop_reduce(b, sol, tol=1e-7, rank_tol=1e-6):
             status=SolveStatus.OPTIMAL,
             value=objective(),
         ),
-        loop_block_kinds(b),
+        loop_pinned(b),
         rank_tol=rank_tol,
     )
-    report = make_report(extracted=ext.points if ext.ok else None)
+    report = make_report(extracted=points)
     out = SdpSolution(
         blocks=[SymMatrix.from_dense(x) for x in X],
         slacks=s,
@@ -866,9 +851,10 @@ class TestMatchesLoopReduction:
     @pytest.mark.parametrize("seed", range(6))
     def test_frozen_block(self, seed):
         """A block no row touches, at 1e-9 I, lies below the freeze
-        threshold: the first factorization zeroes it, so the report reads
-        the spectra of the final iterate afresh; report and solution are
-        the loop reference's, byte for byte."""
+        threshold: the first factorization zeroes it and decomposes it
+        as a zero block, whose spectrum the report reads with the others
+        of the final iterate; report and solution are the loop
+        reference's, byte for byte."""
         b0, sol0 = walk_instance(seed)
         zero = SymMatrix.zeros(2)
         b = BlockSdp.from_rows(
@@ -921,12 +907,10 @@ class TestMatchesLoopReduction:
         for seed in range(20):
             b, sol = walk_instance(seed)
             red, _ = loop_reduce(b, sol)
-            kinds = loop_block_kinds(b)
-            assert block_kinds_of(b) == kinds
-            got = extract_point(red, kinds)
-            want = loop_extract_point(red, kinds)
-            assert same_points(got.points, want.points)
-            assert (got.failed_block, got.reason) == (want.failed_block, want.reason)
+            pinned = loop_pinned(b)
+            got = extract_point(red, pinned)
+            want = loop_extract_point(red, pinned)
+            assert same_points(got, want)
 
 
 def convex_entry(rng, n, m):
@@ -974,8 +958,8 @@ class TestOneDecompositionPerIterate:
         assert_same_outcome(got, want)
         groups = len(set(b.block_dims))
         iterations = got[1].iterations
-        # factor every iterate; the last factorization, where no block
-        # froze, also gives the final ranks and the extraction
+        # factor every iterate; the last factorization also gives the
+        # final ranks and the extraction
         assert calls["eigh"] <= groups * (iterations + 1)
         pairs = sum(
             mat.any() for row in row_table(b) for mat in row
