@@ -251,44 +251,21 @@ class _EntryStacks:
         """[objective, row 1..m] of every entry at its psd blocks (the
         relaxation's blocks, as SymMatrix): one row per entry, each value
         bit for bit its frob_inner."""
-        dims = [x.dim for x in blocks]
-        if len(dims) != len(self.dims):
-            raise DimensionError(
-                f"{len(dims)} solution blocks, expected {len(self.dims)}"
-            )
-        if dims != self.dims:
-            got, want = next((a, b) for a, b in zip(dims, self.dims) if a != b)
-            raise DimensionError(f"solution block dim {got}, expected {want}")
-        table = np.empty((len(dims), self.s.m + 1))
+        table = np.empty((len(self.dims), self.s.m + 1))
         for idx, mats in self.groups:
             xs = np.stack([blocks[i].array for i in idx])
             table[idx] = frob_inner_many(mats, xs[:, None])
         return self._per_entry(table)
 
     def at_points(self, points) -> np.ndarray:
-        """[objective, row 1..m] of every entry at one flat point each:
-        one row per entry, each value bit for bit that of evaluating the
-        entry's functions one at a time (qcqp_model.eval; on a homogeneous
-        entry, v^T C v per block, summed in block order)."""
-        zs = []
-        for entry, point in zip(self.s.blocks, points):
-            point = np.asarray(point, dtype=np.float64).reshape(-1)
-            if isinstance(entry, HomSepQcqp):
-                want = sum(entry.dims)
-                if point.shape[0] != want:
-                    raise DimensionError(
-                        f"point has {point.shape[0]} coordinates, expected {want}"
-                    )
-                ofs = 0
-                for d in entry.dims:
-                    zs.append(point[ofs : ofs + d])
-                    ofs += d
-            else:
-                if point.shape != (entry.n,):
-                    raise DimensionError(
-                        f"point has shape {point.shape}, expected ({entry.n},)"
-                    )
-                zs.append(np.append(point, 1.0))
+        """[objective, row 1..m] of every entry at one point per block (an
+        inhomogeneous block's x, without the trailing 1): one row per entry,
+        each value bit for bit that of evaluating the entry's functions one
+        at a time (qcqp_model.eval; v^T C v per homogeneous block, summed)."""
+        zs = [
+            np.append(z, 1.0) if c >= 0 else z
+            for z, c in zip(points, self.corner.tolist())
+        ]
         table = np.empty((len(zs), self.s.m + 1))
         for idx, mats in self.groups:
             z = np.stack([zs[i] for i in idx])
@@ -524,8 +501,8 @@ def _entry_reports(stacks, b, sol, achieved, tol) -> tuple:
 
 
 def _verify_witness(stacks, points, eta, tol):
-    """The objective of the per-entry point list when it satisfies every
-    coupled row and reproduces eta within tol, else None. The entries'
+    """The objective of points (one per relaxation block) when they satisfy
+    every coupled row and reproduce eta within tol, else None. The entries'
     values are one stacked evaluation (_EntryStacks.at_points)."""
     s = stacks.s
     vals = stacks.at_points(points)
@@ -620,7 +597,8 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
     hunts for a matching feasible point: first by rank-reducing the full
     solution, next (when no entry is homogeneous) by each entry's own
     construction, finally by the grid oracle, which alone can conclude
-    NotExact.
+    NotExact. Both witness routes give one point per relaxation block; the
+    verdict's witness is a passing one, flattened per entry.
     """
     opts = opts or JudgeOptions()
     b = build_block(s)
@@ -658,20 +636,20 @@ def judge(s: SeparableQcqp, opts: JudgeOptions | None = None) -> ExactnessVerdic
         )
     except (ReductionStallError, StaleSolutionError):
         reduction = None
-    witness = zeta = None
+    points = zeta = witness = None
     if reduction is not None and reduction.extracted is not None:
-        witness = [np.concatenate(reduction.extracted[sl]) for sl in stacks.slices]
-        zeta = _verify_witness(stacks, witness, eta, opts.tol)
+        points = reduction.extracted
+        zeta = _verify_witness(stacks, points, eta, opts.tol)
     if zeta is None and not stacks.hom:
         # every entry is inhomogeneous, so each has one block, in order
-        witness = [
+        points = [
             _salvage_point(entry, pb.certificate, gauge, block)
             for entry, pb, gauge, block in zip(s.blocks, per_block, gauges, sol.blocks)
         ]
-        if all(pt is not None for pt in witness):
-            zeta = _verify_witness(stacks, witness, eta, opts.tol)
-    if zeta is None:
-        witness = None
+        if all(pt is not None for pt in points):
+            zeta = _verify_witness(stacks, points, eta, opts.tol)
+    if zeta is not None:
+        witness = [np.concatenate(points[sl]) for sl in stacks.slices]
 
     # the verdict: certified, else witnessed, else the grid oracle's, the
     # only road to NotExact

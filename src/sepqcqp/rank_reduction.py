@@ -235,15 +235,13 @@ def reduce(
             lams.append(_unsvec(z[ofs : ofs + k], w))
             ofs += k
         ds = z[ofs:]
-        # normalize so the boundary step stays well scaled
+        # normalize so the boundary step stays well scaled; z is a unit
+        # right-singular vector, so its block or slack part is nonzero
         scale = max(
             max((np.linalg.norm(lam) for lam in lams), default=0.0),
             np.abs(ds).max(initial=0.0),
         )
-        if scale > 0:
-            lams = [lam / scale for lam in lams]
-            ds = ds / scale
-        return lams, ds, scale
+        return [lam / scale for lam in lams], ds / scale, scale
 
     def boundary(lams, ds, live, sign):
         """(step to boundary, hit kind, hit index) for direction sign*z."""
@@ -294,6 +292,9 @@ def reduce(
         fs, eigs, frozen = factor_blocks()
         live = slack_live()
         mat, widths = build_system(fs, live)
+        if not np.isfinite(mat).all():
+            # F^T A F can overflow where <A, X> does not; svd must not see it
+            stall("the restricted system overflowed")
         res_budget = 3.0 * tol * scale_rhs
 
         def obj_velocity(lams):
@@ -304,8 +305,6 @@ def reduce(
             never hits the cone boundary or would smear rounding error
             beyond the feasibility and value budgets."""
             lams, ds, scale = split_direction(z, widths)
-            if scale <= 0.0:
-                return None
             vel = np.abs(sys_mat @ z).max(initial=0.0) / scale
             dval = obj_velocity(lams)
             signs = ((-1.0,) if dval > 0 else (1.0,)) if one_sided else (1.0, -1.0)

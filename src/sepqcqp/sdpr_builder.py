@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError, RangeError, StructureError
 from .qcqp_model import HomSepQcqp, Qcqp, Relation, SeparableQcqp, _check_finite
 
 #: the package's directory, which dropped-row warnings look past
@@ -77,6 +77,10 @@ class BlockSdp:
         for i in np.flatnonzero((coeffs != 0.0) & (np.abs(coeffs) != 1.0)):
             raise StructureError(f"row {i} slack coefficient {coeffs[i]:g}")
         _check_finite("rhs", operator.rhs)
+        for b, (act, stack) in enumerate(zip(operator.active, operator.stacks)):
+            if not np.isfinite(stack).all():
+                i = act[~np.isfinite(stack).all(axis=(1, 2))][0]
+                raise RangeError(f"row {i} block {b}: matrix entries must be finite")
         normalization_rows = frozenset(int(i) for i in normalization_rows)
         for i in normalization_rows:
             if not 0 <= i < operator.n_rows:

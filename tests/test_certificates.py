@@ -167,6 +167,21 @@ class TestAggregatedGraph:
         with pytest.raises(DimensionError):
             aggregated_graph([SymMatrix.zeros(2), SymMatrix.zeros(3)])
 
+    @pytest.mark.parametrize("mats", [[], np.zeros((0, 2, 2))], ids=["list", "stack"])
+    def test_empty_family(self, mats):
+        with pytest.raises(DimensionError, match="^need at least one matrix$"):
+            aggregated_graph(mats)
+
+    @pytest.mark.parametrize("edge", [(1, 1), (0, 2), (2, 4)])
+    def test_bad_edge(self, edge):
+        with pytest.raises(StructureError, match=r"^bad edge \(%d, %d\) for n = 3$" % edge):
+            SparsityGraph(3, {edge: -1})
+
+    @pytest.mark.parametrize("sign", [2, 0.5, None])
+    def test_bad_sign(self, sign):
+        with pytest.raises(StructureError, match="^sigma must be -1, 0, or \\+1"):
+            SparsityGraph(3, {(1, 2): -1, (2, 3): sign})
+
 
 def graph_from_edges(n, sigma_edges):
     return SparsityGraph(n, dict(sigma_edges))
@@ -628,6 +643,13 @@ class TestAssumptionA:
         h = two_block_family(1.0)
         with pytest.raises(DimensionError):
             check_assumption_A(h, [SymMatrix.zeros(2)])
+
+    def test_block_dim_mismatch(self):
+        h = two_block_family(1.0)
+        blocks = [SymMatrix.zeros(d) for d in h.dims]
+        blocks[1] = SymMatrix.zeros(h.dims[1] + 1)
+        with pytest.raises(DimensionError, match=f"^solution block dim {h.dims[1] + 1} != "):
+            check_assumption_A(h, blocks)
 
 
 class TestMLe2:

@@ -356,6 +356,85 @@ class TestGuards:
             )
 
 
+class TestStallBranches:
+    """One hand-made input per way out of reduce's loop other than a
+    finished walk."""
+
+    def test_zero_block_gives_an_empty_system(self):
+        # the zero block freezes and no row has a slack: the restricted
+        # system has no column, so there is nothing to move
+        b = BlockSdp.from_rows(
+            (2,), (SymMatrix.identity(2),), [((SymMatrix.identity(2),), 0, 0.0)]
+        )
+        red, rep = reduce(b, hand_solution(b, [np.zeros((2, 2))], 0.0))
+        assert rep.iterations == 0 and rep.final_ranks == [0]
+        assert not red.blocks[0].to_dense().any()
+
+    def test_unusable_null_directions_stall(self):
+        # rows 1 and 2 differ by 1e-10 relative, below svd's cutoff, so
+        # I/sqrt(2) counts as null; but row 2 moves by about 1e-4 along
+        # it, far past the residual budget, and +I never meets the boundary
+        n, rows = 1e6, []
+        for mat in (np.diag([1.0, -1.0]), np.diag([1.0, -1.0 + 1e-10]),
+                    np.array([[0.0, 1.0], [1.0, 0.0]])):
+            mat = sym(n * mat)
+            rows.append(((mat,), 0, float(np.sum(mat.to_dense() * np.eye(2)))))
+        b = BlockSdp.from_rows((2,), (SymMatrix.zeros(2),), rows)
+        with pytest.raises(ReductionStallError, match="numerically unusable") as exc:
+            reduce(b, hand_solution(b, [np.eye(2)], 0.0))
+        assert exc.value.report.final_ranks == [2]
+
+    def test_constraint_only_move_lowers_the_objective(self):
+        # the objective 1e-8 X11 is above svd's cutoff, so the full system
+        # has no null direction; the rows alone leave diag(1, -1), along
+        # which the objective falls by 1e-8, within the value budget
+        rows = [
+            ((SymMatrix.identity(2),), 0, 2.0),
+            ((sym([[0.0, 1.0], [1.0, 0.0]]),), 0, 0.0),
+        ]
+        b = BlockSdp.from_rows((2,), (sym(np.diag([1e-8, 0.0])),), rows)
+        red, rep = reduce(b, hand_solution(b, [np.eye(2)], 1e-8))
+        assert rep.iterations == 1 and rep.final_ranks == [1]
+        assert red.blocks[0].to_dense() == pytest.approx(np.diag([0.0, 2.0]), abs=1e-12)
+        assert red.value == pytest.approx(0.0, abs=1e-15)
+
+    def test_no_termination_stalls(self):
+        # below machine precision, a rank tolerance keeps the roundoff
+        # eigenvalue a boundary step leaves, so no step lowers a rank
+        b = BlockSdp.from_rows(
+            (4,), (SymMatrix.identity(4),), [((SymMatrix.identity(4),), 0, 1.0)]
+        )
+        with pytest.raises(ReductionStallError, match="no termination after 9 iterations"):
+            reduce(b, hand_solution(b, [np.eye(4) / 4.0], 1.0), rank_tol=1e-20)
+
+    def test_two_tiny_steps_stall(self):
+        # per block x, rows x + s = 1 + e and -x + s' = -1 + e with slacks
+        # of e = 2^-50 (2e on block 2): both ways along each block's null
+        # direction a slack reaches 0 after a step of about e, before x
+        # does, and each block takes one such step
+        e, one, zero, neg = 2.0**-50, SymMatrix.identity(1), SymMatrix.zeros(1), sym([[-1.0]])
+        rows = [
+            ((one, zero), 1, 1.0 + e), ((neg, zero), 1, -1.0 + e),
+            ((zero, one), 1, 1.0 + 2 * e), ((zero, neg), 1, -1.0 + 2 * e),
+        ]
+        b = BlockSdp.from_rows((1, 1), (zero, zero), rows)
+        sol = hand_solution(b, [np.eye(1), np.eye(1)], 0.0, slacks=[e, e, 2 * e, 2 * e])
+        with pytest.raises(ReductionStallError, match="below 1e-14 twice") as exc:
+            reduce(b, sol, tol=1e-16)
+        assert exc.value.report.iterations == 2
+
+    def test_overflowing_restricted_system_stalls(self):
+        # <A, X> is 0, but F^T A F overflows with F = 1e150 I; svd would
+        # have met inf / inf = nan in the scaled system
+        b = BlockSdp.from_rows(
+            (2,), (SymMatrix.identity(2),),
+            [((sym([[0.0, 1e10], [1e10, 0.0]]),), 0, 0.0)],
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(ReductionStallError, match="overflowed"):
+                reduce(b, hand_solution(b, [1e300 * np.eye(2)], 2e300))
+
+
 def random_equality_instance(seed, with_slack_rows=0):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(3, 7))

@@ -282,6 +282,21 @@ class TestBlockSdpValidation:
         with pytest.raises(DimensionError, match="row 0"):
             BlockSdp.from_rows((2,), (SymMatrix.zeros(2),), [(mats, 0, 1.0)])
 
+    @pytest.mark.parametrize("c", [np.inf, np.nan])
+    def test_non_finite_row_matrix(self, c):
+        # min tr X s.t. X11 + c X22 = 1: unchecked, c = inf left presolve no
+        # row and solve read Optimal at an infinite residual, and c = nan
+        # raised numpy's LinAlgError from presolve's rank test
+        op = RowOperator((2,), [[0]], [[np.diag([1.0, c])]], [0.0], [1.0], [-1])
+        with pytest.raises(RangeError, match="^row 0 block 0: matrix entries must be finite$"):
+            BlockSdp((2,), (SymMatrix.identity(2),), op)
+        op = RowOperator(
+            (1, 2), [[0], [0, 1]], [[np.eye(1)], [np.eye(2), np.diag([1.0, c])]],
+            [0.0, 1.0], [1.0, 2.0], [-1, -1],
+        )
+        with pytest.raises(RangeError, match="^row 1 block 1: "):
+            BlockSdp((1, 2), (SymMatrix.identity(1), SymMatrix.identity(2)), op)
+
     def test_zero_dimensional_block(self):
         with pytest.raises(DimensionError, match="positive"):
             BlockSdp.from_rows((2, 0), (SymMatrix.zeros(2), SymMatrix.zeros(0)), [])
